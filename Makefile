@@ -47,14 +47,14 @@ profile:
 	dune exec bin/o1mem_cli.exe -- profile --backend malloc
 	dune exec bin/o1mem_cli.exe -- profile --backend fom
 
-# H1 host-cost attribution: what the HOST pays per simulated op — ranked
-# tables of self host-ns and self allocated words per call-tree path,
-# plus a collapsed-stack file for flamegraph.pl / speedscope (see
+# H1 host-cost attribution: what the HOST pays per simulated op — the
+# call tree with self host-ns and self allocated words per path, plus a
+# collapsed-stack file for flamegraph.pl / speedscope (see
 # EXPERIMENTS.md "H1 — what does the host pay?").
 hotspots:
-	dune exec bin/o1mem_cli.exe -- hotspots --backend malloc
-	dune exec bin/o1mem_cli.exe -- hotspots --backend fom
-	dune exec bin/o1mem_cli.exe -- hotspots --backend fom --format collapsed > hotspots.collapsed
+	dune exec bin/o1mem_cli.exe -- profile --by ns --backend malloc
+	dune exec bin/o1mem_cli.exe -- profile --by ns --backend fom
+	dune exec bin/o1mem_cli.exe -- profile --by ns --backend fom --format collapsed > hotspots.collapsed
 	@echo "wrote hotspots.collapsed ($$(wc -l < hotspots.collapsed) stacks)"
 
 # T1 Chrome timeline for the 4-core migration workload: per-core slices,

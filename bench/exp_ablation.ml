@@ -192,63 +192,23 @@ let tab_heaps () =
   let trace =
     Wl.Churn.generate ~rng:(Sim.Rng.create ~seed:12) ~ops:1000 ~max_bytes:(Sim.Units.kib 256) ()
   in
-  let replay k malloc free touch =
-    let driver = { Wl.Churn.h_malloc = malloc; h_free = free; h_touch = touch } in
-    time_us k (fun () -> ignore (Wl.Churn.run trace driver))
+  let replay k driver = time_us k (fun () -> ignore (Wl.Churn.run trace driver)) in
+  let heap_row name k backend =
+    let driver, footprint = heap_driver k backend in
+    let us = replay k driver in
+    Sim.Table.add_row t [ name; Sim.Table.cell_float us; Sim.Table.cell_bytes (footprint ()); "-" ]
   in
-  (* dlmalloc-style *)
-  let k1 = kernel ~dram:(Sim.Units.gib 1) () in
-  let p1 = K.create_process k1 () in
-  let mh = Heap.Malloc_sim.create k1 p1 in
-  let t1 =
-    replay k1
-      (fun ~bytes -> Heap.Malloc_sim.malloc mh ~bytes)
-      (Heap.Malloc_sim.free mh)
-      (fun ~va ~bytes ->
-        ignore (K.access_range k1 p1 ~va ~len:(max 1 bytes) ~write:true ~stride:Sim.Units.page_size))
-  in
-  Sim.Table.add_row t
-    [ "dlmalloc-style"; Sim.Table.cell_float t1;
-      Sim.Table.cell_bytes (Heap.Malloc_sim.footprint_bytes mh); "-" ];
+  heap_row "dlmalloc-style" (kernel ~dram:(Sim.Units.gib 1) ()) `Malloc;
   (* tcmalloc-style, 4 threads round-robin *)
   let k2 = kernel ~dram:(Sim.Units.gib 1) () in
   let p2 = K.create_process k2 () in
   let tc = Heap.Tcmalloc_sim.create k2 p2 ~threads:4 () in
-  let next = ref 0 in
-  let thread_of = Hashtbl.create 64 in
-  let t2 =
-    replay k2
-      (fun ~bytes ->
-        let th = !next mod 4 in
-        incr next;
-        let va = Heap.Tcmalloc_sim.malloc tc ~thread:th ~bytes in
-        Hashtbl.replace thread_of va th;
-        va)
-      (fun va ->
-        let th = Option.value (Hashtbl.find_opt thread_of va) ~default:0 in
-        Heap.Tcmalloc_sim.free tc ~thread:th va)
-      (fun ~va ~bytes ->
-        ignore (K.access_range k2 p2 ~va ~len:(max 1 bytes) ~write:true ~stride:Sim.Units.page_size))
-  in
+  let t2 = replay k2 (tcmalloc_driver k2 p2 tc) in
   Sim.Table.add_row t
     [ "tcmalloc-style (4 threads)"; Sim.Table.cell_float t2;
       Sim.Table.cell_bytes (Heap.Tcmalloc_sim.footprint_bytes tc);
       Sim.Table.cell_int (Heap.Tcmalloc_sim.central_refills tc) ];
-  (* FOM heap *)
-  let k3, fom = kernel_and_fom () in
-  let p3 = K.create_process k3 () in
-  let fh = Heap.Fom_heap.create fom p3 () in
-  let t3 =
-    replay k3
-      (fun ~bytes -> Heap.Fom_heap.malloc fh ~bytes)
-      (Heap.Fom_heap.free fh)
-      (fun ~va ~bytes ->
-        ignore
-          (F.access_range fom p3 ~va ~len:(max 1 bytes) ~write:true ~stride:Sim.Units.page_size))
-  in
-  Sim.Table.add_row t
-    [ "FOM heap (file-backed)"; Sim.Table.cell_float t3;
-      Sim.Table.cell_bytes (Heap.Fom_heap.footprint_bytes fh); "-" ];
+  heap_row "FOM heap (file-backed)" (kernel ()) `Fom;
   t
 
 (* A7: fork cost is per-resident-page in the baseline; the FOM equivalent

@@ -1,68 +1,58 @@
-(* P1 — where do the cycles go?
+(* P1 — where do the cycles go? H1 — what does the host pay?
 
-   Runs the allocation-churn workload with a cycle-attribution profiler
-   attached to the machine trace, so every syscall/fault/TLB/zeroing
-   span shows up in a call tree. The profiler is attached AFTER machine
-   and heap setup: boot-time cycles (struct page init etc.) are out of
-   scope, and the attributed fraction measures how much of the measured
-   workload's cycles land in named spans.
+   Both replay the allocation-churn workload with a Sim.Profile attached
+   to the machine trace, so every syscall/fault/TLB/zeroing span lands
+   in one call tree. The profiler attaches AFTER machine and heap setup:
+   boot-time cycles (struct page init etc.) are out of scope, and the
+   attributed fraction measures how much of the measured workload's
+   cost lands in named spans.
 
-   Everything runs on the virtual clock with a fixed seed, so the
-   exported profile is byte-identical across runs and hosts. *)
+   P1 attributes virtual cycles only, with a fixed seed, so its export
+   is byte-identical across runs and hosts. H1 gives the profiler a host
+   clock, so every path also gets host ns/op, allocated words/op and a
+   host-ns-per-simulated-cycle ratio. It wraps each driver op
+   (malloc/free/touch) in a root span so the driver's own host cost
+   lands in the tree too, and samples the self-gauges (OCaml heap words,
+   GC collections, RSS) inside that span so their cost is attributed,
+   not hidden. Word and cycle counts are deterministic for a fixed
+   binary; only the ns values are host noise. *)
 
 module K = Os.Kernel
 
 let default_ops = 400
 let sample_interval_cycles = 50_000
 
-let attach k =
-  let profile = Sim.Profile.create ~clock:(K.clock k) () in
-  Sim.Trace.attach_profile (K.trace k) profile;
-  Sim.Stats.set_sample_interval (K.stats k) ~cycles:sample_interval_cycles;
-  profile
-
 (* Build machine + heap, attach the profiler, replay the churn trace.
    Returns the kernel (for gauges and procfs rollups) and the profile. *)
-let run_churn ?(ops = default_ops) backend =
-  let rng = Sim.Rng.create ~seed:42 in
-  let trace = Wl.Churn.generate ~rng ~ops ~max_bytes:(Sim.Units.kib 64) () in
-  let k = Bench_env.kernel ~dram:(Sim.Units.gib 1) ~nvm:(Sim.Units.gib 1) () in
-  (match backend with
-  | `Malloc ->
-    let p = K.create_process k () in
-    let h = Heap.Malloc_sim.create k p in
-    let _profile_from_here = attach k in
-    ignore
-      (Wl.Churn.run trace
-         {
-           Wl.Churn.h_malloc = (fun ~bytes -> Heap.Malloc_sim.malloc h ~bytes);
-           h_free = (fun va -> Heap.Malloc_sim.free h va);
-           h_touch =
-             (fun ~va ~bytes ->
-               ignore
-                 (K.access_range k p ~va ~len:(max 1 bytes) ~write:true
-                    ~stride:Sim.Units.page_size));
-         })
-  | `Fom ->
-    let fom = O1mem.Fom.create k () in
-    let p = K.create_process k () in
-    let h = Heap.Fom_heap.create fom p () in
-    let _profile_from_here = attach k in
-    ignore
-      (Wl.Churn.run trace
-         {
-           Wl.Churn.h_malloc = (fun ~bytes -> Heap.Fom_heap.malloc h ~bytes);
-           h_free = (fun va -> Heap.Fom_heap.free h va);
-           h_touch =
-             (fun ~va ~bytes ->
-               ignore
-                 (O1mem.Fom.access_range fom p ~va ~len:(max 1 bytes) ~write:true
-                    ~stride:Sim.Units.page_size));
-         }));
-  (k, Sim.Trace.profile (K.trace k))
+let run_churn ?(ops = default_ops) ?(host = false) backend =
+  let k, trace, driver = Bench_env.churn ~ops backend in
+  let now_ns = if host then Some Bench_env.now_ns else None in
+  let profile = Sim.Profile.create ~clock:(K.clock k) ?now_ns () in
+  Sim.Trace.attach_profile (K.trace k) profile;
+  let driver =
+    if host then begin
+      let op name f =
+        Sim.Profile.span profile name @@ fun () ->
+        let r = f () in
+        Sim.Profile.sample_self profile;
+        r
+      in
+      {
+        Wl.Churn.h_malloc = (fun ~bytes -> op "malloc" (fun () -> driver.Wl.Churn.h_malloc ~bytes));
+        h_free = (fun va -> op "free" (fun () -> driver.Wl.Churn.h_free va));
+        h_touch = (fun ~va ~bytes -> op "touch" (fun () -> driver.Wl.Churn.h_touch ~va ~bytes));
+      }
+    end
+    else begin
+      Sim.Stats.set_sample_interval (K.stats k) ~cycles:sample_interval_cycles;
+      driver
+    end
+  in
+  ignore (Wl.Churn.run trace driver);
+  (k, profile)
 
-(* Deterministic export for the bench JSON: attribution summary, full
-   call tree, and the gauge registry after the profiled churn_fom run. *)
+(* The "profile" section: P1's attribution summary, full call tree, and
+   the gauge registry after the profiled churn_fom run. *)
 let to_json ?(ops = default_ops) () =
   let k, profile = run_churn ~ops `Fom in
   Sim.Json.Obj
@@ -73,12 +63,14 @@ let to_json ?(ops = default_ops) () =
       ("gauges", Sim.Stats.gauges_to_json (K.stats k));
     ]
 
-let run ?(ops = default_ops) () =
-  Bench_env.print_header "P1"
-    "Cycle attribution for the churn workload: call tree over the virtual clock.";
-  List.iter
-    (fun (name, backend) ->
-      let _, profile = run_churn ~ops backend in
-      Printf.printf "--- churn_%s (%d ops) ---\n" name ops;
-      Format.printf "%a@." Sim.Profile.pp profile)
-    [ ("malloc", `Malloc); ("fom", `Fom) ]
+(* The "host" section: H1 per churn backend. Word/call/vcycle counts are
+   deterministic per binary — bench-diff gates on those under
+   --gate-host-alloc; ns is report-only. *)
+let host_json ?(ops = default_ops) () =
+  let backend_json backend = Sim.Profile.host_json (snd (run_churn ~ops ~host:true backend)) in
+  Sim.Json.Obj
+    [
+      ("ops", Sim.Json.Int ops);
+      ("churn_malloc", backend_json `Malloc);
+      ("churn_fom", backend_json `Fom);
+    ]

@@ -9,43 +9,9 @@
    "throughput" section is report-only unless --gate-throughput is
    passed; its value is the trajectory, not any single run. *)
 
-module K = Os.Kernel
-
-(* One monotonic host-nanosecond source for the whole bench layer. *)
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 let run_churn backend ~ops =
-  let rng = Sim.Rng.create ~seed:42 in
-  let trace = Wl.Churn.generate ~rng ~ops ~max_bytes:(Sim.Units.kib 64) () in
-  let k = Bench_env.kernel ~dram:(Sim.Units.gib 1) ~nvm:(Sim.Units.gib 1) () in
-  match backend with
-  | `Malloc ->
-    let p = K.create_process k () in
-    let h = Heap.Malloc_sim.create k p in
-    Wl.Churn.run trace
-      {
-        Wl.Churn.h_malloc = (fun ~bytes -> Heap.Malloc_sim.malloc h ~bytes);
-        h_free = (fun va -> Heap.Malloc_sim.free h va);
-        h_touch =
-          (fun ~va ~bytes ->
-            ignore
-              (K.access_range k p ~va ~len:(max 1 bytes) ~write:true
-                 ~stride:Sim.Units.page_size));
-      }
-  | `Fom ->
-    let fom = O1mem.Fom.create k () in
-    let p = K.create_process k () in
-    let h = Heap.Fom_heap.create fom p () in
-    Wl.Churn.run trace
-      {
-        Wl.Churn.h_malloc = (fun ~bytes -> Heap.Fom_heap.malloc h ~bytes);
-        h_free = (fun va -> Heap.Fom_heap.free h va);
-        h_touch =
-          (fun ~va ~bytes ->
-            ignore
-              (O1mem.Fom.access_range fom p ~va ~len:(max 1 bytes) ~write:true
-                 ~stride:Sim.Units.page_size));
-      }
+  let _, trace, driver = Bench_env.churn ~ops backend in
+  Wl.Churn.run trace driver
 
 let run_fs_study ~machines ~years =
   let r =
@@ -83,9 +49,9 @@ type measurement = {
 }
 
 let time_trial f =
-  let t0 = now_ns () in
+  let t0 = Bench_env.now_ns () in
   let ops = f () in
-  let seconds = float_of_int (max 1 (now_ns () - t0)) /. 1e9 in
+  let seconds = float_of_int (max 1 (Bench_env.now_ns () - t0)) /. 1e9 in
   (ops, seconds)
 
 let measure_one ~trials (name, f) =

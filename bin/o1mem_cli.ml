@@ -188,28 +188,56 @@ let profile_backend_of = function
   | "fom" -> `Fom
   | other -> failwith ("unknown backend: " ^ other ^ " (malloc|fom)")
 
-let profile backend ops format =
-  let _, p = Experiments.Exp_profile.run_churn ~ops (profile_backend_of backend) in
+let profile_by_of = function
+  | "cycles" -> `Cycles
+  | "ns" -> `Ns
+  | "words" -> `Words
+  | other -> failwith ("unknown metric: " ^ other ^ " (cycles|ns|words)")
+
+(* ns and words need the host clock: the host run also wraps each driver
+   op in a malloc/free/touch root span so the driver's own cost lands in
+   the tree. Host ns are wall-clock noise; everything else is
+   deterministic per binary. *)
+let profile backend ops format by =
+  let by = profile_by_of by in
+  let _, p =
+    Experiments.Exp_profile.run_churn ~ops ~host:(by <> `Cycles) (profile_backend_of backend)
+  in
   match format with
   | "tree" -> Format.printf "%a@." Sim.Profile.pp p
+  | "csv" ->
+    print_endline "path,calls,self_cycles,cycles,self_ns,ns,self_words,words,ns_per_vcycle";
+    List.iter
+      (fun (path, (n : Sim.Profile.node)) ->
+        Printf.printf "%s,%d,%d,%d,%d,%d,%d,%d,%.3f\n" path n.calls n.self n.cum n.self_ns n.ns
+          n.self_words n.words (Sim.Profile.ns_per_vcycle n))
+      (Sim.Profile.top ~by p)
   | "chrome" ->
     print_string (Sim.Json.to_string ~pretty:true (Sim.Profile.to_chrome_json p));
     print_newline ()
-  | "collapsed" -> print_string (Sim.Profile.to_collapsed p)
-  | other -> failwith ("unknown format: " ^ other ^ " (tree|chrome|collapsed)")
+  | "collapsed" -> print_string (Sim.Profile.to_collapsed ~by p)
+  | other -> failwith ("unknown format: " ^ other ^ " (tree|csv|chrome|collapsed)")
 
 let profile_cmd =
   let doc =
-    "Replay the churn workload with the cycle-attribution profiler attached and print the call \
-     tree, a Chrome trace-event JSON (load in chrome://tracing or Perfetto), or collapsed stacks \
-     (pipe into flamegraph.pl or speedscope)"
+    "Replay the churn workload with the call-tree profiler attached and print the tree, a CSV of \
+     every path ranked by self cost, a Chrome trace-event JSON (load in chrome://tracing or \
+     Perfetto), or collapsed stacks (pipe into flamegraph.pl or speedscope). Virtual cycles by \
+     default; $(b,--by) ns or words also measures what the host pays per path"
   in
   let backend = Arg.(value & opt string "fom" & info [ "backend" ] ~doc:"malloc|fom.") in
   let ops = Arg.(value & opt int 400 & info [ "ops" ] ~doc:"Operations in the trace.") in
   let format =
-    Arg.(value & opt string "tree" & info [ "format" ] ~docv:"FMT" ~doc:"tree|chrome|collapsed.")
+    Arg.(
+      value & opt string "tree" & info [ "format" ] ~docv:"FMT" ~doc:"tree|csv|chrome|collapsed.")
   in
-  Cmd.v (Cmd.info "profile" ~doc) Term.(const profile $ backend $ ops $ format)
+  let by =
+    Arg.(
+      value & opt string "cycles"
+      & info [ "by" ] ~docv:"METRIC"
+          ~doc:"Cost to rank (csv) and fold (collapsed) by: cycles|ns|words.")
+  in
+  Cmd.v (Cmd.info "profile" ~doc) Term.(const profile $ backend $ ops $ format $ by)
 
 (* ------------------------------ top -------------------------------- *)
 
@@ -245,13 +273,13 @@ let top backend ops k_spans =
   print_newline ();
   Printf.printf "%-40s %10s %12s %12s\n" "SPAN" "CALLS" "SELF" "CUM";
   List.iter
-    (fun (path, calls, self, cum) ->
-      Printf.printf "%-40s %10d %12d %12d\n" path calls self cum)
-    (Sim.Profile.top_spans ~k:k_spans p);
+    (fun (path, (n : Sim.Profile.node)) ->
+      Printf.printf "%-40s %10d %12d %12d\n" path n.calls n.self n.cum)
+    (Sim.Profile.top ~k:k_spans ~by:`Cycles p);
   Printf.printf "\n%d/%d cycles attributed (%.1f%%), %d unattributed\n"
-    (Sim.Profile.attributed_cycles p) (Sim.Profile.total_cycles p)
+    (Sim.Profile.attributed p) (Sim.Profile.total p)
     (100.0 *. Sim.Profile.attributed_fraction p)
-    (Sim.Profile.unattributed_cycles p)
+    (Sim.Profile.unattributed p)
 
 let top_cmd =
   let doc =
@@ -494,70 +522,6 @@ let store_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic workload seed.") in
   Cmd.v (Cmd.info "store" ~doc) Term.(const store $ keys $ txns $ seed)
 
-(* ---------------------------- hotspots ----------------------------- *)
-
-(* What the HOST pays to simulate: replay the churn workload with the
-   host-cost plane attached and rank call-tree paths by self host-ns and
-   by self allocated words. The ns numbers are real wall-clock (noisy);
-   the words and call counts are deterministic per binary. *)
-let hotspots_by_of = function
-  | "ns" -> `Ns
-  | "words" -> `Words
-  | other -> failwith ("unknown ranking: " ^ other ^ " (ns|words)")
-
-let hotspots backend ops top_n format by =
-  let _, hp = Experiments.Exp_hostprof.run_churn ~ops (profile_backend_of backend) in
-  let ranked = Sim.Hostprof.top_paths ~k:top_n ~by:(hotspots_by_of by) hp in
-  (match format with
-  | "tree" ->
-    let table title by =
-      Printf.printf "%s\n%-44s %8s %12s %12s %12s %10s\n" title "PATH" "CALLS" "SELF_NS"
-        "SELF_WORDS" "CUM_NS" "NS/VCYCLE";
-      List.iter
-        (fun (path, n) ->
-          Printf.printf "%-44s %8d %12d %12d %12d %10.1f\n" path n.Sim.Hostprof.calls
-            n.Sim.Hostprof.self_ns n.Sim.Hostprof.self_words n.Sim.Hostprof.ns
-            (Sim.Hostprof.ns_per_vcycle ~ns:n.Sim.Hostprof.ns ~vcycles:n.Sim.Hostprof.vcycles))
-        (Sim.Hostprof.top_paths ~k:top_n ~by hp);
-      print_newline ()
-    in
-    table (Printf.sprintf "Top %d paths by self host-ns:" top_n) `Ns;
-    table (Printf.sprintf "Top %d paths by self allocated words:" top_n) `Words;
-    Printf.printf "%d ns total, %.1f%% attributed; %d words allocated, %.1f%% attributed\n"
-      (Sim.Hostprof.total_ns hp)
-      (100.0 *. Sim.Hostprof.attributed_ns_fraction hp)
-      (Sim.Hostprof.total_words hp)
-      (100.0 *. Sim.Hostprof.attributed_words_fraction hp)
-  | "csv" ->
-    Printf.printf "path,calls,self_ns,ns,self_words,words,vcycles,ns_per_vcycle\n";
-    List.iter
-      (fun (path, n) ->
-        Printf.printf "%s,%d,%d,%d,%d,%d,%d,%.3f\n" path n.Sim.Hostprof.calls
-          n.Sim.Hostprof.self_ns n.Sim.Hostprof.ns n.Sim.Hostprof.self_words
-          n.Sim.Hostprof.words n.Sim.Hostprof.vcycles
-          (Sim.Hostprof.ns_per_vcycle ~ns:n.Sim.Hostprof.ns ~vcycles:n.Sim.Hostprof.vcycles))
-      ranked
-  | "collapsed" -> print_string (Sim.Hostprof.to_collapsed ~by:(hotspots_by_of by) hp)
-  | other -> failwith ("unknown format: " ^ other ^ " (tree|csv|collapsed)"))
-
-let hotspots_cmd =
-  let doc =
-    "Replay the churn workload with the host-cost attribution plane attached and print the \
-     hottest call-tree paths by self host-nanoseconds and by self allocated words (what the host \
-     pays per simulated op), as ranked tables, CSV, or collapsed stacks for flamegraph.pl"
-  in
-  let backend = Arg.(value & opt string "fom" & info [ "backend" ] ~doc:"malloc|fom.") in
-  let ops = Arg.(value & opt int 400 & info [ "ops" ] ~doc:"Operations in the trace.") in
-  let top_n = Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Paths per ranking.") in
-  let format =
-    Arg.(value & opt string "tree" & info [ "format" ] ~docv:"FMT" ~doc:"tree|csv|collapsed.")
-  in
-  let by =
-    Arg.(
-      value & opt string "ns"
-      & info [ "by" ] ~docv:"METRIC" ~doc:"Ranking metric for csv/collapsed output: ns|words.")
-  in
-  Cmd.v (Cmd.info "hotspots" ~doc) Term.(const hotspots $ backend $ ops $ top_n $ format $ by)
 
 (* --------------------------- bench-diff ---------------------------- *)
 
@@ -633,75 +597,18 @@ let churn backend ops max_kib seed =
   let rng = Sim.Rng.create ~seed in
   let trace = Wl.Churn.generate ~rng ~ops ~max_bytes:(Sim.Units.kib max_kib) () in
   let k = Experiments.Bench_env.kernel ~dram:(Sim.Units.gib 2) ~nvm:(Sim.Units.gib 2) () in
-  let run_with driver =
-    let clock = Os.Kernel.clock k in
-    let before = Sim.Clock.now clock in
-    let n = Wl.Churn.run trace driver in
-    (n, Sim.Clock.us clock (Sim.Clock.elapsed clock ~since:before))
+  let driver, footprint =
+    Experiments.Bench_env.heap_driver k
+      (match backend with
+      | "tcmalloc" -> `Tcmalloc
+      | "malloc" | "fom" -> profile_backend_of backend
+      | other -> failwith ("unknown backend: " ^ other ^ " (malloc|tcmalloc|fom)"))
   in
-  let n, us, footprint =
-    match backend with
-    | "malloc" ->
-      let p = Os.Kernel.create_process k () in
-      let h = Heap.Malloc_sim.create k p in
-      let n, us =
-        run_with
-          {
-            Wl.Churn.h_malloc = (fun ~bytes -> Heap.Malloc_sim.malloc h ~bytes);
-            h_free = (fun va -> Heap.Malloc_sim.free h va);
-            h_touch =
-              (fun ~va ~bytes ->
-                ignore
-                  (Os.Kernel.access_range k p ~va ~len:(max 1 bytes) ~write:true
-                     ~stride:Sim.Units.page_size));
-          }
-      in
-      (n, us, Heap.Malloc_sim.footprint_bytes h)
-    | "tcmalloc" ->
-      let p = Os.Kernel.create_process k () in
-      let h = Heap.Tcmalloc_sim.create k p () in
-      let next = ref 0 in
-      let owner = Hashtbl.create 64 in
-      let n, us =
-        run_with
-          {
-            Wl.Churn.h_malloc =
-              (fun ~bytes ->
-                let th = !next mod 4 in
-                incr next;
-                let va = Heap.Tcmalloc_sim.malloc h ~thread:th ~bytes in
-                Hashtbl.replace owner va th;
-                va);
-            h_free =
-              (fun va ->
-                Heap.Tcmalloc_sim.free h ~thread:(Option.value (Hashtbl.find_opt owner va) ~default:0) va);
-            h_touch =
-              (fun ~va ~bytes ->
-                ignore
-                  (Os.Kernel.access_range k p ~va ~len:(max 1 bytes) ~write:true
-                     ~stride:Sim.Units.page_size));
-          }
-      in
-      (n, us, Heap.Tcmalloc_sim.footprint_bytes h)
-    | "fom" ->
-      let fom = O1mem.Fom.create k () in
-      let p = Os.Kernel.create_process k () in
-      let h = Heap.Fom_heap.create fom p () in
-      let n, us =
-        run_with
-          {
-            Wl.Churn.h_malloc = (fun ~bytes -> Heap.Fom_heap.malloc h ~bytes);
-            h_free = (fun va -> Heap.Fom_heap.free h va);
-            h_touch =
-              (fun ~va ~bytes ->
-                ignore
-                  (O1mem.Fom.access_range fom p ~va ~len:(max 1 bytes) ~write:true
-                     ~stride:Sim.Units.page_size));
-          }
-      in
-      (n, us, Heap.Fom_heap.footprint_bytes h)
-    | other -> failwith ("unknown backend: " ^ other ^ " (malloc|tcmalloc|fom)")
-  in
+  let clock = Os.Kernel.clock k in
+  let before = Sim.Clock.now clock in
+  let n = Wl.Churn.run trace driver in
+  let us = Sim.Clock.us clock (Sim.Clock.elapsed clock ~since:before) in
+  let footprint = footprint () in
   Printf.printf "backend %-8s  %d ops in %.1f us simulated, footprint %s
 " backend n us
     (Sim.Units.bytes_to_string footprint);
@@ -728,6 +635,6 @@ let () =
        (Cmd.group info
           [
             experiments_cmd; study_cmd; walkrefs_cmd; simulate_cmd; churn_cmd; metrics_cmd;
-            profile_cmd; top_cmd; hotspots_cmd; timeline_cmd; critical_path_cmd; faults_cmd;
+            profile_cmd; top_cmd; timeline_cmd; critical_path_cmd; faults_cmd;
             store_cmd; bench_diff_cmd;
           ]))

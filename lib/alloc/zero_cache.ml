@@ -35,7 +35,7 @@ let take t ~order =
     match Queue.take_opt t.queues.(order) with
     | Some frame ->
       (* The O(1) handout: one pop, no zeroing on the critical path. *)
-      Sim.Trace.prof_span (Physmem.Phys_mem.trace t.mem) "zero_cache_pop"
+      Sim.Profile.span (Sim.Trace.profile (Physmem.Phys_mem.trace t.mem)) "zero_cache_pop"
       @@ fun () ->
       Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) (model t).Sim.Cost_model.zero_cache_pop;
       Sim.Stats.incr stats "zero_cache_hit";

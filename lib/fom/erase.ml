@@ -8,8 +8,11 @@ let create ~mem ~strategy = { mem; strategy; zero = Physmem.Zero_engine.create m
 
 let engine t = t.zero
 
+(* The body returns [count] for the event's operand, so the span needs
+   no operand closure of its own. *)
 let erase_extent t ~first ~count =
-  let start = Sim.Clock.now (Physmem.Phys_mem.clock t.mem) in
+  ignore @@ Sim.Trace.span (Physmem.Phys_mem.trace t.mem) ~op:"erase_extent" ~arg:Fun.id
+  @@ fun () ->
   (match t.strategy with
   | Eager ->
     for pfn = first to first + count - 1 do
@@ -19,7 +22,7 @@ let erase_extent t ~first ~count =
     Physmem.Zero_engine.put_dirty t.zero (List.init count (fun i -> first + i));
     Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) enqueue_cycles
   | Bulk_device -> Physmem.Zero_engine.bulk_erase t.zero ~first ~count);
-  Sim.Trace.record (Physmem.Phys_mem.trace t.mem) ~op:"erase_extent" ~start ~arg:count ()
+  count
 
 let drain_background t ~budget_frames =
   Physmem.Zero_engine.background_step t.zero ~budget_frames

@@ -70,15 +70,12 @@ let run_recovery_hooks t =
 let kernel t = t.kernel
 let fs t = t.fs
 let trace t = Os.Kernel.trace t.kernel
-let now t = Sim.Clock.now (Os.Kernel.clock t.kernel)
 let shared_pt t = t.shared_pt
 let default_strategy t = t.default_strategy
 
 let charge_syscall t =
   let clock = Os.Kernel.clock t.kernel in
   Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.syscall
-
-let pspan t name f = Sim.Trace.prof_span (trace t) name f
 
 (* Map every extent of [ino] into the process according to [strategy];
    returns the chosen base VA. *)
@@ -95,11 +92,8 @@ let install_mapping t (proc : Os.Proc.t) ~ino ~prot ~strategy =
     let m = Shared_pt.master_for t.shared_pt ~fs:t.fs ~ino ~prot in
     let va = Os.Address_space.alloc_va aspace ~len ~align:(Shared_pt.window_bytes m) in
     let windows =
-      pspan t "fom_graft" @@ fun () ->
-      let start = now t in
-      let windows = Shared_pt.graft t.shared_pt m ~dst:table ~dst_va:va in
-      Sim.Trace.record (trace t) ~op:"fom_graft" ~start ~arg:windows ();
-      windows
+      Sim.Trace.span (trace t) ~op:"fom_graft" ~arg:Fun.id @@ fun () ->
+      Shared_pt.graft t.shared_pt m ~dst:table ~dst_va:va
     in
     (va, len, windows, Shared_pt.window_bytes m)
   | Per_page | Huge_pages ->
@@ -137,8 +131,7 @@ let ensure_temp_dir t =
   if Fs.Memfs.lookup t.fs temp_dir = None then Fs.Memfs.mkdir t.fs temp_dir
 
 let alloc t proc ?name ?persistence ?strategy ?(guard = false) ~len ~prot () =
-  pspan t "fom_alloc" @@ fun () ->
-  let start = now t in
+  Sim.Trace.span (trace t) ~op:"fom_alloc" ~arg:(fun r -> r.len) @@ fun () ->
   charge_syscall t;
   if len <= 0 then invalid_arg "Fom.alloc: empty allocation";
   let strategy = match strategy with Some s -> s | None -> t.default_strategy in
@@ -171,12 +164,10 @@ let alloc t proc ?name ?persistence ?strategy ?(guard = false) ~len ~prot () =
   let region = { va; len; ino; path; temp; strategy; prot; graft_windows; graft_window_bytes } in
   register_region t proc region;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_alloc";
-  Sim.Trace.record (trace t) ~op:"fom_alloc" ~start ~arg:len ();
   region
 
 let map_path t proc ?prot ?strategy path =
-  pspan t "fom_map" @@ fun () ->
-  let start = now t in
+  Sim.Trace.span (trace t) ~op:"fom_map" ~arg:(fun r -> r.len) @@ fun () ->
   charge_syscall t;
   let strategy = match strategy with Some s -> s | None -> t.default_strategy in
   let ino =
@@ -195,7 +186,6 @@ let map_path t proc ?prot ?strategy path =
   in
   register_region t proc region;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_map";
-  Sim.Trace.record (trace t) ~op:"fom_map" ~start ~arg:len ();
   region
 
 let remove_mapping ?batch t (proc : Os.Proc.t) region =
@@ -242,8 +232,7 @@ let remove_mapping ?batch t (proc : Os.Proc.t) region =
   | None -> Hw.Mmu.invalidate_range (Os.Address_space.mmu aspace) ~va:region.va ~len:region.len
 
 let unmap ?batch t (proc : Os.Proc.t) region =
-  pspan t "fom_unmap" @@ fun () ->
-  let start = now t in
+  Sim.Trace.span (trace t) ~op:"fom_unmap" ~arg:(fun () -> region.len) @@ fun () ->
   charge_syscall t;
   (match Hashtbl.find_opt t.regions (proc.Os.Proc.pid, region.va) with
   | None -> invalid_arg "Fom.unmap: unknown region"
@@ -252,8 +241,7 @@ let unmap ?batch t (proc : Os.Proc.t) region =
   remove_mapping ?batch t proc region;
   Hashtbl.remove t.regions (proc.Os.Proc.pid, region.va);
   Fs.Memfs.close_file t.fs region.ino;
-  Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_unmap";
-  Sim.Trace.record (trace t) ~op:"fom_unmap" ~start ~arg:region.len ()
+  Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_unmap"
 
 let free ?batch t proc region =
   (* Capture before unmap: close_file may reap an already-unlinked file. *)
@@ -265,7 +253,7 @@ let free ?batch t proc region =
   end
 
 let access t (proc : Os.Proc.t) ~va ~write =
-  pspan t "access" @@ fun () ->
+  Sim.Profile.span (Sim.Trace.profile (trace t)) "access" @@ fun () ->
   let aspace = proc.Os.Proc.aspace in
   match Hw.Mmu.access (Os.Address_space.mmu aspace) ~mem:(Os.Kernel.mem t.kernel) ~va ~write with
   | Ok () -> ()
@@ -321,8 +309,7 @@ let protect t proc region ~prot =
   updated
 
 let grow t (proc : Os.Proc.t) region ~new_len =
-  pspan t "fom_grow" @@ fun () ->
-  let start = now t in
+  Sim.Trace.span (trace t) ~op:"fom_grow" ~arg:(fun _ -> new_len) @@ fun () ->
   charge_syscall t;
   if new_len <= region.len then invalid_arg "Fom.grow: new length not larger";
   (* mremap, file-only style: extend the file, then remap it whole at a
@@ -342,7 +329,6 @@ let grow t (proc : Os.Proc.t) region ~new_len =
   let updated = { region with va; len; graft_windows; graft_window_bytes } in
   register_region t proc updated;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_grow";
-  Sim.Trace.record (trace t) ~op:"fom_grow" ~start ~arg:new_len ();
   updated
 
 let copy_region t proc region ?name () =

@@ -149,8 +149,7 @@ let mkdir t path =
   Hashtbl.replace entries name ino
 
 let create_file t path ~persistence =
-  Sim.Trace.prof_span (trace t) "fs_create" @@ fun () ->
-  let start = Sim.Clock.now (clock t) in
+  Sim.Trace.span (trace t) ~op:"fs_create" @@ fun () ->
   charge_lookup t;
   let dir_segs, name = Fs_path.dirname_basename path in
   if not (Fs_path.valid_name name) then invalid_arg "Memfs.create_file: bad name";
@@ -167,7 +166,6 @@ let create_file t path ~persistence =
     (Printf.sprintf "create %s %c" path
        (match persistence with Inode.Persistent -> 'P' | Inode.Volatile -> 'V'));
   Sim.Stats.incr (stats t) "fs_create";
-  Sim.Trace.record (trace t) ~op:"fs_create" ~start ();
   ino
 
 (* Returning frames: under Background_zero they enter the dirty queue so
@@ -287,8 +285,7 @@ let allocate_extents t pages =
 
 let extend t ino ~bytes_wanted =
   if bytes_wanted < 0 then invalid_arg "Memfs.extend: negative size";
-  Sim.Trace.prof_span (trace t) "fs_extend" @@ fun () ->
-  let start = Sim.Clock.now (clock t) in
+  Sim.Trace.span (trace t) ~op:"fs_extend" ~arg:(fun () -> bytes_wanted) @@ fun () ->
   let node = inode t ino in
   let tree = Inode.extents node in
   let pages = Sim.Units.pages_of_bytes bytes_wanted in
@@ -342,25 +339,24 @@ let extend t ino ~bytes_wanted =
       List.iter (fun (first, count) -> Extent_tree.append tree ~start:first ~count) (List.rev runs);
       journal_op t (Printf.sprintf "extend %d %d" ino pages)
   end;
-  node.Inode.size <- node.Inode.size + bytes_wanted;
-  Sim.Trace.record (trace t) ~op:"fs_extend" ~start ~arg:bytes_wanted ()
+  node.Inode.size <- node.Inode.size + bytes_wanted
 
+(* Only a shrink is an event (a truncate to the current size or beyond
+   touches nothing); the call tree still counts every call. *)
 let truncate t ino ~bytes =
-  Sim.Trace.prof_span (trace t) "fs_truncate" @@ fun () ->
-  let start = Sim.Clock.now (clock t) in
   let node = inode t ino in
-  let tree = Inode.extents node in
-  if bytes < node.Inode.size then begin
+  if bytes >= node.Inode.size then Sim.Profile.span (Sim.Trace.profile (trace t)) "fs_truncate" ignore
+  else begin
+    Sim.Trace.span (trace t) ~op:"fs_truncate" ~arg:(fun () -> bytes) @@ fun () ->
     let pages = Sim.Units.pages_of_bytes bytes in
-    let cut = Extent_tree.truncate_to tree ~pages in
+    let cut = Extent_tree.truncate_to (Inode.extents node) ~pages in
     List.iter
       (fun e ->
         charge t (model t).Sim.Cost_model.fs_extent_op;
         release_extent t ~first:e.Extent.start ~count:e.Extent.count)
       cut;
     journal_op t (Printf.sprintf "truncate %d %d" ino pages);
-    node.Inode.size <- bytes;
-    Sim.Trace.record (trace t) ~op:"fs_truncate" ~start ~arg:bytes ()
+    node.Inode.size <- bytes
   end
 
 let touch_access t node = node.Inode.last_access <- Sim.Clock.now (clock t)

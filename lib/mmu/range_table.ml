@@ -13,10 +13,9 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) () =
 let model t = Sim.Clock.model t.clock
 
 let charge_op t ~op =
-  let start = Sim.Clock.now t.clock in
+  Sim.Trace.span t.trace ~op @@ fun () ->
   Sim.Clock.charge t.clock (model t).Sim.Cost_model.range_table_op;
-  Sim.Stats.incr t.stats "range_table_op";
-  Sim.Trace.record t.trace ~op ~start ()
+  Sim.Stats.incr t.stats "range_table_op"
 
 let overlaps t ~base ~limit =
   (match Btree.find_last_leq t.entries ~key:base with
@@ -49,17 +48,15 @@ let lookup t ~va =
   | _ -> None
 
 let walk t ~va =
-  let start = Sim.Clock.now t.clock in
   (* A hardware refill reads one B-tree node per level. *)
   let refs = Btree.height t.entries in
+  Sim.Trace.span t.trace ~op:"range_table_walk" ~arg:(fun _ -> refs)
+    ~outcome:(function Some _ -> "hit" | None -> "miss")
+  @@ fun () ->
   Sim.Clock.charge t.clock (refs * (model t).Sim.Cost_model.mem_ref_dram);
   Sim.Stats.add t.stats "range_walk_refs" refs;
   Sim.Stats.incr t.stats "range_walks";
-  let result = lookup t ~va in
-  Sim.Trace.record t.trace ~op:"range_table_walk" ~start ~arg:refs
-    ~outcome:(match result with Some _ -> "hit" | None -> "miss")
-    ();
-  result
+  lookup t ~va
 
 let entry_count t = Btree.cardinal t.entries
 let metadata_bytes t = 32 * Btree.cardinal t.entries

@@ -53,25 +53,23 @@ let drop t ~key ~tick =
   gauge_delta t (-1)
 
 let lookup t ?(asid = 0) ~va () =
-  let start = Sim.Clock.now t.clock in
-  Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
-  let hit =
-    match KeyMap.find_last_opt (fun (a, base) -> a < asid || (a = asid && base <= va)) t.by_key with
-    | Some (((a, _) as key), ((e : Range_table.entry), tick))
-      when a = asid && va < e.base + e.limit ->
-      let now = touch t in
-      t.by_tick <- IntMap.add now key (IntMap.remove tick t.by_tick);
-      t.by_key <- KeyMap.add key (e, now) t.by_key;
-      Some e
-    | _ -> None
-  in
-  (match hit with
-  | Some _ -> Sim.Stats.incr t.stats "range_tlb_hit"
-  | None -> Sim.Stats.incr t.stats "range_tlb_miss");
-  Sim.Trace.record t.trace ~op:"range_tlb_lookup" ~start
-    ~outcome:(match hit with Some _ -> "hit" | None -> "miss")
-    ();
-  hit
+  Sim.Trace.span t.trace ~op:"range_tlb_lookup" ~outcome:(function Some _ -> "hit" | None -> "miss")
+    (fun () ->
+      Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
+      let hit =
+        match KeyMap.find_last_opt (fun (a, base) -> a < asid || (a = asid && base <= va)) t.by_key with
+        | Some (((a, _) as key), ((e : Range_table.entry), tick))
+          when a = asid && va < e.base + e.limit ->
+          let now = touch t in
+          t.by_tick <- IntMap.add now key (IntMap.remove tick t.by_tick);
+          t.by_key <- KeyMap.add key (e, now) t.by_key;
+          Some e
+        | _ -> None
+      in
+      (match hit with
+      | Some _ -> Sim.Stats.incr t.stats "range_tlb_hit"
+      | None -> Sim.Stats.incr t.stats "range_tlb_miss");
+      hit)
 
 let insert t ?(asid = 0) (e : Range_table.entry) =
   (* Evict anything of the same ASID overlapping the new range, not just
@@ -102,13 +100,12 @@ let insert t ?(asid = 0) (e : Range_table.entry) =
   gauge_delta t 1
 
 let invalidate t ?(asid = 0) ~base () =
-  let start = Sim.Clock.now t.clock in
+  Sim.Trace.span t.trace ~op:"range_tlb_shootdown" ~arg:(fun () -> 1) @@ fun () ->
   Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
   Sim.Stats.incr t.stats "range_tlb_shootdown";
-  (match KeyMap.find_opt (asid, base) t.by_key with
+  match KeyMap.find_opt (asid, base) t.by_key with
   | Some (_, tick) -> drop t ~key:(asid, base) ~tick
-  | None -> ());
-  Sim.Trace.record t.trace ~op:"range_tlb_shootdown" ~start ~arg:1 ()
+  | None -> ()
 
 let clear t =
   gauge_delta t (-KeyMap.cardinal t.by_key);

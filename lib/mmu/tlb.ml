@@ -54,7 +54,6 @@ let shootdowns t = t.shootdowns
 let flushes t = t.flushes
 
 let model t = Sim.Clock.model t.clock
-let pspan t name f = Sim.Trace.prof_span t.trace name f
 
 (* Occupancy gauge: per-core TLBs share the machine Stats, so the
    gauge is maintained with deltas and reads as aggregate live entries. *)
@@ -86,26 +85,23 @@ let find_slot t ~asid va size =
   !found
 
 let lookup t ?(asid = 0) ~va () =
-  pspan t "tlb_lookup" @@ fun () ->
-  let start = Sim.Clock.now t.clock in
-  Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
-  let found = ref None in
-  List.iter
-    (fun size ->
-      if !found = None then
-        match find_slot t ~asid va size with
-        | Some s ->
-          s.used <- touch t;
-          found := Some (s.pfn, s.prot, s.size)
-        | None -> ())
-    sizes;
-  (match !found with
-  | Some _ -> Sim.Stats.incr t.stats "tlb_hit"
-  | None -> Sim.Stats.incr t.stats "tlb_miss");
-  Sim.Trace.record t.trace ~op:"tlb_lookup" ~start
-    ~outcome:(match !found with Some _ -> "hit" | None -> "miss")
-    ();
-  !found
+  Sim.Trace.span t.trace ~op:"tlb_lookup" ~outcome:(function Some _ -> "hit" | None -> "miss")
+    (fun () ->
+      Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
+      let found = ref None in
+      List.iter
+        (fun size ->
+          if !found = None then
+            match find_slot t ~asid va size with
+            | Some s ->
+              s.used <- touch t;
+              found := Some (s.pfn, s.prot, s.size)
+            | None -> ())
+        sizes;
+      (match !found with
+      | Some _ -> Sim.Stats.incr t.stats "tlb_hit"
+      | None -> Sim.Stats.incr t.stats "tlb_miss");
+      !found)
 
 let insert t ?(asid = 0) ~va ~pfn ~prot ~size () =
   let set = t.data.(set_of t va size) in
@@ -143,8 +139,7 @@ let count_shootdown t n =
   t.shootdowns <- t.shootdowns + n
 
 let invalidate_page t ?(asid = 0) ~va () =
-  pspan t "tlb_shootdown" @@ fun () ->
-  let start = Sim.Clock.now t.clock in
+  Sim.Trace.span t.trace ~op:"tlb_shootdown" ~arg:(fun () -> 1) @@ fun () ->
   Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
   count_shootdown t 1;
   List.iter
@@ -154,8 +149,7 @@ let invalidate_page t ?(asid = 0) ~va () =
         s.valid <- false;
         gauge_delta t (-1)
       | None -> ())
-    sizes;
-  Sim.Trace.record t.trace ~op:"tlb_shootdown" ~start ~arg:1 ()
+    sizes
 
 let iter t f =
   Array.iter
@@ -176,14 +170,12 @@ let clear t =
   Array.iter (fun set -> Array.iter (fun s -> s.valid <- false) set) t.data
 
 let flush t =
-  pspan t "tlb_flush" @@ fun () ->
-  let start = Sim.Clock.now t.clock in
   let had = entry_count t in
+  Sim.Trace.span t.trace ~op:"tlb_flush" ~arg:(fun () -> had) @@ fun () ->
   Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
   Sim.Stats.incr t.stats "tlb_flush";
   t.flushes <- t.flushes + 1;
-  clear t;
-  Sim.Trace.record t.trace ~op:"tlb_flush" ~start ~arg:had ()
+  clear t
 
 (* Beyond this many pages Linux stops issuing per-page INVLPGs and just
    flushes the whole TLB. *)
@@ -193,8 +185,7 @@ let invalidate_range t ?(asid = 0) ~va ~len () =
   let pages = Sim.Units.pages_of_bytes len in
   if pages >= full_flush_threshold_pages then flush t
   else begin
-    pspan t "tlb_shootdown" @@ fun () ->
-    let start = Sim.Clock.now t.clock in
+    Sim.Trace.span t.trace ~op:"tlb_shootdown" ~arg:(fun () -> pages) @@ fun () ->
     (* One INVLPG per page in the range, resident or not — same cost and
        stat accounting as [invalidate_page], applied n times. *)
     Sim.Clock.charge t.clock (pages * Sim.Cost_model.shootdown_cost (model t));
@@ -212,6 +203,5 @@ let invalidate_range t ?(asid = 0) ~va ~len () =
               end
             end)
           set)
-      t.data;
-    Sim.Trace.record t.trace ~op:"tlb_shootdown" ~start ~arg:pages ()
+      t.data
   end

@@ -16,10 +16,11 @@ let pages t = t.pages
 
 let flush t =
   if t.pages > 0 then begin
-    Sim.Trace.prof_span (Mmu.trace t.mmu) "tlb_batch" @@ fun () ->
-    let clock = Mmu.clock t.mmu in
-    let start = Sim.Clock.now clock in
-    let full = t.pages >= Tlb.full_flush_threshold_pages in
+    let pages = t.pages in
+    let outcome = if pages >= Tlb.full_flush_threshold_pages then "full_flush" else "invlpg" in
+    Sim.Trace.span (Mmu.trace t.mmu) ~op:"tlb_batch" ~arg:(fun () -> pages)
+      ~outcome:(fun () -> outcome)
+    @@ fun () ->
     (* One IPI round for the whole batch, however many ranges or pages it
        holds — the shootdown analogue of mmu_gather. Ack loss is handled
        inside the round: the victim core skips its invalidations and
@@ -27,9 +28,6 @@ let flush t =
     Mmu.shootdown_ranges t.mmu ~ranges:t.ranges ~pages:t.pages;
     Sim.Stats.incr (Mmu.stats t.mmu) "tlb_batch";
     Sim.Stats.add (Mmu.stats t.mmu) "tlb_batch_pages" t.pages;
-    Sim.Trace.record (Mmu.trace t.mmu) ~op:"tlb_batch" ~start ~arg:t.pages
-      ~outcome:(if full then "full_flush" else "invlpg")
-      ();
     t.ranges <- [];
     t.pages <- 0
   end

@@ -13,8 +13,6 @@ let refs_for_walk ~guest_levels ~leaf_depth ~mode =
     ((g + 1) * (h + 1)) - 1
 
 let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
-  Sim.Trace.prof_span trace "page_walk" @@ fun () ->
-  let start = Sim.Clock.now clock in
   let leaf_depth =
     match Page_table.leaf_depth table ~va with
     | Some d -> d
@@ -23,6 +21,9 @@ let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
   let refs =
     refs_for_walk ~guest_levels:(Page_table.levels table) ~leaf_depth ~mode
   in
+  Sim.Trace.span trace ~op:"page_walk" ~arg:(fun _ -> refs)
+    ~outcome:(function Some _ -> "ok" | None -> "hole")
+  @@ fun () ->
   let model = Sim.Clock.model clock in
   (* Page-walk caches: upper-level entries hit in the PWC/data caches;
      only the final leaf PTE read goes to memory. *)
@@ -30,14 +31,8 @@ let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
     (model.Sim.Cost_model.mem_ref_dram + ((refs - 1) * model.Sim.Cost_model.cache_ref));
   Sim.Stats.add stats "walk_refs" refs;
   Sim.Stats.incr stats "page_walks";
-  let result =
-    match Page_table.lookup table ~va with
-    | None -> None
-    | Some (pa, leaf) ->
-      leaf.Page_table.accessed <- true;
-      Some (pa, leaf)
-  in
-  Sim.Trace.record trace ~op:"page_walk" ~start ~arg:refs
-    ~outcome:(match result with Some _ -> "ok" | None -> "hole")
-    ();
-  result
+  match Page_table.lookup table ~va with
+  | None -> None
+  | Some (pa, leaf) ->
+    leaf.Page_table.accessed <- true;
+    Some (pa, leaf)

@@ -8,7 +8,7 @@ let create mem = { mem; dirty = Queue.create (); zeroed = Queue.create () }
 let put_dirty t frames = List.iter (fun f -> Queue.add f t.dirty) frames
 let take_zeroed t = Queue.take_opt t.zeroed
 
-let pspan t name f = Sim.Trace.prof_span (Phys_mem.trace t.mem) name f
+let pspan t name f = Sim.Profile.span (Sim.Trace.profile (Phys_mem.trace t.mem)) name f
 
 let eager_zero t pfn = pspan t "zeroing" @@ fun () -> Phys_mem.zero_frame t.mem pfn
 

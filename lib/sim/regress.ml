@@ -299,7 +299,7 @@ let compare_throughput acc ~threshold ~gate old_doc new_doc =
       | None, None -> ())
     (union_keys old_scen new_scen)
 
-(* The "host" section (H1): Hostprof attribution per churn backend. Two
+(* The "host" section (H1): host-cost attribution per churn backend. Two
    very different metric families live here. Host nanoseconds are machine
    noise: the summary total_ns/attributed_ns are reported (status Within,
    never gated) and per-path ns keys are not walked at all — they differ

@@ -14,44 +14,34 @@ type event = {
 
 type t = {
   clock : Clock.t option; (* None = disabled sentinel *)
-  ring : event option array;
+  ring : event array; (* slots not yet written hold [empty] *)
   mutable recorded : int; (* total events ever recorded, ring or not *)
   latencies : (string, Histogram.t) Hashtbl.t;
-  mutable profile : Profile.t; (* cycle-attribution profiler, if attached *)
-  mutable hostprof : Hostprof.t; (* host-cost attribution plane, if attached *)
+  mutable profile : Profile.t; (* call-tree profiler, if attached *)
   mutable faults : Fault_inject.t; (* fault-injection plane, if attached *)
   mutable causal : Causal.t; (* cross-core causal plane, if attached *)
   mutable cur_core : int; (* core executing right now, for event stamping *)
 }
 
-let default_capacity = 4096
+let empty = { seq = -1; op = ""; core = 0; start = 0; finish = 0; arg = 0; outcome = "" }
 
-let create ~clock ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
+let make clock capacity =
   {
-    clock = Some clock;
-    ring = Array.make capacity None;
+    clock;
+    ring = Array.make capacity empty;
     recorded = 0;
     latencies = Hashtbl.create 32;
     profile = Profile.disabled;
-    hostprof = Hostprof.disabled;
     faults = Fault_inject.disabled;
     causal = Causal.disabled;
     cur_core = 0;
   }
 
-let disabled =
-  {
-    clock = None;
-    ring = [||];
-    recorded = 0;
-    latencies = Hashtbl.create 1;
-    profile = Profile.disabled;
-    hostprof = Hostprof.disabled;
-    faults = Fault_inject.disabled;
-    causal = Causal.disabled;
-    cur_core = 0;
-  }
+let create ~clock ?(capacity = 4096) () =
+  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
+  make (Some clock) capacity
+
+let disabled = make None 0
 
 let enabled t = t.clock <> None
 
@@ -60,19 +50,6 @@ let profile t = t.profile
 let attach_profile t p =
   if not (enabled t) then invalid_arg "Trace.attach_profile: disabled trace";
   t.profile <- p
-
-let hostprof t = t.hostprof
-
-let attach_hostprof t h =
-  if not (enabled t) then invalid_arg "Trace.attach_hostprof: disabled trace";
-  t.hostprof <- h
-
-(* The one span combinator every instrumented hot path uses: the same
-   name feeds both attribution planes, so virtual-cycle and host-cost
-   call trees share their paths. Hostprof wraps Profile so the (host)
-   cost of virtual attribution itself is measured, not hidden. Both
-   sentinels reduce this to running [f]. *)
-let prof_span t name f = Hostprof.span t.hostprof name (fun () -> Profile.span t.profile name f)
 
 let faults t = t.faults
 let causal t = t.causal
@@ -92,23 +69,27 @@ let recorded t = t.recorded
 let dropped t = max 0 (t.recorded - Array.length t.ring)
 
 let latency_for t op =
-  match Hashtbl.find_opt t.latencies op with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.latencies op with
+  | h -> h
+  | exception Not_found ->
     let h = Histogram.create () in
     Hashtbl.add t.latencies op h;
     h
+
+(* Behind [record] and [span]. Every argument is required, so a call
+   boxes no option: the event is its only allocation. *)
+let push t clock ~op ~start ~arg ~outcome ~core =
+  let finish = Clock.now clock in
+  t.ring.(t.recorded mod Array.length t.ring) <-
+    { seq = t.recorded; op; core; start; finish; arg; outcome };
+  t.recorded <- t.recorded + 1;
+  Histogram.observe (latency_for t op) (max 0 (finish - start))
 
 let record t ~op ~start ?(arg = 0) ?(outcome = "ok") ?core () =
   match t.clock with
   | None -> ()
   | Some clock ->
-    let finish = Clock.now clock in
-    let core = match core with Some c -> c | None -> t.cur_core in
-    t.ring.(t.recorded mod Array.length t.ring) <-
-      Some { seq = t.recorded; op; core; start; finish; arg; outcome };
-    t.recorded <- t.recorded + 1;
-    Histogram.observe (latency_for t op) (max 0 (finish - start))
+    push t clock ~op ~start ~arg ~outcome ~core:(match core with Some c -> c | None -> t.cur_core)
 
 let attach_faults t f =
   if not (enabled t) then invalid_arg "Trace.attach_faults: disabled trace";
@@ -120,32 +101,37 @@ let attach_faults t f =
       | None -> ()
       | Some clock -> record t ~op:"fault_inject" ~start:(Clock.now clock) ~outcome:site ())
 
-let span t ~op ?(arg = 0) ?outcome f =
+(* Closed defaults: a site passing neither allocates no option box. A site
+   passing ~outcome without ~arg must apply the body directly, not via
+   [@@]: skipping ?arg in a partial application allocates a closure. *)
+let no_arg _ = 0
+let ok _ = "ok"
+
+(* One call feeds every sink: a call-tree frame named [op] (when a
+   profiler is attached), then the ring event and the histogram sample.
+   The event is recorded inside the frame, so its host cost lands in the
+   span that caused it. *)
+let span t ~op ?(arg = no_arg) ?(outcome = ok) f =
   match t.clock with
   | None -> f ()
   | Some clock -> (
-    let start = Clock.now clock in
+    let start = Clock.now clock and p = t.profile in
+    Profile.enter p op;
     match f () with
     | v ->
-      let outcome = match outcome with Some g -> g v | None -> "ok" in
-      record t ~op ~start ~arg ~outcome ();
+      push t clock ~op ~start ~arg:(arg v) ~outcome:(outcome v) ~core:t.cur_core;
+      Profile.leave p;
       v
     | exception e ->
-      record t ~op ~start ~arg ~outcome:"raised" ();
+      push t clock ~op ~start ~arg:0 ~outcome:"raised" ~core:t.cur_core;
+      Profile.leave p;
       raise e)
 
+(* Oldest retained event first. *)
 let events t =
   let cap = Array.length t.ring in
-  if cap = 0 || t.recorded = 0 then []
-  else begin
-    let kept = min t.recorded cap in
-    let first = t.recorded - kept in
-    (* oldest retained event first *)
-    List.init kept (fun i ->
-        match t.ring.((first + i) mod cap) with
-        | Some e -> e
-        | None -> assert false)
-  end
+  let kept = min t.recorded cap in
+  List.init kept (fun i -> t.ring.((t.recorded - kept + i) mod cap))
 
 let latency t op = Hashtbl.find_opt t.latencies op
 
@@ -154,7 +140,7 @@ let ops t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  Array.fill t.ring 0 (Array.length t.ring) empty;
   t.recorded <- 0;
   Hashtbl.reset t.latencies
 
@@ -230,9 +216,3 @@ let chrome_events t =
                    ("outcome", Json.String e.outcome);
                  ] );
            ])
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>trace: %d recorded, %d dropped (capacity %d)@," t.recorded (dropped t)
-    (capacity t);
-  List.iter (fun (op, h) -> Format.fprintf ppf "%-24s %a@," op Histogram.pp h) (ops t);
-  Format.fprintf ppf "@]"

@@ -31,33 +31,16 @@ val disabled : t
 (** Shared no-op sentinel: never records, safe to use from any component. *)
 
 val profile : t -> Profile.t
-(** The cycle-attribution profiler attached to this trace —
-    {!Profile.disabled} until {!attach_profile}. Components wrap their
-    hot paths in [Profile.span (Trace.profile trace) name f]; with no
-    profiler attached that is a no-op. *)
+(** The call-tree profiler attached to this trace — {!Profile.disabled}
+    until {!attach_profile}. Every {!span} opens a frame in it; paths
+    that feed only the call tree wrap themselves in
+    [Profile.span (Trace.profile trace) name f]. With no profiler
+    attached both are no-ops. *)
 
 val attach_profile : t -> Profile.t -> unit
 (** Attach a profiler so every component sharing this trace starts
     attributing spans. Raises [Invalid_argument] on {!disabled} (the
     sentinel is shared machine-wide). *)
-
-val hostprof : t -> Hostprof.t
-(** The host-side cost-attribution plane attached to this trace —
-    {!Hostprof.disabled} until {!attach_hostprof}. *)
-
-val attach_hostprof : t -> Hostprof.t -> unit
-(** Attach a host profiler so every {!prof_span} additionally records
-    host-nanosecond and GC allocated-words deltas into the same
-    call-tree paths. Never touches the virtual clock. Raises
-    [Invalid_argument] on {!disabled}. *)
-
-val prof_span : t -> string -> (unit -> 'a) -> 'a
-(** [prof_span t name f] runs [f] under both attribution planes: a
-    {!Profile.span} charging nothing virtual, nested inside a
-    {!Hostprof.span} measuring host ns and allocated words. Every
-    instrumented hot path uses this single combinator so the two call
-    trees share their paths. With neither plane attached it just runs
-    [f]. *)
 
 val faults : t -> Fault_inject.t
 (** The fault-injection plane attached to this trace —
@@ -101,15 +84,20 @@ val dropped : t -> int
 
 val record :
   t -> op:string -> start:int -> ?arg:int -> ?outcome:string -> ?core:int -> unit -> unit
-(** Record one event ending now; latency [now - start] feeds the per-op
-    histogram. [core] overrides the {!current_core} stamp (components
-    acting on a remote core's behalf pass it explicitly). No-op on
-    {!disabled}. *)
+(** Record one point event ending now; latency [now - start] feeds the
+    per-op histogram. [core] overrides the {!current_core} stamp
+    (components acting on a remote core's behalf pass it explicitly).
+    Hot paths use {!span}; this is for events that are not a call, such
+    as one IPI of a round. No-op on {!disabled}. *)
 
-val span : t -> op:string -> ?arg:int -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
+val span :
+  t -> op:string -> ?arg:('a -> int) -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
 (** [span t ~op f] runs [f], charging the clock with whatever [f] itself
-    charges, and records one event covering it. [outcome] maps the result to
-    an outcome string (default "ok"); an exception records outcome "raised"
+    charges, and feeds every sink from one call: a call-tree frame named
+    [op] in the attached {!profile}, one ring event covering [f], and a
+    sample in [op]'s histogram. [arg] and [outcome] map the result to the
+    event's operand size (default 0) and outcome string (default "ok").
+    An exception records outcome "raised" (operand 0), pops the frame
     and re-raises. On {!disabled} it just runs [f]. *)
 
 val events : t -> event list
@@ -135,5 +123,3 @@ val chrome_events : t -> Json.t list
 (** Retained events as Chrome trace-event "X" slices, one track per
     core, sorted by (start cycle, sequence number) so equal-cycle events
     export in a deterministic order. *)
-
-val pp : Format.formatter -> t -> unit

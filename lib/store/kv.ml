@@ -73,8 +73,6 @@ let fs t = O1mem.Fom.fs t.fom
 let stats t = Os.Kernel.stats (kernel t)
 let trace t = Os.Kernel.trace (kernel t)
 let plane t = Sim.Trace.faults (trace t)
-let now t = Sim.Clock.now (Os.Kernel.clock (kernel t))
-let pspan t name f = Sim.Trace.prof_span (trace t) name f
 
 (* Same Adler-ish checksum as the WAL's, for value integrity: a get whose
    bytes no longer match raises EIO instead of serving damage. *)
@@ -360,8 +358,7 @@ let apply_replayed t ops =
 let recover_hook t () =
   if t.detached then 0
   else
-    pspan t "store_recover" @@ fun () ->
-    let start = now t in
+    Sim.Trace.span (trace t) ~op:"store_recover" ~arg:Fun.id @@ fun () ->
     t.proc <- Os.Kernel.create_process (kernel t) ();
     Heap.Fom_heap.reattach t.heap t.proc;
     (* Pick the newest valid manifest snapshot (ping-pong halves). A torn
@@ -455,7 +452,6 @@ let recover_hook t () =
     t.last_replayed <- replayed;
     update_gauges t;
     Sim.Stats.incr (stats t) "store_recover";
-    Sim.Trace.record (trace t) ~op:"store_recover" ~start ~arg:replayed ();
     replayed
 
 (* --- lifecycle ----------------------------------------------------- *)
@@ -625,12 +621,13 @@ let checkpoint_locked t =
 let checkpoint t =
   if t.detached then invalid_arg "Store: detached";
   (match t.txn with Some _ -> invalid_arg "Store.checkpoint: transaction open" | None -> ());
-  pspan t "store_checkpoint" @@ fun () -> checkpoint_locked t
+  Sim.Profile.span (Sim.Trace.profile (trace t)) "store_checkpoint" @@ fun () ->
+  checkpoint_locked t
 
 let commit t =
   let txn = require_txn t in
-  pspan t "store_commit" @@ fun () ->
-  let start = now t in
+  let n_ops = List.length txn.ops in
+  Sim.Trace.span (trace t) ~op:"store_commit" ~arg:(fun () -> n_ops) @@ fun () ->
   if FI.fires (plane t) ~site:FI.site_store_commit then begin
     t.txn <- None;
     update_gauges t;
@@ -721,8 +718,7 @@ let commit t =
     staged;
   t.txn <- None;
   Sim.Stats.incr (stats t) "store_commit";
-  update_gauges t;
-  Sim.Trace.record (trace t) ~op:"store_commit" ~start ~arg:(List.length ops) ()
+  update_gauges t
 
 (* --- reads ---------------------------------------------------------- *)
 

@@ -199,19 +199,10 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
         Minor))
 
 let handle ctx ~aspace ~pid ~va ~write =
-  let trace = Physmem.Phys_mem.trace ctx.mem in
-  let start = Sim.Clock.now (clock ctx) in
   let result =
-    Sim.Trace.prof_span trace "fault" @@ fun () ->
-    match handle_inner ctx ~aspace ~pid ~va ~write with
-    | kind ->
-      Sim.Trace.record trace ~op:"fault_handle" ~start
-        ~outcome:(match kind with Minor -> "minor" | Major -> "major")
-        ();
-      kind
-    | exception Segfault va ->
-      Sim.Trace.record trace ~op:"fault_handle" ~start ~outcome:"segfault" ();
-      raise (Segfault va)
+    Sim.Trace.span (Physmem.Phys_mem.trace ctx.mem) ~op:"fault"
+      ~outcome:(function Minor -> "minor" | Major -> "major")
+      (fun () -> handle_inner ctx ~aspace ~pid ~va ~write)
   in
   Sim.Stats.sample (stats ctx) ~now:(Sim.Clock.now (clock ctx));
   result

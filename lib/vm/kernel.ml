@@ -173,7 +173,7 @@ let charge_boot t = Page_meta.init_range t.meta ~first:0 ~count:(Phys_mem.total_
 
 let charge t c = Sim.Clock.charge t.clock c
 let model t = Sim.Clock.model t.clock
-let pspan t name f = Sim.Trace.prof_span t.trace name f
+let pspan t name f = Sim.Profile.span (Sim.Trace.profile t.trace) name f
 
 let charge_syscall t =
   charge t (model t).Sim.Cost_model.syscall;
@@ -211,6 +211,14 @@ let on_core t proc f =
       fin ();
       raise e
   end
+
+(* One syscall on [proc]'s core: a call-tree frame named [name] with the
+   entry cost charged inside it. *)
+let syscall t proc name f =
+  on_core t proc @@ fun () ->
+  pspan t name @@ fun () ->
+  charge_syscall t;
+  f ()
 
 let alloc_pt_frame t () = Fault.raw_frame_exn ~what:"page-table frame" (fault_ctx t)
 
@@ -316,9 +324,7 @@ let teardown_vma t (vma : Vma.t) ~table ~batch =
   | Vma.Anon -> ()
 
 let munmap t proc ~va ~len =
-  on_core t proc @@ fun () ->
-  pspan t "munmap" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "munmap" @@ fun () ->
   let aspace = proc.Proc.aspace in
   let table = Address_space.page_table aspace in
   let removed = Address_space.remove_range aspace ~start:va ~len in
@@ -328,9 +334,7 @@ let munmap t proc ~va ~len =
   Hw.Tlb_batch.flush batch
 
 let exit_process t proc =
-  on_core t proc @@ fun () ->
-  pspan t "exit" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "exit" @@ fun () ->
   let aspace = proc.Proc.aspace in
   let table = Address_space.page_table aspace in
   let lo = ref max_int and hi = ref min_int in
@@ -380,9 +384,7 @@ let register_if_anon t proc ~va =
   | _ -> ()
 
 let mmap_anon t proc ~len ~prot ~populate =
-  on_core t proc @@ fun () ->
-  pspan t "mmap" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "mmap" @@ fun () ->
   if len <= 0 then invalid_arg "Kernel.mmap_anon: empty mapping";
   let len = Sim.Units.round_up len ~align:Sim.Units.page_size in
   let aspace = proc.Proc.aspace in
@@ -402,9 +404,7 @@ let mmap_anon t proc ~len ~prot ~populate =
   va
 
 let mmap_file t proc ~fs ~path ~prot ~share ~populate ?len ?(offset = 0) () =
-  on_core t proc @@ fun () ->
-  pspan t "mmap" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "mmap" @@ fun () ->
   let ino =
     match Fs.Memfs.lookup fs path with
     | Some ino -> ino
@@ -439,9 +439,7 @@ let mmap_file t proc ~fs ~path ~prot ~share ~populate ?len ?(offset = 0) () =
   va
 
 let mprotect t proc ~va ~len ~prot =
-  on_core t proc @@ fun () ->
-  pspan t "mprotect" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "mprotect" @@ fun () ->
   let aspace = proc.Proc.aspace in
   (match Address_space.find_vma aspace ~va with
   | Some vma -> vma.Vma.prot <- prot
@@ -470,9 +468,7 @@ let context_switch t ~from_ ~to_ ~asids =
   Hw.Smp.add_busy t.smp to_.Proc.core cycles
 
 let madvise_dontneed t proc ~va ~len =
-  on_core t proc @@ fun () ->
-  pspan t "madvise" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "madvise" @@ fun () ->
   let aspace = proc.Proc.aspace in
   let table = Address_space.page_table aspace in
   let released = ref 0 in
@@ -581,9 +577,7 @@ let access_range t proc ~va ~len ~write ~stride =
   !count
 
 let mlock t proc ~va ~len =
-  on_core t proc @@ fun () ->
-  pspan t "mlock" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "mlock" @@ fun () ->
   let aspace = proc.Proc.aspace in
   let pages = Sim.Units.pages_of_bytes len in
   for i = 0 to pages - 1 do
@@ -602,9 +596,7 @@ let mlock t proc ~va ~len =
   Sim.Stats.add t.stats "mlocked_pages" pages
 
 let read_syscall t proc ~fs ~ino ~off ~len =
-  on_core t proc @@ fun () ->
-  pspan t "read" @@ fun () ->
-  charge_syscall t;
+  syscall t proc "read" @@ fun () ->
   let data = Fs.Memfs.read_file fs ino ~off ~len in
   let n = Bytes.length data in
   (* Copy into the user buffer. *)

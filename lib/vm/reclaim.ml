@@ -155,7 +155,7 @@ let scan_two_q t ~target_frames =
   !reclaimed
 
 let scan t ~target_frames =
-  Sim.Trace.prof_span (Physmem.Phys_mem.trace t.mem) "reclaim" @@ fun () ->
+  Sim.Profile.span (Sim.Trace.profile (Physmem.Phys_mem.trace t.mem)) "reclaim" @@ fun () ->
   match t.policy with
   | Clock -> scan_clock t ~target_frames
   | Two_q -> scan_two_q t ~target_frames

@@ -1,3 +1,7 @@
+(* Host-cost profiling: Sim.Profile given a host clock (host ns and
+   allocated words per call-tree path, self-samples, the host export),
+   plus the bench-diff gates over the "host" section. *)
+
 open Helpers
 
 (* A deterministic fake host clock: each read advances by [step] ns. *)
@@ -7,48 +11,55 @@ let fake_ns ?(step = 10) () =
     t := !t + step;
     !t
 
-let mk ?vclock ?rss_kb ?step () = Sim.Hostprof.create ~now_ns:(fake_ns ?step ()) ?vclock ?rss_kb ()
+let mk ?(clock = mk_clock ()) ?step () = Sim.Profile.create ~clock ~now_ns:(fake_ns ?step ()) ()
+
+(* One field of the exported self-sample summary. *)
+let self_field p key =
+  match Option.bind (Sim.Json.member (Sim.Profile.host_json p) "self") (fun s -> Sim.Json.member s key) with
+  | Some (Sim.Json.Int n) -> n
+  | _ -> Alcotest.fail ("self." ^ key ^ " missing")
 
 (* ----------------------------- spans ------------------------------- *)
 
 let test_span_nesting () =
   let clock = mk_clock () in
-  let hp = mk ~vclock:clock () in
+  let p = mk ~clock () in
   let v =
-    Sim.Hostprof.span hp "outer" (fun () ->
+    Sim.Profile.span p "outer" (fun () ->
         Sim.Clock.charge clock 5;
-        let inner = Sim.Hostprof.span hp "inner" (fun () -> Sim.Clock.charge clock 7; 1) in
+        let inner = Sim.Profile.span p "inner" (fun () -> Sim.Clock.charge clock 7; 1) in
         inner + 1)
   in
   check_int "span returns f's value" 2 v;
-  check_int "stack drained" 0 (Sim.Hostprof.depth hp);
-  match Sim.Hostprof.tree hp with
+  check_int "stack drained" 0 (Sim.Profile.depth p);
+  match Sim.Profile.tree p with
   | [ outer ] ->
-    check_string "root name" "outer" outer.Sim.Hostprof.name;
-    check_int "one call" 1 outer.Sim.Hostprof.calls;
-    check_int "outer vcycles cover everything" 12 outer.Sim.Hostprof.vcycles;
-    check_bool "outer ns positive" true (outer.Sim.Hostprof.ns > 0);
-    check_bool "self excludes inner ns" true (outer.Sim.Hostprof.self_ns < outer.Sim.Hostprof.ns);
-    (match outer.Sim.Hostprof.children with
+    check_string "root name" "outer" outer.Sim.Profile.name;
+    check_int "one call" 1 outer.Sim.Profile.calls;
+    check_int "outer vcycles cover everything" 12 outer.Sim.Profile.cum;
+    check_bool "outer ns positive" true (outer.Sim.Profile.ns > 0);
+    check_bool "self excludes inner ns" true (outer.Sim.Profile.self_ns < outer.Sim.Profile.ns);
+    (match outer.Sim.Profile.children with
     | [ inner ] ->
-      check_string "child name" "inner" inner.Sim.Hostprof.name;
-      check_int "inner vcycles" 7 inner.Sim.Hostprof.vcycles;
-      check_bool "inner ns positive" true (inner.Sim.Hostprof.ns > 0)
+      check_string "child name" "inner" inner.Sim.Profile.name;
+      check_int "inner vcycles" 7 inner.Sim.Profile.cum;
+      check_bool "inner ns positive" true (inner.Sim.Profile.ns > 0)
     | cs -> Alcotest.fail (Printf.sprintf "expected 1 child, got %d" (List.length cs)))
   | roots -> Alcotest.fail (Printf.sprintf "expected 1 root, got %d" (List.length roots))
 
 let test_exception_unwinding () =
-  let hp = mk () in
+  let p = mk () in
   (try
-     Sim.Hostprof.span hp "outer" (fun () ->
-         Sim.Hostprof.span hp "boom" (fun () -> failwith "x"))
+     Sim.Profile.span p "outer" (fun () ->
+         Sim.Profile.span p "boom" (fun () -> failwith "x"))
    with Failure _ -> ());
-  check_int "no leaked frames" 0 (Sim.Hostprof.depth hp);
-  match Sim.Hostprof.tree hp with
+  check_int "no leaked frames" 0 (Sim.Profile.depth p);
+  match Sim.Profile.tree p with
   | [ outer ] -> (
-    check_int "outer call still counted" 1 outer.Sim.Hostprof.calls;
-    match outer.Sim.Hostprof.children with
-    | [ boom ] -> check_int "inner counted too" 1 boom.Sim.Hostprof.calls
+    check_int "outer call still counted" 1 outer.Sim.Profile.calls;
+    check_bool "host time up to the raise attributed" true (outer.Sim.Profile.ns > 0);
+    match outer.Sim.Profile.children with
+    | [ boom ] -> check_int "inner counted too" 1 boom.Sim.Profile.calls
     | _ -> Alcotest.fail "inner span missing")
   | _ -> Alcotest.fail "outer span missing"
 
@@ -60,99 +71,68 @@ let test_monotonicity_clamped () =
     t := !t - 50;
     !t
   in
-  let hp = Sim.Hostprof.create ~now_ns:backwards () in
-  Sim.Hostprof.span hp "a" (fun () -> Sim.Hostprof.span hp "b" (fun () -> ()));
-  let rec check_node (n : Sim.Hostprof.node) =
-    check_bool (n.Sim.Hostprof.name ^ " ns >= 0") true (n.Sim.Hostprof.ns >= 0);
-    check_bool (n.Sim.Hostprof.name ^ " self_ns >= 0") true (n.Sim.Hostprof.self_ns >= 0);
-    List.iter check_node n.Sim.Hostprof.children
+  let p = Sim.Profile.create ~clock:(mk_clock ()) ~now_ns:backwards () in
+  Sim.Profile.span p "a" (fun () -> Sim.Profile.span p "b" (fun () -> ()));
+  let rec check_node (n : Sim.Profile.node) =
+    check_bool (n.Sim.Profile.name ^ " ns >= 0") true (n.Sim.Profile.ns >= 0);
+    check_bool (n.Sim.Profile.name ^ " self_ns >= 0") true (n.Sim.Profile.self_ns >= 0);
+    List.iter check_node n.Sim.Profile.children
   in
-  List.iter check_node (Sim.Hostprof.tree hp);
-  check_bool "total_ns clamped" true (Sim.Hostprof.total_ns hp >= 0);
-  check_bool "attributed_ns clamped" true (Sim.Hostprof.attributed_ns hp >= 0)
+  List.iter check_node (Sim.Profile.tree p);
+  check_bool "total ns clamped" true (Sim.Profile.total ~by:`Ns p >= 0);
+  check_bool "attributed ns clamped" true (Sim.Profile.attributed ~by:`Ns p >= 0)
 
 let test_self_vs_cum_invariant () =
-  let hp = mk () in
+  let p = mk () in
   for i = 1 to 5 do
-    Sim.Hostprof.span hp "a" (fun () ->
-        Sim.Hostprof.span hp "b" (fun () -> ignore (List.init i (fun j -> j)));
-        Sim.Hostprof.span hp "c" (fun () -> ()))
+    Sim.Profile.span p "a" (fun () ->
+        Sim.Profile.span p "b" (fun () -> ignore (Sys.opaque_identity (List.init i (fun j -> j))));
+        Sim.Profile.span p "c" (fun () -> ()))
   done;
-  let rec check_node (n : Sim.Hostprof.node) =
-    let sum f = List.fold_left (fun acc c -> acc + f c) 0 n.Sim.Hostprof.children in
+  let rec check_node (n : Sim.Profile.node) =
+    let sum f = List.fold_left (fun acc c -> acc + f c) 0 n.Sim.Profile.children in
     check_int
-      (Printf.sprintf "self_ns = ns - children at %s" n.Sim.Hostprof.name)
-      n.Sim.Hostprof.self_ns
-      (n.Sim.Hostprof.ns - sum (fun c -> c.Sim.Hostprof.ns));
+      (Printf.sprintf "self_ns = ns - children at %s" n.Sim.Profile.name)
+      n.Sim.Profile.self_ns
+      (n.Sim.Profile.ns - sum (fun c -> c.Sim.Profile.ns));
     check_int
-      (Printf.sprintf "self_words = words - children at %s" n.Sim.Hostprof.name)
-      n.Sim.Hostprof.self_words
-      (n.Sim.Hostprof.words - sum (fun c -> c.Sim.Hostprof.words));
-    List.iter check_node n.Sim.Hostprof.children
+      (Printf.sprintf "self_words = words - children at %s" n.Sim.Profile.name)
+      n.Sim.Profile.self_words
+      (n.Sim.Profile.words - sum (fun c -> c.Sim.Profile.words));
+    List.iter check_node n.Sim.Profile.children
   in
-  List.iter check_node (Sim.Hostprof.tree hp)
+  List.iter check_node (Sim.Profile.tree p)
 
 let test_disabled_sentinel () =
-  let hp = Sim.Hostprof.disabled in
-  check_bool "disabled" false (Sim.Hostprof.enabled hp);
-  check_int "span still runs f" 9 (Sim.Hostprof.span hp "x" (fun () -> 9));
-  check_int "no tree" 0 (List.length (Sim.Hostprof.tree hp));
-  check_int "no ns" 0 (Sim.Hostprof.total_ns hp);
-  check_int "no words" 0 (Sim.Hostprof.total_words hp);
-  Sim.Hostprof.sample_self hp;
-  check_int "sample_self is a no-op" 0 (Sim.Hostprof.self_recorded hp)
-
-let test_attach_disabled_rejected () =
-  Alcotest.check_raises "cannot attach to the shared disabled trace"
-    (Invalid_argument "Trace.attach_hostprof: disabled trace") (fun () ->
-      Sim.Trace.attach_hostprof Sim.Trace.disabled Sim.Hostprof.disabled)
-
-(* --------------------- zero virtual-clock cost --------------------- *)
-
-(* Host profiling must never touch the virtual clock or the stats plane:
-   a profiled churn run is byte-identical to an unprofiled one in
-   simulated cycles AND every counter. *)
-let run_churn_workload k =
-  let p = Os.Kernel.create_process k () in
-  let len = Sim.Units.kib 64 in
-  let va = Os.Kernel.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:false in
-  ignore (Os.Kernel.access_range k p ~va ~len ~write:true ~stride:Sim.Units.page_size);
-  Os.Kernel.munmap k p ~va ~len;
-  ( Sim.Clock.now (Os.Kernel.clock k),
-    Sim.Json.to_string (Sim.Stats.to_json (Os.Kernel.stats k)) )
-
-let test_zero_virtual_cost () =
-  let k_plain = mk_kernel () in
-  let cycles_plain, stats_plain = run_churn_workload k_plain in
-  let k_prof = mk_kernel () in
-  let hp = mk ~vclock:(Os.Kernel.clock k_prof) () in
-  Sim.Trace.attach_hostprof (Os.Kernel.trace k_prof) hp;
-  let cycles_prof, stats_prof = run_churn_workload k_prof in
-  check_int "identical virtual cycles with host profiling on" cycles_plain cycles_prof;
-  check_string "identical counters with host profiling on" stats_plain stats_prof;
-  check_bool "host profiler saw the work" true (Sim.Hostprof.attributed_ns hp > 0);
-  check_bool "vcycles attributed too" true (Sim.Hostprof.total_vcycles hp > 0)
+  let p = Sim.Profile.disabled in
+  check_bool "no host metrics" false (Sim.Profile.host p);
+  check_int "span still runs f" 9 (Sim.Profile.span p "x" (fun () -> 9));
+  check_int "no ns" 0 (Sim.Profile.total ~by:`Ns p);
+  check_int "no words" 0 (Sim.Profile.total ~by:`Words p);
+  Sim.Profile.sample_self p;
+  check_int "sample_self is a no-op" 0 (self_field p "samples")
 
 (* -------------------- allocation determinism ----------------------- *)
 
-(* Allocated-words attribution depends only on the allocation sequence,
-   which is fixed for a fixed binary and workload — two identical runs
-   must agree word-for-word on every path. (A warm-up run first absorbs
-   any one-time lazy module initialisation.) *)
+(* Enough work to run the minor heap over several times, so collections
+   land inside spans. *)
 let words_profile () =
   let k = mk_kernel () in
-  let hp = mk ~vclock:(Os.Kernel.clock k) () in
-  Sim.Trace.attach_hostprof (Os.Kernel.trace k) hp;
-  ignore (run_churn_workload k);
+  let p = mk ~clock:(Os.Kernel.clock k) () in
+  Sim.Trace.attach_profile (Os.Kernel.trace k) p;
+  let proc = Os.Kernel.create_process k () in
+  let len = Sim.Units.mib 2 in
+  for _ = 1 to 4 do
+    let va = Os.Kernel.mmap_anon k proc ~len ~prot:Hw.Prot.rw ~populate:false in
+    ignore (Os.Kernel.access_range k proc ~va ~len ~write:true ~stride:Sim.Units.page_size);
+    Os.Kernel.munmap k proc ~va ~len
+  done;
   List.map
-    (fun (path, (n : Sim.Hostprof.node)) ->
-      (path, n.Sim.Hostprof.calls, n.Sim.Hostprof.words, n.Sim.Hostprof.vcycles))
-    (Sim.Hostprof.flatten hp)
+    (fun (path, (n : Sim.Profile.node)) ->
+      (path, n.Sim.Profile.calls, n.Sim.Profile.words, n.Sim.Profile.cum))
+    (Sim.Profile.top ~by:`Cycles p)
 
-let test_words_deterministic () =
-  ignore (words_profile ());
-  let a = words_profile () in
-  let b = words_profile () in
+let check_same_words a b =
   check_int "same paths" (List.length a) (List.length b);
   List.iter2
     (fun (pa, ca, wa, va) (pb, cb, wb, vb) ->
@@ -162,40 +142,68 @@ let test_words_deterministic () =
       check_int (pa ^ " vcycles") va vb)
     a b
 
-(* -------------------------- self gauges ---------------------------- *)
+(* Allocated-words attribution depends only on the allocation sequence,
+   which is fixed for a fixed binary and workload — two identical runs
+   must agree word-for-word on every path. (A warm-up run first absorbs
+   any one-time lazy module initialisation.) *)
+let test_words_deterministic () =
+  ignore (words_profile ());
+  let a = words_profile () in
+  check_same_words a (words_profile ())
 
+(* ...whatever the heap looks like: a large live ballast and a full major
+   collection between the runs move where every minor collection falls,
+   and no path's count may move with them. *)
+let test_words_heap_independent () =
+  ignore (words_profile ());
+  let a = words_profile () in
+  let ballast = Array.init 200_000 (fun i -> Some i) in
+  Gc.full_major ();
+  let b = words_profile () in
+  ignore (Sys.opaque_identity ballast);
+  check_same_words a b
+
+(* -------------------------- self-samples --------------------------- *)
+
+(* VmRSS from /proc/self/status, in kB, if the host has it. *)
+let vm_rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map (fun l -> Scanf.sscanf_opt l "VmRSS: %d kB" Fun.id) (String.split_on_char '\n' status)
+
+(* The samples fold into a running summary: the profiler holds the same
+   words after 1100 samples as after 10. *)
 let test_self_samples_bounded () =
-  let hp = mk ~rss_kb:(fun () -> 42) () in
-  for _ = 1 to 1100 do
-    Sim.Hostprof.sample_self hp
+  let p = mk () in
+  for _ = 1 to 10 do
+    Sim.Profile.sample_self p
   done;
-  check_int "recorded counts everything" 1100 (Sim.Hostprof.self_recorded hp);
-  let samples = Sim.Hostprof.self_samples hp in
-  check_int "retained bounded at capacity" 1024 (List.length samples);
-  List.iter
-    (fun s ->
-      check_int "injected rss reader used" 42 s.Sim.Hostprof.rss_kb;
-      check_bool "heap gauge populated" true (s.Sim.Hostprof.heap_words > 0))
-    samples;
-  (* at_ns is non-decreasing in sample order *)
-  ignore
-    (List.fold_left
-       (fun prev s ->
-         check_bool "at_ns non-decreasing" true (s.Sim.Hostprof.at_ns >= prev);
-         s.Sim.Hostprof.at_ns)
-       0 samples)
+  let size = Obj.reachable_words (Obj.repr p) in
+  for _ = 11 to 1100 do
+    Sim.Profile.sample_self p
+  done;
+  check_int "constant space" size (Obj.reachable_words (Obj.repr p));
+  check_int "summary counts every sample" 1100 (self_field p "samples");
+  check_bool "heap gauge populated" true (self_field p "heap_words_max" > 0);
+  (* The statm reading is the resident set in kB: within a factor of 4
+     of the kernel's own VmRSS (a misread field, such as the virtual
+     size, or a wrong page scale falls outside). *)
+  if Sys.file_exists "/proc/self/statm" then begin
+    let rss = self_field p "rss_kb_max" in
+    check_bool "rss sampled" true (rss > 0);
+    match vm_rss_kb () with
+    | Some kb -> check_bool "rss matches VmRSS" true (rss * 4 >= kb && rss <= kb * 4)
+    | None -> ()
+  end
 
 (* --------------------------- exporters ----------------------------- *)
 
 let test_collapsed_golden () =
-  (* step=10 and no inner reads between: outer span = 2 reads around f
-     plus 2 around the inner span's bracket — exact ns are clock-step
-     arithmetic, so pin the self-ns collapsed lines (by:`Ns only emits
-     ns; the words remainder line is real GC state and stays out). *)
-  let hp = mk ~step:10 () in
-  Sim.Hostprof.span hp "mmap" (fun () -> Sim.Hostprof.span hp "fault" (fun () -> ()));
-  Sim.Hostprof.span hp "access" (fun () -> ());
-  let s = Sim.Hostprof.to_collapsed ~by:`Ns hp in
+  let p = mk ~step:10 () in
+  Sim.Profile.span p "mmap" (fun () -> Sim.Profile.span p "fault" (fun () -> ()));
+  Sim.Profile.span p "access" (fun () -> ());
+  let s = Sim.Profile.to_collapsed ~by:`Ns p in
   check_bool "mmap line present" true (contains ~needle:"mmap " s);
   check_bool "nested path present" true (contains ~needle:"mmap;fault " s);
   check_bool "access line present" true (contains ~needle:"access " s);
@@ -203,14 +211,14 @@ let test_collapsed_golden () =
 
 let test_to_json_shape () =
   let clock = mk_clock () in
-  let hp = mk ~vclock:clock () in
-  Sim.Hostprof.span hp "mmap" (fun () ->
+  let p = mk ~clock () in
+  Sim.Profile.span p "mmap" (fun () ->
       Sim.Clock.charge clock 100;
-      Sim.Hostprof.span hp "fault" (fun () -> Sim.Clock.charge clock 40));
-  let json = Sim.Hostprof.to_json hp in
+      Sim.Profile.span p "fault" (fun () -> Sim.Clock.charge clock 40));
+  let json = Sim.Profile.host_json p in
   (match Sim.Json.of_string (Sim.Json.to_string json) with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail ("hostprof JSON does not parse: " ^ e));
+  | Error e -> Alcotest.fail ("host JSON does not parse: " ^ e));
   (match Sim.Json.member json "total_vcycles" with
   | Some (Sim.Json.Int n) -> check_int "vcycles totalled" 140 n
   | _ -> Alcotest.fail "total_vcycles missing");
@@ -228,21 +236,28 @@ let test_to_json_shape () =
   | _ -> Alcotest.fail "tree missing"
 
 let test_top_paths_ranking () =
-  let hp = mk ~step:1 () in
-  (* "big" burns many fake-ns (extra spans inside), "small" few. *)
-  Sim.Hostprof.span hp "big" (fun () ->
+  let p = mk ~step:1 () in
+  (* "big" burns many fake-ns (extra spans inside) and allocates, "small"
+     does neither. *)
+  Sim.Profile.span p "big" (fun () ->
       for _ = 1 to 50 do
-        Sim.Hostprof.span hp "inner" (fun () -> ())
-      done);
-  Sim.Hostprof.span hp "small" (fun () -> ());
-  match Sim.Hostprof.top_paths ~k:3 ~by:`Ns hp with
+        Sim.Profile.span p "inner" (fun () -> ())
+      done;
+      ignore (Sys.opaque_identity (Array.make 100 0)));
+  Sim.Profile.span p "small" (fun () -> ());
+  (match Sim.Profile.top ~k:3 ~by:`Ns p with
   | [ (p1, n1); (p2, n2); (p3, n3) ] ->
     check_bool "big paths outrank small" true (p1 <> "small" && p2 <> "small");
     check_string "coldest self-ns path last" "small" p3;
     check_bool "ranking is by descending self_ns" true
-      (n1.Sim.Hostprof.self_ns >= n2.Sim.Hostprof.self_ns
-      && n2.Sim.Hostprof.self_ns >= n3.Sim.Hostprof.self_ns)
-  | l -> Alcotest.fail (Printf.sprintf "expected 3 ranked paths, got %d" (List.length l))
+      (n1.Sim.Profile.self_ns >= n2.Sim.Profile.self_ns
+      && n2.Sim.Profile.self_ns >= n3.Sim.Profile.self_ns)
+  | l -> Alcotest.fail (Printf.sprintf "expected 3 ranked paths, got %d" (List.length l)));
+  match Sim.Profile.top ~by:`Words p with
+  | (hot, n) :: _ ->
+    check_string "the allocating span ranks first by words" "big" hot;
+    check_bool "its self words count the array" true (n.Sim.Profile.self_words >= 101)
+  | [] -> Alcotest.fail "no paths ranked by words"
 
 (* ------------------------- order statistics ------------------------ *)
 
@@ -374,10 +389,11 @@ let suite =
     Alcotest.test_case "hostprof: non-monotonic clock clamped" `Quick test_monotonicity_clamped;
     Alcotest.test_case "hostprof: self vs cum invariant" `Quick test_self_vs_cum_invariant;
     Alcotest.test_case "hostprof: disabled sentinel" `Quick test_disabled_sentinel;
-    Alcotest.test_case "hostprof: attach to disabled trace rejected" `Quick
-      test_attach_disabled_rejected;
-    Alcotest.test_case "hostprof: zero virtual-clock cost" `Quick test_zero_virtual_cost;
+    (* One zero-cost check covers every sink, host metrics included. *)
+    Alcotest.test_case "hostprof: zero virtual-clock cost" `Quick Test_profile.test_zero_virtual_cost;
     Alcotest.test_case "hostprof: allocated words deterministic" `Quick test_words_deterministic;
+    Alcotest.test_case "hostprof: words independent of heap state" `Quick
+      test_words_heap_independent;
     Alcotest.test_case "hostprof: self samples bounded" `Quick test_self_samples_bounded;
     Alcotest.test_case "hostprof: collapsed export" `Quick test_collapsed_golden;
     Alcotest.test_case "hostprof: to_json shape" `Quick test_to_json_shape;

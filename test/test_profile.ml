@@ -84,16 +84,16 @@ let test_self_vs_cum_invariant () =
     List.iter check_node n.Sim.Profile.children
   in
   List.iter check_node (Sim.Profile.tree p);
-  check_int "all cycles attributed" (Sim.Profile.total_cycles p) (Sim.Profile.attributed_cycles p);
-  check_int "nothing unattributed" 0 (Sim.Profile.unattributed_cycles p)
+  check_int "all cycles attributed" (Sim.Profile.total p) (Sim.Profile.attributed p);
+  check_int "nothing unattributed" 0 (Sim.Profile.unattributed p)
 
 let test_unattributed () =
   let p, clock = mk () in
   Sim.Clock.charge clock 100 (* outside any span *);
   Sim.Profile.span p "a" (fun () -> Sim.Clock.charge clock 50);
-  check_int "total sees everything" 150 (Sim.Profile.total_cycles p);
-  check_int "attributed only in-span" 50 (Sim.Profile.attributed_cycles p);
-  check_int "remainder explicit" 100 (Sim.Profile.unattributed_cycles p);
+  check_int "total sees everything" 150 (Sim.Profile.total p);
+  check_int "attributed only in-span" 50 (Sim.Profile.attributed p);
+  check_int "remainder explicit" 100 (Sim.Profile.unattributed p);
   let f = Sim.Profile.attributed_fraction p in
   check_bool "fraction = 1/3" true (Float.abs (f -. (1.0 /. 3.0)) < 1e-9);
   check_bool "collapsed reports the remainder" true
@@ -104,44 +104,69 @@ let test_disabled_sentinel () =
   check_bool "disabled" false (Sim.Profile.enabled p);
   check_int "span still runs f" 9 (Sim.Profile.span p "x" (fun () -> 9));
   check_int "no tree" 0 (List.length (Sim.Profile.tree p));
-  check_int "no cycles" 0 (Sim.Profile.total_cycles p)
+  check_int "no cycles" 0 (Sim.Profile.total p)
 
 let test_reset () =
   let p, clock = mk () in
   Sim.Profile.span p "a" (fun () -> Sim.Clock.charge clock 10);
   Sim.Profile.reset p;
   check_int "tree cleared" 0 (List.length (Sim.Profile.tree p));
-  check_int "attribution restarts at reset" 0 (Sim.Profile.total_cycles p);
+  check_int "attribution restarts at reset" 0 (Sim.Profile.total p);
   check_int "events cleared" 0 (Sim.Profile.events_recorded p);
   Sim.Clock.charge clock 7;
-  check_int "cycles after reset count" 7 (Sim.Profile.total_cycles p)
+  check_int "cycles after reset count" 7 (Sim.Profile.total p)
 
 (* ------------------------- zero overhead --------------------------- *)
 
-(* The profiler must never charge the clock: a profiled run spends
-   exactly the same simulated cycles as an unprofiled one. *)
+(* No sink may charge the clock or touch a counter: with the event ring,
+   the call tree and the host metrics all fed, a run spends exactly the
+   cycles and counts exactly what a bare run does. *)
 let run_workload k =
   let p = Os.Kernel.create_process k () in
   let len = Sim.Units.kib 64 in
   let va = Os.Kernel.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:false in
   ignore (Os.Kernel.access_range k p ~va ~len ~write:true ~stride:Sim.Units.page_size);
   Os.Kernel.munmap k p ~va ~len;
-  Sim.Clock.now (Os.Kernel.clock k)
+  (Sim.Clock.now (Os.Kernel.clock k), Sim.Json.to_string (Sim.Stats.to_json (Os.Kernel.stats k)))
 
-let test_zero_overhead () =
-  let k_plain = mk_kernel () in
-  let cycles_plain = run_workload k_plain in
-  let k_prof = mk_kernel () in
-  let profile = Sim.Profile.create ~clock:(Os.Kernel.clock k_prof) () in
-  Sim.Trace.attach_profile (Os.Kernel.trace k_prof) profile;
-  let cycles_prof = run_workload k_prof in
-  check_int "identical total cycles with profiling on" cycles_plain cycles_prof;
-  check_bool "profiler saw the work" true (Sim.Profile.attributed_cycles profile > 0)
+let test_zero_virtual_cost () =
+  let cycles_bare, stats_bare = run_workload (mk_kernel ()) in
+  let k = mk_kernel () in
+  let ns = ref 0 in
+  let now_ns () = incr ns; !ns in
+  let profile = Sim.Profile.create ~clock:(Os.Kernel.clock k) ~now_ns () in
+  Sim.Trace.attach_profile (Os.Kernel.trace k) profile;
+  let cycles, stats = run_workload k in
+  check_int "identical cycles with every sink fed" cycles_bare cycles;
+  check_string "identical counters with every sink fed" stats_bare stats;
+  check_bool "ring saw the work" true (Sim.Trace.recorded (Os.Kernel.trace k) > 0);
+  check_bool "tree saw the work" true (Sim.Profile.attributed profile > 0);
+  check_bool "host metrics saw the work" true
+    (Sim.Profile.attributed ~by:`Ns profile > 0 && Sim.Profile.attributed ~by:`Words profile > 0)
 
 let test_attach_disabled_rejected () =
   Alcotest.check_raises "cannot attach to the shared disabled trace"
     (Invalid_argument "Trace.attach_profile: disabled trace") (fun () ->
       Sim.Trace.attach_profile Sim.Trace.disabled (Sim.Profile.disabled))
+
+(* A truncate that does not shrink the file records no event, but the
+   call tree counts every call. *)
+let test_truncate_frames_every_call () =
+  let k = mk_kernel () in
+  let p = Sim.Profile.create ~clock:(Os.Kernel.clock k) () in
+  let tr = Os.Kernel.trace k in
+  Sim.Trace.attach_profile tr p;
+  let fs = Os.Kernel.tmpfs k in
+  let ino = Fs.Memfs.create_file fs "/t" ~persistence:Fs.Inode.Volatile in
+  Fs.Memfs.extend fs ino ~bytes_wanted:(Sim.Units.kib 16);
+  Fs.Memfs.truncate fs ino ~bytes:(Sim.Units.kib 16);
+  Fs.Memfs.truncate fs ino ~bytes:(Sim.Units.kib 4);
+  (match List.find_opt (fun (path, _, _, _) -> path = "fs_truncate") (Sim.Profile.flatten p) with
+  | Some (_, calls, _, _) -> check_int "both calls in the tree" 2 calls
+  | None -> Alcotest.fail "no fs_truncate frame");
+  match Sim.Trace.latency tr "fs_truncate" with
+  | Some h -> check_int "only the shrink is an event" 1 (Sim.Histogram.count h)
+  | None -> Alcotest.fail "shrink recorded no event"
 
 (* --------------------------- exporters ----------------------------- *)
 
@@ -200,27 +225,27 @@ let test_to_json_shape () =
 
 let test_top_spans () =
   let p, _ = golden_profile () in
-  match Sim.Profile.top_spans ~k:2 p with
-  | [ (p1, _, s1, _); (p2, _, s2, _) ] ->
+  match Sim.Profile.top ~k:2 ~by:`Cycles p with
+  | [ (p1, n1); (p2, n2) ] ->
     check_string "hottest self first" "mmap" p1;
-    check_int "hottest self cycles" 100 s1;
+    check_int "hottest self cycles" 100 n1.Sim.Profile.self;
     check_string "then fault" "mmap;fault" p2;
-    check_int "second self cycles" 40 s2
+    check_int "second self cycles" 40 n2.Sim.Profile.self
   | l -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length l))
 
 let test_event_ring_bounded () =
-  let clock = mk_clock () in
-  let p = Sim.Profile.create ~clock ~events_capacity:4 () in
-  for _ = 1 to 6 do
+  let p, clock = mk () in
+  (* The ring holds 8192 span events. *)
+  for _ = 1 to 8194 do
     Sim.Profile.span p "op" (fun () -> Sim.Clock.charge clock 1)
   done;
-  check_int "recorded counts everything" 6 (Sim.Profile.events_recorded p);
+  check_int "recorded counts everything" 8194 (Sim.Profile.events_recorded p);
   check_int "dropped = recorded - capacity" 2 (Sim.Profile.events_dropped p);
   (* The call tree stays exact even when the ring wrapped. *)
   match Sim.Profile.tree p with
   | [ op ] ->
-    check_int "tree keeps every call" 6 op.Sim.Profile.calls;
-    check_int "tree keeps every cycle" 6 op.Sim.Profile.cum
+    check_int "tree keeps every call" 8194 op.Sim.Profile.calls;
+    check_int "tree keeps every cycle" 8194 op.Sim.Profile.cum
   | _ -> Alcotest.fail "expected one root"
 
 (* ----------------------------- gauges ------------------------------ *)
@@ -265,9 +290,10 @@ let suite =
     Alcotest.test_case "profile: unattributed remainder" `Quick test_unattributed;
     Alcotest.test_case "profile: disabled sentinel" `Quick test_disabled_sentinel;
     Alcotest.test_case "profile: reset" `Quick test_reset;
-    Alcotest.test_case "profile: zero simulated overhead" `Quick test_zero_overhead;
+    Alcotest.test_case "profile: zero simulated overhead" `Quick test_zero_virtual_cost;
     Alcotest.test_case "profile: attach to disabled trace rejected" `Quick
       test_attach_disabled_rejected;
+    Alcotest.test_case "profile: truncate frames every call" `Quick test_truncate_frames_every_call;
     Alcotest.test_case "profile: collapsed golden" `Quick test_collapsed_golden;
     Alcotest.test_case "profile: chrome golden" `Quick test_chrome_golden;
     Alcotest.test_case "profile: to_json shape" `Quick test_to_json_shape;

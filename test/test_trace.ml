@@ -70,6 +70,35 @@ let test_span_outcome_and_exception () =
     check_int "latency up to the raise" 3 (boom.Sim.Trace.finish - boom.Sim.Trace.start)
   | evs -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d" (List.length evs))
 
+(* One call, every sink: the ring event, the op's histogram sample and a
+   call-tree frame of the same name and extent; arg and outcome are read
+   off the result. *)
+let test_span_feeds_every_sink () =
+  let tr, clock = mk () in
+  let p = Sim.Profile.create ~clock () in
+  Sim.Trace.attach_profile tr p;
+  let r =
+    Sim.Trace.span tr ~op:"walk" ~arg:(fun n -> 2 * n) ~outcome:(fun _ -> "hole") (fun () ->
+        Sim.Clock.charge clock 9;
+        21)
+  in
+  check_int "span returns f's value" 21 r;
+  (match Sim.Trace.events tr with
+  | [ e ] ->
+    check_int "arg from the result" 42 e.Sim.Trace.arg;
+    check_string "outcome from the result" "hole" e.Sim.Trace.outcome;
+    check_int "event covers f" 9 (e.Sim.Trace.finish - e.Sim.Trace.start)
+  | evs -> Alcotest.fail (Printf.sprintf "expected 1 event, got %d" (List.length evs)));
+  (match Sim.Trace.latency tr "walk" with
+  | Some h -> check_int "one histogram sample" 1 (Sim.Histogram.count h)
+  | None -> Alcotest.fail "no histogram");
+  match Sim.Profile.flatten p with
+  | [ (path, calls, self, _) ] ->
+    check_string "frame named after the op" "walk" path;
+    check_int "one call" 1 calls;
+    check_int "frame covers f" 9 self
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 frame, got %d" (List.length l))
+
 let test_disabled_sentinel () =
   let tr = Sim.Trace.disabled in
   check_bool "disabled" false (Sim.Trace.enabled tr);
@@ -141,6 +170,7 @@ let suite =
     Alcotest.test_case "trace: ring wraparound" `Quick test_ring_wraparound;
     Alcotest.test_case "trace: span nesting" `Quick test_span_nesting;
     Alcotest.test_case "trace: span outcome + exception" `Quick test_span_outcome_and_exception;
+    Alcotest.test_case "trace: span feeds every sink" `Quick test_span_feeds_every_sink;
     Alcotest.test_case "trace: disabled sentinel" `Quick test_disabled_sentinel;
     Alcotest.test_case "trace: JSON well-formed" `Quick test_json_well_formed;
     Alcotest.test_case "trace: JSON events_limit" `Quick test_json_events_limit;
