@@ -29,8 +29,12 @@ check:
 	python3 -m json.tool metrics_smoke.json > /dev/null && echo "metrics JSON ok"
 
 # Regression gate: regenerate the bench JSON and diff it against the most
-# recent committed BENCH_*.json baseline. Fails on >10% metric drift or
-# any complexity-class downgrade. CI runs this after `make check`.
+# recent committed BENCH_*.json baseline. One walk compares every section:
+# clock_cycles, stats, trace, complexity, profile, faults, store, smp,
+# causal, throughput and host. Fails on >10% drift the wrong way (host
+# allocated words included), a flag flipping false or any complexity-class
+# downgrade; host ns and throughput medians are only reported. CI runs
+# this after `make check`.
 bench-diff:
 	dune exec bench/main.exe -- --json --out fresh_bench.json
 	dune exec bin/o1mem_cli.exe -- bench-diff \

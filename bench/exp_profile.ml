@@ -64,8 +64,8 @@ let to_json ?(ops = default_ops) () =
     ]
 
 (* The "host" section: H1 per churn backend. Word/call/vcycle counts are
-   deterministic per binary — bench-diff gates on those under
-   --gate-host-alloc; ns is report-only. *)
+   deterministic per binary, so bench-diff gates on them; ns is
+   report-only. *)
 let host_json ?(ops = default_ops) () =
   let backend_json backend = Sim.Profile.host_json (snd (run_churn ~ops ~host:true backend)) in
   Sim.Json.Obj

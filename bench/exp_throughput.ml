@@ -4,10 +4,10 @@
 
    Variance-aware: every scenario runs [trials] times and reports the
    median with the inter-quartile range, because a single wall-clock
-   number on a shared machine is mostly noise. `bench-diff` compares
-   medians against an IQR-derived noise floor, and even then the
-   "throughput" section is report-only unless --gate-throughput is
-   passed; its value is the trajectory, not any single run. *)
+   number on a shared machine is mostly noise. `bench-diff` reports the
+   medians and never gates on them: a trial is too short to resolve a
+   10% change, so the section's value is the trajectory, not any single
+   run. *)
 
 let run_churn backend ~ops =
   let _, trace, driver = Bench_env.churn ~ops backend in

@@ -122,8 +122,8 @@ let run_bechamel () =
    (host-cost attribution: ns noisy, allocated words deterministic)
    sections mix in host measurements; everything else is purely
    virtual-clock-derived and byte-identical across machines — which is
-   why bench-diff gates on those sections, reports on throughput/host ns,
-   and gates host allocated words only under --gate-host-alloc. *)
+   why bench-diff gates on those sections and on host allocated words,
+   and only reports throughput and host ns. *)
 
 let smoke () = Array.exists (( = ) "--smoke") Sys.argv
 

@@ -527,7 +527,7 @@ let store_cmd =
 
 (* Exit codes: 0 = no regression, 1 = regression or class downgrade,
    2 = documents unreadable or incomparable (schema/provenance). *)
-let bench_diff old_file new_file threshold gate_throughput gate_host_alloc =
+let bench_diff old_file new_file threshold =
   let read f =
     let ic = open_in_bin f in
     Fun.protect
@@ -548,10 +548,7 @@ let bench_diff old_file new_file threshold gate_throughput gate_host_alloc =
   in
   let old_doc = parse old_file in
   let new_doc = parse new_file in
-  match
-    Sim.Regress.compare_docs ~threshold_pct:threshold ~gate_throughput ~gate_host_alloc ~old_doc
-      ~new_doc ()
-  with
+  match Sim.Regress.compare_docs ~threshold_pct:threshold ~old_doc ~new_doc () with
   | Error reason ->
     Printf.eprintf "bench-diff: %s\n" reason;
     exit 2
@@ -561,35 +558,20 @@ let bench_diff old_file new_file threshold gate_throughput gate_host_alloc =
 
 let bench_diff_cmd =
   let doc =
-    "Compare two bench JSON exports (counters, p50/p99 latencies, fitted complexity classes) and \
-     fail on regressions beyond the threshold or any complexity-class downgrade"
+    "Compare two bench JSON exports in one walk over every section (clock_cycles, stats, trace, \
+     complexity, profile, faults, store, smp, causal, throughput and host) and fail on a metric \
+     moving the wrong way beyond the threshold, a flag flipping false or a complexity-class \
+     downgrade. Host allocated words gate; host ns and throughput medians are only reported"
   in
   let old_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json") in
   let new_arg = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json") in
   let threshold =
     Arg.(
       value & opt float 10.0
-      & info [ "threshold" ] ~docv:"PCT" ~doc:"Allowed counter/latency drift in percent.")
-  in
-  let gate_throughput =
-    Arg.(
-      value & flag
-      & info [ "gate-throughput" ]
-          ~doc:
-            "Fail on wall-clock throughput drops too. Off by default: real-time ops/sec is \
-             machine- and load-dependent, so it is reported but never gates.")
-  in
-  let gate_host_alloc =
-    Arg.(
-      value & flag
-      & info [ "gate-host-alloc" ]
-          ~doc:
-            "Fail when host allocated-words metrics grow beyond the threshold. Unlike wall-clock \
-             time, GC allocation counts are deterministic for a fixed binary and workload, so \
-             growth is a real code change.")
+      & info [ "threshold" ] ~docv:"PCT" ~doc:"Allowed drift in percent before a metric gates.")
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
-    Term.(const bench_diff $ old_arg $ new_arg $ threshold $ gate_throughput $ gate_host_alloc)
+    Term.(const bench_diff $ old_arg $ new_arg $ threshold)
 
 (* ----------------------------- churn ------------------------------- *)
 

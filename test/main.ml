@@ -22,4 +22,5 @@ let () =
       ("faults", Test_faults.suite);
       ("store", Test_store.suite);
       ("integration", Test_integration.suite);
+      ("metrics", Test_metrics.suite);
     ]

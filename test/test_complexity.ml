@@ -169,12 +169,20 @@ let test_regress_threshold () =
 let test_regress_added_removed () =
   let r =
     compare_ok
-      (doc ~counters:[ ("gone", 7) ] ())
-      (doc ~counters:[ ("fresh", 9) ] ())
+      (doc ~counters:[ ("gone", 7) ] ~complexity:[ ("old_op", "O(1)", 0.01) ] ())
+      (doc ~counters:[ ("fresh", 9) ] ~complexity:[ ("new_op", "O(n)", 1.0) ] ())
   in
   let statuses = List.map (fun d -> (d.R.key, d.R.status)) r.R.deltas in
   check_bool "removed" true (List.mem ("gone", R.Removed) statuses);
   check_bool "added" true (List.mem ("fresh", R.Added) statuses);
+  (* An object on one side only is one row carrying its leaf count. *)
+  let rows key = List.filter (fun d -> d.R.key = key) r.R.deltas in
+  (match (rows "old_op", rows "new_op") with
+  | [ gone ], [ fresh ] ->
+    check_bool "removed object" true (gone.R.status = R.Removed && gone.R.section = "complexity");
+    check_string "removed object shows its leaf count" "2 leaves" gone.R.old_v;
+    check_bool "added object" true (fresh.R.status = R.Added && fresh.R.new_v = "2 leaves")
+  | _ -> Alcotest.fail "expected one row per one-sided object");
   check_bool "one-sided metrics do not fail the gate" true (R.regressions r = [])
 
 let test_regress_class_downgrade () =
@@ -198,7 +206,7 @@ let test_regress_exponent_informational () =
       (doc ~complexity:[ ("graft", "O(log n)", 0.21) ] ())
   in
   check_bool "exponent drift reported" true
-    (List.exists (fun d -> d.R.key = "graft exponent") r.R.deltas);
+    (List.exists (fun d -> d.R.section = "complexity.graft" && d.R.key = "exponent") r.R.deltas);
   check_bool "but never fails the gate" true (R.regressions r = [])
 
 let test_regress_incompatible () =
