@@ -74,9 +74,10 @@ timeline:
 critical-path:
 	dune exec bin/o1mem_cli.exe -- critical-path
 
-# R1/R2 chaos matrix: crash-at-every-step explorers (WAL, FOM fs, and
-# the persistent store with its torn/flip damage arms) plus every named
-# fault plan under a fixed seed matrix, then the store end-to-end
+# R1/R2 chaos matrix: the crash-at-every-step explorers (WAL, FOM fs, and
+# the persistent store with its torn/flip damage arms, all instances of
+# O1mem.Chaos.crash_every) plus every named fault plan under a fixed
+# seed matrix, then the store end-to-end
 # crash/recovery demo. Exit 1 on any unexpected invariant violation
 # (see EXPERIMENTS.md "R1 — does it survive?" and "R2 — does the store
 # survive?"). CI runs this.

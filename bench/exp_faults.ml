@@ -77,8 +77,8 @@ type results = {
   cycles_off : int;
   cycles_on : int;
   degradation : O1mem.Chaos.plan_outcome;
-  wal : O1mem.Chaos.explorer_report;
-  fs : O1mem.Chaos.explorer_report;
+  wal : O1mem.Chaos.report;
+  fs : O1mem.Chaos.report;
 }
 
 let results =
@@ -94,14 +94,31 @@ let results =
        fs = O1mem.Chaos.explore_fs ~files:4 ~seed:11 ();
      })
 
-let explorer_json (r : O1mem.Chaos.explorer_report) =
+(* One exporter, one summary row and one detection phrase for every
+   crash explorer's report, the store's included. *)
+let explorer_json (r : O1mem.Chaos.report) =
   Sim.Json.Obj
-    [
-      ("steps", Sim.Json.Int r.O1mem.Chaos.steps);
-      ("fences", Sim.Json.Int r.O1mem.Chaos.fences);
-      ("crashes", Sim.Json.Int r.O1mem.Chaos.crashes);
-      ("violations", Sim.Json.Int (List.length r.O1mem.Chaos.violations));
-    ]
+    ([
+       ("steps", Sim.Json.Int r.steps);
+       ("fences", Sim.Json.Int r.fences);
+       ("crashes", Sim.Json.Int r.crashes);
+     ]
+    @ List.map (fun (arm, n) -> (arm ^ "_detections", Sim.Json.Int n)) r.detections
+    @ [ ("violations", Sim.Json.Int (List.length r.violations)) ])
+
+let detections_text (r : O1mem.Chaos.report) =
+  match r.detections with
+  | [] -> ""
+  | ds ->
+    let arm (name, n) = Printf.sprintf "%d %s" n name in
+    ", " ^ String.concat " + " (List.map arm ds) ^ " detections"
+
+let explorer_row label (r : O1mem.Chaos.report) =
+  [
+    label;
+    Printf.sprintf "%d steps, %d crashes%s" r.steps r.crashes (detections_text r);
+    (if r.violations = [] && r.steps > 0 then "recovered: ok" else "VIOLATIONS");
+  ]
 
 let to_json () =
   let r = Lazy.force results in
@@ -169,18 +186,6 @@ let run () =
         r.degradation.O1mem.Chaos.retried r.degradation.O1mem.Chaos.ooms;
       (if r.degradation.O1mem.Chaos.checks = [] then "invariants: ok" else "VIOLATIONS");
     ];
-  Sim.Table.add_row t
-    [
-      "WAL crash explorer";
-      Printf.sprintf "%d steps, %d crashes" r.wal.O1mem.Chaos.steps r.wal.O1mem.Chaos.crashes;
-      (if r.wal.O1mem.Chaos.violations = [] && r.wal.O1mem.Chaos.steps > 0 then "recovered: ok"
-       else "VIOLATIONS");
-    ];
-  Sim.Table.add_row t
-    [
-      "FS crash explorer";
-      Printf.sprintf "%d steps, %d crashes" r.fs.O1mem.Chaos.steps r.fs.O1mem.Chaos.crashes;
-      (if r.fs.O1mem.Chaos.violations = [] && r.fs.O1mem.Chaos.steps > 0 then "recovered: ok"
-       else "VIOLATIONS");
-    ];
+  Sim.Table.add_row t (explorer_row "WAL crash explorer" r.wal);
+  Sim.Table.add_row t (explorer_row "FS crash explorer" r.fs);
   print_string (Sim.Table.render t)

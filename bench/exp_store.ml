@@ -92,7 +92,7 @@ type results = {
   rec_points : (int * int * int) list; (* txns, cycles, replayed *)
   rec_fit : C.fit;
   sweep_violations : int;
-  explorer : Store.Chaos.report;
+  explorer : O1mem.Chaos.report;
   degradation : O1mem.Chaos.plan_outcome;
 }
 
@@ -150,16 +150,7 @@ let to_json () =
       sweep "recovery_keys" r.keys_points r.keys_fit;
       sweep "recovery_records" r.rec_points r.rec_fit;
       ("sweep_violations", Sim.Json.Int r.sweep_violations);
-      ( "explorer",
-        Sim.Json.Obj
-          [
-            ("steps", Sim.Json.Int r.explorer.Store.Chaos.steps);
-            ("fences", Sim.Json.Int r.explorer.Store.Chaos.fences);
-            ("crashes", Sim.Json.Int r.explorer.Store.Chaos.crashes);
-            ("torn_detections", Sim.Json.Int r.explorer.Store.Chaos.torn_detections);
-            ("flip_detections", Sim.Json.Int r.explorer.Store.Chaos.flip_detections);
-            ("violations", Sim.Json.Int (List.length r.explorer.Store.Chaos.violations));
-          ] );
+      ("explorer", Exp_faults.explorer_json r.explorer);
       ( "degradation",
         Sim.Json.Obj
           [
@@ -197,20 +188,7 @@ let run () =
       Printf.sprintf "%s (exponent %.2f)" (C.cls_name r.rec_fit.C.cls) r.rec_fit.C.exponent;
       (if C.rank r.rec_fit.C.cls <= C.rank C.Linear then "O(WAL records): ok" else "SUPERLINEAR");
     ];
-  Sim.Table.add_row t
-    [
-      "store crash explorer";
-      Printf.sprintf "%d steps, %d crashes, %d+%d detections" r.explorer.Store.Chaos.steps
-        r.explorer.Store.Chaos.crashes r.explorer.Store.Chaos.torn_detections
-        r.explorer.Store.Chaos.flip_detections;
-      (if
-         r.explorer.Store.Chaos.violations = []
-         && r.explorer.Store.Chaos.steps > 0
-         && r.explorer.Store.Chaos.torn_detections >= 1
-         && r.explorer.Store.Chaos.flip_detections >= 1
-       then "recovered + detected: ok"
-       else "VIOLATIONS");
-    ];
+  Sim.Table.add_row t (Exp_faults.explorer_row "store crash explorer" r.explorer);
   Sim.Table.add_row t
     [
       "store fault plan";

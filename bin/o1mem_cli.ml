@@ -354,27 +354,17 @@ let critical_path_cmd =
 let faults seed plan rounds explore =
   let failed = ref false in
   if explore then begin
-    let report label (r : O1mem.Chaos.explorer_report) =
-      Printf.printf "%-4s explorer: %d durable steps (%d fences), %d crashes, %d violations\n"
-        label r.O1mem.Chaos.steps r.O1mem.Chaos.fences r.O1mem.Chaos.crashes
-        (List.length r.O1mem.Chaos.violations);
-      List.iter (fun v -> Printf.printf "    VIOLATION %s\n" v) r.O1mem.Chaos.violations;
-      if r.O1mem.Chaos.violations <> [] || r.O1mem.Chaos.steps = 0 then failed := true
+    let report label (r : O1mem.Chaos.report) =
+      Printf.printf "%-4s explorer: %d durable steps (%d fences), %d crashes%s, %d violations\n" label
+        r.steps r.fences r.crashes
+        (Experiments.Exp_faults.detections_text r)
+        (List.length r.violations);
+      List.iter (fun v -> Printf.printf "    VIOLATION %s\n" v) r.violations;
+      if r.violations <> [] || r.steps = 0 then failed := true
     in
     report "wal" (O1mem.Chaos.explore_wal ~seed ());
     report "fs" (O1mem.Chaos.explore_fs ~seed ());
-    let s = Store.Chaos.explore_store ~seed () in
-    Printf.printf
-      "store explorer: %d durable steps (%d fences), %d crashes, %d torn + %d flip detections, %d \
-       violations\n"
-      s.Store.Chaos.steps s.Store.Chaos.fences s.Store.Chaos.crashes s.Store.Chaos.torn_detections
-      s.Store.Chaos.flip_detections
-      (List.length s.Store.Chaos.violations);
-    List.iter (fun v -> Printf.printf "    VIOLATION %s\n" v) s.Store.Chaos.violations;
-    if
-      s.Store.Chaos.violations <> [] || s.Store.Chaos.steps = 0
-      || s.Store.Chaos.torn_detections = 0 || s.Store.Chaos.flip_detections = 0
-    then failed := true;
+    report "store" (Store.Chaos.explore_store ~seed ());
     print_newline ()
   end;
   let outcomes =

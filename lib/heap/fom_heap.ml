@@ -37,6 +37,8 @@ let class_of bytes =
 
 let class_size k = min_class lsl k
 
+let arena_path prefix n = Printf.sprintf "%s.%d" prefix n
+
 let grow_arena t =
   let r =
     match t.file_prefix with
@@ -45,7 +47,7 @@ let grow_arena t =
       (* Named, persistent arenas: the heap's memory survives a crash and
          can be re-mapped by path, in creation order, after recovery. *)
       O1mem.Fom.alloc t.fom t.proc
-        ~name:(Printf.sprintf "%s.%d" prefix (List.length t.arena_regions))
+        ~name:(arena_path prefix (List.length t.arena_regions))
         ~persistence:Fs.Inode.Persistent ~len:t.arena_bytes ~prot:Hw.Prot.rw ()
   in
   t.arena_regions <- t.arena_regions @ [ r ];
@@ -160,7 +162,20 @@ let reattach t proc =
     t.arena_tail <- last_fresh.O1mem.Fom.va + last_fresh.O1mem.Fom.len
   | _ -> ());
   t.arena_regions <- fresh;
-  t.proc <- proc
+  t.proc <- proc;
+  (* A crash inside grow_arena can leave the next arena's file behind
+     with no committed slot in it; drop it, or the next growth collides
+     with its name. The scan is host-side, so a heap without such a file
+     pays nothing. *)
+  let fs = O1mem.Fom.fs t.fom in
+  let orphan = arena_path (Option.get t.file_prefix) (List.length fresh) in
+  let found = ref None in
+  Fs.Memfs.iter_files fs (fun path node -> if path = orphan then found := Some node.Fs.Inode.ino);
+  Option.iter
+    (fun ino ->
+      O1mem.Shared_pt.drop_masters_for (O1mem.Fom.shared_pt t.fom) ~ino;
+      Fs.Memfs.unlink fs orphan)
+    !found
 
 let destroy t =
   List.iter (fun r -> O1mem.Fom.free t.fom t.proc r) t.arena_regions;

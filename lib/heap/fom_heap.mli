@@ -51,8 +51,9 @@ val reattach : t -> Os.Proc.t -> unit
 (** Post-crash relocation: re-map every named arena by path into [proc]
     (fresh VAs) and rebase the live table, free lists, and bump cursor to
     the new bases. Arena indices and offsets are unchanged — only VAs
-    move. Requires [file_prefix]; refuses if large blocks are live (they
-    are not relocatable). *)
+    move. The next arena's file, if a crash interrupted its creation, is
+    unlinked. Requires [file_prefix]; refuses if large blocks are live
+    (they are not relocatable). *)
 
 val destroy : t -> unit
 (** Free every backing file (heap teardown = a handful of whole-file

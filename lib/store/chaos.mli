@@ -1,28 +1,20 @@
 (** Crash-at-every-boundary exploration and the "store" fault plan for
-    {!Kv}, in the style of {!O1mem.Chaos}. *)
+    {!Kv}, built on {!O1mem.Chaos}. *)
 
-type report = {
-  steps : int;  (** durable boundaries the burst crosses (post-preload) *)
-  fences : int;  (** sfence count of the baseline burst *)
-  crashes : int;  (** replays performed: one per boundary + damage arms *)
-  torn_detections : int;
-      (** torn-line arm: WAL/manifest truncations + EIO reads detected *)
-  flip_detections : int;  (** bit-flip arm likewise *)
-  violations : string list;  (** empty = every recovery was consistent *)
-}
-
-val explore_store : ?keys:int -> ?txns:int -> ?seed:int -> unit -> report
-(** Preload [keys] (default 6, min 4) objects, checkpoint, then run
-    [txns] (default 3) mixed put/delete/grow/root transactions, crashing
-    at every clwb/sfence/WAL boundary of the burst. Invariants per clean
-    crash: the recovered state is exactly the committed prefix (the
-    mirror after [acked] commits, or [acked]+1 when the crash fell
+val explore_store : ?keys:int -> ?txns:int -> ?seed:int -> unit -> O1mem.Chaos.report
+(** An {!O1mem.Chaos.crash_every} instance. Setup preloads [keys]
+    (default 6, min 4) objects and checkpoints; the explored workload is
+    [txns] (default 3) mixed put/delete/grow/root transactions, so every
+    clwb/sfence/WAL boundary of that burst is a crash point. Invariants
+    per clean crash: the recovered state is exactly the committed prefix
+    (the mirror after [acked] commits, or [acked]+1 when the crash fell
     between commit-record durability and the acknowledgement), the
     cross-layer {!Os.Check} passes, and the store still serves fresh
-    writes. Torn-line and bit-flip arms then damage sampled boundaries:
-    losses are permitted but must be {e detected} (truncation or EIO —
-    each arm must detect at least once), and any value the store returns
-    must be one the workload actually wrote. *)
+    writes. The baseline pass must end in the final mirror. The "torn"
+    and "flip" damage arms then damage sampled boundaries: losses are
+    permitted but must be {e detected} (truncation or EIO, counted in
+    [detections]), and any value the store returns must be one the
+    workload actually wrote. *)
 
 val run_plan : ?seed:int -> ?rounds:int -> unit -> O1mem.Chaos.plan_outcome
 (** The "store" plan: probabilistic injection at [store_alloc] /

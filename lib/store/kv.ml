@@ -624,8 +624,26 @@ let checkpoint t =
   Sim.Profile.span (Sim.Trace.profile (trace t)) "store_checkpoint" @@ fun () ->
   checkpoint_locked t
 
+(* Is [key] live after [older] (a transaction's ops, newest first)? *)
+let rec live_after t key = function
+  | Put (k, _) :: _ when k = key -> true
+  | Delete k :: _ when k = key -> false
+  | _ :: older -> live_after t key older
+  | [] -> Hashtbl.mem t.index key
+
 let commit t =
   let txn = require_txn t in
+  (* A root must name a key live at that point of the transaction, or the
+     commit would make it dangle: reject before anything is allocated or
+     logged, the way put rejects a bad key. *)
+  let rec check_roots = function
+    | Set_root (r, k) :: older when not (live_after t k older) ->
+      abort t;
+      invalid_arg (Printf.sprintf "Store.commit: root %S names %S, which is not live there" r k)
+    | _ :: older -> check_roots older
+    | [] -> ()
+  in
+  check_roots txn.ops;
   let n_ops = List.length txn.ops in
   Sim.Trace.span (trace t) ~op:"store_commit" ~arg:(fun () -> n_ops) @@ fun () ->
   if FI.fires (plane t) ~site:FI.site_store_commit then begin

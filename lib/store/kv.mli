@@ -63,13 +63,16 @@ val delete : t -> string -> unit
 (** Deleting a key also clears any roots that reference it. *)
 
 val set_root : t -> string -> string -> unit
-(** [set_root t root key] durably names [key] under [root] at commit. *)
+(** [set_root t root key] durably names [key] under [root] at commit.
+    [key] must be live at that point of the transaction. *)
 
 val clear_root : t -> string -> unit
 val abort : t -> unit
 
 val commit : t -> unit
-(** Allocate slots, log, apply. Typed failures leave the store
+(** Allocate slots, log, apply. Raises [Invalid_argument], with the
+    transaction rolled back and nothing logged, if a {!set_root} names a
+    key that is not live at that point. Typed failures leave the store
     consistent: [ENOSPC] (WAL or heap exhausted after one
     checkpoint/defragment-and-retry round) rolls the transaction back;
     an injected [EIO] at the [store_commit] fault site aborts before

@@ -40,10 +40,28 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ?print gen prop)
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec loop i = i + n <= h && (String.sub haystack i n = needle || loop (i + 1)) in
   n = 0 || loop 0
+
+(* The "traceEvents" of a Chrome trace-event document, after a round trip
+   through the printer and the parser: the export must be valid JSON. *)
+let trace_events json =
+  match Sim.Json.of_string (Sim.Json.to_string json) with
+  | Error e -> Alcotest.fail ("trace JSON does not parse: " ^ e)
+  | Ok doc -> (
+    match Sim.Json.member doc "traceEvents" with
+    | Some (Sim.Json.List evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents list")
+
+(* An event's field as a string, ints printed: enough to compare any
+   scalar of a trace event. *)
+let event_field e name =
+  match Sim.Json.member e name with
+  | Some (Sim.Json.String s) -> s
+  | Some (Sim.Json.Int i) -> string_of_int i
+  | _ -> Alcotest.fail ("trace event without " ^ name)

@@ -328,6 +328,27 @@ let test_zero_cost_when_attached () =
   in
   check_int "attached run spends the same cycles" (run ~attach:false) (run ~attach:true)
 
+(* The 4-core migration timeline: only slice, flow, counter and
+   metadata phases; every flow start pairs with a finish by id; every
+   interaction kind shows up as a flow; busy counters are sampled. *)
+let test_timeline_export () =
+  let evs = trace_events (Experiments.Exp_causal.timeline_json ()) in
+  let phase ph = List.filter (fun e -> event_field e "ph" = ph) evs in
+  List.iter
+    (fun e ->
+      check_bool "known phase" true (List.mem (event_field e "ph") [ "X"; "s"; "f"; "C"; "M" ]))
+    evs;
+  let starts = phase "s" and finishes = phase "f" in
+  let ids es = List.sort_uniq compare (List.map (fun e -> event_field e "id") es) in
+  check_bool "flows exported" true (starts <> []);
+  check_int "every flow start has a finish" (List.length starts) (List.length finishes);
+  Alcotest.(check (list string)) "flows pair by id" (ids starts) (ids finishes);
+  let kinds = List.map (fun e -> event_field e "name") starts in
+  List.iter
+    (fun kind -> check_bool (kind ^ " flows present") true (List.mem kind kinds))
+    [ "ipi"; "ack"; "sched"; "migrate"; "numa" ];
+  check_bool "busy counters sampled" true (phase "C" <> [])
+
 let suite =
   [
     Alcotest.test_case "trace: seq numbers order equal-cycle events" `Quick test_seq_monotonic;
@@ -348,4 +369,5 @@ let suite =
     Alcotest.test_case "reclaim: stall -> wake edge" `Quick test_reclaim_wake_edge;
     Alcotest.test_case "overhead: zero virtual cycles when attached" `Quick
       test_zero_cost_when_attached;
+    Alcotest.test_case "timeline: chrome export with paired flows" `Quick test_timeline_export;
   ]

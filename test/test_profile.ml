@@ -185,28 +185,15 @@ let test_collapsed_golden () =
 
 let test_chrome_golden () =
   let p, _ = golden_profile () in
-  let json = Sim.Profile.to_chrome_json p in
-  (* Re-parse: the export must be valid JSON. *)
-  (match Sim.Json.of_string (Sim.Json.to_string json) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("chrome JSON does not parse: " ^ e));
-  match Sim.Json.member json "traceEvents" with
-  | Some (Sim.Json.List evs) ->
-    check_int "three complete events" 3 (List.length evs);
-    let field e name =
-      match Sim.Json.member e name with
-      | Some (Sim.Json.String s) -> s
-      | Some (Sim.Json.Int i) -> string_of_int i
-      | _ -> Alcotest.fail ("missing field " ^ name)
-    in
-    (* Sorted parents-first: mmap (starts first, longest), then fault. *)
-    Alcotest.(check (list string))
-      "parents before children, then by start" [ "mmap"; "fault"; "access" ]
-      (List.map (fun e -> field e "name") evs);
-    List.iter (fun e -> check_string "complete event" "X" (field e "ph")) evs;
-    let durs = List.map (fun e -> field e "dur") evs in
-    Alcotest.(check (list string)) "durations in virtual cycles" [ "140"; "40"; "10" ] durs
-  | _ -> Alcotest.fail "traceEvents missing"
+  let evs = trace_events (Sim.Profile.to_chrome_json p) in
+  check_int "three complete events" 3 (List.length evs);
+  (* Sorted parents-first: mmap (starts first, longest), then fault. *)
+  Alcotest.(check (list string))
+    "parents before children, then by start" [ "mmap"; "fault"; "access" ]
+    (List.map (fun e -> event_field e "name") evs);
+  List.iter (fun e -> check_string "complete event" "X" (event_field e "ph")) evs;
+  let durs = List.map (fun e -> event_field e "dur") evs in
+  Alcotest.(check (list string)) "durations in virtual cycles" [ "140"; "40"; "10" ] durs
 
 let test_to_json_shape () =
   let p, _ = golden_profile () in
@@ -281,6 +268,21 @@ let test_gauge_sampling () =
     check_bool "samples exported" true (List.mem_assoc "samples" fields)
   | _ -> Alcotest.fail "gauges_to_json shape"
 
+(* The churn_fom Chrome export: complete events only, no negative
+   duration, and the hot paths named. *)
+let test_churn_chrome_export () =
+  let _, p = Experiments.Exp_profile.run_churn ~ops:400 ~host:false `Fom in
+  let evs = trace_events (Sim.Profile.to_chrome_json p) in
+  check_bool "events exported" true (evs <> []);
+  List.iter
+    (fun e ->
+      check_string "complete event" "X" (event_field e "ph");
+      check_bool "non-negative duration" true (int_of_string (event_field e "dur") >= 0))
+    evs;
+  let names = List.map (fun e -> event_field e "name") evs in
+  check_bool "fom_alloc span exported" true (List.mem "fom_alloc" names);
+  check_bool "access span exported" true (List.mem "access" names)
+
 let suite =
   [
     Alcotest.test_case "profile: span nesting" `Quick test_span_nesting;
@@ -296,6 +298,7 @@ let suite =
     Alcotest.test_case "profile: truncate frames every call" `Quick test_truncate_frames_every_call;
     Alcotest.test_case "profile: collapsed golden" `Quick test_collapsed_golden;
     Alcotest.test_case "profile: chrome golden" `Quick test_chrome_golden;
+    Alcotest.test_case "profile: churn chrome export" `Quick test_churn_chrome_export;
     Alcotest.test_case "profile: to_json shape" `Quick test_to_json_shape;
     Alcotest.test_case "profile: top spans" `Quick test_top_spans;
     Alcotest.test_case "profile: event ring bounded" `Quick test_event_ring_bounded;

@@ -80,6 +80,13 @@ let test_validation () =
   Alcotest.check_raises "oversized value" (Invalid_argument "Store.put: bad value size") (fun () ->
       Kv.put st "k" (String.make (Sim.Units.kib 17) 'x'));
   Kv.abort st;
+  ignore (Kv.begin_txn st);
+  Kv.put st "k" "v";
+  Kv.set_root st "head" "missing";
+  Alcotest.check_raises "root naming a dead key"
+    (Invalid_argument "Store.commit: root \"head\" names \"missing\", which is not live there")
+    (fun () -> Kv.commit st);
+  check_bool "rejected commit rolled back" false (Kv.txn_live st || Kv.mem st "k");
   Alcotest.check_raises "relative name" (Invalid_argument "Store.create: name must be an absolute path")
     (fun () -> ignore (Kv.create fom (K.create_process kernel ()) ~name:"kv" ()));
   Alcotest.check_raises "create over an existing store"
@@ -312,15 +319,229 @@ let prop_torn_wal_byte =
       Kv.detach st;
       clean && detected)
 
+(* ------------------------------ model (qcheck) ----------------------- *)
+
+(* The store against a pure model: a map of objects and a map of roots,
+   where a delete clears the roots naming its key and a transaction whose
+   set_root names a key not live at that point is rejected whole. A 4 KiB
+   WAL makes the WAL-full auto-checkpoint and the typed ENOSPC rollback
+   common. Crashes land between commands and, when a transaction carries
+   [Some n], at its n-th durable boundary from the start of the
+   transaction; recovery must then yield the model before or after it. *)
+
+type mop =
+  | M_put of string * string
+  | M_delete of string
+  | M_set_root of string * string
+  | M_clear_root of string
+
+type mcmd = Txn of mop list * bool * int option | Checkpoint | Crash
+
+module SM = Map.Make (String)
+
+let model_txn m ops =
+  List.fold_left
+    (fun acc op ->
+      Option.bind acc (fun (objs, roots) ->
+          match op with
+          | M_put (k, v) -> Some (SM.add k v objs, roots)
+          | M_delete k -> Some (SM.remove k objs, SM.filter (fun _ k' -> k' <> k) roots)
+          | M_set_root (r, k) -> if SM.mem k objs then Some (objs, SM.add r k roots) else None
+          | M_clear_root r -> Some (objs, SM.remove r roots)))
+    (Some m) ops
+
+let model_state (objs, roots) = (SM.bindings objs, SM.bindings roots)
+let store_state st = (List.map (fun k -> (k, Option.get (Kv.get st k))) (Kv.keys st), Kv.roots st)
+
+let gen_cmds =
+  let open QCheck2.Gen in
+  let key = map (Printf.sprintf "k%d") (int_range 0 5) in
+  let root = map (Printf.sprintf "r%d") (int_range 0 1) in
+  let op =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun k n c -> M_put (k, String.make n c))
+            key
+            (oneof [ int_range 1 64; int_range 900 1400 ])
+            (char_range 'a' 'z') );
+        (2, map (fun k -> M_delete k) key);
+        (1, map2 (fun r k -> M_set_root (r, k)) root key);
+        (1, map (fun r -> M_clear_root r) root);
+      ]
+  in
+  let txn =
+    map3
+      (fun ops commit crash -> Txn (ops, commit, crash))
+      (list_size (int_range 1 6) op)
+      (frequency [ (4, pure true); (1, pure false) ])
+      (frequency [ (3, pure None); (1, map Option.some (int_range 1 60)) ])
+  in
+  list_size (pure 24) (frequency [ (8, txn); (1, pure Checkpoint); (1, pure Crash) ])
+
+let print_cmds =
+  let op = function
+    | M_put (k, v) -> Printf.sprintf "put %s %d%c" k (String.length v) v.[0]
+    | M_delete k -> "delete " ^ k
+    | M_set_root (r, k) -> Printf.sprintf "root %s=%s" r k
+    | M_clear_root r -> "clear " ^ r
+  in
+  let cmd = function
+    | Checkpoint -> "checkpoint"
+    | Crash -> "crash"
+    | Txn (ops, commit, crash) ->
+      Printf.sprintf "txn[%s]%s%s" (String.concat ", " (List.map op ops))
+        (if commit then "" else " abort")
+        (match crash with Some n -> Printf.sprintf " crash@%d" n | None -> "")
+  in
+  fun cmds -> String.concat "\n" (List.map cmd cmds)
+
+let run_model_cmd (fom, plane, st) m = function
+  | Checkpoint ->
+    Kv.checkpoint st;
+    m
+  | Crash ->
+    ignore (P.crash_and_recover fom);
+    m
+  | Txn (ops, commit, crash) -> (
+    Option.iter
+      (fun n ->
+        FI.arm plane ~site:FI.site_durable_step
+          (FI.On_nth (FI.evaluations plane ~site:FI.site_durable_step + n)))
+      crash;
+    let want = if commit then model_txn m ops else Some m in
+    let outcome =
+      match
+        ignore (Kv.begin_txn st);
+        List.iter
+          (function
+            | M_put (k, v) -> Kv.put st k v
+            | M_delete k -> Kv.delete st k
+            | M_set_root (r, k) -> Kv.set_root st r k
+            | M_clear_root r -> Kv.clear_root st r)
+          ops;
+        if commit then Kv.commit st else Kv.abort st
+      with
+      | () -> `Done
+      | exception FI.Injected_crash _ -> `Crashed
+      | exception Invalid_argument _ -> `Rejected
+      | exception Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> `Enospc
+    in
+    FI.disarm plane ~site:FI.site_durable_step;
+    match (outcome, want) with
+    | `Done, Some m' -> m'
+    | (`Rejected, None | `Enospc, Some _) -> m
+    | `Crashed, _ -> (
+      ignore (P.crash_and_recover fom);
+      match want with Some m' when store_state st = model_state m' -> m' | _ -> m)
+    | `Done, None -> QCheck2.Test.fail_report "store committed a root naming a dead key"
+    | `Rejected, Some _ -> QCheck2.Test.fail_report "store rejected a valid transaction"
+    | `Enospc, None -> QCheck2.Test.fail_report "ENOSPC instead of rejecting a dangling root")
+
+let prop_store_matches_model =
+  qtest ~count:200 ~print:print_cmds "store matches a pure model through crashes" gen_cmds
+    (fun cmds ->
+      let kernel, fom, plane, st = mk_store ~wal_bytes:(Sim.Units.kib 4) () in
+      ignore
+        (List.fold_left
+           (fun m cmd ->
+             let m = run_model_cmd (fom, plane, st) m cmd in
+             if store_state st <> model_state m then
+               QCheck2.Test.fail_reportf "after %s: store diverged from the model"
+                 (print_cmds [ cmd ]);
+             (match Kv.verify st with
+             | [] -> ()
+             | v :: _ ->
+               QCheck2.Test.fail_reportf "after %s: %s" (print_cmds [ cmd ])
+                 (Os.Check.violation_to_string v));
+             m)
+           (SM.empty, SM.empty) cmds);
+      let clean = Os.Check.run kernel = [] in
+      Kv.detach st;
+      clean)
+
 (* ------------------------------ explorer & plan ---------------------- *)
 
 let test_explorer_exhaustive () =
   let r = SC.explore_store ~keys:4 ~txns:2 ~seed:13 () in
-  Alcotest.(check (list string)) "no violations" [] r.SC.violations;
-  check_bool "boundaries found" true (r.SC.steps > 0);
-  check_bool "every boundary crashed (plus damage arms)" true (r.SC.crashes > r.SC.steps);
-  check_bool "torn arm detected damage" true (r.SC.torn_detections >= 1);
-  check_bool "flip arm detected damage" true (r.SC.flip_detections >= 1)
+  Alcotest.(check (list string)) "no violations" [] r.violations;
+  check_bool "boundaries found" true (r.steps > 0);
+  check_bool "every boundary crashed (plus damage arms)" true (r.crashes > r.steps);
+  check_bool "torn arm detected damage" true (List.assoc "torn" r.detections >= 1);
+  check_bool "flip arm detected damage" true (List.assoc "flip" r.detections >= 1)
+
+(* A crash inside a fresh store's first commit can interrupt the growth
+   of its first arena: the arena file exists on pmfs but no slot names
+   it. Recovery must drop it, or the next growth finds the name taken
+   and every later commit that needs an arena fails. *)
+let test_first_commit_crash_keeps_store_growable () =
+  let r =
+    O1mem.Chaos.crash_every ~seed:1 ~boot:O1mem.Chaos.machine
+      ~setup:(fun (kernel, fom) -> (fom, Kv.create fom (K.create_process kernel ()) ~name:"/kv" ()))
+      ~run:(fun (_, st) -> commit_put st [ ("a", "hello") ] [])
+      ~recover:(fun (fom, st) ~damaged:_ add ->
+        ignore (P.crash_and_recover fom);
+        (match
+           commit_put st [ ("fresh", "after") ] [];
+           Kv.get st "fresh"
+         with
+        | Some "after" -> ()
+        | _ -> add "fresh key not served"
+        | exception e -> add ("commit after recovery raised " ^ Printexc.to_string e));
+        List.iter (fun v -> add (Os.Check.violation_to_string v)) (Kv.verify st);
+        Kv.detach st;
+        0)
+      ()
+  in
+  check_bool "the first commit crosses durable boundaries" true (r.steps > 0);
+  Alcotest.(check (list string)) "every crash leaves a growable store" [] r.violations
+
+(* Recovery itself as the explored workload: a crash at any durable
+   boundary of Persistence.recover (the redo pass rewrites the slots of
+   the transactions committed since the checkpoint), then one more full
+   crash and recovery, must still land on the committed prefix. *)
+let test_crash_during_recovery () =
+  List.iter
+    (fun k ->
+      let committed =
+        List.init k (fun i -> (Printf.sprintf "t%d" i, String.make (40 + (30 * i)) 'c'))
+      in
+      let r =
+        O1mem.Chaos.crash_every ~seed:k ~boot:O1mem.Chaos.machine
+          ~setup:(fun (kernel, fom) ->
+            let st = Kv.create fom (K.create_process kernel ()) ~name:"/kv" () in
+            commit_put st [ ("base", "preloaded") ] [ ("head", "base") ];
+            Kv.checkpoint st;
+            List.iter (fun kv -> commit_put st [ kv ] []) committed;
+            ignore (Kv.begin_txn st);
+            Kv.put st "inflight" "never committed";
+            P.crash fom;
+            (kernel, fom, st))
+          ~run:(fun (_, fom, _) -> ignore (P.recover fom))
+          ~recover:(fun (kernel, fom, st) ~damaged:_ add ->
+            ignore (P.crash_and_recover fom);
+            let got = List.map (fun key -> (key, Option.get (Kv.get st key))) (Kv.keys st) in
+            if got <> List.sort compare (("base", "preloaded") :: committed) then
+              add "recovered objects are not the committed prefix";
+            if Kv.roots st <> [ ("head", "base") ] then
+              add "recovered roots are not the committed prefix";
+            List.iter
+              (fun v -> add (Os.Check.violation_to_string v))
+              (Kv.verify st @ Os.Check.run kernel);
+            commit_put st [ ("probe", "after") ] [];
+            if Kv.get st "probe" <> Some "after" then
+              add "recovered store does not serve a fresh write";
+            Kv.detach st;
+            0)
+          ()
+      in
+      check_bool (Printf.sprintf "k=%d: recovery crosses a boundary per replayed txn" k) true
+        (r.steps >= k);
+      Alcotest.(check (list string))
+        (Printf.sprintf "k=%d: every crash in recovery recovers" k)
+        [] r.violations)
+    [ 1; 2; 3; 4 ]
 
 let test_store_plan () =
   let o = SC.run_plan ~seed:3 ~rounds:10 () in
@@ -353,6 +574,10 @@ let suite =
     Alcotest.test_case "injected store faults degrade and retry" `Quick test_injected_fault_sites;
     Alcotest.test_case "check rule guards live roots" `Quick test_check_rule_guards_roots;
     prop_torn_wal_byte;
+    prop_store_matches_model;
     Alcotest.test_case "explorer: crash at every boundary" `Slow test_explorer_exhaustive;
     Alcotest.test_case "store fault plan" `Quick test_store_plan;
+    Alcotest.test_case "crash in the first commit leaves the store growable" `Quick
+      test_first_commit_crash_keeps_store_growable;
+    Alcotest.test_case "crash during recovery, then recover again" `Quick test_crash_during_recovery;
   ]
