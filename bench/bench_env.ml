@@ -56,7 +56,7 @@ let touch_pages_kernel k p ~va ~len ~write =
 let touch_pages_fom fom p ~va ~len ~write =
   ignore (F.access_range fom p ~va ~len ~write ~stride:Sim.Units.page_size)
 
-(* Churn on process [p]'s tcmalloc-style heap [h]: ops go to its 4
+(* Churn on process [p]'s tcmalloc-style heap [h]: ops go to its
    threads round-robin, and a block is freed by the thread that
    allocated it. *)
 let tcmalloc_driver k p h =
@@ -64,7 +64,7 @@ let tcmalloc_driver k p h =
   {
     Wl.Churn.h_malloc =
       (fun ~bytes ->
-        let thread = !next mod 4 in
+        let thread = !next mod Heap.Tcmalloc_sim.threads in
         incr next;
         let va = Heap.Tcmalloc_sim.malloc h ~thread ~bytes in
         Hashtbl.replace owner va thread;
@@ -81,7 +81,7 @@ let heap_driver k backend =
   match backend with
   | `Tcmalloc ->
     let p = K.create_process k () in
-    let h = Heap.Tcmalloc_sim.create k p () in
+    let h = Heap.Tcmalloc_sim.create k p in
     (tcmalloc_driver k p h, fun () -> Heap.Tcmalloc_sim.footprint_bytes h)
   | `Malloc ->
     let p = K.create_process k () in

@@ -199,13 +199,14 @@ let tab_heaps () =
     Sim.Table.add_row t [ name; Sim.Table.cell_float us; Sim.Table.cell_bytes (footprint ()); "-" ]
   in
   heap_row "dlmalloc-style" (kernel ~dram:(Sim.Units.gib 1) ()) `Malloc;
-  (* tcmalloc-style, 4 threads round-robin *)
+  (* tcmalloc-style, threads round-robin *)
   let k2 = kernel ~dram:(Sim.Units.gib 1) () in
   let p2 = K.create_process k2 () in
-  let tc = Heap.Tcmalloc_sim.create k2 p2 ~threads:4 () in
+  let tc = Heap.Tcmalloc_sim.create k2 p2 in
   let t2 = replay k2 (tcmalloc_driver k2 p2 tc) in
   Sim.Table.add_row t
-    [ "tcmalloc-style (4 threads)"; Sim.Table.cell_float t2;
+    [ Printf.sprintf "tcmalloc-style (%d threads)" Heap.Tcmalloc_sim.threads;
+      Sim.Table.cell_float t2;
       Sim.Table.cell_bytes (Heap.Tcmalloc_sim.footprint_bytes tc);
       Sim.Table.cell_int (Heap.Tcmalloc_sim.central_refills tc) ];
   heap_row "FOM heap (file-backed)" (kernel ()) `Fom;

@@ -51,12 +51,12 @@ let preload st ~keys =
 (* YCSB-flavoured update burst: 4 zipfian re-puts per transaction plus a
    root move to the last key written (so roots always name live data). *)
 let burst st ~keys ~txns ~seed =
-  let rng = Sim.Rng.create ~seed in
+  let rng = Sim.Rng.create ~seed and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
   for c = 1 to txns do
     ignore (Kv.begin_txn st);
     let last = ref 1 in
     for _ = 1 to 4 do
-      let i = 1 + Sim.Rng.zipf rng ~n:keys ~theta:0.99 in
+      let i = 1 + zipf rng in
       Kv.put st (key i) (value i c);
       last := i
     done;

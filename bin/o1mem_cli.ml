@@ -440,7 +440,7 @@ let store keys txns seed =
   let p = Os.Kernel.create_process k () in
   let st = Store.Kv.create fom p ~name:"/cli" () in
   let key i = Printf.sprintf "key%03d" i in
-  let rng = Sim.Rng.create ~seed in
+  let rng = Sim.Rng.create ~seed and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
   ignore (Store.Kv.begin_txn st);
   for i = 1 to keys do
     Store.Kv.put st (key i) (String.make (48 + (i mod 64)) 'a')
@@ -451,7 +451,7 @@ let store keys txns seed =
   for c = 1 to txns do
     ignore (Store.Kv.begin_txn st);
     for _ = 1 to 3 do
-      let i = 1 + Sim.Rng.zipf rng ~n:keys ~theta:0.99 in
+      let i = 1 + zipf rng in
       Store.Kv.put st (key i) (String.make (48 + (c mod 64)) (Char.chr (Char.code 'a' + (c mod 26))))
     done;
     Store.Kv.commit st

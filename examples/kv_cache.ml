@@ -85,10 +85,10 @@ let () =
     (Sim.Units.bytes_to_string (store.shards * Sim.Units.kib 256));
 
   (* Serve a zipf-skewed read workload; everything hits. *)
-  let hits = ref 0 and misses = ref 0 in
+  let hits = ref 0 and misses = ref 0 and zipf = Sim.Rng.zipf ~n:200 ~theta:0.9 in
   let serve n =
     for _ = 1 to n do
-      let k = Printf.sprintf "user:%d" (1 + Sim.Rng.zipf rng ~n:200 ~theta:0.9) in
+      let k = Printf.sprintf "user:%d" (1 + zipf rng) in
       match get store k with
       | Some _, true -> incr hits
       | Some _, false -> incr misses

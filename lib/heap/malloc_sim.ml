@@ -1,105 +1,40 @@
-let arena_bytes = Sim.Units.mib 1
-let large_threshold = Sim.Units.kib 128
-let min_class = 16
+module S = Size_class
 
-type block = { va : int; size : int; large : bool }
-
-type t = {
-  kernel : Os.Kernel.t;
-  proc : Os.Proc.t;
-  (* free_lists.(k) holds blocks of exactly [min_class * 2^k] bytes. *)
-  free_lists : int list array;
-  live : (int, block) Hashtbl.t;
-  mutable arena_cursor : int; (* unused bytes at the current arena tail *)
-  mutable arena_tail : int;
-  mutable arenas : int;
-  mutable footprint : int;
-  mutable live_bytes : int;
-}
-
-let classes = 14 (* 16 B .. 128 KiB *)
-
-let create kernel proc =
+let anon kernel proc ~name =
+  let map len = (Os.Kernel.mmap_anon kernel proc ~len ~prot:Hw.Prot.rw ~populate:false, len) in
   {
-    kernel;
-    proc;
-    free_lists = Array.make classes [];
-    live = Hashtbl.create 256;
-    arena_cursor = 0;
-    arena_tail = 0;
-    arenas = 0;
-    footprint = 0;
-    live_bytes = 0;
+    S.name;
+    map_arena = (fun _ -> map S.arena_bytes);
+    map_large = (fun bytes -> map (Sim.Units.round_up bytes ~align:Sim.Units.page_size));
+    unmap = (fun (va, len) -> Os.Kernel.munmap kernel proc ~va ~len);
+    va = fst;
+    len = snd;
   }
 
-let class_of bytes =
-  let rec loop k size = if size >= bytes then k else loop (k + 1) (size * 2) in
-  loop 0 min_class
+type t = { kernel : Os.Kernel.t; proc : Os.Proc.t; heap : (int * int) S.t }
 
-let class_size k = min_class lsl k
+let create kernel proc = { kernel; proc; heap = S.create (anon kernel proc ~name:"Malloc_sim") }
+let malloc t ~bytes = S.malloc t.heap ~bytes
+let free t va = S.free t.heap va
+let size_of t va = S.size_of t.heap va
+let live_bytes t = S.live_bytes t.heap
+let footprint_bytes t = S.footprint_bytes t.heap
+let arena_count t = S.arena_count t.heap
 
-let grow_arena t =
-  let va =
-    Os.Kernel.mmap_anon t.kernel t.proc ~len:arena_bytes ~prot:Hw.Prot.rw ~populate:false
-  in
-  t.arena_cursor <- va;
-  t.arena_tail <- va + arena_bytes;
-  t.arenas <- t.arenas + 1;
-  t.footprint <- t.footprint + arena_bytes
-
-let malloc t ~bytes =
-  if bytes <= 0 then invalid_arg "Malloc_sim.malloc: non-positive size";
-  if bytes >= large_threshold then begin
-    let len = Sim.Units.round_up bytes ~align:Sim.Units.page_size in
-    let va = Os.Kernel.mmap_anon t.kernel t.proc ~len ~prot:Hw.Prot.rw ~populate:false in
-    Hashtbl.replace t.live va { va; size = len; large = true };
-    t.footprint <- t.footprint + len;
-    t.live_bytes <- t.live_bytes + len;
-    va
-  end
-  else begin
-    let k = class_of bytes in
-    let size = class_size k in
-    match t.free_lists.(k) with
-    | va :: rest ->
-      t.free_lists.(k) <- rest;
-      Hashtbl.replace t.live va { va; size; large = false };
-      t.live_bytes <- t.live_bytes + size;
-      va
-    | [] ->
-      if t.arena_cursor + size > t.arena_tail then grow_arena t;
-      let va = t.arena_cursor in
-      t.arena_cursor <- va + size;
-      Hashtbl.replace t.live va { va; size; large = false };
-      t.live_bytes <- t.live_bytes + size;
-      va
-  end
-
-let free t va =
-  match Hashtbl.find_opt t.live va with
-  | None -> invalid_arg "Malloc_sim.free: unknown block"
-  | Some b ->
-    Hashtbl.remove t.live va;
-    t.live_bytes <- t.live_bytes - b.size;
-    if b.large then begin
-      Os.Kernel.munmap t.kernel t.proc ~va ~len:b.size;
-      t.footprint <- t.footprint - b.size
-    end
-    else t.free_lists.(class_of b.size) <- va :: t.free_lists.(class_of b.size)
-
+(* Only whole pages: a bump-carved block can share its first and last
+   page with a live neighbour. *)
 let trim t =
+  let page = Sim.Units.page_size in
   let released = ref 0 in
   Array.iteri
     (fun k blocks ->
-      let size = class_size k in
-      if size >= Sim.Units.page_size then
-        List.iter
-          (fun va -> released := !released + Os.Kernel.madvise_dontneed t.kernel t.proc ~va ~len:size)
-          blocks)
-    t.free_lists;
+      List.iter
+        (fun va ->
+          let lo = Sim.Units.round_up va ~align:page in
+          let hi = Sim.Units.round_down (va + S.class_size k) ~align:page in
+          if hi > lo then
+            released :=
+              !released + Os.Kernel.madvise_dontneed t.kernel t.proc ~va:lo ~len:(hi - lo))
+        blocks)
+    (S.free_lists t.heap);
   !released
-
-let size_of t va = Option.map (fun b -> b.size) (Hashtbl.find_opt t.live va)
-let live_bytes t = t.live_bytes
-let footprint_bytes t = t.footprint
-let arena_count t = t.arenas

@@ -1,153 +1,100 @@
-let min_class = 16
-let classes = 14 (* 16 B .. 128 KiB *)
-let large_threshold = Sim.Units.kib 128
+module S = Size_class
+
+let threads = 4
 let batch = 32
 let span_bytes = Sim.Units.kib 64
-let arena_bytes = Sim.Units.mib 1
 
 (* Cost constants: the point of the design. *)
 let thread_cache_op = 5
 let central_lock = 120
 
+(* The engine's free lists are the central lists; caches.(thread).(class)
+   sit in front of them. *)
 type t = {
   kernel : Os.Kernel.t;
-  proc : Os.Proc.t;
-  threads : int;
-  (* caches.(thread).(class) *)
+  heap : (int * int) S.t;
   caches : int list array array;
-  central : int list array;
-  live : (int, int) Hashtbl.t; (* va -> size *)
-  large : (int, int) Hashtbl.t; (* va -> mmap length *)
-  mutable arena_cursor : int;
-  mutable arena_tail : int;
-  mutable footprint : int;
-  mutable live_bytes : int;
   mutable cached : int;
   mutable refills : int;
 }
 
-let create kernel proc ?(threads = 4) () =
-  if threads <= 0 then invalid_arg "Tcmalloc_sim.create: no threads";
-  {
-    kernel;
-    proc;
-    threads;
-    caches = Array.init threads (fun _ -> Array.make classes []);
-    central = Array.make classes [];
-    live = Hashtbl.create 256;
-    large = Hashtbl.create 16;
-    arena_cursor = 0;
-    arena_tail = 0;
-    footprint = 0;
-    live_bytes = 0;
-    cached = 0;
-    refills = 0;
-  }
-
-let class_of bytes =
-  let rec loop k size = if size >= bytes then k else loop (k + 1) (size * 2) in
-  loop 0 min_class
-
-let class_size k = min_class lsl k
+let create kernel proc =
+  let heap = S.create (Malloc_sim.anon kernel proc ~name:"Tcmalloc_sim") in
+  let caches = Array.init threads (fun _ -> Array.make S.classes []) in
+  { kernel; heap; caches; cached = 0; refills = 0 }
 
 let charge t c = Sim.Clock.charge (Os.Kernel.clock t.kernel) c
 
-let grow_arena t =
-  let va =
-    Os.Kernel.mmap_anon t.kernel t.proc ~len:arena_bytes ~prot:Hw.Prot.rw ~populate:false
-  in
-  t.arena_cursor <- va;
-  t.arena_tail <- va + arena_bytes;
-  t.footprint <- t.footprint + arena_bytes
-
-(* Carve a span into objects for the central list of class [k]. *)
-let refill_central t k =
-  let size = class_size k in
-  let span = max span_bytes size in
-  if t.arena_cursor + span > t.arena_tail then grow_arena t;
-  let base = t.arena_cursor in
-  t.arena_cursor <- base + span;
-  let objs = span / size in
-  for i = objs - 1 downto 0 do
-    t.central.(k) <- (base + (i * size)) :: t.central.(k)
-  done;
-  t.cached <- t.cached + span
-
+(* Take [n] blocks of class [k] off its central list, carving a span
+   into the list whenever it runs dry. *)
 let rec take_central t k n acc =
-  if n = 0 then acc
-  else
-    match t.central.(k) with
-    | [] ->
-      refill_central t k;
-      take_central t k n acc
-    | va :: rest ->
-      t.central.(k) <- rest;
-      take_central t k (n - 1) (va :: acc)
+  let central = S.free_lists t.heap in
+  match central.(k) with
+  | _ when n = 0 -> acc
+  | [] ->
+    let size = S.class_size k in
+    let span = max span_bytes size in
+    let base = S.carve t.heap span in
+    for i = (span / size) - 1 downto 0 do
+      central.(k) <- (base + (i * size)) :: central.(k)
+    done;
+    t.cached <- t.cached + span;
+    take_central t k n acc
+  | va :: rest ->
+    central.(k) <- rest;
+    take_central t k (n - 1) (va :: acc)
 
-let check_thread t thread =
-  if thread < 0 || thread >= t.threads then invalid_arg "Tcmalloc_sim: bad thread id"
+(* The first [n] blocks of [l] go onto [central] in order; the rest stay. *)
+let rec give_back n l central =
+  match l with
+  | va :: rest when n > 0 ->
+    let keep, central = give_back (n - 1) rest central in
+    (keep, va :: central)
+  | _ -> (l, central)
+
+let check_thread thread =
+  if thread < 0 || thread >= threads then invalid_arg "Tcmalloc_sim: bad thread id"
 
 let malloc t ~thread ~bytes =
-  check_thread t thread;
-  if bytes <= 0 then invalid_arg "Tcmalloc_sim.malloc: non-positive size";
-  if bytes >= large_threshold then begin
-    let len = Sim.Units.round_up bytes ~align:Sim.Units.page_size in
-    let va = Os.Kernel.mmap_anon t.kernel t.proc ~len ~prot:Hw.Prot.rw ~populate:false in
-    Hashtbl.replace t.large va len;
-    Hashtbl.replace t.live va len;
-    t.footprint <- t.footprint + len;
-    t.live_bytes <- t.live_bytes + len;
-    va
-  end
+  check_thread thread;
+  if bytes <= 0 || bytes >= S.large_threshold then S.malloc t.heap ~bytes
   else begin
-    let k = class_of bytes in
-    let size = class_size k in
+    let k = S.class_of bytes and cache = t.caches.(thread) in
     charge t thread_cache_op;
-    (match t.caches.(thread).(k) with
-    | [] ->
+    if cache.(k) = [] then begin
       (* Miss: batch refill under the central lock. *)
       charge t central_lock;
       t.refills <- t.refills + 1;
-      t.caches.(thread).(k) <- take_central t k batch []
-    | _ -> ());
-    match t.caches.(thread).(k) with
-    | va :: rest ->
-      t.caches.(thread).(k) <- rest;
-      Hashtbl.replace t.live va size;
-      t.live_bytes <- t.live_bytes + size;
-      t.cached <- t.cached - size;
-      va
-    | [] -> assert false
+      cache.(k) <- take_central t k batch []
+    end;
+    let va = List.hd cache.(k) in
+    cache.(k) <- List.tl cache.(k);
+    S.track t.heap va (S.class_size k);
+    t.cached <- t.cached - S.class_size k;
+    va
   end
 
 let free t ~thread va =
-  check_thread t thread;
-  match Hashtbl.find_opt t.live va with
-  | None -> invalid_arg "Tcmalloc_sim.free: unknown block"
-  | Some size ->
-    Hashtbl.remove t.live va;
-    t.live_bytes <- t.live_bytes - size;
-    (match Hashtbl.find_opt t.large va with
-    | Some len ->
-      Hashtbl.remove t.large va;
-      Os.Kernel.munmap t.kernel t.proc ~va ~len;
-      t.footprint <- t.footprint - len
-    | None ->
-      charge t thread_cache_op;
-      let k = class_of size in
-      t.caches.(thread).(k) <- va :: t.caches.(thread).(k);
-      t.cached <- t.cached + size;
-      (* Overfull thread cache: release a batch to the central list. *)
-      if List.length t.caches.(thread).(k) > 2 * batch then begin
-        charge t central_lock;
-        let rec split n l = if n = 0 then ([], l) else match l with [] -> ([], []) | x :: r -> let a, b = split (n - 1) r in (x :: a, b) in
-        let back, keep = split batch t.caches.(thread).(k) in
-        t.caches.(thread).(k) <- keep;
-        t.central.(k) <- back @ t.central.(k)
-      end)
+  check_thread thread;
+  if S.is_large t.heap va then S.free t.heap va
+  else begin
+    let size = S.untrack t.heap va in
+    let k = S.class_of size and cache = t.caches.(thread) in
+    charge t thread_cache_op;
+    cache.(k) <- va :: cache.(k);
+    t.cached <- t.cached + size;
+    (* Overfull thread cache: release a batch to the central list. *)
+    if List.compare_length_with cache.(k) (2 * batch) > 0 then begin
+      charge t central_lock;
+      let central = S.free_lists t.heap in
+      let keep, back = give_back batch cache.(k) central.(k) in
+      cache.(k) <- keep;
+      central.(k) <- back
+    end
+  end
 
-let size_of t va = Hashtbl.find_opt t.live va
-let live_bytes t = t.live_bytes
-let footprint_bytes t = t.footprint
+let size_of t va = S.size_of t.heap va
+let live_bytes t = S.live_bytes t.heap
+let footprint_bytes t = S.footprint_bytes t.heap
 let cached_bytes t = t.cached
 let central_refills t = t.refills

@@ -60,27 +60,24 @@ let exponential t ~mean =
   let u = float t in
   -.mean *. log (1.0 -. u)
 
-let zipf t ~n ~theta =
+let zipf ~n ~theta =
   assert (n > 0 && theta > 0.0 && theta < 1.0);
   (* Gray et al., "Quickly generating billion-record synthetic databases". *)
-  let zeta n theta =
+  let zeta n =
     let acc = ref 0.0 in
     for i = 1 to n do
       acc := !acc +. (1.0 /. (float_of_int i ** theta))
     done;
     !acc
   in
-  (* Cache zetan per (n, theta) pair; experiments reuse a handful of values. *)
-  let zetan = zeta (min n 10_000) theta *. (if n > 10_000 then float_of_int n /. 10_000.0 ** (1.0 -. theta) else 1.0) in
+  let zetan = zeta n in
   let alpha = 1.0 /. (1.0 -. theta) in
-  let eta =
-    (1.0 -. ((2.0 /. float_of_int n) ** (1.0 -. theta)))
-    /. (1.0 -. (zeta 2 theta /. zetan))
-  in
-  let u = float t in
-  let uz = u *. zetan in
-  if uz < 1.0 then 0
-  else if uz < 1.0 +. (0.5 ** theta) then 1
-  else
-    let k = int_of_float (float_of_int n *. (((eta *. u) -. eta +. 1.0) ** alpha)) in
-    if k >= n then n - 1 else if k < 0 then 0 else k
+  let eta = (1.0 -. ((2.0 /. float_of_int n) ** (1.0 -. theta))) /. (1.0 -. (zeta 2 /. zetan)) in
+  fun t ->
+    let u = float t in
+    let uz = u *. zetan in
+    if uz < 1.0 then 0
+    else if uz < 1.0 +. (0.5 ** theta) then 1
+    else
+      let k = int_of_float (float_of_int n *. (((eta *. u) -. eta +. 1.0) ** alpha)) in
+      if k >= n then n - 1 else if k < 0 then 0 else k

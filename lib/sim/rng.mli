@@ -32,7 +32,8 @@ val shuffle : t -> 'a array -> unit
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val zipf : t -> n:int -> theta:float -> int
-(** Zipf-like sample in [0, n) with skew [theta] in (0, 1); higher theta is
-    more skewed. Uses the standard rejection-free approximation of
-    Gray et al. *)
+val zipf : n:int -> theta:float -> t -> int
+(** [zipf ~n ~theta] is a sampler of Zipf-like ranks in [0, n) with skew
+    [theta] in (0, 1); higher theta is more skewed. It sums the exact
+    zeta(n) once, at O(n), so build it once per workload. Each draw uses
+    the standard rejection-free approximation of Gray et al. *)

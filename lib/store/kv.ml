@@ -4,7 +4,7 @@
 
      <name>.wal        redo log, raw NVM journaled via Memfs.Wal
      <name>.manifest   two ping-pong snapshot halves, each a one-record WAL
-     <name>.arena.<n>  Fom_heap arenas holding the object bytes
+     <name>.arena.<n>  Fom_heap arenas (1 MiB each) holding the object bytes
 
    Commit protocol (redo logging): ops buffer volatile; commit allocates
    every slot up front, appends [op records..., commit record] to the
@@ -21,8 +21,9 @@
 
    Object identity is arena-relative (arena index, byte offset), never a
    virtual address: after a crash the arenas are re-mapped at fresh VAs
-   (Fom_heap.reattach) and every slot still names the same bytes — the
-   Puddles relocatable-region idea.
+   (Fom_heap.reattach, which rebases the heap with Size_class.relocate)
+   and every slot still names the same bytes — the Puddles
+   relocatable-region idea.
 
    The key -> slot index and root table are host-side bookkeeping, the
    stand-in for a persistent index structure that would live in the
@@ -458,8 +459,8 @@ let recover_hook t () =
 
 let instance = ref 0
 
-let create fom proc ?(arena_bytes = Sim.Units.mib 1) ?(wal_bytes = Sim.Units.kib 128)
-    ?(manifest_bytes = Sim.Units.kib 128) ~name () =
+let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Units.kib 128)
+    ~name () =
   if name = "" || name.[0] <> '/' then invalid_arg "Store.create: name must be an absolute path";
   (match Os.Kernel.pmfs (O1mem.Fom.kernel fom) with
   | Some p when p == O1mem.Fom.fs fom -> ()
@@ -480,7 +481,7 @@ let create fom proc ?(arena_bytes = Sim.Units.mib 1) ?(wal_bytes = Sim.Units.kib
   let wal_ino = mk (name ^ ".wal") wal_bytes in
   let manifest_ino = mk (name ^ ".manifest") manifest_bytes in
   let nvm = Physmem.Nvm.create (Os.Kernel.mem (O1mem.Fom.kernel fom)) in
-  let heap = Heap.Fom_heap.create fom proc ~arena_bytes ~file_prefix:(name ^ ".arena") () in
+  let heap = Heap.Fom_heap.create fom proc ~file_prefix:(name ^ ".arena") () in
   let wal_base = contiguous_base fsys wal_ino ~bytes:wal_bytes in
   let manifest_base = contiguous_base fsys manifest_ino ~bytes:manifest_bytes in
   let manifest_half = manifest_bytes / 2 in

@@ -26,7 +26,6 @@ type t
 val create :
   O1mem.Fom.t ->
   Os.Proc.t ->
-  ?arena_bytes:int ->
   ?wal_bytes:int ->
   ?manifest_bytes:int ->
   name:string ->
@@ -39,10 +38,11 @@ val create :
     crash/recovery hooks plus an {!Os.Check} rule ("store_roots") that
     validates every live root maps through a valid FOM extent.
 
-    Defaults: 1 MiB arenas, 128 KiB WAL, 128 KiB manifest. Raises
-    [Invalid_argument] for a relative [name], a volatile FOM, or if
-    store files already exist at [name] — create initialises blank
-    journals and never reopens (or silently wipes) a prior store. *)
+    Arenas are {!Heap.Size_class.arena_bytes} long; the WAL and the
+    manifest default to 128 KiB each. Raises [Invalid_argument] for a
+    relative [name], a volatile FOM, or if store files already exist at
+    [name] — create initialises blank journals and never reopens (or
+    silently wipes) a prior store. *)
 
 val detach : t -> unit
 (** Unregister the store's hooks and check rule (for tests that build

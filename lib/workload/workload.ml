@@ -11,7 +11,8 @@ let offsets ~rng pattern ~len =
   | Random_pages n ->
     List.init n (fun _ -> Sim.Rng.int rng pages * Sim.Units.page_size)
   | Zipf_pages n ->
-    List.init n (fun _ -> Sim.Rng.zipf rng ~n:pages ~theta:0.9 * Sim.Units.page_size)
+    let draw = Sim.Rng.zipf ~n:pages ~theta:0.9 in
+    List.init n (fun _ -> draw rng * Sim.Units.page_size)
 
 let touch_with ~access ~base ~rng pattern ~len ~write =
   let offs = offsets ~rng pattern ~len in

@@ -362,7 +362,7 @@ let test_fs_background_zero_cheapens_extend () =
 let test_tcmalloc_basic () =
   let k = mk_kernel () in
   let p = K.create_process k () in
-  let h = Heap.Tcmalloc_sim.create k p () in
+  let h = Heap.Tcmalloc_sim.create k p in
   let a = Heap.Tcmalloc_sim.malloc h ~thread:0 ~bytes:100 in
   let b = Heap.Tcmalloc_sim.malloc h ~thread:0 ~bytes:100 in
   check_bool "distinct" true (a <> b);
@@ -375,7 +375,7 @@ let test_tcmalloc_basic () =
 let test_tcmalloc_thread_isolation () =
   let k = mk_kernel () in
   let p = K.create_process k () in
-  let h = Heap.Tcmalloc_sim.create k p ~threads:2 () in
+  let h = Heap.Tcmalloc_sim.create k p in
   let a = Heap.Tcmalloc_sim.malloc h ~thread:0 ~bytes:64 in
   Heap.Tcmalloc_sim.free h ~thread:0 a;
   (* Thread 1 misses its own cache and refills from central. *)
@@ -386,7 +386,7 @@ let test_tcmalloc_thread_isolation () =
 let test_tcmalloc_waste_accounting () =
   let k = mk_kernel () in
   let p = K.create_process k () in
-  let h = Heap.Tcmalloc_sim.create k p () in
+  let h = Heap.Tcmalloc_sim.create k p in
   let blocks = List.init 10 (fun _ -> Heap.Tcmalloc_sim.malloc h ~thread:0 ~bytes:4096) in
   check_int "live" (10 * 4096) (Heap.Tcmalloc_sim.live_bytes h);
   check_bool "cached waste exists (batched span)" true (Heap.Tcmalloc_sim.cached_bytes h > 0);
@@ -398,7 +398,7 @@ let test_tcmalloc_waste_accounting () =
 let test_tcmalloc_amortized_lock_cost () =
   let k = mk_kernel () in
   let p = K.create_process k () in
-  let h = Heap.Tcmalloc_sim.create k p () in
+  let h = Heap.Tcmalloc_sim.create k p in
   (* 320 allocations = 10 batches of 32: at most ~10 lock acquisitions. *)
   for _ = 1 to 320 do
     ignore (Heap.Tcmalloc_sim.malloc h ~thread:0 ~bytes:64)
@@ -652,6 +652,23 @@ let test_malloc_trim () =
   let va = Heap.Malloc_sim.malloc h ~bytes:(Sim.Units.kib 16) in
   ignore (K.access_range k p ~va ~len:(Sim.Units.kib 16) ~write:true ~stride:Sim.Units.page_size)
 
+(* Blocks are bump-carved, so a free block can share its first page with
+   a live one: trim releases only the pages wholly inside free blocks. *)
+let test_malloc_trim_spares_neighbour () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let h = Heap.Malloc_sim.create k p in
+  let a = Heap.Malloc_sim.malloc h ~bytes:16 in
+  let b = Heap.Malloc_sim.malloc h ~bytes:8192 in
+  check_int "b is carved right after a" (a + 16) b;
+  K.access k p ~va:a ~write:true;
+  ignore (K.access_range k p ~va:b ~len:8192 ~write:true ~stride:Sim.Units.page_size);
+  Heap.Malloc_sim.free h b;
+  check_int "only the page wholly inside b" 1 (Heap.Malloc_sim.trim h);
+  let faults = Sim.Stats.get (K.stats k) "page_fault" in
+  K.access k p ~va:a ~write:false;
+  check_int "a's page is still mapped" faults (Sim.Stats.get (K.stats k) "page_fault")
+
 (* procfs *)
 
 let test_procfs_maps_and_rss () =
@@ -756,6 +773,8 @@ let suite =
     Alcotest.test_case "kernel: madvise releases + zero refault" `Quick
       test_madvise_releases_and_refaults_zero;
     Alcotest.test_case "heap: trim via madvise" `Quick test_malloc_trim;
+    Alcotest.test_case "heap: trim spares a live neighbour" `Quick
+      test_malloc_trim_spares_neighbour;
     Alcotest.test_case "procfs: maps and rss" `Quick test_procfs_maps_and_rss;
     Alcotest.test_case "procfs: pss splits shared pages" `Quick test_procfs_pss_splits_shared;
     Alcotest.test_case "chart: renders series" `Quick test_chart_renders;

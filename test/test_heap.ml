@@ -84,29 +84,137 @@ let test_fom_heap_destroy () =
   check_int "all space returned" free0 (Fs.Memfs.free_bytes fs);
   check_int "no regions" 0 (Heap.Fom_heap.region_count h)
 
-let prop_both_heaps_distinct_blocks =
-  qtest "heap blocks never overlap (both heaps)" ~count:20
-    QCheck2.Gen.(list_size (int_range 2 25) (int_range 1 10_000))
-    (fun sizes ->
-      let _, _, mh = mk_malloc () in
-      let _, _, _, fh = mk_fheap () in
-      let check malloc size_of =
-        let blocks = List.map (fun b -> (malloc b, b)) sizes in
-        let ok = ref true in
-        let sorted = List.sort compare blocks in
-        let rec overlap = function
-          | (va1, _) :: ((va2, _) :: _ as rest) ->
-            (match size_of va1 with
-            | Some s when va1 + s > va2 -> ok := false
-            | _ -> ());
-            overlap rest
-          | _ -> ()
-        in
-        overlap sorted;
-        !ok
-      in
-      check (fun bytes -> Heap.Malloc_sim.malloc mh ~bytes) (Heap.Malloc_sim.size_of mh)
-      && check (fun bytes -> Heap.Fom_heap.malloc fh ~bytes) (Heap.Fom_heap.size_of fh))
+(* Reattach into a fresh process: VAs move, arena-relative names do not. *)
+let test_fom_heap_reattach () =
+  let kernel, fom = mk_fom () in
+  let h = Heap.Fom_heap.create fom (K.create_process kernel ()) ~file_prefix:"/heap" () in
+  let blocks = List.init 48 (fun i -> Heap.Fom_heap.malloc h ~bytes:(1 + (i * 7919 mod 65_536))) in
+  check_bool "several arenas" true (Heap.Fom_heap.arena_count h > 1);
+  let loc va = Option.get (Heap.Fom_heap.locate h va) in
+  let named va = (loc va, Option.get (Heap.Fom_heap.size_of h va)) in
+  let freed = List.nth blocks 5 and last = List.nth blocks 47 in
+  let (freed_arena, freed_off), _ = named freed in
+  let (last_arena, last_off), last_size = named last in
+  Heap.Fom_heap.free h freed;
+  let live () =
+    let l = ref [] in
+    Heap.Fom_heap.iter_live h (fun va _ -> l := named va :: !l);
+    List.sort compare !l
+  in
+  let before = live () in
+  let proc = K.create_process kernel () in
+  ignore (O1mem.Fom.alloc fom proc ~len:(Sim.Units.mib 1) ~prot:Hw.Prot.rw ());
+  Heap.Fom_heap.reattach h proc;
+  check_bool "arenas moved" true (Heap.Fom_heap.address h ~arena:last_arena ~off:last_off <> last);
+  check_bool "every live block keeps its (arena, offset) and size" true (live () = before);
+  check_int "a freed class hands out the freed block"
+    (Heap.Fom_heap.address h ~arena:freed_arena ~off:freed_off)
+    (Heap.Fom_heap.malloc h ~bytes:(1 + (5 * 7919 mod 65_536)));
+  check_bool "the next carve continues the last arena" true
+    (loc (Heap.Fom_heap.malloc h ~bytes:16) = (last_arena, last_off + last_size))
+
+(* One model for every backend: interleaved mallocs and frees against a
+   pure map of the live blocks. *)
+module S = Heap.Size_class
+module IM = Map.Make (Int)
+
+type heap = {
+  malloc : int -> int;
+  free : int -> unit;
+  size_of : int -> int option;
+  live_bytes : unit -> int;
+  footprint : unit -> int;
+}
+
+let heaps () =
+  let k, fom = mk_fom () in
+  let mh = Heap.Malloc_sim.create k (K.create_process k ()) in
+  let th = Heap.Tcmalloc_sim.create k (K.create_process k ()) in
+  let fh = Heap.Fom_heap.create fom (K.create_process k ()) () in
+  [
+    ( "malloc",
+      {
+        malloc = (fun bytes -> Heap.Malloc_sim.malloc mh ~bytes);
+        free = Heap.Malloc_sim.free mh;
+        size_of = Heap.Malloc_sim.size_of mh;
+        live_bytes = (fun () -> Heap.Malloc_sim.live_bytes mh);
+        footprint = (fun () -> Heap.Malloc_sim.footprint_bytes mh);
+      } );
+    ( "tcmalloc",
+      {
+        malloc = (fun bytes -> Heap.Tcmalloc_sim.malloc th ~thread:0 ~bytes);
+        free = Heap.Tcmalloc_sim.free th ~thread:0;
+        size_of = Heap.Tcmalloc_sim.size_of th;
+        live_bytes = (fun () -> Heap.Tcmalloc_sim.live_bytes th);
+        footprint = (fun () -> Heap.Tcmalloc_sim.footprint_bytes th);
+      } );
+    ( "fom",
+      {
+        malloc = (fun bytes -> Heap.Fom_heap.malloc fh ~bytes);
+        free = Heap.Fom_heap.free fh;
+        size_of = Heap.Fom_heap.size_of fh;
+        live_bytes = (fun () -> Heap.Fom_heap.live_bytes fh);
+        footprint = (fun () -> Heap.Fom_heap.footprint_bytes fh);
+      } );
+  ]
+
+let model_size bytes =
+  if bytes >= S.large_threshold then Sim.Units.round_up bytes ~align:Sim.Units.page_size
+  else S.class_size (S.class_of bytes)
+
+(* [`Free i] frees the i-th live block (mod the live count). *)
+let run_model (name, h) ops =
+  let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) name in
+  let live = ref IM.empty (* va -> requested bytes *) and freed = Array.make S.classes [] in
+  List.iter
+    (fun op ->
+      (match op with
+      | `Malloc bytes ->
+        let va = h.malloc bytes and size = model_size bytes in
+        if h.size_of va <> Some size then fail "malloc %d: size_of is not %d" bytes size;
+        (match IM.find_last_opt (fun v -> v < va + size) !live with
+        | Some (v, b) when v + model_size b > va ->
+          fail "malloc %d at %d overlaps the block at %d" bytes va v
+        | _ -> ());
+        (if bytes < S.large_threshold then
+           match freed.(S.class_of bytes) with
+           | last :: rest ->
+             if va <> last then fail "malloc %d: got %d, not the freed %d" bytes va last;
+             freed.(S.class_of bytes) <- rest
+           | [] -> ());
+        live := IM.add va bytes !live
+      | `Free i when not (IM.is_empty !live) ->
+        let va, bytes = List.nth (IM.bindings !live) (i mod IM.cardinal !live) in
+        h.free va;
+        live := IM.remove va !live;
+        if h.size_of va <> None then fail "free %d: still live" va;
+        if bytes < S.large_threshold then freed.(S.class_of bytes) <- va :: freed.(S.class_of bytes)
+      | `Free _ -> ());
+      let model_live = IM.fold (fun _ b acc -> acc + model_size b) !live 0 in
+      let live_bytes = h.live_bytes () and footprint = h.footprint () in
+      if live_bytes <> model_live then fail "live_bytes %d, model %d" live_bytes model_live;
+      if footprint < model_live then fail "footprint %d below live %d" footprint model_live)
+    ops
+
+let prop_heap_model =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map (fun b -> `Malloc b) (int_range 1 20_000));
+          (1, map (fun b -> `Malloc b) (int_range 20_000 400_000));
+          (4, map (fun i -> `Free i) nat);
+        ])
+  in
+  let print = function
+    | `Malloc b -> Printf.sprintf "malloc %d" b
+    | `Free i -> Printf.sprintf "free #%d" i
+  in
+  qtest "heap model: three backends" ~count:50 ~print:(QCheck2.Print.list print)
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 60) op)
+    (fun ops ->
+      List.iter (fun h -> run_model h ops) (heaps ());
+      true)
 
 let suite =
   [
@@ -118,5 +226,6 @@ let suite =
     Alcotest.test_case "fom heap: large blocks are files" `Quick test_fom_heap_large_is_own_file;
     Alcotest.test_case "fom heap: no faults on touch" `Quick test_fom_heap_no_faults_on_touch;
     Alcotest.test_case "fom heap: destroy returns space" `Quick test_fom_heap_destroy;
-    prop_both_heaps_distinct_blocks;
+    Alcotest.test_case "fom heap: reattach keeps locations" `Quick test_fom_heap_reattach;
+    prop_heap_model;
   ]

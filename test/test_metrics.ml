@@ -1,8 +1,9 @@
 (* The metrics document that `o1mem_cli metrics` prints and `bench --json`
    extends: its schema and the paper's claims it carries (traced ops,
    complexity classes, cycle attribution, explorer and degradation
-   verdicts, SMP and causal reconciliation), and the bench-diff gate over
-   it, checked by planting regressions into a copy. *)
+   verdicts, SMP and causal reconciliation), the host-measured sections
+   `bench --json` appends, and the bench-diff gate over the document,
+   checked by planting regressions into a copy. *)
 
 open Helpers
 module J = Sim.Json
@@ -10,21 +11,31 @@ module J = Sim.Json
 (* One document for the whole suite: building it takes about a second. *)
 let doc = lazy (Experiments.Exp_metrics.run_to_json ())
 
-let get path =
+(* The two sections bench --json appends, measured on the host. *)
+let host_doc =
+  lazy
+    (J.Obj
+       [
+         ("throughput", Experiments.Exp_throughput.to_json ~smoke:true ());
+         ("host", Experiments.Exp_profile.host_json ());
+       ])
+
+let get ?(from = doc) path =
   List.fold_left
     (fun v k ->
       match J.member v k with
       | Some x -> x
       | None -> Alcotest.failf "metrics document lacks %s" (String.concat "." path))
-    (Lazy.force doc) path
+    (Lazy.force from) path
 
 let wrong path what = Alcotest.failf "%s is not %s" (String.concat "." path) what
-let int path = match get path with J.Int i -> i | _ -> wrong path "an int"
-let num path =
-  match get path with J.Int i -> float_of_int i | J.Float f -> f | _ -> wrong path "a number"
-let bool path = match get path with J.Bool b -> b | _ -> wrong path "a bool"
+let int ?from path = match get ?from path with J.Int i -> i | _ -> wrong path "an int"
+let num ?from path =
+  match get ?from path with J.Int i -> float_of_int i | J.Float f -> f | _ -> wrong path "a number"
+let bool ?from path = match get ?from path with J.Bool b -> b | _ -> wrong path "a bool"
 let str path = match get path with J.String s -> s | _ -> wrong path "a string"
-let fields path = match get path with J.Obj f -> f | _ -> wrong path "an object"
+let fields ?from path = match get ?from path with J.Obj f -> f | _ -> wrong path "an object"
+let list ?from path = match get ?from path with J.List l -> l | _ -> wrong path "a list"
 
 let check_class path allowed =
   let c = str (path @ [ "class" ]) in
@@ -157,6 +168,40 @@ let test_smp_causal () =
   check_sweep (c @ [ "sweeps"; "critical_path_per_page_hops" ]) [ "O(n)" ];
   check_sweep (c @ [ "sweeps"; "critical_path_batched_hops" ]) [ "O(1)" ]
 
+(* T1/H1, the host-measured sections: every throughput scenario ran its
+   trials, and both churns' host-cost trees name (nearly) every host ns
+   and allocated word. *)
+let test_host_sections () =
+  let from = host_doc in
+  let scenarios = fields ~from [ "throughput" ] in
+  check_bool "at least 2 throughput scenarios" true (List.length scenarios >= 2);
+  List.iter
+    (fun (name, _) ->
+      let p k = [ "throughput"; name; k ] in
+      let trials = int ~from (p "trials") in
+      check_bool (name ^ ": at least 3 trials") true (trials >= 3);
+      check_int (name ^ ": one timing per trial") trials
+        (List.length (list ~from (p "ops_per_sec_trials")));
+      check_bool (name ^ ": positive median") true (num ~from (p "median_ops_per_sec") > 0.0);
+      ignore (num ~from (p "iqr_ops_per_sec")))
+    scenarios;
+  let ops = int ~from [ "host"; "ops" ] in
+  check_bool "host ops" true (ops > 0);
+  List.iter
+    (fun wl ->
+      let p k = [ "host"; wl; k ] in
+      check_bool (wl ^ ": host metrics measured") true (bool ~from (p "enabled"));
+      check_bool (wl ^ ": >= 90% of host ns attributed") true
+        (num ~from (p "attributed_ns_fraction") >= 0.90);
+      check_bool (wl ^ ": >= 90% of words attributed") true
+        (num ~from (p "attributed_words_fraction") >= 0.90);
+      check_bool (wl ^ ": words/op > 0") true (int ~from (p "attributed_words") / ops > 0);
+      let tree = fields ~from (p "tree") in
+      List.iter
+        (fun path -> check_bool (wl ^ ": tree has " ^ path) true (List.mem_assoc path tree))
+        [ "malloc"; "free"; "touch" ])
+    [ "churn_malloc"; "churn_fom" ]
+
 (* ----------------------- planted regressions ------------------------ *)
 
 let rec plant path v d =
@@ -220,6 +265,7 @@ let suite =
     Alcotest.test_case "profile attribution and gauges" `Quick test_profile_attribution;
     Alcotest.test_case "explorer and degradation verdicts" `Quick test_explorer_verdicts;
     Alcotest.test_case "smp and causal reconciliation" `Quick test_smp_causal;
+    Alcotest.test_case "throughput and host sections" `Quick test_host_sections;
     Alcotest.test_case "bench-diff: planted regressions gate" `Quick test_planted_regressions_gate;
     Alcotest.test_case "bench-diff: planted changes pass" `Quick test_planted_changes_pass;
   ]

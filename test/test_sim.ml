@@ -62,13 +62,30 @@ let test_rng_bounds () =
 
 let test_rng_zipf () =
   let r = Sim.Rng.create ~seed:3 in
-  let counts = Array.make 100 0 in
+  let counts = Array.make 100 0 and zipf = Sim.Rng.zipf ~n:100 ~theta:0.9 in
   for _ = 1 to 10_000 do
-    let v = Sim.Rng.zipf r ~n:100 ~theta:0.9 in
+    let v = zipf r in
     check_bool "zipf in range" true (v >= 0 && v < 100);
     counts.(v) <- counts.(v) + 1
   done;
   check_bool "zipf is skewed towards low ranks" true (counts.(0) > counts.(50))
+
+(* Rank 0 comes up with probability 1/zeta(n), beyond 10,000 ranks too. *)
+let test_rng_zipf_large_n () =
+  let n = 20_000 and theta = 0.99 and draws = 20_000 in
+  let zeta = ref 0.0 in
+  for i = 1 to n do
+    zeta := !zeta +. (1.0 /. (float_of_int i ** theta))
+  done;
+  let zipf = Sim.Rng.zipf ~n ~theta and r = Sim.Rng.create ~seed:5 and zeros = ref 0 in
+  for _ = 1 to draws do
+    if zipf r = 0 then incr zeros
+  done;
+  let freq = float_of_int !zeros /. float_of_int draws in
+  check_bool
+    (Printf.sprintf "rank-0 frequency %.4f within 1 point of 1/zeta(n) = %.4f" freq (1.0 /. !zeta))
+    true
+    (Float.abs (freq -. (1.0 /. !zeta)) <= 0.01)
 
 let test_rng_shuffle () =
   let r = Sim.Rng.create ~seed:11 in
@@ -288,6 +305,7 @@ let suite =
     Alcotest.test_case "rng: copy" `Quick test_rng_copy;
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng: zipf skew" `Quick test_rng_zipf;
+    Alcotest.test_case "rng: zipf beyond 10,000 ranks" `Quick test_rng_zipf_large_n;
     Alcotest.test_case "rng: shuffle is a permutation" `Quick test_rng_shuffle;
     Alcotest.test_case "clock: charge/elapsed/reset" `Quick test_clock_charge;
     Alcotest.test_case "clock: time wrapper" `Quick test_clock_time;

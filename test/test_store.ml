@@ -15,13 +15,13 @@ let store_config =
     nvm_bytes = Sim.Units.mib 8;
   }
 
-let mk_store ?(seed = 1) ?arena_bytes ?wal_bytes ?manifest_bytes () =
+let mk_store ?(seed = 1) ?wal_bytes ?manifest_bytes () =
   let kernel = K.create ~config:store_config () in
   let plane = FI.create ~seed ~stats:(K.stats kernel) () in
   Sim.Trace.attach_faults (K.trace kernel) plane;
   let fom = O1mem.Fom.create kernel () in
   let proc = K.create_process kernel () in
-  let st = Kv.create fom proc ?arena_bytes ?wal_bytes ?manifest_bytes ~name:"/kv" () in
+  let st = Kv.create fom proc ?wal_bytes ?manifest_bytes ~name:"/kv" () in
   (kernel, fom, plane, st)
 
 let commit_put st kvs roots =
