@@ -103,7 +103,7 @@ let heap_driver k backend =
       },
       fun () -> Heap.Fom_heap.footprint_bytes h )
 
-(* The churn machine shared by T1, P1 and H1: a seed-42 trace of [ops]
+(* The churn machine shared by P1 and H1: a seed-42 trace of [ops]
    64 B..64 KiB allocations, and a 1 GiB DRAM + 1 GiB NVM kernel with
    one process replaying it on [backend]'s heap. *)
 let churn ~ops backend =

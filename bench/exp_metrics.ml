@@ -118,11 +118,10 @@ let schema_version = "o1mem.metrics/9"
    differ for configuration reasons, not code reasons, so `bench-diff`
    refuses to compare them. *)
 let provenance k =
-  let cfg = K.config k in
   Sim.Json.Obj
     [
-      ("cost_model", Sim.Cost_model.to_json cfg.K.cost_model);
-      ("trace_capacity", Sim.Json.Int cfg.K.trace_capacity);
+      ("cost_model", Sim.Cost_model.to_json (K.config k).K.cost_model);
+      ("trace_capacity", Sim.Json.Int (Sim.Trace.capacity (K.trace k)));
     ]
 
 let to_json ?events_limit k =

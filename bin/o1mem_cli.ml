@@ -12,39 +12,28 @@ open Cmdliner
 
 (* ------------------------- experiments ---------------------------- *)
 
-let groups =
-  [
-    ("mapping", Experiments.Exp_mapping.run);
-    ("alloc", Experiments.Exp_alloc.run);
-    ("sharing", Experiments.Exp_sharing.run);
-    ("range", Experiments.Exp_range.run);
-    ("os", Experiments.Exp_os.run);
-    ("ablation", Experiments.Exp_ablation.run);
-    ("complexity", Experiments.Exp_complexity.run);
-  ]
-
 let experiments only =
   Format.printf "%a@." Sim.Cost_model.pp Sim.Cost_model.default;
+  let groups = Experiments.Groups.all in
   let selected =
     match only with
     | [] -> groups
     | names ->
       List.filter_map
         (fun n ->
-          match List.assoc_opt n groups with
-          | Some f -> Some (n, f)
-          | None ->
+          let g = List.find_opt (fun (name, _, _) -> name = n) groups in
+          if Option.is_none g then
             Printf.eprintf "unknown group %S (have: %s)\n" n
-              (String.concat ", " (List.map fst groups));
-            None)
+              (String.concat ", " Experiments.Groups.names);
+          g)
         names
   in
-  List.iter (fun (_, f) -> f ()) selected
+  List.iter Experiments.Groups.run selected
 
 let only_arg =
   let doc =
-    "Run only this experiment group (mapping, alloc, sharing, range, os, ablation, complexity); \
-     repeatable."
+    Printf.sprintf "Run only this experiment group (%s); repeatable."
+      (String.concat ", " Experiments.Groups.names)
   in
   Arg.(value & opt_all string [] & info [ "o"; "only" ] ~docv:"GROUP" ~doc)
 
@@ -549,9 +538,9 @@ let bench_diff old_file new_file threshold =
 let bench_diff_cmd =
   let doc =
     "Compare two bench JSON exports in one walk over every section (clock_cycles, stats, trace, \
-     complexity, profile, faults, store, smp, causal, throughput and host) and fail on a metric \
-     moving the wrong way beyond the threshold, a flag flipping false or a complexity-class \
-     downgrade. Host allocated words gate; host ns and throughput medians are only reported"
+     complexity, profile, faults, store, smp, causal and host) and fail on a metric moving the \
+     wrong way beyond the threshold, a flag flipping false or a complexity-class downgrade. Host \
+     allocated words gate; host ns totals are only reported"
   in
   let old_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json") in
   let new_arg = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json") in

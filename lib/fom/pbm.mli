@@ -11,9 +11,9 @@
     many PBM regions exist or how large they are.
 
     Security note: PBM addresses are by construction identical in every
-    process and cannot be randomized — code or data in the PBM window is
-    exempt from ASLR ({!Os.Kernel.config}[.aslr]). The paper does not
-    discuss this trade; we surface it here. *)
+    process and cannot be randomized — code or data in the PBM window
+    could never take part in address-space layout randomization. The
+    paper does not discuss this trade; we surface it here. *)
 
 type t
 

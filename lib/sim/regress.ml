@@ -23,50 +23,23 @@ type delta = {
 
 type report = { threshold_pct : float; compared : int; deltas : delta list }
 
-(* --------------------------- order stats ----------------------------- *)
-
-(* Linear-interpolation quantiles over a small sample, for the k-trial
-   throughput harness's medians and IQRs. *)
-let quantile xs q =
-  match List.sort Float.compare xs with
-  | [] -> invalid_arg "Regress.quantile: empty sample"
-  | sorted ->
-    let a = Array.of_list sorted in
-    let n = Array.length a in
-    if n = 1 then a.(0)
-    else begin
-      let pos = q *. float_of_int (n - 1) in
-      let lo = min (int_of_float pos) (n - 2) in
-      let frac = pos -. float_of_int lo in
-      a.(lo) +. (frac *. (a.(lo + 1) -. a.(lo)))
-    end
-
-let median xs = quantile xs 0.5
-
-let quartiles xs =
-  let q1 = quantile xs 0.25 and q2 = quantile xs 0.5 and q3 = quantile xs 0.75 in
-  (q1, q2, q3)
-
 (* ------------------------------ policy ------------------------------- *)
 
 type direction = Lower | Higher | Report | Skip
 
 (* What a leaf means, from its top-level section and its own name. The
    default is a virtual-clock cost: deterministic, so any drift is a code
-   change, and lower is better. Two sections mix in host measurements and
-   compare only what they name: "throughput" reports its wall-clock
-   medians, and "host" gates allocated words and virtual counts, reports
-   its ns totals, and skips per-path ns and GC heap gauges, which move on
-   every run. A fit's exponent, r2 and growth and its sweep sizes are
-   reported, because the fitted class is what gates. So are an explorer's
-   steps, crashes and fences and a probe's recorded events and samples:
-   they count coverage, not cost. *)
+   change, and lower is better. The "host" section mixes in host
+   measurements and compares only what it names: it gates allocated words
+   and virtual counts, reports its ns totals, and skips per-path ns and GC
+   heap gauges, which move on every run. A fit's exponent, r2 and growth
+   and its sweep sizes are reported, because the fitted class is what
+   gates. So are an explorer's steps, crashes and fences and a probe's
+   recorded events and samples: they count coverage, not cost. *)
 let policy ~section key =
   let ends suffix = String.ends_with ~suffix key in
   match (section, key) with
   | ("schema" | "provenance"), _ -> Skip
-  | "throughput", "median_ops_per_sec" -> Report
-  | "throughput", _ -> Skip
   | "host", ("total_ns" | "attributed_ns") -> Report
   | "host", "attributed_words_fraction" -> Higher
   | ( "host",

@@ -4,27 +4,18 @@
     [o1mem_cli metrics]) in one recursive walk over the union of their
     keys, so every section is compared: the virtual clock total, [stats]
     counters, trace latencies, complexity fits, the profile, faults,
-    store, smp and causal sections, and the host-measured throughput and
-    host sections. A per-leaf policy, keyed by leaf name with a few
-    section-scoped overrides, says whether lower is better (the default:
-    a virtual-clock cost), higher is better ([*_fraction], [*_detections],
-    [*_hit]), the value is only reported (fit exponents and r2, explorer
-    coverage, host ns totals, throughput medians), or skipped (per-path
-    host ns, GC heap gauges). Because the bench workload is deterministic,
-    a self-comparison is empty; any delta on an unchanged workload is a
-    real behaviour change.
+    store, smp and causal sections, and the host-measured host section.
+    A per-leaf policy, keyed by leaf name with a few section-scoped
+    overrides, says whether lower is better (the default: a virtual-clock
+    cost), higher is better ([*_fraction], [*_detections], [*_hit]), the
+    value is only reported (fit exponents and r2, explorer coverage, host
+    ns totals), or skipped (per-path host ns, GC heap gauges). Because the
+    bench workload is deterministic, a self-comparison is empty; any delta
+    on an unchanged workload is a real behaviour change.
 
     Two documents are only comparable when their schema and provenance
     (cost-model parameters, trace capacity) agree — otherwise deltas would
     reflect configuration, not code. *)
-
-val quantile : float list -> float -> float
-(** [quantile xs q] is the linearly-interpolated [q]-quantile (0..1) of
-    the sample. Raises [Invalid_argument] on an empty list. *)
-
-val median : float list -> float
-val quartiles : float list -> float * float * float
-(** [(p25, median, p75)]. *)
 
 type status =
   | Within  (** changed inside the threshold, or a report-only metric *)
@@ -57,7 +48,7 @@ val compare_docs :
 (** [threshold_pct] defaults to 10. Numbers gate when they move beyond it
     in their bad direction, booleans when they flip to false, and
     ["class"] strings when their complexity rank rises. Allocated words in
-    the host section always gate; host ns and throughput never do.
+    the host section always gate; host ns never does.
     [Error reason] when the documents are incompatible: unequal schemas,
     or unequal/missing provenance. *)
 

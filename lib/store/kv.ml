@@ -600,7 +600,11 @@ let live_apply_delete t key =
     let dead = Hashtbl.fold (fun r k acc -> if k = key then r :: acc else acc) t.root_tbl [] in
     List.iter (Hashtbl.remove t.root_tbl) dead
 
+(* Every checkpoint, explicit or run inline by a commit that filled the
+   WAL, opens its span here, so an inline one does not hide in the
+   commit's self cost. *)
 let checkpoint_locked t =
+  Sim.Profile.span (Sim.Trace.profile (trace t)) "store_checkpoint" @@ fun () ->
   let gen = t.generation + 1 in
   let snap = encode_snapshot t ~gen in
   let half = 1 - t.manifest_current in
@@ -622,7 +626,6 @@ let checkpoint_locked t =
 let checkpoint t =
   if t.detached then invalid_arg "Store: detached";
   (match t.txn with Some _ -> invalid_arg "Store.checkpoint: transaction open" | None -> ());
-  Sim.Profile.span (Sim.Trace.profile (trace t)) "store_checkpoint" @@ fun () ->
   checkpoint_locked t
 
 (* Is [key] live after [older] (a transaction's ops, newest first)? *)

@@ -15,8 +15,7 @@ type t = {
 let mmap_base = 0x2000_0000_0000
 
 let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~levels ~alloc_pt_frame ?range_table
-    ?(mode = Hw.Walker.Native) ?tlb_sets ?tlb_ways ?range_tlb_entries ?smp ?asid
-    ?(mmap_base = mmap_base) () =
+    ?(mode = Hw.Walker.Native) ?tlb_sets ?tlb_ways ?range_tlb_entries ?smp ?asid () =
   let table = Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame:alloc_pt_frame in
   let mmu =
     Hw.Mmu.create ~clock ~stats ~trace ~table ?range_table ~mode ?tlb_sets ?tlb_ways

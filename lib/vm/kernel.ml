@@ -14,9 +14,7 @@ type config = {
   range_tlb_entries : int;
   fs_erase : Fs.Memfs.erase_policy;
   swap_backing : [ `Device | `Pmfs ];
-  aslr : bool;
   cost_model : Sim.Cost_model.t;
-  trace_capacity : int;
 }
 
 let default_config =
@@ -33,9 +31,7 @@ let default_config =
     range_tlb_entries = 32;
     fs_erase = Fs.Memfs.Eager_zero;
     swap_backing = `Device;
-    aslr = false;
     cost_model = Sim.Cost_model.default;
-    trace_capacity = 4096;
   }
 
 type t = {
@@ -57,7 +53,6 @@ type t = {
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
   userfault : Userfault.t;
-  aslr_rng : Sim.Rng.t;
   mutable busy_depth : int; (* re-entrancy guard for [on_core] *)
 }
 
@@ -66,7 +61,7 @@ let buddy_max_order = 10
 let create ?(config = default_config) () =
   let clock = Sim.Clock.create config.cost_model in
   let stats = Sim.Stats.create () in
-  let trace = Sim.Trace.create ~clock ~capacity:config.trace_capacity () in
+  let trace = Sim.Trace.create ~clock () in
   let mem =
     Phys_mem.create ~clock ~stats ~trace ~dram_bytes:config.dram_bytes
       ~nvm_bytes:config.nvm_bytes ~numa_nodes:config.numa_nodes ()
@@ -134,7 +129,6 @@ let create ?(config = default_config) () =
     procs = Hashtbl.create 16;
     next_pid = 1;
     userfault = Userfault.create ();
-    aslr_rng = Sim.Rng.create ~seed:0x51ed;
     busy_depth = 0;
   }
 
@@ -230,16 +224,10 @@ let create_process t ?(range_translations = false) () =
       Some (Hw.Range_table.create ~clock:t.clock ~stats:t.stats ~trace:t.trace ())
     else None
   in
-  let mmap_base =
-    if t.config.aslr then
-      (* 16 bits of entropy at 2 MiB granularity, clear of the fixed windows. *)
-      Some (0x2000_0000_0000 + (Sim.Rng.int t.aslr_rng (1 lsl 16) * Sim.Units.huge_2m))
-    else None
-  in
   let aspace =
     Address_space.create ~clock:t.clock ~stats:t.stats ~trace:t.trace ~levels:t.config.levels
       ~alloc_pt_frame:(alloc_pt_frame t) ?range_table ~mode:t.config.walk_mode ~smp:t.smp
-      ~asid:pid ?mmap_base ()
+      ~asid:pid ()
   in
   (* Round-robin placement: the pid is the ASID tagging this address
      space's entries in whichever core's TLBs it warms. *)

@@ -20,9 +20,7 @@ type config = {
   range_tlb_entries : int;  (** capacity given to processes created with range translations *)
   fs_erase : Fs.Memfs.erase_policy;  (** zeroing discipline of tmpfs and PMFS *)
   swap_backing : [ `Device | `Pmfs ];  (** where swapped pages go: NVMe-class device, or a swapfile in PMFS *)
-  aslr : bool;  (** randomize each process's mmap base (2 MiB granularity). Note PBM regions are exempt by construction — the security trade of VA = PA + offset. *)
   cost_model : Sim.Cost_model.t;
-  trace_capacity : int;  (** event-ring capacity of the kernel-wide {!Sim.Trace.t} *)
 }
 
 val default_config : config

@@ -259,20 +259,6 @@ let test_top_paths_ranking () =
     check_bool "its self words count the array" true (n.Sim.Profile.self_words >= 101)
   | [] -> Alcotest.fail "no paths ranked by words"
 
-(* ------------------------- order statistics ------------------------ *)
-
-let test_quantiles () =
-  check_bool "median odd" true (Sim.Regress.median [ 3.0; 1.0; 2.0 ] = 2.0);
-  check_bool "median even interpolates" true (Sim.Regress.median [ 4.0; 1.0; 3.0; 2.0 ] = 2.5);
-  check_bool "singleton" true (Sim.Regress.quantile [ 7.0 ] 0.99 = 7.0);
-  let p25, med, p75 = Sim.Regress.quartiles [ 1.0; 2.0; 3.0; 4.0 ] in
-  check_bool "p25" true (p25 = 1.75);
-  check_bool "median" true (med = 2.5);
-  check_bool "p75" true (p75 = 3.25);
-  Alcotest.check_raises "empty sample rejected"
-    (Invalid_argument "Regress.quantile: empty sample") (fun () ->
-      ignore (Sim.Regress.quantile [] 0.5))
-
 (* ------------------------ regress gating --------------------------- *)
 
 (* Minimal comparable documents (same schema + provenance). *)
@@ -280,38 +266,10 @@ let doc sections =
   Sim.Json.Obj
     ([ ("schema", Sim.Json.String "test/1"); ("provenance", Sim.Json.Obj [] ) ] @ sections)
 
-let throughput_doc ~median ~iqr =
-  doc
-    [
-      ( "throughput",
-        Sim.Json.Obj
-          [
-            ( "churn",
-              Sim.Json.Obj
-                [
-                  ("median_ops_per_sec", Sim.Json.Float median);
-                  ("iqr_ops_per_sec", Sim.Json.Float iqr);
-                ] );
-          ] );
-    ]
-
 let diff old_doc new_doc =
   match Sim.Regress.compare_docs ~old_doc ~new_doc () with
   | Ok r -> r
   | Error e -> Alcotest.fail ("compare_docs: " ^ e)
-
-let test_throughput_report_only () =
-  (* Throughput trials are too short to resolve a 10% change, so even a
-     50% drop in the median is reported and never gates. *)
-  let old_doc = throughput_doc ~median:1000.0 ~iqr:10.0 in
-  let new_doc = throughput_doc ~median:500.0 ~iqr:10.0 in
-  let r = diff old_doc new_doc in
-  check_bool "the drop is reported" true
-    (List.exists
-       (fun d ->
-         d.Sim.Regress.section = "throughput.churn" && d.Sim.Regress.key = "median_ops_per_sec")
-       r.Sim.Regress.deltas);
-  check_int "and never gates" 0 (List.length (Sim.Regress.regressions r))
 
 let host_doc ~words =
   doc
@@ -392,8 +350,6 @@ let suite =
     Alcotest.test_case "hostprof: collapsed export" `Quick test_collapsed_golden;
     Alcotest.test_case "hostprof: to_json shape" `Quick test_to_json_shape;
     Alcotest.test_case "hostprof: top paths ranking" `Quick test_top_paths_ranking;
-    Alcotest.test_case "regress: quantile helpers" `Quick test_quantiles;
-    Alcotest.test_case "regress: throughput drop never gates" `Quick test_throughput_report_only;
     Alcotest.test_case "regress: host alloc gate" `Quick test_host_alloc_gate;
     Alcotest.test_case "regress: host enabled flip gates" `Quick test_host_enabled_flip_gates;
   ]

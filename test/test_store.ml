@@ -152,13 +152,22 @@ let test_checkpoint_cuts_replay () =
   check_bool "replayed the tail only" true (Kv.last_replayed st <= 2);
   Kv.detach st
 
+(* A checkpoint that a full WAL forces inside a commit is also its own
+   span under the commit, so its cost is not folded into the commit's
+   self. *)
 let test_wal_full_autocheckpoint () =
   let kernel, _, _, st = mk_store ~wal_bytes:(Sim.Units.kib 8) () in
+  let p = Sim.Profile.create ~clock:(K.clock kernel) () in
+  Sim.Trace.attach_profile (K.trace kernel) p;
   for i = 1 to 24 do
     commit_put st [ (Printf.sprintf "k%d" (i mod 6), String.make 900 (Char.chr (64 + i))) ] []
   done;
-  check_bool "auto-checkpoint fired" true
-    (Sim.Stats.get (K.stats kernel) "store_wal_checkpoint" >= 1);
+  let inline = Sim.Stats.get (K.stats kernel) "store_wal_checkpoint" in
+  check_bool "auto-checkpoint fired" true (inline >= 1);
+  let calls path =
+    List.fold_left (fun n (q, c, _, _) -> if q = path then n + c else n) 0 (Sim.Profile.flatten p)
+  in
+  check_int "one span per inline checkpoint" inline (calls "store_commit;store_checkpoint");
   Alcotest.(check (option string)) "latest value served" (Some (String.make 900 'X'))
     (Kv.get st (Printf.sprintf "k%d" (24 mod 6)));
   check_int "self-check clean" 0 (List.length (Kv.verify st));
