@@ -50,6 +50,59 @@ let tmpfs_file k ~bytes =
   Fs.Memfs.extend fs ino ~bytes_wanted:bytes;
   (fs, "/bench-file", ino)
 
+(* What one run of [smp_rig] hands back: the teardown's cycles, the
+   machine's counters, and its causal graph. *)
+type smp_run = { cycles : int; stats : Sim.Stats.t; causal : Sim.Causal.t }
+
+(* The shootdown rig behind C1's SMP sweeps: a bare MMU machine of
+   [cores] cores where every core caches [pages] translations of one
+   address space (asid 1), so the cpumask makes each of them a shootdown
+   target — the worst case for per-page unmap. With [range], the pages
+   sit behind a single range-table entry and each core's range TLB
+   caches it. The causal plane stays attached, since it never charges
+   cycles, and is reset just before [f] runs the teardown, so a measure
+   can read the teardown's cycles, its IPI counters or its critical
+   path's hops. *)
+let smp_rig ?(range = false) ~cores ~pages f =
+  let clock = Sim.Clock.create Sim.Cost_model.default in
+  let stats = Sim.Stats.create () in
+  let trace = Sim.Trace.create ~clock () in
+  let causal = Sim.Causal.create ~clock () in
+  Sim.Trace.attach_causal trace causal;
+  let next = ref 0 in
+  let alloc_frame () =
+    incr next;
+    !next
+  in
+  let table = Hw.Page_table.create ~clock ~stats ~levels:4 ~alloc_frame in
+  let range_table =
+    if range then begin
+      let rt = Hw.Range_table.create ~clock ~stats () in
+      Hw.Range_table.insert rt ~base:0 ~limit:(pages * Sim.Units.page_size) ~offset:0
+        ~prot:Hw.Prot.rw;
+      Some rt
+    end
+    else None
+  in
+  let smp = Hw.Smp.create ~clock ~stats ~trace ~cores () in
+  let mmu = Hw.Mmu.create ~clock ~stats ~trace ~table ?range_table ~smp ~asid:1 () in
+  if not range then
+    for i = 0 to pages - 1 do
+      Hw.Page_table.map_page table ~va:(i * Sim.Units.page_size) ~pfn:(1000 + i)
+        ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small
+    done;
+  for c = 0 to cores - 1 do
+    Hw.Mmu.set_core mmu c;
+    for i = 0 to pages - 1 do
+      ignore (Hw.Mmu.translate mmu ~va:(i * Sim.Units.page_size) ~write:false ~exec:false)
+    done
+  done;
+  Hw.Mmu.set_core mmu 0;
+  Sim.Causal.reset causal;
+  let before = Sim.Clock.now clock in
+  f mmu;
+  { cycles = Sim.Clock.elapsed clock ~since:before; stats; causal }
+
 let touch_pages_kernel k p ~va ~len ~write =
   ignore (K.access_range k p ~va ~len ~write ~stride:Sim.Units.page_size)
 

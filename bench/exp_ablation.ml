@@ -416,34 +416,26 @@ let tab_context_switch () =
   t
 
 (* A12: shootdown cost scales with core count; per-page unmap multiplies
-   it by the page count, range unmap pays it once. *)
+   it by the page count, range unmap pays it once. The points are C1's
+   two SMP core sweeps: 8 pages cached on every core. *)
 let tab_smp_shootdown () =
-  let t = Sim.Table.create ~title:"A12 - unmap 64MiB on an N-core machine (us)"
+  let t =
+    Sim.Table.create ~title:"A12 - unmap 8 pages cached on every core of an N-core machine (us)"
       ~columns:[ "cores"; "per-page unmap"; "range unmap"; "ratio" ]
   in
-  List.iter
-    (fun cores ->
-      let cm = { Sim.Cost_model.default with Sim.Cost_model.cores } in
-      let cfg = { (Bench_env.config ~nvm:(Sim.Units.gib 2) ()) with Os.Kernel.cost_model = cm } in
-      let k = K.create ~config:cfg () in
-      let fom = F.create k () in
-      let p = K.create_process k ~range_translations:true () in
-      let len = Sim.Units.mib 64 in
-      let r1 = F.alloc fom p ~strategy:F.Per_page ~len ~prot:Hw.Prot.rw () in
-      (* Warm the TLB so the shootdowns have entries to kill. *)
-      touch_pages_fom fom p ~va:r1.F.va ~len ~write:false;
-      let t_pp = time_us k (fun () -> F.free fom p r1) in
-      let r2 = F.alloc fom p ~strategy:F.Range_translation ~len ~prot:Hw.Prot.rw () in
-      touch_pages_fom fom p ~va:r2.F.va ~len ~write:false;
-      let t_rt = time_us k (fun () -> F.free fom p r2) in
+  let points name = (Exp_complexity.result name).Exp_complexity.points in
+  let us = Sim.Cost_model.cycles_to_us Sim.Cost_model.default in
+  List.iter2
+    (fun (cores, pp) (_, rt) ->
       Sim.Table.add_row t
         [
           Sim.Table.cell_int cores;
-          Sim.Table.cell_float t_pp;
-          Sim.Table.cell_float t_rt;
-          Sim.Table.cell_float ~dp:0 (t_pp /. t_rt);
+          Sim.Table.cell_float (us pp);
+          Sim.Table.cell_float (us rt);
+          Sim.Table.cell_float ~dp:0 (float_of_int pp /. float_of_int rt);
         ])
-    [ 1; 4; 16; 64 ];
+    (points "smp_shootdown_per_page_cores")
+    (points "smp_shootdown_range_cores");
   t
 
 (* A13: madvise heap trimming — the per-page release path FOM retires. *)

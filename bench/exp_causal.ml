@@ -8,17 +8,17 @@
    cycles) into work / IPI-wait / scheduler / remote-NUMA shares, and
    the critical-path engine reports the longest dependent chain.
 
-   On top of the workload, two C1-style sweeps make the paper's claim
-   about batching machine-checkable on the *graph* rather than on
-   cycles: the critical path of a per-page shootdown grows one
-   send→deliver→ack hop group per page (O(pages)), while a batched
-   shootdown keeps one IPI round whatever the batch size (O(1) hops).
+   The paper's claim about batching is machine-checked on the *graph*
+   rather than on cycles by two C1 sweeps on the same causal plane
+   (critical_path_per_page_hops and critical_path_batched_hops): the
+   critical path of a per-page shootdown grows one send→deliver→ack hop
+   group per page (O(pages)), while a batched shootdown keeps one IPI
+   round whatever the batch size (O(1) hops).
 
    Everything runs on the virtual clock: identical output across runs
    and hosts. *)
 
 module K = Os.Kernel
-module C = Sim.Complexity
 open Bench_env
 
 (* Gauge series cadence for the per-core busy counters: fine enough to
@@ -50,108 +50,14 @@ let run_migration ?(cores = 4) ?(numa_nodes = 2) () =
     procs;
   (k, causal)
 
-(* ---------------------- critical-path sweeps ----------------------- *)
-
-(* A standalone shootdown rig (exp_complexity's [smp_env] with the trace
-   and causal plane live): [cores] cores all caching [pages]
-   translations of address space 1, so every core is a shootdown
-   target. [f] runs the teardown; the measurement is the causal graph's
-   longest chain in HOPS, not cycles — per-page INVLPG work between
-   deliver and ack makes even the batched path's *cycles* grow with the
-   batch, but its hop count cannot. *)
-let causal_env ~cores ~pages f =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
-  let stats = Sim.Stats.create () in
-  let trace = Sim.Trace.create ~clock () in
-  let causal = Sim.Causal.create ~clock () in
-  Sim.Trace.attach_causal trace causal;
-  let next = ref 0 in
-  let alloc_frame () =
-    incr next;
-    !next
-  in
-  let table = Hw.Page_table.create ~clock ~stats ~levels:4 ~alloc_frame in
-  let smp = Hw.Smp.create ~clock ~stats ~trace ~cores () in
-  let mmu = Hw.Mmu.create ~clock ~stats ~trace ~table ~smp ~asid:1 () in
-  for i = 0 to pages - 1 do
-    Hw.Page_table.map_page table ~va:(i * Sim.Units.page_size) ~pfn:(1000 + i)
-      ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small
-  done;
-  for c = 0 to cores - 1 do
-    Hw.Mmu.set_core mmu c;
-    for i = 0 to pages - 1 do
-      ignore (Hw.Mmu.translate mmu ~va:(i * Sim.Units.page_size) ~write:false ~exec:false)
-    done
-  done;
-  Hw.Mmu.set_core mmu 0;
-  (* Only the teardown's own interactions count. *)
-  Sim.Causal.reset causal;
-  f mmu pages;
-  (Sim.Causal.critical_path causal).Sim.Causal.hops
-
-(* 1 .. 32 pages: below the 33-page full-flush threshold, so the
-   per-page path really is one IPI round per page. *)
-let pages_sweep = [ 1; 2; 4; 8; 16; 32 ]
-
-let per_page_hops pages =
-  causal_env ~cores:4 ~pages (fun mmu pages ->
-      for i = 0 to pages - 1 do
-        Hw.Mmu.invalidate_page mmu ~va:(i * Sim.Units.page_size)
-      done)
-
-let batched_hops pages =
-  causal_env ~cores:4 ~pages (fun mmu pages ->
-      let batch = Hw.Tlb_batch.create mmu in
-      Hw.Tlb_batch.add batch ~va:0 ~len:(pages * Sim.Units.page_size);
-      Hw.Tlb_batch.flush batch)
-
-type sweep_result = {
-  sw_name : string;
-  sw_expected : C.cls;
-  sw_points : (int * int) list;
-  sw_fit : C.fit;
-}
-
-let run_sweep name expected measure =
-  let points = List.map (fun n -> (n, measure n)) pages_sweep in
-  { sw_name = name; sw_expected = expected; sw_points = points; sw_fit = C.fit points }
-
-type t = { kernel : K.t; causal : Sim.Causal.t; sweeps : sweep_result list }
-
 (* Deterministic, so one run per process serves the JSON exporter, the
    console report, and the timeline alike. *)
-let all =
-  lazy
-    (let k, causal = run_migration () in
-     {
-       kernel = k;
-       causal;
-       sweeps =
-         [
-           run_sweep "critical_path_per_page_hops" C.Linear per_page_hops;
-           run_sweep "critical_path_batched_hops" C.Constant batched_hops;
-         ];
-     })
-
-let results () = Lazy.force all
+let results = lazy (run_migration ())
 
 (* ------------------------------ export ----------------------------- *)
 
-let sweep_to_json r =
-  let fit_fields = match C.fit_to_json r.sw_fit with Sim.Json.Obj f -> f | _ -> [] in
-  Sim.Json.Obj
-    (("expected", Sim.Json.String (C.cls_name r.sw_expected))
-    :: ("match", Sim.Json.Bool (r.sw_fit.C.cls = r.sw_expected))
-    :: fit_fields
-    @ [
-        ("unit", Sim.Json.String "pages");
-        ("hops_min", Sim.Json.Int (snd (List.hd r.sw_points)));
-        ("hops_max", Sim.Json.Int (snd (List.nth r.sw_points (List.length r.sw_points - 1))));
-      ])
-
 let to_json () =
-  let r = results () in
-  let cau = r.causal in
+  let k, cau = Lazy.force results in
   let frac = Sim.Causal.attributed_fraction cau in
   let cp = Sim.Causal.critical_path cau in
   let mk =
@@ -160,8 +66,8 @@ let to_json () =
   Sim.Json.Obj
     [
       ("workload", Sim.Json.String "smp_migration");
-      ("cores", Sim.Json.Int (Hw.Smp.cores (K.smp r.kernel)));
-      ("numa_nodes", Sim.Json.Int (Hw.Smp.numa_nodes (K.smp r.kernel)));
+      ("cores", Sim.Json.Int (Hw.Smp.cores (K.smp k)));
+      ("numa_nodes", Sim.Json.Int (Hw.Smp.numa_nodes (K.smp k)));
       ("nodes", Sim.Json.Int (Sim.Causal.node_count cau));
       ("edges", Sim.Json.Int (Sim.Causal.edge_count cau));
       ("makespan_cycles", Sim.Json.Int (Sim.Causal.makespan cau));
@@ -198,7 +104,6 @@ let to_json () =
         | Sim.Json.Obj fields ->
           Option.value (List.assoc_opt "numa_traffic" fields) ~default:Sim.Json.Null
         | _ -> Sim.Json.Null );
-      ("sweeps", Sim.Json.Obj (List.map (fun s -> (s.sw_name, sweep_to_json s)) r.sweeps));
     ]
 
 (* ------------------------- Chrome timeline ------------------------- *)
@@ -208,8 +113,7 @@ let to_json () =
    core<N>_busy gauges as counter tracks, and thread-name metadata so
    chrome://tracing labels each core's track. *)
 let timeline_json () =
-  let r = results () in
-  let k = r.kernel in
+  let k, cau = Lazy.force results in
   let cores = Hw.Smp.cores (K.smp k) in
   let thread_meta =
     List.init cores (fun i ->
@@ -245,7 +149,7 @@ let timeline_json () =
         Sim.Json.List
           (thread_meta
           @ Sim.Trace.chrome_events (K.trace k)
-          @ Sim.Causal.chrome_events r.causal
+          @ Sim.Causal.chrome_events cau
           @ counters) );
       ("displayTimeUnit", Sim.Json.String "ns");
       ( "otherData",
@@ -260,8 +164,7 @@ let timeline_json () =
 
 let run () =
   print_header "T1" "Where does the makespan go? Causal critical-path decomposition.";
-  let r = results () in
-  let cau = r.causal in
+  let _, cau = Lazy.force results in
   let t =
     Sim.Table.create ~title:"T1 - per-core makespan decomposition (cycles)"
       ~columns:[ "core"; "busy"; "work"; "ipi_wait"; "sched"; "numa_remote" ]
@@ -285,21 +188,4 @@ let run () =
     (match Sim.Causal.makespan_core cau with Some b -> b.Sim.Causal.bd_core | None -> -1)
     (100.0 *. Sim.Causal.attributed_fraction cau);
   Printf.printf "critical path: %d hops spanning %d cycles\n" cp.Sim.Causal.hops
-    cp.Sim.Causal.cycles;
-  let st =
-    Sim.Table.create ~title:"T1 - shootdown critical path vs batch size (hops on the graph)"
-      ~columns:[ "sweep"; "expected"; "fitted"; "hops(1)"; "hops(32)"; "ok" ]
-  in
-  List.iter
-    (fun s ->
-      Sim.Table.add_row st
-        [
-          s.sw_name;
-          C.cls_name s.sw_expected;
-          C.cls_name s.sw_fit.C.cls;
-          string_of_int (snd (List.hd s.sw_points));
-          string_of_int (snd (List.nth s.sw_points (List.length s.sw_points - 1)));
-          (if s.sw_fit.C.cls = s.sw_expected then "yes" else "NO");
-        ])
-    r.sweeps;
-  Sim.Table.print st
+    cp.Sim.Causal.cycles

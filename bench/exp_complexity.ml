@@ -1,10 +1,14 @@
-(* C1 — the scaling-law profiler: run each memory-management operation at
-   geometrically increasing operand sizes on the virtual clock, fit a
-   log-log least-squares slope (Sim.Complexity), and classify it O(1) /
+(* C1 — the scaling-law profiler, and the repo's one harness for
+   scaling laws: run each memory-management operation at geometrically
+   increasing operand sizes on the virtual clock, fit a log-log
+   least-squares slope (Sim.Complexity), and classify it O(1) /
    O(log n) / O(n). The paper's thesis — every FOM operation is constant
    in operand size while the per-page baseline is linear — becomes a
-   machine-checked table: the classes are exported into the bench JSON and
-   `o1mem_cli bench-diff` fails on any class downgrade.
+   machine-checked table: the classes are exported into the bench JSON's
+   "complexity" section, the metrics suite asserts every sweep's
+   "match", and `o1mem_cli bench-diff` fails on any class downgrade.
+   T1's critical-path hop counts and R1/R2's recovery costs are sweeps
+   in the same list.
 
    Every data point runs on a fresh machine so measurements never
    contaminate each other; everything is virtual-clock time, so the fits
@@ -18,10 +22,10 @@ open Bench_env
 type sweep = {
   name : string;
   expected : C.cls;
-  unit_ : string;  (* "bytes", "entries", "files" *)
-  note : string;
+  unit_ : string;  (* the operand's unit: "bytes", "pages", "cores", "keys", ... *)
+  note : string;  (* what the operation does, and what its cost counts if not cycles *)
   sizes : int list;
-  measure : int -> int;  (* operand -> virtual cycles *)
+  measure : int -> int;  (* operand -> cost: virtual cycles, IPIs or hops *)
 }
 
 type result = { sweep : sweep; points : (int * int) list; fit : C.fit }
@@ -183,77 +187,40 @@ let pages_sweep = geometric ~base:1 ~factor:2 ~count:6
    change the number of IPI rounds a batch issues. *)
 let batch_pages_sweep = geometric ~base:1 ~factor:2 ~count:7
 
-(* A machine of [cores] cores where every core caches [pages]
-   translations of one address space (asid 1), so the cpumask makes each
-   of them a shootdown target — the worst case for per-page unmap. With
-   [range], the pages sit behind a single range-table entry and each
-   core's range TLB caches it. *)
-let smp_env ?(range = false) ~cores ~pages f =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
-  let stats = Sim.Stats.create () in
-  let next = ref 0 in
-  let alloc_frame () =
-    incr next;
-    !next
-  in
-  let table = Hw.Page_table.create ~clock ~stats ~levels:4 ~alloc_frame in
-  let range_table =
-    if range then begin
-      let rt = Hw.Range_table.create ~clock ~stats () in
-      Hw.Range_table.insert rt ~base:0 ~limit:(pages * Sim.Units.page_size) ~offset:0
-        ~prot:Hw.Prot.rw;
-      Some rt
-    end
-    else None
-  in
-  let smp = Hw.Smp.create ~clock ~stats ~cores () in
-  let mmu = Hw.Mmu.create ~clock ~stats ~table ?range_table ~smp ~asid:1 () in
-  if not range then
-    for i = 0 to pages - 1 do
-      Hw.Page_table.map_page table ~va:(i * Sim.Units.page_size) ~pfn:(1000 + i)
-        ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small
-    done;
-  for c = 0 to cores - 1 do
-    Hw.Mmu.set_core mmu c;
-    for i = 0 to pages - 1 do
-      ignore (Hw.Mmu.translate mmu ~va:(i * Sim.Units.page_size) ~write:false ~exec:false)
-    done
-  done;
-  Hw.Mmu.set_core mmu 0;
-  let before = Sim.Clock.now clock in
-  f mmu stats;
-  Sim.Clock.elapsed clock ~since:before
-
-let unmap_pages mmu pages =
+let unmap_pages pages mmu =
   for i = 0 to pages - 1 do
     Hw.Mmu.invalidate_page mmu ~va:(i * Sim.Units.page_size)
   done
 
+let batched_flush pages mmu =
+  let batch = Hw.Tlb_batch.create mmu in
+  Hw.Tlb_batch.add batch ~va:0 ~len:(pages * Sim.Units.page_size);
+  Hw.Tlb_batch.flush batch
+
 (* Per-page unmap of a fixed 8-page buffer as the machine grows: every
    page pays one IPI per remote core, O(cores * pages) overall. *)
-let smp_per_page_cores n = smp_env ~cores:n ~pages:8 (fun mmu _ -> unmap_pages mmu 8)
+let smp_per_page_cores n = (smp_rig ~cores:n ~pages:8 (unmap_pages 8)).cycles
 
 (* The same unmap through one range entry: one invalidation, one IPI
    round — O(cores), independent of the range's size. *)
 let smp_range_cores n =
-  smp_env ~range:true ~cores:n ~pages:8 (fun mmu _ -> Hw.Mmu.invalidate_base mmu ~base:0)
+  (smp_rig ~range:true ~cores:n ~pages:8 (fun mmu -> Hw.Mmu.invalidate_base mmu ~base:0)).cycles
 
 (* Per-page unmap on a fixed 8-core machine as the buffer grows: the
    core count only scales the slope, the pages scale the cost. *)
-let smp_per_page_pages n = smp_env ~cores:8 ~pages:n (fun mmu _ -> unmap_pages mmu n)
+let smp_per_page_pages n = (smp_rig ~cores:8 ~pages:n (unmap_pages n)).cycles
 
 (* IPIs (not cycles) a batched teardown issues on a fixed 8-core
    machine: Tlb_batch amortizes the whole batch — INVLPG path or
    full-flush path — into ONE round, so the count never moves. *)
-let smp_batch_ipis n =
-  let sent = ref 0 in
-  ignore
-    (smp_env ~cores:8 ~pages:n (fun mmu stats ->
-         let batch = Hw.Tlb_batch.create mmu in
-         Hw.Tlb_batch.add batch ~va:0 ~len:(n * Sim.Units.page_size);
-         Hw.Tlb_batch.flush batch;
-         sent := Sim.Stats.get stats "ipi_sent"));
-  !sent
+let smp_batch_ipis n = Sim.Stats.get (smp_rig ~cores:8 ~pages:n (batched_flush n)).stats "ipi_sent"
+
+(* Hops (not cycles) on the causal graph's longest chain when a 4-core
+   machine tears down [n] pages with [teardown]: per-page INVLPG work
+   between deliver and ack makes even the batched path's cycles grow
+   with the batch, but its hop count cannot. *)
+let critical_path_hops teardown n =
+  (Sim.Causal.critical_path (smp_rig ~cores:4 ~pages:n (teardown n)).causal).Sim.Causal.hops
 
 (* Demand-fault throughput as cores grow, one process per core doing the
    same 32-page workload: cycles are attributed to the core the faulting
@@ -461,6 +428,46 @@ let sweeps =
       sizes = cores_sweep;
       measure = smp_fault_makespan;
     };
+    {
+      name = "critical_path_per_page_hops";
+      expected = C.Linear;
+      unit_ = "pages";
+      note = "4 cores, hops on the causal graph: one IPI round per page";
+      sizes = pages_sweep;
+      measure = critical_path_hops unmap_pages;
+    };
+    {
+      name = "critical_path_batched_hops";
+      expected = C.Constant;
+      unit_ = "pages";
+      note = "4 cores, hops on the causal graph: one IPI round per batch";
+      sizes = pages_sweep;
+      measure = critical_path_hops batched_flush;
+    };
+    {
+      name = "fs_recovery_files";
+      expected = C.Linear;
+      unit_ = "files";
+      note = "charged crash recovery over N persistent FOM files: O(1) per file";
+      sizes = geometric ~base:4 ~factor:2 ~count:5;
+      measure = Exp_faults.recovery_point;
+    };
+    {
+      name = "store_recovery_keys";
+      expected = C.Constant;
+      unit_ = "keys";
+      note = "charged store recovery after an 8-txn burst: the object count must not appear";
+      sizes = geometric ~base:256 ~factor:2 ~count:4;
+      measure = (fun keys -> Exp_store.recovery_point ~keys ~txns:8);
+    };
+    {
+      name = "store_recovery_records";
+      expected = C.Linear;
+      unit_ = "txns";
+      note = "charged store recovery over 512 keys: grows with the WAL records it replays";
+      sizes = geometric ~base:8 ~factor:2 ~count:4;
+      measure = (fun txns -> Exp_store.recovery_point ~keys:512 ~txns);
+    };
   ]
 
 let run_sweep s =
@@ -472,6 +479,8 @@ let run_sweep s =
 let all = lazy (List.map run_sweep sweeps)
 
 let results () = Lazy.force all
+
+let result name = List.find (fun r -> r.sweep.name = name) (results ())
 
 (* ------------------------------ export ----------------------------- *)
 
@@ -533,10 +542,8 @@ let run () =
       (String.concat ", " (List.map (fun r -> r.sweep.name) mismatches));
   let us = Sim.Cost_model.cycles_to_us Sim.Cost_model.default in
   let series name =
-    match List.find_opt (fun r -> r.sweep.name = name) (results ()) with
-    | Some r ->
-      [ { Sim.Chart.label = name; points = List.map (fun (n, c) -> (float_of_int n, us c)) r.points } ]
-    | None -> []
+    let points = List.map (fun (n, c) -> (float_of_int n, us c)) (result name).points in
+    [ { Sim.Chart.label = name; points } ]
   in
   Sim.Chart.print ~logx:true ~logy:true
     ~title:"C1 (chart): map cost (us) vs operand size (bytes), log-log"

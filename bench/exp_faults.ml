@@ -1,9 +1,10 @@
 (* R1 — does it survive? The robustness experiment behind the "faults"
    section of the bench JSON:
 
-   - recovery scaling: crash + recover over n persistent FOM files and
-     fit the virtual-clock recovery cost — the paper's persistence story
-     only holds if recovery is O(files), i.e. O(1) per file;
+   - recovery scaling: [recovery_point] crashes and recovers n
+     persistent FOM files and returns the charged recovery cost; C1's
+     fs_recovery_files sweep fits it, because the paper's persistence
+     story only holds if recovery is O(files), i.e. O(1) per file;
    - injection overhead: the exact same workload with the fault plane
      detached vs attached-but-never-firing must cost the same cycles —
      the plane is free when off;
@@ -20,12 +21,9 @@
 module K = Os.Kernel
 module F = O1mem.Fom
 module FI = Sim.Fault_inject
-module C = Sim.Complexity
 open Bench_env
 
 (* ------------------------- recovery scaling ------------------------ *)
-
-let recovery_files = [ 4; 8; 16; 32; 64 ]
 
 let recovery_point n =
   let k, fom = kernel_and_fom ~dram:(Sim.Units.mib 64) ~nvm:(Sim.Units.mib 64) () in
@@ -35,8 +33,7 @@ let recovery_point n =
       (F.alloc fom p ~name:(Printf.sprintf "/r%d" i) ~persistence:Fs.Inode.Persistent
          ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ())
   done;
-  let report = O1mem.Persistence.crash_and_recover fom in
-  (n, report.O1mem.Persistence.recovery_cycles)
+  (O1mem.Persistence.crash_and_recover fom).O1mem.Persistence.recovery_cycles
 
 (* ------------------------ injection overhead ------------------------ *)
 
@@ -72,8 +69,6 @@ let overhead_cycles ~attached =
 (* ------------------------------ results ----------------------------- *)
 
 type results = {
-  points : (int * int) list;
-  fit : C.fit;
   cycles_off : int;
   cycles_on : int;
   degradation : O1mem.Chaos.plan_outcome;
@@ -83,16 +78,13 @@ type results = {
 
 let results =
   lazy
-    (let points = List.map recovery_point recovery_files in
-     {
-       points;
-       fit = C.fit points;
-       cycles_off = overhead_cycles ~attached:false;
-       cycles_on = overhead_cycles ~attached:true;
-       degradation = O1mem.Chaos.run_plan ~seed:42 ~plan:"alloc" ();
-       wal = O1mem.Chaos.explore_wal ~records:6 ~seed:7 ();
-       fs = O1mem.Chaos.explore_fs ~files:4 ~seed:11 ();
-     })
+    {
+      cycles_off = overhead_cycles ~attached:false;
+      cycles_on = overhead_cycles ~attached:true;
+      degradation = O1mem.Chaos.run_plan ~seed:42 ~plan:"alloc" ();
+      wal = O1mem.Chaos.explore_wal ~records:6 ~seed:7 ();
+      fs = O1mem.Chaos.explore_fs ~files:4 ~seed:11 ();
+    }
 
 (* One exporter, one summary row and one detection phrase for every
    crash explorer's report, the store's included. *)
@@ -122,18 +114,8 @@ let explorer_row label (r : O1mem.Chaos.report) =
 
 let to_json () =
   let r = Lazy.force results in
-  let fit_fields = match C.fit_to_json r.fit with Sim.Json.Obj f -> f | _ -> [] in
   Sim.Json.Obj
     [
-      ( "recovery",
-        Sim.Json.Obj
-          (( "points",
-             Sim.Json.List
-               (List.map
-                  (fun (n, c) ->
-                    Sim.Json.Obj [ ("files", Sim.Json.Int n); ("cycles", Sim.Json.Int c) ])
-                  r.points) )
-          :: fit_fields) );
       ( "overhead",
         Sim.Json.Obj
           [
@@ -165,14 +147,6 @@ let run () =
     Sim.Table.create ~title:"R1 - robustness summary"
       ~columns:[ "probe"; "result"; "verdict" ]
   in
-  let n_min, _ = List.hd r.points in
-  let n_max, _ = List.nth r.points (List.length r.points - 1) in
-  Sim.Table.add_row t
-    [
-      Printf.sprintf "recovery %d..%d files" n_min n_max;
-      Printf.sprintf "%s (exponent %.2f)" (C.cls_name r.fit.C.cls) r.fit.C.exponent;
-      (if C.rank r.fit.C.cls <= C.rank C.Linear then "O(files): ok" else "SUPERLINEAR");
-    ];
   Sim.Table.add_row t
     [
       "injection plane off vs armed-never";

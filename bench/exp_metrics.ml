@@ -111,7 +111,7 @@ let smp_to_json () =
      ]
     @ per_core)
 
-let schema_version = "o1mem.metrics/9"
+let schema_version = "o1mem.metrics/10"
 
 (* Provenance: everything a reader needs to decide whether two exports are
    comparable. Runs under different cost models or trace capacities would

@@ -1,16 +1,15 @@
 (* R2 — does the store survive? The robustness experiment behind the
    "store" section of the bench JSON:
 
-   - recovery vs population: preload n objects (YCSB-style zipfian
-     updates), checkpoint, run a fixed 8-transaction burst, lose power
-     with a transaction in flight, and fit the charged recovery cost
-     against n. The store's persistence story only holds if recovery is
-     O(files + WAL records) — the object count must not appear in the
-     fit (the manifest snapshot is a persistent-index stand-in that
-     recovery re-maps, not reads);
-   - recovery vs log length: same machine, fixed 512 objects, growing
-     post-checkpoint burst — recovery may grow with the records it
-     replays, but no worse than linearly;
+   - recovery cost: [recovery_point] preloads n objects, checkpoints,
+     runs a burst of YCSB-style zipfian update transactions, loses power
+     with a transaction in flight and returns the charged recovery cost.
+     C1 fits it twice. Against the object count under a fixed 8-txn
+     burst (store_recovery_keys), it must be O(1): the store's
+     persistence story only holds if recovery is O(files + WAL records),
+     and the manifest snapshot is a persistent-index stand-in that
+     recovery re-maps, not reads. Against the burst over 512 objects
+     (store_recovery_records), it grows with the records it replays;
    - the crash explorer: power failure at every clwb/sfence/WAL boundary
      of a mixed put/delete/grow burst, plus torn-line and bit-flip arms
      whose damage must be detected (truncation or EIO), never served;
@@ -22,7 +21,6 @@
    across runs and hosts. *)
 
 module K = Os.Kernel
-module C = Sim.Complexity
 module Kv = Store.Kv
 open Bench_env
 
@@ -65,7 +63,8 @@ let burst st ~keys ~txns ~seed =
   done
 
 (* One crash/recovery measurement: power fails with a transaction in
-   flight; the charged recovery cost and the replay count come back. *)
+   flight; the charged recovery cost comes back. Raises if the recovered
+   store fails [Kv.verify]. *)
 let recovery_point ~keys ~txns =
   let k, fom = store_machine () in
   let p = K.create_process k () in
@@ -74,82 +73,32 @@ let recovery_point ~keys ~txns =
   burst st ~keys ~txns ~seed:(keys + txns);
   ignore (Kv.begin_txn st);
   Kv.put st (key 1) (String.make 80 'x');
-  let report = O1mem.Persistence.crash_and_recover fom in
-  let cycles = report.O1mem.Persistence.recovery_cycles in
-  let replayed = Kv.last_replayed st in
-  let violations = List.length (Kv.verify st) in
+  let cycles = (O1mem.Persistence.crash_and_recover fom).O1mem.Persistence.recovery_cycles in
+  (match Kv.verify st with
+  | [] -> ()
+  | v :: _ ->
+    failwith
+      (Printf.sprintf "Exp_store.recovery_point ~keys:%d ~txns:%d: %s" keys txns
+         (Os.Check.violation_to_string v)));
   Kv.detach st;
-  (cycles, replayed, violations)
-
-let keys_sweep = [ 256; 512; 1024; 2048 ]
-let records_sweep = [ 8; 16; 32; 64 ]
-let fixed_txns = 8
-let fixed_keys = 512
+  cycles
 
 type results = {
-  keys_points : (int * int * int) list; (* keys, cycles, replayed *)
-  keys_fit : C.fit;
-  rec_points : (int * int * int) list; (* txns, cycles, replayed *)
-  rec_fit : C.fit;
-  sweep_violations : int;
   explorer : O1mem.Chaos.report;
   degradation : O1mem.Chaos.plan_outcome;
 }
 
 let results =
   lazy
-    (let viol = ref 0 in
-     let keys_points =
-       List.map
-         (fun n ->
-           let c, r, v = recovery_point ~keys:n ~txns:fixed_txns in
-           viol := !viol + v;
-           (n, c, r))
-         keys_sweep
-     in
-     let rec_points =
-       List.map
-         (fun txns ->
-           let c, r, v = recovery_point ~keys:fixed_keys ~txns in
-           viol := !viol + v;
-           (txns, c, r))
-         records_sweep
-     in
-     let sweep_violations = !viol in
-     {
-       keys_points;
-       keys_fit = C.fit (List.map (fun (n, c, _) -> (n, c)) keys_points);
-       rec_points;
-       rec_fit = C.fit (List.map (fun (t, c, _) -> (t, c)) rec_points);
-       sweep_violations;
-       explorer = Store.Chaos.explore_store ~keys:6 ~txns:3 ~seed:17 ();
-       degradation = Store.Chaos.run_plan ~seed:42 ~rounds:12 ();
-     })
+    {
+      explorer = Store.Chaos.explore_store ~keys:6 ~txns:3 ~seed:17 ();
+      degradation = Store.Chaos.run_plan ~seed:42 ~rounds:12 ();
+    }
 
 let to_json () =
   let r = Lazy.force results in
-  let fit_fields f = match C.fit_to_json f with Sim.Json.Obj l -> l | _ -> [] in
-  let sweep name pts fit =
-    ( name,
-      Sim.Json.Obj
-        (( "points",
-           Sim.Json.List
-             (List.map
-                (fun (n, c, rep) ->
-                  Sim.Json.Obj
-                    [
-                      ("n", Sim.Json.Int n);
-                      ("cycles", Sim.Json.Int c);
-                      ("replayed", Sim.Json.Int rep);
-                    ])
-                pts) )
-        :: fit_fields fit) )
-  in
   Sim.Json.Obj
     [
-      sweep "recovery_keys" r.keys_points r.keys_fit;
-      sweep "recovery_records" r.rec_points r.rec_fit;
-      ("sweep_violations", Sim.Json.Int r.sweep_violations);
       ("explorer", Exp_faults.explorer_json r.explorer);
       ( "degradation",
         Sim.Json.Obj
@@ -171,23 +120,6 @@ let run () =
     Sim.Table.create ~title:"R2 - store robustness summary"
       ~columns:[ "probe"; "result"; "verdict" ]
   in
-  Sim.Table.add_row t
-    [
-      Printf.sprintf "recovery vs objects (%d..%d, %d-txn burst)" (List.hd keys_sweep)
-        (List.nth keys_sweep (List.length keys_sweep - 1))
-        fixed_txns;
-      Printf.sprintf "%s (exponent %.2f)" (C.cls_name r.keys_fit.C.cls) r.keys_fit.C.exponent;
-      (if C.rank r.keys_fit.C.cls < C.rank C.Linear then "object count absent: ok"
-       else "O(objects): BAD");
-    ];
-  Sim.Table.add_row t
-    [
-      Printf.sprintf "recovery vs burst (%d objects, %d..%d txns)" fixed_keys
-        (List.hd records_sweep)
-        (List.nth records_sweep (List.length records_sweep - 1));
-      Printf.sprintf "%s (exponent %.2f)" (C.cls_name r.rec_fit.C.cls) r.rec_fit.C.exponent;
-      (if C.rank r.rec_fit.C.cls <= C.rank C.Linear then "O(WAL records): ok" else "SUPERLINEAR");
-    ];
   Sim.Table.add_row t (Exp_faults.explorer_row "store crash explorer" r.explorer);
   Sim.Table.add_row t
     [

@@ -13,6 +13,7 @@ let all =
     ("complexity", "Complexity classes (C1)", Exp_complexity.run);
     ("faults", "Robustness (R1)", Exp_faults.run);
     ("store", "Store robustness (R2)", Exp_store.run);
+    ("causal", "Causal critical path (T1)", Exp_causal.run);
   ]
 
 let names = List.map (fun (name, _, _) -> name) all

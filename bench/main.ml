@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (sections E1..E17, A*, C1, R1 and R2, printed as tables of *simulated*
+   (sections E1..E17, A*, C1, R1, R2 and T1, printed as tables of *simulated*
    time). The simulator's own host speed is measured by the repo
    benchmark, perfbench/, not here. *)
 

@@ -38,7 +38,10 @@ let only_arg =
   Arg.(value & opt_all string [] & info [ "o"; "only" ] ~docv:"GROUP" ~doc)
 
 let experiments_cmd =
-  let doc = "Regenerate the paper's tables and figures (simulated time)" in
+  let doc =
+    "Regenerate the paper's tables and figures (simulated time), the scaling-law fits (C1) and \
+     the makespan decomposition (T1) included"
+  in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const experiments $ only_arg)
 
 (* ----------------------------- study ------------------------------ *)
@@ -295,44 +298,6 @@ let timeline_cmd =
   in
   let compact = Arg.(value & flag & info [ "compact" ] ~doc:"Single-line JSON output.") in
   Cmd.v (Cmd.info "timeline" ~doc) Term.(const timeline $ compact)
-
-(* -------------------------- critical-path -------------------------- *)
-
-(* Exit codes: 0 = the causal engine attributes >= 95% of the makespan
-   and both hop-count sweeps land on their expected class, 1 = either
-   gate failed. *)
-let critical_path () =
-  Experiments.Exp_causal.run ();
-  let ok = ref true in
-  (match Sim.Json.member (Experiments.Exp_causal.to_json ()) "attributed" with
-  | Some (Sim.Json.Bool true) -> ()
-  | _ ->
-    Printf.eprintf "critical-path: < 95%% of makespan cycles attributed to named shares\n";
-    ok := false);
-  (match Sim.Json.member (Experiments.Exp_causal.to_json ()) "sweeps" with
-  | Some (Sim.Json.Obj sweeps) ->
-    List.iter
-      (fun (name, s) ->
-        match Sim.Json.member s "match" with
-        | Some (Sim.Json.Bool true) -> ()
-        | _ ->
-          Printf.eprintf "critical-path: sweep %s off its expected complexity class\n" name;
-          ok := false)
-      sweeps
-  | _ ->
-    Printf.eprintf "critical-path: no sweeps in the causal export\n";
-    ok := false);
-  if not !ok then exit 1
-
-let critical_path_cmd =
-  let doc =
-    "Decompose the 4-core migration workload's makespan into work / IPI-wait / scheduler / \
-     remote-NUMA shares via the causal graph, report the longest dependent chain, and \
-     machine-check that a batched shootdown's critical path stays O(1) in batch size while the \
-     per-page path grows O(pages); exits non-zero if attribution falls below 95% or a sweep \
-     misses its class"
-  in
-  Cmd.v (Cmd.info "critical-path" ~doc) Term.(const critical_path $ const ())
 
 (* ----------------------------- faults ------------------------------ *)
 
@@ -596,6 +561,6 @@ let () =
        (Cmd.group info
           [
             experiments_cmd; study_cmd; walkrefs_cmd; simulate_cmd; churn_cmd; metrics_cmd;
-            profile_cmd; top_cmd; timeline_cmd; critical_path_cmd; faults_cmd;
+            profile_cmd; top_cmd; timeline_cmd; faults_cmd;
             store_cmd; bench_diff_cmd;
           ]))

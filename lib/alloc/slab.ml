@@ -19,20 +19,13 @@ type cache = {
   mutable live : int;
 }
 
-let create_cache ~mem ~backing ~name ~obj_bytes ?slab_frames () =
+let create_cache ~mem ~backing ~name ~obj_bytes () =
   if obj_bytes <= 0 then invalid_arg "Slab.create_cache: non-positive object size";
   let obj_bytes = Sim.Units.round_up obj_bytes ~align:64 in
-  let default_frames =
-    let wanted = Sim.Units.pages_of_bytes (8 * obj_bytes) in
-    1 lsl Sim.Units.log2_ceil (max 1 wanted)
-  in
-  let slab_frames = match slab_frames with Some f -> f | None -> default_frames in
-  if not (Sim.Units.is_power_of_two slab_frames) then
-    invalid_arg "Slab.create_cache: slab_frames must be a power of two";
+  let slab_frames = 1 lsl Sim.Units.log2_ceil (Sim.Units.pages_of_bytes (8 * obj_bytes)) in
   if Sim.Units.log2_ceil slab_frames > Buddy.max_order backing then
     invalid_arg "Slab.create_cache: slab larger than buddy max order";
   let slab_bytes = slab_frames * Sim.Units.page_size in
-  if obj_bytes > slab_bytes then invalid_arg "Slab.create_cache: object larger than slab";
   {
     mem;
     backing;

@@ -10,11 +10,11 @@ type cache
 
 val create_cache :
   mem:Physmem.Phys_mem.t -> backing:Buddy.t -> name:string -> obj_bytes:int ->
-  ?slab_frames:int -> unit -> cache
-(** A cache of objects of [obj_bytes] (rounded up to 64 B). [slab_frames]
-    (default: enough for at least 8 objects, min 1, power of two) is the
-    size of each backing block. Raises [Invalid_argument] if an object
-    cannot fit in the largest backing block. *)
+  unit -> cache
+(** A cache of objects of [obj_bytes] (rounded up to 64 B). Each backing
+    block is the smallest power-of-two run of frames that holds at least
+    8 objects. Raises [Invalid_argument] if that block is larger than the
+    buddy allocator's largest order. *)
 
 val name : cache -> string
 val obj_bytes : cache -> int

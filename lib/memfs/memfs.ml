@@ -495,7 +495,7 @@ let compact_file t node =
       true
     end
 
-let defragment t ?(max_files = max_int) () =
+let defragment t () =
   let candidates = ref [] in
   Hashtbl.iter
     (fun _ node ->
@@ -515,9 +515,7 @@ let defragment t ?(max_files = max_int) () =
       !candidates
   in
   let moved = ref 0 in
-  List.iteri
-    (fun i node -> if i < max_files && compact_file t node then incr moved)
-    sorted;
+  List.iter (fun node -> if compact_file t node then incr moved) sorted;
   !moved
 
 let reclaim_discardable t ~target_bytes =

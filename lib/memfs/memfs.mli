@@ -122,7 +122,7 @@ val set_prot : t -> int -> Hw.Prot.t -> unit
 val set_persistence : t -> int -> Inode.persistence -> unit
 val set_discardable : t -> int -> bool -> unit
 
-val defragment : t -> ?max_files:int -> unit -> int
+val defragment : t -> unit -> int
 (** Compaction pass: files that are split across several extents and are
     not currently open or mapped ([refs] = 0) are relocated into a single
     contiguous run when the free bitmap has one, restoring the contiguity

@@ -16,6 +16,10 @@
 
 type t
 
+val checksum : string -> int
+(** The record payload checksum: Adler-style, 32 bits, never zero (zero
+    marks a blank header). *)
+
 val create : nvm:Physmem.Nvm.t -> base:int -> capacity:int -> t
 (** A fresh log over NVM bytes [base, base+capacity). [base] must lie in
     the NVM region. Existing bytes are ignored (use {!recover} to read a

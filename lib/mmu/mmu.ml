@@ -20,14 +20,14 @@ type t = {
 }
 
 let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~table ?range_table
-    ?(mode = Walker.Native) ?tlb_sets ?tlb_ways ?range_tlb_entries ?smp ?(asid = 0) () =
+    ?(mode = Walker.Native) ?smp ?(asid = 0) () =
   let smp =
     match smp with
     | Some smp -> smp
     | None ->
       (* Standalone MMU (tests, micro-benches): a private single-core
-         machine with the requested TLB geometry. *)
-      Smp.create ~clock ~stats ~trace ?tlb_sets ?tlb_ways ?range_tlb_entries ()
+         machine with the default TLB geometry. *)
+      Smp.create ~clock ~stats ~trace ()
   in
   { clock; stats; trace; table; range_table; mode; smp; asid; core = 0; cpumask = 0 }
 

@@ -22,10 +22,9 @@ type t
 
 val create :
   clock:Sim.Clock.t -> stats:Sim.Stats.t -> ?trace:Sim.Trace.t -> table:Page_table.t ->
-  ?range_table:Range_table.t -> ?mode:Walker.mode -> ?tlb_sets:int -> ?tlb_ways:int ->
-  ?range_tlb_entries:int -> ?smp:Smp.t -> ?asid:int -> unit -> t
+  ?range_table:Range_table.t -> ?mode:Walker.mode -> ?smp:Smp.t -> ?asid:int -> unit -> t
 (** [smp] is the machine the address space runs on; omitted, a private
-    single-core {!Smp} is built from the TLB geometry arguments (the
+    single-core {!Smp} with the default TLB geometry is built (the
     pre-SMP behaviour, right for standalone tests and micro-benches).
     [asid] (default 0) tags this address space's entries in the shared
     per-core TLBs. [trace] (default {!Sim.Trace.disabled}) is threaded

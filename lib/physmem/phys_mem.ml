@@ -258,30 +258,6 @@ let zero_frame t pfn =
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
   Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
 
-let zero_range t ~addr ~len =
-  check_addr t addr len;
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let pfn = Frame.of_addr a in
-    let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (match frame_table t pfn with
-    | Some fr ->
-      let lost = ref 0 in
-      for i = 0 to run - 1 do
-        if Bytes.get fr.data (off + i) <> '\000' then incr lost
-      done;
-      Bytes.fill fr.data off run '\000';
-      fr.nonzero <- fr.nonzero - !lost;
-      if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
-    | None -> ());
-    pos := !pos + run
-  done;
-  let model = Sim.Clock.model t.clock in
-  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:len);
-  Sim.Stats.add t.stats "bytes_zeroed" len
-
 let discard_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
   Hashtbl.remove t.contents pfn
@@ -306,6 +282,12 @@ let discard_range t ~addr ~len =
     | None -> ());
     pos := !pos + run
   done
+
+let zero_range t ~addr ~len =
+  discard_range t ~addr ~len;
+  let model = Sim.Clock.model t.clock in
+  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:len);
+  Sim.Stats.add t.stats "bytes_zeroed" len
 
 let restore_range t ~addr s =
   check_addr t addr (String.length s);

@@ -303,10 +303,8 @@ let node_to_json nd =
        ("op", Json.String nd.op) ]
     @ if nd.detail = "" then [] else [ ("detail", Json.String nd.detail) ])
 
-let to_json ?(nodes_limit = max_int) t =
+let to_json t =
   let cp = critical_path t in
-  let ns = nodes t in
-  let kept = if t.n_nodes <= nodes_limit then ns else List.filteri (fun i _ -> i >= t.n_nodes - nodes_limit) ns in
   Json.Obj
     [
       ("enabled", Json.Bool (enabled t));
@@ -322,7 +320,7 @@ let to_json ?(nodes_limit = max_int) t =
         Json.Obj [ ("hops", Json.Int cp.hops); ("cycles", Json.Int cp.cycles) ] );
       ("ipi_latency", ipi_latency_to_json t);
       ("numa_traffic", numa_traffic_to_json t);
-      ("events", Json.List (List.map node_to_json kept));
+      ("events", Json.List (List.map node_to_json (nodes t)));
       ( "links",
         Json.List
           (List.map

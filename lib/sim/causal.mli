@@ -116,10 +116,9 @@ val chrome_events : t -> Json.t list
     event on its core's track, each edge as an s/f flow-event pair
     (drawn as arrows in chrome://tracing / Perfetto). *)
 
-val to_json : ?nodes_limit:int -> t -> Json.t
+val to_json : t -> Json.t
 (** Counts, per-core breakdowns, makespan, attributed fraction, the
     critical path summary, IPI latency histograms keyed "src->dst", the
-    NUMA traffic matrix, and the node/edge lists (newest [nodes_limit]
-    nodes, default all). *)
+    NUMA traffic matrix, and the node/edge lists. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ type t = {
   cache_ref : int;
   tlb_hit : int;
   tlb_shootdown : int;
-  cores : int;
   ipi : int;
   zero_byte_num : int;
   zero_byte_den : int;
@@ -46,7 +45,6 @@ let default =
     cache_ref = 4;
     tlb_hit = 1;
     tlb_shootdown = 400;
-    cores = 1;
     ipi = 4000;
     zero_byte_num = 1;
     zero_byte_den = 4;
@@ -91,7 +89,6 @@ let to_json t =
       ("cache_ref", Json.Int t.cache_ref);
       ("tlb_hit", Json.Int t.tlb_hit);
       ("tlb_shootdown", Json.Int t.tlb_shootdown);
-      ("cores", Json.Int t.cores);
       ("ipi", Json.Int t.ipi);
       ("zero_byte_num", Json.Int t.zero_byte_num);
       ("zero_byte_den", Json.Int t.zero_byte_den);

@@ -22,7 +22,6 @@ type t = {
   cache_ref : int;  (** One cache-hitting reference. *)
   tlb_hit : int;  (** TLB lookup that hits. *)
   tlb_shootdown : int;  (** Local TLB invalidation of one entry or range (INVLPG-class). *)
-  cores : int;  (** Informational default core count; the simulated machine's real core count lives in [Os.Kernel.config]. *)
   ipi : int;  (** Cost of one IPI round-trip to a remote core (send + remote handler + ack). *)
   zero_byte_num : int;  (** Zeroing cost numerator: cycles per... *)
   zero_byte_den : int;  (** ...this many bytes (default 1 cycle / 4 B). *)

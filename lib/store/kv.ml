@@ -36,6 +36,8 @@ module FI = Sim.Fault_inject
 let max_key_bytes = 512
 let max_value_bytes = Sim.Units.kib 16
 
+(* [cksum] is the WAL's checksum of the value, for value integrity: a get
+   whose bytes no longer match raises EIO instead of serving damage. *)
 type slot = { arena : int; off : int; len : int; cksum : int }
 
 type op =
@@ -74,18 +76,6 @@ let fs t = O1mem.Fom.fs t.fom
 let stats t = Os.Kernel.stats (kernel t)
 let trace t = Os.Kernel.trace (kernel t)
 let plane t = Sim.Trace.faults (trace t)
-
-(* Same Adler-ish checksum as the WAL's, for value integrity: a get whose
-   bytes no longer match raises EIO instead of serving damage. *)
-let checksum s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  let v = (!b lsl 16) lor !a in
-  if v = 0 then 1 else v
 
 (* --- record encoding ----------------------------------------------- *)
 
@@ -239,16 +229,11 @@ let decode_snapshot payload =
 let phys_chunks t ~arena ~off ~len =
   let r = Heap.Fom_heap.arena_region t.heap arena in
   let page = Sim.Units.page_size in
-  let exts = Fs.Memfs.file_extents (fs t) r.O1mem.Fom.ino in
+  let tree = Fs.Inode.extents (Fs.Memfs.inode (fs t) r.O1mem.Fom.ino) in
   let chunks = ref [] in
   let remaining = ref len and cur = ref off in
   while !remaining > 0 do
-    let pageno = !cur / page in
-    match
-      List.find_opt
-        (fun (e : Fs.Extent.t) -> pageno >= e.Fs.Extent.logical && pageno < e.Fs.Extent.logical + e.Fs.Extent.count)
-        exts
-    with
+    match Fs.Extent_tree.find_extent tree ~page:(!cur / page) with
     | None -> invalid_arg "Store: slot outside its arena's extents"
     | Some e ->
       let within = !cur - (e.Fs.Extent.logical * page) in
@@ -676,7 +661,7 @@ let commit t =
               | Some x -> x
               | None -> assert false (* values are capped below the large threshold *)
             in
-            let slot = { arena; off; len = String.length v; cksum = checksum v } in
+            let slot = { arena; off; len = String.length v; cksum = Fs.Wal.checksum v } in
             (op, Some slot, encode_put ~id:txn.id k slot v)
           | Delete k -> (op, None, encode_delete ~id:txn.id k)
           | Set_root (r, k) -> (op, None, encode_set_root ~id:txn.id r k)
@@ -749,7 +734,7 @@ let get t key =
   | None -> None
   | Some slot ->
     let v = read_slot t slot in
-    if checksum v <> slot.cksum then begin
+    if Fs.Wal.checksum v <> slot.cksum then begin
       Sim.Stats.incr (stats t) "store_eio";
       Sim.Errno.fail Sim.Errno.EIO (Printf.sprintf "Store.get: checksum mismatch for %S" key)
     end;
@@ -779,7 +764,7 @@ let verify t =
     (fun k slot ->
       match read_slot t slot with
       | v ->
-        if checksum v <> slot.cksum then
+        if Fs.Wal.checksum v <> slot.cksum then
           acc :=
             {
               Os.Check.check = "store_data";

@@ -5,8 +5,7 @@ type t
 val create :
   clock:Sim.Clock.t -> stats:Sim.Stats.t -> ?trace:Sim.Trace.t -> levels:int ->
   alloc_pt_frame:(unit -> Physmem.Frame.t) -> ?range_table:Hw.Range_table.t ->
-  ?mode:Hw.Walker.mode -> ?tlb_sets:int -> ?tlb_ways:int -> ?range_tlb_entries:int ->
-  ?smp:Hw.Smp.t -> ?asid:int -> unit -> t
+  ?mode:Hw.Walker.mode -> ?smp:Hw.Smp.t -> ?asid:int -> unit -> t
 (** [smp]/[asid] place the address space on a shared machine with a
     unique ASID (the kernel passes [asid] = pid); omitted, the MMU gets a
     private single-core machine. *)

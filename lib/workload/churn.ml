@@ -1,7 +1,9 @@
 type op = Alloc of { id : int; bytes : int } | Touch of { id : int } | Free of { id : int }
 
-let generate ~rng ~ops ?(min_bytes = 64) ?(max_bytes = Sim.Units.mib 4) ?(mean_lifetime = 50) ()
-    =
+let min_bytes = 64
+let mean_lifetime = 50
+
+let generate ~rng ~ops ?(max_bytes = Sim.Units.mib 4) () =
   let lg_min = log (float_of_int min_bytes) and lg_max = log (float_of_int max_bytes) in
   let ops_out = ref [] in
   let next_id = ref 0 in

@@ -6,14 +6,12 @@
 type op = Alloc of { id : int; bytes : int } | Touch of { id : int } | Free of { id : int }
 
 val generate :
-  rng:Sim.Rng.t -> ops:int -> ?min_bytes:int -> ?max_bytes:int -> ?mean_lifetime:int ->
-  unit -> op list
+  rng:Sim.Rng.t -> ops:int -> ?max_bytes:int -> unit -> op list
 (** A trace of [ops] operations. Sizes are log-uniform in
-    [min_bytes, max_bytes] (defaults 64 B .. 4 MiB); each allocation is
-    freed after an exponentially distributed number of subsequent
-    operations (mean [mean_lifetime], default 50); every allocation is
-    touched (one byte per page) once while live. All allocations are
-    eventually freed. *)
+    [64 B, max_bytes] (default 4 MiB); each allocation is freed after an
+    exponentially distributed number of subsequent operations (mean 50);
+    every allocation is touched (one byte per page) once while live. All
+    allocations are eventually freed. *)
 
 val to_string : op list -> string
 (** Serialize a trace, one op per line ("A id bytes" / "T id" / "F id"). *)

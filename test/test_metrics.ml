@@ -4,7 +4,8 @@
    verdicts, SMP and causal reconciliation), that it round-trips as
    JSON, the host-measured section `bench --json` appends, and the
    bench-diff gate over the document, checked by planting regressions
-   into a copy. *)
+   into a copy and by diffing it against the newest committed
+   BENCH_*.json baseline. *)
 
 open Helpers
 module J = Sim.Json
@@ -48,7 +49,7 @@ let check_sweep path allowed =
 (* ----------------------------- schema ------------------------------ *)
 
 let test_schema () =
-  check_string "schema" "o1mem.metrics/9" (str [ "schema" ]);
+  check_string "schema" "o1mem.metrics/10" (str [ "schema" ]);
   List.iter
     (fun k -> check_bool ("provenance has " ^ k) true (List.mem_assoc k (fields [ "provenance" ])))
     [ "cost_model"; "trace_capacity" ]
@@ -75,10 +76,15 @@ let test_traced_ops () =
   (* The zeroed-frame cache must actually be exercised by the workload. *)
   check_bool "zero cache hit" true (int [ "stats"; "zero_cache_hit" ] > 0)
 
-(* The paper's claim, machine-checked: FOM ops stay O(1)/O(log n), the
-   per-page baseline is O(n), and the SMP shootdown sweeps scale as
-   measured IPI traffic should. *)
+(* The paper's claim, machine-checked: every scaling-law sweep meets its
+   expected class; and, as an oracle independent of those expectations,
+   FOM ops stay O(1)/O(log n), the per-page baseline is O(n), and the SMP
+   shootdown sweeps scale as measured IPI traffic should. *)
 let test_complexity_classes () =
+  List.iter
+    (fun (op, _) ->
+      check_bool (op ^ " met its expected class") true (bool [ "complexity"; op; "match" ]))
+    (fields [ "complexity" ]);
   List.iter
     (fun (op, allowed) -> check_sweep [ "complexity"; op ] allowed)
     [
@@ -120,10 +126,9 @@ let test_explorer_verdicts () =
     [ "wal"; "fs" ];
   check_bool "fault plan injected" true (int [ "faults"; "degradation"; "injected" ] > 0);
   check_int "fault plan violations" 0 (int [ "faults"; "degradation"; "violations" ]);
-  check_class [ "faults"; "recovery" ] any_fit;
-  check_class [ "store"; "recovery_keys" ] sublinear;
-  check_class [ "store"; "recovery_records" ] any_fit;
-  check_int "store sweep violations" 0 (int [ "store"; "sweep_violations" ]);
+  check_class [ "complexity"; "fs_recovery_files" ] any_fit;
+  check_class [ "complexity"; "store_recovery_keys" ] sublinear;
+  check_class [ "complexity"; "store_recovery_records" ] any_fit;
   let se k = int [ "store"; "explorer"; k ] in
   check_bool "store explorer stepped" true (se "steps" > 0);
   check_int "store explorer violations" 0 (se "violations");
@@ -171,8 +176,8 @@ let test_smp_causal () =
   let traffic = c @ [ "numa_traffic" ] in
   check_bool "NUMA traffic recorded" true
     (List.fold_left (fun n (k, _) -> n + int (traffic @ [ k ])) 0 (fields traffic) > 0);
-  check_sweep (c @ [ "sweeps"; "critical_path_per_page_hops" ]) [ "O(n)" ];
-  check_sweep (c @ [ "sweeps"; "critical_path_batched_hops" ]) [ "O(1)" ]
+  check_sweep [ "complexity"; "critical_path_per_page_hops" ] [ "O(n)" ];
+  check_sweep [ "complexity"; "critical_path_batched_hops" ] [ "O(1)" ]
 
 (* H1, the host-measured section: both churns' host-cost trees name
    (nearly) every host ns and allocated word. *)
@@ -230,13 +235,13 @@ let test_planted_regressions_gate () =
          ("no torn writes detected", [ ([ "store"; "explorer"; "torn_detections" ], J.Int 0) ]);
          ("zero cache never hit", [ ([ "stats"; "zero_cache_hit" ], J.Int 0) ]);
          ( "store recovery went linear",
-           [ ([ "store"; "recovery_keys"; "class" ], J.String "O(n)") ] );
+           [ ([ "complexity"; "store_recovery_keys"; "class" ], J.String "O(n)") ] );
        ])
 
 let test_planted_changes_pass () =
   let steps = [ "faults"; "explorer"; "wal"; "steps" ] in
   let flips = [ "store"; "explorer"; "flip_detections" ] in
-  let keys = [ "store"; "recovery_keys" ] in
+  let keys = [ "complexity"; "store_recovery_keys" ] in
   Alcotest.(check (list string))
     "planted non-regressions that gated" []
     (misjudged ~gates:false
@@ -250,6 +255,37 @@ let test_planted_changes_pass () =
          ("more bit flips detected", [ (flips, J.Int (int flips + 2)) ]);
        ])
 
+(* The gate `make bench-diff` and CI run, offline: the deterministic
+   document against the newest committed BENCH_*.json. `dune runtest`
+   runs this from _build/default/test, whose parent holds the copies the
+   test's deps declare; `dune exec test/main.exe` runs it from the repo
+   root. Keys only the baseline has (its host section) read as removed,
+   which never gates. *)
+let test_committed_baseline () =
+  let newest dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+    |> List.sort (Fun.flip compare)
+    |> function [] -> None | f :: _ -> Some (Filename.concat dir f)
+  in
+  match List.find_map newest [ "."; ".." ] with
+  | None -> Alcotest.fail "no committed BENCH_*.json baseline"
+  | Some file -> (
+    let old_doc =
+      match J.of_string (In_channel.with_open_bin file In_channel.input_all) with
+      | Ok d -> d
+      | Error e -> Alcotest.failf "%s: %s" file e
+    in
+    match Sim.Regress.compare_docs ~threshold_pct:10.0 ~old_doc ~new_doc:(Lazy.force doc) () with
+    | Error e -> Alcotest.failf "%s: %s" file e
+    | Ok r ->
+      Alcotest.(check (list string))
+        ("regressions against " ^ file) []
+        (List.map
+           (fun (d : Sim.Regress.delta) -> d.section ^ "." ^ d.key)
+           (Sim.Regress.regressions r)))
+
 let suite =
   [
     Alcotest.test_case "schema and provenance" `Quick test_schema;
@@ -262,4 +298,5 @@ let suite =
     Alcotest.test_case "host section" `Quick test_host_section;
     Alcotest.test_case "bench-diff: planted regressions gate" `Quick test_planted_regressions_gate;
     Alcotest.test_case "bench-diff: planted changes pass" `Quick test_planted_changes_pass;
+    Alcotest.test_case "bench-diff: committed baseline" `Quick test_committed_baseline;
   ]
