@@ -46,7 +46,9 @@ bench-diff:
 	  $$(ls BENCH_*.json | sort | tail -1) fresh_bench.json --threshold 10
 
 # P1 cycle-attribution call trees for the churn workload, both heap
-# backends (see EXPERIMENTS.md "P1 — where do the cycles go?").
+# backends (see EXPERIMENTS.md "P1 — where do the cycles go?"). Every
+# frame is a Sim.Trace.span; `profile --format chrome` exports the same
+# spans' ring events through Sim.Trace.chrome_events, the one exporter.
 profile:
 	dune exec bin/o1mem_cli.exe -- profile --backend malloc
 	dune exec bin/o1mem_cli.exe -- profile --backend fom
@@ -54,17 +56,20 @@ profile:
 # H1 host-cost attribution: what the HOST pays per simulated op — the
 # call tree with self host-ns and self allocated words per path, plus a
 # collapsed-stack file for flamegraph.pl / speedscope (see
-# EXPERIMENTS.md "H1 — what does the host pay?").
+# EXPERIMENTS.md "H1 — what does the host pay?"). The malloc/free/touch
+# root spans are Sim.Trace.span calls too, so their ring events reach
+# the one Chrome exporter (Sim.Trace.chrome_events) with the rest.
 hotspots:
 	dune exec bin/o1mem_cli.exe -- profile --by ns --backend malloc
 	dune exec bin/o1mem_cli.exe -- profile --by ns --backend fom
 	dune exec bin/o1mem_cli.exe -- profile --by ns --backend fom --format collapsed > hotspots.collapsed
 	@echo "wrote hotspots.collapsed ($$(wc -l < hotspots.collapsed) stacks)"
 
-# T1 Chrome timeline for the 4-core migration workload: per-core slices,
-# causal flow arrows, sampled busy counters. Load timeline.json in
-# chrome://tracing or https://ui.perfetto.dev. That the export parses back
-# is asserted in `dune runtest` (causal suite).
+# T1 Chrome timeline for the 4-core migration workload: per-core slices
+# from Sim.Trace.chrome_events (the one span exporter, also behind
+# `profile --format chrome`), causal flow arrows, sampled busy counters.
+# Load timeline.json in chrome://tracing or https://ui.perfetto.dev. That
+# the export parses back is asserted in `dune runtest` (causal suite).
 timeline:
 	dune exec bin/o1mem_cli.exe -- timeline > timeline.json
 

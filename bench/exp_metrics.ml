@@ -9,8 +9,7 @@
 
 module K = Os.Kernel
 
-let run_workload () =
-  let k = Bench_env.kernel () in
+let run_workload k =
   (* Anonymous VM: demand faults on first touch, TLB hits on the second
      pass, per-page teardown on munmap. *)
   let p = K.create_process k () in
@@ -111,7 +110,7 @@ let smp_to_json () =
      ]
     @ per_core)
 
-let schema_version = "o1mem.metrics/10"
+let schema_version = "o1mem.metrics/11"
 
 (* Provenance: everything a reader needs to decide whether two exports are
    comparable. Runs under different cost models or trace capacities would
@@ -140,4 +139,4 @@ let to_json ?events_limit k =
       ("causal", Exp_causal.to_json ());
     ]
 
-let run_to_json ?events_limit () = to_json ?events_limit (run_workload ())
+let run_to_json ?events_limit () = to_json ?events_limit (run_workload (Bench_env.kernel ()))

@@ -2,7 +2,8 @@
 
    Both replay the allocation-churn workload with a Sim.Profile attached
    to the machine trace, so every syscall/fault/TLB/zeroing span lands
-   in one call tree. The profiler attaches AFTER machine and heap setup:
+   in one call tree, and its event in the trace ring. The profiler
+   attaches AFTER machine and heap setup, and the ring is cleared then:
    boot-time cycles (struct page init etc.) are out of scope, and the
    attributed fraction measures how much of the measured workload's
    cost lands in named spans.
@@ -28,11 +29,12 @@ let run_churn ?(ops = default_ops) ?(host = false) backend =
   let k, trace, driver = Bench_env.churn ~ops backend in
   let now_ns = if host then Some Bench_env.now_ns else None in
   let profile = Sim.Profile.create ~clock:(K.clock k) ?now_ns () in
+  Sim.Trace.reset (K.trace k);
   Sim.Trace.attach_profile (K.trace k) profile;
   let driver =
     if host then begin
       let op name f =
-        Sim.Profile.span profile name @@ fun () ->
+        Sim.Trace.span (K.trace k) ~op:name @@ fun () ->
         let r = f () in
         Sim.Profile.sample_self profile;
         r
@@ -50,6 +52,24 @@ let run_churn ?(ops = default_ops) ?(host = false) backend =
   in
   ignore (Wl.Churn.run trace driver);
   (k, profile)
+
+(* P1's Chrome export (chrome://tracing, Perfetto, speedscope): the
+   trace ring's span slices of a [run_churn], virtual cycles shown as
+   microseconds. *)
+let chrome_json (k, profile) =
+  let trace = K.trace k in
+  Sim.Json.Obj
+    [
+      ("traceEvents", Sim.Json.List (Sim.Trace.chrome_events trace));
+      ("displayTimeUnit", Sim.Json.String "ms");
+      ( "otherData",
+        Sim.Json.Obj
+          [
+            ("clock", Sim.Json.String "virtual cycles exported as microseconds");
+            ("dropped_events", Sim.Json.Int (Sim.Trace.dropped trace));
+            ("unattributed_cycles", Sim.Json.Int (Sim.Profile.unattributed profile));
+          ] );
+    ]
 
 (* The "profile" section: P1's attribution summary, full call tree, and
    the gauge registry after the profiled churn_fom run. *)

@@ -192,7 +192,7 @@ let profile_by_of = function
    deterministic per binary. *)
 let profile backend ops format by =
   let by = profile_by_of by in
-  let _, p =
+  let ((_, p) as run) =
     Experiments.Exp_profile.run_churn ~ops ~host:(by <> `Cycles) (profile_backend_of backend)
   in
   match format with
@@ -205,7 +205,7 @@ let profile backend ops format by =
           n.self_words n.words (Sim.Profile.ns_per_vcycle n))
       (Sim.Profile.top ~by p)
   | "chrome" ->
-    print_string (Sim.Json.to_string ~pretty:true (Sim.Profile.to_chrome_json p));
+    print_string (Sim.Json.to_string ~pretty:true (Experiments.Exp_profile.chrome_json run));
     print_newline ()
   | "collapsed" -> print_string (Sim.Profile.to_collapsed ~by p)
   | other -> failwith ("unknown format: " ^ other ^ " (tree|csv|chrome|collapsed)")

@@ -77,9 +77,10 @@ let charge_syscall t =
   let clock = Os.Kernel.clock t.kernel in
   Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.syscall
 
-(* Map every extent of [ino] into the process according to [strategy];
-   returns the chosen base VA. *)
-let install_mapping t (proc : Os.Proc.t) ~ino ~prot ~strategy =
+(* Map every extent of [ino] into the process according to [strategy],
+   at [va] when a region is remapped in place, else at a fresh base VA;
+   returns the base VA, the length and the graft geometry. *)
+let install_mapping ?va t (proc : Os.Proc.t) ~ino ~prot ~strategy =
   let aspace = proc.Os.Proc.aspace in
   let table = Os.Address_space.page_table aspace in
   let node = Fs.Memfs.inode t.fs ino in
@@ -87,10 +88,13 @@ let install_mapping t (proc : Os.Proc.t) ~ino ~prot ~strategy =
     Fs.Extent_tree.pages (Fs.Inode.extents node) * Sim.Units.page_size
   in
   if len = 0 then invalid_arg "Fom: cannot map an empty file";
+  let place ~align =
+    match va with Some va -> va | None -> Os.Address_space.alloc_va aspace ~len ~align
+  in
   match strategy with
   | Shared_subtree ->
     let m = Shared_pt.master_for t.shared_pt ~fs:t.fs ~ino ~prot in
-    let va = Os.Address_space.alloc_va aspace ~len ~align:(Shared_pt.window_bytes m) in
+    let va = place ~align:(Shared_pt.window_bytes m) in
     let windows =
       Sim.Trace.span (trace t) ~op:"fom_graft" ~arg:Fun.id @@ fun () ->
       Shared_pt.graft t.shared_pt m ~dst:table ~dst_va:va
@@ -98,8 +102,7 @@ let install_mapping t (proc : Os.Proc.t) ~ino ~prot ~strategy =
     (va, len, windows, Shared_pt.window_bytes m)
   | Per_page | Huge_pages ->
     let huge = strategy = Huge_pages in
-    let align = if huge then Sim.Units.huge_2m else Sim.Units.page_size in
-    let va = Os.Address_space.alloc_va aspace ~len ~align in
+    let va = place ~align:(if huge then Sim.Units.huge_2m else Sim.Units.page_size) in
     Fs.Extent_tree.iter (Fs.Inode.extents node) (fun e ->
         ignore
           (Hw.Page_table.map_range table
@@ -113,7 +116,7 @@ let install_mapping t (proc : Os.Proc.t) ~ino ~prot ~strategy =
     | None ->
       invalid_arg "Fom: process has no range table (create it with ~range_translations:true)"
     | Some rt ->
-      let va = Os.Address_space.alloc_va aspace ~len ~align:Sim.Units.page_size in
+      let va = place ~align:Sim.Units.page_size in
       Fs.Extent_tree.iter (Fs.Inode.extents node) (fun e ->
           let base = va + (e.Fs.Extent.logical * Sim.Units.page_size) in
           let pa = Physmem.Frame.to_addr e.Fs.Extent.start in
@@ -189,10 +192,8 @@ let map_path t proc ?prot ?strategy path =
   region
 
 let remove_mapping ?batch t (proc : Os.Proc.t) region =
-  let prot = region.prot in
   let aspace = proc.Os.Proc.aspace in
   let table = Os.Address_space.page_table aspace in
-  ignore prot;
   (match region.strategy with
   | Shared_subtree ->
     (* Use the geometry recorded at map time: the file's master may have
@@ -253,7 +254,7 @@ let free ?batch t proc region =
   end
 
 let access t (proc : Os.Proc.t) ~va ~write =
-  Sim.Profile.span (Sim.Trace.profile (trace t)) "access" @@ fun () ->
+  Sim.Trace.span (trace t) ~op:"access" @@ fun () ->
   let aspace = proc.Os.Proc.aspace in
   match Hw.Mmu.access (Os.Address_space.mmu aspace) ~mem:(Os.Kernel.mem t.kernel) ~va ~write with
   | Ok () -> ()
@@ -271,39 +272,14 @@ let access_range t proc ~va ~len ~write ~stride =
   !count
 
 let protect t proc region ~prot =
+  Sim.Trace.span (trace t) ~op:"fom_protect" ~arg:(fun r -> r.len) @@ fun () ->
   charge_syscall t;
-  let node = Fs.Memfs.inode t.fs region.ino in
   remove_mapping t proc region;
   Fs.Memfs.set_prot t.fs region.ino prot;
-  let aspace = proc.Os.Proc.aspace in
-  let table = Os.Address_space.page_table aspace in
   (* Remap at the same VA under the new protection. *)
-  let new_graft = ref (region.graft_windows, region.graft_window_bytes) in
-  (match region.strategy with
-  | Shared_subtree ->
-    let m = Shared_pt.master_for t.shared_pt ~fs:t.fs ~ino:region.ino ~prot in
-    let w = Shared_pt.graft t.shared_pt m ~dst:table ~dst_va:region.va in
-    new_graft := (w, Shared_pt.window_bytes m)
-  | Per_page | Huge_pages ->
-    let huge = region.strategy = Huge_pages in
-    Fs.Extent_tree.iter (Fs.Inode.extents node) (fun e ->
-        ignore
-          (Hw.Page_table.map_range table
-             ~va:(region.va + (e.Fs.Extent.logical * Sim.Units.page_size))
-             ~pfn:e.Fs.Extent.start
-             ~len:(e.Fs.Extent.count * Sim.Units.page_size)
-             ~prot ~huge))
-  | Range_translation -> (
-    match Os.Address_space.range_table aspace with
-    | None -> assert false
-    | Some rt ->
-      Fs.Extent_tree.iter (Fs.Inode.extents node) (fun e ->
-          let base = region.va + (e.Fs.Extent.logical * Sim.Units.page_size) in
-          let pa = Physmem.Frame.to_addr e.Fs.Extent.start in
-          Hw.Range_table.insert rt ~base
-            ~limit:(e.Fs.Extent.count * Sim.Units.page_size)
-            ~offset:(pa - base) ~prot)));
-  let graft_windows, graft_window_bytes = !new_graft in
+  let _, _, graft_windows, graft_window_bytes =
+    install_mapping ~va:region.va t proc ~ino:region.ino ~prot ~strategy:region.strategy
+  in
   let updated = { region with prot; graft_windows; graft_window_bytes } in
   Hashtbl.replace t.regions (proc.Os.Proc.pid, region.va) updated;
   updated

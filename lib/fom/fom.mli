@@ -82,8 +82,9 @@ val access_range : t -> Os.Proc.t -> va:int -> len:int -> write:bool -> stride:i
 
 val protect : t -> Os.Proc.t -> region -> prot:Hw.Prot.t -> region
 (** Whole-file permission change: updates the file's protection and
-    remaps (O(windows) or O(extents), never O(pages) except under
-    [Per_page]). Returns the updated region. *)
+    remaps at the region's VA through the same install code as {!alloc}
+    (O(windows) or O(extents), never O(pages) except under [Per_page]),
+    in a ["fom_protect"] span. Returns the updated region. *)
 
 val grow : t -> Os.Proc.t -> region -> new_len:int -> region
 (** mremap, file-only style: extend the backing file and remap it whole

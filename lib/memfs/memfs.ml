@@ -341,13 +341,12 @@ let extend t ino ~bytes_wanted =
   end;
   node.Inode.size <- node.Inode.size + bytes_wanted
 
-(* Only a shrink is an event (a truncate to the current size or beyond
-   touches nothing); the call tree still counts every call. *)
+(* A truncate to the current size or beyond touches nothing, but it is
+   still a call: every call is one event and one frame. *)
 let truncate t ino ~bytes =
   let node = inode t ino in
-  if bytes >= node.Inode.size then Sim.Profile.span (Sim.Trace.profile (trace t)) "fs_truncate" ignore
-  else begin
-    Sim.Trace.span (trace t) ~op:"fs_truncate" ~arg:(fun () -> bytes) @@ fun () ->
+  Sim.Trace.span (trace t) ~op:"fs_truncate" ~arg:(fun () -> bytes) @@ fun () ->
+  if bytes < node.Inode.size then begin
     let pages = Sim.Units.pages_of_bytes bytes in
     let cut = Extent_tree.truncate_to (Inode.extents node) ~pages in
     List.iter

@@ -140,7 +140,7 @@ let ipi_round t f =
   (* Skip (and don't open a span) when no *other* core has this address
      space cached: the loop below would do nothing. *)
   if t.cpumask land lnot (1 lsl t.core) <> 0 then
-  Sim.Profile.span (Sim.Trace.profile t.trace) "ipi_round" @@ fun () ->
+  Sim.Trace.span t.trace ~op:"ipi_round" @@ fun () ->
   let src = local t in
   let faults = Sim.Trace.faults t.trace in
   let causal = Sim.Trace.causal t.trace in

@@ -8,12 +8,11 @@ let create mem = { mem; dirty = Queue.create (); zeroed = Queue.create () }
 let put_dirty t frames = List.iter (fun f -> Queue.add f t.dirty) frames
 let take_zeroed t = Queue.take_opt t.zeroed
 
-let pspan t name f = Sim.Profile.span (Sim.Trace.profile (Phys_mem.trace t.mem)) name f
-
-let eager_zero t pfn = pspan t "zeroing" @@ fun () -> Phys_mem.zero_frame t.mem pfn
+let eager_zero t pfn =
+  Sim.Trace.span (Phys_mem.trace t.mem) ~op:"zeroing" @@ fun () -> Phys_mem.zero_frame t.mem pfn
 
 let background_step t ~budget_frames =
-  pspan t "background_zero" @@ fun () ->
+  Sim.Trace.span (Phys_mem.trace t.mem) ~op:"background_zero" ~arg:Fun.id @@ fun () ->
   let rec loop n =
     if n >= budget_frames then n
     else

@@ -1,7 +1,8 @@
-(* Nested-span call-tree profiler. Each frame reads its meters (virtual
-   cycles; host ns and minor-heap words when a host clock was given) as
-   it opens and closes, and the deltas accrue to the current path. It
-   never charges the clock, so attribution costs zero simulated cycles. *)
+(* Nested-span call-tree profiler, a sink that Trace.span drives through
+   [enter]/[leave]. Each frame reads its meters (virtual cycles; host ns
+   and minor-heap words when a host clock was given) as it opens and
+   closes, and the deltas accrue to the current path. It never charges
+   the clock, so attribution costs zero simulated cycles. *)
 
 type node = {
   name : string;
@@ -35,10 +36,6 @@ type inode = {
    are reused, so opening a frame allocates nothing. *)
 type frame = { mutable node : inode; mutable c0 : int; mutable ns0 : int; mutable w0 : int }
 
-(* Span-event ring slots, overwritten in place: recording allocates
-   nothing either. *)
-type ev = { mutable depth : int; mutable ename : string; mutable start : int; mutable finish : int }
-
 (* Running summary of the self-samples: constant space however many. *)
 type self = {
   mutable samples : int;
@@ -60,8 +57,6 @@ type t = {
   mutable ns_start : int;
   mutable w_start : int;
   mutable gc_start : float * float * float;
-  ring : ev array;
-  mutable ev_recorded : int;
   mutable self : self;
 }
 
@@ -76,7 +71,7 @@ let no_samples () =
 
 let new_frames n = Array.init n (fun _ -> { node = new_inode ""; c0 = 0; ns0 = 0; w0 = 0 })
 
-let make ?now_ns clock ~events =
+let make ?now_ns clock =
   {
     clock;
     now_ns;
@@ -87,15 +82,12 @@ let make ?now_ns clock ~events =
     ns_start = 0;
     w_start = 0;
     gc_start = (0.0, 0.0, 0.0);
-    ring = Array.init events (fun _ -> { depth = 0; ename = ""; start = 0; finish = 0 });
-    ev_recorded = 0;
     self = no_samples ();
   }
 
 let reset t =
   Hashtbl.reset t.roots;
   t.depth <- 0;
-  t.ev_recorded <- 0;
   t.self <- no_samples ();
   (match t.clock with Some c -> t.c_start <- Clock.now c | None -> ());
   match t.now_ns with
@@ -106,11 +98,11 @@ let reset t =
   | None -> ()
 
 let create ~clock ?now_ns () =
-  let t = make ?now_ns (Some clock) ~events:8192 in
+  let t = make ?now_ns (Some clock) in
   reset t;
   t
 
-let disabled = make None ~events:0
+let disabled = make None
 let enabled t = t.clock <> None
 let host t = t.now_ns <> None
 let depth t = t.depth
@@ -154,8 +146,7 @@ let leave t =
     let fr = t.frames.(d) in
     t.depth <- d;
     let n = fr.node in
-    let finish = Clock.now clock in
-    let dc = finish - fr.c0 and dw = w1 - fr.w0 in
+    let dc = Clock.now clock - fr.c0 and dw = w1 - fr.w0 in
     (* Clamp: a host clock that steps backwards never attributes
        negative time. *)
     let dns = max 0 (ns1 - fr.ns0) in
@@ -168,29 +159,7 @@ let leave t =
       p.child_cum <- p.child_cum + dc;
       p.child_ns <- p.child_ns + dns;
       p.child_words <- p.child_words + dw
-    end;
-    let e = t.ring.(t.ev_recorded mod Array.length t.ring) in
-    e.depth <- d;
-    e.ename <- n.iname;
-    e.start <- fr.c0;
-    e.finish <- finish;
-    t.ev_recorded <- t.ev_recorded + 1
-
-let span t name f =
-  match t.clock with
-  | None -> f ()
-  | Some _ -> (
-    enter t name;
-    match f () with
-    | v ->
-      leave t;
-      v
-    | exception e ->
-      (* Exception-safe: the frame is popped (and its cost up to the
-         raise attributed) before the exception continues outward, so a
-         partial stack never leaks. *)
-      leave t;
-      raise e)
+    end
 
 (* Resident set from /proc/self/statm (second field, in pages), assuming
    4 KiB host pages; 0 where /proc is absent. *)
@@ -261,13 +230,6 @@ let unattributed ?by t = max 0 (total ?by t - attributed ?by t)
 let fraction ~part ~total = if total = 0 then 1.0 else float_of_int part /. float_of_int total
 let attributed_fraction ?by t = fraction ~part:(attributed ?by t) ~total:(total ?by t)
 let ns_per_vcycle (n : node) = if n.cum <= 0 then 0.0 else float_of_int n.ns /. float_of_int n.cum
-let events_recorded t = t.ev_recorded
-let events_dropped t = max 0 (t.ev_recorded - Array.length t.ring)
-
-let events t =
-  let cap = Array.length t.ring in
-  let kept = min t.ev_recorded cap in
-  List.init kept (fun i -> t.ring.((t.ev_recorded - kept + i) mod cap))
 
 (* ------------------------------ exporters ----------------------------- *)
 
@@ -289,8 +251,6 @@ let to_json t =
       ("attributed_cycles", Json.Int (attributed t));
       ("unattributed_cycles", Json.Int (unattributed t));
       ("attributed_fraction", Json.Float (attributed_fraction t));
-      ("events_recorded", Json.Int (events_recorded t));
-      ("events_dropped", Json.Int (events_dropped t));
       ( "tree",
         tree_json
           (fun n -> [ ("calls", Json.Int n.calls); ("cum", Json.Int n.cum); ("self", Json.Int n.self) ])
@@ -353,46 +313,6 @@ let host_json t =
               ("vcycles", Json.Int n.cum);
             ])
           t );
-    ]
-
-(* Chrome trace-event JSON (chrome://tracing, Perfetto, speedscope).
-   Virtual cycles are exported as microseconds; viewers rebuild the stack
-   from the nesting of complete ("ph":"X") events on one thread, so
-   events are sorted parents-first: by start, then longest duration. *)
-let to_chrome_json t =
-  let evs =
-    List.sort
-      (fun a b ->
-        if a.start <> b.start then compare a.start b.start
-        else if a.finish <> b.finish then compare b.finish a.finish
-        else compare a.depth b.depth)
-      (events t)
-  in
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [
-                   ("name", Json.String e.ename);
-                   ("cat", Json.String "sim");
-                   ("ph", Json.String "X");
-                   ("ts", Json.Int e.start);
-                   ("dur", Json.Int (e.finish - e.start));
-                   ("pid", Json.Int 1);
-                   ("tid", Json.Int 1);
-                 ])
-             evs) );
-      ("displayTimeUnit", Json.String "ms");
-      ( "otherData",
-        Json.Obj
-          [
-            ("clock", Json.String "virtual cycles exported as microseconds");
-            ("dropped_events", Json.Int (events_dropped t));
-            ("unattributed_cycles", Json.Int (unattributed t));
-          ] );
     ]
 
 (* Collapsed stacks for flamegraph.pl / speedscope: one "a;b;c self"

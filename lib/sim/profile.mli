@@ -1,10 +1,12 @@
 (** Nested-span call-tree profiler: one frame stack for every metric.
 
-    {!span} pushes a frame on a per-simulation stack, runs its function,
-    and pops the frame — exception-safe, like {!Trace.span}. Every frame
-    counts its calls and the virtual cycles charged while it was open,
-    producing a call tree with cumulative and self cycles per path, plus
-    a ring of the newest 8192 span events for timeline export.
+    A sink of {!Trace.span}, the one instrumentation call: attached with
+    {!Trace.attach_profile}, it gets a frame pushed on its stack for every
+    span ({!enter}) and popped when the span ends, on every path out
+    ({!leave}). Every frame counts its calls and the virtual cycles
+    charged while it was open, producing a call tree with cumulative and
+    self cycles per path. Span events and their timeline export live in
+    the trace ({!Trace.chrome_events}).
 
     Given a host clock at {!create}, every frame also measures what the
     host pays to simulate it: monotonic host nanoseconds and allocated
@@ -16,10 +18,9 @@
     when the GC promotes or collects. Host nanoseconds are noise.
 
     The profiler never charges the clock: a profiled run spends exactly
-    the same simulated cycles as an unprofiled one. Components reach the
-    machine's profiler through their {!Trace.t} ({!Trace.profile}); the
-    {!disabled} sentinel makes every operation a no-op, so
-    instrumentation needs no optional plumbing. *)
+    the same simulated cycles as an unprofiled one. The {!disabled}
+    sentinel, which a trace holds until a profiler is attached, makes
+    every operation a no-op. *)
 
 type node = {
   name : string;
@@ -44,7 +45,7 @@ val create : clock:Clock.t -> ?now_ns:(unit -> int) -> unit -> t
     turns on the host metrics. *)
 
 val disabled : t
-(** Shared no-op sentinel: {!span} just runs its function. *)
+(** Shared no-op sentinel: {!enter} and {!leave} do nothing. *)
 
 val enabled : t -> bool
 
@@ -54,21 +55,19 @@ val host : t -> bool
 val depth : t -> int
 (** Current span-stack depth (0 when idle). *)
 
-val span : t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] runs [f] inside a span named [name]. Cycles charged
-    (and, with a host clock, time spent and words allocated) during [f]
-    accrue to the span and, transitively, its ancestors. If [f] raises,
-    the frame is popped and its cost up to the raise is still attributed
-    before the exception propagates. On {!disabled} it just runs [f]. *)
-
 val enter : t -> string -> unit
-(** Push a frame; {!leave} pops it. The unwrapped halves of {!span}, for
-    {!Trace.span}, which must pop on every path out. *)
+(** Push a frame named [name] under the innermost open one. Cycles
+    charged (and, with a host clock, time spent and words allocated)
+    until the matching {!leave} accrue to that path and, transitively,
+    its ancestors. *)
 
 val leave : t -> unit
+(** Pop the innermost frame and attribute its cost. {!Trace.span} calls
+    it on every path out, a raise included, so a partial stack never
+    leaks. *)
 
 val reset : t -> unit
-(** Drop the tree, events and self samples and restart attribution now.
+(** Drop the tree and self samples and restart attribution now.
     The stack must be empty (spans in flight are discarded). *)
 
 val sample_self : t -> unit
@@ -104,9 +103,6 @@ val attributed_fraction : ?by:metric -> t -> float
 val ns_per_vcycle : node -> float
 (** Host ns per simulated cycle under a path; 0.0 when it spent none. *)
 
-val events_recorded : t -> int
-val events_dropped : t -> int
-
 (** {1 Exporters} *)
 
 val to_json : t -> Json.t
@@ -117,10 +113,6 @@ val host_json : t -> Json.t
     and current heap state), self-sample summary, and the call tree with
     per-path ns, words and vcycles. Words, calls and vcycles are
     deterministic; ns and heap state are not. *)
-
-val to_chrome_json : t -> Json.t
-(** Chrome trace-event JSON (chrome://tracing, Perfetto, speedscope):
-    complete events on one thread, virtual cycles as microseconds. *)
 
 val to_collapsed : ?by:metric -> t -> string
 (** Collapsed-stack text for flamegraph.pl / speedscope: one

@@ -50,7 +50,7 @@ let policy ~section key =
   | "host", _ -> Skip
   | ( _,
       ( "exponent" | "r2" | "growth" | "n_min" | "n_max" | "steps" | "crashes" | "fences"
-      | "recorded" | "in_ring" | "events_recorded" | "samples" ) ) ->
+      | "recorded" | "in_ring" | "samples" ) ) ->
     Report
   | _ when ends "_fraction" || ends "_detections" || ends "_hit" -> Higher
   | _ -> Lower

@@ -12,9 +12,17 @@ type event = {
   outcome : string;
 }
 
+(* The ring keeps one array per event field, overwritten in place, so
+   recording allocates nothing. Event [seq] sits in slot
+   [seq mod capacity]. *)
 type t = {
   clock : Clock.t option; (* None = disabled sentinel *)
-  ring : event array; (* slots not yet written hold [empty] *)
+  ops : string array;
+  cores : int array;
+  starts : int array;
+  finishes : int array;
+  args : int array;
+  outcomes : string array;
   mutable recorded : int; (* total events ever recorded, ring or not *)
   latencies : (string, Histogram.t) Hashtbl.t;
   mutable profile : Profile.t; (* call-tree profiler, if attached *)
@@ -23,12 +31,15 @@ type t = {
   mutable cur_core : int; (* core executing right now, for event stamping *)
 }
 
-let empty = { seq = -1; op = ""; core = 0; start = 0; finish = 0; arg = 0; outcome = "" }
-
 let make clock capacity =
   {
     clock;
-    ring = Array.make capacity empty;
+    ops = Array.make capacity "";
+    cores = Array.make capacity 0;
+    starts = Array.make capacity 0;
+    finishes = Array.make capacity 0;
+    args = Array.make capacity 0;
+    outcomes = Array.make capacity "";
     recorded = 0;
     latencies = Hashtbl.create 32;
     profile = Profile.disabled;
@@ -44,8 +55,6 @@ let create ~clock ?(capacity = 4096) () =
 let disabled = make None 0
 
 let enabled t = t.clock <> None
-
-let profile t = t.profile
 
 let attach_profile t p =
   if not (enabled t) then invalid_arg "Trace.attach_profile: disabled trace";
@@ -64,9 +73,9 @@ let current_core t = t.cur_core
    across unrelated components. *)
 let set_core t core = if enabled t then t.cur_core <- core
 
-let capacity t = Array.length t.ring
+let capacity t = Array.length t.ops
 let recorded t = t.recorded
-let dropped t = max 0 (t.recorded - Array.length t.ring)
+let dropped t = max 0 (t.recorded - capacity t)
 
 let latency_for t op =
   match Hashtbl.find t.latencies op with
@@ -77,11 +86,16 @@ let latency_for t op =
     h
 
 (* Behind [record] and [span]. Every argument is required, so a call
-   boxes no option: the event is its only allocation. *)
+   boxes no option, and the slot is written in place. *)
 let push t clock ~op ~start ~arg ~outcome ~core =
   let finish = Clock.now clock in
-  t.ring.(t.recorded mod Array.length t.ring) <-
-    { seq = t.recorded; op; core; start; finish; arg; outcome };
+  let i = t.recorded mod capacity t in
+  t.ops.(i) <- op;
+  t.cores.(i) <- core;
+  t.starts.(i) <- start;
+  t.finishes.(i) <- finish;
+  t.args.(i) <- arg;
+  t.outcomes.(i) <- outcome;
   t.recorded <- t.recorded + 1;
   Histogram.observe (latency_for t op) (max 0 (finish - start))
 
@@ -127,11 +141,21 @@ let span t ~op ?(arg = no_arg) ?(outcome = ok) f =
       Profile.leave p;
       raise e)
 
-(* Oldest retained event first. *)
+(* Oldest retained event first, read out of the ring. *)
 let events t =
-  let cap = Array.length t.ring in
-  let kept = min t.recorded cap in
-  List.init kept (fun i -> t.ring.((t.recorded - kept + i) mod cap))
+  let kept = min t.recorded (capacity t) in
+  List.init kept (fun k ->
+      let seq = t.recorded - kept + k in
+      let i = seq mod capacity t in
+      {
+        seq;
+        op = t.ops.(i);
+        core = t.cores.(i);
+        start = t.starts.(i);
+        finish = t.finishes.(i);
+        arg = t.args.(i);
+        outcome = t.outcomes.(i);
+      })
 
 let latency t op = Hashtbl.find_opt t.latencies op
 
@@ -140,7 +164,6 @@ let ops t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
-  Array.fill t.ring 0 (Array.length t.ring) empty;
   t.recorded <- 0;
   Hashtbl.reset t.latencies
 
@@ -192,12 +215,13 @@ let to_json ?(events_limit = max_int) t =
     ]
 
 (* Chrome trace-event fragments: each retained event as a complete ("X")
-   slice on its core's track. Ordering is deterministic even for
-   zero-cost ops stamping the same cycle: the monotonic sequence number
-   breaks start-cycle ties. *)
+   slice on its core's track, in virtual cycles. Viewers rebuild the
+   stack from the nesting of slices on a track, so parents come first:
+   by start cycle, then the longer slice, then the monotonic sequence
+   number, which also orders zero-cost events stamping the same cycle. *)
 let chrome_events t =
   events t
-  |> List.sort (fun a b -> compare (a.start, a.seq) (b.start, b.seq))
+  |> List.sort (fun a b -> compare (a.start, b.finish, a.seq) (b.start, a.finish, b.seq))
   |> List.map (fun e ->
          Json.Obj
            [

@@ -1,9 +1,13 @@
-(** Structured tracing over the virtual clock.
+(** Structured tracing over the virtual clock: the one instrumentation
+    API.
 
     A [Trace.t] holds a bounded ring buffer of events (operation name, start
     and end cycle, operand size, outcome string) and a per-operation latency
     {!Histogram.t}, so experiments can report p50/p99/max latency per
-    operation rather than flat counts.
+    operation rather than flat counts. Every instrumented path opens a
+    {!span}, which also drives the attached {!Profile} call tree. The
+    ring's slots are overwritten in place, so recording allocates
+    nothing.
 
     Components store a trace field defaulting to {!disabled}, a shared no-op
     sentinel: recording into it does nothing, and {!span} just runs its
@@ -30,17 +34,12 @@ val create : clock:Clock.t -> ?capacity:int -> unit -> t
 val disabled : t
 (** Shared no-op sentinel: never records, safe to use from any component. *)
 
-val profile : t -> Profile.t
-(** The call-tree profiler attached to this trace — {!Profile.disabled}
-    until {!attach_profile}. Every {!span} opens a frame in it; paths
-    that feed only the call tree wrap themselves in
-    [Profile.span (Trace.profile trace) name f]. With no profiler
-    attached both are no-ops. *)
-
 val attach_profile : t -> Profile.t -> unit
 (** Attach a profiler so every component sharing this trace starts
-    attributing spans. Raises [Invalid_argument] on {!disabled} (the
-    sentinel is shared machine-wide). *)
+    attributing spans: every {!span} opens a frame in it. Until then the
+    trace holds {!Profile.disabled}, whose frames are no-ops. Raises
+    [Invalid_argument] on {!disabled} (the sentinel is shared
+    machine-wide). *)
 
 val faults : t -> Fault_inject.t
 (** The fault-injection plane attached to this trace —
@@ -84,24 +83,29 @@ val dropped : t -> int
 
 val record :
   t -> op:string -> start:int -> ?arg:int -> ?outcome:string -> ?core:int -> unit -> unit
-(** Record one point event ending now; latency [now - start] feeds the
-    per-op histogram. [core] overrides the {!current_core} stamp
-    (components acting on a remote core's behalf pass it explicitly).
-    Hot paths use {!span}; this is for events that are not a call, such
-    as one IPI of a round. No-op on {!disabled}. *)
+(** Record one point event ending now, into the same ring as {!span};
+    latency [now - start] feeds the per-op histogram. [core] overrides
+    the {!current_core} stamp (components acting on a remote core's
+    behalf pass it explicitly). Instrumented paths use {!span}; this is
+    for events that are not a call, such as one IPI delivery of a round
+    or a fault injection. It opens no call-tree frame. No-op on
+    {!disabled}. *)
 
 val span :
   t -> op:string -> ?arg:('a -> int) -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
 (** [span t ~op f] runs [f], charging the clock with whatever [f] itself
     charges, and feeds every sink from one call: a call-tree frame named
-    [op] in the attached {!profile}, one ring event covering [f], and a
-    sample in [op]'s histogram. [arg] and [outcome] map the result to the
-    event's operand size (default 0) and outcome string (default "ok").
-    An exception records outcome "raised" (operand 0), pops the frame
-    and re-raises. On {!disabled} it just runs [f]. *)
+    [op] in the attached profiler ({!attach_profile}), one ring event
+    covering [f], and a sample in [op]'s histogram. [arg] and [outcome]
+    map the result to the event's operand size (default 0) and outcome
+    string (default "ok"). An exception records outcome "raised"
+    (operand 0), pops the frame and re-raises. Once [op] has its
+    histogram (made on its first event), recording allocates nothing:
+    with the defaults and a body closed over nothing, a span allocates
+    no words. On {!disabled} it just runs [f]. *)
 
 val events : t -> event list
-(** Retained events, oldest first. *)
+(** Retained events, oldest first, read out of the ring. *)
 
 val latency : t -> string -> Histogram.t option
 (** Latency histogram for one operation, if it ever recorded. *)
@@ -120,6 +124,9 @@ val to_json : ?events_limit:int -> t -> Json.t
     of that op were evicted by wraparound. *)
 
 val chrome_events : t -> Json.t list
-(** Retained events as Chrome trace-event "X" slices, one track per
-    core, sorted by (start cycle, sequence number) so equal-cycle events
-    export in a deterministic order. *)
+(** The one span exporter: retained events as Chrome trace-event "X"
+    slices in virtual cycles, one track per core. Sorted by start cycle,
+    then longer slice first, then sequence number, so a parent precedes
+    its children and equal-cycle events export in a deterministic order.
+    [profile --format chrome] and the T1 timeline both wrap this list in
+    a trace-event document. *)

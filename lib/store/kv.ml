@@ -589,7 +589,7 @@ let live_apply_delete t key =
    WAL, opens its span here, so an inline one does not hide in the
    commit's self cost. *)
 let checkpoint_locked t =
-  Sim.Profile.span (Sim.Trace.profile (trace t)) "store_checkpoint" @@ fun () ->
+  Sim.Trace.span (trace t) ~op:"store_checkpoint" @@ fun () ->
   let gen = t.generation + 1 in
   let snap = encode_snapshot t ~gen in
   let half = 1 - t.manifest_current in

@@ -71,7 +71,7 @@ let raw_frame_exn ?(what = "raw frame") ctx =
 let fresh_zero_frame_once ctx =
   (* Prefer the pre-zeroed cache, then the engine's own pool (both O(1));
      fall back to allocate + eager zero. *)
-  match Alloc.Zero_cache.take ctx.zcache ~order:0 with
+  match Alloc.Zero_cache.take ctx.zcache with
   | Some pfn -> Some pfn
   | None -> (
     match Physmem.Zero_engine.take_zeroed ctx.zero with

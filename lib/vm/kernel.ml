@@ -97,7 +97,7 @@ let create ?(config = default_config) () =
   in
   let meta = Page_meta.create ~clock ~stats ~frames:(Phys_mem.total_frames mem) in
   let zero = Physmem.Zero_engine.create mem in
-  let zcache = Alloc.Zero_cache.create ~mem ~engine:zero () in
+  let zcache = Alloc.Zero_cache.create ~mem ~engine:zero in
   let swap =
     let backing =
       match (config.swap_backing, pmfs) with
@@ -167,7 +167,6 @@ let charge_boot t = Page_meta.init_range t.meta ~first:0 ~count:(Phys_mem.total_
 
 let charge t c = Sim.Clock.charge t.clock c
 let model t = Sim.Clock.model t.clock
-let pspan t name f = Sim.Profile.span (Sim.Trace.profile t.trace) name f
 
 let charge_syscall t =
   charge t (model t).Sim.Cost_model.syscall;
@@ -206,11 +205,11 @@ let on_core t proc f =
       raise e
   end
 
-(* One syscall on [proc]'s core: a call-tree frame named [name] with the
-   entry cost charged inside it. *)
+(* One syscall on [proc]'s core: a span named [name] with the entry cost
+   charged inside it. *)
 let syscall t proc name f =
   on_core t proc @@ fun () ->
-  pspan t name @@ fun () ->
+  Sim.Trace.span t.trace ~op:name @@ fun () ->
   charge_syscall t;
   f ()
 
@@ -252,7 +251,7 @@ let migrate t proc ~core =
   if proc.Proc.affinity land (1 lsl core) = 0 then
     invalid_arg "Kernel.migrate: core not in affinity mask";
   if core <> proc.Proc.core then begin
-    pspan t "migrate" @@ fun () ->
+    Sim.Trace.span t.trace ~op:"migrate" @@ fun () ->
     let c = causal t in
     let detail = Printf.sprintf "pid%d" proc.Proc.pid in
     let out = Sim.Causal.emit c ~core:proc.Proc.core ~op:"migrate_out" ~detail () in
@@ -436,7 +435,7 @@ let mprotect t proc ~va ~len ~prot =
   Hw.Mmu.invalidate_range (Address_space.mmu aspace) ~va ~len
 
 let context_switch t ~from_ ~to_ ~asids =
-  pspan t "context_switch" @@ fun () ->
+  Sim.Trace.span t.trace ~op:"context_switch" @@ fun () ->
   let c = causal t in
   let out =
     Sim.Causal.emit c ~core:from_.Proc.core ~op:"switch_out"
@@ -481,7 +480,7 @@ let madvise_dontneed t proc ~va ~len =
 (* Deliver a fault to a user handler: trap, switch to the handler task,
    run it, install the page via the UFFDIO_COPY path, switch back. *)
 let handle_userfault t proc ~va ~write ~prot ~(handler : Userfault.handler) =
-  pspan t "userfault" @@ fun () ->
+  Sim.Trace.span t.trace ~op:"userfault" @@ fun () ->
   let aspace = proc.Proc.aspace in
   let m = model t in
   charge t m.Sim.Cost_model.fault_trap;
@@ -521,7 +520,7 @@ let user_page_release t proc ~va =
     Some pfn
 
 let rec access_inner t proc ~va ~write =
-  pspan t "access" @@ fun () ->
+  Sim.Trace.span t.trace ~op:"access" @@ fun () ->
   let aspace = proc.Proc.aspace in
   match Hw.Mmu.access (Address_space.mmu aspace) ~mem:t.mem ~va ~write with
   | Ok () -> ()

@@ -155,7 +155,7 @@ let scan_two_q t ~target_frames =
   !reclaimed
 
 let scan t ~target_frames =
-  Sim.Profile.span (Sim.Trace.profile (Physmem.Phys_mem.trace t.mem)) "reclaim" @@ fun () ->
+  Sim.Trace.span (Physmem.Phys_mem.trace t.mem) ~op:"reclaim" ~arg:Fun.id @@ fun () ->
   match t.policy with
   | Clock -> scan_clock t ~target_frames
   | Two_q -> scan_two_q t ~target_frames

@@ -36,6 +36,13 @@ let mk_page_table ?(levels = 4) () =
   in
   (Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame, clock, stats)
 
+(* A live trace on [clock] with profiler [p] attached: every Trace.span
+   on it opens a frame in [p]. *)
+let traced clock p =
+  let tr = Sim.Trace.create ~clock () in
+  Sim.Trace.attach_profile tr p;
+  tr
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)

@@ -76,25 +76,25 @@ let test_fom_exit_single_batch () =
 let test_zero_cache_hit_miss () =
   let mem = mk_mem () in
   let engine = Physmem.Zero_engine.create mem in
-  let zc = Alloc.Zero_cache.create ~mem ~engine () in
+  let zc = Alloc.Zero_cache.create ~mem ~engine in
   let stats = Physmem.Phys_mem.stats mem in
-  check_bool "empty cache misses" true (Alloc.Zero_cache.take zc ~order:0 = None);
+  check_bool "empty cache misses" true (Alloc.Zero_cache.take zc = None);
   check_int "miss counted" 1 (Sim.Stats.get stats "zero_cache_miss");
   Physmem.Zero_engine.put_dirty engine [ 5; 6 ];
   check_int "refill launders both" 2 (Alloc.Zero_cache.refill zc ~budget_frames:8);
-  check_int "available" 2 (Alloc.Zero_cache.available zc ~order:0);
+  check_int "depth" 2 (Alloc.Zero_cache.depth zc);
   let clock = Physmem.Phys_mem.clock mem in
   let before = Sim.Clock.now clock in
-  check_bool "hit" true (Alloc.Zero_cache.take zc ~order:0 <> None);
+  check_bool "hit" true (Alloc.Zero_cache.take zc <> None);
   check_int "hit charges the O(1) pop"
     Sim.Cost_model.default.Sim.Cost_model.zero_cache_pop
     (Sim.Clock.elapsed clock ~since:before);
   check_int "hit counted" 1 (Sim.Stats.get stats "zero_cache_hit");
-  check_bool "second hit" true (Alloc.Zero_cache.take zc ~order:0 <> None);
+  check_bool "second hit" true (Alloc.Zero_cache.take zc <> None);
   (* Exhausted again: back to misses, no crash. *)
-  check_bool "exhausted" true (Alloc.Zero_cache.take zc ~order:0 = None);
+  check_bool "exhausted" true (Alloc.Zero_cache.take zc = None);
   check_int "misses" 2 (Sim.Stats.get stats "zero_cache_miss");
-  check_bool "unknown order misses" true (Alloc.Zero_cache.take zc ~order:99 = None)
+  check_int "drained" 0 (Alloc.Zero_cache.depth zc)
 
 (* Fault path: populate works with an empty cache (eager fallback), and
    hits the cache once background zeroing has run. *)

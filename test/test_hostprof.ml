@@ -13,6 +13,12 @@ let fake_ns ?(step = 10) () =
 
 let mk ?(clock = mk_clock ()) ?step () = Sim.Profile.create ~clock ~now_ns:(fake_ns ?step ()) ()
 
+(* A host profiler fed through the one span API: a live trace with it
+   attached. *)
+let mk_traced ?(clock = mk_clock ()) ?step () =
+  let p = mk ~clock ?step () in
+  (p, traced clock p)
+
 (* One field of the exported self-sample summary. *)
 let self_field p key =
   match Option.bind (Sim.Json.member (Sim.Profile.host_json p) "self") (fun s -> Sim.Json.member s key) with
@@ -23,11 +29,11 @@ let self_field p key =
 
 let test_span_nesting () =
   let clock = mk_clock () in
-  let p = mk ~clock () in
+  let p, tr = mk_traced ~clock () in
   let v =
-    Sim.Profile.span p "outer" (fun () ->
+    Sim.Trace.span tr ~op:"outer" (fun () ->
         Sim.Clock.charge clock 5;
-        let inner = Sim.Profile.span p "inner" (fun () -> Sim.Clock.charge clock 7; 1) in
+        let inner = Sim.Trace.span tr ~op:"inner" (fun () -> Sim.Clock.charge clock 7; 1) in
         inner + 1)
   in
   check_int "span returns f's value" 2 v;
@@ -48,10 +54,10 @@ let test_span_nesting () =
   | roots -> Alcotest.fail (Printf.sprintf "expected 1 root, got %d" (List.length roots))
 
 let test_exception_unwinding () =
-  let p = mk () in
+  let p, tr = mk_traced () in
   (try
-     Sim.Profile.span p "outer" (fun () ->
-         Sim.Profile.span p "boom" (fun () -> failwith "x"))
+     Sim.Trace.span tr ~op:"outer" (fun () ->
+         Sim.Trace.span tr ~op:"boom" (fun () -> failwith "x"))
    with Failure _ -> ());
   check_int "no leaked frames" 0 (Sim.Profile.depth p);
   match Sim.Profile.tree p with
@@ -71,8 +77,10 @@ let test_monotonicity_clamped () =
     t := !t - 50;
     !t
   in
-  let p = Sim.Profile.create ~clock:(mk_clock ()) ~now_ns:backwards () in
-  Sim.Profile.span p "a" (fun () -> Sim.Profile.span p "b" (fun () -> ()));
+  let clock = mk_clock () in
+  let p = Sim.Profile.create ~clock ~now_ns:backwards () in
+  let tr = traced clock p in
+  Sim.Trace.span tr ~op:"a" (fun () -> Sim.Trace.span tr ~op:"b" (fun () -> ()));
   let rec check_node (n : Sim.Profile.node) =
     check_bool (n.Sim.Profile.name ^ " ns >= 0") true (n.Sim.Profile.ns >= 0);
     check_bool (n.Sim.Profile.name ^ " self_ns >= 0") true (n.Sim.Profile.self_ns >= 0);
@@ -83,11 +91,12 @@ let test_monotonicity_clamped () =
   check_bool "attributed ns clamped" true (Sim.Profile.attributed ~by:`Ns p >= 0)
 
 let test_self_vs_cum_invariant () =
-  let p = mk () in
+  let p, tr = mk_traced () in
   for i = 1 to 5 do
-    Sim.Profile.span p "a" (fun () ->
-        Sim.Profile.span p "b" (fun () -> ignore (Sys.opaque_identity (List.init i (fun j -> j))));
-        Sim.Profile.span p "c" (fun () -> ()))
+    Sim.Trace.span tr ~op:"a" (fun () ->
+        Sim.Trace.span tr ~op:"b" (fun () ->
+            ignore (Sys.opaque_identity (List.init i (fun j -> j))));
+        Sim.Trace.span tr ~op:"c" (fun () -> ()))
   done;
   let rec check_node (n : Sim.Profile.node) =
     let sum f = List.fold_left (fun acc c -> acc + f c) 0 n.Sim.Profile.children in
@@ -106,7 +115,8 @@ let test_self_vs_cum_invariant () =
 let test_disabled_sentinel () =
   let p = Sim.Profile.disabled in
   check_bool "no host metrics" false (Sim.Profile.host p);
-  check_int "span still runs f" 9 (Sim.Profile.span p "x" (fun () -> 9));
+  check_int "span still runs f" 9
+    (Sim.Trace.span (Sim.Trace.create ~clock:(mk_clock ()) ()) ~op:"x" (fun () -> 9));
   check_int "no ns" 0 (Sim.Profile.total ~by:`Ns p);
   check_int "no words" 0 (Sim.Profile.total ~by:`Words p);
   Sim.Profile.sample_self p;
@@ -200,9 +210,9 @@ let test_self_samples_bounded () =
 (* --------------------------- exporters ----------------------------- *)
 
 let test_collapsed_golden () =
-  let p = mk ~step:10 () in
-  Sim.Profile.span p "mmap" (fun () -> Sim.Profile.span p "fault" (fun () -> ()));
-  Sim.Profile.span p "access" (fun () -> ());
+  let p, tr = mk_traced ~step:10 () in
+  Sim.Trace.span tr ~op:"mmap" (fun () -> Sim.Trace.span tr ~op:"fault" (fun () -> ()));
+  Sim.Trace.span tr ~op:"access" (fun () -> ());
   let s = Sim.Profile.to_collapsed ~by:`Ns p in
   check_bool "mmap line present" true (contains ~needle:"mmap " s);
   check_bool "nested path present" true (contains ~needle:"mmap;fault " s);
@@ -211,10 +221,10 @@ let test_collapsed_golden () =
 
 let test_to_json_shape () =
   let clock = mk_clock () in
-  let p = mk ~clock () in
-  Sim.Profile.span p "mmap" (fun () ->
+  let p, tr = mk_traced ~clock () in
+  Sim.Trace.span tr ~op:"mmap" (fun () ->
       Sim.Clock.charge clock 100;
-      Sim.Profile.span p "fault" (fun () -> Sim.Clock.charge clock 40));
+      Sim.Trace.span tr ~op:"fault" (fun () -> Sim.Clock.charge clock 40));
   let json = Sim.Profile.host_json p in
   (match Sim.Json.of_string (Sim.Json.to_string json) with
   | Ok _ -> ()
@@ -236,15 +246,15 @@ let test_to_json_shape () =
   | _ -> Alcotest.fail "tree missing"
 
 let test_top_paths_ranking () =
-  let p = mk ~step:1 () in
+  let p, tr = mk_traced ~step:1 () in
   (* "big" burns many fake-ns (extra spans inside) and allocates, "small"
      does neither. *)
-  Sim.Profile.span p "big" (fun () ->
+  Sim.Trace.span tr ~op:"big" (fun () ->
       for _ = 1 to 50 do
-        Sim.Profile.span p "inner" (fun () -> ())
+        Sim.Trace.span tr ~op:"inner" (fun () -> ())
       done;
       ignore (Sys.opaque_identity (Array.make 100 0)));
-  Sim.Profile.span p "small" (fun () -> ());
+  Sim.Trace.span tr ~op:"small" (fun () -> ());
   (match Sim.Profile.top ~k:3 ~by:`Ns p with
   | [ (p1, n1); (p2, n2); (p3, n3) ] ->
     check_bool "big paths outrank small" true (p1 <> "small" && p2 <> "small");

@@ -49,7 +49,7 @@ let check_sweep path allowed =
 (* ----------------------------- schema ------------------------------ *)
 
 let test_schema () =
-  check_string "schema" "o1mem.metrics/10" (str [ "schema" ]);
+  check_string "schema" "o1mem.metrics/11" (str [ "schema" ]);
   List.iter
     (fun k -> check_bool ("provenance has " ^ k) true (List.mem_assoc k (fields [ "provenance" ])))
     [ "cost_model"; "trace_capacity" ]

@@ -336,50 +336,6 @@ let test_range_tlb_insert_overlap_evicts () =
   Hw.Range_tlb.insert rtlb (e ~base:(Sim.Units.mib 1) ~limit:Sim.Units.page_size ~offset:7);
   check_int "disjoint entries coexist" 2 (Hw.Range_tlb.entry_count rtlb)
 
-(* PTE bit-level encoding *)
-
-let test_pte_roundtrip () =
-  let e =
-    Hw.Pte.encode ~present:true ~pfn:0x1234 ~prot:Hw.Prot.rw ~accessed:true ~dirty:false
-      ~huge:false
-  in
-  check_bool "present" true (Hw.Pte.present e);
-  check_int "pfn" 0x1234 (Hw.Pte.pfn e);
-  check_bool "write" true (Hw.Pte.prot e).Hw.Prot.write;
-  check_bool "nx" false (Hw.Pte.prot e).Hw.Prot.exec;
-  check_bool "accessed" true (Hw.Pte.accessed e);
-  check_bool "clean" false (Hw.Pte.dirty e);
-  let e = Hw.Pte.set_dirty e true in
-  check_bool "dirty now" true (Hw.Pte.dirty e);
-  check_bool "not present decodes" true (Hw.Pte.to_leaf Hw.Pte.not_present = None);
-  Alcotest.check_raises "pfn too wide" (Invalid_argument "Pte.encode: PFN out of 40 bits")
-    (fun () ->
-      ignore
-        (Hw.Pte.encode ~present:true ~pfn:(1 lsl 40) ~prot:Hw.Prot.r ~accessed:false
-           ~dirty:false ~huge:false))
-
-let prop_pte_leaf_roundtrip =
-  qtest "leaf -> PTE -> leaf round-trips" ~count:100
-    QCheck2.Gen.(quad (int_bound 0xFFFFF) bool bool bool)
-    (fun (pfn, w, x, huge) ->
-      let leaf =
-        {
-          Hw.Page_table.pfn;
-          prot = { Hw.Prot.read = true; write = w; exec = x };
-          accessed = huge (* arbitrary reuse of the generator's bits *);
-          dirty = w;
-          size = (if huge then Hw.Page_size.Huge_2m else Hw.Page_size.Small);
-        }
-      in
-      match Hw.Pte.to_leaf (Hw.Pte.of_leaf leaf) with
-      | None -> false
-      | Some l ->
-        l.Hw.Page_table.pfn = pfn
-        && Hw.Prot.equal l.Hw.Page_table.prot leaf.Hw.Page_table.prot
-        && l.Hw.Page_table.accessed = leaf.Hw.Page_table.accessed
-        && l.Hw.Page_table.dirty = leaf.Hw.Page_table.dirty
-        && l.Hw.Page_table.size = leaf.Hw.Page_table.size)
-
 (* B-tree (the range table's index) *)
 
 let test_btree_basics () =
@@ -644,8 +600,6 @@ let suite =
       test_tlb_invalidate_range_accounting;
     Alcotest.test_case "tlb: invalidate_range full-flush path" `Quick
       test_tlb_invalidate_range_full_flush;
-    Alcotest.test_case "pte: bit-level encoding" `Quick test_pte_roundtrip;
-    prop_pte_leaf_roundtrip;
     Alcotest.test_case "btree: basics" `Quick test_btree_basics;
     Alcotest.test_case "btree: iteration sorted" `Quick test_btree_iter_sorted;
     Alcotest.test_case "btree: adversarial deletion" `Quick test_btree_delete_all;

@@ -1,17 +1,20 @@
 open Helpers
 
+(* A profiler fed through the one span API: a live trace with it
+   attached. *)
 let mk () =
   let clock = mk_clock () in
-  (Sim.Profile.create ~clock (), clock)
+  let p = Sim.Profile.create ~clock () in
+  (p, traced clock p, clock)
 
 (* ----------------------------- spans ------------------------------- *)
 
 let test_span_nesting () =
-  let p, clock = mk () in
+  let p, tr, clock = mk () in
   let v =
-    Sim.Profile.span p "outer" (fun () ->
+    Sim.Trace.span tr ~op:"outer" (fun () ->
         Sim.Clock.charge clock 5;
-        let inner = Sim.Profile.span p "inner" (fun () -> Sim.Clock.charge clock 7; 1) in
+        let inner = Sim.Trace.span tr ~op:"inner" (fun () -> Sim.Clock.charge clock 7; 1) in
         Sim.Clock.charge clock 2;
         inner + 1)
   in
@@ -32,11 +35,11 @@ let test_span_nesting () =
   | roots -> Alcotest.fail (Printf.sprintf "expected 1 root, got %d" (List.length roots))
 
 let test_same_name_distinct_paths () =
-  let p, clock = mk () in
+  let p, tr, clock = mk () in
   (* "work" as a root and "work" under "outer" are different tree nodes. *)
-  Sim.Profile.span p "work" (fun () -> Sim.Clock.charge clock 3);
-  Sim.Profile.span p "outer" (fun () ->
-      Sim.Profile.span p "work" (fun () -> Sim.Clock.charge clock 10));
+  Sim.Trace.span tr ~op:"work" (fun () -> Sim.Clock.charge clock 3);
+  Sim.Trace.span tr ~op:"outer" (fun () ->
+      Sim.Trace.span tr ~op:"work" (fun () -> Sim.Clock.charge clock 10));
   let flat = Sim.Profile.flatten p in
   let find path =
     match List.find_opt (fun (pth, _, _, _) -> pth = path) flat with
@@ -47,10 +50,10 @@ let test_same_name_distinct_paths () =
   check_int "nested work" 10 (find "outer;work")
 
 let test_exception_unwinding () =
-  let p, clock = mk () in
+  let p, tr, clock = mk () in
   (try
-     Sim.Profile.span p "outer" (fun () ->
-         Sim.Profile.span p "boom" (fun () ->
+     Sim.Trace.span tr ~op:"outer" (fun () ->
+         Sim.Trace.span tr ~op:"boom" (fun () ->
              Sim.Clock.charge clock 4;
              failwith "x"))
    with Failure _ -> ());
@@ -65,12 +68,12 @@ let test_exception_unwinding () =
   | _ -> Alcotest.fail "outer span missing"
 
 let test_self_vs_cum_invariant () =
-  let p, clock = mk () in
+  let p, tr, clock = mk () in
   for i = 1 to 5 do
-    Sim.Profile.span p "a" (fun () ->
+    Sim.Trace.span tr ~op:"a" (fun () ->
         Sim.Clock.charge clock i;
-        Sim.Profile.span p "b" (fun () -> Sim.Clock.charge clock (2 * i));
-        Sim.Profile.span p "c" (fun () -> Sim.Clock.charge clock 1))
+        Sim.Trace.span tr ~op:"b" (fun () -> Sim.Clock.charge clock (2 * i));
+        Sim.Trace.span tr ~op:"c" (fun () -> Sim.Clock.charge clock 1))
   done;
   let rec check_node (n : Sim.Profile.node) =
     let child_cum =
@@ -88,9 +91,9 @@ let test_self_vs_cum_invariant () =
   check_int "nothing unattributed" 0 (Sim.Profile.unattributed p)
 
 let test_unattributed () =
-  let p, clock = mk () in
+  let p, tr, clock = mk () in
   Sim.Clock.charge clock 100 (* outside any span *);
-  Sim.Profile.span p "a" (fun () -> Sim.Clock.charge clock 50);
+  Sim.Trace.span tr ~op:"a" (fun () -> Sim.Clock.charge clock 50);
   check_int "total sees everything" 150 (Sim.Profile.total p);
   check_int "attributed only in-span" 50 (Sim.Profile.attributed p);
   check_int "remainder explicit" 100 (Sim.Profile.unattributed p);
@@ -99,20 +102,25 @@ let test_unattributed () =
   check_bool "collapsed reports the remainder" true
     (contains ~needle:"(unattributed) 100" (Sim.Profile.to_collapsed p))
 
+(* A trace holds the disabled profiler until one is attached: its spans
+   run their function and the sentinel's frames are no-ops. *)
 let test_disabled_sentinel () =
   let p = Sim.Profile.disabled in
   check_bool "disabled" false (Sim.Profile.enabled p);
-  check_int "span still runs f" 9 (Sim.Profile.span p "x" (fun () -> 9));
+  let tr = Sim.Trace.create ~clock:(mk_clock ()) () in
+  check_int "span still runs f" 9 (Sim.Trace.span tr ~op:"x" (fun () -> 9));
+  Sim.Profile.enter p "x";
+  check_int "enter pushes nothing" 0 (Sim.Profile.depth p);
+  Sim.Profile.leave p;
   check_int "no tree" 0 (List.length (Sim.Profile.tree p));
   check_int "no cycles" 0 (Sim.Profile.total p)
 
 let test_reset () =
-  let p, clock = mk () in
-  Sim.Profile.span p "a" (fun () -> Sim.Clock.charge clock 10);
+  let p, tr, clock = mk () in
+  Sim.Trace.span tr ~op:"a" (fun () -> Sim.Clock.charge clock 10);
   Sim.Profile.reset p;
   check_int "tree cleared" 0 (List.length (Sim.Profile.tree p));
   check_int "attribution restarts at reset" 0 (Sim.Profile.total p);
-  check_int "events cleared" 0 (Sim.Profile.events_recorded p);
   Sim.Clock.charge clock 7;
   check_int "cycles after reset count" 7 (Sim.Profile.total p)
 
@@ -149,8 +157,8 @@ let test_attach_disabled_rejected () =
     (Invalid_argument "Trace.attach_profile: disabled trace") (fun () ->
       Sim.Trace.attach_profile Sim.Trace.disabled (Sim.Profile.disabled))
 
-(* A truncate that does not shrink the file records no event, but the
-   call tree counts every call. *)
+(* A truncate that does not shrink the file touches nothing, but it is
+   still a call: the ring and the call tree count both. *)
 let test_truncate_frames_every_call () =
   let k = mk_kernel () in
   let p = Sim.Profile.create ~clock:(Os.Kernel.clock k) () in
@@ -165,18 +173,20 @@ let test_truncate_frames_every_call () =
   | Some (_, calls, _, _) -> check_int "both calls in the tree" 2 calls
   | None -> Alcotest.fail "no fs_truncate frame");
   match Sim.Trace.latency tr "fs_truncate" with
-  | Some h -> check_int "only the shrink is an event" 1 (Sim.Histogram.count h)
-  | None -> Alcotest.fail "shrink recorded no event"
+  | Some h -> check_int "both calls are events" 2 (Sim.Histogram.count h)
+  | None -> Alcotest.fail "truncate recorded no event"
 
 (* --------------------------- exporters ----------------------------- *)
 
+(* The fault opens on the cycle its parent opens, so the Chrome order
+   must rank the longer slice first, not the one recorded first. *)
 let golden_profile () =
-  let p, clock = mk () in
-  Sim.Profile.span p "mmap" (fun () ->
-      Sim.Clock.charge clock 100;
-      Sim.Profile.span p "fault" (fun () -> Sim.Clock.charge clock 40));
-  Sim.Profile.span p "access" (fun () -> Sim.Clock.charge clock 10);
-  (p, clock)
+  let p, tr, clock = mk () in
+  Sim.Trace.span tr ~op:"mmap" (fun () ->
+      Sim.Trace.span tr ~op:"fault" (fun () -> Sim.Clock.charge clock 40);
+      Sim.Clock.charge clock 100);
+  Sim.Trace.span tr ~op:"access" (fun () -> Sim.Clock.charge clock 10);
+  (p, tr)
 
 let test_collapsed_golden () =
   let p, _ = golden_profile () in
@@ -184,10 +194,13 @@ let test_collapsed_golden () =
     "access 10\nmmap 100\nmmap;fault 40\n" (Sim.Profile.to_collapsed p)
 
 let test_chrome_golden () =
-  let p, _ = golden_profile () in
-  let evs = trace_events (Sim.Profile.to_chrome_json p) in
+  let _, tr = golden_profile () in
+  let evs =
+    trace_events (Sim.Json.Obj [ ("traceEvents", Sim.Json.List (Sim.Trace.chrome_events tr)) ])
+  in
   check_int "three complete events" 3 (List.length evs);
-  (* Sorted parents-first: mmap (starts first, longest), then fault. *)
+  (* Sorted parents-first: mmap and fault start together and mmap is
+     longer, then access. *)
   Alcotest.(check (list string))
     "parents before children, then by start" [ "mmap"; "fault"; "access" ]
     (List.map (fun e -> event_field e "name") evs);
@@ -221,18 +234,18 @@ let test_top_spans () =
   | l -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length l))
 
 let test_event_ring_bounded () =
-  let p, clock = mk () in
-  (* The ring holds 8192 span events. *)
-  for _ = 1 to 8194 do
-    Sim.Profile.span p "op" (fun () -> Sim.Clock.charge clock 1)
+  let p, tr, clock = mk () in
+  (* The trace ring holds 4096 span events. *)
+  for _ = 1 to 4098 do
+    Sim.Trace.span tr ~op:"op" (fun () -> Sim.Clock.charge clock 1)
   done;
-  check_int "recorded counts everything" 8194 (Sim.Profile.events_recorded p);
-  check_int "dropped = recorded - capacity" 2 (Sim.Profile.events_dropped p);
+  check_int "recorded counts everything" 4098 (Sim.Trace.recorded tr);
+  check_int "dropped = recorded - capacity" 2 (Sim.Trace.dropped tr);
   (* The call tree stays exact even when the ring wrapped. *)
   match Sim.Profile.tree p with
   | [ op ] ->
-    check_int "tree keeps every call" 8194 op.Sim.Profile.calls;
-    check_int "tree keeps every cycle" 8194 op.Sim.Profile.cum
+    check_int "tree keeps every call" 4098 op.Sim.Profile.calls;
+    check_int "tree keeps every cycle" 4098 op.Sim.Profile.cum
   | _ -> Alcotest.fail "expected one root"
 
 (* ----------------------------- gauges ------------------------------ *)
@@ -271,8 +284,8 @@ let test_gauge_sampling () =
 (* The churn_fom Chrome export: complete events only, no negative
    duration, and the hot paths named. *)
 let test_churn_chrome_export () =
-  let _, p = Experiments.Exp_profile.run_churn ~ops:400 ~host:false `Fom in
-  let evs = trace_events (Sim.Profile.to_chrome_json p) in
+  let run = Experiments.Exp_profile.run_churn ~ops:400 ~host:false `Fom in
+  let evs = trace_events (Experiments.Exp_profile.chrome_json run) in
   check_bool "events exported" true (evs <> []);
   List.iter
     (fun e ->
@@ -282,6 +295,30 @@ let test_churn_chrome_export () =
   let names = List.map (fun e -> event_field e "name") evs in
   check_bool "fom_alloc span exported" true (List.mem "fom_alloc" names);
   check_bool "access span exported" true (List.mem "access" names)
+
+(* One span API: every call-tree frame was opened by Trace.span, so
+   every node of the tree names an op with a ring event and a latency
+   histogram. *)
+let test_frames_are_trace_ops () =
+  let check_run what k p =
+    let ops = List.map fst (Sim.Trace.ops (Os.Kernel.trace k)) in
+    let rec check (n : Sim.Profile.node) =
+      check_bool (what ^ ": frame " ^ n.Sim.Profile.name ^ " is a trace op") true
+        (List.mem n.Sim.Profile.name ops);
+      List.iter check n.Sim.Profile.children
+    in
+    check_bool (what ^ ": tree is non-empty") true (Sim.Profile.tree p <> []);
+    List.iter check (Sim.Profile.tree p)
+  in
+  let k = Experiments.Bench_env.kernel () in
+  let p = Sim.Profile.create ~clock:(Os.Kernel.clock k) () in
+  Sim.Trace.attach_profile (Os.Kernel.trace k) p;
+  check_run "metrics workload" (Experiments.Exp_metrics.run_workload k) p;
+  List.iter
+    (fun (what, backend) ->
+      let k, p = Experiments.Exp_profile.run_churn ~ops:400 ~host:true backend in
+      check_run what k p)
+    [ ("churn_fom", `Fom); ("churn_malloc", `Malloc) ]
 
 let suite =
   [
@@ -302,6 +339,7 @@ let suite =
     Alcotest.test_case "profile: to_json shape" `Quick test_to_json_shape;
     Alcotest.test_case "profile: top spans" `Quick test_top_spans;
     Alcotest.test_case "profile: event ring bounded" `Quick test_event_ring_bounded;
+    Alcotest.test_case "profile: every frame is a trace op" `Quick test_frames_are_trace_ops;
     Alcotest.test_case "stats: gauge high watermark" `Quick test_gauge_hwm;
     Alcotest.test_case "stats: gauge sampling" `Quick test_gauge_sampling;
   ]

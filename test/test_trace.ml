@@ -99,6 +99,30 @@ let test_span_feeds_every_sink () =
     check_int "frame covers f" 9 self
   | l -> Alcotest.fail (Printf.sprintf "expected 1 frame, got %d" (List.length l))
 
+(* Recording allocates nothing: ring slots are overwritten in place and
+   the histogram is flat. Measured with the ring already full, so every
+   event overwrites a slot. *)
+let closed_body () = ()
+
+let test_recording_allocates_nothing () =
+  let tr, clock = mk ~capacity:64 () in
+  for _ = 1 to 128 do
+    Sim.Trace.span tr ~op:"span" closed_body;
+    Sim.Trace.record tr ~op:"point" ~start:(Sim.Clock.now clock) ()
+  done;
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  check_int "10,000 records allocate nothing" 0
+    (words (fun () -> Sim.Trace.record tr ~op:"point" ~start:(Sim.Clock.now clock) ()));
+  check_int "10,000 spans with a closed body allocate nothing" 0
+    (words (fun () -> Sim.Trace.span tr ~op:"span" closed_body));
+  check_int "every event recorded" 20_256 (Sim.Trace.recorded tr)
+
 let test_disabled_sentinel () =
   let tr = Sim.Trace.disabled in
   check_bool "disabled" false (Sim.Trace.enabled tr);
@@ -171,6 +195,7 @@ let suite =
     Alcotest.test_case "trace: span nesting" `Quick test_span_nesting;
     Alcotest.test_case "trace: span outcome + exception" `Quick test_span_outcome_and_exception;
     Alcotest.test_case "trace: span feeds every sink" `Quick test_span_feeds_every_sink;
+    Alcotest.test_case "trace: recording allocates nothing" `Quick test_recording_allocates_nothing;
     Alcotest.test_case "trace: disabled sentinel" `Quick test_disabled_sentinel;
     Alcotest.test_case "trace: JSON well-formed" `Quick test_json_well_formed;
     Alcotest.test_case "trace: JSON events_limit" `Quick test_json_events_limit;
