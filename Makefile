@@ -12,10 +12,12 @@ test-verbose:
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
+# Run every example; several assert their own results, so the first one
+# that fails stops the loop with its exit status. CI runs this.
 examples:
 	for e in quickstart kv_cache process_launch sparse_analytics \
 	         durable_log shared_pointers external_sort; do \
-	  echo "== $$e"; dune exec examples/$$e.exe; done
+	  echo "== $$e"; dune exec examples/$$e.exe || exit 1; done
 
 clean:
 	dune clean

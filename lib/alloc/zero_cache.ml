@@ -51,3 +51,4 @@ let refill t ~budget_frames =
   zeroed
 
 let depth t = Queue.length t.frames
+let iter t f = Queue.iter f t.frames

@@ -26,3 +26,7 @@ val refill : t -> budget_frames:int -> int
 val depth : t -> int
 (** Cached frames — the true level of the "zero_cache_depth" gauge,
     used to re-baseline it after a crash. *)
+
+val iter : t -> (Physmem.Frame.t -> unit) -> unit
+(** Visit every cached frame. Host-side introspection for the invariant
+    checker: no charge. *)

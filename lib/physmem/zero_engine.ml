@@ -36,5 +36,9 @@ let bulk_erase t ~first ~count =
   Sim.Clock.charge (Phys_mem.clock t.mem) bulk_erase_cycles;
   Sim.Stats.incr (Phys_mem.stats t.mem) "bulk_erase_cmds"
 
+let iter_free t f =
+  Queue.iter f t.dirty;
+  Queue.iter f t.zeroed
+
 let pending t = Queue.length t.dirty
 let available t = Queue.length t.zeroed

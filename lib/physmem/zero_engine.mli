@@ -33,6 +33,10 @@ val bulk_erase : t -> first:Frame.t -> count:int -> unit
     cost (one command latency), regardless of [count]. Contents are
     cleared. Bumps "bulk_erase_cmds". *)
 
+val iter_free : t -> (Frame.t -> unit) -> unit
+(** Visit every frame the engine holds, pending then zeroed. Host-side
+    introspection for the invariant checker: no charge. *)
+
 val pending : t -> int
 (** Frames waiting to be zeroed. *)
 

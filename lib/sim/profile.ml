@@ -92,6 +92,11 @@ let reset t =
   (match t.clock with Some c -> t.c_start <- Clock.now c | None -> ());
   match t.now_ns with
   | Some now ->
+    (* Start on an empty minor heap. In OCaml 5.1 the words [Gc.counters]
+       reports for one run (minor, and so promoted and major) move with
+       how full the minor heap was when it began, so without this the gc
+       block shifts whenever code before it allocates more or less. *)
+    Gc.minor ();
     t.ns_start <- now ();
     t.w_start <- minor_words ();
     t.gc_start <- Gc.counters ()

@@ -68,7 +68,9 @@ val leave : t -> unit
 
 val reset : t -> unit
 (** Drop the tree and self samples and restart attribution now.
-    The stack must be empty (spans in flight are discarded). *)
+    The stack must be empty (spans in flight are discarded). With a host
+    clock it first empties the minor heap, so the GC block's word deltas
+    do not depend on what ran before. *)
 
 val sample_self : t -> unit
 (** With a host clock, sample the simulator's own state (OCaml heap

@@ -9,29 +9,26 @@ let page_size = Sim.Units.page_size
 
 let violation_to_string v = Printf.sprintf "[%s] %s" v.check v.detail
 
-(* Count page-table references per frame, walking only ranges the VM
-   layer owns: VMAs and userfault registrations. FOM mappings (grafted
-   subtrees, range translations) deliberately bypass struct-page
-   accounting — the file system owns those frames — so they are out of
-   scope here. A leaf is counted once per address space at its
-   size-aligned base, matching how THP accounts a huge mapping as one
-   mapcount on the block head. *)
-let count_refs kernel procs =
-  let refs = Hashtbl.create 256 in
+(* Every leaf in the ranges the VM layer owns: VMAs and userfault
+   registrations. FOM mappings (grafted subtrees, range translations)
+   deliberately bypass struct-page accounting — the file system owns
+   those frames — so they are out of scope here. A leaf is listed once
+   per address space at its size-aligned base, matching how THP accounts
+   a huge mapping as one mapcount on the block head. *)
+let vm_leaves kernel procs =
+  let leaves = ref [] in
   let seen = Hashtbl.create 256 in
-  let count_leaf pid ~va (leaf : Hw.Page_table.leaf) =
-    let base = Sim.Units.round_down va ~align:(Hw.Page_size.bytes leaf.Hw.Page_table.size) in
-    if not (Hashtbl.mem seen (pid, base)) then begin
-      Hashtbl.add seen (pid, base) ();
-      let pfn = leaf.Hw.Page_table.pfn in
-      Hashtbl.replace refs pfn (1 + Option.value (Hashtbl.find_opt refs pfn) ~default:0)
-    end
-  in
   let scan_range pid table ~start ~len =
     let rec go va =
       if va < start + len then begin
         (match Hw.Page_table.lookup table ~va with
-        | Some (_, leaf) -> count_leaf pid ~va leaf
+        | Some (_, leaf) ->
+          let span = Hw.Page_size.bytes leaf.Hw.Page_table.size in
+          let base = Sim.Units.round_down va ~align:span in
+          if not (Hashtbl.mem seen (pid, base)) then begin
+            Hashtbl.add seen (pid, base) ();
+            leaves := leaf :: !leaves
+          end
         | None -> ());
         go (va + page_size)
       end
@@ -48,6 +45,16 @@ let count_refs kernel procs =
       match List.find_opt (fun (p : Proc.t) -> p.Proc.pid = pid) procs with
       | Some proc -> scan_range pid (Address_space.page_table proc.Proc.aspace) ~start:va ~len
       | None -> ());
+  List.rev !leaves
+
+(* Page-table references per frame. *)
+let count_refs leaves =
+  let refs = Hashtbl.create 256 in
+  List.iter
+    (fun (leaf : Hw.Page_table.leaf) ->
+      let pfn = leaf.Hw.Page_table.pfn in
+      Hashtbl.replace refs pfn (1 + Option.value (Hashtbl.find_opt refs pfn) ~default:0))
+    leaves;
   refs
 
 (* Page-table leaves must never grant an access the covering VMA
@@ -85,9 +92,9 @@ let check_vma_pt acc procs =
 
 (* Frame refcounts vs mapcounts: every VM-owned mapping we can reach must
    be accounted, and a mapping never outlives its reference. *)
-let check_mapcounts acc kernel procs =
+let check_mapcounts acc kernel leaves =
   let meta = Kernel.page_meta kernel in
-  let refs = count_refs kernel procs in
+  let refs = count_refs leaves in
   Page_meta.iter_counts meta (fun pfn ~refcount ~mapcount ->
       let expected = Option.value (Hashtbl.find_opt refs pfn) ~default:0 in
       if mapcount <> expected then
@@ -119,6 +126,33 @@ let check_mapcounts acc kernel procs =
           }
           :: !acc)
     refs
+
+(* The buddy, the zero engine's pending and zeroed queues and the zero
+   cache hold the anonymous pool's free frames. A frame a VM-owned leaf
+   maps must be in none of them, no frame may sit in them twice, and a
+   pooled frame holds no reference: a frame recycled while still in use
+   shows up here before its next owner overwrites it. *)
+let check_free_mapped acc kernel leaves =
+  let buddy = Kernel.buddy kernel in
+  let pooled = Hashtbl.create 256 in
+  let is_free pfn = Hashtbl.mem pooled pfn || Alloc.Buddy.is_free buddy pfn in
+  let flag detail = acc := { check = "free_mapped"; detail } :: !acc in
+  let pool pfn =
+    if is_free pfn then flag (Printf.sprintf "frame %d is in the free pools twice" pfn)
+    else Hashtbl.add pooled pfn ()
+  in
+  Physmem.Zero_engine.iter_free (Kernel.zero_engine kernel) pool;
+  Alloc.Zero_cache.iter (Kernel.zero_cache kernel) pool;
+  Page_meta.iter_counts (Kernel.page_meta kernel) (fun pfn ~refcount ~mapcount:_ ->
+      if refcount > 0 && is_free pfn then
+        flag (Printf.sprintf "frame %d is free but holds %d reference(s)" pfn refcount));
+  List.iter
+    (fun (leaf : Hw.Page_table.leaf) ->
+      let first = leaf.Hw.Page_table.pfn in
+      for pfn = first to first + Hw.Page_size.frames leaf.Hw.Page_table.size - 1 do
+        if is_free pfn then flag (Printf.sprintf "frame %d is mapped but free" pfn)
+      done)
+    leaves
 
 (* After every batched shootdown completed, no core's TLB may hold a
    translation the owning page table no longer backs — a lost shootdown
@@ -213,7 +247,9 @@ let run kernel =
     |> List.sort (fun (a : Proc.t) b -> compare a.Proc.pid b.Proc.pid)
   in
   check_vma_pt acc procs;
-  check_mapcounts acc kernel procs;
+  let leaves = vm_leaves kernel procs in
+  check_mapcounts acc kernel leaves;
+  check_free_mapped acc kernel leaves;
   check_tlb acc kernel procs;
   check_tlb_accounting acc kernel;
   check_fs acc ~name:"tmpfs" (Kernel.tmpfs kernel);

@@ -11,6 +11,10 @@
       equals [Page_meta.mapcount], and no mapcount exceeds its refcount.
       FOM mappings (grafts, range translations) are file-owned and
       deliberately outside struct-page accounting, so they are excluded.
+    - {b free_mapped} — no frame a VM-owned leaf maps is in the buddy,
+      the zero engine's pending or zeroed queues or the zero cache; no
+      frame sits in those pools twice; and no pooled frame holds a
+      reference. A frame recycled while still in use is caught here.
     - {b tlb_coherence} — on every core, every valid TLB entry still
       belongs to a live address space (ASID = pid) and matches its page
       table (existence, frame, page size, protection): a lost shootdown

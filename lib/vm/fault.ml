@@ -88,12 +88,10 @@ let fresh_zero_frame ctx =
   | Some pfn -> pfn
   | None -> oom ctx "zero frame"
 
-let install ctx aspace ~va ~pfn ~prot =
-  Hw.Page_table.map_page (Address_space.page_table aspace)
+let install ctx aspace ~va ~pfn ~prot ~dirty =
+  Page_meta.map ctx.meta (Address_space.page_table aspace)
     ~va:(Sim.Units.round_down va ~align:Sim.Units.page_size)
-    ~pfn ~prot ~size:Hw.Page_size.Small;
-  Page_meta.get_page ctx.meta pfn;
-  Page_meta.inc_mapcount ctx.meta pfn;
+    ~pfn ~prot ~size:Hw.Page_size.Small ~dirty;
   Page_meta.set_flag ctx.meta pfn Page_meta.Uptodate true;
   (* NUMA placement accounting: did the faulting core get a frame from
      its own domain? (Every install funnels through here.) *)
@@ -106,7 +104,7 @@ let install ctx aspace ~va ~pfn ~prot =
 let populate_anon_page ctx ~aspace ~va ~prot =
   let pfn = fresh_zero_frame ctx in
   Page_meta.set_flag ctx.meta pfn Page_meta.Swapbacked true;
-  install ctx aspace ~va ~pfn ~prot
+  install ctx aspace ~va ~pfn ~prot ~dirty:false
 
 let file_frame_of (vma : Vma.t) ~va =
   match vma.Vma.backing with
@@ -127,7 +125,7 @@ let populate_file_page ctx ~aspace ~(vma : Vma.t) ~va =
       (* Map read-only so a later write takes a CoW fault. *)
       { vma.Vma.prot with Hw.Prot.write = false }
   in
-  install ctx aspace ~va ~pfn ~prot
+  install ctx aspace ~va ~pfn ~prot ~dirty:false
 
 let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot ~anon_backing =
   let table = Address_space.page_table aspace in
@@ -140,15 +138,10 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot ~anon_backing =
   in
   Physmem.Phys_mem.write ctx.mem ~addr:(Physmem.Frame.to_addr pfn) (Bytes.to_string content);
   let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
-  Hw.Page_table.unmap_page table ~va:page_va;
-  Page_meta.dec_mapcount ctx.meta old_pfn;
-  Page_meta.put_page ctx.meta old_pfn;
-  (* A CoW'd anonymous frame with no mappings left is dead: recycle it.
-     File frames stay — the file system owns them. *)
-  if anon_backing && Page_meta.mapcount ctx.meta old_pfn = 0 then
-    Physmem.Zero_engine.put_dirty ctx.zero [ old_pfn ];
+  (* File frames stay with the file system that owns them. *)
+  Page_meta.unmap ctx.meta ~zero:ctx.zero table ~va:page_va old_leaf ~owned:anon_backing;
   Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
-  install ctx aspace ~va:page_va ~pfn ~prot;
+  install ctx aspace ~va:page_va ~pfn ~prot ~dirty:false;
   Sim.Stats.incr (stats ctx) "cow_fault"
 
 let handle_inner ctx ~aspace ~pid ~va ~write =
@@ -184,7 +177,9 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
           let ok = Swap.swap_in ctx.swap ~key:(pid, page_va) ~pfn in
           assert ok;
           Page_meta.set_flag ctx.meta pfn Page_meta.Swapbacked true;
-          install ctx aspace ~va ~pfn ~prot:vma.Vma.prot;
+          (* Real contents: keep the page dirty so a later eviction
+             writes it out again. *)
+          install ctx aspace ~va ~pfn ~prot:vma.Vma.prot ~dirty:true;
           Sim.Stats.incr (stats ctx) "major_fault";
           Major
         end

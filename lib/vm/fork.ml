@@ -6,6 +6,7 @@ let clone_vma (v : Vma.t) =
   copy
 
 let fork k (parent : Proc.t) =
+  Kernel.syscall k parent "fork" @@ fun () ->
   let child = Kernel.create_process k () in
   let p_as = parent.Proc.aspace and c_as = child.Proc.aspace in
   let p_table = Address_space.page_table p_as in
@@ -13,7 +14,6 @@ let fork k (parent : Proc.t) =
   let meta = Kernel.page_meta k in
   let clock = Kernel.clock k in
   let model = Sim.Clock.model clock in
-  Sim.Clock.charge clock model.Sim.Cost_model.syscall;
   Address_space.set_mmap_cursor c_as (Address_space.mmap_cursor p_as);
   let vmas = ref [] in
   Address_space.iter_vmas p_as (fun v -> vmas := v :: !vmas);
@@ -41,16 +41,15 @@ let fork k (parent : Proc.t) =
         | _ -> ());
         match Hw.Page_table.lookup p_table ~va with
         | None -> ()
-        | Some (_, leaf) -> (
-          let pfn = leaf.Hw.Page_table.pfn in
-          match (v.Vma.backing, v.Vma.share) with
-          | _, Vma.Shared ->
+        | Some (_, ({ Hw.Page_table.pfn; dirty; _ } as leaf)) -> (
+          (* The child's leaf takes the parent's dirty bit: its contents
+             are just as unsaved. *)
+          match v.Vma.share with
+          | Vma.Shared ->
             (* Shared mapping: alias the frame at full protection. *)
-            Hw.Page_table.map_page c_table ~va ~pfn ~prot:leaf.Hw.Page_table.prot
-              ~size:Hw.Page_size.Small;
-            Page_meta.get_page meta pfn;
-            Page_meta.inc_mapcount meta pfn
-          | _, Vma.Private ->
+            Page_meta.map meta c_table ~va ~pfn ~prot:leaf.Hw.Page_table.prot
+              ~size:Hw.Page_size.Small ~dirty
+          | Vma.Private ->
             (* Private: write-protect both sides; first write CoWs. *)
             let ro = { leaf.Hw.Page_table.prot with Hw.Prot.write = false } in
             if leaf.Hw.Page_table.prot.Hw.Prot.write then begin
@@ -58,9 +57,7 @@ let fork k (parent : Proc.t) =
               Sim.Clock.charge clock model.Sim.Cost_model.pte_write;
               Hw.Mmu.invalidate_page (Address_space.mmu p_as) ~va
             end;
-            Hw.Page_table.map_page c_table ~va ~pfn ~prot:ro ~size:Hw.Page_size.Small;
-            Page_meta.get_page meta pfn;
-            Page_meta.inc_mapcount meta pfn;
+            Page_meta.map meta c_table ~va ~pfn ~prot:ro ~size:Hw.Page_size.Small ~dirty;
             if v.Vma.backing = Vma.Anon then
               Reclaim.register (Kernel.reclaim k) ~pid:child.Proc.pid ~aspace:c_as ~va ~pfn)
       done)

@@ -7,11 +7,13 @@
     {!O1mem.Fom.map_path} and the shared-subtree experiments.) *)
 
 val fork : Kernel.t -> Proc.t -> Proc.t
-(** Clone the process: VMAs are duplicated; private resident pages are
-    write-protected in both parent and child and shared until one side
-    writes (CoW fault); shared file mappings alias the same frames; huge
-    anonymous pages are split first (as Linux does); swapped-out pages
-    are brought back in before sharing. Returns the child. *)
+(** Clone the process, as one ["fork"] syscall of the parent: VMAs are
+    duplicated; private resident pages are write-protected in both
+    parent and child and shared until one side writes (CoW fault); shared
+    file mappings alias the same frames; each child leaf keeps the
+    parent's dirty bit; huge anonymous pages are split first (as Linux
+    does); swapped-out pages are brought back in before sharing.
+    Returns the child. *)
 
 val cow_shared_pages : Kernel.t -> Proc.t -> int
 (** Diagnostic: resident private pages currently mapped read-only under

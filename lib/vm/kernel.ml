@@ -53,6 +53,7 @@ type t = {
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
   userfault : Userfault.t;
+  ctx : Fault.ctx; (* built once: faults and populate calls share it *)
   mutable busy_depth : int; (* re-entrancy guard for [on_core] *)
 }
 
@@ -129,6 +130,7 @@ let create ?(config = default_config) () =
     procs = Hashtbl.create 16;
     next_pid = 1;
     userfault = Userfault.create ();
+    ctx = { Fault.mem; meta; buddy; swap; zero; zcache; reclaim = Some reclaim };
     busy_depth = 0;
   }
 
@@ -149,17 +151,6 @@ let tmpfs t = t.tmpfs
 let pmfs t = t.pmfs
 
 let userfault t = t.userfault
-
-let fault_ctx t =
-  {
-    Fault.mem = t.mem;
-    meta = t.meta;
-    buddy = t.buddy;
-    swap = t.swap;
-    zero = t.zero;
-    zcache = t.zcache;
-    reclaim = Some t.reclaim;
-  }
 
 let background_zero t ~budget_frames = Alloc.Zero_cache.refill t.zcache ~budget_frames
 
@@ -213,7 +204,7 @@ let syscall t proc name f =
   charge_syscall t;
   f ()
 
-let alloc_pt_frame t () = Fault.raw_frame_exn ~what:"page-table frame" (fault_ctx t)
+let alloc_pt_frame t () = Fault.raw_frame_exn ~what:"page-table frame" t.ctx
 
 let create_process t ?(range_translations = false) () =
   let pid = t.next_pid in
@@ -271,39 +262,21 @@ let migrate t proc ~core =
 let process_count t = Hashtbl.length t.procs
 let processes t = t.procs
 
-(* Release one mapped page during munmap/exit teardown. *)
-let release_page t (vma : Vma.t) ~page_va (leaf : Hw.Page_table.leaf) =
-  let pfn = leaf.Hw.Page_table.pfn in
-  Page_meta.dec_mapcount t.meta pfn;
-  Page_meta.put_page t.meta pfn;
-  match vma.Vma.backing with
-  | Vma.Anon ->
-    ignore page_va;
-    if Page_meta.mapcount t.meta pfn = 0 then
-      Physmem.Zero_engine.put_dirty t.zero [ pfn ]
-  | Vma.File _ ->
-    (* File frames belong to the file system; nothing to free here. *)
-    ()
-
 (* Tear down one VMA already removed from its address space: per-page
    release (the baseline's linear unmap cost), with the TLB invalidation
-   deferred into [batch] — the mmu_gather pattern. *)
+   deferred into [batch] — the mmu_gather pattern. File frames belong to
+   the file system, so only anonymous frames are freed. *)
 let teardown_vma t (vma : Vma.t) ~table ~batch =
+  let owned = vma.Vma.backing = Vma.Anon in
   let pages = vma.Vma.len / Sim.Units.page_size in
   for i = 0 to pages - 1 do
     let page_va = vma.Vma.start + (i * Sim.Units.page_size) in
     match Hw.Page_table.lookup table ~va:page_va with
-    | Some (_, leaf) when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
-      release_page t vma ~page_va leaf;
-      Hw.Page_table.unmap_page table ~va:page_va
-    | Some (_, leaf) ->
-      (* Huge leaf: unmap once at its base. *)
-      let span = Hw.Page_size.bytes leaf.Hw.Page_table.size in
-      if Sim.Units.is_aligned page_va ~align:span then begin
-        release_page t vma ~page_va leaf;
-        Hw.Page_table.unmap_page table ~va:page_va
-      end
-    | None -> ()
+    (* A huge leaf is unmapped once, at its base. *)
+    | Some (_, leaf)
+      when Sim.Units.is_aligned page_va ~align:(Hw.Page_size.bytes leaf.Hw.Page_table.size) ->
+      Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf ~owned
+    | Some _ | None -> ()
   done;
   Hw.Tlb_batch.add batch ~va:vma.Vma.start ~len:vma.Vma.len;
   match vma.Vma.backing with
@@ -380,11 +353,10 @@ let mmap_anon t proc ~len ~prot ~populate =
   vma.Vma.populated <- populate;
   Address_space.insert_vma aspace vma;
   if populate then begin
-    let ctx = fault_ctx t in
     let pages = len / Sim.Units.page_size in
     for i = 0 to pages - 1 do
       let page_va = va + (i * Sim.Units.page_size) in
-      Fault.populate_anon_page ctx ~aspace ~va:page_va ~prot;
+      Fault.populate_anon_page t.ctx ~aspace ~va:page_va ~prot;
       register_if_anon t proc ~va:page_va
     done
   end;
@@ -416,11 +388,10 @@ let mmap_file t proc ~fs ~path ~prot ~share ~populate ?len ?(offset = 0) () =
   vma.Vma.populated <- populate;
   Address_space.insert_vma aspace vma;
   if populate then begin
-    let ctx = fault_ctx t in
     let pages = len / Sim.Units.page_size in
     for i = 0 to pages - 1 do
       let page_va = va + (i * Sim.Units.page_size) in
-      Fault.populate_file_page ctx ~aspace ~vma ~va:page_va
+      Fault.populate_file_page t.ctx ~aspace ~vma ~va:page_va
     done
   end;
   va
@@ -465,12 +436,8 @@ let madvise_dontneed t proc ~va ~len =
     match (Address_space.find_vma aspace ~va:page_va, Hw.Page_table.lookup table ~va:page_va) with
     | Some { Vma.backing = Vma.Anon; _ }, Some (_, leaf)
       when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
-      let pfn = leaf.Hw.Page_table.pfn in
-      Hw.Page_table.unmap_page table ~va:page_va;
+      Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf ~owned:true;
       Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
-      Page_meta.dec_mapcount t.meta pfn;
-      Page_meta.put_page t.meta pfn;
-      if Page_meta.mapcount t.meta pfn = 0 then Physmem.Zero_engine.put_dirty t.zero [ pfn ];
       incr released
     | _ -> ()
   done;
@@ -491,17 +458,14 @@ let handle_userfault t proc ~va ~write ~prot ~(handler : Userfault.handler) =
   | Userfault.Sigbus -> raise (Fault.Segfault va)
   | Userfault.Zero_page | Userfault.Provide _ as r ->
     charge_syscall t (* UFFDIO_COPY / UFFDIO_ZEROPAGE *);
-    let ctx = fault_ctx t in
-    let pfn = Fault.fresh_zero_frame ctx in
+    let pfn = Fault.fresh_zero_frame t.ctx in
     (match r with
     | Userfault.Provide content ->
       Phys_mem.write t.mem ~addr:(Frame.to_addr pfn)
         (String.sub content 0 (min (String.length content) Sim.Units.page_size))
     | Userfault.Zero_page | Userfault.Sigbus -> ());
-    Hw.Page_table.map_page (Address_space.page_table aspace) ~va:page_va ~pfn ~prot
-      ~size:Hw.Page_size.Small;
-    Page_meta.get_page t.meta pfn;
-    Page_meta.inc_mapcount t.meta pfn
+    Page_meta.map t.meta (Address_space.page_table aspace) ~va:page_va ~pfn ~prot
+      ~size:Hw.Page_size.Small ~dirty:false
 
 let user_page_release t proc ~va =
   let aspace = proc.Proc.aspace in
@@ -510,14 +474,10 @@ let user_page_release t proc ~va =
   match Hw.Page_table.lookup table ~va:page_va with
   | None -> None
   | Some (_, leaf) ->
-    let pfn = leaf.Hw.Page_table.pfn in
-    Hw.Page_table.unmap_page table ~va:page_va;
+    Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf ~owned:true;
     Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
-    Page_meta.dec_mapcount t.meta pfn;
-    Page_meta.put_page t.meta pfn;
-    Physmem.Zero_engine.put_dirty t.zero [ pfn ];
     Sim.Stats.incr t.stats "userfault_evict";
-    Some pfn
+    Some leaf.Hw.Page_table.pfn
 
 let rec access_inner t proc ~va ~write =
   Sim.Trace.span t.trace ~op:"access" @@ fun () ->
@@ -537,16 +497,7 @@ let rec access_inner t proc ~va ~write =
     ()
 
 and kernel_fault t proc ~va ~write =
-  let aspace = proc.Proc.aspace in
-  (let kind = Fault.handle (fault_ctx t) ~aspace ~pid:proc.Proc.pid ~va ~write in
-   match kind with
-   | Fault.Major -> (
-     (* The page came back from swap with real contents: keep it dirty so
-        a later eviction writes it out again. *)
-     match Hw.Page_table.lookup (Address_space.page_table aspace) ~va with
-     | Some (_, leaf) -> leaf.Hw.Page_table.dirty <- true
-     | None -> ())
-   | Fault.Minor -> ());
+  ignore (Fault.handle t.ctx ~aspace:proc.Proc.aspace ~pid:proc.Proc.pid ~va ~write : Fault.kind);
   register_if_anon t proc ~va;
   access_inner t proc ~va ~write
 
@@ -572,12 +523,7 @@ let mlock t proc ~va ~len =
     (* Fault the page in if needed, then pin it. *)
     access t proc ~va:page_va ~write:false;
     match Hw.Page_table.lookup (Address_space.page_table aspace) ~va:page_va with
-    | Some (_, leaf) ->
-      let pfn = leaf.Hw.Page_table.pfn in
-      Page_meta.get_page t.meta pfn;
-      Page_meta.set_flag t.meta pfn Page_meta.Pinned true;
-      Page_meta.set_flag t.meta pfn Page_meta.Mlocked true;
-      Page_meta.set_flag t.meta pfn Page_meta.Unevictable true
+    | Some (_, leaf) -> Page_meta.mlock t.meta leaf.Hw.Page_table.pfn
     | None -> assert false
   done;
   Sim.Stats.add t.stats "mlocked_pages" pages

@@ -62,7 +62,6 @@ val swap : t -> Swap.t
 val reclaim : t -> Reclaim.t
 val tmpfs : t -> Fs.Memfs.t
 val pmfs : t -> Fs.Memfs.t option
-val fault_ctx : t -> Fault.ctx
 
 val background_zero : t -> budget_frames:int -> int
 (** Housekeeping step: zero up to [budget_frames] dirty frames and stash
@@ -114,6 +113,12 @@ val processes : t -> (int, Proc.t) Hashtbl.t
 
 (** {1 Syscalls} *)
 
+val syscall : t -> Proc.t -> string -> (unit -> 'a) -> 'a
+(** [syscall t proc name f] runs [f] as one system call of [proc]: a
+    [name] span on [proc]'s core with the entry cost charged inside it,
+    counted in "syscall", its cycles billed to the core. Every syscall
+    below enters through it, and so does {!Fork.fork}. *)
+
 val mmap_anon : t -> Proc.t -> len:int -> prot:Hw.Prot.t -> populate:bool -> int
 (** mmap(MAP_ANONYMOUS | MAP_PRIVATE [| MAP_POPULATE]): returns the
     mapping's base VA. *)
@@ -133,7 +138,8 @@ val mprotect : t -> Proc.t -> va:int -> len:int -> prot:Hw.Prot.t -> unit
 val mlock : t -> Proc.t -> va:int -> len:int -> unit
 (** Pin pages for DMA: per-page flag updates and refcounts, after first
     faulting everything in — the cost the paper contrasts with files'
-    implicit pinning. *)
+    implicit pinning. A frame holds one pin however often it is locked;
+    its last unmap drops it. *)
 
 val access : t -> Proc.t -> va:int -> write:bool -> unit
 (** One user-level memory access: MMU translate, taking and resolving
@@ -171,5 +177,6 @@ val userfault : t -> Userfault.t
 
 val user_page_release : t -> Proc.t -> va:int -> Physmem.Frame.t option
 (** Evict one handler-installed page: unmap it, shoot down its TLB entry
-    and free the frame. Returns the frame it occupied, or [None] if the
-    page was not mapped. The user pager's half of user-level swapping. *)
+    and free the frame unless another address space still maps it.
+    Returns the frame it occupied, or [None] if the page was not mapped.
+    The user pager's half of user-level swapping. *)

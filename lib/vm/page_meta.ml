@@ -53,11 +53,12 @@ let create ~clock ~stats ~frames = { clock; stats; frames; pages = Hashtbl.creat
 
 let frames t = t.frames
 
+(* [Hashtbl.find], not [find_opt]: a lookup allocates nothing. *)
 let page t pfn =
   if pfn < 0 || pfn >= t.frames then invalid_arg "Page_meta: frame out of range";
-  match Hashtbl.find_opt t.pages pfn with
-  | Some p -> p
-  | None ->
+  match Hashtbl.find t.pages pfn with
+  | p -> p
+  | exception Not_found ->
     let p = { flags = 0; refcount = 0; mapcount = 0 } in
     Hashtbl.add t.pages pfn p;
     p
@@ -103,6 +104,45 @@ let dec_mapcount t pfn =
   if p.mapcount <= 0 then invalid_arg "Page_meta.dec_mapcount: underflow";
   p.mapcount <- p.mapcount - 1;
   if p.mapcount = 0 then Sim.Stats.add_gauge t.stats "resident_pages" (-1)
+
+(* An mlock pin: one reference plus these flags, taken once per frame. *)
+let pin_flags = [ Pinned; Mlocked; Unevictable ]
+
+let mlock t pfn =
+  if not (get_flag t pfn Mlocked) then begin
+    get_page t pfn;
+    List.iter (fun f -> set_flag t pfn f true) pin_flags
+  end
+
+(* The one frame hand-off of the baseline VM: every user page gets its
+   frame through [map] and gives it back through [unmap]. *)
+let map t table ~va ~pfn ~prot ~size ~dirty =
+  Hw.Page_table.map_page table ~va ~pfn ~prot ~size;
+  (if dirty then
+     match Hw.Page_table.lookup table ~va with
+     | Some (_, leaf) -> leaf.Hw.Page_table.dirty <- true
+     | None -> ());
+  get_page t pfn;
+  inc_mapcount t pfn
+
+(* Counts first, then the leaf. The last mapping of a frame its caller
+   owns drops the mlock pin and hands every frame of the leaf to the zero
+   engine, the only code that scrubs a freed frame. *)
+let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
+  let pfn = leaf.Hw.Page_table.pfn in
+  dec_mapcount t pfn;
+  put_page t pfn;
+  if owned && mapcount t pfn = 0 then begin
+    if get_flag t pfn Mlocked then begin
+      put_page t pfn;
+      List.iter (fun f -> set_flag t pfn f false) pin_flags
+    end;
+    Physmem.Zero_engine.put_dirty zero
+      (match leaf.Hw.Page_table.size with
+      | Hw.Page_size.Small -> [ pfn ]
+      | size -> List.init (Hw.Page_size.frames size) (fun i -> pfn + i))
+  end;
+  Hw.Page_table.unmap_page table ~va
 
 let init_range t ~first ~count =
   if first < 0 || count < 0 || first + count > t.frames then

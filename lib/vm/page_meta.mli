@@ -48,6 +48,33 @@ val mapcount : t -> Physmem.Frame.t -> int
 val inc_mapcount : t -> Physmem.Frame.t -> unit
 val dec_mapcount : t -> Physmem.Frame.t -> unit
 
+(** {1 The frame hand-off}
+
+    The only way a baseline user page gets and returns its frame. Apart
+    from the {!mlock} pin, no other VM code touches a user frame's counts
+    or frees it. *)
+
+val map :
+  t -> Hw.Page_table.t -> va:int -> pfn:Physmem.Frame.t -> prot:Hw.Prot.t ->
+  size:Hw.Page_size.t -> dirty:bool -> unit
+(** Install the leaf (with [dirty] as its dirty bit), then take the
+    mapping's reference and mapcount. *)
+
+val unmap :
+  t -> zero:Physmem.Zero_engine.t -> Hw.Page_table.t -> va:int -> Hw.Page_table.leaf ->
+  owned:bool -> unit
+(** Drop the mapping's reference and mapcount, then remove the leaf at
+    [va]. When that was the frame's last mapping and the caller [owned]
+    it (an anonymous page that is not being split), first drop an mlock
+    pin with its Pinned/Mlocked/Unevictable flags and hand every frame
+    of the leaf to [zero] (512 for a 2 MiB leaf). TLB invalidation stays
+    with the caller. *)
+
+val mlock : t -> Physmem.Frame.t -> unit
+(** Pin the frame: one reference plus the Pinned, Mlocked and
+    Unevictable flags, taken once however often the frame is locked. Its
+    owner's last {!unmap} drops the pin. *)
+
 val init_range : t -> first:Physmem.Frame.t -> count:int -> unit
 (** Model boot-time initialisation of a frame range: charges
     [struct_page_init] per frame — one of the paper's linear costs. *)

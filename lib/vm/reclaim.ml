@@ -61,19 +61,17 @@ let batch_for batches aspace =
 let flush_batches batches = List.iter (fun (_, b) -> Hw.Tlb_batch.flush b) !batches
 
 let evict t e (leaf : Hw.Page_table.leaf) ~batch =
-  let table = Address_space.page_table e.aspace in
   if leaf.Hw.Page_table.dirty then begin
     Swap.swap_out t.swap ~key:(e.pid, e.va) ~pfn:e.pfn;
     Sim.Stats.incr (stats t) "reclaim_swapped"
   end
   else Sim.Stats.incr (stats t) "reclaim_dropped";
-  Hw.Page_table.unmap_page table ~va:e.va;
+  (* A frame another address space still maps stays with it; a freed one
+     goes back through the zeroing pipeline. *)
+  Page_meta.unmap t.meta ~zero:t.zero (Address_space.page_table e.aspace) ~va:e.va leaf
+    ~owned:true;
   Hw.Tlb_batch.add batch ~va:e.va ~len:Sim.Units.page_size;
-  Page_meta.dec_mapcount t.meta e.pfn;
-  Page_meta.put_page t.meta e.pfn;
   Page_meta.set_flag t.meta e.pfn Page_meta.Lru false;
-  (* Freed frames go back through the zeroing pipeline. *)
-  Physmem.Zero_engine.put_dirty t.zero [ e.pfn ];
   ignore (Physmem.Zero_engine.background_step t.zero ~budget_frames:2)
 
 let scan_clock t ~target_frames =

@@ -62,7 +62,6 @@ let swap_out t ~key ~pfn =
     Fs.Memfs.write_file fs (swapfile t fs) ~off:(s * Sim.Units.page_size)
       (Bytes.to_string content);
     Hashtbl.replace t.slots key (File_slot s));
-  Physmem.Phys_mem.zero_frame t.mem pfn;
   Sim.Stats.incr (Physmem.Phys_mem.stats t.mem) "swap_out"
 
 let swap_in t ~key ~pfn =

@@ -18,8 +18,10 @@ val create : mem:Physmem.Phys_mem.t -> ?backing:backing -> unit -> t
     created in [fs] and extended on demand. *)
 
 val swap_out : t -> key:int * int -> pfn:Physmem.Frame.t -> unit
-(** Copy the frame out to the backing store (charging the transfer) and
-    zero it. [key] identifies the page, conventionally (pid, va). *)
+(** Copy the frame out to the backing store (charging the transfer). The
+    frame is left as it was, to its owner: another address space may
+    still map it, and a freed frame is scrubbed by the zero engine. [key]
+    identifies the page, conventionally (pid, va). *)
 
 val swap_in : t -> key:int * int -> pfn:Physmem.Frame.t -> bool
 (** Restore a page into [pfn]. [false] if the key was never swapped

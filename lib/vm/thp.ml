@@ -44,20 +44,18 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
       for i = 0 to pages_per_huge - 1 do
         if not (List.mem i present_idx) then Physmem.Phys_mem.zero_frame mem (block + i)
       done;
-      (* Tear down the base PTEs and free the scattered frames. *)
+      (* Tear down the base PTEs and free the scattered frames no other
+         address space maps. *)
+      let dirty = List.exists (fun (_, (l : Hw.Page_table.leaf)) -> l.Hw.Page_table.dirty) present
+      in
       List.iter
-        (fun (va, (leaf : Hw.Page_table.leaf)) ->
-          let pfn = leaf.Hw.Page_table.pfn in
-          Hw.Page_table.unmap_page table ~va;
-          Page_meta.dec_mapcount meta pfn;
-          Page_meta.put_page meta pfn;
-          Physmem.Zero_engine.put_dirty (Kernel.zero_engine k) [ pfn ])
+        (fun (va, leaf) ->
+          Page_meta.unmap meta ~zero:(Kernel.zero_engine k) table ~va leaf ~owned:true)
         present;
       Hw.Mmu.invalidate_range (Address_space.mmu aspace) ~va:window ~len:Sim.Units.huge_2m;
-      (* One huge leaf replaces them all. *)
-      Hw.Page_table.map_page table ~va:window ~pfn:block ~prot ~size:Hw.Page_size.Huge_2m;
-      Page_meta.get_page meta block;
-      Page_meta.inc_mapcount meta block;
+      (* One huge leaf replaces them all; it holds their data, dirty bits
+         included. *)
+      Page_meta.map meta table ~va:window ~pfn:block ~prot ~size:Hw.Page_size.Huge_2m ~dirty;
       Page_meta.set_flag meta block Page_meta.Head true;
       Sim.Clock.charge clock (Sim.Cost_model.shootdown_cost model);
       Sim.Stats.incr (Kernel.stats k) "thp_collapse";
@@ -101,19 +99,20 @@ let split_huge k (proc : Proc.t) ~va =
   let aspace = proc.Proc.aspace in
   let table = Address_space.page_table aspace in
   match Hw.Page_table.lookup table ~va with
-  | Some (_, leaf) when leaf.Hw.Page_table.size = Hw.Page_size.Huge_2m ->
+  | Some (_, ({ Hw.Page_table.pfn = block; prot; dirty; _ } as leaf))
+    when leaf.Hw.Page_table.size = Hw.Page_size.Huge_2m ->
     let window = Sim.Units.round_down va ~align:Sim.Units.huge_2m in
-    let block = leaf.Hw.Page_table.pfn in
-    let prot = leaf.Hw.Page_table.prot in
-    Hw.Page_table.unmap_page table ~va:window;
+    let meta = Kernel.page_meta k in
+    (* The block is being split, not freed: it keeps its frames. *)
+    Page_meta.unmap meta ~zero:(Kernel.zero_engine k) table ~va:window leaf ~owned:false;
     Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:window;
     (* Remap the same physical block as 512 base pages. *)
     for i = 0 to pages_per_huge - 1 do
-      Hw.Page_table.map_page table
+      Page_meta.map meta table
         ~va:(window + (i * Sim.Units.page_size))
-        ~pfn:(block + i) ~prot ~size:Hw.Page_size.Small
+        ~pfn:(block + i) ~prot ~size:Hw.Page_size.Small ~dirty
     done;
-    Page_meta.set_flag (Kernel.page_meta k) block Page_meta.Head false;
+    Page_meta.set_flag meta block Page_meta.Head false;
     Sim.Stats.incr (Kernel.stats k) "thp_split";
     true
   | Some _ | None -> false

@@ -30,4 +30,5 @@ val split_huge : Kernel.t -> Proc.t -> va:int -> bool
 (** Shatter the huge page covering [va] into 512 base PTEs over the same
     physical block — the pre-swap fragmentation the paper mentions
     ("2MB pages are expensive to swap and Linux instead fragments them").
-    Returns [false] if [va] is not under a huge leaf. *)
+    Each base page takes its own reference and mapcount and the huge
+    leaf's dirty bit. Returns [false] if [va] is not under a huge leaf. *)

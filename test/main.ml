@@ -12,6 +12,7 @@ let () =
       ("fastpath", Test_fastpath.suite);
       ("memfs", Test_memfs.suite);
       ("os", Test_os.suite);
+      ("handoff", Test_handoff.suite);
       ("fom", Test_fom.suite);
       ("heap", Test_heap.suite);
       ("workload", Test_workload.suite);

@@ -184,6 +184,18 @@ let test_check_detects_planted_bug () =
   check_bool "tampering detected" true
     (List.exists (fun v -> v.Os.Check.check = "mapcount") vs)
 
+let test_check_detects_free_mapped () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let va = K.mmap_anon k p ~len:Sim.Units.page_size ~prot:Hw.Prot.rw ~populate:true in
+  check_int "clean before tampering" 0 (List.length (Os.Check.run k));
+  (* Free a frame that is still mapped, behind the VM's back. *)
+  (match Hw.Page_table.lookup (Os.Address_space.page_table p.Os.Proc.aspace) ~va with
+  | Some (pa, _) -> Physmem.Zero_engine.put_dirty (K.zero_engine k) [ Physmem.Frame.of_addr pa ]
+  | None -> Alcotest.fail "page not mapped");
+  let vs = List.filter (fun v -> v.Os.Check.check = "free_mapped") (Os.Check.run k) in
+  check_int "mapped frame and its reference flagged" 2 (List.length vs)
+
 let test_check_detects_lost_shootdown () =
   (* A lost ack only matters on a REMOTE core: fill core 0's TLB, migrate
      to core 1, and unmap from there. The IPI back to core 0 drops its
@@ -330,6 +342,8 @@ let suite =
     Alcotest.test_case "check: clean after fork + FOM" `Quick test_check_clean_after_fork_and_fom;
     Alcotest.test_case "check: clean after reclaim" `Quick test_check_clean_after_reclaim;
     Alcotest.test_case "check: planted bug detected" `Quick test_check_detects_planted_bug;
+    Alcotest.test_case "check: planted free mapped frame detected" `Quick
+      test_check_detects_free_mapped;
     Alcotest.test_case "check: lost shootdown detected" `Quick test_check_detects_lost_shootdown;
     Alcotest.test_case "degrade: buddy refusal, reclaimed" `Quick test_alloc_retry_survives_failure;
     Alcotest.test_case "degrade: exhaustion is typed ENOMEM" `Quick test_alloc_exhaustion_is_typed_enomem;

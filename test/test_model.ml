@@ -312,6 +312,9 @@ let test_fork_after_thp () =
   | Some (_, leaf) ->
     check_bool "child sees base pages" true (leaf.Hw.Page_table.size = Hw.Page_size.Small)
   | None -> Alcotest.fail "child missing mapping");
+  (* Every one of the split block's base pages is counted. *)
+  Alcotest.(check (list string)) "invariants hold after the split" []
+    (List.map Os.Check.violation_to_string (Os.Check.run k));
   (* Both can write independently after the CoW break. *)
   K.access k child ~va:probe ~write:true;
   K.access k parent ~va:probe ~write:true
