@@ -47,6 +47,28 @@ bench-diff:
 	dune exec bin/o1mem_cli.exe -- bench-diff \
 	  $$(ls BENCH_*.json | sort | tail -1) fresh_bench.json --threshold 10
 
+# Benchmark smoke: build perfbench/pass.exe in release, as perfbench/run.py
+# does, and run one untraced pass at seed 1 of each workload named in
+# perf_virtual.jsonl, one line per workload. Fails unless the pass's own
+# output checks (Os.Check, the store read-back) report no errors and its
+# "virtual" object equals that line's, so every virtual-clock number the
+# benchmark reports is unchanged. A change that moves one on purpose
+# rewrites that line; a new workload adds one. CI runs this after
+# `make check`.
+perf-smoke:
+	dune build --build-dir .bench_build --profile release ./perfbench/pass.exe
+	@test -s perf_virtual.jsonl || { echo "perf_virtual.jsonl names no workload"; exit 1; }
+	@while IFS= read -r line || [ -n "$$line" ]; do \
+	  w=$$(printf '%s\n' "$$line" | sed -n 's/^{"workload":"\([^"]*\)",.*/\1/p'); \
+	  test -n "$$w" || { echo "perf_virtual.jsonl: no workload in: $$line"; exit 1; }; \
+	  out=$$(.bench_build/default/perfbench/pass.exe --workload "$$w" --seed 1 --trace 0 < /dev/null) || exit 1; \
+	  case "$$out" in *'"errors":[]'*) ;; *) echo "$$w: output checks failed: $$out"; exit 1;; esac; \
+	  v=$$(printf '%s\n' "$$out" | sed -n 's/.*"virtual":\({.*}\),"host":.*/\1/p'); \
+	  got="{\"workload\":\"$$w\",\"virtual\":$$v}"; \
+	  if [ "$$got" = "$$line" ]; then echo "$$w: virtual metrics unchanged"; \
+	  else echo "$$w: virtual metrics differ from perf_virtual.jsonl:"; echo "$$got"; exit 1; fi; \
+	done < perf_virtual.jsonl
+
 # P1 cycle-attribution call trees for the churn workload, both heap
 # backends (see EXPERIMENTS.md "P1 — where do the cycles go?"). Every
 # frame is a Sim.Trace.span; `profile --format chrome` exports the same
@@ -90,4 +112,4 @@ chaos:
 	dune exec bin/o1mem_cli.exe -- faults --seed 31 --plan store --rounds 24
 	dune exec bin/o1mem_cli.exe -- store
 
-.PHONY: all test test-verbose bench examples clean check bench-diff profile hotspots chaos timeline
+.PHONY: all test test-verbose bench examples clean check bench-diff perf-smoke profile hotspots chaos timeline

@@ -194,17 +194,6 @@ let lookup t ~va =
   in
   loop t.root 0
 
-let leaf_depth t ~va =
-  check_va t va;
-  let rec loop node depth =
-    let i = index t ~depth va in
-    match node.entries.(i) with
-    | Empty -> None
-    | Leaf _ -> Some depth
-    | Table child -> loop child (depth + 1)
-  in
-  loop t.root 0
-
 let unmap_range t ~va ~len =
   check_va t va;
   if len <= 0 then 0

@@ -67,9 +67,6 @@ val protect_range : t -> va:int -> len:int -> prot:Prot.t -> int
 val lookup : t -> va:int -> (int * leaf) option
 (** Software lookup (no hardware cost): physical address + leaf. *)
 
-val leaf_depth : t -> va:int -> int option
-(** Depth at which [va]'s leaf sits, for walk-cost computation. *)
-
 val share_subtree : src:t -> src_va:int -> dst:t -> dst_va:int -> depth:int -> unit
 (** Graft the [src] subtree under the entry at [depth] covering [src_va]
     into [dst] at [dst_va]: a single pointer write (plus path creation in

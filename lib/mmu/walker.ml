@@ -13,17 +13,22 @@ let refs_for_walk ~guest_levels ~leaf_depth ~mode =
     ((g + 1) * (h + 1)) - 1
 
 let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
-  let leaf_depth =
-    match Page_table.leaf_depth table ~va with
-    | Some d -> d
-    | None -> Page_table.levels table - 1 (* walked all the way to the hole *)
+  (* One lookup finds the leaf, and its size gives the depth it sits at;
+     a miss is charged as a walk all the way down to the hole. *)
+  let refs found =
+    let levels = Page_table.levels table in
+    let leaf_depth =
+      match found with
+      | Some (_, leaf) -> levels - 1 - Page_size.depth_above_leaf leaf.Page_table.size
+      | None -> levels - 1
+    in
+    refs_for_walk ~guest_levels:levels ~leaf_depth ~mode
   in
-  let refs =
-    refs_for_walk ~guest_levels:(Page_table.levels table) ~leaf_depth ~mode
-  in
-  Sim.Trace.span trace ~op:"page_walk" ~arg:(fun _ -> refs)
+  Sim.Trace.span trace ~op:"page_walk" ~arg:refs
     ~outcome:(function Some _ -> "ok" | None -> "hole")
   @@ fun () ->
+  let found = Page_table.lookup table ~va in
+  let refs = refs found in
   let model = Sim.Clock.model clock in
   (* Page-walk caches: upper-level entries hit in the PWC/data caches;
      only the final leaf PTE read goes to memory. *)
@@ -31,8 +36,5 @@ let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
     (model.Sim.Cost_model.mem_ref_dram + ((refs - 1) * model.Sim.Cost_model.cache_ref));
   Sim.Stats.add stats "walk_refs" refs;
   Sim.Stats.incr stats "page_walks";
-  match Page_table.lookup table ~va with
-  | None -> None
-  | Some (pa, leaf) ->
-    leaf.Page_table.accessed <- true;
-    Some (pa, leaf)
+  (match found with Some (_, leaf) -> leaf.Page_table.accessed <- true | None -> ());
+  found

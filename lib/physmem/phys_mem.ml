@@ -1,9 +1,23 @@
 type region = Dram | Nvm
 
-(* Contents are sparse: a 4 KiB host buffer is materialized for a frame
-   on its first nonzero write and dropped when it becomes all-zero
-   again, so terabyte machines cost nothing until touched. *)
-type frame_store = { data : Bytes.t; mutable nonzero : int }
+(* Contents are pfn-indexed and sparse. Frames are grouped into chunks
+   of [chunk_frames]; a chunk's slots are allocated on the first non-zero
+   write to one of its frames. A frame holding a non-zero byte owns a
+   4 KiB buffer. When the frame becomes all-zero again, the buffer is
+   scrubbed over the span it was written in and goes back on a free
+   list, so a later write reuses it instead of allocating. *)
+let chunk_bits = 9
+let chunk_frames = 1 lsl chunk_bits
+
+type chunk = {
+  data : Bytes.t array; (* the frame's buffer, or [no_data] *)
+  nonzero : int array; (* non-zero bytes in the buffer *)
+  lo : int array; (* every byte of the buffer outside [lo, hi) is zero *)
+  hi : int array;
+}
+
+let no_data = Bytes.empty
+let no_chunk = { data = [||]; nonzero = [||]; lo = [||]; hi = [||] }
 
 type t = {
   clock : Sim.Clock.t;
@@ -13,7 +27,9 @@ type t = {
   nvm_frames : int;
   numa_nodes : int;
   mutable accessor_node : int;
-  contents : (int, frame_store) Hashtbl.t;
+  chunks : chunk array; (* by [pfn lsr chunk_bits], [no_chunk] if never written *)
+  mutable free : Bytes.t array; (* scrubbed buffers, [free.(0 .. nfree-1)] *)
+  mutable nfree : int;
   mutable cache : Cache_hier.t option;
 }
 
@@ -25,15 +41,19 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~dram_bytes ~nvm_bytes
     invalid_arg "Phys_mem.create: nvm_bytes not page-aligned";
   if dram_bytes + nvm_bytes <= 0 then invalid_arg "Phys_mem.create: empty machine";
   if numa_nodes <= 0 then invalid_arg "Phys_mem.create: numa_nodes must be positive";
+  let dram_frames = dram_bytes / Sim.Units.page_size
+  and nvm_frames = nvm_bytes / Sim.Units.page_size in
   {
     clock;
     stats;
     trace;
-    dram_frames = dram_bytes / Sim.Units.page_size;
-    nvm_frames = nvm_bytes / Sim.Units.page_size;
+    dram_frames;
+    nvm_frames;
     numa_nodes;
     accessor_node = 0;
-    contents = Hashtbl.create 1024;
+    chunks = Array.make ((dram_frames + nvm_frames + chunk_frames - 1) lsr chunk_bits) no_chunk;
+    free = [||];
+    nfree = 0;
     cache = None;
   }
 
@@ -129,38 +149,86 @@ let lines_covered ~addr ~len =
     let first = addr / 64 and last = (addr + len - 1) / 64 in
     last - first + 1
 
-let frame_table t pfn = Hashtbl.find_opt t.contents pfn
+let slot pfn = pfn land (chunk_frames - 1)
 
-let frame_table_create t pfn =
-  match Hashtbl.find_opt t.contents pfn with
-  | Some fr -> fr
-  | None ->
-    let fr = { data = Bytes.make Sim.Units.page_size '\000'; nonzero = 0 } in
-    Hashtbl.add t.contents pfn fr;
-    fr
+let chunk t pfn = t.chunks.(pfn lsr chunk_bits)
+
+(* Frame [pfn]'s buffer, or [no_data]. *)
+let buffer t pfn =
+  let c = chunk t pfn in
+  if c == no_chunk then no_data else c.data.(slot pfn)
+
+(* Frame [pfn]'s chunk, once the frame owns a buffer. *)
+let writable t pfn =
+  let ci = pfn lsr chunk_bits and i = slot pfn in
+  if t.chunks.(ci) == no_chunk then
+    t.chunks.(ci) <-
+      {
+        data = Array.make chunk_frames no_data;
+        nonzero = Array.make chunk_frames 0;
+        lo = Array.make chunk_frames Sim.Units.page_size;
+        hi = Array.make chunk_frames 0;
+      };
+  let c = t.chunks.(ci) in
+  if c.data.(i) == no_data then
+    c.data.(i) <-
+      (if t.nfree = 0 then Bytes.make Sim.Units.page_size '\000'
+       else begin
+         t.nfree <- t.nfree - 1;
+         let b = t.free.(t.nfree) in
+         t.free.(t.nfree) <- no_data;
+         b
+       end);
+  c
+
+(* Record that [lo, hi) of slot [i]'s buffer was written. *)
+let widen c i ~lo ~hi =
+  if lo < c.lo.(i) then c.lo.(i) <- lo;
+  if hi > c.hi.(i) then c.hi.(i) <- hi
+
+(* Drop slot [i]'s contents: scrub the written span of its buffer unless
+   it is already all-zero, and put the buffer on the free list. *)
+let release t c i =
+  let b = c.data.(i) in
+  if b != no_data then begin
+    if c.nonzero.(i) > 0 then Bytes.fill b c.lo.(i) (c.hi.(i) - c.lo.(i)) '\000';
+    if t.nfree = Array.length t.free then begin
+      let f = Array.make (max 16 (2 * t.nfree)) no_data in
+      Array.blit t.free 0 f 0 t.nfree;
+      t.free <- f
+    end;
+    t.free.(t.nfree) <- b;
+    t.nfree <- t.nfree + 1;
+    c.data.(i) <- no_data;
+    c.nonzero.(i) <- 0;
+    c.lo.(i) <- Sim.Units.page_size;
+    c.hi.(i) <- 0
+  end
+
+let release_frame t pfn =
+  let c = chunk t pfn in
+  if c != no_chunk then release t c (slot pfn)
 
 let peek_byte t addr =
-  match frame_table t (Frame.of_addr addr) with
-  | None -> '\000'
-  | Some fr -> Bytes.get fr.data (Frame.offset_in_frame addr)
+  let b = buffer t (Frame.of_addr addr) in
+  if b == no_data then '\000' else Bytes.get b (Frame.offset_in_frame addr)
 
-let poke_byte t addr c =
-  let pfn = Frame.of_addr addr in
-  if c = '\000' then (
-    match frame_table t pfn with
-    | None -> ()
-    | Some fr ->
-      let off = Frame.offset_in_frame addr in
-      if Bytes.get fr.data off <> '\000' then begin
-        Bytes.set fr.data off '\000';
-        fr.nonzero <- fr.nonzero - 1;
-        if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
-      end)
+let poke_byte t addr ch =
+  let pfn = Frame.of_addr addr and off = Frame.offset_in_frame addr in
+  let i = slot pfn in
+  if ch = '\000' then begin
+    let c = chunk t pfn in
+    if c != no_chunk && c.data.(i) != no_data && Bytes.get c.data.(i) off <> '\000' then begin
+      Bytes.set c.data.(i) off '\000';
+      c.nonzero.(i) <- c.nonzero.(i) - 1;
+      if c.nonzero.(i) = 0 then release t c i
+    end
+  end
   else begin
-    let fr = frame_table_create t pfn in
-    let off = Frame.offset_in_frame addr in
-    if Bytes.get fr.data off = '\000' then fr.nonzero <- fr.nonzero + 1;
-    Bytes.set fr.data off c
+    let c = writable t pfn in
+    if Bytes.get c.data.(i) off = '\000' then c.nonzero.(i) <- c.nonzero.(i) + 1;
+    Bytes.set c.data.(i) off ch;
+    widen c i ~lo:off ~hi:(off + 1)
   end
 
 let check_addr t addr len =
@@ -206,9 +274,8 @@ let read_raw t ~addr ~len buf =
     let pfn = Frame.of_addr a in
     let off = Frame.offset_in_frame a in
     let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (match frame_table t pfn with
-    | Some fr -> Bytes.blit fr.data off buf !pos run
-    | None -> Bytes.fill buf !pos run '\000');
+    let b = buffer t pfn in
+    if b == no_data then Bytes.fill buf !pos run '\000' else Bytes.blit b off buf !pos run;
     pos := !pos + run
   done
 
@@ -225,6 +292,8 @@ let peek t ~addr ~len =
   read_raw t ~addr ~len buf;
   buf
 
+let rec all_zero s ~pos ~stop = pos = stop || (s.[pos] = '\000' && all_zero s ~pos:(pos + 1) ~stop)
+
 let write t ~addr s =
   let len = String.length s in
   check_addr t addr len;
@@ -235,15 +304,20 @@ let write t ~addr s =
     let pfn = Frame.of_addr a in
     let off = Frame.offset_in_frame a in
     let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (* Fast path: count nonzero delta over the run once. *)
-    let fr = frame_table_create t pfn in
-    for i = 0 to run - 1 do
-      let old = Bytes.get fr.data (off + i) and c = s.[!pos + i] in
-      if old = '\000' && c <> '\000' then fr.nonzero <- fr.nonzero + 1
-      else if old <> '\000' && c = '\000' then fr.nonzero <- fr.nonzero - 1
-    done;
-    Bytes.blit_string s !pos fr.data off run;
-    if fr.nonzero = 0 then Hashtbl.remove t.contents pfn;
+    (* Zeros into a frame without a buffer change nothing. *)
+    if buffer t pfn != no_data || not (all_zero s ~pos:!pos ~stop:(!pos + run)) then begin
+      let c = writable t pfn and i = slot pfn in
+      let b = c.data.(i) and n = ref c.nonzero.(i) in
+      for k = 0 to run - 1 do
+        let old = Bytes.get b (off + k) and ch = s.[!pos + k] in
+        if old = '\000' && ch <> '\000' then incr n
+        else if old <> '\000' && ch = '\000' then decr n
+      done;
+      Bytes.blit_string s !pos b off run;
+      c.nonzero.(i) <- !n;
+      widen c i ~lo:off ~hi:(off + run);
+      if !n = 0 then release t c i
+    end;
     pos := !pos + run
   done
 
@@ -253,14 +327,14 @@ let touch t addr =
 
 let zero_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.zero_frame: bad frame";
-  Hashtbl.remove t.contents pfn;
+  release_frame t pfn;
   let model = Sim.Clock.model t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
   Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
 
 let discard_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
-  Hashtbl.remove t.contents pfn
+  release_frame t pfn
 
 let discard_range t ~addr ~len =
   check_addr t addr len;
@@ -270,16 +344,15 @@ let discard_range t ~addr ~len =
     let pfn = Frame.of_addr a in
     let off = Frame.offset_in_frame a in
     let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (match frame_table t pfn with
-    | Some fr ->
-      let lost = ref 0 in
-      for i = 0 to run - 1 do
-        if Bytes.get fr.data (off + i) <> '\000' then incr lost
+    let c = chunk t pfn and i = slot pfn in
+    if c != no_chunk && c.data.(i) != no_data then begin
+      let b = c.data.(i) in
+      for k = off to off + run - 1 do
+        if Bytes.get b k <> '\000' then c.nonzero.(i) <- c.nonzero.(i) - 1
       done;
-      Bytes.fill fr.data off run '\000';
-      fr.nonzero <- fr.nonzero - !lost;
-      if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
-    | None -> ());
+      Bytes.fill b off run '\000';
+      if c.nonzero.(i) = 0 then release t c i
+    end;
     pos := !pos + run
   done
 
@@ -294,11 +367,16 @@ let restore_range t ~addr s =
   String.iteri (fun i c -> poke_byte t (addr + i) c) s
 
 let frame_is_zero t pfn =
-  match frame_table t pfn with None -> true | Some fr -> fr.nonzero = 0
+  let c = chunk t pfn in
+  c == no_chunk || c.nonzero.(slot pfn) = 0
 
 let crash t =
-  let doomed = ref [] in
-  Hashtbl.iter (fun pfn _ -> if pfn < t.dram_frames then doomed := pfn :: !doomed) t.contents;
-  List.iter (Hashtbl.remove t.contents) !doomed
+  Array.iteri
+    (fun ci c ->
+      for i = 0 to Array.length c.data - 1 do
+        if (ci lsl chunk_bits) + i < t.dram_frames then release t c i
+      done)
+    t.chunks
 
-let resident_bytes t = Hashtbl.fold (fun _ fr acc -> acc + fr.nonzero) t.contents 0
+let resident_bytes t =
+  Array.fold_left (fun acc c -> Array.fold_left ( + ) acc c.nonzero) 0 t.chunks

@@ -2,8 +2,16 @@
 
     The space is split into a DRAM region (frames [0 .. dram_frames-1]) and
     an NVM region above it, mirroring a machine with both DIMM types. Byte
-    contents are stored sparsely: an address never written reads as zero,
-    so terabyte spaces cost nothing until touched.
+    contents are stored sparsely and indexed by frame number: an address
+    never written reads as zero. Frames are grouped into chunks of 512
+    (2 MiB); a chunk's per-frame slots are made on the first non-zero
+    write into it, so an untouched chunk costs one word of the directory
+    made with the machine (32 KiB for 8 GiB). A frame holding a non-zero
+    byte owns a 4 KiB host buffer. When it becomes all-zero again (zeroed,
+    discarded, lost in a crash or overwritten with zeros) the buffer is
+    scrubbed over the span that was written and goes on a free list, and
+    the next frame written takes it from there: a page fault's write
+    marker reuses memory instead of allocating it.
 
     Every access charges the shared {!Sim.Clock} one cache-line-granular
     memory reference priced by the region (DRAM vs NVM read/write), and

@@ -9,26 +9,32 @@ type gauge = {
   points : (int * int) Queue.t; (* (cycle, value), oldest first *)
 }
 
+(* Each table sits behind a name cache; values are never removed from
+   a table, so its cache stays valid for the life of the [t]. *)
 type t = {
   counters : (string, int ref) Hashtbl.t;
+  counter_cache : int ref Name_cache.t;
   gauges : (string, gauge) Hashtbl.t;
+  gauge_cache : gauge Name_cache.t;
   mutable sample_interval : int; (* cycles between samples; 0 = sampling off *)
   mutable next_sample : int;
 }
 
 let series_capacity = 1024
 
-let create () =
-  { counters = Hashtbl.create 32; gauges = Hashtbl.create 16; sample_interval = 0; next_sample = 0 }
+let new_gauge () = { value = 0; hwm = 0; points = Queue.create () }
 
-(* [Hashtbl.find], not [find_opt]: a bump allocates nothing. *)
-let cell t name =
-  match Hashtbl.find t.counters name with
-  | r -> r
-  | exception Not_found ->
-    let r = ref 0 in
-    Hashtbl.add t.counters name r;
-    r
+let create () =
+  {
+    counters = Hashtbl.create 32;
+    counter_cache = Name_cache.create (ref 0);
+    gauges = Hashtbl.create 16;
+    gauge_cache = Name_cache.create (new_gauge ());
+    sample_interval = 0;
+    next_sample = 0;
+  }
+
+let cell t name = Name_cache.find t.counter_cache t.counters ~make:(fun () -> ref 0) name
 
 let incr t name = Stdlib.incr (cell t name)
 
@@ -55,13 +61,7 @@ let diff ~before ~after =
 
 (* ------------------------------- gauges ------------------------------- *)
 
-let gauge_cell t name =
-  match Hashtbl.find t.gauges name with
-  | g -> g
-  | exception Not_found ->
-    let g = { value = 0; hwm = 0; points = Queue.create () } in
-    Hashtbl.add t.gauges name g;
-    g
+let gauge_cell t name = Name_cache.find t.gauge_cache t.gauges ~make:new_gauge name
 
 let set_gauge t name v =
   let g = gauge_cell t name in

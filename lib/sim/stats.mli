@@ -5,7 +5,13 @@
     snapshot and diff them. Gauges track a current level — resident pages,
     zero-cache depth, TLB occupancy, WAL bytes — with a high watermark,
     and can be sampled periodically against the virtual clock into a
-    bounded time series. *)
+    bounded time series.
+
+    Counters and gauges live in string-keyed tables. A bump first checks
+    a small {!Name_cache} keyed by the name string's identity: a hot path
+    passing a string literal finds its cell without hashing the name. An
+    equal name built at run time misses and reaches the same cell through
+    the table, so the cache never changes a value. *)
 
 type t
 

@@ -25,6 +25,7 @@ type t = {
   outcomes : string array;
   mutable recorded : int; (* total events ever recorded, ring or not *)
   latencies : (string, Histogram.t) Hashtbl.t;
+  latency_cache : Histogram.t Name_cache.t; (* cleared with [latencies] *)
   mutable profile : Profile.t; (* call-tree profiler, if attached *)
   mutable faults : Fault_inject.t; (* fault-injection plane, if attached *)
   mutable causal : Causal.t; (* cross-core causal plane, if attached *)
@@ -42,6 +43,7 @@ let make clock capacity =
     outcomes = Array.make capacity "";
     recorded = 0;
     latencies = Hashtbl.create 32;
+    latency_cache = Name_cache.create (Histogram.create ());
     profile = Profile.disabled;
     faults = Fault_inject.disabled;
     causal = Causal.disabled;
@@ -77,13 +79,7 @@ let capacity t = Array.length t.ops
 let recorded t = t.recorded
 let dropped t = max 0 (t.recorded - capacity t)
 
-let latency_for t op =
-  match Hashtbl.find t.latencies op with
-  | h -> h
-  | exception Not_found ->
-    let h = Histogram.create () in
-    Hashtbl.add t.latencies op h;
-    h
+let latency_for t op = Name_cache.find t.latency_cache t.latencies ~make:Histogram.create op
 
 (* Behind [record] and [span]. Every argument is required, so a call
    boxes no option, and the slot is written in place. *)
@@ -165,7 +161,8 @@ let ops t =
 
 let reset t =
   t.recorded <- 0;
-  Hashtbl.reset t.latencies
+  Hashtbl.reset t.latencies;
+  Name_cache.clear t.latency_cache
 
 let event_to_json e =
   Json.Obj

@@ -7,7 +7,9 @@
     operation rather than flat counts. Every instrumented path opens a
     {!span}, which also drives the attached {!Profile} call tree. The
     ring's slots are overwritten in place, so recording allocates
-    nothing.
+    nothing. An operation's histogram is found through a small
+    {!Name_cache} keyed by the name string's identity, in front of the
+    string-keyed table; {!reset} empties both.
 
     Components store a trace field defaulting to {!disabled}, a shared no-op
     sentinel: recording into it does nothing, and {!span} just runs its

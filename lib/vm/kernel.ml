@@ -485,16 +485,14 @@ let rec access_inner t proc ~va ~write =
   match Hw.Mmu.access (Address_space.mmu aspace) ~mem:t.mem ~va ~write with
   | Ok () -> ()
   | Error _ ->
-    (match
-       ( Hw.Page_table.lookup (Address_space.page_table aspace) ~va,
-         Userfault.find t.userfault ~pid:proc.Proc.pid ~va )
-     with
-    | None, Some (handler, prot) ->
+    (* A fault outside every registered range skips the table walk. *)
+    let table = Address_space.page_table aspace in
+    match Userfault.find t.userfault ~pid:proc.Proc.pid ~va with
+    | Some (handler, prot) when Option.is_none (Hw.Page_table.lookup table ~va) ->
       (* Missing page in a registered range: user-level paging. *)
       handle_userfault t proc ~va ~write ~prot ~handler;
       access_inner t proc ~va ~write
-    | _ -> kernel_fault t proc ~va ~write);
-    ()
+    | _ -> kernel_fault t proc ~va ~write
 
 and kernel_fault t proc ~va ~write =
   ignore (Fault.handle t.ctx ~aspace:proc.Proc.aspace ~pid:proc.Proc.pid ~va ~write : Fault.kind);

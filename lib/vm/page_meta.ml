@@ -38,72 +38,100 @@ let bit_of = function
   | Mlocked -> 16
   | Pinned -> 17
 
-type page = { mutable flags : int; mutable refcount : int; mutable mapcount : int }
+(* The fields are pfn-indexed: frames are grouped into chunks of
+   [chunk_frames], each holding one int array per field, allocated on the
+   chunk's first update. A frame of a chunk never updated reads zero. *)
+let chunk_bits = 9
+let chunk_frames = 1 lsl chunk_bits
+
+type chunk = { flags : int array; refcount : int array; mapcount : int array }
+
+let no_chunk = { flags = [||]; refcount = [||]; mapcount = [||] }
 
 type t = {
   clock : Sim.Clock.t;
   stats : Sim.Stats.t;
   frames : int;
-  pages : (int, page) Hashtbl.t;
+  chunks : chunk array; (* by [pfn lsr chunk_bits] *)
 }
 
 let bytes_per_page = 64
 
-let create ~clock ~stats ~frames = { clock; stats; frames; pages = Hashtbl.create 1024 }
+let create ~clock ~stats ~frames =
+  { clock; stats; frames; chunks = Array.make ((frames + chunk_frames - 1) lsr chunk_bits) no_chunk }
 
 let frames t = t.frames
 
-(* [Hashtbl.find], not [find_opt]: a lookup allocates nothing. *)
-let page t pfn =
-  if pfn < 0 || pfn >= t.frames then invalid_arg "Page_meta: frame out of range";
-  match Hashtbl.find t.pages pfn with
-  | p -> p
-  | exception Not_found ->
-    let p = { flags = 0; refcount = 0; mapcount = 0 } in
-    Hashtbl.add t.pages pfn p;
-    p
+let check t pfn = if pfn < 0 || pfn >= t.frames then invalid_arg "Page_meta: frame out of range"
+
+(* For reads: [no_chunk] when never updated, whose fields read zero. *)
+let chunk t pfn =
+  check t pfn;
+  t.chunks.(pfn lsr chunk_bits)
+
+let slot pfn = pfn land (chunk_frames - 1)
+
+let read field t pfn =
+  let c = chunk t pfn in
+  if c == no_chunk then 0 else (field c).(slot pfn)
+
+(* For updates: the frame's chunk, allocated on first use. *)
+let writable t pfn =
+  let c = chunk t pfn in
+  if c != no_chunk then c
+  else begin
+    let c =
+      {
+        flags = Array.make chunk_frames 0;
+        refcount = Array.make chunk_frames 0;
+        mapcount = Array.make chunk_frames 0;
+      }
+    in
+    t.chunks.(pfn lsr chunk_bits) <- c;
+    c
+  end
 
 let charge_meta t =
   Sim.Clock.charge t.clock 8;
   Sim.Stats.incr t.stats "struct_page_update"
 
-let get_flag t pfn f = page t pfn |> fun p -> p.flags land (1 lsl bit_of f) <> 0
+let get_flag t pfn f = read (fun c -> c.flags) t pfn land (1 lsl bit_of f) <> 0
 
 let set_flag t pfn f v =
   charge_meta t;
-  let p = page t pfn in
+  let c = writable t pfn and i = slot pfn in
   let mask = 1 lsl bit_of f in
-  p.flags <- (if v then p.flags lor mask else p.flags land lnot mask)
+  c.flags.(i) <- (if v then c.flags.(i) lor mask else c.flags.(i) land lnot mask)
 
-let refcount t pfn = (page t pfn).refcount
+let refcount t pfn = read (fun c -> c.refcount) t pfn
 
 let get_page t pfn =
   charge_meta t;
-  let p = page t pfn in
-  p.refcount <- p.refcount + 1
+  let c = writable t pfn and i = slot pfn in
+  c.refcount.(i) <- c.refcount.(i) + 1
 
 let put_page t pfn =
   charge_meta t;
-  let p = page t pfn in
-  if p.refcount <= 0 then invalid_arg "Page_meta.put_page: refcount underflow";
-  p.refcount <- p.refcount - 1
+  let c = writable t pfn and i = slot pfn in
+  if c.refcount.(i) <= 0 then invalid_arg "Page_meta.put_page: refcount underflow";
+  c.refcount.(i) <- c.refcount.(i) - 1
 
-let mapcount t pfn = (page t pfn).mapcount
+let mapcount t pfn = read (fun c -> c.mapcount) t pfn
 
 (* Mapcount 0 -> 1 / 1 -> 0 transitions are the machine-wide choke point
    for residency: a frame is resident iff some address space maps it. *)
 let inc_mapcount t pfn =
   charge_meta t;
-  let p = page t pfn in
-  p.mapcount <- p.mapcount + 1;
-  if p.mapcount = 1 then Sim.Stats.add_gauge t.stats "resident_pages" 1
+  let c = writable t pfn and i = slot pfn in
+  c.mapcount.(i) <- c.mapcount.(i) + 1;
+  if c.mapcount.(i) = 1 then Sim.Stats.add_gauge t.stats "resident_pages" 1
 
 let dec_mapcount t pfn =
   charge_meta t;
-  let p = page t pfn in
-  if p.mapcount <= 0 then invalid_arg "Page_meta.dec_mapcount: underflow";
-  p.mapcount <- p.mapcount - 1;
-  if p.mapcount = 0 then Sim.Stats.add_gauge t.stats "resident_pages" (-1)
+  let c = writable t pfn and i = slot pfn in
+  if c.mapcount.(i) <= 0 then invalid_arg "Page_meta.dec_mapcount: underflow";
+  c.mapcount.(i) <- c.mapcount.(i) - 1;
+  if c.mapcount.(i) = 0 then Sim.Stats.add_gauge t.stats "resident_pages" (-1)
 
 (* An mlock pin: one reference plus these flags, taken once per frame. *)
 let pin_flags = [ Pinned; Mlocked; Unevictable ]
@@ -157,11 +185,19 @@ let reset_after_crash t =
   (* struct pages live in DRAM: a crash reinitializes them all. The
      residency gauge must follow, or post-crash observability reports
      mappings of processes that no longer exist. *)
-  Hashtbl.reset t.pages;
+  Array.fill t.chunks 0 (Array.length t.chunks) no_chunk;
   Sim.Stats.set_gauge t.stats "resident_pages" 0
 
 let iter_counts t f =
-  Hashtbl.iter (fun pfn p -> f pfn ~refcount:p.refcount ~mapcount:p.mapcount) t.pages
+  Array.iteri
+    (fun ci c ->
+      let first = ci lsl chunk_bits in
+      for i = 0 to min (Array.length c.mapcount) (t.frames - first) - 1 do
+        f (first + i) ~refcount:c.refcount.(i) ~mapcount:c.mapcount.(i)
+      done)
+    t.chunks
 
 let resident_pages t =
-  Hashtbl.fold (fun _ p acc -> if p.mapcount > 0 then acc + 1 else acc) t.pages 0
+  Array.fold_left
+    (fun acc c -> Array.fold_left (fun acc m -> if m > 0 then acc + 1 else acc) acc c.mapcount)
+    0 t.chunks

@@ -3,9 +3,13 @@
     The paper counts 25 flags and 38 fields in Linux's page structure and
     argues most of it is unnecessary with ample persistent memory. We
     model the flags the baseline VM actually exercises plus the full
-    space cost (64 bytes per 4 KiB page). Records are created lazily
-    host-side, but the boot-time initialisation cost and the steady-state
-    space cost are computed over all frames, as on a real machine. *)
+    space cost (64 bytes per 4 KiB page). Host-side there is no per-frame
+    record: flags, refcount and mapcount live in pfn-indexed int arrays,
+    one set per chunk of 512 frames, made on the chunk's first update. A
+    frame of an untouched chunk reads zero everywhere and costs nothing;
+    reading it allocates nothing. The boot-time initialisation cost and
+    the steady-state space cost are still computed over all frames, as on
+    a real machine. *)
 
 type flag =
   | Locked
@@ -80,11 +84,12 @@ val init_range : t -> first:Physmem.Frame.t -> count:int -> unit
     [struct_page_init] per frame — one of the paper's linear costs. *)
 
 val reset_after_crash : t -> unit
-(** Drop every per-frame record and zero the "resident_pages" gauge:
-    struct pages are DRAM state and do not survive a power failure. *)
+(** Drop every chunk and zero the "resident_pages" gauge: struct pages
+    are DRAM state and do not survive a power failure. *)
 
 val iter_counts : t -> (Physmem.Frame.t -> refcount:int -> mapcount:int -> unit) -> unit
-(** Visit every frame that ever had metadata materialized. Host-side
+(** Visit every frame of every chunk made since boot or the last crash,
+    in frame order; frames never updated report zero counts. Host-side
     introspection for the invariant checker: no charge. *)
 
 val resident_pages : t -> int

@@ -276,6 +276,116 @@ let prop_zero_then_read_zero =
       PM.zero_range mem ~addr ~len;
       Bytes.to_string (PM.read mem ~addr ~len) = String.make len '\000')
 
+(* Phys_mem against a pure model: the machine's 32 KiB as one flat byte
+   string. Four DRAM and four NVM frames make every frame's buffer go back
+   to the free list and come out again many times in one op list. *)
+type op =
+  | Write of int * string
+  | Write_byte of int * char
+  | Zero_frame of int
+  | Zero_range of int * int
+  | Discard_frame of int
+  | Discard_range of int * int
+  | Restore_range of int * string
+  | Crash
+
+let model_frames = 8
+let model_bytes = model_frames * Sim.Units.page_size
+
+let print_op = function
+  | Write (a, s) -> Printf.sprintf "write %d %S" a s
+  | Write_byte (a, c) -> Printf.sprintf "write_byte %d %C" a c
+  | Zero_frame f -> Printf.sprintf "zero_frame %d" f
+  | Zero_range (a, n) -> Printf.sprintf "zero_range %d %d" a n
+  | Discard_frame f -> Printf.sprintf "discard_frame %d" f
+  | Discard_range (a, n) -> Printf.sprintf "discard_range %d %d" a n
+  | Restore_range (a, s) -> Printf.sprintf "restore_range %d %S" a s
+  | Crash -> "crash"
+
+let op_gen =
+  let open QCheck2.Gen in
+  let byte = oneofl [ '\000'; '\000'; 'a'; 'b'; '\255' ] in
+  let span = int_range 1 600 in
+  (* An in-range address for [len] bytes. *)
+  let at len = map (fun a -> (min a (model_bytes - len), len)) (int_bound (model_bytes - 1)) in
+  let range = span >>= at in
+  (* [c] with a zero every [period] bytes (none for 0): four draws, not
+     one per byte, keep 200 op lists cheap. *)
+  let fill len c period = String.init len (fun k -> if period > 0 && k mod period = 0 then '\000' else c) in
+  let str = map3 fill span byte (int_bound 3) >>= fun s -> map (fun (a, _) -> (a, s)) (at (String.length s)) in
+  let frame = int_bound (model_frames - 1) in
+  frequency
+    [
+      (4, map (fun (a, s) -> Write (a, s)) str);
+      (4, map2 (fun a c -> Write_byte (a, c)) (int_bound (model_bytes - 1)) byte);
+      (2, map (fun f -> Zero_frame f) frame);
+      (2, map (fun (a, n) -> Zero_range (a, n)) range);
+      (2, map (fun f -> Discard_frame f) frame);
+      (2, map (fun (a, n) -> Discard_range (a, n)) range);
+      (2, map (fun (a, s) -> Restore_range (a, s)) str);
+      (1, pure Crash);
+    ]
+
+let apply mem model = function
+  | Write (a, s) ->
+    PM.write mem ~addr:a s;
+    Bytes.blit_string s 0 model a (String.length s)
+  | Write_byte (a, c) ->
+    PM.write_byte mem a c;
+    Bytes.set model a c
+  | Zero_frame f ->
+    PM.zero_frame mem f;
+    Bytes.fill model (Frame.to_addr f) Sim.Units.page_size '\000'
+  | Zero_range (a, n) ->
+    PM.zero_range mem ~addr:a ~len:n;
+    Bytes.fill model a n '\000'
+  | Discard_frame f ->
+    PM.discard_frame mem f;
+    Bytes.fill model (Frame.to_addr f) Sim.Units.page_size '\000'
+  | Discard_range (a, n) ->
+    PM.discard_range mem ~addr:a ~len:n;
+    Bytes.fill model a n '\000'
+  | Restore_range (a, s) ->
+    PM.restore_range mem ~addr:a s;
+    Bytes.blit_string s 0 model a (String.length s)
+  | Crash ->
+    PM.crash mem;
+    Bytes.fill model 0 (PM.dram_frames mem * Sim.Units.page_size) '\000'
+
+(* Reads and peeks cover every frame in one call each; the per-frame
+   non-zero counts give frame_is_zero and resident_bytes. *)
+let agrees mem model =
+  let page = Sim.Units.page_size in
+  let counts =
+    Array.init model_frames (fun f ->
+        let n = ref 0 in
+        (* Eight bytes per load: most of the model is zero. *)
+        for w = f * page / 8 to ((f + 1) * page / 8) - 1 do
+          if Bytes.get_int64_ne model (8 * w) <> 0L then
+            for a = 8 * w to (8 * w) + 7 do
+              if Bytes.get model a <> '\000' then incr n
+            done
+        done;
+        !n)
+  in
+  Bytes.equal (PM.read mem ~addr:0 ~len:model_bytes) model
+  && Bytes.equal (PM.peek mem ~addr:0 ~len:model_bytes) model
+  && Array.for_all Fun.id (Array.mapi (fun f n -> PM.frame_is_zero mem f = (n = 0)) counts)
+  && PM.resident_bytes mem = Array.fold_left ( + ) 0 counts
+
+let prop_matches_model =
+  qtest "phys_mem matches a flat byte model" ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 20) op_gen)
+    (fun ops ->
+      let page = Sim.Units.page_size in
+      let mem = mk_mem ~dram:(4 * page) ~nvm:(4 * page) () in
+      let model = Bytes.make model_bytes '\000' in
+      List.for_all
+        (fun op ->
+          apply mem model op;
+          agrees mem model)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "frame: address arithmetic" `Quick test_frame_arith;
@@ -302,4 +412,5 @@ let suite =
     Alcotest.test_case "cache: detach restores flat cost" `Quick test_cache_detach_restores_flat_cost;
     prop_write_read_roundtrip;
     prop_zero_then_read_zero;
+    prop_matches_model;
   ]

@@ -132,6 +132,35 @@ let test_stats () =
   Sim.Stats.reset s;
   check_int "reset" 0 (Sim.Stats.get s "x")
 
+(* The name cache in front of the tables must never change a count: an
+   equal name built at run time is another block, names sharing a cache
+   slot evict each other, and a reset keeps cached cells in use. *)
+let test_stats_name_cache () =
+  let s = Sim.Stats.create () in
+  let built = String.concat "_" [ "tlb"; "miss" ] in
+  Sim.Stats.incr s "tlb_miss";
+  Sim.Stats.add s built 2;
+  Sim.Stats.incr s "tlb_miss";
+  check_int "literal and built name share one counter" 4 (Sim.Stats.get s "tlb_miss");
+  Sim.Stats.add_gauge s "depth" 3;
+  Sim.Stats.add_gauge s (String.concat "" [ "de"; "pth" ]) 2;
+  check_int "literal and built name share one gauge" 5 (Sim.Stats.gauge s "depth");
+  (* More names than cache slots: some must share a slot. *)
+  let names = Array.init 600 (Printf.sprintf "n%d") in
+  for round = 1 to 3 do
+    Array.iteri (fun i n -> if i mod round = 0 then Sim.Stats.add s n (i + 1)) names
+  done;
+  Array.iteri
+    (fun i n ->
+      let bumps = List.length (List.filter (fun r -> i mod r = 0) [ 1; 2; 3 ]) in
+      check_int n (bumps * (i + 1)) (Sim.Stats.get s n))
+    names;
+  Sim.Stats.reset s;
+  Sim.Stats.incr s "tlb_miss";
+  check_int "one bump after reset" 1 (Sim.Stats.get s "tlb_miss");
+  Sim.Stats.incr s names.(7);
+  check_int "one bump of an evicted name after reset" 1 (Sim.Stats.get s "n7")
+
 let test_histogram () =
   let h = Sim.Histogram.create () in
   check_int "empty count" 0 (Sim.Histogram.count h);
@@ -328,4 +357,5 @@ let suite =
     prop_log2;
     prop_histogram_percentile_bounds;
     prop_histogram_percentile_monotone;
+    Alcotest.test_case "stats: name cache never changes a count" `Quick test_stats_name_cache;
   ]

@@ -123,6 +123,21 @@ let test_recording_allocates_nothing () =
     (words (fun () -> Sim.Trace.span tr ~op:"span" closed_body));
   check_int "every event recorded" 20_256 (Sim.Trace.recorded tr)
 
+(* [reset] drops every histogram, so the name cache in front of them must
+   forget them too; an equal op name built at run time shares the
+   literal's histogram. *)
+let test_reset_empties_name_cache () =
+  let tr, _ = mk () in
+  let count op = match Sim.Trace.latency tr op with Some h -> Sim.Histogram.count h | None -> 0 in
+  Sim.Trace.span tr ~op:(String.concat "" [ "wa"; "lk" ]) closed_body;
+  for _ = 1 to 3 do
+    Sim.Trace.span tr ~op:"walk" closed_body
+  done;
+  check_int "literal and built name share one histogram" 4 (count "walk");
+  Sim.Trace.reset tr;
+  Sim.Trace.span tr ~op:"walk" closed_body;
+  check_int "one span after reset" 1 (count "walk")
+
 let test_disabled_sentinel () =
   let tr = Sim.Trace.disabled in
   check_bool "disabled" false (Sim.Trace.enabled tr);
@@ -200,4 +215,5 @@ let suite =
     Alcotest.test_case "trace: JSON well-formed" `Quick test_json_well_formed;
     Alcotest.test_case "trace: JSON events_limit" `Quick test_json_events_limit;
     Alcotest.test_case "trace: JSON op recorded vs in_ring" `Quick test_json_op_ring_occupancy;
+    Alcotest.test_case "trace: reset empties the name cache" `Quick test_reset_empties_name_cache;
   ]
