@@ -74,7 +74,7 @@ let smp_rig ?(range = false) ~cores ~pages f =
     incr next;
     !next
   in
-  let table = Hw.Page_table.create ~clock ~stats ~levels:4 ~alloc_frame in
+  let table = Hw.Page_table.create ~clock ~stats ~levels:4 ~alloc_frame ~free_frame:ignore in
   let range_table =
     if range then begin
       let rt = Hw.Range_table.create ~clock ~stats () in

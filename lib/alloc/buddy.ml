@@ -39,6 +39,8 @@ let create ~mem ~first ~count ?(max_order = 10) ?(merge = true) () =
 let max_order t = t.max_order
 
 let in_range t pfn = pfn >= t.first && pfn < t.first + t.count
+let owns = in_range
+let frames t = t.count
 
 let buddy_of t pfn ~order = t.first + ((pfn - t.first) lxor (1 lsl order))
 

@@ -19,6 +19,12 @@ val create :
 
 val max_order : t -> int
 
+val owns : t -> Physmem.Frame.t -> bool
+(** True iff the frame lies in the managed range, free or not. *)
+
+val frames : t -> int
+(** Size of the managed range, in frames. *)
+
 val alloc : t -> order:int -> Physmem.Frame.t option
 (** Allocate a block of [2^order] frames; splits larger blocks as needed.
     Charges allocator work plus one unit per split. *)

@@ -225,9 +225,9 @@ let explore_fs ?(files = 5) ?(seed = 11) () =
         add
           (Printf.sprintf "master accounting: %d before, %d kept + %d dropped" masters_before
              report.Persistence.masters_kept report.Persistence.masters_dropped);
-      if Shared_pt.prune_dead (Fom.shared_pt fom) ~fs:(Fom.fs fom) <> 0 then
-        add "recovery left masters pointing at dead files";
       let fs = Fom.fs fom in
+      if not (List.for_all (Fs.Memfs.exists fs) (Shared_pt.inodes (Fom.shared_pt fom))) then
+        add "recovery left masters pointing at dead files";
       List.iter
         (fun (r, persistent, i) ->
           match (Fs.Memfs.lookup fs r.Fom.path, persistent) with

@@ -20,4 +20,3 @@ let pressure t ~needed_bytes =
   t.paths <- List.filter (fun p -> still_present t ~path:p) t.paths;
   freed
 
-let registered t = List.length t.paths

@@ -23,4 +23,3 @@ val pressure : t -> needed_bytes:int -> int
 (** Reclaim at least [needed_bytes] by deleting the coldest discardable
     files; returns bytes freed. *)
 
-val registered : t -> int

@@ -14,8 +14,7 @@ type region = {
   temp : bool;
   strategy : strategy;
   prot : Hw.Prot.t;
-  graft_windows : int;
-  graft_window_bytes : int;
+  master : Shared_pt.master option;
 }
 
 type t = {
@@ -71,16 +70,17 @@ let kernel t = t.kernel
 let fs t = t.fs
 let trace t = Os.Kernel.trace t.kernel
 let shared_pt t = t.shared_pt
-let default_strategy t = t.default_strategy
 
 let charge_syscall t =
   let clock = Os.Kernel.clock t.kernel in
   Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.syscall
 
 (* Map every extent of [ino] into the process according to [strategy],
-   at [va] when a region is remapped in place, else at a fresh base VA;
-   returns the base VA, the length and the graft geometry. *)
-let install_mapping ?va t (proc : Os.Proc.t) ~ino ~prot ~strategy =
+   over the region [at] when the file still has its length, else at a
+   fresh base VA that reserves all the mapping covers (a graft covers
+   whole windows); returns the base VA, the length and the master grafted
+   from. *)
+let install_mapping ?at t (proc : Os.Proc.t) ~ino ~prot ~strategy =
   let aspace = proc.Os.Proc.aspace in
   let table = Os.Address_space.page_table aspace in
   let node = Fs.Memfs.inode t.fs ino in
@@ -88,21 +88,23 @@ let install_mapping ?va t (proc : Os.Proc.t) ~ino ~prot ~strategy =
     Fs.Extent_tree.pages (Fs.Inode.extents node) * Sim.Units.page_size
   in
   if len = 0 then invalid_arg "Fom: cannot map an empty file";
-  let place ~align =
-    match va with Some va -> va | None -> Os.Address_space.alloc_va aspace ~len ~align
+  let place ?(span = len) ~align () =
+    match at with
+    | Some r when r.len = len -> r.va
+    | Some _ | None -> Os.Address_space.alloc_va aspace ~len:span ~align
   in
   match strategy with
   | Shared_subtree ->
     let m = Shared_pt.master_for t.shared_pt ~fs:t.fs ~ino ~prot in
-    let va = place ~align:(Shared_pt.window_bytes m) in
-    let windows =
-      Sim.Trace.span (trace t) ~op:"fom_graft" ~arg:Fun.id @@ fun () ->
-      Shared_pt.graft t.shared_pt m ~dst:table ~dst_va:va
-    in
-    (va, len, windows, Shared_pt.window_bytes m)
+    let bytes = Shared_pt.window_bytes m in
+    let va = place ~span:(Shared_pt.windows m * bytes) ~align:bytes () in
+    ignore
+      (Sim.Trace.span (trace t) ~op:"fom_graft" ~arg:Fun.id @@ fun () ->
+       Shared_pt.graft t.shared_pt m ~dst:table ~dst_va:va);
+    (va, len, Some m)
   | Per_page | Huge_pages ->
     let huge = strategy = Huge_pages in
-    let va = place ~align:(if huge then Sim.Units.huge_2m else Sim.Units.page_size) in
+    let va = place ~align:(if huge then Sim.Units.huge_2m else Sim.Units.page_size) () in
     Fs.Extent_tree.iter (Fs.Inode.extents node) (fun e ->
         ignore
           (Hw.Page_table.map_range table
@@ -110,20 +112,20 @@ let install_mapping ?va t (proc : Os.Proc.t) ~ino ~prot ~strategy =
              ~pfn:e.Fs.Extent.start
              ~len:(e.Fs.Extent.count * Sim.Units.page_size)
              ~prot ~huge));
-    (va, len, 0, 0)
+    (va, len, None)
   | Range_translation -> (
     match Os.Address_space.range_table aspace with
     | None ->
       invalid_arg "Fom: process has no range table (create it with ~range_translations:true)"
     | Some rt ->
-      let va = place ~align:Sim.Units.page_size in
+      let va = place ~align:Sim.Units.page_size () in
       Fs.Extent_tree.iter (Fs.Inode.extents node) (fun e ->
           let base = va + (e.Fs.Extent.logical * Sim.Units.page_size) in
           let pa = Physmem.Frame.to_addr e.Fs.Extent.start in
           Hw.Range_table.insert rt ~base
             ~limit:(e.Fs.Extent.count * Sim.Units.page_size)
             ~offset:(pa - base) ~prot);
-      (va, len, 0, 0))
+      (va, len, None))
 
 let register_region t (proc : Os.Proc.t) region =
   Hashtbl.replace t.regions (proc.Os.Proc.pid, region.va) region
@@ -136,7 +138,7 @@ let ensure_temp_dir t =
 let alloc t proc ?name ?persistence ?strategy ?(guard = false) ~len ~prot () =
   Sim.Trace.span (trace t) ~op:"fom_alloc" ~arg:(fun r -> r.len) @@ fun () ->
   charge_syscall t;
-  if len <= 0 then invalid_arg "Fom.alloc: empty allocation";
+  if len <= 0 then Sim.Errno.fail Sim.Errno.EINVAL "Fom.alloc: empty allocation";
   let strategy = match strategy with Some s -> s | None -> t.default_strategy in
   let path, temp, persistence =
     match name with
@@ -157,14 +159,14 @@ let alloc t proc ?name ?persistence ?strategy ?(guard = false) ~len ~prot () =
      raise e);
   Fs.Memfs.set_prot t.fs ino prot;
   Fs.Memfs.open_file t.fs ino;
-  let va, len, graft_windows, graft_window_bytes = install_mapping t proc ~ino ~prot ~strategy in
+  let va, len, master = install_mapping t proc ~ino ~prot ~strategy in
   if guard then
     (* Burn one page of VA so nothing can ever be mapped flush against
        the region's end. *)
     ignore
       (Os.Address_space.alloc_va proc.Os.Proc.aspace ~len:Sim.Units.page_size
          ~align:Sim.Units.page_size);
-  let region = { va; len; ino; path; temp; strategy; prot; graft_windows; graft_window_bytes } in
+  let region = { va; len; ino; path; temp; strategy; prot; master } in
   register_region t proc region;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_alloc";
   region
@@ -176,17 +178,15 @@ let map_path t proc ?prot ?strategy path =
   let ino =
     match Fs.Memfs.lookup t.fs path with
     | Some ino -> ino
-    | None -> invalid_arg ("Fom.map_path: no such file: " ^ path)
+    | None -> Sim.Errno.fail Sim.Errno.ENOENT ("Fom.map_path: no such file: " ^ path)
   in
   let node = Fs.Memfs.inode t.fs ino in
   let prot = Option.value prot ~default:node.Fs.Inode.prot in
   if not (Hw.Prot.subset prot ~of_:node.Fs.Inode.prot) then
-    invalid_arg "Fom.map_path: permission denied (whole-file check)";
+    Sim.Errno.fail Sim.Errno.EACCES "Fom.map_path: permission denied (whole-file check)";
   Fs.Memfs.open_file t.fs ino;
-  let va, len, graft_windows, graft_window_bytes = install_mapping t proc ~ino ~prot ~strategy in
-  let region =
-    { va; len; ino; path; temp = false; strategy; prot; graft_windows; graft_window_bytes }
-  in
+  let va, len, master = install_mapping t proc ~ino ~prot ~strategy in
+  let region = { va; len; ino; path; temp = false; strategy; prot; master } in
   register_region t proc region;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_map";
   region
@@ -196,14 +196,9 @@ let remove_mapping ?batch t (proc : Os.Proc.t) region =
   let table = Os.Address_space.page_table aspace in
   (match region.strategy with
   | Shared_subtree ->
-    (* Use the geometry recorded at map time: the file's master may have
-       been rebuilt since (e.g. by grow) with a different window count. *)
-    let levels = Hw.Page_table.levels table in
-    let depth = if region.graft_window_bytes = Sim.Units.huge_1g then levels - 2 else levels - 1 in
-    for w = 0 to region.graft_windows - 1 do
-      Hw.Page_table.unshare table ~va:(region.va + (w * region.graft_window_bytes)) ~depth
-    done;
-    Sim.Stats.add (Os.Kernel.stats t.kernel) "fom_ungrafts" region.graft_windows
+    Option.iter
+      (fun m -> ignore (Shared_pt.ungraft t.shared_pt m ~dst:table ~dst_va:region.va))
+      region.master
   | Per_page | Huge_pages ->
     ignore (Hw.Page_table.unmap_range table ~va:region.va ~len:region.len)
   | Range_translation -> (
@@ -213,10 +208,6 @@ let remove_mapping ?batch t (proc : Os.Proc.t) region =
       (* Remove every entry whose base falls inside the region, shooting
          down its range-TLB entry as we go (the paper's unmap: one table
          update plus one shootdown per extent). *)
-      let bases = ref [] in
-      Hw.Range_table.iter rt (fun e ->
-          if e.Hw.Range_table.base >= region.va && e.Hw.Range_table.base < region.va + region.len
-          then bases := e.Hw.Range_table.base :: !bases);
       let mmu = Os.Address_space.mmu aspace in
       List.iter
         (fun base ->
@@ -225,7 +216,7 @@ let remove_mapping ?batch t (proc : Os.Proc.t) region =
              that may cache the entry. *)
           Hw.Mmu.invalidate_base mmu ~base;
           ignore (Hw.Range_table.remove rt ~base))
-        !bases));
+        (Hw.Range_table.bases_in rt ~va:region.va ~len:region.len)));
   (* Ungraft feeds the caller's shootdown batch when one is in flight
      (process exit); otherwise invalidate immediately as before. *)
   match batch with
@@ -235,9 +226,12 @@ let remove_mapping ?batch t (proc : Os.Proc.t) region =
 let unmap ?batch t (proc : Os.Proc.t) region =
   Sim.Trace.span (trace t) ~op:"fom_unmap" ~arg:(fun () -> region.len) @@ fun () ->
   charge_syscall t;
-  (match Hashtbl.find_opt t.regions (proc.Os.Proc.pid, region.va) with
-  | None -> invalid_arg "Fom.unmap: unknown region"
-  | Some _ -> ());
+  (* The registered region: a [protect] since may have regrafted it. *)
+  let region =
+    match Hashtbl.find_opt t.regions (proc.Os.Proc.pid, region.va) with
+    | None -> Sim.Errno.fail Sim.Errno.EINVAL "Fom.unmap: unknown region"
+    | Some r -> r
+  in
   ignore (Fs.Memfs.inode t.fs region.ino);
   remove_mapping ?batch t proc region;
   Hashtbl.remove t.regions (proc.Os.Proc.pid, region.va);
@@ -249,7 +243,7 @@ let free ?batch t proc region =
   let was_temp = region.temp && Fs.Memfs.lookup t.fs region.path = Some region.ino in
   unmap ?batch t proc region;
   if was_temp then begin
-    Shared_pt.drop_masters_for t.shared_pt ~ino:region.ino;
+    ignore (Shared_pt.drop t.shared_pt ~ino:region.ino);
     Fs.Memfs.unlink t.fs region.path
   end
 
@@ -276,33 +270,37 @@ let protect t proc region ~prot =
   charge_syscall t;
   remove_mapping t proc region;
   Fs.Memfs.set_prot t.fs region.ino prot;
-  (* Remap at the same VA under the new protection. *)
-  let _, _, graft_windows, graft_window_bytes =
-    install_mapping ~va:region.va t proc ~ino:region.ino ~prot ~strategy:region.strategy
+  (* The file's masters carry the protection it replaces. *)
+  ignore (Shared_pt.drop t.shared_pt ~ino:region.ino);
+  (* Remap under the new protection, at the same VA unless the file grew
+     since the region was mapped. *)
+  let va, len, master =
+    install_mapping ~at:region t proc ~ino:region.ino ~prot ~strategy:region.strategy
   in
-  let updated = { region with prot; graft_windows; graft_window_bytes } in
-  Hashtbl.replace t.regions (proc.Os.Proc.pid, region.va) updated;
+  let updated = { region with va; len; prot; master } in
+  Hashtbl.remove t.regions (proc.Os.Proc.pid, region.va);
+  register_region t proc updated;
   updated
 
 let grow t (proc : Os.Proc.t) region ~new_len =
   Sim.Trace.span (trace t) ~op:"fom_grow" ~arg:(fun _ -> new_len) @@ fun () ->
   charge_syscall t;
-  if new_len <= region.len then invalid_arg "Fom.grow: new length not larger";
+  if new_len <= region.len then
+    Sim.Errno.fail Sim.Errno.EINVAL "Fom.grow: new length not larger";
   (* mremap, file-only style: extend the file, then remap it whole at a
      fresh base — which FOM makes cheap (O(windows) or O(extents)), so
-     "growing" never needs the in-place contortions of VMA merging. *)
+     "growing" never needs the in-place contortions of VMA merging. An
+     ENOSPC from the extend leaves the region as it was. *)
+  Fs.Memfs.extend t.fs region.ino ~bytes_wanted:(new_len - region.len);
   remove_mapping t proc region;
   Hashtbl.remove t.regions (proc.Os.Proc.pid, region.va);
-  Fs.Memfs.extend t.fs region.ino ~bytes_wanted:(new_len - region.len);
-  if region.strategy = Shared_subtree then
-    (* The master covers only the old pages: rebuild it for the grown
-       file. Other processes' grafts keep working (the old nodes live on
-       under their page tables). *)
-    Shared_pt.drop_masters_for t.shared_pt ~ino:region.ino;
-  let va, len, graft_windows, graft_window_bytes =
+  (* The file's masters cover only the old pages: each lives on for the
+     grafts other processes hold, and the next map builds a new one. *)
+  ignore (Shared_pt.drop t.shared_pt ~ino:region.ino);
+  let va, len, master =
     install_mapping t proc ~ino:region.ino ~prot:region.prot ~strategy:region.strategy
   in
-  let updated = { region with va; len; graft_windows; graft_window_bytes } in
+  let updated = { region with va; len; master } in
   register_region t proc updated;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_grow";
   updated
@@ -326,22 +324,15 @@ let copy_region t proc region ?name () =
   dst
 
 let persist t region = Fs.Memfs.set_persistence t.fs region.ino Fs.Inode.Persistent
-let make_volatile t region = Fs.Memfs.set_persistence t.fs region.ino Fs.Inode.Volatile
-let make_discardable t region = Fs.Memfs.set_discardable t.fs region.ino true
-
-let region_of t (proc : Os.Proc.t) ~va =
-  let found = ref None in
-  Hashtbl.iter
-    (fun (pid, _) r ->
-      if pid = proc.Os.Proc.pid && va >= r.va && va < r.va + r.len then found := Some r)
-    t.regions;
-  !found
 
 let regions_of t (proc : Os.Proc.t) =
   Hashtbl.fold
     (fun (pid, _) r acc -> if pid = proc.Os.Proc.pid then r :: acc else acc)
     t.regions []
   |> List.sort (fun a b -> compare a.va b.va)
+
+let region_of t proc ~va =
+  List.find_opt (fun r -> va >= r.va && va < r.va + r.len) (regions_of t proc)
 
 let smaps t (proc : Os.Proc.t) =
   let buf = Buffer.create 256 in
@@ -372,11 +363,8 @@ let launch t ~code_bytes ~heap_bytes ~stack_bytes =
     match Fs.Memfs.lookup t.fs code_path with
     | Some _ -> map_path t proc ~prot:Hw.Prot.rx code_path
     | None ->
-      let r =
-        alloc t proc ~name:code_path ~persistence:Fs.Inode.Persistent ~len:code_bytes
-          ~prot:Hw.Prot.rx ()
-      in
-      r
+      alloc t proc ~name:code_path ~persistence:Fs.Inode.Persistent ~len:code_bytes
+        ~prot:Hw.Prot.rx ()
   in
   let heap = alloc t proc ~len:heap_bytes ~prot:Hw.Prot.rw () in
   let stack = alloc t proc ~len:stack_bytes ~prot:Hw.Prot.rw () in
@@ -391,4 +379,7 @@ let exit_process t proc =
   Os.Kernel.exit_process t.kernel proc
 
 let reset_after_crash t =
+  (* The grafting processes died with the machine; the kernel released
+     their tables. *)
+  Hashtbl.iter (fun _ r -> Option.iter (Shared_pt.forget_graft t.shared_pt) r.master) t.regions;
   Hashtbl.reset t.regions

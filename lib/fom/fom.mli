@@ -15,7 +15,8 @@
       (Figure 4/9) — O(extents) map and unmap, independent of size.
 
     Regions are whole files: protection, pinning, persistence and
-    reclamation all operate at file granularity. *)
+    reclamation all operate at file granularity. A caller's mistake raises
+    [Sim.Errno.Error] (ENOENT, EACCES, EINVAL), a broken invariant [Invalid_argument]. *)
 
 type strategy = Per_page | Huge_pages | Shared_subtree | Range_translation
 
@@ -29,10 +30,9 @@ type region = {
   temp : bool;  (** created by {!alloc} without a name: deleted on free *)
   strategy : strategy;
   prot : Hw.Prot.t;  (** protection this mapping was installed with *)
-  graft_windows : int;  (** [Shared_subtree]: pointers grafted, at... *)
-  graft_window_bytes : int;  (** ...this window size (0 otherwise). The
-      region remembers its own graft geometry so unmapping stays correct
-      even after the file's master is rebuilt (e.g. by {!grow}). *)
+  master : Shared_pt.master option;  (** [Shared_subtree]: the master grafted
+      from, which outlives its registry entry for as long as a region
+      holds it (e.g. after {!grow} rebuilt the file's master). *)
 }
 
 type t
@@ -44,7 +44,6 @@ val create : Os.Kernel.t -> ?fs:Fs.Memfs.t -> ?strategy:strategy -> unit -> t
 val kernel : t -> Os.Kernel.t
 val fs : t -> Fs.Memfs.t
 val shared_pt : t -> Shared_pt.t
-val default_strategy : t -> strategy
 
 (** {1 The O(1) allocation API} *)
 
@@ -84,7 +83,9 @@ val protect : t -> Os.Proc.t -> region -> prot:Hw.Prot.t -> region
 (** Whole-file permission change: updates the file's protection and
     remaps at the region's VA through the same install code as {!alloc}
     (O(windows) or O(extents), never O(pages) except under [Per_page]),
-    in a ["fom_protect"] span. Returns the updated region. *)
+    in a ["fom_protect"] span. A file that grew since the region was
+    mapped no longer fits there, so it is remapped whole at a fresh base
+    VA. Returns the updated region. *)
 
 val grow : t -> Os.Proc.t -> region -> new_len:int -> region
 (** mremap, file-only style: extend the backing file and remap it whole
@@ -102,9 +103,6 @@ val copy_region : t -> Os.Proc.t -> region -> ?name:string -> unit -> region
 
 val persist : t -> region -> unit
 (** Mark the backing file persistent (survives crashes). *)
-
-val make_volatile : t -> region -> unit
-val make_discardable : t -> region -> unit
 
 val region_of : t -> Os.Proc.t -> va:int -> region option
 val regions_of : t -> Os.Proc.t -> region list

@@ -14,18 +14,10 @@ let pbm_offset = 0x4000_0000_0000 + (1 lsl 39)
 let va_of_addr pa = pa + pbm_offset
 let addr_of_va va = va - pbm_offset
 
-let alloc_pt_frame kernel () =
-  match Alloc.Buddy.alloc (Os.Kernel.buddy kernel) ~order:0 with
-  | Some pfn -> pfn
-  | None -> Sim.Errno.fail Sim.Errno.ENOMEM "PBM page-table frame"
-
 let create kernel =
-  let clock = Os.Kernel.clock kernel in
-  let stats = Os.Kernel.stats kernel in
-  let levels = (Os.Kernel.config kernel).Os.Kernel.levels in
-  let table = Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame:(alloc_pt_frame kernel) in
+  let table = Os.Kernel.create_page_table kernel in
   (* Pre-create the window's depth-1 node so processes can attach before
-     any region is mapped, and so it is never pruned away under them. *)
+     any region is mapped; nothing unmaps from the table, so it stays. *)
   Hw.Page_table.ensure_node table ~va:pbm_offset ~depth:1;
   { kernel; table; regions = []; attached = Hashtbl.create 8 }
 
@@ -33,19 +25,12 @@ let map_region t ~first ~count ~prot =
   if count <= 0 then invalid_arg "Pbm.map_region: empty region";
   let pa = Physmem.Frame.to_addr first in
   let va = va_of_addr pa in
-  Hw.Page_table.ensure_node t.table ~va:pbm_offset ~depth:1;
   ignore
     (Hw.Page_table.map_range t.table ~va ~pfn:first ~len:(count * Sim.Units.page_size) ~prot
        ~huge:true);
   t.regions <- (first, count) :: t.regions;
   Sim.Stats.incr (Os.Kernel.stats t.kernel) "pbm_map_region";
   va
-
-let unmap_region t ~first ~count =
-  if not (List.mem (first, count) t.regions) then invalid_arg "Pbm.unmap_region: unknown region";
-  let va = va_of_addr (Physmem.Frame.to_addr first) in
-  ignore (Hw.Page_table.unmap_range t.table ~va ~len:(count * Sim.Units.page_size));
-  t.regions <- List.filter (fun r -> r <> (first, count)) t.regions
 
 (* The PBM window is the root-entry span containing pbm_offset. *)
 let window_base t =
@@ -54,7 +39,6 @@ let window_base t =
 let attach t (proc : Os.Proc.t) =
   if Hashtbl.mem t.attached proc.Os.Proc.pid then invalid_arg "Pbm.attach: already attached";
   let dst = Os.Address_space.page_table proc.Os.Proc.aspace in
-  Hw.Page_table.ensure_node t.table ~va:pbm_offset ~depth:1;
   Hw.Page_table.share_subtree ~src:t.table ~src_va:(window_base t) ~dst
     ~dst_va:(window_base t) ~depth:1;
   Hashtbl.replace t.attached proc.Os.Proc.pid ();
@@ -66,6 +50,5 @@ let detach t (proc : Os.Proc.t) =
   Hw.Page_table.unshare dst ~va:(window_base t) ~depth:1;
   Hashtbl.remove t.attached proc.Os.Proc.pid
 
-let attached t (proc : Os.Proc.t) = Hashtbl.mem t.attached proc.Os.Proc.pid
 let region_count t = List.length t.regions
 let metadata_bytes t = Hw.Page_table.metadata_bytes t.table

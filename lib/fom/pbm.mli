@@ -32,14 +32,11 @@ val map_region : t -> first:Physmem.Frame.t -> count:int -> prot:Hw.Prot.t -> in
 (** Enter a contiguous physical extent into the global PBM table (using
     huge pages where alignment allows) and return its (universal) VA. *)
 
-val unmap_region : t -> first:Physmem.Frame.t -> count:int -> unit
-
 val attach : t -> Os.Proc.t -> unit
 (** Graft the PBM window into the process: one pointer write. *)
 
 val detach : t -> Os.Proc.t -> unit
 
-val attached : t -> Os.Proc.t -> bool
 val region_count : t -> int
 val metadata_bytes : t -> int
 (** Bytes of the single shared PBM table (contrast with per-process

@@ -26,8 +26,11 @@ let recover fom =
   let files_scanned =
     match Os.Kernel.pmfs kernel with Some p -> Fs.Memfs.recover p | None -> 0
   in
-  let dropped = Shared_pt.prune_dead (Fom.shared_pt fom) ~fs:(Fom.fs fom) in
-  let kept = Shared_pt.master_count (Fom.shared_pt fom) in
+  (* Nothing grafts a master any more: one whose file died is freed. *)
+  let sp = Fom.shared_pt fom and live = Fs.Memfs.exists (Fom.fs fom) in
+  let drop n ino = if live ino then n else n + Shared_pt.drop sp ~ino in
+  let dropped = List.fold_left drop 0 (Shared_pt.inodes sp) in
+  let kept = Shared_pt.master_count sp in
   (* Re-baseline the journal gauge: recovery replayed/kept the WAL, and
      the gauge must reflect the post-recovery log, not the pre-crash one. *)
   (match Os.Kernel.pmfs kernel with

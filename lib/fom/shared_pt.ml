@@ -4,29 +4,20 @@ type master = {
   prot : Hw.Prot.t;
   windows : int;
   window_bytes : int;  (* 2 MiB, or 1 GiB for GiB-scale files *)
+  mutable grafts : int;  (* regions grafted from it now *)
 }
 
-type t = { kernel : Os.Kernel.t; masters : (int * Hw.Prot.t, master) Hashtbl.t }
+(* The registry: a file's masters, one per protection it is mapped at. *)
+type t = { kernel : Os.Kernel.t; masters : (int, master list) Hashtbl.t }
 
 (* Every master maps its file at the same fixed, 1 GiB-aligned VA, so
    window w of any file always begins at a 2 MiB boundary with offset 0. *)
 let master_base = 0x4000_0000_0000
 
-
 let create kernel = { kernel; masters = Hashtbl.create 16 }
 
-let alloc_pt_frame t () =
-  match Alloc.Buddy.alloc (Os.Kernel.buddy t.kernel) ~order:0 with
-  | Some pfn -> pfn
-  | None -> Sim.Errno.fail Sim.Errno.ENOMEM "master page-table frame"
-
 let build_master t ~fs ~ino ~prot =
-  let clock = Os.Kernel.clock t.kernel in
-  let stats = Os.Kernel.stats t.kernel in
-  let levels = (Os.Kernel.config t.kernel).Os.Kernel.levels in
-  let table =
-    Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame:(alloc_pt_frame t)
-  in
+  let table = Os.Kernel.create_page_table t.kernel in
   let node = Fs.Memfs.inode fs ino in
   (* 4 KiB leaves throughout: grafting shares the leaf-holding nodes, so
      the master must not collapse windows into huge-page leaves. *)
@@ -43,16 +34,23 @@ let build_master t ~fs ~ino ~prot =
     if file_bytes >= Sim.Units.huge_1g then Sim.Units.huge_1g else Sim.Units.huge_2m
   in
   let windows = (file_bytes + window_bytes - 1) / window_bytes in
-  Sim.Stats.incr stats "fom_master_built";
-  { table; ino; prot; windows; window_bytes }
+  Sim.Stats.incr (Os.Kernel.stats t.kernel) "fom_master_built";
+  { table; ino; prot; windows; window_bytes; grafts = 0 }
+
+let masters_of t ino = Option.value (Hashtbl.find_opt t.masters ino) ~default:[]
 
 let master_for t ~fs ~ino ~prot =
-  match Hashtbl.find_opt t.masters (ino, prot) with
+  match List.find_opt (fun m -> m.prot = prot) (masters_of t ino) with
   | Some m -> m
   | None ->
     let m = build_master t ~fs ~ino ~prot in
-    Hashtbl.replace t.masters (ino, prot) m;
+    Hashtbl.replace t.masters ino (m :: masters_of t ino);
     m
+
+(* A master out of the registry lives only for its grafts. *)
+let free_if_unused t m =
+  if m.grafts = 0 && not (List.memq m (masters_of t m.ino)) then
+    Hw.Page_table.release m.table ignore
 
 let graft_depth m =
   let levels = Hw.Page_table.levels m.table in
@@ -69,8 +67,13 @@ let graft t m ~dst ~dst_va =
       ~dst_va:(dst_va + (w * m.window_bytes))
       ~depth
   done;
+  m.grafts <- m.grafts + 1;
   Sim.Stats.add (Os.Kernel.stats t.kernel) "fom_grafts" m.windows;
   m.windows
+
+let forget_graft t m =
+  m.grafts <- m.grafts - 1;
+  free_if_unused t m
 
 let ungraft t m ~dst ~dst_va =
   let depth = graft_depth m in
@@ -78,30 +81,23 @@ let ungraft t m ~dst ~dst_va =
     Hw.Page_table.unshare dst ~va:(dst_va + (w * m.window_bytes)) ~depth
   done;
   Sim.Stats.add (Os.Kernel.stats t.kernel) "fom_ungrafts" m.windows;
+  forget_graft t m;
   m.windows
 
 let windows m = m.windows
 let window_bytes m = m.window_bytes
 
-let drop_masters_for t ~ino =
-  let doomed =
-    Hashtbl.fold (fun (i, p) _ acc -> if i = ino then (i, p) :: acc else acc) t.masters []
-  in
-  List.iter (Hashtbl.remove t.masters) doomed
+let drop t ~ino =
+  let doomed = masters_of t ino in
+  Hashtbl.remove t.masters ino;
+  List.iter (free_if_unused t) doomed;
+  List.length doomed
 
-let master_count t = Hashtbl.length t.masters
+let inodes t = Hashtbl.fold (fun ino _ acc -> ino :: acc) t.masters []
+let master_count t = Hashtbl.fold (fun _ ms acc -> acc + List.length ms) t.masters 0
 
 let metadata_bytes t =
-  Hashtbl.fold (fun _ m acc -> acc + Hw.Page_table.metadata_bytes m.table) t.masters 0
-
-let prune_dead t ~fs =
-  let doomed =
-    Hashtbl.fold
-      (fun key m acc ->
-        match Fs.Memfs.inode fs m.ino with
-        | (_ : Fs.Inode.t) -> acc
-        | exception Not_found -> key :: acc)
-      t.masters []
-  in
-  List.iter (Hashtbl.remove t.masters) doomed;
-  List.length doomed
+  Hashtbl.fold
+    (fun _ ms acc ->
+      List.fold_left (fun acc m -> acc + Hw.Page_table.metadata_bytes m.table) acc ms)
+    t.masters 0

@@ -22,10 +22,15 @@ val master_for : t -> fs:Fs.Memfs.t -> ino:int -> prot:Hw.Prot.t -> master
 val graft : t -> master -> dst:Hw.Page_table.t -> dst_va:int -> int
 (** Map the whole file into [dst] at [dst_va] (aligned to
     {!window_bytes}) by grafting the master's subtree windows: one
-    pointer write per window. Returns the number of grafts. *)
+    pointer write per window, counted by the master. Returns the number
+    of grafts. *)
 
 val ungraft : t -> master -> dst:Hw.Page_table.t -> dst_va:int -> int
-(** Remove the grafted pointers; O(windows), not O(pages). *)
+(** Remove the grafted pointers; O(windows), not O(pages). The last
+    ungraft of a dropped master gives its table back to the kernel. *)
+
+val forget_graft : t -> master -> unit
+(** Count a graft gone whose table the kernel released in a crash. *)
 
 val windows : master -> int
 (** Number of graft windows the file occupies. *)
@@ -34,17 +39,14 @@ val window_bytes : master -> int
 (** Graft granularity: 2 MiB, or 1 GiB for files of a GiB or more (one
     pointer then maps a full GiB). *)
 
-val master_base : int
-(** The fixed VA at which every master maps its file. *)
+val drop : t -> ino:int -> int
+(** Take a file's masters out of the registry (unlink, grow, protect or
+    crash); each is freed at its last ungraft, or at once. Returns how many. *)
 
-val drop_masters_for : t -> ino:int -> unit
-(** Forget all masters of a file (on unlink). *)
+val inodes : t -> int list
+(** The files that have masters in the registry. *)
 
 val master_count : t -> int
 val metadata_bytes : t -> int
 (** Page-table bytes held by all masters: the shared tables each process
     would otherwise replicate. *)
-
-val prune_dead : t -> fs:Fs.Memfs.t -> int
-(** Drop masters whose backing file no longer exists (post-crash /
-    post-unlink sweep); returns masters dropped. *)

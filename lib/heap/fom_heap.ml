@@ -65,6 +65,6 @@ let reattach t proc =
   Fs.Memfs.iter_files fs (fun path node -> if path = orphan then found := Some node.Fs.Inode.ino);
   Option.iter
     (fun ino ->
-      O1mem.Shared_pt.drop_masters_for (F.shared_pt t.fom) ~ino;
+      ignore (O1mem.Shared_pt.drop (F.shared_pt t.fom) ~ino);
       Fs.Memfs.unlink fs orphan)
     !found

@@ -108,6 +108,8 @@ let mem t = t.mem
 let inode t ino =
   match Hashtbl.find_opt t.inodes ino with Some i -> i | None -> raise Not_found
 
+let exists t ino = Hashtbl.mem t.inodes ino
+
 let charge_lookup t =
   charge t (model t).Sim.Cost_model.fs_lookup;
   Sim.Stats.incr (stats t) "fs_lookup"
@@ -134,7 +136,7 @@ let resolve_dir_exn t segs ~what =
   match resolve t segs with
   | Some ino when Inode.is_dir (inode t ino) -> inode t ino
   | Some _ -> invalid_arg (what ^ ": parent is not a directory")
-  | None -> invalid_arg (what ^ ": missing parent directory")
+  | None -> Sim.Errno.fail Sim.Errno.ENOENT (what ^ ": missing parent directory")
 
 let mkdir t path =
   charge_lookup t;
@@ -142,7 +144,7 @@ let mkdir t path =
   if not (Fs_path.valid_name name) then invalid_arg "Memfs.mkdir: bad name";
   let parent = resolve_dir_exn t dir_segs ~what:"Memfs.mkdir" in
   let entries = Inode.dir_entries parent in
-  if Hashtbl.mem entries name then invalid_arg "Memfs.mkdir: name exists";
+  if Hashtbl.mem entries name then Sim.Errno.fail Sim.Errno.EEXIST "Memfs.mkdir: name exists";
   let ino = t.next_ino in
   t.next_ino <- ino + 1;
   Hashtbl.replace t.inodes ino (Inode.make_dir ~ino);
@@ -155,7 +157,7 @@ let create_file t path ~persistence =
   if not (Fs_path.valid_name name) then invalid_arg "Memfs.create_file: bad name";
   let parent = resolve_dir_exn t dir_segs ~what:"Memfs.create_file" in
   let entries = Inode.dir_entries parent in
-  if Hashtbl.mem entries name then invalid_arg "Memfs.create_file: name exists";
+  if Hashtbl.mem entries name then Sim.Errno.fail Sim.Errno.EEXIST "Memfs.create_file: name exists";
   let ino = t.next_ino in
   t.next_ino <- ino + 1;
   let node = Inode.make_regular ~ino ~persistence in
@@ -199,11 +201,11 @@ let unlink t path =
   let parent = resolve_dir_exn t dir_segs ~what:"Memfs.unlink" in
   let entries = Inode.dir_entries parent in
   match Hashtbl.find_opt entries name with
-  | None -> invalid_arg "Memfs.unlink: no such entry"
+  | None -> Sim.Errno.fail Sim.Errno.ENOENT "Memfs.unlink: no such entry"
   | Some ino ->
     let node = inode t ino in
     if Inode.is_dir node && Hashtbl.length (Inode.dir_entries node) > 0 then
-      invalid_arg "Memfs.unlink: directory not empty";
+      Sim.Errno.fail Sim.Errno.ENOTEMPTY "Memfs.unlink: directory not empty";
     Hashtbl.remove entries name;
     node.Inode.nlink <- node.Inode.nlink - 1;
     journal_op t (Printf.sprintf "unlink %s" path);
@@ -214,7 +216,7 @@ let link t ~existing ~new_path =
   let ino =
     match lookup t existing with
     | Some ino -> ino
-    | None -> invalid_arg "Memfs.link: no such file"
+    | None -> Sim.Errno.fail Sim.Errno.ENOENT "Memfs.link: no such file"
   in
   let node = inode t ino in
   if Inode.is_dir node then invalid_arg "Memfs.link: cannot link a directory";
@@ -222,7 +224,7 @@ let link t ~existing ~new_path =
   if not (Fs_path.valid_name name) then invalid_arg "Memfs.link: bad name";
   let parent = resolve_dir_exn t dir_segs ~what:"Memfs.link" in
   let entries = Inode.dir_entries parent in
-  if Hashtbl.mem entries name then invalid_arg "Memfs.link: name exists";
+  if Hashtbl.mem entries name then Sim.Errno.fail Sim.Errno.EEXIST "Memfs.link: name exists";
   Hashtbl.replace entries name ino;
   node.Inode.nlink <- node.Inode.nlink + 1;
   journal_op t (Printf.sprintf "link %s %s" existing new_path)
@@ -234,13 +236,14 @@ let rename t ~old_path ~new_path =
   let ino =
     match Hashtbl.find_opt (Inode.dir_entries old_parent) old_name with
     | Some ino -> ino
-    | None -> invalid_arg "Memfs.rename: no such entry"
+    | None -> Sim.Errno.fail Sim.Errno.ENOENT "Memfs.rename: no such entry"
   in
   let new_segs, new_name = Fs_path.dirname_basename new_path in
   if not (Fs_path.valid_name new_name) then invalid_arg "Memfs.rename: bad name";
   let new_parent = resolve_dir_exn t new_segs ~what:"Memfs.rename" in
   let new_entries = Inode.dir_entries new_parent in
-  if Hashtbl.mem new_entries new_name then invalid_arg "Memfs.rename: destination exists";
+  if Hashtbl.mem new_entries new_name then
+    Sim.Errno.fail Sim.Errno.EEXIST "Memfs.rename: destination exists";
   Hashtbl.remove (Inode.dir_entries old_parent) old_name;
   Hashtbl.replace new_entries new_name ino;
   journal_op t (Printf.sprintf "rename %s %s" old_path new_path)

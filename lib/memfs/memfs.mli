@@ -53,36 +53,43 @@ val mem : t -> Physmem.Phys_mem.t
 (** {1 Namespace} *)
 
 val mkdir : t -> string -> unit
-(** Create a directory; parents must exist. Raises [Invalid_argument] if
-    the name exists. *)
+(** Create a directory; parents must exist. Raises
+    [Sim.Errno.Error (EEXIST, _)] if the name exists and [ENOENT] if the
+    parent is missing. *)
 
 val create_file : t -> string -> persistence:Inode.persistence -> int
 (** Create an empty regular file and return its inode number. Charges one
-    FS lookup. *)
+    FS lookup. Raises [Sim.Errno.Error (EEXIST, _)] if the name exists and
+    [ENOENT] if the parent is missing. *)
 
 val lookup : t -> string -> int option
 (** Resolve a path to an inode number; charges one FS lookup. *)
 
 val unlink : t -> string -> unit
 (** Remove a name. The file's frames are freed once the link and
-    reference counts reach zero. Raises [Invalid_argument] for missing
-    paths or non-empty directories. *)
+    reference counts reach zero. Raises [Sim.Errno.Error (ENOENT, _)]
+    for a missing path and [ENOTEMPTY] for a non-empty directory. *)
 
 val link : t -> existing:string -> new_path:string -> unit
 (** Hard link: a second name for the same inode (bumps [nlink]). Frames
     are freed only when every name and reference is gone. Directories
-    cannot be linked. *)
+    cannot be linked. Raises [Sim.Errno.Error (ENOENT, _)] for a missing
+    file or parent and [EEXIST] for a taken name. *)
 
 val rename : t -> old_path:string -> new_path:string -> unit
 (** Move a name (file or directory) to a new location; a metadata-only
     operation, O(1) regardless of file size. The destination must not
-    exist. *)
+    exist: [Sim.Errno.Error (EEXIST, _)]; a missing source or parent
+    raises [ENOENT]. *)
 
 val readdir : t -> string -> string list
 (** Sorted entries of a directory. *)
 
 val inode : t -> int -> Inode.t
 (** Raises [Not_found] for a dead inode. *)
+
+val exists : t -> int -> bool
+(** Whether the inode is live. No cost. *)
 
 (** {1 File contents} *)
 

@@ -39,7 +39,6 @@ let trace t = t.trace
 let smp t = t.smp
 let asid t = t.asid
 let core t = t.core
-let cpumask t = t.cpumask
 
 let set_core t core =
   if core < 0 || core >= Smp.cores t.smp then invalid_arg "Mmu.set_core: no such core";
@@ -183,14 +182,7 @@ let invalidate_page t ~va =
 (* Range-table bases falling inside [va, va+len): each needs its own
    range-TLB shootdown alongside the page-TLB range invalidate. *)
 let range_bases t ~va ~len =
-  match t.range_table with
-  | None -> []
-  | Some rt ->
-    let acc = ref [] in
-    Range_table.iter rt (fun e ->
-        if e.Range_table.base >= va && e.Range_table.base < va + len then
-          acc := e.Range_table.base :: !acc);
-    !acc
+  match t.range_table with None -> [] | Some rt -> Range_table.bases_in rt ~va ~len
 
 let invalidate_range_on t (c : Smp.core) ~va ~len ~bases =
   Tlb.invalidate_range c.Smp.tlb ~asid:t.asid ~va ~len ();

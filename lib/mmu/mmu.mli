@@ -55,10 +55,6 @@ val set_core : t -> int -> unit
     use). Costs nothing here — the scheduler charges its own overhead —
     but subsequent translations fill the new core's TLBs. *)
 
-val cpumask : t -> int
-(** Bitmask of cores that may cache this address space's translations:
-    exactly the cores an invalidation will IPI (minus the current one,
-    handled locally). *)
 
 val translate : t -> va:int -> write:bool -> exec:bool -> (int, fault) result
 (** Translate one access, charging TLB probe / walk costs and maintaining

@@ -22,6 +22,7 @@ type t = {
   stats : Sim.Stats.t;
   levels : int;
   alloc_frame : unit -> Frame.t;
+  free_frame : Frame.t -> unit;
   root : node;
   mutable owned_nodes : int;
 }
@@ -39,12 +40,12 @@ let new_node t =
   t.owned_nodes <- t.owned_nodes + 1;
   { frame; entries = Array.make fanout Empty; live = 0; refs = 1 }
 
-let create ~clock ~stats ~levels ~alloc_frame =
+let create ~clock ~stats ~levels ~alloc_frame ~free_frame =
   if levels <> 4 && levels <> 5 then invalid_arg "Page_table.create: levels must be 4 or 5";
   let frame = alloc_frame () in
   Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.pt_node_alloc;
   let root = { frame; entries = Array.make fanout Empty; live = 0; refs = 1 } in
-  { clock; stats; levels; alloc_frame; root; owned_nodes = 1 }
+  { clock; stats; levels; alloc_frame; free_frame; root; owned_nodes = 1 }
 
 let levels t = t.levels
 let va_bits t = (t.levels * bits_per_level) + Sim.Units.page_shift
@@ -124,54 +125,61 @@ let map_range t ~va ~pfn ~len ~prot ~huge =
   in
   loop va pa len 0
 
-(* Walk down recording the path so we can prune empty nodes. Fails (None)
-   if the leaf is missing. *)
-let path_to_leaf t va =
+(* The (node, index) pairs along [va], deepest first, down to the first
+   entry that is not a table or to the node at depth [stop]. *)
+let path t va ~stop =
   let rec loop node depth acc =
     let i = index t ~depth va in
+    let acc = (node, i) :: acc in
     match node.entries.(i) with
-    | Empty -> None
-    | Leaf leaf -> Some (leaf, (node, i) :: acc)
-    | Table child -> loop child (depth + 1) ((node, i) :: acc)
+    | Table child when depth < stop -> loop child (depth + 1) acc
+    | Table _ | Empty | Leaf _ -> acc
   in
   loop t.root 0 []
 
 let free_node t node =
   t.owned_nodes <- t.owned_nodes - 1;
   Sim.Stats.incr t.stats "pt_node_free";
-  ignore node.frame
+  t.free_frame node.frame
+
+(* A node other tables still reference only loses this table's pointer;
+   the rest of the tree goes back through [free_frame], children first. *)
+let release t f =
+  let rec drop node =
+    if node.refs > 1 then node.refs <- node.refs - 1
+    else begin
+      Array.iter (function Table c -> drop c | Leaf l -> f l | Empty -> ()) node.entries;
+      free_node t node
+    end
+  in
+  drop t.root
+
+(* Empty the entry at the head of [path], then prune upward every node
+   that emptied — never one other tables still reference: an unmap inside
+   a shared subtree is visible to every sharer, as shared mappings need. *)
+let clear_path t = function
+  | [] -> ()
+  | (node, i) :: _ as path ->
+    node.entries.(i) <- Empty;
+    node.live <- node.live - 1;
+    let rec prune = function
+      | (node, _) :: ((parent, i) :: _ as rest) when node.live = 0 && node.refs = 1 ->
+        parent.entries.(i) <- Empty;
+        parent.live <- parent.live - 1;
+        free_node t node;
+        prune rest
+      | _ -> ()
+    in
+    prune path
 
 let unmap_page t ~va =
   check_va t va;
-  match path_to_leaf t va with
-  | None -> invalid_arg "Page_table.unmap_page: not mapped"
-  | Some (_, path) ->
+  match path t va ~stop:t.levels with
+  | (node, i) :: _ as path when (match node.entries.(i) with Leaf _ -> true | _ -> false) ->
     charge t (model t).Sim.Cost_model.pte_write;
     Sim.Stats.incr t.stats "pte_clear";
-    (* path is deepest-first. Clearing a leaf inside a shared subtree is
-       legitimate (all sharers see the unmap — that is the semantics of a
-       shared mapping), but a node referenced by other tables must never
-       be pruned. *)
-    let rec clear = function
-      | [] -> ()
-      | (node, i) :: rest ->
-        (match node.entries.(i) with
-        | Empty -> ()
-        | Leaf _ ->
-          node.entries.(i) <- Empty;
-          node.live <- node.live - 1
-        | Table child ->
-          if child.live = 0 && child.refs = 1 then begin
-            node.entries.(i) <- Empty;
-            node.live <- node.live - 1;
-            free_node t child
-          end);
-        (* Continue pruning upward only while nodes empty out. *)
-        (match node.entries.(i) with
-        | Empty when node.live = 0 -> clear rest
-        | _ -> ())
-    in
-    clear path
+    clear_path t path
+  | _ -> invalid_arg "Page_table.unmap_page: not mapped"
 
 let ensure_node t ~va ~depth =
   check_va t va;
@@ -265,19 +273,17 @@ let share_subtree ~src ~src_va ~dst ~dst_va ~depth =
 
 let unshare t ~va ~depth =
   if depth <= 0 || depth >= t.levels then invalid_arg "Page_table.unshare: bad depth";
-  match descend t t.root ~cur:0 ~depth:(depth - 1) ~va ~create_path:false with
-  | None -> invalid_arg "Page_table.unshare: no such entry"
-  | Some parent -> (
-    let i = index t ~depth:(depth - 1) va in
+  match path t va ~stop:(depth - 1) with
+  | (parent, i) :: _ as path when List.length path = depth -> (
     match parent.entries.(i) with
     | Table child when child.refs > 1 ->
       child.refs <- child.refs - 1;
-      parent.entries.(i) <- Empty;
-      parent.live <- parent.live - 1;
+      clear_path t path;
       charge t (model t).Sim.Cost_model.pte_write;
       Sim.Stats.incr t.stats "pt_subtree_unshare"
     | Table _ -> invalid_arg "Page_table.unshare: subtree is not shared"
     | Empty | Leaf _ -> invalid_arg "Page_table.unshare: no subtree at this entry")
+  | _ -> invalid_arg "Page_table.unshare: no such entry"
 
 let is_shared_at t ~va ~depth =
   if depth <= 0 || depth >= t.levels then false

@@ -23,9 +23,13 @@ type leaf = {
 
 val create :
   clock:Sim.Clock.t -> stats:Sim.Stats.t -> levels:int ->
-  alloc_frame:(unit -> Physmem.Frame.t) -> t
-(** [levels] is 4 or 5. [alloc_frame] supplies physical frames for
-    page-table nodes (typically from the kernel's buddy allocator). *)
+  alloc_frame:(unit -> Physmem.Frame.t) -> free_frame:(Physmem.Frame.t -> unit) -> t
+(** [levels] is 4 or 5. Nodes take their frames from [alloc_frame] (the
+    kernel's page-table frame source) and give them back to [free_frame]. *)
+
+val release : t -> (leaf -> unit) -> unit
+(** Give back every node the table owns and call [f] on their leaves; a
+    grafted subtree only loses this table's pointer. The table is dead. *)
 
 val levels : t -> int
 val va_bits : t -> int
@@ -75,8 +79,8 @@ val share_subtree : src:t -> src_va:int -> dst:t -> dst_va:int -> depth:int -> u
     empty; the two tables must have equal level counts. *)
 
 val unshare : t -> va:int -> depth:int -> unit
-(** Drop a grafted pointer: O(1). The subtree itself survives in its
-    owning table. *)
+(** Drop a grafted pointer and prune the nodes above it that emptied:
+    O(levels). The subtree itself survives in its owning table. *)
 
 val is_shared_at : t -> va:int -> depth:int -> bool
 (** True iff the entry at that position is a subtree referenced by more

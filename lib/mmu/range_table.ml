@@ -61,3 +61,11 @@ let walk t ~va =
 let entry_count t = Btree.cardinal t.entries
 let metadata_bytes t = 32 * Btree.cardinal t.entries
 let iter t f = Btree.iter t.entries (fun _ e -> f e)
+
+let bases_in t ~va ~len =
+  let rec loop key acc =
+    match Btree.find_first_gt t.entries ~key with
+    | Some (base, _) when base < va + len -> loop base (base :: acc)
+    | Some _ | None -> acc
+  in
+  loop (va - 1) []

@@ -11,6 +11,12 @@ let charge t c =
 let reset t = t.cycles <- 0
 let elapsed t ~since = t.cycles - since
 
+let off t f =
+  let cycles = t.cycles in
+  let r = f () in
+  t.cycles <- cycles;
+  r
+
 let time t f =
   let start = t.cycles in
   let r = f () in

@@ -23,6 +23,11 @@ val reset : t -> unit
 val elapsed : t -> since:int -> int
 (** [elapsed t ~since] is [now t - since]. *)
 
+val off : t -> (unit -> 'a) -> 'a
+(** [off t f] runs [f ()] as host-side work while the simulated machine is
+    off (e.g. tearing down state a power failure destroyed): the clock
+    reads the same after it as before, whatever [f] charged. *)
+
 val time : t -> (unit -> 'a) -> 'a * int
 (** [time t f] runs [f ()] and returns its result with the cycles charged
     during the call. *)

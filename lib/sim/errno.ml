@@ -1,10 +1,15 @@
-type t = ENOMEM | ENOSPC | EIO | EAGAIN
+type t = ENOMEM | ENOSPC | EIO | EAGAIN | ENOENT | EEXIST | EACCES | EINVAL | ENOTEMPTY
 
 let to_string = function
   | ENOMEM -> "ENOMEM"
   | ENOSPC -> "ENOSPC"
   | EIO -> "EIO"
   | EAGAIN -> "EAGAIN"
+  | ENOENT -> "ENOENT"
+  | EEXIST -> "EEXIST"
+  | EACCES -> "EACCES"
+  | EINVAL -> "EINVAL"
+  | ENOTEMPTY -> "ENOTEMPTY"
 
 exception Error of t * string
 

@@ -35,7 +35,9 @@ type direction = Lower | Higher | Report | Skip
    heap gauges, which move on every run. A fit's exponent, r2 and growth
    and its sweep sizes are reported, because the fitted class is what
    gates. So are an explorer's steps, crashes and fences and a probe's
-   recorded events and samples: they count coverage, not cost. *)
+   recorded events and samples: they count coverage, not cost. An
+   identifier (the core the makespan ends on) is reported too: a tie
+   between cores can move it, and a core's index is no cost. *)
 let policy ~section key =
   let ends suffix = String.ends_with ~suffix key in
   match (section, key) with
@@ -50,7 +52,7 @@ let policy ~section key =
   | "host", _ -> Skip
   | ( _,
       ( "exponent" | "r2" | "growth" | "n_min" | "n_max" | "steps" | "crashes" | "fences"
-      | "recorded" | "in_ring" | "samples" ) ) ->
+      | "recorded" | "in_ring" | "samples" | "makespan_core" ) ) ->
     Report
   | _ when ends "_fraction" || ends "_detections" || ends "_hit" -> Higher
   | _ -> Lower

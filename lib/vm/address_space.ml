@@ -14,9 +14,8 @@ type t = {
    Proc. *)
 let mmap_base = 0x2000_0000_0000
 
-let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~levels ~alloc_pt_frame ?range_table
+let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~table ?range_table
     ?(mode = Hw.Walker.Native) ?smp ?asid () =
-  let table = Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame:alloc_pt_frame in
   let mmu = Hw.Mmu.create ~clock ~stats ~trace ~table ?range_table ~mode ?smp ?asid () in
   { clock; stats; table; mmu; range_table; vmas = IntMap.empty; mmap_cursor = mmap_base }
 

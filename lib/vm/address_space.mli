@@ -3,8 +3,8 @@
 type t
 
 val create :
-  clock:Sim.Clock.t -> stats:Sim.Stats.t -> ?trace:Sim.Trace.t -> levels:int ->
-  alloc_pt_frame:(unit -> Physmem.Frame.t) -> ?range_table:Hw.Range_table.t ->
+  clock:Sim.Clock.t -> stats:Sim.Stats.t -> ?trace:Sim.Trace.t -> table:Hw.Page_table.t ->
+  ?range_table:Hw.Range_table.t ->
   ?mode:Hw.Walker.mode -> ?smp:Hw.Smp.t -> ?asid:int -> unit -> t
 (** [smp]/[asid] place the address space on a shared machine with a
     unique ASID (the kernel passes [asid] = pid); omitted, the MMU gets a

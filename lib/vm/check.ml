@@ -14,15 +14,25 @@ let violation_to_string v = Printf.sprintf "[%s] %s" v.check v.detail
    deliberately bypass struct-page accounting — the file system owns
    those frames — so they are out of scope here. A leaf is listed once
    per address space at its size-aligned base, matching how THP accounts
-   a huge mapping as one mapcount on the block head. *)
-let vm_leaves kernel procs =
+   a huge mapping as one mapcount on the block head. The same scan holds
+   every page of a VMA to the rule that its leaf never grants an access
+   the VMA forbids (the converse is legal: CoW leaves are write-protected
+   below a writable VMA). *)
+let vm_leaves acc kernel procs =
   let leaves = ref [] in
   let seen = Hashtbl.create 256 in
-  let scan_range pid table ~start ~len =
+  let scan_range ?(vma_prot = Hw.Prot.rwx) pid table ~start ~len =
     let rec go va =
       if va < start + len then begin
         (match Hw.Page_table.lookup table ~va with
         | Some (_, leaf) ->
+          if not (Hw.Prot.subset leaf.Hw.Page_table.prot ~of_:vma_prot) then
+            acc :=
+              {
+                check = "vma_pt_prot";
+                detail = Printf.sprintf "pid %d va 0x%x: leaf grants more than its VMA" pid va;
+              }
+              :: !acc;
           let span = Hw.Page_size.bytes leaf.Hw.Page_table.size in
           let base = Sim.Units.round_down va ~align:span in
           if not (Hashtbl.mem seen (pid, base)) then begin
@@ -39,7 +49,8 @@ let vm_leaves kernel procs =
     (fun (proc : Proc.t) ->
       let table = Address_space.page_table proc.Proc.aspace in
       Address_space.iter_vmas proc.Proc.aspace (fun vma ->
-          scan_range proc.Proc.pid table ~start:vma.Vma.start ~len:vma.Vma.len))
+          scan_range ~vma_prot:vma.Vma.prot proc.Proc.pid table ~start:vma.Vma.start
+            ~len:vma.Vma.len))
     procs;
   Userfault.iter_regions (Kernel.userfault kernel) (fun ~pid ~va ~len ->
       match List.find_opt (fun (p : Proc.t) -> p.Proc.pid = pid) procs with
@@ -56,39 +67,6 @@ let count_refs leaves =
       Hashtbl.replace refs pfn (1 + Option.value (Hashtbl.find_opt refs pfn) ~default:0))
     leaves;
   refs
-
-(* Page-table leaves must never grant an access the covering VMA
-   forbids. The converse is legal (CoW leaves are write-protected below
-   a writable VMA). *)
-let check_vma_pt acc procs =
-  List.iter
-    (fun (proc : Proc.t) ->
-      let table = Address_space.page_table proc.Proc.aspace in
-      Address_space.iter_vmas proc.Proc.aspace (fun vma ->
-          let rec go va =
-            if va < vma.Vma.start + vma.Vma.len then begin
-              (match Hw.Page_table.lookup table ~va with
-              | Some (_, leaf) ->
-                let lp = leaf.Hw.Page_table.prot and vp = vma.Vma.prot in
-                if
-                  (lp.Hw.Prot.read && not vp.Hw.Prot.read)
-                  || (lp.Hw.Prot.write && not vp.Hw.Prot.write)
-                  || (lp.Hw.Prot.exec && not vp.Hw.Prot.exec)
-                then
-                  acc :=
-                    {
-                      check = "vma_pt_prot";
-                      detail =
-                        Printf.sprintf "pid %d va 0x%x: leaf grants more than its VMA"
-                          proc.Proc.pid va;
-                    }
-                    :: !acc
-              | None -> ());
-              go (va + page_size)
-            end
-          in
-          go vma.Vma.start))
-    procs
 
 (* Frame refcounts vs mapcounts: every VM-owned mapping we can reach must
    be accounted, and a mapping never outlives its reference. *)
@@ -153,6 +131,53 @@ let check_free_mapped acc kernel leaves =
         if is_free pfn then flag (Printf.sprintf "frame %d is mapped but free" pfn)
       done)
     leaves
+
+(* Every frame of the buddy's pool is in exactly one place: the buddy,
+   the zero engine's queues, the zero cache, a page-table node or a
+   VM-owned page (a frame a VM leaf covers, or any other that holds a
+   reference). Page-table nodes are counted by the kernel's one source
+   and sink, so FOM masters and the PBM table count too. The places must
+   sum to the pool: a frame that left every place without coming back is
+   missing here, and one held by two places is counted twice. *)
+let check_conservation acc kernel leaves =
+  let buddy = Kernel.buddy kernel in
+  (* A huge leaf's reference sits on its first frame; the others are its
+     tail, mapped by no other leaf (fork splits a huge leaf first). *)
+  let vm = ref 0 and heads = Hashtbl.create 8 in
+  Page_meta.iter_counts (Kernel.page_meta kernel) (fun pfn ~refcount ~mapcount:_ ->
+      if refcount > 0 && Alloc.Buddy.owns buddy pfn then incr vm);
+  List.iter
+    (fun (leaf : Hw.Page_table.leaf) ->
+      let pfn = leaf.Hw.Page_table.pfn in
+      if leaf.Hw.Page_table.size <> Hw.Page_size.Small && Alloc.Buddy.owns buddy pfn
+         && not (Hashtbl.mem heads pfn)
+      then begin
+        Hashtbl.add heads pfn ();
+        vm := !vm + Hw.Page_size.frames leaf.Hw.Page_table.size - 1
+      end)
+    leaves;
+  let zero = Kernel.zero_engine kernel in
+  let places =
+    [
+      ("buddy", Alloc.Buddy.free_frames_count buddy);
+      ("zero engine", Physmem.Zero_engine.pending zero + Physmem.Zero_engine.available zero);
+      ("zero cache", Alloc.Zero_cache.depth (Kernel.zero_cache kernel));
+      ("page-table", Kernel.pt_frames kernel);
+      ("VM-owned", !vm);
+    ]
+  in
+  let held = List.fold_left (fun n (_, c) -> n + c) 0 places in
+  let pool = Alloc.Buddy.frames buddy in
+  if held <> pool then
+    acc :=
+      {
+        check = "conservation";
+        detail =
+          Printf.sprintf "the %d-frame pool holds %d: %s" pool held
+            (String.concat ", "
+               (List.map (fun (place, n) -> Printf.sprintf "%d %s" n place) places));
+      }
+      :: !acc
 
 (* After every batched shootdown completed, no core's TLB may hold a
    translation the owning page table no longer backs — a lost shootdown
@@ -246,10 +271,10 @@ let run kernel =
     Hashtbl.fold (fun _ p l -> if p.Proc.alive then p :: l else l) (Kernel.processes kernel) []
     |> List.sort (fun (a : Proc.t) b -> compare a.Proc.pid b.Proc.pid)
   in
-  check_vma_pt acc procs;
-  let leaves = vm_leaves kernel procs in
+  let leaves = vm_leaves acc kernel procs in
   check_mapcounts acc kernel leaves;
   check_free_mapped acc kernel leaves;
+  check_conservation acc kernel leaves;
   check_tlb acc kernel procs;
   check_tlb_accounting acc kernel;
   check_fs acc ~name:"tmpfs" (Kernel.tmpfs kernel);

@@ -15,6 +15,13 @@
       the zero engine's pending or zeroed queues or the zero cache; no
       frame sits in those pools twice; and no pooled frame holds a
       reference. A frame recycled while still in use is caught here.
+    - {b conservation} — every frame of the buddy's pool is in exactly
+      one place: the buddy, the zero engine's queues, the zero cache, a
+      page-table node (counted by the kernel's one page-table frame
+      source and sink, so FOM masters and the PBM table count too) or a
+      VM-owned page (covered by a VM leaf or holding a reference); the
+      places' counts sum to the pool size. A frame nothing gave back is
+      caught here.
     - {b tlb_coherence} — on every core, every valid TLB entry still
       belongs to a live address space (ASID = pid) and matches its page
       table (existence, frame, page size, protection): a lost shootdown

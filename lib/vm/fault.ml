@@ -127,7 +127,7 @@ let populate_file_page ctx ~aspace ~(vma : Vma.t) ~va =
   in
   install ctx aspace ~va ~pfn ~prot ~dirty:false
 
-let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot ~anon_backing =
+let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot =
   let table = Address_space.page_table aspace in
   let old_pfn = old_leaf.Hw.Page_table.pfn in
   (* No zeroing needed: the copy below overwrites the whole page. *)
@@ -138,8 +138,10 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot ~anon_backing =
   in
   Physmem.Phys_mem.write ctx.mem ~addr:(Physmem.Frame.to_addr pfn) (Bytes.to_string content);
   let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
-  (* File frames stay with the file system that owns them. *)
-  Page_meta.unmap ctx.meta ~zero:ctx.zero table ~va:page_va old_leaf ~owned:anon_backing;
+  (* A file's frame (outside the buddy's pool) stays with its file
+     system; an anonymous page or an earlier CoW copy is the VM's. *)
+  Page_meta.unmap ctx.meta ~zero:ctx.zero table ~va:page_va old_leaf
+    ~owned:(Alloc.Buddy.owns ctx.buddy old_pfn);
   Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
   install ctx aspace ~va:page_va ~pfn ~prot ~dirty:false;
   Sim.Stats.incr (stats ctx) "cow_fault"
@@ -162,8 +164,7 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
         && vma.Vma.prot.Hw.Prot.write
         && vma.Vma.share = Vma.Private
       then begin
-        let anon_backing = vma.Vma.backing = Vma.Anon in
-        cow ctx aspace ~va ~old_leaf:leaf ~prot:vma.Vma.prot ~anon_backing;
+        cow ctx aspace ~va ~old_leaf:leaf ~prot:vma.Vma.prot;
         Sim.Stats.incr (stats ctx) "minor_fault";
         Minor
       end

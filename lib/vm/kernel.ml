@@ -55,6 +55,7 @@ type t = {
   userfault : Userfault.t;
   ctx : Fault.ctx; (* built once: faults and populate calls share it *)
   mutable busy_depth : int; (* re-entrancy guard for [on_core] *)
+  mutable pt_frames : int; (* page-table frames handed out minus returned *)
 }
 
 let buddy_max_order = 10
@@ -132,6 +133,7 @@ let create ?(config = default_config) () =
     userfault = Userfault.create ();
     ctx = { Fault.mem; meta; buddy; swap; zero; zcache; reclaim = Some reclaim };
     busy_depth = 0;
+    pt_frames = 0;
   }
 
 let config t = t.config
@@ -153,8 +155,6 @@ let pmfs t = t.pmfs
 let userfault t = t.userfault
 
 let background_zero t ~budget_frames = Alloc.Zero_cache.refill t.zcache ~budget_frames
-
-let charge_boot t = Page_meta.init_range t.meta ~first:0 ~count:(Phys_mem.total_frames t.mem)
 
 let charge t c = Sim.Clock.charge t.clock c
 let model t = Sim.Clock.model t.clock
@@ -204,7 +204,17 @@ let syscall t proc name f =
   charge_syscall t;
   f ()
 
-let alloc_pt_frame t () = Fault.raw_frame_exn ~what:"page-table frame" t.ctx
+let create_page_table t =
+  Hw.Page_table.create ~clock:t.clock ~stats:t.stats ~levels:t.config.levels
+    ~alloc_frame:(fun () ->
+      let pfn = Fault.raw_frame_exn ~what:"page-table frame" t.ctx in
+      t.pt_frames <- t.pt_frames + 1;
+      pfn)
+    ~free_frame:(fun pfn ->
+      t.pt_frames <- t.pt_frames - 1;
+      Alloc.Buddy.free t.buddy pfn ~order:0)
+
+let pt_frames t = t.pt_frames
 
 let create_process t ?(range_translations = false) () =
   let pid = t.next_pid in
@@ -215,9 +225,8 @@ let create_process t ?(range_translations = false) () =
     else None
   in
   let aspace =
-    Address_space.create ~clock:t.clock ~stats:t.stats ~trace:t.trace ~levels:t.config.levels
-      ~alloc_pt_frame:(alloc_pt_frame t) ?range_table ~mode:t.config.walk_mode ~smp:t.smp
-      ~asid:pid ()
+    Address_space.create ~clock:t.clock ~stats:t.stats ~trace:t.trace
+      ~table:(create_page_table t) ?range_table ~mode:t.config.walk_mode ~smp:t.smp ~asid:pid ()
   in
   (* Round-robin placement: the pid is the ASID tagging this address
      space's entries in whichever core's TLBs it warms. *)
@@ -264,10 +273,10 @@ let processes t = t.procs
 
 (* Tear down one VMA already removed from its address space: per-page
    release (the baseline's linear unmap cost), with the TLB invalidation
-   deferred into [batch] — the mmu_gather pattern. File frames belong to
-   the file system, so only anonymous frames are freed. *)
+   deferred into [batch] — the mmu_gather pattern. Frames outside the
+   buddy's pool belong to a file system; every other frame (an anonymous
+   page or a private mapping's CoW copy) is the VM's to free. *)
 let teardown_vma t (vma : Vma.t) ~table ~batch =
-  let owned = vma.Vma.backing = Vma.Anon in
   let pages = vma.Vma.len / Sim.Units.page_size in
   for i = 0 to pages - 1 do
     let page_va = vma.Vma.start + (i * Sim.Units.page_size) in
@@ -275,7 +284,8 @@ let teardown_vma t (vma : Vma.t) ~table ~batch =
     (* A huge leaf is unmapped once, at its base. *)
     | Some (_, leaf)
       when Sim.Units.is_aligned page_va ~align:(Hw.Page_size.bytes leaf.Hw.Page_table.size) ->
-      Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf ~owned
+      Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf
+        ~owned:(Alloc.Buddy.owns t.buddy leaf.Hw.Page_table.pfn)
     | Some _ | None -> ()
   done;
   Hw.Tlb_batch.add batch ~va:vma.Vma.start ~len:vma.Vma.len;
@@ -283,32 +293,29 @@ let teardown_vma t (vma : Vma.t) ~table ~batch =
   | Vma.File { fs; ino; _ } -> Fs.Memfs.close_file fs ino
   | Vma.Anon -> ()
 
-let munmap t proc ~va ~len =
-  syscall t proc "munmap" @@ fun () ->
-  let aspace = proc.Proc.aspace in
+(* Remove and tear down every VMA in [start, start+len): one shootdown
+   pass for the whole span, VMA count notwithstanding. *)
+let unmap_vmas t aspace ~start ~len =
   let table = Address_space.page_table aspace in
-  let removed = Address_space.remove_range aspace ~start:va ~len in
+  let removed = Address_space.remove_range aspace ~start ~len in
   let batch = Hw.Tlb_batch.create (Address_space.mmu aspace) in
   List.iter (fun vma -> teardown_vma t vma ~table ~batch) removed;
-  (* One shootdown pass for the whole span, VMA count notwithstanding. *)
   Hw.Tlb_batch.flush batch
+
+let munmap t proc ~va ~len =
+  syscall t proc "munmap" @@ fun () -> unmap_vmas t proc.Proc.aspace ~start:va ~len
 
 let exit_process t proc =
   syscall t proc "exit" @@ fun () ->
   let aspace = proc.Proc.aspace in
-  let table = Address_space.page_table aspace in
   let lo = ref max_int and hi = ref min_int in
   Address_space.iter_vmas aspace (fun (v : Vma.t) ->
       lo := min !lo v.Vma.start;
-      hi := max !hi (v.Vma.start + v.Vma.len));
-  if !lo < !hi then begin
-    (* One range removal spanning every VMA, then one batched flush: exit
-       pays O(1) shootdowns no matter how fragmented the address space. *)
-    let removed = Address_space.remove_range aspace ~start:!lo ~len:(!hi - !lo) in
-    let batch = Hw.Tlb_batch.create (Address_space.mmu aspace) in
-    List.iter (fun vma -> teardown_vma t vma ~table ~batch) removed;
-    Hw.Tlb_batch.flush batch
-  end;
+      hi := max !hi (Vma.end_ v));
+  (* One range removal spanning every VMA: exit pays O(1) shootdowns no
+     matter how fragmented the address space. *)
+  if !lo < !hi then unmap_vmas t aspace ~start:!lo ~len:(!hi - !lo);
+  Hw.Page_table.release (Address_space.page_table aspace) ignore;
   proc.Proc.alive <- false;
   Hashtbl.remove t.procs proc.Proc.pid
 
@@ -316,9 +323,19 @@ let reset_after_crash t =
   (* Power failure: every process dies with no orderly teardown, and all
      DRAM-resident kernel state (struct pages, reclaim lists, userfault
      registrations, TLBs) is gone. Host-side, no cost — the machine is
-     off. Buddy/file-system/zero-cache state is left alone: persistent
-     page tables and file extents are exactly what recovery reuses. *)
-  Hashtbl.iter (fun _ p -> p.Proc.alive <- false) t.procs;
+     off. A dead process's table goes back through the sink and its pages
+     of the pool to the zero engine; masters and file extents stay. *)
+  let pages = ref [] in
+  Sim.Clock.off t.clock (fun () ->
+      Hashtbl.iter
+        (fun _ p ->
+          p.Proc.alive <- false;
+          Hw.Page_table.release (Address_space.page_table p.Proc.aspace) (fun leaf ->
+              for pfn = leaf.Hw.Page_table.pfn to leaf.pfn + Hw.Page_size.frames leaf.size - 1 do
+                if Alloc.Buddy.owns t.buddy pfn then pages := pfn :: !pages
+              done))
+        t.procs);
+  Physmem.Zero_engine.put_dirty t.zero (List.sort_uniq compare !pages);
   Hashtbl.reset t.procs;
   Userfault.clear t.userfault;
   Reclaim.clear t.reclaim;

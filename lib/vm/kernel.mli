@@ -67,10 +67,13 @@ val background_zero : t -> budget_frames:int -> int
 (** Housekeeping step: zero up to [budget_frames] dirty frames and stash
     them in the {!zero_cache} for O(1) handout. Returns frames zeroed. *)
 
-val charge_boot : t -> unit
-(** Charge the boot-time per-page metadata initialisation for the whole
-    machine (linear in physical memory; kept out of {!create} so
-    experiments can measure it separately). *)
+val create_page_table : t -> Hw.Page_table.t
+(** A table over the kernel's one page-table frame source (a fault's
+    path: the ["frame_alloc_fail"] site and the reclaim retry) and sink
+    (the buddy). Every process table, FOM master and PBM table is one. *)
+
+val pt_frames : t -> int
+(** Page-table frames handed out minus given back, over every such table. *)
 
 (** {1 Processes} *)
 
@@ -90,20 +93,21 @@ val migrate : t -> Proc.t -> core:int -> unit
     there. *)
 
 val exit_process : t -> Proc.t -> unit
-(** Tear down every mapping and mark the process dead. Per-page PTE and
-    frame release still happen, but all TLB invalidation is gathered into
-    one {!Hw.Tlb_batch} flushed at the end — one shootdown pass (or one
-    full flush) regardless of how many VMAs the process had. *)
+(** Tear down every mapping, release the page table and mark the process
+    dead. Per-page PTE and frame release still happen, but all TLB
+    invalidation is gathered into one {!Hw.Tlb_batch} flushed at the end
+    — one shootdown pass (or one full flush) regardless of how many VMAs
+    the process had. *)
 
 val reset_after_crash : t -> unit
 (** Power failure, kernel side: drop every process, userfault
     registration, reclaim list, struct-page record (all DRAM state) and
     every core's TLB contents, and re-baseline the "resident_pages" /
     "tlb_entries" / "range_tlb_entries" / "zero_cache_depth" gauges so
-    post-crash observability doesn't report pre-crash occupancy.
-    Host-side only — the machine is off, so no cycles are charged.
-    Persistent structures (buddy-held page-table frames, file extents)
-    are untouched. *)
+    post-crash observability doesn't report pre-crash occupancy. Every
+    dead process's page table is released and its pages go to the zero
+    engine. Host-side only — the machine is off, so no cycles are
+    charged. Persistent structures (FOM masters, file extents) stay. *)
 
 val process_count : t -> int
 

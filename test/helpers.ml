@@ -20,6 +20,14 @@ let small_config =
 
 let mk_kernel ?(config = small_config) () = Os.Kernel.create ~config ()
 
+(* Free frames of the kernel's pool: the buddy, the zero engine's queues
+   and the zero cache. *)
+let pooled k =
+  Alloc.Buddy.free_frames_count (Os.Kernel.buddy k)
+  + Physmem.Zero_engine.pending (Os.Kernel.zero_engine k)
+  + Physmem.Zero_engine.available (Os.Kernel.zero_engine k)
+  + Alloc.Zero_cache.depth (Os.Kernel.zero_cache k)
+
 let mk_fom ?config ?strategy () =
   let kernel = mk_kernel ?config () in
   let fom = O1mem.Fom.create kernel ?strategy () in
@@ -34,7 +42,7 @@ let mk_page_table ?(levels = 4) () =
     incr next;
     !next
   in
-  (Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame, clock, stats)
+  (Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame ~free_frame:ignore, clock, stats)
 
 (* A live trace on [clock] with profiler [p] attached: every Trace.span
    on it opens a frame in [p]. *)

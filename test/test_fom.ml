@@ -295,6 +295,315 @@ let test_smaps () =
   check_bool "totals" true (Helpers.contains ~needle:"regions" out);
   ignore r
 
+(* 2,000 rounds of alloc, touch (a write to the first page) and free of
+   64 KiB under every strategy end with the pool's free frames where they
+   started: pruned page-table nodes and dropped masters go back to the
+   kernel. *)
+let test_alloc_free_loop_keeps_frames () =
+  (* A 64-entry TLB: every unmap scans the TLB, and frames do not care. *)
+  let config =
+    {
+      small_config with
+      K.dram_bytes = Sim.Units.mib 16;
+      nvm_bytes = Sim.Units.mib 16;
+      tlb_sets = 16;
+      tlb_ways = 4;
+    }
+  in
+  List.iter
+    (fun strategy ->
+      let kernel, fom = mk_fom ~config ~strategy () in
+      let proc = K.create_process kernel ~range_translations:true () in
+      let before = pooled kernel in
+      for _ = 1 to 2_000 do
+        let r = F.alloc fom proc ~len:(Sim.Units.kib 64) ~prot:Hw.Prot.rw () in
+        F.access fom proc ~va:r.F.va ~write:true;
+        F.free fom proc r
+      done;
+      let name = F.strategy_name strategy in
+      check_int (name ^ ": free frames back where they started") before (pooled kernel);
+      Alcotest.(check (list string))
+        (name ^ ": invariants hold") []
+        (List.map Os.Check.violation_to_string (Os.Check.run kernel)))
+    [ F.Per_page; F.Huge_pages; F.Shared_subtree; F.Range_translation ]
+
+(* A grow the file system cannot back fails with ENOSPC and leaves the
+   region mapped and its file as they were. *)
+let test_failed_grow_changes_nothing () =
+  let _, fom, proc = mk () in
+  let r = F.alloc fom proc ~name:"/g" ~len:(Sim.Units.kib 64) ~prot:Hw.Prot.rw () in
+  (match F.grow fom proc r ~new_len:(Sim.Units.gib 1) with
+  | _ -> Alcotest.fail "a 1 GiB grow on a 64 MiB file system succeeded"
+  | exception Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> ());
+  check_bool "region still mapped" true
+    (List.map (fun x -> x.F.va) (F.regions_of fom proc) = [ r.F.va ]);
+  F.access fom proc ~va:r.F.va ~write:true;
+  check_int "file unchanged" r.F.len (Fs.Memfs.inode (F.fs fom) r.F.ino).Fs.Inode.size;
+  F.free fom proc r;
+  check_int "file closed" 0 (Fs.Memfs.inode (F.fs fom) r.F.ino).Fs.Inode.refs
+
+(* The record a caller kept from before a protect still frees the region
+   it names: the region is regrafted from a new master, and both masters
+   give their frames back. *)
+let test_stale_record_frees_region () =
+  let kernel, fom, proc = mk () in
+  let before = pooled kernel in
+  let r = F.alloc fom proc ~len:(Sim.Units.kib 64) ~prot:Hw.Prot.rw () in
+  ignore (F.protect fom proc r ~prot:Hw.Prot.r);
+  F.free fom proc r;
+  check_int "free frames back where they started" before (pooled kernel);
+  check_bool "no region left" true (F.regions_of fom proc = [])
+
+(* --- Model test: FOM against a pure model of files and regions ------- *)
+
+(* What every file should hold and grant, and what every process should
+   have mapped. A region is whole-file, so it reads its file from offset
+   0; temporaries are the unnamed files [alloc] makes. *)
+type mfile = { mutable data : Bytes.t; mutable fprot : Hw.Prot.t; persistent : bool }
+
+(* [r] is the handle FOM returned; the other fields are the model's. *)
+type mregion = { r : F.region; file : mfile; len : int; prot : Hw.Prot.t; strategy : F.strategy }
+
+type world = {
+  k : K.t;
+  fom : F.t;
+  procs : Os.Proc.t array;
+  regions : mregion list array; (* per process slot, live ones *)
+  stale : F.region list array; (* per process slot, ones it unmapped *)
+  files : (string, mfile) Hashtbl.t;
+}
+
+let model_page = Sim.Units.page_size
+let prots = [| Hw.Prot.r; Hw.Prot.rw; Hw.Prot.rx; Hw.Prot.rwx |]
+let strategies = [| F.Per_page; F.Huge_pages; F.Shared_subtree; F.Range_translation |]
+let fname i = Printf.sprintf "/f%d" i
+
+let new_proc w = K.create_process w.k ~range_translations:true ()
+
+let expect errno what f =
+  match f () with
+  | _ ->
+    QCheck2.Test.fail_reportf "%s succeeded; the model expects %s" what (Sim.Errno.to_string errno)
+  | exception Sim.Errno.Error (e, _) when e = errno -> ()
+
+(* A region of slot [s], picked by [i]; [None] when it has none. *)
+let pick w s i =
+  match w.regions.(s) with [] -> None | rs -> Some (List.nth rs (i mod List.length rs))
+
+let replace w s (old : mregion) (m : mregion) =
+  w.regions.(s) <- List.map (fun x -> if x == old then m else x) w.regions.(s)
+
+let remove w s (m : mregion) =
+  w.regions.(s) <- List.filter (fun x -> x != m) w.regions.(s);
+  w.stale.(s) <- m.r :: w.stale.(s)
+
+let pa_of w s va =
+  let mmu = Os.Address_space.mmu w.procs.(s).Os.Proc.aspace in
+  match Hw.Mmu.translate mmu ~va ~write:false ~exec:false with
+  | Ok pa -> pa
+  | Error _ -> QCheck2.Test.fail_reportf "slot %d va 0x%x: no translation" s va
+
+let fom_step w (op, s, a, b) =
+  let p = w.procs.(s) in
+  match op with
+  | 0 ->
+    (* alloc: named /f0../f2 (EEXIST when taken) or a temporary; 0 pages is EINVAL *)
+    let name = if a mod 4 = 3 then None else Some (fname (a mod 4)) in
+    let len = b mod 9 * model_page and prot = prots.(a / 4 mod 4) in
+    let strategy = strategies.(b / 9 mod 4) in
+    if len = 0 then
+      expect Sim.Errno.EINVAL "alloc of 0 bytes" (fun () -> F.alloc w.fom p ?name ~len ~prot ())
+    else if Option.fold ~none:false ~some:(Hashtbl.mem w.files) name then
+      expect Sim.Errno.EEXIST "alloc onto a taken name" (fun () ->
+          F.alloc w.fom p ?name ~len ~prot ())
+    else begin
+      let r = F.alloc w.fom p ?name ~strategy ~len ~prot () in
+      let file = { data = Bytes.make len '\000'; fprot = prot; persistent = name <> None } in
+      Hashtbl.replace w.files r.F.path file;
+      w.regions.(s) <- w.regions.(s) @ [ { r; file; len; prot; strategy } ]
+    end
+  | 1 -> (
+    (* map_path: /f3 never exists (ENOENT); a wider protection is EACCES *)
+    let path = fname (a mod 4) and strategy = strategies.(b mod 4) in
+    let prot = if b / 4 mod 5 = 4 then None else Some prots.(b / 4 mod 5) in
+    match Hashtbl.find_opt w.files path with
+    | None ->
+      expect Sim.Errno.ENOENT "map of a missing file" (fun () ->
+          F.map_path w.fom p ?prot ~strategy path)
+    | Some file ->
+      if not (Hw.Prot.subset (Option.value prot ~default:file.fprot) ~of_:file.fprot) then
+        expect Sim.Errno.EACCES "map wider than the file" (fun () ->
+            F.map_path w.fom p ?prot ~strategy path)
+      else
+        let r = F.map_path w.fom p ?prot ~strategy path in
+        let prot = Option.value prot ~default:file.fprot and len = Bytes.length file.data in
+        w.regions.(s) <- w.regions.(s) @ [ { r; file; len; prot; strategy } ])
+  | 2 ->
+    Option.iter
+      (fun m ->
+        let prot = prots.(b mod 4) in
+        (* The region takes the file's current length, which another
+           process may have grown. *)
+        let r = F.protect w.fom p m.r ~prot in
+        m.file.fprot <- prot;
+        replace w s m { m with r; prot; len = Bytes.length m.file.data })
+      (pick w s a)
+  | 3 ->
+    (* grow by 0..3 pages; 0 is EINVAL. The region then maps the whole,
+       longer file. *)
+    Option.iter
+      (fun m ->
+        let extra = b mod 4 * model_page in
+        let new_len = m.r.F.len + extra in
+        if extra = 0 then
+          expect Sim.Errno.EINVAL "grow to the same length" (fun () -> F.grow w.fom p m.r ~new_len)
+        else begin
+          let r = F.grow w.fom p m.r ~new_len in
+          m.file.data <- Bytes.cat m.file.data (Bytes.make extra '\000');
+          replace w s m { m with r; len = Bytes.length m.file.data }
+        end)
+      (pick w s a)
+  | 4 ->
+    (* a write through the mapping; a read-only one segfaults *)
+    Option.iter
+      (fun m ->
+        let off = b mod m.r.F.len in
+        let va = m.r.F.va + off in
+        if not m.r.F.prot.Hw.Prot.write then (
+          match F.access w.fom p ~va ~write:true with
+          | () -> QCheck2.Test.fail_reportf "write to a read-only region succeeded"
+          | exception Os.Fault.Segfault _ -> ())
+        else begin
+          let c = Char.chr (Char.code 'a' + (b mod 26)) in
+          F.access w.fom p ~va ~write:true;
+          Physmem.Phys_mem.write_byte (K.mem w.k) (pa_of w s va) c;
+          Bytes.set m.file.data off c
+        end)
+      (pick w s a)
+  | 5 ->
+    Option.iter
+      (fun m ->
+        let off = b mod m.r.F.len in
+        let va = m.r.F.va + off in
+        F.access w.fom p ~va ~write:false;
+        let got = Bytes.get (Physmem.Phys_mem.read (K.mem w.k) ~addr:(pa_of w s va) ~len:1) 0 in
+        if got <> Bytes.get m.file.data off then
+          QCheck2.Test.fail_reportf "slot %d reads %C at +%d of %s, model %C" s got off m.r.F.path
+            (Bytes.get m.file.data off))
+      (pick w s a)
+  | 6 ->
+    Option.iter
+      (fun m ->
+        F.unmap w.fom p m.r;
+        remove w s m)
+      (pick w s a)
+  | 7 ->
+    Option.iter
+      (fun m ->
+        F.free w.fom p m.r;
+        remove w s m;
+        if m.r.F.temp then Hashtbl.remove w.files m.r.F.path)
+      (pick w s a)
+  | 8 -> (
+    match w.stale.(s) with
+    | [] -> ()
+    | rs ->
+      let r = List.nth rs (a mod List.length rs) in
+      expect Sim.Errno.EINVAL "unmap of an unmapped region" (fun () -> F.unmap w.fom p r))
+  | 9 ->
+    F.exit_process w.fom p;
+    List.iter (fun m -> if m.r.F.temp then Hashtbl.remove w.files m.r.F.path) w.regions.(s);
+    w.regions.(s) <- [];
+    w.stale.(s) <- [];
+    w.procs.(s) <- new_proc w
+  | _ ->
+    ignore (O1mem.Persistence.crash_and_recover w.fom);
+    Hashtbl.filter_map_inplace (fun _ f -> if f.persistent then Some f else None) w.files;
+    Array.iteri
+      (fun s _ ->
+        w.regions.(s) <- [];
+        w.stale.(s) <- [];
+        w.procs.(s) <- new_proc w)
+      w.procs
+
+let fom_model_check w =
+  (match Os.Check.run w.k with
+  | [] -> ()
+  | v :: _ as vs ->
+    QCheck2.Test.fail_reportf "%d violation(s), first %s" (List.length vs)
+      (Os.Check.violation_to_string v));
+  let fs = F.fs w.fom in
+  Hashtbl.iter
+    (fun path f ->
+      match Fs.Memfs.lookup fs path with
+      | None -> QCheck2.Test.fail_reportf "%s is gone" path
+      | Some ino ->
+        let got = Fs.Memfs.read_file fs ino ~off:0 ~len:(Bytes.length f.data + 1) in
+        if not (Bytes.equal got f.data) then QCheck2.Test.fail_reportf "%s holds other bytes" path;
+        if (Fs.Memfs.inode fs ino).Fs.Inode.prot <> f.fprot then
+          QCheck2.Test.fail_reportf "%s grants another protection" path)
+    w.files;
+  if Fs.Memfs.file_count fs <> Hashtbl.length w.files then
+    QCheck2.Test.fail_reportf "%d files, model %d" (Fs.Memfs.file_count fs)
+      (Hashtbl.length w.files);
+  Array.iteri
+    (fun s p ->
+      let want =
+        List.sort compare
+          (List.map (fun m -> (m.r.F.va, m.r.F.path, m.len, m.prot, m.strategy)) w.regions.(s))
+      in
+      let got =
+        List.map (fun r -> F.(r.va, r.path, r.len, r.prot, r.strategy)) (F.regions_of w.fom p)
+      in
+      if got <> want then
+        QCheck2.Test.fail_reportf "slot %d maps %d region(s) unlike the model's %d" s
+          (List.length got) (List.length want))
+    w.procs
+
+let fom_op_name = function
+  | 0 -> "alloc" | 1 -> "map" | 2 -> "protect" | 3 -> "grow" | 4 -> "write" | 5 -> "read"
+  | 6 -> "unmap" | 7 -> "free" | 8 -> "stale-unmap" | 9 -> "exit" | _ -> "crash"
+
+let prop_fom_model =
+  qtest "fom matches a file-and-region model" ~count:100
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map (fun (op, s, a, b) -> Printf.sprintf "%s %d %d %d" (fom_op_name op) s a b) ops))
+    QCheck2.Gen.(
+      list_size (int_range 1 30)
+        (quad (int_bound 10) (int_bound 2) (int_bound 1000) (int_bound 1000)))
+    (fun ops ->
+      (* The smallest machine the kernel boots: a 1,024-frame pool. *)
+      let config =
+        { small_config with K.dram_bytes = Sim.Units.mib 8; nvm_bytes = Sim.Units.mib 8 }
+      in
+      let k, fom = mk_fom ~config () in
+      let procs = Array.init 3 (fun _ -> K.create_process k ~range_translations:true ()) in
+      let w =
+        {
+          k;
+          fom;
+          procs;
+          regions = Array.make 3 [];
+          stale = Array.make 3 [];
+          files = Hashtbl.create 8;
+        }
+      in
+      List.iter
+        (fun op ->
+          fom_step w op;
+          fom_model_check w)
+        ops;
+      (* Once every process has exited and every master is dropped, the
+         whole pool is free again: no page table kept a frame. *)
+      Array.iter (F.exit_process fom) w.procs;
+      let sp = F.shared_pt fom in
+      List.iter (fun ino -> ignore (O1mem.Shared_pt.drop sp ~ino)) (O1mem.Shared_pt.inodes sp);
+      if K.pt_frames k <> 0 || pooled k <> Alloc.Buddy.frames (K.buddy k) then
+        QCheck2.Test.fail_reportf "after exit: %d page-table frames held, %d of %d frames free"
+          (K.pt_frames k) (pooled k) (Alloc.Buddy.frames (K.buddy k));
+      true)
+
 let suite =
   [
     Alcotest.test_case "fom: alloc creates a file" `Quick test_alloc_creates_file;
@@ -322,4 +631,10 @@ let suite =
     Alcotest.test_case "fom: smaps rollup" `Quick test_smaps;
     prop_fom_alloc_free_conserves_space;
     prop_fom_data_integrity;
+    Alcotest.test_case "fom: alloc/free loop keeps every frame" `Quick
+      test_alloc_free_loop_keeps_frames;
+    Alcotest.test_case "fom: a failed grow changes nothing" `Quick test_failed_grow_changes_nothing;
+    Alcotest.test_case "fom: a record from before protect still frees" `Quick
+      test_stale_record_frees_region;
+    prop_fom_model;
   ]

@@ -151,25 +151,74 @@ let test_munmap_mlocked () =
     (Os.Reclaim.scan (K.reclaim k) ~target_frames:(len / page))
 
 (* 7. Unmapping a collapsed 2 MiB page frees all 512 of its frames, as
-   unmapping 512 base pages does. *)
+   unmapping 512 base pages does, and so do the page-table nodes the
+   unmap prunes. *)
 let test_munmap_huge () =
-  let pooled k =
-    Alloc.Buddy.free_frames_count (K.buddy k)
-    + Physmem.Zero_engine.pending (K.zero_engine k)
-    + Physmem.Zero_engine.available (K.zero_engine k)
-    + Alloc.Zero_cache.depth (K.zero_cache k)
-  in
   List.iter
     (fun thp ->
       let k = mk_kernel () in
       let p = K.create_process k () in
+      let table = Os.Address_space.page_table p.Os.Proc.aspace in
       let va = K.mmap_anon k p ~len:Sim.Units.huge_2m ~prot:Hw.Prot.rw ~populate:true in
       if thp then collapse_all k p ~va ~len:Sim.Units.huge_2m;
-      let before = pooled k in
+      let before = pooled k and nodes = Hw.Page_table.node_count table in
       K.munmap k p ~va ~len:Sim.Units.huge_2m;
-      check_int "all 512 frames freed" 512 (pooled k - before);
+      let pruned = nodes - Hw.Page_table.node_count table in
+      check_bool "munmap prunes the emptied path" true (pruned > 0);
+      check_int "all 512 frames and every pruned node freed" (512 + pruned) (pooled k - before);
       check_clean k "clean after munmap")
     [ false; true ]
+
+(* 8. A process that exits gives its page table back: 1,000 rounds of
+   create, touch one page and exit on a 16 MiB machine lose no frame. *)
+let test_exit_returns_page_table () =
+  let k = mk_kernel ~config:{ small_config with K.dram_bytes = Sim.Units.mib 16 } () in
+  let before = pooled k in
+  for _ = 1 to 1_000 do
+    let p = K.create_process k () in
+    write_byte k p ~va:(K.mmap_anon k p ~len:page ~prot:Hw.Prot.rw ~populate:false) 'x';
+    K.exit_process k p
+  done;
+  check_int "free frames back where they started" before (pooled k);
+  check_clean k "clean after 1,000 exits"
+
+(* 9. munmap of a private file mapping frees the CoW copies its writes
+   made, not just the page-table nodes: 4 copies and 6 nodes, 3 of them
+   pruned and rebuilt by the first CoW. *)
+let test_munmap_private_file () =
+  let k = mk_kernel () in
+  let fs = K.tmpfs k in
+  let ino = Fs.Memfs.create_file fs "/private" ~persistence:Fs.Inode.Volatile in
+  Fs.Memfs.extend fs ino ~bytes_wanted:(4 * page);
+  let p = K.create_process k () in
+  let before = pooled k in
+  let va =
+    K.mmap_file k p ~fs ~path:"/private" ~prot:Hw.Prot.rw ~share:Os.Vma.Private ~populate:false ()
+  in
+  for i = 0 to 3 do
+    write_byte k p ~va:(va + (i * page)) (tag i)
+  done;
+  check_int "a CoW copy per page" 4 (Sim.Stats.get (K.stats k) "cow_fault");
+  check_int "6 nodes built" 6 (Sim.Stats.get (K.stats k) "pt_node_alloc");
+  K.munmap k p ~va ~len:(4 * page);
+  check_int "every frame comes back" before (pooled k);
+  check_clean k "clean after munmap"
+
+(* 10. A crash gives back every frame its dead processes held: their
+   page tables through the kernel's sink and their pages to the zero
+   engine, with no cycle charged while the machine is off. *)
+let test_crash_returns_frames () =
+  let k = mk_kernel () in
+  let before = pooled k in
+  for _ = 1 to 3 do
+    let p = K.create_process k () in
+    ignore (tagged k p ~pages:16);
+    let now = Sim.Clock.now (K.clock k) in
+    K.reset_after_crash k;
+    check_int "the crash charges nothing" now (Sim.Clock.now (K.clock k))
+  done;
+  check_int "free frames back where they started" before (pooled k);
+  check_clean k "clean after the crashes"
 
 (* Swap-out leaves the frame to its owner; the zero engine scrubs it once
    it is freed, and the next owner reads zeros. *)
@@ -316,5 +365,8 @@ let suite =
     Alcotest.test_case "defect 6: munmap of mlocked pages" `Quick test_munmap_mlocked;
     Alcotest.test_case "defect 7: munmap of a collapsed page" `Quick test_munmap_huge;
     Alcotest.test_case "reclaim: evicted frame laundered once" `Quick test_evicted_frame_laundered;
+    Alcotest.test_case "defect 8: exit leaves its page table" `Quick test_exit_returns_page_table;
+    Alcotest.test_case "defect 9: munmap of a private file mapping" `Quick test_munmap_private_file;
+    Alcotest.test_case "defect 10: a crash's dead processes" `Quick test_crash_returns_frames;
     prop_vm_model;
   ]

@@ -85,14 +85,15 @@ let test_fs_mkdir_nested () =
   let ino = M.create_file fs "/d/e/f" ~persistence:Fs.Inode.Volatile in
   check_bool "nested lookup" true (M.lookup fs "/d/e/f" = Some ino);
   Alcotest.(check (list string)) "readdir" [ "e" ] (M.readdir fs "/d");
-  Alcotest.check_raises "missing parent" (Invalid_argument "Memfs.create_file: missing parent directory")
+  Alcotest.check_raises "missing parent"
+    (Sim.Errno.Error (Sim.Errno.ENOENT, "Memfs.create_file: missing parent directory"))
     (fun () -> ignore (M.create_file fs "/nope/x" ~persistence:Fs.Inode.Volatile))
 
 let test_fs_duplicate_rejected () =
   let fs, _ = mk_fs () in
   ignore (M.create_file fs "/a" ~persistence:Fs.Inode.Volatile);
-  Alcotest.check_raises "dup" (Invalid_argument "Memfs.create_file: name exists") (fun () ->
-      ignore (M.create_file fs "/a" ~persistence:Fs.Inode.Volatile))
+  Alcotest.check_raises "dup" (Sim.Errno.Error (Sim.Errno.EEXIST, "Memfs.create_file: name exists"))
+    (fun () -> ignore (M.create_file fs "/a" ~persistence:Fs.Inode.Volatile))
 
 let test_fs_unlink_frees_space () =
   let fs, _ = mk_fs () in

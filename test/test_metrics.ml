@@ -236,6 +236,8 @@ let test_planted_regressions_gate () =
          ("zero cache never hit", [ ([ "stats"; "zero_cache_hit" ], J.Int 0) ]);
          ( "store recovery went linear",
            [ ([ "complexity"; "store_recovery_keys"; "class" ], J.String "O(n)") ] );
+         ( "makespan doubled",
+           [ ([ "causal"; "makespan_cycles" ], J.Int (2 * int [ "causal"; "makespan_cycles" ])) ] );
        ])
 
 let test_planted_changes_pass () =
@@ -253,6 +255,9 @@ let test_planted_changes_pass () =
              (keys @ [ "exponent" ], J.Float (1.2 *. num (keys @ [ "exponent" ])));
            ] );
          ("more bit flips detected", [ (flips, J.Int (int flips + 2)) ]);
+         (* A core index is an identifier, not a cost. *)
+         ( "makespan ends on another core",
+           [ ([ "causal"; "makespan_core" ], J.Int (int [ "causal"; "makespan_core" ] + 1)) ] );
        ])
 
 (* The gate `make bench-diff` and CI run, offline: the deterministic

@@ -468,7 +468,9 @@ let test_mmu_range_path () =
   let clock, stats = mk_env () in
   let rt = Hw.Range_table.create ~clock ~stats () in
   let next = ref 0 in
-  let pt = PT.create ~clock ~stats ~levels:4 ~alloc_frame:(fun () -> incr next; !next) in
+  let pt =
+    PT.create ~clock ~stats ~levels:4 ~alloc_frame:(fun () -> incr next; !next) ~free_frame:ignore
+  in
   let mmu = Hw.Mmu.create ~clock ~stats ~table:pt ~range_table:rt () in
   Hw.Range_table.insert rt ~base:0x100000 ~limit:(Sim.Units.gib 1) ~offset:(-0x100000) ~prot:Hw.Prot.rw;
   (match Hw.Mmu.translate mmu ~va:(0x100000 + 777) ~write:true ~exec:false with
