@@ -468,6 +468,38 @@ let sweeps =
       sizes = geometric ~base:8 ~factor:2 ~count:4;
       measure = (fun txns -> Exp_store.recovery_point ~keys:512 ~txns);
     };
+    {
+      name = "store_commit_keys";
+      expected = C.Constant;
+      unit_ = "keys";
+      note = "slowest commit of a 32-txn burst on an 8 KiB WAL it fills: the log cut is O(1)";
+      sizes = geometric ~base:256 ~factor:2 ~count:4;
+      measure = (fun keys -> snd (Exp_store.live_set_point ~keys));
+    };
+    {
+      name = "store_get_keys";
+      expected = C.Constant;
+      unit_ = "keys";
+      note = "one charged get: an index line probe plus the block read";
+      sizes = geometric ~base:256 ~factor:2 ~count:4;
+      measure = (fun keys -> fst (Exp_store.live_set_point ~keys));
+    };
+    {
+      name = "store_commit_churn";
+      expected = C.Constant;
+      unit_ = "churned keys";
+      note = "an 8-put commit after N distinct keys were put and deleted: deletes shrink chains";
+      sizes = geometric ~base:192 ~factor:2 ~count:4;
+      measure = (fun keys -> snd (Exp_store.churn_point ~keys));
+    };
+    {
+      name = "store_get_churn";
+      expected = C.Constant;
+      unit_ = "churned keys";
+      note = "16 gets of absent keys after N distinct keys were put and deleted";
+      sizes = geometric ~base:192 ~factor:2 ~count:4;
+      measure = (fun keys -> fst (Exp_store.churn_point ~keys));
+    };
   ]
 
 let run_sweep s =

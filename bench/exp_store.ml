@@ -1,15 +1,21 @@
 (* R2 — does the store survive? The robustness experiment behind the
    "store" section of the bench JSON:
 
-   - recovery cost: [recovery_point] preloads n objects, checkpoints,
+   - recovery cost: [recovery_point] preloads n objects, cuts the log,
      runs a burst of YCSB-style zipfian update transactions, loses power
      with a transaction in flight and returns the charged recovery cost.
      C1 fits it twice. Against the object count under a fixed 8-txn
-     burst (store_recovery_keys), it must be O(1): the store's
-     persistence story only holds if recovery is O(files + WAL records),
-     and the manifest snapshot is a persistent-index stand-in that
-     recovery re-maps, not reads. Against the burst over 512 objects
+     burst (store_recovery_keys), it must be O(1): the index is in place
+     in NVM, so recovery reads its header line and replays the log,
+     O(files + WAL records). Against the burst over 512 objects
      (store_recovery_records), it grows with the records it replays;
+   - commit and get cost against the object count ([live_set_point];
+     store_commit_keys and store_get_keys in C1): both must be O(1), the
+     log cut included;
+   - commit and miss cost against delete/insert churn ([churn_point];
+     store_commit_churn and store_get_churn in C1): a delete shortens the
+     probe chains its insert lengthened, so both must stay O(1) however
+     many distinct keys have passed through the index;
    - the crash explorer: power failure at every clwb/sfence/WAL boundary
      of a mixed put/delete/grow burst, plus torn-line and bit-flip arms
      whose damage must be detected (truncation or EIO), never served;
@@ -31,10 +37,9 @@ let store_machine () =
 let key i = Printf.sprintf "obj%04d" i
 let value i v = String.make (64 + ((i * 13) mod 64)) (Char.chr (Char.code 'a' + ((i + v) mod 26)))
 
-(* Preload in batches (the WAL auto-checkpoints when full), then cut the
+(* Preload in batches (a commit cuts the WAL when full), then cut the
    log so the burst is the only thing recovery replays. *)
-let preload st ~keys =
-  let batch = 64 in
+let preload ?(batch = 64) st ~keys =
   let i = ref 1 in
   while !i <= keys do
     ignore (Kv.begin_txn st);
@@ -82,6 +87,86 @@ let recovery_point ~keys ~txns =
          (Os.Check.violation_to_string v)));
   Kv.detach st;
   cycles
+
+(* The live-set sweeps share one machine per key count: [keys] objects
+   preloaded on an 8 KiB WAL, one charged get of a preloaded key
+   (store_get_keys), then the slowest commit of a fixed 32-transaction
+   burst the WAL fills more than once, so the slowest is a commit that
+   cuts the log (store_commit_keys). *)
+let live_set_points = Hashtbl.create 4
+
+let live_set_point ~keys =
+  match Hashtbl.find_opt live_set_points keys with
+  | Some p -> p
+  | None ->
+    let k, fom = store_machine () in
+    let st =
+      Kv.create fom (K.create_process k ()) ~wal_bytes:(Sim.Units.kib 8)
+        ~manifest_bytes:(Sim.Units.kib 256) ~name:"/bench" ()
+    in
+    preload ~batch:16 st ~keys;
+    let got, get = Sim.Clock.time (K.clock k) (fun () -> Kv.get st (key 1)) in
+    if got <> Some (value 1 0) then failwith "Exp_store.live_set_point: preloaded value not served";
+    let rng = Sim.Rng.create ~seed:7 and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
+    let slowest = ref 0 in
+    for c = 1 to 32 do
+      ignore (Kv.begin_txn st);
+      for _ = 1 to 4 do
+        let i = 1 + zipf rng in
+        Kv.put st (key i) (value i c)
+      done;
+      slowest := max !slowest (snd (Sim.Clock.time (K.clock k) (fun () -> Kv.commit st)))
+    done;
+    Kv.detach st;
+    Hashtbl.replace live_set_points keys (get, !slowest);
+    (get, !slowest)
+
+(* The churn sweeps share one machine per churned-key count: 64 objects
+   on a 4 KiB index (63 bucket lines), then [keys] fresh keys put and
+   deleted again, 96 per transaction, so lines keep filling and emptying
+   (a quarter to two thirds of the entries in use). Measured on the same
+   live set at every count, after a log cut so no measured commit cuts
+   it: 16 gets of absent keys (store_get_churn) and one commit of 8
+   fresh puts (store_commit_churn). *)
+let churn_points = Hashtbl.create 4
+
+let churn_point ~keys =
+  match Hashtbl.find_opt churn_points keys with
+  | Some p -> p
+  | None ->
+    let k, fom = store_machine () in
+    let st =
+      Kv.create fom (K.create_process k ()) ~manifest_bytes:(Sim.Units.kib 4) ~name:"/bench" ()
+    in
+    preload st ~keys:64;
+    let fresh i = Printf.sprintf "churn%05d" i in
+    for r = 0 to (keys / 96) - 1 do
+      ignore (Kv.begin_txn st);
+      for j = 0 to 95 do
+        Kv.put st (fresh ((96 * r) + j)) "v"
+      done;
+      Kv.commit st;
+      ignore (Kv.begin_txn st);
+      for j = 0 to 95 do
+        Kv.delete st (fresh ((96 * r) + j))
+      done;
+      Kv.commit st
+    done;
+    Kv.checkpoint st;
+    let misses, miss =
+      Sim.Clock.time (K.clock k) (fun () ->
+          List.init 16 (fun j -> Kv.get st (Printf.sprintf "miss%02d" j)))
+    in
+    if List.exists Option.is_some misses then failwith "Exp_store.churn_point: an absent key was served";
+    ignore (Kv.begin_txn st);
+    for j = 1 to 8 do
+      Kv.put st (Printf.sprintf "new%d" j) "v"
+    done;
+    let (), commit = Sim.Clock.time (K.clock k) (fun () -> Kv.commit st) in
+    if Kv.object_count st <> 72 then failwith "Exp_store.churn_point: churn changed the live set";
+    Kv.detach st;
+    Hashtbl.replace churn_points keys (miss, commit);
+    (miss, commit)
 
 type results = {
   explorer : O1mem.Chaos.report;

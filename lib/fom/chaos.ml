@@ -35,27 +35,33 @@ let crash_every ?(damage = []) ?baseline ~seed ~boot ~setup ~run ~recover () =
   Option.iter (fun check -> check w0 (add 0)) baseline;
   let steps = e1 - e0 in
   let crashes = ref 0 in
-  let replay ?(seed = seed) ?arm k =
+  (* One run from a fresh boot: power fails at durable step [crash], or
+     at the run's end when [crash] is [None]. Returns the boundaries the
+     setup and the run ended on, and the caller's detections. *)
+  let replay ?(seed = seed) ?arm crash =
     let plane, _, m = boot ~seed in
-    FI.arm plane ~site:FI.site_durable_step (FI.On_nth k);
+    Option.iter (fun k -> FI.arm plane ~site:FI.site_durable_step (FI.On_nth k)) crash;
     Option.iter (fun (site, p) -> FI.arm plane ~site (FI.Prob p)) arm;
     let w = setup m in
+    let start = FI.evaluations plane ~site:FI.site_durable_step in
     let crashed =
       try
         run w;
         false
       with FI.Injected_crash _ -> true
     in
+    let stop = FI.evaluations plane ~site:FI.site_durable_step in
     incr crashes;
-    if not crashed then add (k - e0) "durable step never fired";
+    let at = Option.value crash ~default:stop - start in
+    if crash <> None && not crashed then add at "durable step never fired";
     (* The damage happened while power was on; recovery itself runs on
        healthy hardware. *)
     Option.iter (fun (site, _) -> FI.disarm plane ~site) arm;
     FI.disarm plane ~site:FI.site_durable_step;
-    recover w ~damaged:(arm <> None) (add (k - e0))
+    (start, stop, recover w ~damaged:(arm <> None) (add at))
   in
   for k = e0 + 1 to e1 do
-    ignore (replay k)
+    ignore (replay (Some k))
   done;
   (* Damage arms: the site fires with probability p while the workload
      runs, and the crash lands on sampled boundaries. Losses are allowed;
@@ -67,8 +73,18 @@ let crash_every ?(damage = []) ?baseline ~seed ~boot ~setup ~run ~recover () =
       (* A fresh plane seed per boundary: with a shared seed every run
          draws the same damage pattern, and one unlucky trajectory (all
          damage healed by later flushes or by recovery) would blind the
-         whole arm. *)
-      found := !found + replay ~seed:(seed + (salt * !k)) ~arm:(site, p) !k;
+         whole arm. Damage the workload reads back (a line failing its
+         checksum, a refused commit) changes its path, so pass 0 does not
+         give a damaged run's boundaries: the same seed and arm first run
+         to the end and lose power there, and the crash then lands on
+         the sampled boundary counted within that run. *)
+      let seed = seed + (salt * !k) and arm = (site, p) in
+      let start, stop, n = replay ~seed ~arm None in
+      found := !found + n;
+      if stop > start then begin
+        let _, _, n = replay ~seed ~arm (Some (start + min (!k - e0) (stop - start))) in
+        found := !found + n
+      end;
       k := !k + stride
     done;
     !found

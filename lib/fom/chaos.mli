@@ -18,7 +18,7 @@
 type report = {
   steps : int;  (** durable-step boundaries the explored workload crosses *)
   fences : int;  (** sfence count of the baseline pass's workload *)
-  crashes : int;  (** replays performed: one per boundary, plus the damage arms' *)
+  crashes : int;  (** replays performed: one per boundary, plus two per damage sample *)
   detections : (string * int) list;  (** per damage arm: losses recovery detected *)
   violations : string list;  (** empty = every recovery was consistent *)
 }
@@ -43,9 +43,14 @@ val crash_every :
     reporter for violations; a boundary that never fires is a violation
     too.
 
-    Each [damage] arm [(name, site, p)] then replays every (steps/4)-th
-    boundary with [site] also firing at probability [p] from [setup] on,
-    under a fresh plane seed [seed + 997 k]. [recover ~damaged:true]
+    Each [damage] arm [(name, site, p)] then samples every (steps/4)-th
+    boundary k with [site] also firing at probability [p] from [setup]
+    on, under a fresh plane seed [seed + 997 k]. Damage [run] reads back
+    can change its path, so each sample runs twice: to its end, with
+    power lost there, which counts the run's own boundaries; then
+    crashed at its k-th boundary, or its last if it has fewer (a run
+    with none is not crashed), which must fire like every clean pass's.
+    Both runs are recovered. [recover ~damaged:true]
     returns the losses it detected; an arm that detected none escalates
     once (every (steps/8)-th boundary, probability [min 0.9 (3p)], seed
     [seed + 1009 k]), and if it still detects nothing that is a

@@ -7,29 +7,20 @@ type t = {
   capacity : int;
   mutable cursor : int; (* offset of the next record *)
   mutable records : string list; (* newest first *)
-  mutable last_recovery : recovery_detail option;
+  mutable truncated : bool; (* a damaged record stopped the recovery scan *)
 }
 
-and trunc =
-  | Bad_header
-  | Bad_marker
-  | Bad_checksum
-
-and recovery_detail = {
-  valid_records : int;
-  scanned_bytes : int;
-  truncated : trunc option;
-}
-
-(* Adler-ish rolling checksum, 32 bits, never zero (zero means "blank"). *)
+(* Adler-ish rolling checksum, 32 bits, never zero (zero means "blank").
+   Reducing the sums once at the end gives the per-byte value; 63 bits
+   hold them for any record. *)
 let checksum s =
   let a = ref 1 and b = ref 0 in
   String.iter
     (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
+      a := !a + Char.code c;
+      b := !b + !a)
     s;
-  let v = (!b lsl 16) lor !a in
+  let v = ((!b mod 65521) lsl 16) lor (!a mod 65521) in
   if v = 0 then 1 else v
 
 let le32 v =
@@ -51,7 +42,7 @@ let create ~nvm ~base ~capacity =
   if Physmem.Phys_mem.region_of_frame mem (Physmem.Frame.of_addr base) <> Physmem.Phys_mem.Nvm
   then invalid_arg "Wal.create: base not in the NVM region";
   if capacity < record_span 1 then invalid_arg "Wal.create: capacity too small";
-  { nvm; base; capacity; cursor = 0; records = []; last_recovery = None }
+  { nvm; base; capacity; cursor = 0; records = []; truncated = false }
 
 type error = Wal_full
 
@@ -107,15 +98,13 @@ let append_exn ?durable t payload =
 let entries t = List.rev t.records
 let entry_count t = List.length t.records
 let used_bytes t = t.cursor
-let capacity t = t.capacity
-let recovery_detail t = t.last_recovery
+let truncated t = t.truncated
 
-let recover_gen ~read ~nvm ~base ~capacity =
+let recover ~nvm ~base ~capacity =
   let mem = Physmem.Nvm.mem nvm in
-  let read ~addr ~len = Bytes.to_string (read mem ~addr ~len) in
+  let read ~addr ~len = Bytes.to_string (Physmem.Phys_mem.read mem ~addr ~len) in
   let read_le32 addr = Int32.to_int (Bytes.get_int32_le (Bytes.of_string (read ~addr ~len:4)) 0) land 0xFFFFFFFF in
-  let t = { nvm; base; capacity; cursor = 0; records = []; last_recovery = None } in
-  let stop = ref None in
+  let t = { nvm; base; capacity; cursor = 0; records = []; truncated = false } in
   let rec scan off =
     if off + header_bytes + 1 > capacity then ()
     else begin
@@ -130,12 +119,11 @@ let recover_gen ~read ~nvm ~base ~capacity =
           hcrc <> checksum (String.sub hdr 0 8)
           || len <= 0 || cksum = 0
           || off + record_span len > capacity
-        then stop := Some Bad_header
+        then t.truncated <- true
         else begin
           let payload = read ~addr:(base + off + header_bytes) ~len in
           let mark = (read ~addr:(base + off + header_bytes + len) ~len:1).[0] in
-          if mark <> marker then stop := Some Bad_marker
-          else if checksum payload <> cksum then stop := Some Bad_checksum
+          if mark <> marker || checksum payload <> cksum then t.truncated <- true
           else begin
             t.records <- payload :: t.records;
             t.cursor <- off + record_span len;
@@ -146,14 +134,7 @@ let recover_gen ~read ~nvm ~base ~capacity =
     end
   in
   scan 0;
-  t.last_recovery <-
-    Some { valid_records = List.length t.records; scanned_bytes = t.cursor; truncated = !stop };
   t
-
-let recover ~nvm ~base ~capacity = recover_gen ~read:Physmem.Phys_mem.read ~nvm ~base ~capacity
-
-let recover_host ~nvm ~base ~capacity =
-  recover_gen ~read:Physmem.Phys_mem.peek ~nvm ~base ~capacity
 
 let reset t =
   (* Zero the first header durably: recovery then sees an empty log. *)
@@ -162,4 +143,4 @@ let reset t =
   Physmem.Nvm.fence t.nvm;
   t.cursor <- 0;
   t.records <- [];
-  t.last_recovery <- None
+  t.truncated <- false

@@ -46,39 +46,16 @@ val entries : t -> string list
 
 val entry_count : t -> int
 val used_bytes : t -> int
-val capacity : t -> int
-
-(** Why a recovery scan stopped before a blank header. *)
-type trunc =
-  | Bad_header  (** header CRC mismatch, or an insane length field *)
-  | Bad_marker  (** payload present but the commit marker never landed *)
-  | Bad_checksum  (** marker present but the payload bytes are damaged *)
-
-type recovery_detail = {
-  valid_records : int;  (** committed records kept by the scan *)
-  scanned_bytes : int;  (** bytes of valid prefix (= cursor position) *)
-  truncated : trunc option;
-      (** [None]: the log ended cleanly at a blank header. [Some _]: a
-          damaged record was detected and the tail discarded there. *)
-}
 
 val recover : nvm:Physmem.Nvm.t -> base:int -> capacity:int -> t
 (** Rebuild the log from NVM contents after a crash: scans records from
-    [base], stopping at the first header-CRC failure, missing marker, or
-    payload-checksum mismatch, and positions the append cursor after the
-    valid prefix. {!recovery_detail} reports what stopped the scan. *)
+    [base], stopping at the first header-CRC failure (or insane length),
+    missing marker, or payload-checksum mismatch, and positions the
+    append cursor after the valid prefix. *)
 
-val recover_host : nvm:Physmem.Nvm.t -> base:int -> capacity:int -> t
-(** Exactly {!recover}, but reading through {!Physmem.Phys_mem.peek}:
-    no memory references are charged. Only for recovery bookkeeping
-    whose real implementation would re-map rather than read the data —
-    e.g. a persistent-index snapshot (the store's manifest), reachable
-    after O(extents) mapping work. Never use for a log whose replay cost
-    is part of the claim being measured. *)
-
-val recovery_detail : t -> recovery_detail option
-(** [Some _] on a log built by {!recover} (until {!reset}); [None] on a
-    log built by {!create}. *)
+val truncated : t -> bool
+(** Whether a damaged or unfinished record, rather than a blank header,
+    stopped the scan of the {!recover} that built this log (until {!reset}). *)
 
 val reset : t -> unit
 (** Truncate the log (durably: the first header is zeroed and flushed). *)

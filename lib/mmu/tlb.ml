@@ -191,17 +191,25 @@ let invalidate_range t ?(asid = 0) ~va ~len () =
     Sim.Clock.charge t.clock (pages * Sim.Cost_model.shootdown_cost (model t));
     count_shootdown t pages;
     let lo = va and hi = va + len in
-    Array.iter
-      (fun set ->
-        Array.iter
-          (fun s ->
-            if s.valid && s.asid = asid then begin
-              let e_lo = s.tag and e_hi = s.tag + Page_size.bytes s.size in
-              if not (e_hi <= lo || e_lo >= hi) then begin
-                s.valid <- false;
-                gauge_delta t (-1)
-              end
-            end)
-          set)
-      t.data
+    let drop s =
+      if s.valid && s.asid = asid then begin
+        let e_lo = s.tag and e_hi = s.tag + Page_size.bytes s.size in
+        if not (e_hi <= lo || e_lo >= hi) then begin
+          s.valid <- false;
+          gauge_delta t (-1)
+        end
+      end
+    in
+    (* An entry overlapping the range sits in the set its own size and tag
+       index: probe, per page size, the sets of the tags the range covers
+       — O(pages), not every set and way. *)
+    List.iter
+      (fun size ->
+        let step = Page_size.bytes size in
+        let tag = ref (tag_of lo size) in
+        while !tag < hi do
+          Array.iter drop t.data.(set_of t !tag size);
+          tag := !tag + step
+        done)
+      sizes
   end

@@ -267,29 +267,19 @@ let charge_bulk t ~addr ~len ~write =
   end
 
 (* Blit frame-sized chunks instead of byte-at-a-time host work. *)
-let read_raw t ~addr ~len buf =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let pfn = Frame.of_addr a in
-    let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
-    let b = buffer t pfn in
-    if b == no_data then Bytes.fill buf !pos run '\000' else Bytes.blit b off buf !pos run;
-    pos := !pos + run
-  done
-
 let read t ~addr ~len =
   check_addr t addr len;
   charge_bulk t ~addr ~len ~write:false;
   let buf = Bytes.create len in
-  read_raw t ~addr ~len buf;
-  buf
-
-let peek t ~addr ~len =
-  check_addr t addr len;
-  let buf = Bytes.create len in
-  read_raw t ~addr ~len buf;
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = Frame.offset_in_frame a in
+    let run = min (len - !pos) (Sim.Units.page_size - off) in
+    let b = buffer t (Frame.of_addr a) in
+    if b == no_data then Bytes.fill buf !pos run '\000' else Bytes.blit b off buf !pos run;
+    pos := !pos + run
+  done;
   buf
 
 let rec all_zero s ~pos ~stop = pos = stop || (s.[pos] = '\000' && all_zero s ~pos:(pos + 1) ~stop)

@@ -84,14 +84,6 @@ val write_byte : t -> int -> char -> unit
 val read : t -> addr:int -> len:int -> bytes
 (** Bulk read; charges one reference per 64-byte cache line covered. *)
 
-val peek : t -> addr:int -> len:int -> bytes
-(** Like {!read} but charges nothing. Only for host-side introspection
-    (invariant checkers) and for stand-ins whose real implementation
-    would not stream the bytes through the CPU — e.g. re-mapping a
-    persistent index at recovery, where the data is reachable after
-    O(extents) mapping work without being read. Workloads must never
-    model data access with [peek]. *)
-
 val write : t -> addr:int -> string -> unit
 (** Bulk write; same charging rule as {!read}. *)
 

@@ -10,8 +10,8 @@
    Two damage arms ride on sampled boundaries: torn lines and bit flips
    armed probabilistically while the burst runs. Those crashes may lose
    more than the in-flight transaction — but every loss must be
-   *detected* (a WAL/manifest truncation or an EIO on read), never
-   served as silently wrong data. *)
+   *detected* (a WAL truncation, a damaged index line, a commit refused
+   with EIO or an EIO on read), never served as silently wrong data. *)
 
 module FI = Sim.Fault_inject
 
@@ -67,21 +67,6 @@ let mirror_states ~keys ~txns =
       if c > 0 then List.iter apply (ops_of_txn ~keys c);
       snap ())
 
-(* Every value ever written per key, for the damage arms: whatever the
-   recovered store returns must be one of these. *)
-let history ~keys ~txns =
-  let h = Hashtbl.create 16 in
-  let note = function
-    | W_put (k, v) ->
-      Hashtbl.replace h k (v :: (Option.value (Hashtbl.find_opt h k) ~default:[]))
-    | _ -> ()
-  in
-  List.iter note (preload_ops ~keys);
-  for c = 1 to txns do
-    List.iter note (ops_of_txn ~keys c)
-  done;
-  h
-
 let apply_store st = function
   | W_put (k, v) -> Kv.put st k v
   | W_delete k -> Kv.delete st k
@@ -91,11 +76,6 @@ let apply_store st = function
 let state_of st =
   let objs = List.map (fun k -> (k, Option.get (Kv.get st k))) (Kv.keys st) in
   (objs, Kv.roots st)
-
-let state_eq (o1, r1) (o2, r2) =
-  List.length o1 = List.length o2
-  && List.for_all2 (fun (k1, v1) (k2, v2) -> k1 = k2 && String.equal v1 v2) o1 o2
-  && r1 = r2
 
 let describe (objs, roots) =
   Printf.sprintf "%d object(s), %d root(s)" (List.length objs) (List.length roots)
@@ -120,7 +100,6 @@ let probe_usable ~verify st add =
 let explore_store ?(keys = 6) ?(txns = 3) ?(seed = 17) () =
   if keys < 4 then invalid_arg "Chaos.explore_store: keys must be >= 4";
   let mirrors = mirror_states ~keys ~txns in
-  let hist = history ~keys ~txns in
   O1mem.Chaos.crash_every ~seed ~boot:O1mem.Chaos.machine
     ~damage:[ ("torn", FI.site_nvm_torn_line, 0.35); ("flip", FI.site_nvm_bit_flip, 0.2) ]
     (* Store creation, preload and checkpoint are setup: the interesting
@@ -129,37 +108,42 @@ let explore_store ?(keys = 6) ?(txns = 3) ?(seed = 17) () =
       let st = Kv.create fom (Os.Kernel.create_process kernel ()) ~name:"/kv" () in
       transact st (preload_ops ~keys);
       Kv.checkpoint st;
-      (kernel, fom, st, ref 0))
-    ~run:(fun (_, _, st, acked) ->
+      (kernel, fom, st, ref 0, ref 0))
+    ~run:(fun (_, _, st, acked, refused) ->
       for c = 1 to txns do
-        transact st (ops_of_txn ~keys c);
-        acked := c
+        match transact st (ops_of_txn ~keys c) with
+        | () -> acked := c
+        | exception Sim.Errno.Error (Sim.Errno.EIO, _) ->
+          (* Damage on a chain the commit reads: refused before anything
+             was logged. A detection, and the burst goes on. *)
+          incr refused
       done)
     (* Pass 0 must end in the final mirror, or the explorer proves nothing. *)
-    ~baseline:(fun (_, _, st, _) add ->
-      if not (state_eq (state_of st) mirrors.(txns)) then
+    ~baseline:(fun (_, _, st, _, _) add ->
+      if state_of st <> mirrors.(txns) then
         add
           (Printf.sprintf "baseline mismatch: store has %s, mirror %s" (describe (state_of st))
              (describe mirrors.(txns)));
       Kv.detach st)
-    ~recover:(fun (kernel, fom, st, acked) ~damaged add ->
+    ~recover:(fun (kernel, fom, st, acked, refused) ~damaged add ->
       let report = O1mem.Persistence.crash_and_recover fom in
       if not (List.mem_assoc "store/kv" report.O1mem.Persistence.hook_records) then
         add "recovery never ran the store hook";
-      let detected = ref 0 in
+      if !refused > 0 && not damaged then add "a commit on undamaged media failed with EIO";
+      let detected = ref !refused in
       if damaged then begin
         (* Damage may lose more than the in-flight transaction, but every
-           loss must be detected (a WAL/manifest truncation or an EIO on
-           read): any value the store does return must be one the
-           workload actually wrote. *)
-        detected := Kv.recovery_truncations st;
+           loss must be detected (a WAL truncation, a damaged index line,
+           a refused commit or an EIO on read): any value the store does
+           return must be one the workload wrote. A commit writes each
+           key's final value only: the values of the mirror states. *)
+        detected := !detected + Kv.recovery_truncations st;
         List.iter
           (fun key ->
             match Kv.get st key with
             | None -> ()
             | Some v ->
-              let written = Option.value (Hashtbl.find_opt hist key) ~default:[] in
-              if not (List.exists (String.equal v) written) then
+              if not (Array.exists (fun (objs, _) -> List.assoc_opt key objs = Some v) mirrors) then
                 add (Printf.sprintf "key %S recovered with a value that was never written" key)
             | exception Sim.Errno.Error (Sim.Errno.EIO, _) -> incr detected)
           (Kv.keys st)
@@ -171,7 +155,7 @@ let explore_store ?(keys = 6) ?(txns = 3) ?(seed = 17) () =
            transaction). *)
         let got = state_of st in
         let want = mirrors.(!acked) in
-        if not (state_eq got want || (!acked < txns && state_eq got mirrors.(!acked + 1))) then
+        if not (got = want || (!acked < txns && got = mirrors.(!acked + 1))) then
           add
             (Printf.sprintf "recovered %s; committed prefix has %s (acked %d)" (describe got)
                (describe want) !acked)
@@ -213,7 +197,7 @@ let run_plan ?(seed = 1) ?(rounds = 12) () =
   ignore (O1mem.Persistence.crash_and_recover fom);
   txn [ W_put ("after-crash", "still here") ];
   (* ENOSPC finale: a transaction that cannot fit the WAL even after the
-     checkpoint-and-retry pass must fail typed and leave no trace. *)
+     log-cut-and-retry pass must fail typed and leave no trace. *)
   let huge j = W_put (Printf.sprintf "huge%02d" (j + 1), String.make (Sim.Units.kib 8) 'h') in
   txn (List.init 24 huge);
   let partial = List.filter (fun k -> String.starts_with ~prefix:"huge" k) (Kv.keys st) in

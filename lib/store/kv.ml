@@ -2,43 +2,41 @@
 
    Layout (all named persistent files under the store's prefix):
 
-     <name>.wal        redo log, raw NVM journaled via Memfs.Wal
-     <name>.manifest   two ping-pong snapshot halves, each a one-record WAL
-     <name>.arena.<n>  Fom_heap arenas (1 MiB each) holding the object bytes
+     <name>.wal        redo log, raw NVM journaled via Fs.Wal
+     <name>.manifest   the index: a header line, then a fixed-bucket hash
+                       table of 64-byte lines, updated in place
+     <name>.arena.<n>  Fom_heap arenas (1 MiB each) holding the blocks
 
-   Commit protocol (redo logging): ops buffer volatile; commit allocates
-   every slot up front, appends [op records..., commit record] to the
-   WAL (each record durable before the next — Wal.append's clwb/sfence
-   discipline), then applies in place with durable slot writes. A crash
-   anywhere yields the committed prefix: recovery replays exactly the
-   transactions whose commit record survived, and everything else — torn
-   records included — is detected by the WAL's checksums and truncated.
-   Every record carries its transaction id and replay only adopts
-   pending ops tagged with the id of the commit record that closes them,
-   so records orphaned by a failed commit (e.g. ENOSPC after the
-   auto-checkpoint retry) are inert even if they linger in the log ahead
-   of a later transaction's records.
+   A block holds a key beside its value under one checksum; an index
+   entry holds the key's tag and the block's slot, so a get confirms the
+   key with the block read it does anyway. A root is an object too:
+   [root_key r] holds the key [r] names and [refs_key k] lists the roots
+   naming [k], so the log, the apply and recovery only see key writes.
+
+   Commit: fold the ops into each key's final write, allocate the blocks,
+   append the writes as one WAL record, then apply them in place (blocks,
+   then index lines, each flushed, under one fence). Every apply is
+   durable before the next append, so the log can be cut between any two
+   commits in O(1): Wal.reset plus a generation bump in the header line.
 
    Object identity is arena-relative (arena index, byte offset), never a
    virtual address: after a crash the arenas are re-mapped at fresh VAs
-   (Fom_heap.reattach, which rebases the heap with Size_class.relocate)
-   and every slot still names the same bytes — the Puddles
-   relocatable-region idea.
-
-   The key -> slot index and root table are host-side bookkeeping, the
-   stand-in for a persistent index structure that would live in the
-   arenas themselves (PMO-style) and be re-mapped O(extents) at
-   recovery; rebuilding them charges nothing, so recovery's charged cost
-   is O(files + WAL records), which bench/exp_store.ml fits. *)
+   (Fom_heap.reattach) and every slot still names the same bytes — the
+   Puddles relocatable-region idea. The heap's allocation state is the
+   one host-side stand-in left: recovery frees the blocks no entry
+   references by walking the index uncharged (DESIGN.md S23). *)
 
 module FI = Sim.Fault_inject
+module PM = Physmem.Phys_mem
 
 let max_key_bytes = 512
 let max_value_bytes = Sim.Units.kib 16
 
-(* [cksum] is the WAL's checksum of the value, for value integrity: a get
-   whose bytes no longer match raises EIO instead of serving damage. *)
-type slot = { arena : int; off : int; len : int; cksum : int }
+(* A block: [checksum 4][key length 4][key][value]; [len] covers it all. *)
+type slot = { arena : int; off : int; len : int }
+
+let block_header = 8
+let block_len key value = block_header + String.length key + String.length value
 
 type op =
   | Put of string * string
@@ -46,7 +44,8 @@ type op =
   | Set_root of string * string
   | Clear_root of string
 
-type txn = { id : int; mutable ops : op list (* newest first *) }
+(* A key's final write in a transaction: a new block and value, or none. *)
+type write = { key : string; put : (slot * string) option }
 
 type t = {
   fom : O1mem.Fom.t;
@@ -57,13 +56,12 @@ type t = {
   wal_base : int;
   wal_capacity : int;
   mutable wal : Fs.Wal.t;
-  manifest_base : int;
-  manifest_half : int;
-  mutable manifest_current : int; (* half holding the live snapshot *)
+  index_base : int;
+  buckets : int; (* bucket lines 1..buckets; line 0 is the header *)
   mutable generation : int;
-  index : (string, slot) Hashtbl.t;
-  root_tbl : (string, string) Hashtbl.t;
-  mutable txn : txn option;
+  mutable entries : int; (* index entries in use, internal ones included *)
+  mutable objects : int; (* user keys *)
+  mutable txn : op list option; (* newest first *)
   mutable next_txn_id : int;
   mutable detached : bool;
   mutable recovery_truncations : int;
@@ -76,156 +74,78 @@ let fs t = O1mem.Fom.fs t.fom
 let stats t = Os.Kernel.stats (kernel t)
 let trace t = Os.Kernel.trace (kernel t)
 let plane t = Sim.Trace.faults (trace t)
+let mem t = Physmem.Nvm.mem t.nvm
 
-(* --- record encoding ----------------------------------------------- *)
+(* Checkers, introspection and the recovery sweep read the media host-side. *)
+let uncharged t f = Sim.Clock.off (Os.Kernel.clock (kernel t)) f
 
-let w32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
+let root_key r = "\000" ^ r
+let refs_key k = "\001" ^ k
+let internal key = key <> "" && (key.[0] = '\000' || key.[0] = '\001')
+
+(* FNV-1a, folded: the bucket from the low bits, the tag from the high. *)
+let hash key =
+  let h = ref 0xcbf29ce4 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) key;
+  !h lxor (!h lsr 29)
+
+let tag_of h = match (h lsr 31) land 0xFFFFFFFF with 0 -> 1 | v -> v
+
+(* --- the record ----------------------------------------------------- *)
+
+let w32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 
 let wstr buf s =
   w32 buf (String.length s);
   Buffer.add_string buf s
 
 let r32 s pos =
-  if !pos + 4 > String.length s then invalid_arg "Store: truncated record";
-  let v = Int32.to_int (Bytes.get_int32_le (Bytes.of_string (String.sub s !pos 4)) 0) land 0xFFFFFFFF in
   pos := !pos + 4;
-  v
+  Int32.to_int (String.get_int32_le s (!pos - 4)) land 0xFFFFFFFF
 
 let rstr s pos =
   let n = r32 s pos in
-  if !pos + n > String.length s then invalid_arg "Store: truncated record";
-  let v = String.sub s !pos n in
   pos := !pos + n;
-  v
+  String.sub s (!pos - n) n
 
-type rec_op =
-  | R_put of string * slot * string
-  | R_delete of string
-  | R_set_root of string * string
-  | R_clear_root of string
-  | R_commit of int
-
-(* Every record opens with [tag; txn id]: replay matches pending ops to
-   their commit record by id, so orphans can never ride a later commit. *)
-
-let encode_put ~id k slot v =
-  let b = Buffer.create (String.length k + String.length v + 32) in
-  Buffer.add_char b 'P';
-  w32 b id;
-  wstr b k;
-  w32 b slot.arena;
-  w32 b slot.off;
-  w32 b slot.len;
-  w32 b slot.cksum;
-  Buffer.add_string b v;
-  Buffer.contents b
-
-let encode_delete ~id k =
-  let b = Buffer.create (String.length k + 12) in
-  Buffer.add_char b 'D';
-  w32 b id;
-  wstr b k;
-  Buffer.contents b
-
-let encode_set_root ~id r k =
-  let b = Buffer.create (String.length r + String.length k + 16) in
-  Buffer.add_char b 'R';
-  w32 b id;
-  wstr b r;
-  wstr b k;
-  Buffer.contents b
-
-let encode_clear_root ~id r =
-  let b = Buffer.create (String.length r + 12) in
-  Buffer.add_char b 'C';
-  w32 b id;
-  wstr b r;
-  Buffer.contents b
-
-let encode_commit id =
-  let b = Buffer.create 8 in
-  Buffer.add_char b 'T';
-  w32 b id;
-  Buffer.contents b
-
-let decode payload =
-  if payload = "" then invalid_arg "Store: empty record";
-  let pos = ref 1 in
-  let tag = payload.[0] in
-  let id = r32 payload pos in
-  match tag with
-  | 'P' ->
-    let k = rstr payload pos in
-    let arena = r32 payload pos in
-    let off = r32 payload pos in
-    let len = r32 payload pos in
-    let cksum = r32 payload pos in
-    if !pos + len > String.length payload then invalid_arg "Store: truncated put";
-    (id, R_put (k, { arena; off; len; cksum }, String.sub payload !pos len))
-  | 'D' -> (id, R_delete (rstr payload pos))
-  | 'R' ->
-    let r = rstr payload pos in
-    (id, R_set_root (r, rstr payload pos))
-  | 'C' -> (id, R_clear_root (rstr payload pos))
-  | 'T' -> (id, R_commit id)
-  | c -> invalid_arg (Printf.sprintf "Store: unknown record tag %C" c)
-
-(* Snapshot: generation, then the whole index and root table. *)
-let encode_snapshot t ~gen =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b 'S';
-  w32 b gen;
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.index [] |> List.sort String.compare in
-  w32 b (List.length keys);
+(* One record per transaction: every final write, oldest first. *)
+let encode_txn writes =
+  let b = Buffer.create 256 in
   List.iter
-    (fun k ->
-      let s = Hashtbl.find t.index k in
-      wstr b k;
-      w32 b s.arena;
-      w32 b s.off;
-      w32 b s.len;
-      w32 b s.cksum)
-    keys;
-  let roots = Hashtbl.fold (fun r k acc -> (r, k) :: acc) t.root_tbl [] |> List.sort compare in
-  w32 b (List.length roots);
-  List.iter
-    (fun (r, k) ->
-      wstr b r;
-      wstr b k)
-    roots;
+    (fun w ->
+      wstr b w.key;
+      match w.put with
+      | Some (s, v) ->
+        Buffer.add_char b 'P';
+        w32 b s.arena;
+        w32 b s.off;
+        wstr b v
+      | None -> Buffer.add_char b 'D')
+    writes;
   Buffer.contents b
 
-let decode_snapshot payload =
-  if payload = "" || payload.[0] <> 'S' then invalid_arg "Store: bad snapshot";
-  let pos = ref 1 in
-  let gen = r32 payload pos in
-  let nobj = r32 payload pos in
-  let objs = ref [] in
-  for _ = 1 to nobj do
-    let k = rstr payload pos in
-    let arena = r32 payload pos in
-    let off = r32 payload pos in
-    let len = r32 payload pos in
-    let cksum = r32 payload pos in
-    objs := (k, { arena; off; len; cksum }) :: !objs
+let decode_txn payload =
+  let pos = ref 0 and acc = ref [] in
+  while !pos < String.length payload do
+    let key = rstr payload pos in
+    incr pos;
+    let put =
+      if payload.[!pos - 1] = 'D' then None
+      else
+        let arena = r32 payload pos in
+        let off = r32 payload pos in
+        let v = rstr payload pos in
+        Some ({ arena; off; len = block_len key v }, v)
+    in
+    acc := { key; put } :: !acc
   done;
-  let nroots = r32 payload pos in
-  let roots = ref [] in
-  for _ = 1 to nroots do
-    let r = rstr payload pos in
-    let k = rstr payload pos in
-    roots := (r, k) :: !roots
-  done;
-  (gen, List.rev !objs, List.rev !roots)
+  List.rev !acc
 
-(* --- media addressing ---------------------------------------------- *)
+(* --- blocks -------------------------------------------------------- *)
 
 (* Physical chunks backing [off, off+len) of an arena file (the arena
    region maps the file whole from offset 0, so a heap offset is a file
-   offset). Values may straddle extent boundaries. *)
+   offset). Blocks may straddle extent boundaries. *)
 let phys_chunks t ~arena ~off ~len =
   let r = Heap.Fom_heap.arena_region t.heap arena in
   let page = Sim.Units.page_size in
@@ -245,28 +165,276 @@ let phys_chunks t ~arena ~off ~len =
   done;
   List.rev !chunks
 
-let write_slot t slot value =
-  let chunks = phys_chunks t ~arena:slot.arena ~off:slot.off ~len:(String.length value) in
+(* Write and flush a block; the apply's one fence makes it durable. *)
+let write_block t slot key value =
+  let b = Bytes.create slot.len in
+  Bytes.set_int32_le b 4 (Int32.of_int (String.length key));
+  Bytes.blit_string (key ^ value) 0 b block_header (slot.len - block_header);
+  Bytes.set_int32_le b 0 (Int32.of_int (Fs.Wal.checksum (Bytes.sub_string b 4 (slot.len - 4))));
   let pos = ref 0 in
   List.iter
     (fun (addr, n) ->
-      Physmem.Nvm.write_persistent t.nvm ~addr (String.sub value !pos n);
+      Physmem.Nvm.write_persistent t.nvm ~addr (Bytes.sub_string b !pos n);
       Physmem.Nvm.flush t.nvm ~addr ~len:n;
       pos := !pos + n)
-    chunks;
+    (phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len)
+
+(* The first [len] bytes of a block, through charged reads. *)
+let read_block t slot ~len =
+  String.concat ""
+    (List.map
+       (fun (addr, n) -> Bytes.unsafe_to_string (PM.read (mem t) ~addr ~len:n))
+       (phys_chunks t ~arena:slot.arena ~off:slot.off ~len))
+
+let sum_ok b =
+  Int32.to_int (String.get_int32_le b 0) land 0xFFFFFFFF = Fs.Wal.checksum (String.sub b 4 (String.length b - 4))
+
+(* The key a block's bytes [b] claim, checksum unchecked. *)
+let key_of b =
+  let kl = if String.length b < block_header then 0 else Int32.to_int (String.get_int32_le b 4) in
+  if kl < 1 || block_header + kl > String.length b then None else Some (String.sub b block_header kl)
+
+let value_in b key =
+  let o = block_header + String.length key in
+  String.sub b o (String.length b - o)
+
+(* --- index lines --------------------------------------------------- *)
+
+(* A line: [checksum 4][overflow 2][internal bits 1][pad 1], then four
+   entries of [tag 4][off 4][len 4][arena 2]. An all-zero line is empty;
+   any other line must match its checksum. [overflow] counts the live
+   entries placed past this line on their chain, so a lookup goes on to
+   the next line only while one is; it saturates at 0xFFFF. *)
+let line_bytes = 64
+let per_line = 4
+let entry_at i = 8 + (14 * i)
+let line_addr t i = t.index_base + (i * line_bytes)
+let read_line t i = PM.read (mem t) ~addr:(line_addr t i) ~len:line_bytes
+let get32 b o = Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF
+let line_sum b = Fs.Wal.checksum (Bytes.sub_string b 4 (line_bytes - 4))
+let rec zero_from b o i = i = line_bytes || (Bytes.get_int64_ne b (o + i) = 0L && zero_from b o (i + 8))
+let line_ok b = match get32 b 0 with 0 -> zero_from b 0 0 | sum -> sum = line_sum b
+let e_tag b i = get32 b (entry_at i)
+
+let e_slot b i =
+  let o = entry_at i in
+  { off = get32 b (o + 4); len = get32 b (o + 8); arena = Bytes.get_uint16_le b (o + 12) }
+
+let e_internal b i = Bytes.get_uint8 b 6 land (1 lsl i) <> 0
+let overflow b = Bytes.get_uint16_le b 4
+
+(* [Some (tag, internal, slot)] sets entry [i], [None] clears it. *)
+let set_entry b i entry =
+  let o = entry_at i and bits = Bytes.get_uint8 b 6 land lnot (1 lsl i) in
+  match entry with
+  | None ->
+    Bytes.fill b o 14 '\000';
+    Bytes.set_uint8 b 6 bits
+  | Some (tag, internal, slot) ->
+    Bytes.set_int32_le b o (Int32.of_int tag);
+    Bytes.set_int32_le b (o + 4) (Int32.of_int slot.off);
+    Bytes.set_int32_le b (o + 8) (Int32.of_int slot.len);
+    Bytes.set_uint16_le b (o + 12) slot.arena;
+    Bytes.set_uint8 b 6 (if internal then bits lor (1 lsl i) else bits)
+
+let write_line t i b =
+  Bytes.set_int32_le b 0 (Int32.of_int (line_sum b));
+  Physmem.Nvm.write_persistent t.nvm ~addr:(line_addr t i) (Bytes.to_string b);
+  Physmem.Nvm.flush t.nvm ~addr:(line_addr t i) ~len:line_bytes
+
+let chain t h i = 1 + (((h land 0x7FFFFFFF) + i) mod t.buckets)
+
+(* Move [line]'s overflow count by [d], unless it is damaged or saturated. *)
+let recount t line b d =
+  if line_ok b && overflow b < 0xFFFF && overflow b + d >= 0 then begin
+    Bytes.set_uint16_le b 4 (overflow b + d);
+    write_line t line b
+  end
+
+(* [Found (step, line, b, pos, x)]: entry [pos] of the chain's [step]-th line, read as [b]. *)
+type 'a probe = Found of int * int * Bytes.t * int * 'a | Absent of bool (* a damaged line was passed *)
+
+(* The first entry on [key]'s chain (charged line reads) with its tag that
+   [accept] takes; damaged lines are stepped over like overflowed ones. *)
+let probe t key accept =
+  let h = hash key in
+  let tag = tag_of h in
+  let rec walk i damaged =
+    if i = t.buckets then Absent damaged
+    else
+      let line = chain t h i in
+      let b = read_line t line in
+      let rec scan pos =
+        if pos = per_line then None
+        else if e_tag b pos <> tag then scan (pos + 1)
+        else match accept (e_slot b pos) with Some x -> Some (pos, x) | None -> scan (pos + 1)
+      in
+      if not (line_ok b) then walk (i + 1) true
+      else
+        match scan 0 with
+        | Some (pos, x) -> Found (i, line, b, pos, x)
+        | None -> if overflow b > 0 then walk (i + 1) damaged else Absent damaged
+  in
+  walk 0 false
+
+let confirm t key slot =
+  if slot.len > block_header + String.length key
+     && key_of (read_block t slot ~len:(block_header + String.length key)) = Some key
+  then Some ()
+  else None
+
+let eio t what key =
+  Sim.Stats.incr (stats t) "store_eio";
+  Sim.Errno.fail Sim.Errno.EIO (Printf.sprintf "Store: %s for %S" what key)
+
+(* What [accept] takes of [key]'s entry; a damaged line on the chain
+   might hold the entry, so a miss past one is EIO. *)
+let find t key accept =
+  match probe t key accept with
+  | Found (_, _, _, _, x) -> Some x
+  | Absent false -> None
+  | Absent true -> eio t "damaged index line" key
+
+(* A key's value through charged reads; a block failing its checksum is
+   damage, never data: EIO. *)
+let lookup t key =
+  find t key (fun slot ->
+      let b = read_block t slot ~len:slot.len in
+      if not (sum_ok b) then eio t "checksum mismatch" key
+      else if key_of b = Some key then Some (value_in b key)
+      else None)
+
+let present t key = find t key (confirm t key) <> None
+
+(* [key] surely has no entry (tags only: a damaged block still counts). *)
+let lacks t key = match probe t key (fun _ -> Some ()) with Absent false -> true | _ -> false
+
+let count t key d =
+  t.entries <- t.entries + d;
+  if not (internal key) then t.objects <- t.objects + d
+
+let free_block t slot =
+  let va = Heap.Fom_heap.address t.heap ~arena:slot.arena ~off:slot.off in
+  if Heap.Fom_heap.size_of t.heap va <> None then Heap.Fom_heap.free t.heap va
+
+(* Point [key]'s entry at [slot], or insert one in the first free entry
+   of its chain past any damaged line, counting it first in every full
+   line passed (a crash between leaves a count too high, never an entry
+   no probe reaches). An entry already naming [slot] is [key]'s (a slot
+   holds one block): a redo finds most entries so, and writes nothing. *)
+let upsert t ~live key slot =
+  let entry tag = Some (tag, internal key, slot) in
+  match probe t key (fun s -> if s = slot then Some () else confirm t key s) with
+  | Found (_, line, b, pos, ()) ->
+    let old = e_slot b pos in
+    if old <> slot then begin
+      set_entry b pos (entry (e_tag b pos));
+      write_line t line b;
+      if live then free_block t old
+    end
+  | Absent _ ->
+    let h = hash key in
+    let rec place i =
+      if i = t.buckets then Sim.Errno.fail Sim.Errno.ENOSPC "Store: index full";
+      let line = chain t h i in
+      let b = read_line t line in
+      let rec empty pos = if pos = per_line || e_tag b pos = 0 then pos else empty (pos + 1) in
+      if line_ok b && empty 0 < per_line then begin
+        set_entry b (empty 0) (entry (tag_of h));
+        write_line t line b
+      end
+      else begin
+        recount t line b 1;
+        place (i + 1)
+      end
+    in
+    place 0;
+    count t key 1
+
+(* Clear [key]'s entry, then uncount it from the lines its chain passed
+   (in that order: a crash between leaves a count too high), so chains
+   shrink again under delete/insert churn. *)
+let remove t ~live key =
+  match probe t key (confirm t key) with
+  | Found (step, line, b, pos, ()) ->
+    let old = e_slot b pos in
+    set_entry b pos None;
+    write_line t line b;
+    for i = 0 to step - 1 do
+      let line = chain t (hash key) i in
+      recount t line (read_line t line) (-1)
+    done;
+    if live then free_block t old;
+    count t key (-1)
+  | Absent _ -> ()
+
+(* Redo [writes] in place: blocks, then index lines, under one fence.
+   Only a live apply frees replaced blocks; a replay leaves that to the
+   recovery sweep. *)
+let apply t ~live writes =
+  List.iter
+    (fun w ->
+      Option.iter
+        (fun (slot, v) ->
+          if live && FI.fires (plane t) ~site:FI.site_store_apply then begin
+            (* A failed media write: pay for it, then redo. *)
+            Sim.Stats.incr (stats t) "store_apply_retry";
+            write_block t slot w.key v
+          end;
+          write_block t slot w.key v)
+        w.put)
+    writes;
+  List.iter
+    (fun w -> match w.put with Some (slot, _) -> upsert t ~live w.key slot | None -> remove t ~live w.key)
+    writes;
   Physmem.Nvm.fence t.nvm
 
-let read_slot t slot =
-  let mem = Physmem.Nvm.mem t.nvm in
-  let buf = Buffer.create slot.len in
-  List.iter
-    (fun (addr, n) -> Buffer.add_bytes buf (Physmem.Phys_mem.read mem ~addr ~len:n))
-    (phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len);
-  Buffer.contents buf
+(* [f ~internal ~tag slot] on every entry of every intact bucket line,
+   host-side; returns the damaged lines. All-zero frames are skipped
+   unread, the rest read 1 KiB at a time (a minor-heap size). *)
+let scan t f =
+  uncharged t @@ fun () ->
+  let damaged = ref 0 in
+  let addr = ref (line_addr t 1) and stop = line_addr t (t.buckets + 1) in
+  while !addr < stop do
+    let n = min (stop - !addr) (min 1024 (Sim.Units.page_size - (!addr mod Sim.Units.page_size))) in
+    if not (PM.frame_is_zero (mem t) (Physmem.Frame.of_addr !addr)) then begin
+      let chunk = PM.read (mem t) ~addr:!addr ~len:n in
+      for l = 0 to (n / line_bytes) - 1 do
+        let b = Bytes.sub chunk (l * line_bytes) line_bytes in
+        if not (line_ok b) then incr damaged
+        else
+          for pos = 0 to per_line - 1 do
+            if e_tag b pos <> 0 then f ~internal:(e_internal b pos) ~tag:(e_tag b pos) (e_slot b pos)
+          done
+      done
+    end;
+    addr := !addr + n
+  done;
+  !damaged
 
-(* A WAL or manifest file must be one contiguous extent: the journal is
-   raw NVM addressed linearly. FOM files are single-extent whenever free
-   space allows; defragment once if not. *)
+(* The key and value of an intact block whose key hashes to [tag]. *)
+let parse t ~tag slot =
+  let b = read_block t slot ~len:slot.len in
+  match key_of b with
+  | Some k when sum_ok b && tag_of (hash k) = tag -> Some (k, value_in b k)
+  | _ -> None
+
+(* Every root as [(root, key)], host-side. *)
+let root_entries t =
+  let acc = ref [] in
+  ignore
+    (scan t (fun ~internal ~tag slot ->
+         match if internal then parse t ~tag slot else None with
+         | Some (k, v) when k.[0] = '\000' -> acc := (String.sub k 1 (String.length k - 1), v) :: !acc
+         | _ -> ()));
+  !acc
+
+(* --- media addressing and gauges ------------------------------------ *)
+
+(* A WAL or index file must be one contiguous extent: both are raw NVM
+   addressed linearly. FOM files are single-extent whenever free space
+   allows; defragment once if not. *)
 let contiguous_base fsys ino ~bytes =
   let single () =
     match Fs.Memfs.file_extents fsys ino with
@@ -282,64 +450,87 @@ let contiguous_base fsys ino ~bytes =
     | Some base -> base
     | None -> invalid_arg "Store: journal file is not a single extent")
 
-(* --- gauges -------------------------------------------------------- *)
-
 let update_gauges t =
   let s = stats t in
-  Sim.Stats.set_gauge s "store_objects" (Hashtbl.length t.index);
+  Sim.Stats.set_gauge s "store_objects" t.objects;
   Sim.Stats.set_gauge s "store_txn_live" (match t.txn with Some _ -> 1 | None -> 0);
   Sim.Stats.set_gauge s "store_wal_bytes" (Fs.Wal.used_bytes t.wal)
 
 (* --- invariant rule ------------------------------------------------ *)
 
+(* Every entry's slot lies in a live arena file's extents, and every root
+   names a key with an entry. Host-side: charges nothing. *)
 let root_rule t kernel' =
   if t.detached || not (kernel' == kernel t) then []
   else
-    Hashtbl.fold
-      (fun root key acc ->
-        let bad detail = { Os.Check.check = "store_roots"; detail = t.name ^ ": " ^ detail } in
-        match Hashtbl.find_opt t.index key with
-        | None -> bad (Printf.sprintf "root %S -> missing key %S" root key) :: acc
-        | Some slot -> (
-          match Heap.Fom_heap.arena_region t.heap slot.arena with
-          | exception Invalid_argument _ ->
-            bad (Printf.sprintf "root %S -> key %S in unknown arena %d" root key slot.arena) :: acc
-          | r ->
-            if Fs.Memfs.lookup (fs t) r.O1mem.Fom.path <> Some r.O1mem.Fom.ino then
-              bad (Printf.sprintf "root %S -> key %S: arena file %s gone" root key r.O1mem.Fom.path)
-              :: acc
-            else (
-              match phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len with
-              | _ -> acc
-              | exception Invalid_argument _ ->
-                bad
-                  (Printf.sprintf "root %S -> key %S: slot (%d, %d, %d) outside arena extents" root
-                     key slot.arena slot.off slot.len)
-                :: acc)))
-      t.root_tbl []
+    let bad detail = { Os.Check.check = "store_roots"; detail = t.name ^ ": " ^ detail } in
+    let readable slot =
+      match Heap.Fom_heap.arena_region t.heap slot.arena with
+      | exception Invalid_argument _ -> false
+      | r -> (
+        Fs.Memfs.lookup (fs t) r.O1mem.Fom.path = Some r.O1mem.Fom.ino
+        &&
+        match phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len with
+        | _ -> true
+        | exception Invalid_argument _ -> false)
+    in
+    let acc = ref [] in
+    ignore
+      (scan t (fun ~internal:_ ~tag:_ slot ->
+           if not (readable slot) then
+             acc :=
+               bad (Printf.sprintf "slot (%d, %d, %d) is not in a live arena file" slot.arena slot.off slot.len)
+               :: !acc));
+    (* Blocks are only read once every slot is known to be readable. *)
+    if !acc <> [] then List.rev !acc
+    else
+      uncharged t (fun () ->
+          List.filter_map
+            (fun (root, key) ->
+              if lacks t key then Some (bad (Printf.sprintf "root %S -> missing key %S" root key)) else None)
+            (root_entries t))
 
 (* --- recovery ------------------------------------------------------ *)
 
-let apply_replayed t ops =
-  let replayed = ref 0 in
-  let latest_put = Hashtbl.create 16 in
-  List.iter
-    (fun op ->
-      incr replayed;
-      match op with
-      | R_put (k, slot, v) ->
-        Hashtbl.replace t.index k slot;
-        Hashtbl.replace latest_put k (slot, v)
-      | R_delete k ->
-        Hashtbl.remove t.index k;
-        Hashtbl.remove latest_put k;
-        let dead = Hashtbl.fold (fun r k' acc -> if k' = k then r :: acc else acc) t.root_tbl [] in
-        List.iter (Hashtbl.remove t.root_tbl) dead
-      | R_set_root (r, k) -> Hashtbl.replace t.root_tbl r k
-      | R_clear_root r -> Hashtbl.remove t.root_tbl r
-      | R_commit _ -> ())
-    ops;
-  (!replayed, latest_put)
+(* Every commit is applied in place and durable, so the log holds
+   nothing the index lacks. Every cut opens its span here. *)
+let cut_log t =
+  Sim.Trace.span (trace t) ~op:"store_checkpoint" @@ fun () ->
+  Fs.Wal.reset t.wal;
+  t.generation <- t.generation + 1;
+  (* The header line: [checksum 4][generation 4]. *)
+  let b = Bytes.make line_bytes '\000' in
+  Bytes.set_int32_le b 4 (Int32.of_int t.generation);
+  write_line t 0 b;
+  Physmem.Nvm.fence t.nvm;
+  Sim.Stats.incr (stats t) "store_checkpoint";
+  update_gauges t
+
+(* The one uncharged stand-in: the heap's allocation state is host-side,
+   so the blocks no entry references (a failed commit's, or those a
+   replay superseded) are found by walking the index, where a persistent
+   allocator would walk its own metadata. *)
+let sweep t =
+  let referenced = Hashtbl.create 64 in
+  let entries = ref 0 and objects = ref 0 in
+  let damaged =
+    scan t (fun ~internal ~tag:_ slot ->
+        Hashtbl.replace referenced (slot.arena, slot.off) ();
+        incr entries;
+        if not internal then incr objects)
+  in
+  if damaged > 0 then begin
+    t.recovery_truncations <- t.recovery_truncations + 1;
+    Sim.Stats.add (stats t) "store_index_damaged" damaged
+  end;
+  t.entries <- !entries;
+  t.objects <- !objects;
+  let stale = ref [] in
+  Heap.Fom_heap.iter_live t.heap (fun va _ ->
+      match Heap.Fom_heap.locate t.heap va with
+      | Some (arena, off) when not (Hashtbl.mem referenced (arena, off)) -> stale := va :: !stale
+      | _ -> ());
+  List.iter (fun va -> Heap.Fom_heap.free t.heap va) !stale
 
 let recover_hook t () =
   if t.detached then 0
@@ -347,98 +538,47 @@ let recover_hook t () =
     Sim.Trace.span (trace t) ~op:"store_recover" ~arg:Fun.id @@ fun () ->
     t.proc <- Os.Kernel.create_process (kernel t) ();
     Heap.Fom_heap.reattach t.heap t.proc;
-    (* Pick the newest valid manifest snapshot (ping-pong halves). A torn
-       half fails the WAL's checksums — detected, counted, ignored. The
-       scan is uncharged (recover_host): the snapshot stands in for a
-       persistent index that recovery would re-map in O(extents), not
-       stream through the CPU — this is what keeps recovery's charged
-       cost O(files + WAL records) rather than O(objects). *)
-    let best = ref None in
-    for half = 0 to 1 do
-      let w =
-        Fs.Wal.recover_host ~nvm:t.nvm ~base:(t.manifest_base + (half * t.manifest_half))
-          ~capacity:t.manifest_half
-      in
-      (match Fs.Wal.recovery_detail w with
-      | Some { Fs.Wal.truncated = Some _; _ } ->
-        t.recovery_truncations <- t.recovery_truncations + 1;
-        Sim.Stats.incr (stats t) "store_manifest_truncated"
-      | _ -> ());
-      match Fs.Wal.entries w with
-      | snap :: _ -> (
-        match decode_snapshot snap with
-        | gen, objs, roots -> (
-          match !best with
-          | Some (g, _, _, _) when g >= gen -> ()
-          | _ -> best := Some (gen, objs, roots, half))
-        | exception Invalid_argument _ ->
-          t.recovery_truncations <- t.recovery_truncations + 1;
-          Sim.Stats.incr (stats t) "store_manifest_truncated")
-      | [] -> ()
-    done;
-    Hashtbl.reset t.index;
-    Hashtbl.reset t.root_tbl;
-    (match !best with
-    | Some (gen, objs, roots, half) ->
-      t.generation <- gen;
-      t.manifest_current <- half;
-      List.iter (fun (k, s) -> Hashtbl.replace t.index k s) objs;
-      List.iter (fun (r, k) -> Hashtbl.replace t.root_tbl r k) roots
-    | None ->
-      t.generation <- 0;
-      t.manifest_current <- 1);
-    (* Replay the committed prefix of the redo log. *)
+    (* The index is in place: recovery reads its header line, no more. *)
+    let header = read_line t 0 in
+    if line_ok header then t.generation <- get32 header 4
+    else t.recovery_truncations <- t.recovery_truncations + 1;
     let w = Fs.Wal.recover ~nvm:t.nvm ~base:t.wal_base ~capacity:t.wal_capacity in
-    (match Fs.Wal.recovery_detail w with
-    | Some { Fs.Wal.truncated = Some _; _ } ->
-      t.recovery_truncations <- t.recovery_truncations + 1;
-      Sim.Stats.incr (stats t) "store_wal_truncated"
-    | _ -> ());
     t.wal <- w;
-    (* Two-phase: fold committed transactions into the final index first,
-       then redo value writes — never write a logged value into a slot
-       the final index assigns to someone else (slot reuse). A commit
-       record adopts only the pending ops tagged with its own txn id:
-       anything else is an orphan of a commit that failed after logging
-       (its id was never committed and ids are never reused), so it is
-       dropped, not replayed. *)
-    let pending = ref [] and committed = ref [] in
-    List.iter
-      (fun payload ->
-        match decode payload with
-        | _, (R_commit cid as c) ->
-          let mine, orphans = List.partition (fun (id, _) -> id = cid) !pending in
-          if orphans <> [] then
-            Sim.Stats.add (stats t) "store_wal_orphans" (List.length orphans);
-          committed := !committed @ List.rev_map snd ((cid, c) :: mine);
-          pending := []
-        | tagged -> pending := tagged :: !pending
-        | exception Invalid_argument _ -> pending := [] (* defensive; WAL checksums make this unreachable *))
-      (Fs.Wal.entries w);
-    let replayed, latest_put = apply_replayed t !committed in
-    Hashtbl.iter
-      (fun k (slot, v) ->
-        match Hashtbl.find_opt t.index k with
-        | Some s when s = slot -> write_slot t slot v
-        | _ -> ())
-      latest_put;
-    (* Reconcile the heap: blocks allocated by uncommitted transactions
-       (or orphaned by truncation) are not referenced by the final index
-       — free them. Host-side sweep, the stand-in for a journaled
-       allocator walking its own metadata. *)
-    let referenced = Hashtbl.create 64 in
-    Hashtbl.iter (fun _ s -> Hashtbl.replace referenced (s.arena, s.off) ()) t.index;
-    let stale = ref [] in
-    Heap.Fom_heap.iter_live t.heap (fun va _ ->
-        match Heap.Fom_heap.locate t.heap va with
-        | Some (arena, off) when not (Hashtbl.mem referenced (arena, off)) -> stale := va :: !stale
-        | _ -> ());
-    List.iter (fun va -> Heap.Fom_heap.free t.heap va) !stale;
+    t.last_replayed <- 0;
+    if Fs.Wal.truncated w then begin
+      (* A record stopped the scan, so every record before it had its
+         apply fenced before that record was appended: nothing to redo.
+         Cut the log, or a later recovery could redo the prefix over
+         applies the lost tail made. *)
+      t.recovery_truncations <- t.recovery_truncations + 1;
+      Sim.Stats.incr (stats t) "store_wal_truncated";
+      cut_log t
+    end
+    else begin
+      (* The last record's apply may be partial: redo each key's final
+         write over the whole log. Only final writes: an older record's
+         block may sit in a slot a later record reused. They are redone
+         in order of each key's first write. *)
+      let writes = List.concat_map decode_txn (Fs.Wal.entries w) in
+      let finals = Hashtbl.create 64 in
+      List.iter (fun w -> Hashtbl.replace finals w.key w) writes;
+      let first w = Option.map (fun f -> Hashtbl.remove finals w.key; f) (Hashtbl.find_opt finals w.key) in
+      apply t ~live:false (List.filter_map first writes);
+      t.last_replayed <- Fs.Wal.entry_count w
+    end;
+    sweep t;
+    (* Damage can revert the line a root's key sat in: a root left naming
+       a key with no entry is dropped, and the loss counted. *)
+    let dangling = uncharged t (fun () -> List.filter (fun (_, k) -> lacks t k) (root_entries t)) in
+    if dangling <> [] then begin
+      List.iter (fun (r, _) -> remove t ~live:false (root_key r)) dangling;
+      Physmem.Nvm.fence t.nvm;
+      t.recovery_truncations <- t.recovery_truncations + 1
+    end;
     t.txn <- None;
-    t.last_replayed <- replayed;
     update_gauges t;
     Sim.Stats.incr (stats t) "store_recover";
-    replayed
+    t.last_replayed
 
 (* --- lifecycle ----------------------------------------------------- *)
 
@@ -447,12 +587,13 @@ let instance = ref 0
 let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Units.kib 128)
     ~name () =
   if name = "" || name.[0] <> '/' then invalid_arg "Store.create: name must be an absolute path";
+  if manifest_bytes < 2 * line_bytes then invalid_arg "Store.create: index smaller than two lines";
   (match Os.Kernel.pmfs (O1mem.Fom.kernel fom) with
   | Some p when p == O1mem.Fom.fs fom -> ()
   | _ -> invalid_arg "Store.create: the FOM must live on the persistent file system");
   let fsys = O1mem.Fom.fs fom in
   (* Creating over an existing store would silently wipe its committed
-     state (both journals are initialised blank below); reopening is not
+     state (the journal is initialised blank below); reopening is not
      supported, so refuse rather than destroy. *)
   let mk path bytes =
     match Fs.Memfs.lookup fsys path with
@@ -461,22 +602,15 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
     | None ->
       let ino = Fs.Memfs.create_file fsys path ~persistence:Fs.Inode.Persistent in
       Fs.Memfs.extend fsys ino ~bytes_wanted:bytes;
-      ino
+      contiguous_base fsys ino ~bytes
   in
-  let wal_ino = mk (name ^ ".wal") wal_bytes in
-  let manifest_ino = mk (name ^ ".manifest") manifest_bytes in
+  let wal_base = mk (name ^ ".wal") wal_bytes in
+  (* The file system hands out zeroed frames: a fresh index is empty. *)
+  let index_base = mk (name ^ ".manifest") manifest_bytes in
   let nvm = Physmem.Nvm.create (Os.Kernel.mem (O1mem.Fom.kernel fom)) in
   let heap = Heap.Fom_heap.create fom proc ~file_prefix:(name ^ ".arena") () in
-  let wal_base = contiguous_base fsys wal_ino ~bytes:wal_bytes in
-  let manifest_base = contiguous_base fsys manifest_ino ~bytes:manifest_bytes in
-  let manifest_half = manifest_bytes / 2 in
   let wal = Fs.Wal.create ~nvm ~base:wal_base ~capacity:wal_bytes in
   Fs.Wal.reset wal;
-  (* Start from a clean slate durably: both manifest halves blank. *)
-  for half = 0 to 1 do
-    let w = Fs.Wal.create ~nvm ~base:(manifest_base + (half * manifest_half)) ~capacity:manifest_half in
-    Fs.Wal.reset w
-  done;
   incr instance;
   let t =
     {
@@ -488,12 +622,11 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
       wal_base;
       wal_capacity = wal_bytes;
       wal;
-      manifest_base;
-      manifest_half;
-      manifest_current = 1;
+      index_base;
+      buckets = (manifest_bytes / line_bytes) - 1;
       generation = 0;
-      index = Hashtbl.create 256;
-      root_tbl = Hashtbl.create 8;
+      entries = 0;
+      objects = 0;
       txn = None;
       next_txn_id = 1;
       detached = false;
@@ -518,43 +651,80 @@ let detach t =
 
 let require_txn t =
   match t.txn with
-  | Some txn -> txn
+  | Some ops -> ops
   | None -> invalid_arg "Store: no open transaction"
 
 let begin_txn t =
   if t.detached then invalid_arg "Store: detached";
   (match t.txn with Some _ -> invalid_arg "Store.begin_txn: transaction already open" | None -> ());
-  let id = t.next_txn_id in
-  t.next_txn_id <- id + 1;
-  t.txn <- Some { id; ops = [] };
+  t.next_txn_id <- t.next_txn_id + 1;
+  t.txn <- Some [];
   update_gauges t;
-  id
+  t.next_txn_id - 1
+
+let add t op = t.txn <- Some (op :: require_txn t)
 
 let put t key value =
-  if key = "" || String.length key > max_key_bytes then invalid_arg "Store.put: bad key";
+  if key = "" || String.length key > max_key_bytes || internal key then invalid_arg "Store.put: bad key";
   if value = "" || String.length value > max_value_bytes then invalid_arg "Store.put: bad value size";
-  let txn = require_txn t in
-  txn.ops <- Put (key, value) :: txn.ops
+  add t (Put (key, value))
 
 let delete t key =
-  let txn = require_txn t in
-  txn.ops <- Delete key :: txn.ops
+  if internal key then invalid_arg "Store.delete: bad key";
+  add t (Delete key)
 
 let set_root t root key =
-  if root = "" then invalid_arg "Store.set_root: empty root name";
-  let txn = require_txn t in
-  txn.ops <- Set_root (root, key) :: txn.ops
+  if root = "" || String.contains root '\000' then invalid_arg "Store.set_root: bad root name";
+  add t (Set_root (root, key))
 
-let clear_root t root =
-  let txn = require_txn t in
-  txn.ops <- Clear_root root :: txn.ops
+let clear_root t root = add t (Clear_root root)
 
 let abort t =
   ignore (require_txn t);
   t.txn <- None;
   update_gauges t
 
-let addr_of t slot = Heap.Fom_heap.address t.heap ~arena:slot.arena ~off:slot.off
+let mem = present
+
+(* Fold a transaction's ops (oldest first) into each key's final value,
+   in order of first touch, through charged reads of what it did not
+   write itself. [refs_key k] lists the roots naming [k], NUL-separated.
+   A read that meets damage raises EIO, and so does a delete whose chain
+   crosses a damaged line (it cannot tell whether it removed anything):
+   the commit fails before anything is logged. *)
+let expand t ops =
+  let overlay = Hashtbl.create 8 and order = ref [] in
+  let read k = match Hashtbl.find_opt overlay k with Some v -> v | None -> lookup t k in
+  let write k v =
+    if not (Hashtbl.mem overlay k) then order := k :: !order;
+    Hashtbl.replace overlay k v
+  in
+  let refs k = match read (refs_key k) with Some s -> String.split_on_char '\000' s | None -> [] in
+  let set_refs k rs = write (refs_key k) (if rs = [] then None else Some (String.concat "\000" rs)) in
+  let unroot r =
+    Option.iter
+      (fun k ->
+        set_refs k (List.filter (( <> ) r) (refs k));
+        write (root_key r) None)
+      (read (root_key r))
+  in
+  List.iter
+    (function
+      | Put (k, v) -> write k (Some v)
+      | Delete k ->
+        ignore (present t k);
+        List.iter (fun r -> if read (root_key r) = Some k then unroot r) (refs k);
+        write k None
+      | Set_root (r, k) ->
+        let live = match Hashtbl.find_opt overlay k with Some v -> v <> None | None -> present t k in
+        if not live then
+          invalid_arg (Printf.sprintf "Store.commit: root %S names %S, which is not live there" r k);
+        unroot r;
+        set_refs k (r :: refs k);
+        write (root_key r) (Some k)
+      | Clear_root r -> unroot r)
+    ops;
+  List.rev_map (fun k -> (k, Hashtbl.find overlay k)) !order
 
 let alloc_block t len =
   let attempt () =
@@ -570,184 +740,86 @@ let alloc_block t len =
     ignore (Fs.Memfs.defragment (fs t) ());
     attempt ()
 
-let live_apply_put t key slot =
-  (match Hashtbl.find_opt t.index key with
-  | Some old -> Heap.Fom_heap.free t.heap (addr_of t old)
-  | None -> ());
-  Hashtbl.replace t.index key slot
-
-let live_apply_delete t key =
-  match Hashtbl.find_opt t.index key with
-  | None -> ()
-  | Some old ->
-    Heap.Fom_heap.free t.heap (addr_of t old);
-    Hashtbl.remove t.index key;
-    let dead = Hashtbl.fold (fun r k acc -> if k = key then r :: acc else acc) t.root_tbl [] in
-    List.iter (Hashtbl.remove t.root_tbl) dead
-
-(* Every checkpoint, explicit or run inline by a commit that filled the
-   WAL, opens its span here, so an inline one does not hide in the
-   commit's self cost. *)
-let checkpoint_locked t =
-  Sim.Trace.span (trace t) ~op:"store_checkpoint" @@ fun () ->
-  let gen = t.generation + 1 in
-  let snap = encode_snapshot t ~gen in
-  let half = 1 - t.manifest_current in
-  let base = t.manifest_base + (half * t.manifest_half) in
-  let mwal = Fs.Wal.create ~nvm:t.nvm ~base ~capacity:t.manifest_half in
-  Fs.Wal.reset mwal;
-  (match Fs.Wal.append mwal snap with
-  | Ok () -> ()
-  | Error Fs.Wal.Wal_full -> Sim.Errno.fail Sim.Errno.ENOSPC "Store.checkpoint: manifest too small");
-  (* The new snapshot is durable; only now may the redo log be cut. A
-     crash in between replays the log on top of the snapshot, which is
-     idempotent. *)
-  t.generation <- gen;
-  t.manifest_current <- half;
-  Fs.Wal.reset t.wal;
-  Sim.Stats.incr (stats t) "store_checkpoint";
-  update_gauges t
-
 let checkpoint t =
   if t.detached then invalid_arg "Store: detached";
   (match t.txn with Some _ -> invalid_arg "Store.checkpoint: transaction open" | None -> ());
-  checkpoint_locked t
-
-(* Is [key] live after [older] (a transaction's ops, newest first)? *)
-let rec live_after t key = function
-  | Put (k, _) :: _ when k = key -> true
-  | Delete k :: _ when k = key -> false
-  | _ :: older -> live_after t key older
-  | [] -> Hashtbl.mem t.index key
+  cut_log t
 
 let commit t =
-  let txn = require_txn t in
-  (* A root must name a key live at that point of the transaction, or the
-     commit would make it dangle: reject before anything is allocated or
-     logged, the way put rejects a bad key. *)
-  let rec check_roots = function
-    | Set_root (r, k) :: older when not (live_after t k older) ->
-      abort t;
-      invalid_arg (Printf.sprintf "Store.commit: root %S names %S, which is not live there" r k)
-    | _ :: older -> check_roots older
-    | [] -> ()
-  in
-  check_roots txn.ops;
-  let n_ops = List.length txn.ops in
-  Sim.Trace.span (trace t) ~op:"store_commit" ~arg:(fun () -> n_ops) @@ fun () ->
-  if FI.fires (plane t) ~site:FI.site_store_commit then begin
-    t.txn <- None;
-    update_gauges t;
-    Sim.Stats.incr (stats t) "store_commit_abort";
-    Sim.Errno.fail Sim.Errno.EIO "Store.commit: injected abort"
-  end;
-  let ops = List.rev txn.ops in
+  let ops = require_txn t in
+  Sim.Trace.span (trace t) ~op:"store_commit" ~arg:(fun () -> List.length ops) @@ fun () ->
   let allocated = ref [] in
   let rollback () =
     List.iter (fun va -> Heap.Fom_heap.free t.heap va) !allocated;
     t.txn <- None;
     update_gauges t
   in
-  let staged =
+  if FI.fires (plane t) ~site:FI.site_store_commit then begin
+    rollback ();
+    Sim.Stats.incr (stats t) "store_commit_abort";
+    Sim.Errno.fail Sim.Errno.EIO "Store.commit: injected abort"
+  end;
+  let writes =
     try
+      let finals = expand t (List.rev ops) in
+      (* At most three quarters of the entries may be in use, and every
+         put may insert: refuse before anything is allocated or logged. *)
+      if t.entries + List.length (List.filter (fun (_, v) -> v <> None) finals) > t.buckets * per_line * 3 / 4
+      then Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: index full";
       List.map
-        (fun op ->
-          match op with
-          | Put (k, v) ->
-            let va = alloc_block t (String.length v) in
+        (fun (key, v) ->
+          let alloc v =
+            let len = block_len key v in
+            let va = alloc_block t len in
             allocated := va :: !allocated;
-            let arena, off =
-              match Heap.Fom_heap.locate t.heap va with
-              | Some x -> x
-              | None -> assert false (* values are capped below the large threshold *)
-            in
-            let slot = { arena; off; len = String.length v; cksum = Fs.Wal.checksum v } in
-            (op, Some slot, encode_put ~id:txn.id k slot v)
-          | Delete k -> (op, None, encode_delete ~id:txn.id k)
-          | Set_root (r, k) -> (op, None, encode_set_root ~id:txn.id r k)
-          | Clear_root r -> (op, None, encode_clear_root ~id:txn.id r))
-        ops
+            (* Values are capped below the large threshold: always in an arena. *)
+            let arena, off = Option.get (Heap.Fom_heap.locate t.heap va) in
+            ({ arena; off; len }, v)
+          in
+          { key; put = Option.map alloc v })
+        finals
     with e ->
       rollback ();
       raise e
   in
-  let payloads = List.map (fun (_, _, p) -> p) staged @ [ encode_commit txn.id ] in
-  let append_all () =
-    let rec go = function
-      | [] -> true
-      | p :: tl -> (
-        match Fs.Wal.append t.wal p with
-        | Ok () -> go tl
-        | Error Fs.Wal.Wal_full -> false)
-    in
-    go payloads
-  in
-  if not (append_all ()) then begin
-    (* WAL full mid-commit: checkpoint and retry once. Apply-at-commit
-       means every committed transaction is already durable in place, so
-       cutting the log loses nothing; the current transaction's partial
-       records die with the reset (its commit record never landed) and
-       are re-appended whole. *)
-    Sim.Stats.incr (stats t) "store_wal_checkpoint";
-    (try checkpoint_locked t
-     with e ->
-       (* Checkpoint itself failed (e.g. the snapshot outgrew a manifest
-          half): the transaction cannot land. Its partial records stay in
-          the log but are txn-id-tagged, so replay can never attribute
-          them to a later commit. *)
-       rollback ();
-       raise e);
-    if not (append_all ()) then begin
-      (* The checkpoint just cut the log, so it now holds only this
-         transaction's partial records: cut them durably so the
-         rolled-back ops can never be replayed. *)
-      Fs.Wal.reset t.wal;
-      rollback ();
-      Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity"
-    end
+  let record = encode_txn writes in
+  if record <> "" then begin
+    (match Fs.Wal.append t.wal record with
+    | Ok () -> ()
+    | Error Fs.Wal.Wal_full -> (
+      (* A full append writes nothing, and every earlier transaction is
+         already applied: cut the log and retry once. *)
+      Sim.Stats.incr (stats t) "store_wal_checkpoint";
+      cut_log t;
+      match Fs.Wal.append t.wal record with
+      | Ok () -> ()
+      | Error Fs.Wal.Wal_full ->
+        rollback ();
+        Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity"));
+    (* Commit point passed: apply in place (redo). *)
+    apply t ~live:true writes
   end;
-  (* Commit point passed: apply in place (redo). *)
-  List.iter
-    (fun (op, slot, _) ->
-      match (op, slot) with
-      | Put (k, v), Some slot ->
-        if FI.fires (plane t) ~site:FI.site_store_apply then begin
-          (* A failed media write: pay for it, then redo. *)
-          Sim.Stats.incr (stats t) "store_apply_retry";
-          write_slot t slot v
-        end;
-        write_slot t slot v;
-        live_apply_put t k slot
-      | Delete k, _ -> live_apply_delete t k
-      | Set_root (r, k), _ -> Hashtbl.replace t.root_tbl r k
-      | Clear_root r, _ -> Hashtbl.remove t.root_tbl r
-      | Put _, None -> assert false)
-    staged;
   t.txn <- None;
   Sim.Stats.incr (stats t) "store_commit";
   update_gauges t
 
 (* --- reads ---------------------------------------------------------- *)
 
-let get t key =
-  match Hashtbl.find_opt t.index key with
-  | None -> None
-  | Some slot ->
-    let v = read_slot t slot in
-    if Fs.Wal.checksum v <> slot.cksum then begin
-      Sim.Stats.incr (stats t) "store_eio";
-      Sim.Errno.fail Sim.Errno.EIO (Printf.sprintf "Store.get: checksum mismatch for %S" key)
-    end;
-    Some v
+let get t key = lookup t key
+let root t name = lookup t (root_key name)
+let roots t = uncharged t (fun () -> root_entries t) |> List.sort compare
 
-let mem t key = Hashtbl.mem t.index key
-let root t name = Hashtbl.find_opt t.root_tbl name
+(* A key whose value is damaged is still listed: its get raises EIO. *)
+let keys t =
+  let acc = ref [] in
+  ignore
+    (scan t (fun ~internal ~tag slot ->
+         match if internal then None else key_of (read_block t slot ~len:slot.len) with
+         | Some k when tag_of (hash k) = tag -> acc := k :: !acc
+         | _ -> ()));
+  List.sort String.compare !acc
 
-let roots t =
-  Hashtbl.fold (fun r k acc -> (r, k) :: acc) t.root_tbl [] |> List.sort compare
-
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.index [] |> List.sort String.compare
-let object_count t = Hashtbl.length t.index
+let object_count t = t.objects
 let txn_live t = match t.txn with Some _ -> true | None -> false
 let wal_used_bytes t = Fs.Wal.used_bytes t.wal
 let wal_record_count t = Fs.Wal.entry_count t.wal
@@ -759,21 +831,17 @@ let name t = t.name
 let proc t = t.proc
 
 let verify t =
-  let acc = ref (root_rule t (kernel t)) in
-  Hashtbl.iter
-    (fun k slot ->
-      match read_slot t slot with
-      | v ->
-        if Fs.Wal.checksum v <> slot.cksum then
-          acc :=
-            {
-              Os.Check.check = "store_data";
-              detail = Printf.sprintf "%s: key %S fails its checksum" t.name k;
-            }
-            :: !acc
-      | exception Invalid_argument msg ->
-        acc :=
-          { Os.Check.check = "store_data"; detail = Printf.sprintf "%s: key %S: %s" t.name k msg }
-          :: !acc)
-    t.index;
-  List.rev !acc
+  let bad detail = { Os.Check.check = "store_data"; detail = t.name ^ ": " ^ detail } in
+  let acc = ref [] in
+  let damaged =
+    scan t (fun ~internal:_ ~tag slot ->
+        match parse t ~tag slot with
+        | None -> acc := bad (Printf.sprintf "block (%d, %d) fails its checksum" slot.arena slot.off) :: !acc
+        | Some (key, _) -> (
+          match probe t key (fun s -> if s = slot then Some () else None) with
+          | Found _ -> ()
+          | Absent _ -> acc := bad (Printf.sprintf "key %S is off its own probe chain" key) :: !acc))
+  in
+  root_rule t (kernel t)
+  @ (if damaged > 0 then [ bad (Printf.sprintf "%d damaged index line(s)" damaged) ] else [])
+  @ List.rev !acc

@@ -1,25 +1,25 @@
 (** A crash-consistent transactional KV/object store on the FOM heap.
 
     Objects live in named persistent arena files ({!Heap.Fom_heap} with a
-    file prefix); durability comes from redo logging through {!Fs.Wal}
-    plus a ping-pong manifest of periodic snapshots. The commit protocol
-    is: log every operation and a commit record (each durable before the
-    next), then apply in place with durable slot writes. A crash at any
-    clwb/sfence/WAL boundary recovers to the committed prefix — exactly
-    the transactions whose commit record survived — and torn or bit-flipped
-    log records are {e detected} by the WAL's per-record checksums (and
-    value reads by per-slot checksums), never silently replayed.
+    file prefix), each block holding its key beside its value under one
+    checksum. The index ("<name>.manifest") is a fixed-bucket hash table
+    in NVM, updated in place: 64-byte lines of four (key tag, slot)
+    entries, a count of the entries placed past the line (deletes lower
+    it) and a checksum. Roots are internal objects in it.
 
-    Recovery is application-independent: {!create} registers hooks with
-    the store's {!O1mem.Fom.t}, so {!O1mem.Persistence.crash} drops the
-    store's unflushed lines and {!O1mem.Persistence.recover} re-attaches
-    the arenas (fresh VAs, same arena-relative slots), picks the newest
-    valid manifest snapshot, and replays the log — charged cost
-    O(files + WAL records), independent of how many objects exist.
+    Commit folds the transaction into each key's final write, appends
+    them to the redo log ({!Fs.Wal}) as one durable record, then applies
+    in place under one fence. A crash at any clwb/sfence/WAL boundary
+    recovers to the committed prefix; torn or bit-flipped records, index
+    lines and blocks are {e detected} by their checksums, never served.
 
-    The key → slot index and root table are host-side bookkeeping: the
-    stand-in for a PMO-style persistent index living in the arenas, so
-    rebuilding them charges nothing (see DESIGN.md). *)
+    {!create} registers hooks with the store's {!O1mem.Fom.t}:
+    {!O1mem.Persistence.recover} re-attaches the arenas (fresh VAs, same
+    arena-relative slots), reads the index's header line and replays the
+    log — charged cost O(files + WAL records), independent of how many
+    objects exist. Freeing the blocks no entry references walks the
+    index uncharged: the heap's allocation state is host-side, the one
+    stand-in left (DESIGN.md S23). *)
 
 type t
 
@@ -35,14 +35,15 @@ val create :
     path [name] on [fom]'s file system (which must be the kernel's
     persistent pmfs). Creates "<name>.wal", "<name>.manifest" and
     "<name>.arena.<n>" as named persistent files, and registers the
-    crash/recovery hooks plus an {!Os.Check} rule ("store_roots") that
-    validates every live root maps through a valid FOM extent.
+    crash/recovery hooks plus an {!Os.Check} rule ("store_roots"): every
+    entry maps through a live FOM extent, every root names a key.
 
     Arenas are {!Heap.Size_class.arena_bytes} long; the WAL and the
-    manifest default to 128 KiB each. Raises [Invalid_argument] for a
-    relative [name], a volatile FOM, or if store files already exist at
-    [name] — create initialises blank journals and never reopens (or
-    silently wipes) a prior store. *)
+    index default to 128 KiB each. The index has [manifest_bytes / 64 -
+    1] bucket lines of four entries, at most three quarters in use.
+    Raises [Invalid_argument] for a relative [name], a volatile FOM, an
+    index under two lines, or if store files already exist at [name] —
+    create never reopens (or silently wipes) a prior store. *)
 
 val detach : t -> unit
 (** Unregister the store's hooks and check rule (for tests that build
@@ -51,8 +52,9 @@ val detach : t -> unit
 (** {1 Transactions}
 
     One transaction open at a time; operations buffer until {!commit}.
-    Keys are 1..512 bytes, values 1..16 KiB (small-class blocks only:
-    large regions have no crash-stable identity). *)
+    Keys are 1..512 bytes not starting with a NUL or \001 byte (internal
+    keys do), values 1..16 KiB (small-class blocks only: large regions
+    have no crash-stable identity), root names non-empty without NUL. *)
 
 val begin_txn : t -> int
 (** Returns the transaction id. Raises [Invalid_argument] if one is
@@ -70,35 +72,37 @@ val clear_root : t -> string -> unit
 val abort : t -> unit
 
 val commit : t -> unit
-(** Allocate slots, log, apply. Raises [Invalid_argument], with the
-    transaction rolled back and nothing logged, if a {!set_root} names a
-    key that is not live at that point. Typed failures leave the store
-    consistent: [ENOSPC] (WAL or heap exhausted after one
-    checkpoint/defragment-and-retry round) rolls the transaction back;
-    an injected [EIO] at the [store_commit] fault site aborts before
-    anything is logged. Log records a rolled-back commit leaves behind
-    are durably cut where possible and in any case carry the failed
-    transaction's id, which recovery refuses to attribute to any later
-    commit record — a crash after a failed commit never resurrects its
-    ops. *)
+(** Fold, allocate, log one record, apply; a full WAL is cut first (see
+    {!checkpoint}). Raises [Invalid_argument], rolled back with nothing
+    logged, if a {!set_root} names a key not live at that point. Typed
+    failures roll back and log nothing: [ENOSPC] if the puts could
+    overfill the index, the heap stays exhausted after one
+    defragment-and-retry round, or the record outgrows an empty WAL;
+    [EIO] if it must read damage (a root, a key's roots) or deletes a
+    key whose chain crosses a damaged line (a put inserts past it); an
+    injected [EIO] at the [store_commit] fault site. *)
 
 val checkpoint : t -> unit
-(** Snapshot the live index into the inactive manifest half (durably),
-    flip halves, and cut the redo log. Crash-safe at every step: recovery
-    picks the newest valid half and replays the log on top, which is
-    idempotent. Raises [Invalid_argument] while a transaction is open. *)
+(** Cut the redo log — every commit is already applied in place — with a
+    WAL reset and a {!generation} bump: O(1) at any key count. Raises
+    [Invalid_argument] while a transaction is open. *)
 
 (** {1 Reads} *)
 
 val get : t -> string -> string option
-(** Charged media read; raises [EIO] (and bumps "store_eio") if the
-    stored bytes no longer match the slot checksum — this is how torn
-    lines and bit flips surface as detections rather than bad data. *)
+(** Charged: a line read per index line probed, then the block read,
+    which confirms the key. Raises [EIO] (and bumps "store_eio") if the
+    block fails its checksum or a damaged line on the key's probe chain
+    might have held it: damage surfaces as a detection, not bad data.
+    {!mem} and {!root} are charged the same way. *)
 
 val mem : t -> string -> bool
 val root : t -> string -> string option
+
 val roots : t -> (string * string) list
 val keys : t -> string list
+(** [roots] and [keys] walk the index host-side, uncharged; a key whose
+    value is damaged is still listed. *)
 
 (** {1 Introspection} *)
 
@@ -108,19 +112,21 @@ val wal_used_bytes : t -> int
 val wal_record_count : t -> int
 val arena_count : t -> int
 val generation : t -> int
-(** Manifest snapshot generation (bumps on every checkpoint). *)
+(** Bumps on every log cut; kept in the index's header line. *)
 
 val recovery_truncations : t -> int
-(** Cumulative damaged-record detections across recoveries (WAL and
-    manifest halves). *)
+(** Cumulative damage detections across recoveries (a bad WAL record,
+    damaged index lines, a root left naming a lost key). *)
 
 val last_replayed : t -> int
-(** Records replayed by the most recent recovery. *)
+(** Records (one per transaction) replayed by the most recent recovery;
+    0 if a damaged or unfinished record ended the log. *)
 
 val name : t -> string
 val proc : t -> Os.Proc.t
 (** The owning process — replaced by recovery with a fresh one. *)
 
 val verify : t -> Os.Check.violation list
-(** Full self-check: the root rule plus a checksum sweep of every live
-    object (host-side, uncharged). *)
+(** Full self-check, host-side and uncharged: the root rule, every index
+    line's checksum, every block's checksum and every entry's place on
+    its key's probe chain. *)

@@ -271,15 +271,14 @@ let migrate t proc ~core =
 let process_count t = Hashtbl.length t.procs
 let processes t = t.procs
 
-(* Tear down one VMA already removed from its address space: per-page
-   release (the baseline's linear unmap cost), with the TLB invalidation
-   deferred into [batch] — the mmu_gather pattern. Frames outside the
-   buddy's pool belong to a file system; every other frame (an anonymous
-   page or a private mapping's CoW copy) is the VM's to free. *)
-let teardown_vma t (vma : Vma.t) ~table ~batch =
-  let pages = vma.Vma.len / Sim.Units.page_size in
-  for i = 0 to pages - 1 do
-    let page_va = vma.Vma.start + (i * Sim.Units.page_size) in
+(* Give back every leaf in [va, va+len): per-page release (the
+   baseline's linear unmap cost), with the TLB invalidation deferred into
+   [batch] — the mmu_gather pattern. Frames outside the buddy's pool
+   belong to a file system; every other frame (an anonymous page or a
+   private mapping's CoW copy) is the VM's to free. *)
+let unmap_leaves t ~table ~batch ~va ~len =
+  for i = 0 to (len / Sim.Units.page_size) - 1 do
+    let page_va = va + (i * Sim.Units.page_size) in
     match Hw.Page_table.lookup table ~va:page_va with
     (* A huge leaf is unmapped once, at its base. *)
     | Some (_, leaf)
@@ -288,7 +287,11 @@ let teardown_vma t (vma : Vma.t) ~table ~batch =
         ~owned:(Alloc.Buddy.owns t.buddy leaf.Hw.Page_table.pfn)
     | Some _ | None -> ()
   done;
-  Hw.Tlb_batch.add batch ~va:vma.Vma.start ~len:vma.Vma.len;
+  Hw.Tlb_batch.add batch ~va ~len
+
+(* Tear down one VMA already removed from its address space. *)
+let teardown_vma t (vma : Vma.t) ~table ~batch =
+  unmap_leaves t ~table ~batch ~va:vma.Vma.start ~len:vma.Vma.len;
   match vma.Vma.backing with
   | Vma.File { fs; ino; _ } -> Fs.Memfs.close_file fs ino
   | Vma.Anon -> ()
@@ -315,7 +318,22 @@ let exit_process t proc =
   (* One range removal spanning every VMA: exit pays O(1) shootdowns no
      matter how fragmented the address space. *)
   if !lo < !hi then unmap_vmas t aspace ~start:!lo ~len:(!hi - !lo);
-  Hw.Page_table.release (Address_space.page_table aspace) ignore;
+  (* Pages a userfault handler installed outside every VMA: the same
+     hand-back, then the dead pid's registrations go. *)
+  let table = Address_space.page_table aspace in
+  let regions = ref [] in
+  Userfault.iter_regions t.userfault (fun ~pid ~va ~len ->
+      if pid = proc.Proc.pid then regions := (va, len) :: !regions);
+  if !regions <> [] then begin
+    let batch = Hw.Tlb_batch.create (Address_space.mmu aspace) in
+    List.iter
+      (fun (va, len) ->
+        unmap_leaves t ~table ~batch ~va ~len;
+        Userfault.unregister t.userfault ~pid:proc.Proc.pid ~va)
+      !regions;
+    Hw.Tlb_batch.flush batch
+  end;
+  Hw.Page_table.release table ignore;
   proc.Proc.alive <- false;
   Hashtbl.remove t.procs proc.Proc.pid
 

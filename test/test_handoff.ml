@@ -220,6 +220,27 @@ let test_crash_returns_frames () =
   check_int "free frames back where they started" before (pooled k);
   check_clean k "clean after the crashes"
 
+(* 11. Exit gives back the pages a userfault handler installed outside
+   every VMA, and drops the dead pid's registrations: 10 rounds of
+   "register 16 KiB, fault 4 pages through Zero_page, exit" return all 40
+   frames. *)
+let test_exit_returns_userfault_pages () =
+  let k = mk_kernel () in
+  let before = pooled k in
+  for _ = 1 to 10 do
+    let p = K.create_process k () in
+    let base = 0x5000_0000 in
+    Os.Userfault.register (K.userfault k) ~pid:p.Os.Proc.pid ~va:base ~len:(4 * page)
+      ~prot:Hw.Prot.rw (fun ~va:_ ~write:_ -> Os.Userfault.Zero_page);
+    for i = 0 to 3 do
+      K.access k p ~va:(base + (i * page)) ~write:true
+    done;
+    K.exit_process k p;
+    check_int "registrations dropped" 0 (Os.Userfault.region_count (K.userfault k) ~pid:p.Os.Proc.pid)
+  done;
+  check_int "all 40 frames come back" before (pooled k);
+  check_clean k "clean after 10 userfault exits"
+
 (* Swap-out leaves the frame to its owner; the zero engine scrubs it once
    it is freed, and the next owner reads zeros. *)
 let test_evicted_frame_laundered () =
@@ -368,5 +389,7 @@ let suite =
     Alcotest.test_case "defect 8: exit leaves its page table" `Quick test_exit_returns_page_table;
     Alcotest.test_case "defect 9: munmap of a private file mapping" `Quick test_munmap_private_file;
     Alcotest.test_case "defect 10: a crash's dead processes" `Quick test_crash_returns_frames;
+    Alcotest.test_case "defect 11: exit gives back userfault pages" `Quick
+      test_exit_returns_userfault_pages;
     prop_vm_model;
   ]

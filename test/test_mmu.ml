@@ -480,6 +480,43 @@ let test_mmu_range_path () =
   ignore (Hw.Mmu.translate mmu ~va:(0x100000 + Sim.Units.mib 500) ~write:false ~exec:false);
   check_int "second access hits range TLB" 1 (Sim.Stats.get stats "range_tlb_hit")
 
+(* invalidate_range probes only the sets the range's pages index; the
+   full walk over every set and way stays here as the reference: both
+   must drop the same entries, charge the same and count the same. *)
+let prop_tlb_invalidate_range_matches_full_walk =
+  let open QCheck2.Gen in
+  let size = oneofl Hw.Page_size.[ Small; Small; Small; Huge_2m; Huge_1g ] in
+  let fill = map3 (fun asid vpn size -> (asid, vpn, size)) (int_range 0 2) (int_bound 4096) size in
+  qtest "tlb invalidate_range matches a full walk" ~count:200
+    (triple (list_size (int_range 0 120) fill) (pair (int_range 0 2) (int_bound 4096))
+       (int_range 0 (Hw.Tlb.full_flush_threshold_pages - 1)))
+    (fun (fills, (asid, vpn), pages) ->
+      let clock = Sim.Clock.create Sim.Cost_model.default and stats = Sim.Stats.create () in
+      let tlb = Hw.Tlb.create ~clock ~stats ~sets:16 ~ways:4 () in
+      List.iteri
+        (fun i (asid, vpn, size) ->
+          Hw.Tlb.insert tlb ~asid ~va:(vpn * 64 * 1024) ~pfn:i ~prot:Hw.Prot.rw ~size ())
+        fills;
+      let entries () =
+        let acc = ref [] in
+        Hw.Tlb.iter tlb (fun ~asid ~va ~size ~pfn ~prot:_ -> acc := (asid, va, size, pfn) :: !acc);
+        List.sort compare !acc
+      in
+      let lo = vpn * 64 * 1024 and len = pages * Sim.Units.page_size in
+      let hi = lo + len in
+      let expected =
+        List.filter
+          (fun (a, va, size, _) ->
+            not (a = asid && not (va + Hw.Page_size.bytes size <= lo || va >= hi)))
+          (entries ())
+      in
+      let c0 = Sim.Clock.now clock in
+      Hw.Tlb.invalidate_range tlb ~asid ~va:lo ~len ();
+      entries () = expected
+      && Sim.Clock.now clock - c0 = pages * Sim.Cost_model.shootdown_cost Sim.Cost_model.default
+      && Sim.Stats.get stats "tlb_shootdown" = pages
+      && Sim.Stats.gauge stats "tlb_entries" = List.length expected)
+
 let prop_pt_map_lookup_roundtrip =
   qtest "map/lookup round-trips over random pages" ~count:60
     QCheck2.Gen.(list_size (int_range 1 30) (int_bound 100_000))
@@ -619,6 +656,7 @@ let suite =
     prop_tlb_vs_lru_model;
     prop_cache_vs_lru_model;
     prop_pt_map_lookup_roundtrip;
+    prop_tlb_invalidate_range_matches_full_walk;
     prop_pt_unmap_all_prunes;
     prop_tlb_inclusion;
   ]

@@ -352,7 +352,7 @@ let apply mem model = function
     PM.crash mem;
     Bytes.fill model 0 (PM.dram_frames mem * Sim.Units.page_size) '\000'
 
-(* Reads and peeks cover every frame in one call each; the per-frame
+(* A read covers every frame in one call; the per-frame
    non-zero counts give frame_is_zero and resident_bytes. *)
 let agrees mem model =
   let page = Sim.Units.page_size in
@@ -369,7 +369,6 @@ let agrees mem model =
         !n)
   in
   Bytes.equal (PM.read mem ~addr:0 ~len:model_bytes) model
-  && Bytes.equal (PM.peek mem ~addr:0 ~len:model_bytes) model
   && Array.for_all Fun.id (Array.mapi (fun f n -> PM.frame_is_zero mem f = (n = 0)) counts)
   && PM.resident_bytes mem = Array.fold_left ( + ) 0 counts
 

@@ -44,6 +44,12 @@ let test_basic () =
   check_bool "wal holds the txn" true (Kv.wal_record_count st > 0);
   Alcotest.(check (list string)) "keys sorted" [ "alpha"; "beta" ] (Kv.keys st);
   check_int "self-check clean" 0 (List.length (Kv.verify st));
+  let clock = K.clock kernel in
+  let c0 = Sim.Clock.now clock in
+  ignore (Kv.verify st, Kv.keys st, Kv.roots st, Os.Check.run kernel);
+  check_int "checkers and introspection charge nothing" c0 (Sim.Clock.now clock);
+  ignore (Kv.get st "alpha");
+  check_bool "a get is charged" true (Sim.Clock.now clock > c0);
   Kv.detach st
 
 let test_abort_discards () =
@@ -143,12 +149,12 @@ let test_checkpoint_cuts_replay () =
   check_bool "generation bumped" true (Kv.generation st >= 1);
   ignore (P.crash_and_recover fom);
   check_int "nothing to replay after checkpoint" 0 (Kv.last_replayed st);
-  check_int "all objects back from the snapshot" 10 (Kv.object_count st);
-  Alcotest.(check (option string)) "snapshot data" (Some "v7") (Kv.get st "k7");
-  (* Post-checkpoint commits replay on top of the snapshot. *)
+  check_int "all objects back from the index" 10 (Kv.object_count st);
+  Alcotest.(check (option string)) "indexed data" (Some "v7") (Kv.get st "k7");
+  (* Post-checkpoint commits replay on top of the index. *)
   commit_put st [ ("k3", "updated") ] [];
   ignore (P.crash_and_recover fom);
-  Alcotest.(check (option string)) "log wins over snapshot" (Some "updated") (Kv.get st "k3");
+  Alcotest.(check (option string)) "log wins over the index" (Some "updated") (Kv.get st "k3");
   check_bool "replayed the tail only" true (Kv.last_replayed st <= 2);
   Kv.detach st
 
@@ -193,9 +199,9 @@ let test_enospc_typed_and_clean () =
   Alcotest.(check (option string)) "store still usable" (Some "ok") (Kv.get st "after");
   Kv.detach st
 
-(* A commit that overflows the WAL even after the auto-checkpoint rolls
-   back AND durably cuts its partial records: a crash after a later
-   successful commit must never resurrect the rolled-back ops. *)
+(* A commit that overflows the WAL even after the log cut rolls back
+   and writes nothing: a full append leaves the log as it was, so a crash
+   after a later successful commit never resurrects the rolled-back ops. *)
 let test_failed_commit_orphans_cut () =
   let _, fom, _, st = mk_store ~wal_bytes:(Sim.Units.kib 8) () in
   commit_put st [ ("seed", "v") ] [];
@@ -216,36 +222,111 @@ let test_failed_commit_orphans_cut () =
   check_int "self-check clean" 0 (List.length (Kv.verify st));
   Kv.detach st
 
-(* When the auto-checkpoint itself cannot land (snapshot outgrew a
-   manifest half), the log cannot be cut and the failed commit's records
-   linger ahead of later transactions — replay must refuse to attribute
-   them to a later commit record. *)
-let test_checkpoint_enospc_orphans_inert () =
-  let kernel, fom, _, st =
-    mk_store ~wal_bytes:(Sim.Units.kib 8) ~manifest_bytes:(Sim.Units.kib 1) ()
-  in
-  (* Enough objects that the snapshot no longer fits a 512-byte manifest
-     half: the WAL-full auto-checkpoint fails with ENOSPC mid-commit. *)
-  for i = 0 to 19 do
+(* At most three quarters of the index's entries may be in use, and a
+   commit counts every put as a possible insert: one that could overfill
+   the index fails ENOSPC before anything is allocated or logged, and the
+   store still recovers and serves. *)
+let test_index_full_enospc () =
+  let kernel, fom, _, st = mk_store ~manifest_bytes:(Sim.Units.kib 1) () in
+  (* 15 bucket lines of four entries: 45 may be in use. *)
+  for i = 0 to 39 do
     commit_put st [ (Printf.sprintf "seedkey%03d" i, "v") ] []
   done;
+  let logged = Kv.wal_used_bytes st in
   (try
-     ignore (Kv.begin_txn st);
-     Kv.put st "bigA" (String.make 3500 'x');
-     Kv.put st "bigB" (String.make 3500 'y');
-     Kv.commit st;
-     Alcotest.fail "commit must raise ENOSPC when the checkpoint cannot land"
+     commit_put st (List.init 6 (fun j -> (Printf.sprintf "more%d" j, "x"))) [];
+     Alcotest.fail "a commit that could overfill the index must raise ENOSPC"
    with Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> ());
   check_bool "txn rolled back" false (Kv.txn_live st);
-  check_bool "orphan records linger in the log" true (Kv.wal_record_count st > 0);
-  commit_put st [ ("after", "ok") ] [];
+  check_int "nothing logged" logged (Kv.wal_used_bytes st);
+  check_bool "no partial object" false (Kv.mem st "more0");
+  commit_put st [ ("seedkey001", "after") ] [];
   ignore (P.crash_and_recover fom);
-  check_bool "orphans dropped at replay" true
-    (Sim.Stats.get (K.stats kernel) "store_wal_orphans" >= 1);
-  check_bool "rolled-back put not resurrected" false (Kv.mem st "bigA");
-  Alcotest.(check (option string)) "later commit intact" (Some "ok") (Kv.get st "after");
-  check_int "seeds plus the later commit" 21 (Kv.object_count st);
+  check_int "every seed back" 40 (Kv.object_count st);
+  Alcotest.(check (option string)) "later commit intact" (Some "after") (Kv.get st "seedkey001");
   check_int "self-check clean" 0 (List.length (Kv.verify st));
+  check_int "Os.Check clean" 0 (List.length (Os.Check.run kernel));
+  Kv.detach st
+
+(* A bit flipped in an index line fails that line's checksum: recovery
+   counts the damage, every key whose chain crosses the line reads as
+   EIO, and no get ever serves a value that was not committed. *)
+let test_index_bit_flip_detected () =
+  let _, fom, _, st = mk_store ~manifest_bytes:(Sim.Units.kib 1) () in
+  let kvs = List.init 12 (fun i -> (Printf.sprintf "k%02d" i, Printf.sprintf "value%02d" i)) in
+  commit_put st kvs [];
+  Kv.checkpoint st;
+  let fsys = O1mem.Fom.fs fom in
+  let ino = Option.get (Fs.Memfs.lookup fsys "/kv.manifest") in
+  let base =
+    match Fs.Memfs.file_extents fsys ino with
+    | e :: _ -> Physmem.Frame.to_addr e.Fs.Extent.start
+    | [] -> Alcotest.fail "index has no extents"
+  in
+  let mem = Fs.Memfs.mem fsys in
+  let line =
+    List.find
+      (fun l -> Bytes.exists (( <> ) '\000') (Physmem.Phys_mem.read mem ~addr:(base + (l * 64)) ~len:64))
+      (List.init 15 (fun l -> l + 1))
+  in
+  let target = base + (line * 64) + 8 in
+  let byte = Bytes.get (Physmem.Phys_mem.read mem ~addr:target ~len:1) 0 in
+  Physmem.Phys_mem.restore_range mem ~addr:target (String.make 1 (Char.chr (Char.code byte lxor 0x10)));
+  ignore (P.crash_and_recover fom);
+  check_bool "recovery counted the damaged line" true (Kv.recovery_truncations st >= 1);
+  let eio = ref 0 in
+  List.iter
+    (fun (k, v) ->
+      match Kv.get st k with
+      | Some got -> if got <> v then Alcotest.failf "%s served a value it never had" k
+      | None -> Alcotest.failf "%s silently lost" k
+      | exception Sim.Errno.Error (Sim.Errno.EIO, _) -> incr eio)
+    kvs;
+  check_bool "keys on the damaged line read as EIO" true (!eio >= 1);
+  check_bool "verify reports the damage" true (Kv.verify st <> []);
+  Kv.detach st
+
+(* Live damage: a delete whose chain crosses a damaged index line cannot
+   tell whether it removed the key's entry, so its commit fails EIO with
+   nothing logged; a put of the same key goes past the line, and a get
+   finds it first. *)
+let test_delete_across_damage_refused () =
+  let _, fom, _, st = mk_store ~manifest_bytes:(Sim.Units.kib 1) () in
+  let kvs = List.init 12 (fun i -> (Printf.sprintf "k%02d" i, Printf.sprintf "value%02d" i)) in
+  commit_put st kvs [];
+  Kv.checkpoint st;
+  let fsys = O1mem.Fom.fs fom in
+  let ino = Option.get (Fs.Memfs.lookup fsys "/kv.manifest") in
+  let base =
+    match Fs.Memfs.file_extents fsys ino with
+    | e :: _ -> Physmem.Frame.to_addr e.Fs.Extent.start
+    | [] -> Alcotest.fail "index has no extents"
+  in
+  let mem = Fs.Memfs.mem fsys in
+  let line =
+    List.find
+      (fun l -> Bytes.exists (( <> ) '\000') (Physmem.Phys_mem.read mem ~addr:(base + (l * 64)) ~len:64))
+      (List.init 15 (fun l -> l + 1))
+  in
+  let target = base + (line * 64) + 8 in
+  let byte = Bytes.get (Physmem.Phys_mem.read mem ~addr:target ~len:1) 0 in
+  Physmem.Phys_mem.restore_range mem ~addr:target (String.make 1 (Char.chr (Char.code byte lxor 0x10)));
+  let hidden =
+    List.filter_map
+      (fun (k, _) -> match Kv.get st k with exception Sim.Errno.Error (Sim.Errno.EIO, _) -> Some k | _ -> None)
+      kvs
+  in
+  let k = match hidden with k :: _ -> k | [] -> Alcotest.fail "no key reads as EIO" in
+  let logged = Kv.wal_used_bytes st in
+  ignore (Kv.begin_txn st);
+  Kv.delete st k;
+  (match Kv.commit st with
+  | () -> Alcotest.failf "delete of %s across a damaged line was acknowledged" k
+  | exception Sim.Errno.Error (Sim.Errno.EIO, _) -> ());
+  check_bool "txn rolled back" false (Kv.txn_live st);
+  check_int "nothing logged" logged (Kv.wal_used_bytes st);
+  commit_put st [ (k, "fresh") ] [];
+  Alcotest.(check (option string)) "a put goes past the damaged line" (Some "fresh") (Kv.get st k);
   Kv.detach st
 
 let test_injected_fault_sites () =
@@ -333,7 +414,8 @@ let prop_torn_wal_byte =
 (* The store against a pure model: a map of objects and a map of roots,
    where a delete clears the roots naming its key and a transaction whose
    set_root names a key not live at that point is rejected whole. A 4 KiB
-   WAL makes the WAL-full auto-checkpoint and the typed ENOSPC rollback
+   WAL makes the WAL-full log cut and the typed ENOSPC rollback common; a
+   1 KiB index (15 bucket lines) makes shared lines and probe chains
    common. Crashes land between commands and, when a transaction carries
    [Some n], at its n-th durable boundary from the start of the
    transaction; recovery must then yield the model before or after it. *)
@@ -451,7 +533,9 @@ let run_model_cmd (fom, plane, st) m = function
 let prop_store_matches_model =
   qtest ~count:200 ~print:print_cmds "store matches a pure model through crashes" gen_cmds
     (fun cmds ->
-      let kernel, fom, plane, st = mk_store ~wal_bytes:(Sim.Units.kib 4) () in
+      let kernel, fom, plane, st =
+        mk_store ~wal_bytes:(Sim.Units.kib 4) ~manifest_bytes:(Sim.Units.kib 1) ()
+      in
       ignore
         (List.fold_left
            (fun m cmd ->
@@ -578,8 +662,12 @@ let suite =
       test_enospc_typed_and_clean;
     Alcotest.test_case "failed commit's WAL records are durably cut" `Quick
       test_failed_commit_orphans_cut;
-    Alcotest.test_case "orphan records of a failed commit are never replayed" `Quick
-      test_checkpoint_enospc_orphans_inert;
+    Alcotest.test_case "index-full commit fails ENOSPC before logging" `Quick
+      test_index_full_enospc;
+    Alcotest.test_case "bit flip in an index line is detected, never served" `Quick
+      test_index_bit_flip_detected;
+    Alcotest.test_case "delete across a damaged index line fails EIO" `Quick
+      test_delete_across_damage_refused;
     Alcotest.test_case "injected store faults degrade and retry" `Quick test_injected_fault_sites;
     Alcotest.test_case "check rule guards live roots" `Quick test_check_rule_guards_roots;
     prop_torn_wal_byte;
