@@ -1,6 +1,8 @@
 (* A durable write-ahead log on persistent memory, built directly on the
-   clwb/sfence primitives (Physmem.Nvm) that persistent-memory file
-   systems like PMFS rely on.
+   clwb/sfence primitives that persistent-memory file systems like PMFS
+   rely on. The machine's memory is its one persistence domain: a store
+   through Phys_mem.write_persistent reaches the media only once its line
+   is flushed, and Phys_mem.crash reverts every line that was not.
 
    Records are appended with a commit marker written *after* the payload
    is flushed and fenced. A crash mid-append tears the unflushed tail;
@@ -17,26 +19,25 @@ let () =
     Physmem.Phys_mem.create ~clock ~stats ~dram_bytes:(Sim.Units.mib 16)
       ~nvm_bytes:(Sim.Units.mib 16) ()
   in
-  let nvm = Physmem.Nvm.create mem in
   let log_base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
 
   let record_addr i = log_base + (i * record_size) in
   let append ~durable i payload =
     let payload = String.sub (payload ^ String.make 62 ' ') 0 62 in
     let addr = record_addr i in
-    Physmem.Nvm.write_persistent nvm ~addr payload;
+    Physmem.Phys_mem.write_persistent mem ~addr payload;
     if durable then begin
       (* Correct protocol: flush payload, fence, then commit marker,
          flush, fence. *)
-      Physmem.Nvm.flush nvm ~addr ~len:62;
-      Physmem.Nvm.fence nvm;
-      Physmem.Nvm.write_persistent nvm ~addr:(addr + 63) "C";
-      Physmem.Nvm.flush nvm ~addr:(addr + 63) ~len:1;
-      Physmem.Nvm.fence nvm
+      Physmem.Phys_mem.flush mem ~addr ~len:62;
+      Physmem.Phys_mem.fence mem;
+      Physmem.Phys_mem.write_persistent mem ~addr:(addr + 63) "C";
+      Physmem.Phys_mem.flush mem ~addr:(addr + 63) ~len:1;
+      Physmem.Phys_mem.fence mem
     end
     else
       (* Buggy fast path: the marker goes out without flushing. *)
-      Physmem.Nvm.write_persistent nvm ~addr:(addr + 63) "C"
+      Physmem.Phys_mem.write_persistent mem ~addr:(addr + 63) "C"
   in
   let committed i =
     Physmem.Phys_mem.read_byte mem (record_addr i + 63) = 'C'
@@ -53,10 +54,10 @@ let () =
   for i = 5 to 7 do
     append ~durable:false i (Printf.sprintf "record-%d" i)
   done;
-  Printf.printf "Unflushed cache lines at crash time: %d\n" (Physmem.Nvm.unflushed_lines nvm);
+  Printf.printf "Unflushed cache lines at crash time: %d\n" (Physmem.Phys_mem.unflushed_lines mem);
 
   Printf.printf "\n*** power failure ***\n\n";
-  Physmem.Nvm.crash nvm;
+  Physmem.Phys_mem.crash mem;
 
   (* Recovery: scan for committed records. *)
   let recovered = ref [] in

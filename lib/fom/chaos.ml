@@ -157,13 +157,13 @@ let wal_machine ~seed =
   in
   let plane = FI.create ~seed ~stats () in
   Sim.Trace.attach_faults trace plane;
-  (plane, stats, (Physmem.Nvm.create mem, Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem)))
+  (plane, stats, (mem, Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem)))
 
 let explore_wal ?(records = 6) ?(seed = 7) () =
   let payloads = wal_payloads ~records ~seed in
-  let recover_log nvm base = Fs.Wal.recover ~nvm ~base ~capacity:wal_capacity in
+  let recover_log mem base = Fs.Wal.recover ~mem ~base ~capacity:wal_capacity in
   crash_every ~seed ~boot:wal_machine
-    ~setup:(fun (nvm, base) -> (nvm, base, Fs.Wal.create ~nvm ~base ~capacity:wal_capacity, ref []))
+    ~setup:(fun (mem, base) -> (mem, base, Fs.Wal.create ~mem ~base ~capacity:wal_capacity, ref []))
     ~run:(fun (_, _, wal, committed) ->
       List.iter
         (fun p ->
@@ -172,9 +172,9 @@ let explore_wal ?(records = 6) ?(seed = 7) () =
           | Error Fs.Wal.Wal_full ->
             invalid_arg "Chaos.explore_wal: workload exceeds the WAL capacity")
         payloads)
-    ~recover:(fun (nvm, base, _, committed) ~damaged:_ add ->
-      Physmem.Nvm.crash nvm;
-      let back = recover_log nvm base in
+    ~recover:(fun (mem, base, _, committed) ~damaged:_ add ->
+      Physmem.Phys_mem.crash mem;
+      let back = recover_log mem base in
       let recovered = Fs.Wal.entries back in
       let committed = List.rev !committed in
       (* Committed-prefix durability: every acknowledged append survives.
@@ -195,8 +195,8 @@ let explore_wal ?(records = 6) ?(seed = 7) () =
       (match Fs.Wal.append back "post-recovery" with
       | Error Fs.Wal.Wal_full -> add "recovered log refused a further append"
       | Ok () ->
-        Physmem.Nvm.crash nvm;
-        if Fs.Wal.entries (recover_log nvm base) <> recovered @ [ "post-recovery" ] then
+        Physmem.Phys_mem.crash mem;
+        if Fs.Wal.entries (recover_log mem base) <> recovered @ [ "post-recovery" ] then
           add "record appended after recovery lost by the next crash");
       0)
     ()

@@ -24,7 +24,6 @@ type t = {
   shared_pt : Shared_pt.t;
   regions : (int * int, region) Hashtbl.t; (* (pid, va) -> region *)
   mutable next_temp : int;
-  crash_hooks : (string, unit -> unit) Hashtbl.t;
   recovery_hooks : (string, unit -> int) Hashtbl.t;
 }
 
@@ -42,29 +41,21 @@ let create kernel ?fs ?(strategy = Shared_subtree) () =
     shared_pt = Shared_pt.create kernel;
     regions = Hashtbl.create 64;
     next_temp = 0;
-    crash_hooks = Hashtbl.create 4;
     recovery_hooks = Hashtbl.create 4;
   }
 
-(* Persistence hooks: components above Fom (the object store) register
-   here so crash/recovery stay application-independent — Persistence
-   drives them by name without knowing what they recover. Replace-by-name
-   keeps re-registration (fresh store over the same files) idempotent. *)
-let on_crash t ~name f = Hashtbl.replace t.crash_hooks name f
+(* Recovery hooks: components above Fom (the object store) register
+   here so recovery stays application-independent — Persistence runs
+   them by name without knowing what they recover. Replace-by-name
+   keeps re-registration (fresh store over the same files) idempotent.
+   A crash needs no hook: Phys_mem.crash reverts every unflushed line. *)
 let on_recover t ~name f = Hashtbl.replace t.recovery_hooks name f
-
-let remove_hooks t ~name =
-  Hashtbl.remove t.crash_hooks name;
-  Hashtbl.remove t.recovery_hooks name
-
-let sorted_hooks tbl =
-  Hashtbl.fold (fun name f acc -> (name, f) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let run_crash_hooks t = List.iter (fun (_, f) -> f ()) (sorted_hooks t.crash_hooks)
+let remove_hooks t ~name = Hashtbl.remove t.recovery_hooks name
 
 let run_recovery_hooks t =
-  List.map (fun (name, f) -> (name, f ())) (sorted_hooks t.recovery_hooks)
+  Hashtbl.fold (fun name f acc -> (name, f) :: acc) t.recovery_hooks []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, f) -> (name, f ()))
 
 let kernel t = t.kernel
 let fs t = t.fs

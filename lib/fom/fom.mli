@@ -128,19 +128,16 @@ val exit_process : t -> Os.Proc.t -> unit
     process down. All the regions' shootdowns are gathered into a single
     {!Hw.Tlb_batch} flushed once. *)
 
-(** {1 Persistence hooks}
+(** {1 Recovery hooks}
 
     Components layered above Fom (e.g. the object store) register here
-    so {!Persistence.crash} / {!Persistence.recover} can drive their
-    crash semantics and recovery {e application-independently}: recovery
-    hooks run inside [Persistence.recover], before any process remaps
-    the recovered data. Hooks are keyed by name (re-registering a name
-    replaces the old hook) and run in name order. *)
-
-val on_crash : t -> name:string -> (unit -> unit) -> unit
-(** Run at the start of {!Persistence.crash}, before volatile state is
-    torn down — e.g. revert unflushed store-WAL lines. Must not touch
-    kernel/process state. *)
+    so {!Persistence.recover} can drive their recovery
+    {e application-independently}: the hooks run inside
+    [Persistence.recover], before any process remaps the recovered
+    data. Hooks are keyed by name (re-registering a name replaces the
+    old hook) and run in name order. A crash has no hooks: the machine's
+    memory is its one persistence domain, and {!Physmem.Phys_mem.crash}
+    reverts every unflushed NVM line, whoever wrote it. *)
 
 val on_recover : t -> name:string -> (unit -> int) -> unit
 (** Run at the end of {!Persistence.recover}, after the file system is
@@ -151,7 +148,6 @@ val remove_hooks : t -> name:string -> unit
 
 (**/**)
 
-val run_crash_hooks : t -> unit
 val run_recovery_hooks : t -> (string * int) list
 (** Internal (used by {!Persistence}). *)
 

@@ -8,10 +8,8 @@ type report = {
 
 let crash fom =
   let kernel = Fom.kernel fom in
-  (* Component crash hooks first, while their handles still make sense:
-     e.g. the store reverts unflushed lines of its private WAL handle. *)
-  Fom.run_crash_hooks fom;
-  (* Processes die with the machine: no orderly teardown, no unmap cost. *)
+  (* Processes die with the machine: no orderly teardown, no unmap cost.
+     Every unflushed NVM line reverts, whoever wrote it. *)
   Physmem.Phys_mem.crash (Os.Kernel.mem kernel);
   Fs.Memfs.crash (Os.Kernel.tmpfs kernel);
   (match Os.Kernel.pmfs kernel with Some p -> Fs.Memfs.crash p | None -> ());

@@ -38,12 +38,7 @@ let create ~mem ~first ~count ~mode ?quota_frames ?(erase = Eager_zero) () =
     | Tmpfs -> (None, first, count)
     | Pmfs ->
       if count <= journal_frames then invalid_arg "Memfs.create: PMFS region too small";
-      let nvm = Physmem.Nvm.create mem in
-      let wal =
-        Wal.create ~nvm
-          ~base:(Frame.to_addr first)
-          ~capacity:(journal_frames * Sim.Units.page_size)
-      in
+      let wal = Wal.create ~mem ~base:(Frame.to_addr first) ~capacity:(journal_frames * Sim.Units.page_size) in
       (Some wal, first + journal_frames, count - journal_frames)
   in
   let t =
@@ -541,8 +536,8 @@ let reclaim_discardable t ~target_bytes =
 let crash t =
   match t.mode with
   | Pmfs ->
-    (* Metadata is in NVM: survives. Data loss is modelled by Phys_mem /
-       Nvm crash handling (volatile DRAM contents vanish there). *)
+    (* Metadata is in NVM: survives. Phys_mem.crash reverts the journal's
+       unflushed lines and wipes DRAM. *)
     ()
   | Tmpfs ->
     (* The whole FS was in DRAM: wipe the namespace. *)

@@ -1,8 +1,10 @@
 let marker = '\xC3'
 let header_bytes = 12
 
+module PM = Physmem.Phys_mem
+
 type t = {
-  nvm : Physmem.Nvm.t;
+  mem : PM.t;
   base : int;
   capacity : int;
   mutable cursor : int; (* offset of the next record *)
@@ -37,12 +39,11 @@ let header payload =
 
 let record_span payload_len = header_bytes + payload_len + 1
 
-let create ~nvm ~base ~capacity =
-  let mem = Physmem.Nvm.mem nvm in
-  if Physmem.Phys_mem.region_of_frame mem (Physmem.Frame.of_addr base) <> Physmem.Phys_mem.Nvm
-  then invalid_arg "Wal.create: base not in the NVM region";
+let create ~mem ~base ~capacity =
+  if PM.region_of_frame mem (Physmem.Frame.of_addr base) <> PM.Nvm then
+    invalid_arg "Wal.create: base not in the NVM region";
   if capacity < record_span 1 then invalid_arg "Wal.create: capacity too small";
-  { nvm; base; capacity; cursor = 0; records = []; truncated = false }
+  { mem; base; capacity; cursor = 0; records = []; truncated = false }
 
 type error = Wal_full
 
@@ -58,32 +59,28 @@ let append ?(durable = true) t payload =
        the blank, a recovery scan that happens to land on one of their
        boundaries would replay pre-reset transactions as if they were
        the newest. With it, any scan that accepts this record stops. *)
-    Physmem.Nvm.write_persistent t.nvm ~addr (header payload ^ payload);
+    PM.write_persistent t.mem ~addr (header payload ^ payload);
     let blank_tail = t.cursor + span + header_bytes <= t.capacity in
-    if blank_tail then
-      Physmem.Nvm.write_persistent t.nvm ~addr:(addr + span) (String.make header_bytes '\000');
+    if blank_tail then PM.write_persistent t.mem ~addr:(addr + span) (String.make header_bytes '\000');
     if durable then begin
       let full_len = header_bytes + String.length payload in
       (* Injected buggy flush loop: only the first half of the record's
          bytes are flushed before the fence; a crash tears the rest. *)
       let flush_len =
-        if
-          Sim.Fault_inject.fires
-            (Sim.Trace.faults (Physmem.Phys_mem.trace (Physmem.Nvm.mem t.nvm)))
-            ~site:Sim.Fault_inject.site_wal_partial_flush
+        if Sim.Fault_inject.fires (Sim.Trace.faults (PM.trace t.mem)) ~site:Sim.Fault_inject.site_wal_partial_flush
         then full_len / 2
         else full_len
       in
-      if blank_tail then Physmem.Nvm.flush t.nvm ~addr:(addr + span) ~len:header_bytes;
-      Physmem.Nvm.flush t.nvm ~addr ~len:flush_len;
-      Physmem.Nvm.fence t.nvm
+      if blank_tail then PM.flush t.mem ~addr:(addr + span) ~len:header_bytes;
+      PM.flush t.mem ~addr ~len:flush_len;
+      PM.fence t.mem
     end;
     (* 2. Commit marker, strictly after the payload is durable. *)
     let marker_addr = addr + header_bytes + String.length payload in
-    Physmem.Nvm.write_persistent t.nvm ~addr:marker_addr (String.make 1 marker);
+    PM.write_persistent t.mem ~addr:marker_addr (String.make 1 marker);
     if durable then begin
-      Physmem.Nvm.flush t.nvm ~addr:marker_addr ~len:1;
-      Physmem.Nvm.fence t.nvm
+      PM.flush t.mem ~addr:marker_addr ~len:1;
+      PM.fence t.mem
     end;
     t.cursor <- t.cursor + span;
     t.records <- payload :: t.records;
@@ -100,11 +97,10 @@ let entry_count t = List.length t.records
 let used_bytes t = t.cursor
 let truncated t = t.truncated
 
-let recover ~nvm ~base ~capacity =
-  let mem = Physmem.Nvm.mem nvm in
-  let read ~addr ~len = Bytes.to_string (Physmem.Phys_mem.read mem ~addr ~len) in
+let recover ~mem ~base ~capacity =
+  let read ~addr ~len = Bytes.to_string (PM.read mem ~addr ~len) in
   let read_le32 addr = Int32.to_int (Bytes.get_int32_le (Bytes.of_string (read ~addr ~len:4)) 0) land 0xFFFFFFFF in
-  let t = { nvm; base; capacity; cursor = 0; records = []; truncated = false } in
+  let t = { mem; base; capacity; cursor = 0; records = []; truncated = false } in
   let rec scan off =
     if off + header_bytes + 1 > capacity then ()
     else begin
@@ -138,9 +134,9 @@ let recover ~nvm ~base ~capacity =
 
 let reset t =
   (* Zero the first header durably: recovery then sees an empty log. *)
-  Physmem.Nvm.write_persistent t.nvm ~addr:t.base (String.make header_bytes '\000');
-  Physmem.Nvm.flush t.nvm ~addr:t.base ~len:header_bytes;
-  Physmem.Nvm.fence t.nvm;
+  PM.write_persistent t.mem ~addr:t.base (String.make header_bytes '\000');
+  PM.flush t.mem ~addr:t.base ~len:header_bytes;
+  PM.fence t.mem;
   t.cursor <- 0;
   t.records <- [];
   t.truncated <- false

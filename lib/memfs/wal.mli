@@ -20,7 +20,7 @@ val checksum : string -> int
 (** The record payload checksum: Adler-style, 32 bits, never zero (zero
     marks a blank header). *)
 
-val create : nvm:Physmem.Nvm.t -> base:int -> capacity:int -> t
+val create : mem:Physmem.Phys_mem.t -> base:int -> capacity:int -> t
 (** A fresh log over NVM bytes [base, base+capacity). [base] must lie in
     the NVM region. Existing bytes are ignored (use {!recover} to read a
     log back after a crash). *)
@@ -47,7 +47,7 @@ val entries : t -> string list
 val entry_count : t -> int
 val used_bytes : t -> int
 
-val recover : nvm:Physmem.Nvm.t -> base:int -> capacity:int -> t
+val recover : mem:Physmem.Phys_mem.t -> base:int -> capacity:int -> t
 (** Rebuild the log from NVM contents after a crash: scans records from
     [base], stopping at the first header-CRC failure (or insane length),
     missing marker, or payload-checksum mismatch, and positions the

@@ -31,6 +31,11 @@ type t = {
   mutable free : Bytes.t array; (* scrubbed buffers, [free.(0 .. nfree-1)] *)
   mutable nfree : int;
   mutable cache : Cache_hier.t option;
+  (* The persistence domain: every line written through
+     [write_persistent] since its last flush, with the bytes it held
+     just before the first such write. Those bytes are what the media
+     still holds; a crash restores them. *)
+  unflushed : (int, string) Hashtbl.t;
 }
 
 let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~dram_bytes ~nvm_bytes
@@ -55,6 +60,7 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~dram_bytes ~nvm_bytes
     free = [||];
     nfree = 0;
     cache = None;
+    unflushed = Hashtbl.create 64;
   }
 
 let clock t = t.clock
@@ -326,7 +332,7 @@ let discard_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
   release_frame t pfn
 
-let discard_range t ~addr ~len =
+let zero_range t ~addr ~len =
   check_addr t addr len;
   let pos = ref 0 in
   while !pos < len do
@@ -344,10 +350,7 @@ let discard_range t ~addr ~len =
       if c.nonzero.(i) = 0 then release t c i
     end;
     pos := !pos + run
-  done
-
-let zero_range t ~addr ~len =
-  discard_range t ~addr ~len;
+  done;
   let model = Sim.Clock.model t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:len);
   Sim.Stats.add t.stats "bytes_zeroed" len
@@ -360,7 +363,72 @@ let frame_is_zero t pfn =
   let c = chunk t pfn in
   c == no_chunk || c.nonzero.(slot pfn) = 0
 
+(* --- the persistence domain ------------------------------------------ *)
+
+let line_bytes = 64
+let fence_cycles = 100
+let zero_line = String.make line_bytes '\000'
+
+(* A line's bytes, host-side: a line never crosses a frame. *)
+let peek_line t line =
+  let addr = line * line_bytes in
+  let b = buffer t (Frame.of_addr addr) in
+  if b == no_data then zero_line else Bytes.sub_string b (Frame.offset_in_frame addr) line_bytes
+
+let write_persistent t ~addr s =
+  let len = String.length s in
+  check_addr t addr len;
+  if len > 0 then
+    for line = addr / line_bytes to (addr + len - 1) / line_bytes do
+      if not (Hashtbl.mem t.unflushed line) then Hashtbl.add t.unflushed line (peek_line t line)
+    done;
+  write t ~addr s
+
+(* An injected media fault: one bit of a line being flushed flips, so
+   the damage is durable from here on. *)
+let flip_bit t plane line =
+  let i = Sim.Fault_inject.rand_int plane line_bytes in
+  let bit = Sim.Fault_inject.rand_int plane 8 in
+  let addr = (line * line_bytes) + i in
+  poke_byte t addr (Char.chr (Char.code (peek_byte t addr) lxor (1 lsl bit)))
+
+let flush t ~addr ~len =
+  if len > 0 then begin
+    let plane = Sim.Trace.faults t.trace in
+    let first = addr / line_bytes and last = (addr + len - 1) / line_bytes in
+    (* Torn line: the first dirty line of this flush silently stays in the
+       cache hierarchy, and a later crash reverts it. *)
+    let first =
+      if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_nvm_torn_line then first + 1
+      else first
+    in
+    let model = Sim.Clock.model t.clock in
+    for line = first to last do
+      if Hashtbl.mem t.unflushed line then begin
+        Hashtbl.remove t.unflushed line;
+        ignore (read t ~addr:(line * line_bytes) ~len:line_bytes);
+        if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_nvm_bit_flip then
+          flip_bit t plane line;
+        Sim.Clock.charge t.clock model.Sim.Cost_model.mem_ref_nvm_write;
+        Sim.Stats.incr t.stats "clwb"
+      end
+    done;
+    (* One durable-step boundary per clwb batch: power can fail here. *)
+    if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_durable_step then
+      raise (Sim.Fault_inject.Injected_crash "clwb")
+  end
+
+let fence t =
+  Sim.Clock.charge t.clock fence_cycles;
+  Sim.Stats.incr t.stats "sfence";
+  if Sim.Fault_inject.fires (Sim.Trace.faults t.trace) ~site:Sim.Fault_inject.site_durable_step then
+    raise (Sim.Fault_inject.Injected_crash "sfence")
+
+let unflushed_lines t = Hashtbl.length t.unflushed
+
 let crash t =
+  Hashtbl.iter (fun line image -> restore_range t ~addr:(line * line_bytes) image) t.unflushed;
+  Hashtbl.reset t.unflushed;
   Array.iteri
     (fun ci c ->
       for i = 0 to Array.length c.data - 1 do

@@ -16,7 +16,16 @@
     Every access charges the shared {!Sim.Clock} one cache-line-granular
     memory reference priced by the region (DRAM vs NVM read/write), and
     bumps the "dram_read" / "nvm_write" / ... counters in the shared
-    {!Sim.Stats}. *)
+    {!Sim.Stats}.
+
+    The memory is also the machine's one persistence domain, modelling
+    the clwb/sfence discipline of persistent-memory file systems such as
+    PMFS: a store through {!write_persistent} reaches the media only once
+    its line is flushed, whoever wrote it. A line's first such write since
+    its last flush saves the 64 bytes the line held just before it (its
+    undo image: for a line written only through {!write_persistent}, its
+    last flushed contents); {!flush} drops the image, and {!crash} puts
+    every image still held back. *)
 
 type t
 
@@ -107,18 +116,37 @@ val discard_frame : t -> Frame.t -> unit
     modelling device-internal erasure (see {!Zero_engine.bulk_erase});
     ordinary zeroing must use {!zero_frame}. *)
 
-val discard_range : t -> addr:int -> len:int -> unit
-(** Drop a byte range's contents without charging any CPU cost. Only for
-    modelling crash-time loss (torn cache lines). *)
-
 val restore_range : t -> addr:int -> string -> unit
-(** Overwrite a byte range without charging any CPU cost. Only for
-    modelling crash-time media state (reverting torn lines to their last
-    durable image). *)
+(** Overwrite a byte range without charging any CPU cost, outside the
+    persistence domain. Only for modelling media state: {!crash} puts
+    undo images back with it, and tests plant damage with it. *)
+
+val write_persistent : t -> addr:int -> string -> unit
+(** {!write}, and the covered lines become unflushed: each one not
+    already unflushed first saves its current bytes as its undo image. *)
+
+val flush : t -> addr:int -> len:int -> unit
+(** Flush the covered cache lines (clwb): each unflushed line drops its
+    undo image, charges one NVM write and bumps "clwb". Consults the
+    fault plane attached to the memory's trace: ["nvm_torn_line"] (once
+    per call) leaves the first line unflushed, ["nvm_bit_flip"] (once per
+    flushed line) corrupts one bit of that line on the media, and
+    ["durable_step"] raises {!Sim.Fault_inject.Injected_crash} after the
+    batch (one durable-step boundary per call). *)
+
+val fence : t -> unit
+(** Store fence (sfence): charges a small fixed cost and bumps "sfence";
+    lines flushed before it are durable. Each fence is a ["durable_step"]
+    boundary for the crash explorer. *)
+
+val unflushed_lines : t -> int
+(** Lines written through {!write_persistent} and not flushed since. *)
 
 val crash : t -> unit
-(** Power failure: all DRAM contents vanish; NVM contents survive.
-    Charges nothing (the machine is off). *)
+(** Power failure: every unflushed line gets its undo image back (the
+    stores still in the volatile cache hierarchy are lost, whoever made
+    them), then all DRAM contents vanish; NVM contents survive. Charges
+    nothing (the machine is off). *)
 
 val resident_bytes : t -> int
 (** Number of distinct bytes currently stored (host-side bookkeeping, used

@@ -75,10 +75,10 @@ val reset_counts : t -> unit
 (** {1 Canonical site names} *)
 
 val site_nvm_torn_line : string
-(** [Physmem.Nvm.flush]: one cache line silently not written to media. *)
+(** [Physmem.Phys_mem.flush]: one cache line silently not written to media. *)
 
 val site_nvm_bit_flip : string
-(** [Physmem.Nvm.flush]: a bit of the durable line image is flipped. *)
+(** [Physmem.Phys_mem.flush]: a bit of a flushed line is flipped on the media. *)
 
 val site_wal_partial_flush : string
 (** [Memfs.Wal.append]: only a prefix of the record's lines is flushed
@@ -98,7 +98,7 @@ val site_tlb_ack_lost : string
     TLB entries for the invariant checker to find. *)
 
 val site_durable_step : string
-(** Every clwb/sfence boundary in [Physmem.Nvm]. Firing raises
+(** Every clwb/sfence boundary in [Physmem.Phys_mem]. Firing raises
     {!Injected_crash}; evaluating without firing counts the boundary. *)
 
 val site_store_commit : string

@@ -52,7 +52,6 @@ type t = {
   mutable proc : Os.Proc.t;
   name : string;
   heap : Heap.Fom_heap.t;
-  nvm : Physmem.Nvm.t; (* private handle: its unflushed lines are the store's *)
   wal_base : int;
   wal_capacity : int;
   mutable wal : Fs.Wal.t;
@@ -74,7 +73,7 @@ let fs t = O1mem.Fom.fs t.fom
 let stats t = Os.Kernel.stats (kernel t)
 let trace t = Os.Kernel.trace (kernel t)
 let plane t = Sim.Trace.faults (trace t)
-let mem t = Physmem.Nvm.mem t.nvm
+let mem t = Os.Kernel.mem (kernel t)
 
 (* Checkers, introspection and the recovery sweep read the media host-side. *)
 let uncharged t f = Sim.Clock.off (Os.Kernel.clock (kernel t)) f
@@ -174,8 +173,8 @@ let write_block t slot key value =
   let pos = ref 0 in
   List.iter
     (fun (addr, n) ->
-      Physmem.Nvm.write_persistent t.nvm ~addr (Bytes.sub_string b !pos n);
-      Physmem.Nvm.flush t.nvm ~addr ~len:n;
+      PM.write_persistent (mem t) ~addr (Bytes.sub_string b !pos n);
+      PM.flush (mem t) ~addr ~len:n;
       pos := !pos + n)
     (phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len)
 
@@ -239,8 +238,8 @@ let set_entry b i entry =
 
 let write_line t i b =
   Bytes.set_int32_le b 0 (Int32.of_int (line_sum b));
-  Physmem.Nvm.write_persistent t.nvm ~addr:(line_addr t i) (Bytes.to_string b);
-  Physmem.Nvm.flush t.nvm ~addr:(line_addr t i) ~len:line_bytes
+  PM.write_persistent (mem t) ~addr:(line_addr t i) (Bytes.to_string b);
+  PM.flush (mem t) ~addr:(line_addr t i) ~len:line_bytes
 
 let chain t h i = 1 + (((h land 0x7FFFFFFF) + i) mod t.buckets)
 
@@ -387,7 +386,7 @@ let apply t ~live writes =
   List.iter
     (fun w -> match w.put with Some (slot, _) -> upsert t ~live w.key slot | None -> remove t ~live w.key)
     writes;
-  Physmem.Nvm.fence t.nvm
+  PM.fence (mem t)
 
 (* [f ~internal ~tag slot] on every entry of every intact bucket line,
    host-side; returns the damaged lines. All-zero frames are skipped
@@ -502,7 +501,7 @@ let cut_log t =
   let b = Bytes.make line_bytes '\000' in
   Bytes.set_int32_le b 4 (Int32.of_int t.generation);
   write_line t 0 b;
-  Physmem.Nvm.fence t.nvm;
+  PM.fence (mem t);
   Sim.Stats.incr (stats t) "store_checkpoint";
   update_gauges t
 
@@ -542,7 +541,7 @@ let recover_hook t () =
     let header = read_line t 0 in
     if line_ok header then t.generation <- get32 header 4
     else t.recovery_truncations <- t.recovery_truncations + 1;
-    let w = Fs.Wal.recover ~nvm:t.nvm ~base:t.wal_base ~capacity:t.wal_capacity in
+    let w = Fs.Wal.recover ~mem:(mem t) ~base:t.wal_base ~capacity:t.wal_capacity in
     t.wal <- w;
     t.last_replayed <- 0;
     if Fs.Wal.truncated w then begin
@@ -572,7 +571,7 @@ let recover_hook t () =
     let dangling = uncharged t (fun () -> List.filter (fun (_, k) -> lacks t k) (root_entries t)) in
     if dangling <> [] then begin
       List.iter (fun (r, _) -> remove t ~live:false (root_key r)) dangling;
-      Physmem.Nvm.fence t.nvm;
+      PM.fence (mem t);
       t.recovery_truncations <- t.recovery_truncations + 1
     end;
     t.txn <- None;
@@ -607,9 +606,8 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
   let wal_base = mk (name ^ ".wal") wal_bytes in
   (* The file system hands out zeroed frames: a fresh index is empty. *)
   let index_base = mk (name ^ ".manifest") manifest_bytes in
-  let nvm = Physmem.Nvm.create (Os.Kernel.mem (O1mem.Fom.kernel fom)) in
   let heap = Heap.Fom_heap.create fom proc ~file_prefix:(name ^ ".arena") () in
-  let wal = Fs.Wal.create ~nvm ~base:wal_base ~capacity:wal_bytes in
+  let wal = Fs.Wal.create ~mem:(Os.Kernel.mem (O1mem.Fom.kernel fom)) ~base:wal_base ~capacity:wal_bytes in
   Fs.Wal.reset wal;
   incr instance;
   let t =
@@ -618,7 +616,6 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
       proc;
       name;
       heap;
-      nvm;
       wal_base;
       wal_capacity = wal_bytes;
       wal;
@@ -635,8 +632,6 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
       rule_name = Printf.sprintf "store_roots:%s#%d" name !instance;
     }
   in
-  O1mem.Fom.on_crash fom ~name:("store" ^ name) (fun () ->
-      if not t.detached then Physmem.Nvm.crash t.nvm);
   O1mem.Fom.on_recover fom ~name:("store" ^ name) (fun () -> recover_hook t ());
   Os.Check.register_rule ~name:t.rule_name (root_rule t);
   update_gauges t;

@@ -81,9 +81,8 @@ let mk_wal ?(capacity = Sim.Units.kib 16) () =
     Physmem.Phys_mem.create ~clock ~stats ~trace ~dram_bytes:(Sim.Units.mib 4)
       ~nvm_bytes:(Sim.Units.mib 4) ()
   in
-  let nvm = Physmem.Nvm.create mem in
   let base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
-  (Fs.Wal.create ~nvm ~base ~capacity, nvm, base, capacity)
+  (Fs.Wal.create ~mem ~base ~capacity, mem, base, capacity)
 
 let rec is_prefix xs ys =
   match (xs, ys) with
@@ -100,21 +99,19 @@ let prop_wal_random_tear =
       pair (list_size (int_range 1 12) (string_size ~gen:printable (int_range 1 60)))
         (int_bound 10_000))
     (fun (records, x) ->
-      let wal, nvm, base, capacity = mk_wal ~capacity:(Sim.Units.kib 32) () in
+      let wal, mem, base, capacity = mk_wal ~capacity:(Sim.Units.kib 32) () in
       List.iter (Fs.Wal.append_exn wal) records;
       let used = Fs.Wal.used_bytes wal in
       let cut = x mod (used + 1) in
-      if used > cut then
-        Physmem.Phys_mem.write (Physmem.Nvm.mem nvm) ~addr:(base + cut)
-          (String.make (used - cut) '\000');
-      let recovered = Fs.Wal.entries (Fs.Wal.recover ~nvm ~base ~capacity) in
+      if used > cut then Physmem.Phys_mem.write mem ~addr:(base + cut) (String.make (used - cut) '\000');
+      let recovered = Fs.Wal.entries (Fs.Wal.recover ~mem ~base ~capacity) in
       is_prefix recovered records
       && (cut < used || recovered = records))
 
 let test_wal_partial_flush_torn_by_crash () =
-  let wal, nvm, base, capacity = mk_wal () in
+  let wal, mem, base, capacity = mk_wal () in
   let plane = FI.create ~seed:1 () in
-  Sim.Trace.attach_faults (Physmem.Phys_mem.trace (Physmem.Nvm.mem nvm)) plane;
+  Sim.Trace.attach_faults (Physmem.Phys_mem.trace mem) plane;
   Fs.Wal.append_exn wal "durable";
   (* A buggy flush loop writes only half the record's lines; the crash
      tears the rest, and recovery must reject the half-written record.
@@ -122,9 +119,32 @@ let test_wal_partial_flush_torn_by_crash () =
      cannot accidentally heal the hole. *)
   FI.arm plane ~site:FI.site_wal_partial_flush FI.Always;
   Fs.Wal.append_exn wal (String.make 300 'y');
-  Physmem.Nvm.crash nvm;
+  Physmem.Phys_mem.crash mem;
   Alcotest.(check (list string)) "torn record rejected" [ "durable" ]
-    (Fs.Wal.entries (Fs.Wal.recover ~nvm ~base ~capacity))
+    (Fs.Wal.entries (Fs.Wal.recover ~mem ~base ~capacity))
+
+(* PMFS's journal is in the machine's one persistence domain: with every
+   flush's first line torn, the alloc's journal records never reach the
+   media, and the crash reverts the journal's first line. *)
+let test_crash_reverts_pmfs_journal () =
+  let k, plane = mk_faulted_kernel () in
+  let fom = F.create k () in
+  let mem = K.mem k in
+  let base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
+  let first_line () = Bytes.to_string (Physmem.Phys_mem.read mem ~addr:base ~len:64) in
+  let before = first_line () in
+  let proc = K.create_process k () in
+  FI.arm plane ~site:FI.site_nvm_torn_line FI.Always;
+  ignore
+    (F.alloc fom proc ~name:"/torn" ~persistence:Fs.Inode.Persistent ~len:(Sim.Units.kib 16)
+       ~prot:Hw.Prot.rw ());
+  FI.disarm plane ~site:FI.site_nvm_torn_line;
+  check_bool "the alloc journaled" true (first_line () <> before);
+  O1mem.Persistence.crash fom;
+  check_string "journal's first line reverted" before (first_line ());
+  (* The journal is PMFS's first 16 frames. *)
+  let back = Fs.Wal.recover ~mem ~base ~capacity:(16 * Sim.Units.page_size) in
+  check_int "no journal record survives" 0 (Fs.Wal.entry_count back)
 
 (* --------------------------- crash explorers ------------------------- *)
 
@@ -337,6 +357,7 @@ let suite =
     Alcotest.test_case "plane: injection traced + counted" `Quick test_injection_traced_and_counted;
     prop_wal_random_tear;
     Alcotest.test_case "wal: partial flush torn by crash" `Quick test_wal_partial_flush_torn_by_crash;
+    Alcotest.test_case "crash reverts PMFS's unflushed journal" `Quick test_crash_reverts_pmfs_journal;
     Alcotest.test_case "explorer: WAL crash at every step" `Quick test_explore_wal_every_step;
     Alcotest.test_case "explorer: FS crash at every step" `Slow test_explore_fs_every_step;
     Alcotest.test_case "check: clean after fork + FOM" `Quick test_check_clean_after_fork_and_fom;

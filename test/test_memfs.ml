@@ -227,16 +227,15 @@ let test_fs_iter_files () =
 
 let mk_wal ?(capacity = Sim.Units.kib 16) () =
   let mem = mk_mem ~dram:(Sim.Units.mib 4) ~nvm:(Sim.Units.mib 4) () in
-  let nvm = Physmem.Nvm.create mem in
   let base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
-  (Fs.Wal.create ~nvm ~base ~capacity, nvm, base, capacity)
+  (Fs.Wal.create ~mem ~base ~capacity, mem, base, capacity)
 
 let test_wal_append_recover () =
-  let wal, nvm, base, capacity = mk_wal () in
+  let wal, mem, base, capacity = mk_wal () in
   List.iter (Fs.Wal.append_exn wal) [ "alpha"; "beta"; "gamma" ];
   Alcotest.(check (list string)) "entries" [ "alpha"; "beta"; "gamma" ] (Fs.Wal.entries wal);
-  Physmem.Nvm.crash nvm;
-  let back = Fs.Wal.recover ~nvm ~base ~capacity in
+  Physmem.Phys_mem.crash mem;
+  let back = Fs.Wal.recover ~mem ~base ~capacity in
   Alcotest.(check (list string)) "all durable records recovered" [ "alpha"; "beta"; "gamma" ]
     (Fs.Wal.entries back);
   (* The recovered log can keep appending. *)
@@ -244,28 +243,28 @@ let test_wal_append_recover () =
   check_int "four now" 4 (Fs.Wal.entry_count back)
 
 let test_wal_torn_tail_dropped () =
-  let wal, nvm, base, capacity = mk_wal () in
+  let wal, mem, base, capacity = mk_wal () in
   Fs.Wal.append_exn wal "committed-1";
   Fs.Wal.append_exn wal "committed-2";
   (* The buggy path: no flushes. A crash tears it. *)
   Fs.Wal.append_exn ~durable:false wal "torn";
-  Physmem.Nvm.crash nvm;
-  let back = Fs.Wal.recover ~nvm ~base ~capacity in
+  Physmem.Phys_mem.crash mem;
+  let back = Fs.Wal.recover ~mem ~base ~capacity in
   Alcotest.(check (list string)) "only the committed prefix survives"
     [ "committed-1"; "committed-2" ] (Fs.Wal.entries back)
 
 let test_wal_checksum_rejects_corruption () =
-  let wal, nvm, base, capacity = mk_wal () in
+  let wal, mem, base, capacity = mk_wal () in
   Fs.Wal.append_exn wal "good";
   Fs.Wal.append_exn wal "evil";
   (* Flip a payload byte of the second record behind the log's back. *)
   let second_payload = base + Fs.Wal.used_bytes wal - 1 (* marker *) - 4 in
-  Physmem.Phys_mem.write (Physmem.Nvm.mem nvm) ~addr:second_payload "X";
-  let back = Fs.Wal.recover ~nvm ~base ~capacity in
+  Physmem.Phys_mem.write mem ~addr:second_payload "X";
+  let back = Fs.Wal.recover ~mem ~base ~capacity in
   Alcotest.(check (list string)) "corrupt record rejected" [ "good" ] (Fs.Wal.entries back)
 
 let test_wal_full_and_reset () =
-  let wal, nvm, base, capacity = mk_wal ~capacity:64 () in
+  let wal, mem, base, capacity = mk_wal ~capacity:64 () in
   Fs.Wal.append_exn wal (String.make 40 'x');
   check_bool "full append refused, not raised" true
     (Fs.Wal.append wal (String.make 40 'y') = Error Fs.Wal.Wal_full);
@@ -276,18 +275,18 @@ let test_wal_full_and_reset () =
   check_int "empty after reset" 0 (Fs.Wal.entry_count wal);
   Fs.Wal.append_exn wal (String.make 40 'z');
   (* Reset is durable: recovery after a crash sees the new record only. *)
-  Physmem.Nvm.crash nvm;
-  let back = Fs.Wal.recover ~nvm ~base ~capacity in
+  Physmem.Phys_mem.crash mem;
+  let back = Fs.Wal.recover ~mem ~base ~capacity in
   Alcotest.(check (list string)) "post-reset log" [ String.make 40 'z' ] (Fs.Wal.entries back)
 
 let prop_wal_roundtrip =
   qtest "random records survive crash+recover" ~count:40
     QCheck2.Gen.(list_size (int_range 1 20) (string_size ~gen:printable (int_range 1 50)))
     (fun records ->
-      let wal, nvm, base, capacity = mk_wal ~capacity:(Sim.Units.kib 64) () in
+      let wal, mem, base, capacity = mk_wal ~capacity:(Sim.Units.kib 64) () in
       List.iter (Fs.Wal.append_exn wal) records;
-      Physmem.Nvm.crash nvm;
-      Fs.Wal.entries (Fs.Wal.recover ~nvm ~base ~capacity) = records)
+      Physmem.Phys_mem.crash mem;
+      Fs.Wal.entries (Fs.Wal.recover ~mem ~base ~capacity) = records)
 
 (* PMFS metadata journal *)
 

@@ -149,24 +149,22 @@ let test_bulk_erase_constant_cost () =
 
 let test_nvm_flush_fence () =
   let mem = mk_mem ~dram:(Sim.Units.mib 4) ~nvm:(Sim.Units.mib 4) () in
-  let nvm = Physmem.Nvm.create mem in
   let addr = Frame.to_addr 1024 in
-  Physmem.Nvm.write_persistent nvm ~addr "important";
-  check_bool "unflushed lines" true (Physmem.Nvm.unflushed_lines nvm > 0);
-  Physmem.Nvm.flush nvm ~addr ~len:9;
-  Physmem.Nvm.fence nvm;
-  check_int "all flushed" 0 (Physmem.Nvm.unflushed_lines nvm);
-  Physmem.Nvm.crash nvm;
+  PM.write_persistent mem ~addr "important";
+  check_bool "unflushed lines" true (PM.unflushed_lines mem > 0);
+  PM.flush mem ~addr ~len:9;
+  PM.fence mem;
+  check_int "all flushed" 0 (PM.unflushed_lines mem);
+  PM.crash mem;
   check_string "durable after crash" "important"
     (Bytes.to_string (PM.read mem ~addr ~len:9))
 
 let test_nvm_torn_write () =
   let mem = mk_mem ~dram:(Sim.Units.mib 4) ~nvm:(Sim.Units.mib 4) () in
-  let nvm = Physmem.Nvm.create mem in
   let addr = Frame.to_addr 1024 in
-  Physmem.Nvm.write_persistent nvm ~addr "lost";
+  PM.write_persistent mem ~addr "lost";
   (* no flush *)
-  Physmem.Nvm.crash nvm;
+  PM.crash mem;
   check_string "unflushed data torn" (String.make 4 '\000')
     (Bytes.to_string (PM.read mem ~addr ~len:4))
 
@@ -278,19 +276,28 @@ let prop_zero_then_read_zero =
 
 (* Phys_mem against a pure model: the machine's 32 KiB as one flat byte
    string. Four DRAM and four NVM frames make every frame's buffer go back
-   to the free list and come out again many times in one op list. *)
+   to the free list and come out again many times in one op list. The
+   durability rule is modelled per line: a line's first persistent write
+   since its last flush keeps the bytes the line held before it, a flush
+   drops them (a torn one skips its first line), and a crash puts every
+   line still kept back before it wipes DRAM. Persistent writes and
+   flushes land in 512 NVM bytes around the frame 4|5 boundary, so they
+   meet each other often. *)
 type op =
   | Write of int * string
   | Write_byte of int * char
   | Zero_frame of int
   | Zero_range of int * int
   | Discard_frame of int
-  | Discard_range of int * int
   | Restore_range of int * string
+  | Write_persistent of int * string
+  | Flush of int * int * bool (* torn *)
+  | Fence
   | Crash
 
 let model_frames = 8
 let model_bytes = model_frames * Sim.Units.page_size
+let line = 64
 
 let print_op = function
   | Write (a, s) -> Printf.sprintf "write %d %S" a s
@@ -298,8 +305,10 @@ let print_op = function
   | Zero_frame f -> Printf.sprintf "zero_frame %d" f
   | Zero_range (a, n) -> Printf.sprintf "zero_range %d %d" a n
   | Discard_frame f -> Printf.sprintf "discard_frame %d" f
-  | Discard_range (a, n) -> Printf.sprintf "discard_range %d %d" a n
   | Restore_range (a, s) -> Printf.sprintf "restore_range %d %S" a s
+  | Write_persistent (a, s) -> Printf.sprintf "write_persistent %d %S" a s
+  | Flush (a, n, torn) -> Printf.sprintf "flush %d %d%s" a n (if torn then " torn" else "")
+  | Fence -> "fence"
   | Crash -> "crash"
 
 let op_gen =
@@ -308,25 +317,28 @@ let op_gen =
   let span = int_range 1 600 in
   (* An in-range address for [len] bytes. *)
   let at len = map (fun a -> (min a (model_bytes - len), len)) (int_bound (model_bytes - 1)) in
+  let near len = map (fun o -> ((5 * Sim.Units.page_size) - 256 + min o (512 - len), len)) (int_bound 511) in
   let range = span >>= at in
   (* [c] with a zero every [period] bytes (none for 0): four draws, not
      one per byte, keep 200 op lists cheap. *)
   let fill len c period = String.init len (fun k -> if period > 0 && k mod period = 0 then '\000' else c) in
-  let str = map3 fill span byte (int_bound 3) >>= fun s -> map (fun (a, _) -> (a, s)) (at (String.length s)) in
+  let str span place = map3 fill span byte (int_bound 3) >>= fun s -> map (fun (a, _) -> (a, s)) (place (String.length s)) in
   let frame = int_bound (model_frames - 1) in
   frequency
     [
-      (4, map (fun (a, s) -> Write (a, s)) str);
+      (4, map (fun (a, s) -> Write (a, s)) (str span at));
       (4, map2 (fun a c -> Write_byte (a, c)) (int_bound (model_bytes - 1)) byte);
       (2, map (fun f -> Zero_frame f) frame);
       (2, map (fun (a, n) -> Zero_range (a, n)) range);
       (2, map (fun f -> Discard_frame f) frame);
-      (2, map (fun (a, n) -> Discard_range (a, n)) range);
-      (2, map (fun (a, s) -> Restore_range (a, s)) str);
-      (1, pure Crash);
+      (2, map (fun (a, s) -> Restore_range (a, s)) (str span at));
+      (6, map (fun (a, s) -> Write_persistent (a, s)) (str (int_range 1 128) near));
+      (4, map2 (fun (a, n) torn -> Flush (a, n, torn)) (int_range 1 256 >>= near) bool);
+      (1, pure Fence);
+      (2, pure Crash);
     ]
 
-let apply mem model = function
+let apply (mem, plane) (model, undo) = function
   | Write (a, s) ->
     PM.write mem ~addr:a s;
     Bytes.blit_string s 0 model a (String.length s)
@@ -342,19 +354,32 @@ let apply mem model = function
   | Discard_frame f ->
     PM.discard_frame mem f;
     Bytes.fill model (Frame.to_addr f) Sim.Units.page_size '\000'
-  | Discard_range (a, n) ->
-    PM.discard_range mem ~addr:a ~len:n;
-    Bytes.fill model a n '\000'
   | Restore_range (a, s) ->
     PM.restore_range mem ~addr:a s;
     Bytes.blit_string s 0 model a (String.length s)
+  | Write_persistent (a, s) ->
+    PM.write_persistent mem ~addr:a s;
+    for l = a / line to (a + String.length s - 1) / line do
+      if not (Hashtbl.mem undo l) then Hashtbl.add undo l (Bytes.sub_string model (l * line) line)
+    done;
+    Bytes.blit_string s 0 model a (String.length s)
+  | Flush (a, n, torn) ->
+    if torn then Sim.Fault_inject.arm plane ~site:Sim.Fault_inject.site_nvm_torn_line Sim.Fault_inject.Always;
+    PM.flush mem ~addr:a ~len:n;
+    Sim.Fault_inject.disarm plane ~site:Sim.Fault_inject.site_nvm_torn_line;
+    for l = (a / line) + Bool.to_int torn to (a + n - 1) / line do
+      Hashtbl.remove undo l
+    done
+  | Fence -> PM.fence mem
   | Crash ->
+    Hashtbl.iter (fun l image -> Bytes.blit_string image 0 model (l * line) line) undo;
+    Hashtbl.reset undo;
     PM.crash mem;
     Bytes.fill model 0 (PM.dram_frames mem * Sim.Units.page_size) '\000'
 
 (* A read covers every frame in one call; the per-frame
    non-zero counts give frame_is_zero and resident_bytes. *)
-let agrees mem model =
+let agrees mem (model, undo) =
   let page = Sim.Units.page_size in
   let counts =
     Array.init model_frames (fun f ->
@@ -371,17 +396,22 @@ let agrees mem model =
   Bytes.equal (PM.read mem ~addr:0 ~len:model_bytes) model
   && Array.for_all Fun.id (Array.mapi (fun f n -> PM.frame_is_zero mem f = (n = 0)) counts)
   && PM.resident_bytes mem = Array.fold_left ( + ) 0 counts
+  && PM.unflushed_lines mem = Hashtbl.length undo
 
 let prop_matches_model =
   qtest "phys_mem matches a flat byte model" ~print:QCheck2.Print.(list print_op)
-    QCheck2.Gen.(list_size (int_range 1 20) op_gen)
+    QCheck2.Gen.(list_size (int_range 1 30) op_gen)
     (fun ops ->
       let page = Sim.Units.page_size in
-      let mem = mk_mem ~dram:(4 * page) ~nvm:(4 * page) () in
-      let model = Bytes.make model_bytes '\000' in
+      let clock, stats = mk_env () in
+      let trace = Sim.Trace.create ~clock () in
+      let plane = Sim.Fault_inject.create ~seed:1 () in
+      Sim.Trace.attach_faults trace plane;
+      let mem = PM.create ~clock ~stats ~trace ~dram_bytes:(4 * page) ~nvm_bytes:(4 * page) () in
+      let model = (Bytes.make model_bytes '\000', Hashtbl.create 16) in
       List.for_all
         (fun op ->
-          apply mem model op;
+          apply (mem, plane) model op;
           agrees mem model)
         ops)
 

@@ -426,7 +426,7 @@ type mop =
   | M_set_root of string * string
   | M_clear_root of string
 
-type mcmd = Txn of mop list * bool * int option | Checkpoint | Crash
+type mcmd = Txn of mop list * bool * int option | Checkpoint of int option | Crash
 
 module SM = Map.Make (String)
 
@@ -469,7 +469,10 @@ let gen_cmds =
       (frequency [ (4, pure true); (1, pure false) ])
       (frequency [ (3, pure None); (1, map Option.some (int_range 1 60)) ])
   in
-  list_size (pure 24) (frequency [ (8, txn); (1, pure Checkpoint); (1, pure Crash) ])
+  (* A log cut crosses four durable boundaries: the WAL head's flush and
+     fence, then the header line's. *)
+  let checkpoint = map (fun crash -> Checkpoint crash) (opt (int_range 1 5)) in
+  list_size (pure 24) (frequency [ (8, txn); (1, checkpoint); (1, pure Crash) ])
 
 let print_cmds =
   let op = function
@@ -478,29 +481,37 @@ let print_cmds =
     | M_set_root (r, k) -> Printf.sprintf "root %s=%s" r k
     | M_clear_root r -> "clear " ^ r
   in
+  let at = function Some n -> Printf.sprintf " crash@%d" n | None -> "" in
   let cmd = function
-    | Checkpoint -> "checkpoint"
+    | Checkpoint crash -> "checkpoint" ^ at crash
     | Crash -> "crash"
     | Txn (ops, commit, crash) ->
-      Printf.sprintf "txn[%s]%s%s" (String.concat ", " (List.map op ops))
-        (if commit then "" else " abort")
-        (match crash with Some n -> Printf.sprintf " crash@%d" n | None -> "")
+      Printf.sprintf "txn[%s]%s%s" (String.concat ", " (List.map op ops)) (if commit then "" else " abort") (at crash)
   in
   fun cmds -> String.concat "\n" (List.map cmd cmds)
 
+(* Power fails at the [n]-th durable boundary from here, if [crash] is [Some n]. *)
+let arm_crash plane crash =
+  Option.iter
+    (fun n ->
+      FI.arm plane ~site:FI.site_durable_step (FI.On_nth (FI.evaluations plane ~site:FI.site_durable_step + n)))
+    crash
+
 let run_model_cmd (fom, plane, st) m = function
-  | Checkpoint ->
-    Kv.checkpoint st;
+  | Checkpoint crash ->
+    (* A cut changes no state, so recovery from a crash inside it must
+       give the model back. *)
+    arm_crash plane crash;
+    (match Kv.checkpoint st with
+    | () -> ()
+    | exception FI.Injected_crash _ -> ignore (P.crash_and_recover fom));
+    FI.disarm plane ~site:FI.site_durable_step;
     m
   | Crash ->
     ignore (P.crash_and_recover fom);
     m
   | Txn (ops, commit, crash) -> (
-    Option.iter
-      (fun n ->
-        FI.arm plane ~site:FI.site_durable_step
-          (FI.On_nth (FI.evaluations plane ~site:FI.site_durable_step + n)))
-      crash;
+    arm_crash plane crash;
     let want = if commit then model_txn m ops else Some m in
     let outcome =
       match
