@@ -406,7 +406,6 @@ let flush t ~addr ~len =
     for line = first to last do
       if Hashtbl.mem t.unflushed line then begin
         Hashtbl.remove t.unflushed line;
-        ignore (read t ~addr:(line * line_bytes) ~len:line_bytes);
         if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_nvm_bit_flip then
           flip_bit t plane line;
         Sim.Clock.charge t.clock model.Sim.Cost_model.mem_ref_nvm_write;
