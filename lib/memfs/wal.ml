@@ -99,7 +99,7 @@ let truncated t = t.truncated
 
 let recover ~mem ~base ~capacity =
   let read ~addr ~len = Bytes.to_string (PM.read mem ~addr ~len) in
-  let read_le32 addr = Int32.to_int (Bytes.get_int32_le (Bytes.of_string (read ~addr ~len:4)) 0) land 0xFFFFFFFF in
+  let get32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
   let t = { mem; base; capacity; cursor = 0; records = []; truncated = false } in
   let rec scan off =
     if off + header_bytes + 1 > capacity then ()
@@ -108,9 +108,7 @@ let recover ~mem ~base ~capacity =
       if hdr = String.make header_bytes '\000' then ()
         (* blank header: clean end of log *)
       else begin
-        let len = read_le32 (base + off) in
-        let cksum = read_le32 (base + off + 4) in
-        let hcrc = read_le32 (base + off + 8) in
+        let len = get32 hdr 0 and cksum = get32 hdr 4 and hcrc = get32 hdr 8 in
         if
           hcrc <> checksum (String.sub hdr 0 8)
           || len <= 0 || cksum = 0
