@@ -47,8 +47,7 @@ let create kernel ?fs ?(strategy = Shared_subtree) () =
 (* Recovery hooks: components above Fom (the object store) register
    here so recovery stays application-independent — Persistence runs
    them by name without knowing what they recover. Replace-by-name
-   keeps re-registration (fresh store over the same files) idempotent.
-   A crash needs no hook: Phys_mem.crash reverts every unflushed line. *)
+   keeps re-registration (fresh store over the same files) idempotent. *)
 let on_recover t ~name f = Hashtbl.replace t.recovery_hooks name f
 let remove_hooks t ~name = Hashtbl.remove t.recovery_hooks name
 

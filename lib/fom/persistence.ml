@@ -8,8 +8,7 @@ type report = {
 
 let crash fom =
   let kernel = Fom.kernel fom in
-  (* Processes die with the machine: no orderly teardown, no unmap cost.
-     Every unflushed NVM line reverts, whoever wrote it. *)
+  (* Processes die with the machine: no orderly teardown, no unmap cost. *)
   Physmem.Phys_mem.crash (Os.Kernel.mem kernel);
   Fs.Memfs.crash (Os.Kernel.tmpfs kernel);
   (match Os.Kernel.pmfs kernel with Some p -> Fs.Memfs.crash p | None -> ());

@@ -22,8 +22,7 @@ type report = {
 val crash : Fom.t -> unit
 (** Power failure: all processes die, DRAM contents and the tmpfs
     namespace are lost, and {!Physmem.Phys_mem.crash} reverts every
-    unflushed NVM line (PMFS's journal and the store's alike). No
-    component hook runs. *)
+    unflushed NVM line (PMFS's journal and the store's alike). *)
 
 val recover : Fom.t -> report
 (** Bring the machine back: run PMFS recovery, prune master page tables

@@ -38,7 +38,11 @@ let create ~mem ~first ~count ~mode ?quota_frames ?(erase = Eager_zero) () =
     | Tmpfs -> (None, first, count)
     | Pmfs ->
       if count <= journal_frames then invalid_arg "Memfs.create: PMFS region too small";
-      let wal = Wal.create ~mem ~base:(Frame.to_addr first) ~capacity:(journal_frames * Sim.Units.page_size) in
+      let wal =
+        Wal.create ~mem
+          ~base:(Frame.to_addr first)
+          ~capacity:(journal_frames * Sim.Units.page_size)
+      in
       (Some wal, first + journal_frames, count - journal_frames)
   in
   let t =

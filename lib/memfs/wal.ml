@@ -61,13 +61,17 @@ let append ?(durable = true) t payload =
        the newest. With it, any scan that accepts this record stops. *)
     PM.write_persistent t.mem ~addr (header payload ^ payload);
     let blank_tail = t.cursor + span + header_bytes <= t.capacity in
-    if blank_tail then PM.write_persistent t.mem ~addr:(addr + span) (String.make header_bytes '\000');
+    if blank_tail then
+      PM.write_persistent t.mem ~addr:(addr + span) (String.make header_bytes '\000');
     if durable then begin
       let full_len = header_bytes + String.length payload in
       (* Injected buggy flush loop: only the first half of the record's
          bytes are flushed before the fence; a crash tears the rest. *)
       let flush_len =
-        if Sim.Fault_inject.fires (Sim.Trace.faults (PM.trace t.mem)) ~site:Sim.Fault_inject.site_wal_partial_flush
+        if
+          Sim.Fault_inject.fires
+            (Sim.Trace.faults (PM.trace t.mem))
+            ~site:Sim.Fault_inject.site_wal_partial_flush
         then full_len / 2
         else full_len
       in

@@ -5,7 +5,8 @@
     durable with the clwb/sfence discipline, a commit marker is written
     only after the payload is flushed, and recovery keeps the longest
     checksum-valid committed prefix — a torn tail (lines still in the
-    cache hierarchy at power-fail) is detected and discarded.
+    cache hierarchy at power-fail, which {!Physmem.Phys_mem.crash}
+    reverts) is detected and discarded.
 
     Record layout: 4-byte length, 4-byte payload checksum, 4-byte header
     CRC (over the first 8 bytes), payload, 1-byte commit marker. The
@@ -21,9 +22,9 @@ val checksum : string -> int
     marks a blank header). *)
 
 val create : mem:Physmem.Phys_mem.t -> base:int -> capacity:int -> t
-(** A fresh log over NVM bytes [base, base+capacity). [base] must lie in
-    the NVM region. Existing bytes are ignored (use {!recover} to read a
-    log back after a crash). *)
+(** A fresh log over NVM bytes [base, base+capacity) of [mem]. [base]
+    must lie in the NVM region. Existing bytes are ignored (use
+    {!recover} to read a log back after a crash). *)
 
 type error = Wal_full
 
@@ -51,7 +52,8 @@ val recover : mem:Physmem.Phys_mem.t -> base:int -> capacity:int -> t
 (** Rebuild the log from NVM contents after a crash: scans records from
     [base], stopping at the first header-CRC failure (or insane length),
     missing marker, or payload-checksum mismatch, and positions the
-    append cursor after the valid prefix. *)
+    append cursor after the valid prefix. Each record costs three charged
+    reads: its header, payload and marker. *)
 
 val truncated : t -> bool
 (** Whether a damaged or unfinished record, rather than a blank header,

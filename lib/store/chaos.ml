@@ -4,7 +4,7 @@
    the store, preloads it and checkpoints, and the explored workload is a
    deterministic mixed put/delete/grow burst, so every clwb/sfence/WAL
    boundary of the burst becomes a crash point. Recovery goes through
-   O1mem.Persistence (which runs the store's hooks) and must yield the
+   O1mem.Persistence (which runs the store's recovery hook) and must yield the
    committed-prefix state.
 
    Two damage arms ride on sampled boundaries: torn lines and bit flips

@@ -18,6 +18,8 @@
    then index lines, each flushed, under one fence). Every apply is
    durable before the next append, so the log can be cut between any two
    commits in O(1): Wal.reset plus a generation bump in the header line.
+   Writes go through the machine's one persistence domain (Phys_mem), so
+   the store holds no durability handle and needs no crash hook.
 
    Object identity is arena-relative (arena index, byte offset), never a
    virtual address: after a crash the arenas are re-mapped at fresh VAs

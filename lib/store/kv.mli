@@ -13,7 +13,7 @@
     recovers to the committed prefix; torn or bit-flipped records, index
     lines and blocks are {e detected} by their checksums, never served.
 
-    {!create} registers hooks with the store's {!O1mem.Fom.t}:
+    {!create} registers a recovery hook with the store's {!O1mem.Fom.t}:
     {!O1mem.Persistence.recover} re-attaches the arenas (fresh VAs, same
     arena-relative slots), reads the index's header line and replays the
     log — charged cost O(files + WAL records), independent of how many
@@ -35,7 +35,7 @@ val create :
     path [name] on [fom]'s file system (which must be the kernel's
     persistent pmfs). Creates "<name>.wal", "<name>.manifest" and
     "<name>.arena.<n>" as named persistent files, and registers the
-    crash/recovery hooks plus an {!Os.Check} rule ("store_roots"): every
+    recovery hook plus an {!Os.Check} rule ("store_roots"): every
     entry maps through a live FOM extent, every root names a key.
 
     Arenas are {!Heap.Size_class.arena_bytes} long; the WAL and the
@@ -46,7 +46,7 @@ val create :
     create never reopens (or silently wipes) a prior store. *)
 
 val detach : t -> unit
-(** Unregister the store's hooks and check rule (for tests that build
+(** Unregister the store's recovery hook and check rule (for tests that build
     many stores on one machine). The files remain. *)
 
 (** {1 Transactions}

@@ -486,7 +486,9 @@ let print_cmds =
     | Checkpoint crash -> "checkpoint" ^ at crash
     | Crash -> "crash"
     | Txn (ops, commit, crash) ->
-      Printf.sprintf "txn[%s]%s%s" (String.concat ", " (List.map op ops)) (if commit then "" else " abort") (at crash)
+      Printf.sprintf "txn[%s]%s%s" (String.concat ", " (List.map op ops))
+        (if commit then "" else " abort")
+        (at crash)
   in
   fun cmds -> String.concat "\n" (List.map cmd cmds)
 
