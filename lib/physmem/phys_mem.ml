@@ -211,10 +211,6 @@ let release t c i =
     c.hi.(i) <- 0
   end
 
-let release_frame t pfn =
-  let c = chunk t pfn in
-  if c != no_chunk then release t c (slot pfn)
-
 let peek_byte t addr =
   let b = buffer t (Frame.of_addr addr) in
   if b == no_data then '\000' else Bytes.get b (Frame.offset_in_frame addr)
@@ -321,16 +317,28 @@ let touch t addr =
   check_addr t addr 1;
   charge_demand t ~addr ~write:false
 
+(* A scrubbed frame's lines are no longer anyone's: a crash must not put
+   a former owner's undo images back over what the next owner writes. *)
+let scrub_frame t pfn =
+  if Hashtbl.length t.unflushed > 0 then begin
+    let first = Frame.to_addr pfn / 64 in
+    for line = first to first + (Sim.Units.page_size / 64) - 1 do
+      Hashtbl.remove t.unflushed line
+    done
+  end;
+  let c = chunk t pfn in
+  if c != no_chunk then release t c (slot pfn)
+
 let zero_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.zero_frame: bad frame";
-  release_frame t pfn;
+  scrub_frame t pfn;
   let model = Sim.Clock.model t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
   Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
 
 let discard_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
-  release_frame t pfn
+  scrub_frame t pfn
 
 let zero_range t ~addr ~len =
   check_addr t addr len;

@@ -168,6 +168,26 @@ let test_nvm_torn_write () =
   check_string "unflushed data torn" (String.make 4 '\000')
     (Bytes.to_string (PM.read mem ~addr ~len:4))
 
+(* A frame scrubbed for its next owner forgets its unflushed lines: the
+   crash must not put the old owner's undo image over the new owner's
+   plain write. *)
+let test_scrub_drops_undo () =
+  List.iter
+    (fun (what, scrub) ->
+      let mem = mk_mem ~dram:(Sim.Units.mib 4) ~nvm:(Sim.Units.mib 4) () in
+      let pfn = 1024 in
+      let addr = Frame.to_addr pfn in
+      PM.write_persistent mem ~addr "old-owner";
+      PM.flush mem ~addr ~len:9;
+      PM.fence mem;
+      PM.write_persistent mem ~addr "unflushed";
+      scrub mem pfn;
+      check_int (what ^ ": no unflushed line left") 0 (PM.unflushed_lines mem);
+      PM.write mem ~addr "new-owner";
+      PM.crash mem;
+      check_string (what ^ ": new owner's bytes survive") "new-owner" (Bytes.to_string (PM.read mem ~addr ~len:9)))
+    [ ("zero_frame", PM.zero_frame); ("discard_frame", PM.discard_frame) ]
+
 (* Cache hierarchy *)
 
 let mk_cached_mem () =
@@ -279,8 +299,9 @@ let prop_zero_then_read_zero =
    to the free list and come out again many times in one op list. The
    durability rule is modelled per line: a line's first persistent write
    since its last flush keeps the bytes the line held before it, a flush
-   drops them (a torn one skips its first line), and a crash puts every
-   line still kept back before it wipes DRAM. Persistent writes and
+   drops them (a torn one skips its first line), so does zeroing or
+   discarding the line's frame, and a crash puts every line still kept
+   back before it wipes DRAM. Persistent writes and
    flushes land in 512 NVM bytes around the frame 4|5 boundary, so they
    meet each other often. *)
 type op =
@@ -338,6 +359,13 @@ let op_gen =
       (2, pure Crash);
     ]
 
+(* A scrubbed frame reads zero and its lines keep no undo image. *)
+let scrub (model, undo) f =
+  Bytes.fill model (Frame.to_addr f) Sim.Units.page_size '\000';
+  for l = Frame.to_addr f / line to (Frame.to_addr (f + 1) / line) - 1 do
+    Hashtbl.remove undo l
+  done
+
 let apply (mem, plane) (model, undo) = function
   | Write (a, s) ->
     PM.write mem ~addr:a s;
@@ -347,13 +375,13 @@ let apply (mem, plane) (model, undo) = function
     Bytes.set model a c
   | Zero_frame f ->
     PM.zero_frame mem f;
-    Bytes.fill model (Frame.to_addr f) Sim.Units.page_size '\000'
+    scrub (model, undo) f
   | Zero_range (a, n) ->
     PM.zero_range mem ~addr:a ~len:n;
     Bytes.fill model a n '\000'
   | Discard_frame f ->
     PM.discard_frame mem f;
-    Bytes.fill model (Frame.to_addr f) Sim.Units.page_size '\000'
+    scrub (model, undo) f
   | Restore_range (a, s) ->
     PM.restore_range mem ~addr:a s;
     Bytes.blit_string s 0 model a (String.length s)
@@ -433,6 +461,7 @@ let suite =
     Alcotest.test_case "zero_engine: bulk erase is O(1)" `Quick test_bulk_erase_constant_cost;
     Alcotest.test_case "nvm: flush+fence durability" `Quick test_nvm_flush_fence;
     Alcotest.test_case "nvm: torn unflushed write" `Quick test_nvm_torn_write;
+    Alcotest.test_case "nvm: a scrubbed frame drops its undo images" `Quick test_scrub_drops_undo;
     Alcotest.test_case "cache: miss then hit" `Quick test_cache_hit_after_miss;
     Alcotest.test_case "cache: line granularity" `Quick test_cache_same_line_shares;
     Alcotest.test_case "cache: L1 spill caught by L2" `Quick test_cache_capacity_spill_to_l2;
