@@ -21,6 +21,11 @@ val checksum : string -> int
 (** The record payload checksum: Adler-style, 32 bits, never zero (zero
     marks a blank header). *)
 
+val checksum_sub : bytes -> pos:int -> len:int -> int
+(** [checksum_sub b ~pos ~len] is {!checksum} of those [len] bytes of
+    [b], read in place: callers checksum a line or a block inside their
+    own buffer without copying it out. *)
+
 val create : mem:Physmem.Phys_mem.t -> base:int -> capacity:int -> t
 (** A fresh log over NVM bytes [base, base+capacity) of [mem]. [base]
     must lie in the NVM region. Existing bytes are ignored (use
@@ -31,7 +36,10 @@ type error = Wal_full
 val append : ?durable:bool -> t -> string -> (unit, error) result
 (** Append one record. With [durable:true] (default) the payload is
     flushed and fenced before the commit marker, and the marker flushed
-    after — the record is durable when [append] returns [Ok ()].
+    after — the record is durable when [append] returns [Ok ()]. The
+    header and payload are staged in a buffer the log keeps and reuses
+    (it grows to the largest record), and go to the media in one
+    persistent write.
     [durable:false] skips every flush (a deliberately buggy fast path for
     crash tests). Returns [Error Wal_full] when out of space — the log is
     unchanged and the caller decides (checkpoint + {!reset}, or surface

@@ -14,10 +14,18 @@ type chunk = {
   nonzero : int array; (* non-zero bytes in the buffer *)
   lo : int array; (* every byte of the buffer outside [lo, hi) is zero *)
   hi : int array;
+  (* The persistence domain, made on the chunk's first persistent write.
+     A frame with unflushed lines owns an undo page from the free list:
+     at each such line's offset, the bytes the line held just before its
+     first write since its last flush (what the media still holds; a
+     crash restores them). The rest of the page is zero. [dirty] marks
+     the unflushed lines, two words per frame of 32 lines each. *)
+  mutable undo : Bytes.t array;
+  mutable dirty : int array;
 }
 
 let no_data = Bytes.empty
-let no_chunk = { data = [||]; nonzero = [||]; lo = [||]; hi = [||] }
+let no_chunk = { data = [||]; nonzero = [||]; lo = [||]; hi = [||]; undo = [||]; dirty = [||] }
 
 type t = {
   clock : Sim.Clock.t;
@@ -31,11 +39,7 @@ type t = {
   mutable free : Bytes.t array; (* scrubbed buffers, [free.(0 .. nfree-1)] *)
   mutable nfree : int;
   mutable cache : Cache_hier.t option;
-  (* The persistence domain: every line written through
-     [write_persistent] since its last flush, with the bytes it held
-     just before the first such write. Those bytes are what the media
-     still holds; a crash restores them. *)
-  unflushed : (int, string) Hashtbl.t;
+  mutable unflushed : int; (* lines marked in some chunk's [dirty] *)
 }
 
 let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~dram_bytes ~nvm_bytes
@@ -60,7 +64,7 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~dram_bytes ~nvm_bytes
     free = [||];
     nfree = 0;
     cache = None;
-    unflushed = Hashtbl.create 64;
+    unflushed = 0;
   }
 
 let clock t = t.clock
@@ -164,9 +168,29 @@ let buffer t pfn =
   let c = chunk t pfn in
   if c == no_chunk then no_data else c.data.(slot pfn)
 
-(* Frame [pfn]'s chunk, once the frame owns a buffer. *)
-let writable t pfn =
-  let ci = pfn lsr chunk_bits and i = slot pfn in
+(* A scrubbed buffer, from the free list if it has one. *)
+let take_buffer t =
+  if t.nfree = 0 then Bytes.make Sim.Units.page_size '\000'
+  else begin
+    t.nfree <- t.nfree - 1;
+    let b = t.free.(t.nfree) in
+    t.free.(t.nfree) <- no_data;
+    b
+  end
+
+(* Put a scrubbed buffer on the free list. *)
+let give_buffer t b =
+  if t.nfree = Array.length t.free then begin
+    let f = Array.make (max 16 (2 * t.nfree)) no_data in
+    Array.blit t.free 0 f 0 t.nfree;
+    t.free <- f
+  end;
+  t.free.(t.nfree) <- b;
+  t.nfree <- t.nfree + 1
+
+(* Frame [pfn]'s chunk, made on first use. *)
+let chunk_of t pfn =
+  let ci = pfn lsr chunk_bits in
   if t.chunks.(ci) == no_chunk then
     t.chunks.(ci) <-
       {
@@ -174,17 +198,15 @@ let writable t pfn =
         nonzero = Array.make chunk_frames 0;
         lo = Array.make chunk_frames Sim.Units.page_size;
         hi = Array.make chunk_frames 0;
+        undo = [||];
+        dirty = [||];
       };
-  let c = t.chunks.(ci) in
-  if c.data.(i) == no_data then
-    c.data.(i) <-
-      (if t.nfree = 0 then Bytes.make Sim.Units.page_size '\000'
-       else begin
-         t.nfree <- t.nfree - 1;
-         let b = t.free.(t.nfree) in
-         t.free.(t.nfree) <- no_data;
-         b
-       end);
+  t.chunks.(ci)
+
+(* Frame [pfn]'s chunk, once the frame owns a buffer. *)
+let writable t pfn =
+  let c = chunk_of t pfn and i = slot pfn in
+  if c.data.(i) == no_data then c.data.(i) <- take_buffer t;
   c
 
 (* Record that [lo, hi) of slot [i]'s buffer was written. *)
@@ -198,13 +220,7 @@ let release t c i =
   let b = c.data.(i) in
   if b != no_data then begin
     if c.nonzero.(i) > 0 then Bytes.fill b c.lo.(i) (c.hi.(i) - c.lo.(i)) '\000';
-    if t.nfree = Array.length t.free then begin
-      let f = Array.make (max 16 (2 * t.nfree)) no_data in
-      Array.blit t.free 0 f 0 t.nfree;
-      t.free <- f
-    end;
-    t.free.(t.nfree) <- b;
-    t.nfree <- t.nfree + 1;
+    give_buffer t b;
     c.data.(i) <- no_data;
     c.nonzero.(i) <- 0;
     c.lo.(i) <- Sim.Units.page_size;
@@ -268,77 +284,140 @@ let charge_bulk t ~addr ~len ~write =
     Sim.Stats.add t.stats (if write then "stream_write_lines" else "stream_read_lines") (lines - 1)
   end
 
+let check_range b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Phys_mem: buffer range out of bounds"
+
 (* Blit frame-sized chunks instead of byte-at-a-time host work. *)
-let read t ~addr ~len =
+let read_into t ~addr ~len dst ~pos =
   check_addr t addr len;
+  check_range dst ~pos ~len;
   charge_bulk t ~addr ~len ~write:false;
-  let buf = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
+  let copied = ref 0 in
+  while !copied < len do
+    let a = addr + !copied in
     let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
+    let run = min (len - !copied) (Sim.Units.page_size - off) in
     let b = buffer t (Frame.of_addr a) in
-    if b == no_data then Bytes.fill buf !pos run '\000' else Bytes.blit b off buf !pos run;
-    pos := !pos + run
+    if b == no_data then Bytes.fill dst (pos + !copied) run '\000' else Bytes.blit b off dst (pos + !copied) run;
+    copied := !copied + run
+  done
+
+let read t ~addr ~len =
+  let b = Bytes.create (max 0 len) in
+  read_into t ~addr ~len b ~pos:0;
+  b
+
+(* Non-zero bytes in an 8-byte word: each byte's top bit is set iff the
+   byte is non-zero, and the multiply sums those bits into the top byte.
+   Inlined so that the word stays unboxed. *)
+let[@inline] nonzero_bytes (w : int64) =
+  let top = Int64.logor (Int64.add (Int64.logand w 0x7F7F7F7F7F7F7F7FL) 0x7F7F7F7F7F7F7F7FL) w in
+  let ones = Int64.shift_right_logical (Int64.logand top 0x8080808080808080L) 7 in
+  Int64.to_int (Int64.shift_right_logical (Int64.mul ones 0x0101010101010101L) 56)
+
+(* How many more non-zero bytes [src.[pos, pos+len)] holds than
+   [old.[off, off+len)], eight bytes at a time; [no_data] reads as zeros. *)
+let nonzero_delta old off src pos len =
+  let fresh = old == no_data in
+  let d = ref 0 and k = ref 0 in
+  while !k + 8 <= len do
+    let n = Bytes.get_int64_ne src (pos + !k) in
+    if fresh then d := !d + nonzero_bytes n
+    else begin
+      let o = Bytes.get_int64_ne old (off + !k) in
+      if o <> n then d := !d + nonzero_bytes n - nonzero_bytes o
+    end;
+    k := !k + 8
   done;
-  buf
+  while !k < len do
+    let o = (not fresh) && Bytes.get old (off + !k) <> '\000' in
+    d := !d + Bool.to_int (Bytes.get src (pos + !k) <> '\000') - Bool.to_int o;
+    incr k
+  done;
+  !d
 
-let rec all_zero s ~pos ~stop = pos = stop || (s.[pos] = '\000' && all_zero s ~pos:(pos + 1) ~stop)
-
-let write t ~addr s =
-  let len = String.length s in
-  check_addr t addr len;
-  charge_bulk t ~addr ~len ~write:true;
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
+(* Copy [src.[pos, pos+len)] to [addr, addr+len), keeping the per-frame
+   counts. Charges nothing. *)
+let store t ~addr src ~pos ~len =
+  let copied = ref 0 in
+  while !copied < len do
+    let a = addr + !copied in
     let pfn = Frame.of_addr a in
     let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
+    let run = min (len - !copied) (Sim.Units.page_size - off) in
+    let b = buffer t pfn in
+    let d = nonzero_delta b off src (pos + !copied) run in
     (* Zeros into a frame without a buffer change nothing. *)
-    if buffer t pfn != no_data || not (all_zero s ~pos:!pos ~stop:(!pos + run)) then begin
+    if b != no_data || d > 0 then begin
       let c = writable t pfn and i = slot pfn in
-      let b = c.data.(i) and n = ref c.nonzero.(i) in
-      for k = 0 to run - 1 do
-        let old = Bytes.get b (off + k) and ch = s.[!pos + k] in
-        if old = '\000' && ch <> '\000' then incr n
-        else if old <> '\000' && ch = '\000' then decr n
-      done;
-      Bytes.blit_string s !pos b off run;
-      c.nonzero.(i) <- !n;
+      Bytes.blit src (pos + !copied) c.data.(i) off run;
+      c.nonzero.(i) <- c.nonzero.(i) + d;
       widen c i ~lo:off ~hi:(off + run);
-      if !n = 0 then release t c i
+      if c.nonzero.(i) = 0 then release t c i
     end;
-    pos := !pos + run
+    copied := !copied + run
   done
+
+let write_sub t ~addr src ~pos ~len =
+  check_addr t addr len;
+  check_range src ~pos ~len;
+  charge_bulk t ~addr ~len ~write:true;
+  store t ~addr src ~pos ~len
+
+(* [write_sub] only reads its source. *)
+let write t ~addr s = write_sub t ~addr (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let touch t addr =
   check_addr t addr 1;
   charge_demand t ~addr ~write:false
 
+(* Unflushed lines, kept for the persistence domain below; scrubbing a
+   frame forgets its lines. *)
+let line_bytes = 64
+let lines_per_frame = Sim.Units.page_size / line_bytes
+
+(* Line [l] of slot [i] is bit [l mod 32] of word [2i + l/32] of [dirty]. *)
+let dirty_word i l = (i lsl 1) lor (l lsr 5)
+let dirty_bit l = 1 lsl (l land 31)
+let is_dirty c i l = c.dirty.(dirty_word i l) land dirty_bit l <> 0
+
+(* Line [l] of slot [i] is flushed or forgotten: its undo bytes are
+   scrubbed, and the page goes back once no line of the frame needs it. *)
+let clear_line t c i l =
+  c.dirty.(dirty_word i l) <- c.dirty.(dirty_word i l) lxor dirty_bit l;
+  t.unflushed <- t.unflushed - 1;
+  Bytes.fill c.undo.(i) (l * line_bytes) line_bytes '\000';
+  if c.dirty.(dirty_word i 0) lor c.dirty.(dirty_word i 32) = 0 then begin
+    give_buffer t c.undo.(i);
+    c.undo.(i) <- no_data
+  end
+
+(* Forget slot [i]'s unflushed lines. *)
+let drop_undo t c i =
+  if Array.length c.undo > 0 then
+    for l = 0 to lines_per_frame - 1 do
+      if is_dirty c i l then clear_line t c i l
+    done
+
 (* A scrubbed frame's lines are no longer anyone's: a crash must not put
    a former owner's undo images back over what the next owner writes. *)
-let scrub_frame t pfn =
-  if Hashtbl.length t.unflushed > 0 then begin
-    let first = Frame.to_addr pfn / 64 in
-    for line = first to first + (Sim.Units.page_size / 64) - 1 do
-      Hashtbl.remove t.unflushed line
-    done
-  end;
+let scrub t pfn =
   let c = chunk t pfn in
-  if c != no_chunk then release t c (slot pfn)
+  if c != no_chunk then begin
+    drop_undo t c (slot pfn);
+    release t c (slot pfn)
+  end
 
 let zero_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.zero_frame: bad frame";
-  scrub_frame t pfn;
+  scrub t pfn;
   let model = Sim.Clock.model t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
   Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
 
 let discard_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
-  scrub_frame t pfn
+  scrub t pfn
 
 let zero_range t ~addr ~len =
   check_addr t addr len;
@@ -365,7 +444,7 @@ let zero_range t ~addr ~len =
 
 let restore_range t ~addr s =
   check_addr t addr (String.length s);
-  String.iteri (fun i c -> poke_byte t (addr + i) c) s
+  store t ~addr (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let frame_is_zero t pfn =
   let c = chunk t pfn in
@@ -373,24 +452,51 @@ let frame_is_zero t pfn =
 
 (* --- the persistence domain ------------------------------------------ *)
 
-let line_bytes = 64
 let fence_cycles = 100
-let zero_line = String.make line_bytes '\000'
 
-(* A line's bytes, host-side: a line never crosses a frame. *)
-let peek_line t line =
+(* Make [line] unflushed: unless it already is, its undo image takes the
+   bytes it holds now. *)
+let keep_image t line =
   let addr = line * line_bytes in
-  let b = buffer t (Frame.of_addr addr) in
-  if b == no_data then zero_line else Bytes.sub_string b (Frame.offset_in_frame addr) line_bytes
+  let pfn = Frame.of_addr addr in
+  let c = chunk_of t pfn and i = slot pfn and off = Frame.offset_in_frame addr in
+  if Array.length c.dirty = 0 then begin
+    c.undo <- Array.make chunk_frames no_data;
+    c.dirty <- Array.make (2 * chunk_frames) 0
+  end;
+  let l = off / line_bytes in
+  if not (is_dirty c i l) then begin
+    c.dirty.(dirty_word i l) <- c.dirty.(dirty_word i l) lor dirty_bit l;
+    t.unflushed <- t.unflushed + 1;
+    if c.undo.(i) == no_data then c.undo.(i) <- take_buffer t;
+    if c.data.(i) != no_data then Bytes.blit c.data.(i) off c.undo.(i) off line_bytes
+  end
 
-let write_persistent t ~addr s =
-  let len = String.length s in
+(* Whether [line] was unflushed; it is not from here on. *)
+let clean t line =
+  let addr = line * line_bytes in
+  let pfn = Frame.of_addr addr in
+  valid_frame t pfn
+  &&
+  let c = chunk t pfn and i = slot pfn and l = Frame.offset_in_frame addr / line_bytes in
+  Array.length c.dirty > 0
+  && is_dirty c i l
+  && begin
+    clear_line t c i l;
+    true
+  end
+
+let write_persistent_sub t ~addr src ~pos ~len =
   check_addr t addr len;
+  check_range src ~pos ~len;
   if len > 0 then
     for line = addr / line_bytes to (addr + len - 1) / line_bytes do
-      if not (Hashtbl.mem t.unflushed line) then Hashtbl.add t.unflushed line (peek_line t line)
+      keep_image t line
     done;
-  write t ~addr s
+  write_sub t ~addr src ~pos ~len
+
+let write_persistent t ~addr s =
+  write_persistent_sub t ~addr (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* An injected media fault: one bit of a line being flushed flips, so
    the damage is durable from here on. *)
@@ -412,8 +518,7 @@ let flush t ~addr ~len =
     in
     let model = Sim.Clock.model t.clock in
     for line = first to last do
-      if Hashtbl.mem t.unflushed line then begin
-        Hashtbl.remove t.unflushed line;
+      if clean t line then begin
         if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_nvm_bit_flip then
           flip_bit t plane line;
         Sim.Clock.charge t.clock model.Sim.Cost_model.mem_ref_nvm_write;
@@ -431,11 +536,24 @@ let fence t =
   if Sim.Fault_inject.fires (Sim.Trace.faults t.trace) ~site:Sim.Fault_inject.site_durable_step then
     raise (Sim.Fault_inject.Injected_crash "sfence")
 
-let unflushed_lines t = Hashtbl.length t.unflushed
+let unflushed_lines t = t.unflushed
 
 let crash t =
-  Hashtbl.iter (fun line image -> restore_range t ~addr:(line * line_bytes) image) t.unflushed;
-  Hashtbl.reset t.unflushed;
+  Array.iteri
+    (fun ci c ->
+      if Array.length c.undo > 0 then
+        for i = 0 to chunk_frames - 1 do
+          let u = c.undo.(i) in
+          if u != no_data then
+            for l = 0 to lines_per_frame - 1 do
+              if is_dirty c i l then begin
+                let off = l * line_bytes in
+                store t ~addr:(Frame.to_addr ((ci lsl chunk_bits) + i) + off) u ~pos:off ~len:line_bytes;
+                clear_line t c i l
+              end
+            done
+        done)
+    t.chunks;
   Array.iteri
     (fun ci c ->
       for i = 0 to Array.length c.data - 1 do

@@ -25,7 +25,15 @@
     its last flush saves the 64 bytes the line held just before it (its
     undo image: for a line written only through {!write_persistent}, its
     last flushed contents); {!flush} drops the image, and {!crash} puts
-    every image still held back. *)
+    every image still held back. A frame with unflushed lines keeps their
+    images in an undo page, a scrubbed 4 KiB buffer from the same free
+    list, at the lines' own offsets, and its chunk keeps a bitmask of
+    which lines are unflushed; a chunk makes these on its first
+    persistent write, so a DRAM-only chunk never has them. Flushing a
+    frame's last unflushed line gives its undo page back, and so does
+    {!zero_frame} or {!discard_frame}: a scrubbed frame drops its lines'
+    images, so a crash never puts a former owner's bytes back over the
+    frame's next owner. Nothing here allocates per line. *)
 
 type t
 
@@ -90,11 +98,21 @@ val read_byte : t -> int -> char
 
 val write_byte : t -> int -> char -> unit
 
+val read_into : t -> addr:int -> len:int -> bytes -> pos:int -> unit
+(** [read_into t ~addr ~len dst ~pos] copies [len] bytes from [addr] into
+    [dst] at [pos]. Bulk accesses stream: the first 64-byte cache line
+    pays a full reference and the rest the model's copy bandwidth.
+    Raises [Invalid_argument] if either range is out of bounds. *)
+
 val read : t -> addr:int -> len:int -> bytes
-(** Bulk read; charges one reference per 64-byte cache line covered. *)
+(** {!read_into} a fresh buffer. *)
+
+val write_sub : t -> addr:int -> bytes -> pos:int -> len:int -> unit
+(** [write_sub t ~addr src ~pos ~len] copies [len] bytes of [src] from
+    [pos] to [addr], charged as {!read_into}. [src] is only read. *)
 
 val write : t -> addr:int -> string -> unit
-(** Bulk write; same charging rule as {!read}. *)
+(** {!write_sub} of a whole string. *)
 
 val touch : t -> int -> unit
 (** Model a one-off access to [addr] (charges one reference) without
@@ -103,7 +121,8 @@ val touch : t -> int -> unit
 
 val zero_frame : t -> Frame.t -> unit
 (** Clear the frame's content and charge the model's zeroing cost for one
-    page. Bumps "bytes_zeroed". *)
+    page. Bumps "bytes_zeroed". The frame's unflushed lines drop their
+    undo images and stop counting as unflushed. *)
 
 val zero_range : t -> addr:int -> len:int -> unit
 (** Clear an arbitrary byte range, charging linear zeroing cost. *)
@@ -112,7 +131,8 @@ val frame_is_zero : t -> Frame.t -> bool
 (** True iff no nonzero byte is currently stored in the frame. *)
 
 val discard_frame : t -> Frame.t -> unit
-(** Drop the frame's contents without charging any CPU cost. Only for
+(** Drop the frame's contents, and its unflushed lines' undo images, as
+    {!zero_frame} does but without charging any CPU cost. Only for
     modelling device-internal erasure (see {!Zero_engine.bulk_erase});
     ordinary zeroing must use {!zero_frame}. *)
 
@@ -121,9 +141,12 @@ val restore_range : t -> addr:int -> string -> unit
     persistence domain. Only for modelling media state: {!crash} puts
     undo images back with it, and tests plant damage with it. *)
 
-val write_persistent : t -> addr:int -> string -> unit
-(** {!write}, and the covered lines become unflushed: each one not
+val write_persistent_sub : t -> addr:int -> bytes -> pos:int -> len:int -> unit
+(** {!write_sub}, and the covered lines become unflushed: each one not
     already unflushed first saves its current bytes as its undo image. *)
+
+val write_persistent : t -> addr:int -> string -> unit
+(** {!write_persistent_sub} of a whole string. *)
 
 val flush : t -> addr:int -> len:int -> unit
 (** Flush the covered cache lines (clwb): each unflushed line drops its

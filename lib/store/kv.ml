@@ -21,6 +21,14 @@
    Writes go through the machine's one persistence domain (Phys_mem), so
    the store holds no durability handle and needs no crash hook.
 
+   Media I/O copies each byte once. A block is built and checksummed in
+   the store's block buffer and written from it; a block read lands in
+   the same buffer, where its checksum and key are checked in place, and
+   a get copies out only the value. An index line is read into the
+   store's line buffer (never the block buffer, which a probe's accept
+   reads into while the line is held), edited, checksummed and written
+   from there. A block's extents are walked without building a list.
+
    Object identity is arena-relative (arena index, byte offset), never a
    virtual address: after a crash the arenas are re-mapped at fresh VAs
    (Fom_heap.reattach) and every slot still names the same bytes — the
@@ -39,6 +47,7 @@ type slot = { arena : int; off : int; len : int }
 
 let block_header = 8
 let block_len key value = block_header + String.length key + String.length value
+let max_block = block_header + max_key_bytes + max_value_bytes
 
 type op =
   | Put of string * string
@@ -68,6 +77,8 @@ type t = {
   mutable recovery_truncations : int;
   mutable last_replayed : int;
   rule_name : string;
+  block : Bytes.t; (* the block being built or read: [max_block] bytes *)
+  line : Bytes.t; (* the index line being probed or written *)
 }
 
 let kernel t = O1mem.Fom.kernel t.fom
@@ -87,7 +98,9 @@ let internal key = key <> "" && (key.[0] = '\000' || key.[0] = '\001')
 (* FNV-1a, folded: the bucket from the low bits, the tag from the high. *)
 let hash key =
   let h = ref 0xcbf29ce4 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) key;
+  for i = 0 to String.length key - 1 do
+    h := (!h lxor Char.code key.[i]) * 0x100000001b3
+  done;
   !h lxor (!h lsr 29)
 
 let tag_of h = match (h lsr 31) land 0xFFFFFFFF with 0 -> 1 | v -> v
@@ -144,60 +157,64 @@ let decode_txn payload =
 
 (* --- blocks -------------------------------------------------------- *)
 
-(* Physical chunks backing [off, off+len) of an arena file (the arena
+(* [f addr pos n] on each physical run of the first [len] bytes of
+   [slot]'s block, [pos] counting from the block's start. The arena
    region maps the file whole from offset 0, so a heap offset is a file
-   offset). Blocks may straddle extent boundaries. *)
-let phys_chunks t ~arena ~off ~len =
-  let r = Heap.Fom_heap.arena_region t.heap arena in
+   offset; a block may straddle extent boundaries. *)
+let iter_chunks t slot ~len f =
+  let r = Heap.Fom_heap.arena_region t.heap slot.arena in
   let page = Sim.Units.page_size in
   let tree = Fs.Inode.extents (Fs.Memfs.inode (fs t) r.O1mem.Fom.ino) in
-  let chunks = ref [] in
-  let remaining = ref len and cur = ref off in
-  while !remaining > 0 do
-    match Fs.Extent_tree.find_extent tree ~page:(!cur / page) with
+  let pos = ref 0 in
+  while !pos < len do
+    match Fs.Extent_tree.find_extent tree ~page:((slot.off + !pos) / page) with
     | None -> invalid_arg "Store: slot outside its arena's extents"
     | Some e ->
-      let within = !cur - (e.Fs.Extent.logical * page) in
-      let avail = (e.Fs.Extent.count * page) - within in
-      let n = min avail !remaining in
-      chunks := (Physmem.Frame.to_addr e.Fs.Extent.start + within, n) :: !chunks;
-      cur := !cur + n;
-      remaining := !remaining - n
-  done;
-  List.rev !chunks
+      let within = slot.off + !pos - (e.Fs.Extent.logical * page) in
+      let n = min ((e.Fs.Extent.count * page) - within) (len - !pos) in
+      f (Physmem.Frame.to_addr e.Fs.Extent.start + within) !pos n;
+      pos := !pos + n
+  done
 
-(* Write and flush a block; the apply's one fence makes it durable. *)
+let get32 b o = Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF
+
+(* Build a block in [t.block] and checksum it there, then write and flush
+   it; the apply's one fence makes it durable. *)
 let write_block t slot key value =
-  let b = Bytes.create slot.len in
-  Bytes.set_int32_le b 4 (Int32.of_int (String.length key));
-  Bytes.blit_string (key ^ value) 0 b block_header (slot.len - block_header);
-  Bytes.set_int32_le b 0 (Int32.of_int (Fs.Wal.checksum (Bytes.sub_string b 4 (slot.len - 4))));
-  let pos = ref 0 in
-  List.iter
-    (fun (addr, n) ->
-      PM.write_persistent (mem t) ~addr (Bytes.sub_string b !pos n);
-      PM.flush (mem t) ~addr ~len:n;
-      pos := !pos + n)
-    (phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len)
+  let b = t.block and kl = String.length key in
+  Bytes.set_int32_le b 4 (Int32.of_int kl);
+  Bytes.blit_string key 0 b block_header kl;
+  Bytes.blit_string value 0 b (block_header + kl) (String.length value);
+  Bytes.set_int32_le b 0 (Int32.of_int (Fs.Wal.checksum_sub b ~pos:4 ~len:(slot.len - 4)));
+  iter_chunks t slot ~len:slot.len (fun addr pos n ->
+      PM.write_persistent_sub (mem t) ~addr b ~pos ~len:n;
+      PM.flush (mem t) ~addr ~len:n)
 
-(* The first [len] bytes of a block, through charged reads. *)
+(* The first [len] bytes of a block into [t.block], through charged
+   reads. The checks below read them there. *)
 let read_block t slot ~len =
-  String.concat ""
-    (List.map
-       (fun (addr, n) -> Bytes.unsafe_to_string (PM.read (mem t) ~addr ~len:n))
-       (phys_chunks t ~arena:slot.arena ~off:slot.off ~len))
+  iter_chunks t slot ~len (fun addr pos n -> PM.read_into (mem t) ~addr ~len:n t.block ~pos)
 
-let sum_ok b =
-  Int32.to_int (String.get_int32_le b 0) land 0xFFFFFFFF = Fs.Wal.checksum (String.sub b 4 (String.length b - 4))
+let sum_ok t len = get32 t.block 0 = Fs.Wal.checksum_sub t.block ~pos:4 ~len:(len - 4)
 
-(* The key a block's bytes [b] claim, checksum unchecked. *)
-let key_of b =
-  let kl = if String.length b < block_header then 0 else Int32.to_int (String.get_int32_le b 4) in
-  if kl < 1 || block_header + kl > String.length b then None else Some (String.sub b block_header kl)
+(* The length of the key the block read claims, checksum unchecked, or
+   -1 if it cannot hold one. *)
+let key_len t len =
+  let kl = if len < block_header then 0 else Int32.to_int (Bytes.get_int32_le t.block 4) in
+  if kl < 1 || block_header + kl > len then -1 else kl
 
-let value_in b key =
+let key_of t len = match key_len t len with -1 -> None | kl -> Some (Bytes.sub_string t.block block_header kl)
+
+let rec same_from b o key i =
+  i = String.length key || (Bytes.get b (o + i) = key.[i] && same_from b o key (i + 1))
+
+(* Whether the block read claims [key], compared in place. *)
+let has_key t len key = key_len t len = String.length key && same_from t.block block_header key 0
+
+(* The value of [key]'s block read: the one copy a get makes. *)
+let value_in t len key =
   let o = block_header + String.length key in
-  String.sub b o (String.length b - o)
+  Bytes.sub_string t.block o (len - o)
 
 (* --- index lines --------------------------------------------------- *)
 
@@ -210,9 +227,14 @@ let line_bytes = 64
 let per_line = 4
 let entry_at i = 8 + (14 * i)
 let line_addr t i = t.index_base + (i * line_bytes)
-let read_line t i = PM.read (mem t) ~addr:(line_addr t i) ~len:line_bytes
-let get32 b o = Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF
-let line_sum b = Fs.Wal.checksum (Bytes.sub_string b 4 (line_bytes - 4))
+
+(* Into [t.line], which it returns: a caller is done with one line before
+   it reads the next. *)
+let read_line t i =
+  PM.read_into (mem t) ~addr:(line_addr t i) ~len:line_bytes t.line ~pos:0;
+  t.line
+
+let line_sum b = Fs.Wal.checksum_sub b ~pos:4 ~len:(line_bytes - 4)
 let rec zero_from b o i = i = line_bytes || (Bytes.get_int64_ne b (o + i) = 0L && zero_from b o (i + 8))
 let line_ok b = match get32 b 0 with 0 -> zero_from b 0 0 | sum -> sum = line_sum b
 let e_tag b i = get32 b (entry_at i)
@@ -240,7 +262,7 @@ let set_entry b i entry =
 
 let write_line t i b =
   Bytes.set_int32_le b 0 (Int32.of_int (line_sum b));
-  PM.write_persistent (mem t) ~addr:(line_addr t i) (Bytes.to_string b);
+  PM.write_persistent_sub (mem t) ~addr:(line_addr t i) b ~pos:0 ~len:line_bytes;
   PM.flush (mem t) ~addr:(line_addr t i) ~len:line_bytes
 
 let chain t h i = 1 + (((h land 0x7FFFFFFF) + i) mod t.buckets)
@@ -279,10 +301,12 @@ let probe t key accept =
   walk 0 false
 
 let confirm t key slot =
-  if slot.len > block_header + String.length key
-     && key_of (read_block t slot ~len:(block_header + String.length key)) = Some key
-  then Some ()
-  else None
+  let len = block_header + String.length key in
+  if slot.len <= len then None
+  else begin
+    read_block t slot ~len;
+    if has_key t len key then Some () else None
+  end
 
 let eio t what key =
   Sim.Stats.incr (stats t) "store_eio";
@@ -300,9 +324,9 @@ let find t key accept =
    damage, never data: EIO. *)
 let lookup t key =
   find t key (fun slot ->
-      let b = read_block t slot ~len:slot.len in
-      if not (sum_ok b) then eio t "checksum mismatch" key
-      else if key_of b = Some key then Some (value_in b key)
+      read_block t slot ~len:slot.len;
+      if not (sum_ok t slot.len) then eio t "checksum mismatch" key
+      else if has_key t slot.len key then Some (value_in t slot.len key)
       else None)
 
 let present t key = find t key (confirm t key) <> None
@@ -416,9 +440,9 @@ let scan t f =
 
 (* The key and value of an intact block whose key hashes to [tag]. *)
 let parse t ~tag slot =
-  let b = read_block t slot ~len:slot.len in
-  match key_of b with
-  | Some k when sum_ok b && tag_of (hash k) = tag -> Some (k, value_in b k)
+  read_block t slot ~len:slot.len;
+  match key_of t slot.len with
+  | Some k when sum_ok t slot.len && tag_of (hash k) = tag -> Some (k, value_in t slot.len k)
   | _ -> None
 
 (* Every root as [(root, key)], host-side. *)
@@ -471,8 +495,8 @@ let root_rule t kernel' =
       | r -> (
         Fs.Memfs.lookup (fs t) r.O1mem.Fom.path = Some r.O1mem.Fom.ino
         &&
-        match phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len with
-        | _ -> true
+        match iter_chunks t slot ~len:slot.len (fun _ _ _ -> ()) with
+        | () -> true
         | exception Invalid_argument _ -> false)
     in
     let acc = ref [] in
@@ -500,9 +524,9 @@ let cut_log t =
   Fs.Wal.reset t.wal;
   t.generation <- t.generation + 1;
   (* The header line: [checksum 4][generation 4]. *)
-  let b = Bytes.make line_bytes '\000' in
-  Bytes.set_int32_le b 4 (Int32.of_int t.generation);
-  write_line t 0 b;
+  Bytes.fill t.line 0 line_bytes '\000';
+  Bytes.set_int32_le t.line 4 (Int32.of_int t.generation);
+  write_line t 0 t.line;
   PM.fence (mem t);
   Sim.Stats.incr (stats t) "store_checkpoint";
   update_gauges t
@@ -632,6 +656,8 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
       recovery_truncations = 0;
       last_replayed = 0;
       rule_name = Printf.sprintf "store_roots:%s#%d" name !instance;
+      block = Bytes.create max_block;
+      line = Bytes.create line_bytes;
     }
   in
   O1mem.Fom.on_recover fom ~name:("store" ^ name) (fun () -> recover_hook t ());
@@ -811,9 +837,10 @@ let keys t =
   let acc = ref [] in
   ignore
     (scan t (fun ~internal ~tag slot ->
-         match if internal then None else key_of (read_block t slot ~len:slot.len) with
-         | Some k when tag_of (hash k) = tag -> acc := k :: !acc
-         | _ -> ()));
+         if not internal then begin
+           read_block t slot ~len:slot.len;
+           match key_of t slot.len with Some k when tag_of (hash k) = tag -> acc := k :: !acc | _ -> ()
+         end));
   List.sort String.compare !acc
 
 let object_count t = t.objects
