@@ -253,6 +253,13 @@ let test_wal_torn_tail_dropped () =
   Alcotest.(check (list string)) "only the committed prefix survives"
     [ "committed-1"; "committed-2" ] (Fs.Wal.entries back)
 
+let prop_wal_checksum_sub =
+  qtest "wal: checksum_sub of a range = checksum of its copy" ~count:200
+    QCheck2.Gen.(
+      string_size (int_bound 300) >>= fun s ->
+      map2 (fun a b -> (s, min a b, abs (a - b))) (int_bound (String.length s)) (int_bound (String.length s)))
+    (fun (s, pos, len) -> Fs.Wal.checksum_sub (Bytes.of_string s) ~pos ~len = Fs.Wal.checksum (String.sub s pos len))
+
 let test_wal_checksum_rejects_corruption () =
   let wal, mem, base, capacity = mk_wal () in
   Fs.Wal.append_exn wal "good";
@@ -514,6 +521,7 @@ let suite =
     Alcotest.test_case "wal: append + recover" `Quick test_wal_append_recover;
     Alcotest.test_case "wal: torn tail dropped" `Quick test_wal_torn_tail_dropped;
     Alcotest.test_case "wal: checksum rejects corruption" `Quick test_wal_checksum_rejects_corruption;
+    prop_wal_checksum_sub;
     Alcotest.test_case "wal: full + durable reset" `Quick test_wal_full_and_reset;
     prop_wal_roundtrip;
     Alcotest.test_case "fs: tmpfs crash loses all" `Quick test_tmpfs_crash_loses_everything;

@@ -306,12 +306,15 @@ let prop_zero_then_read_zero =
    meet each other often. *)
 type op =
   | Write of int * string
+  | Write_sub of int * string * int * int (* [len] bytes of the source from [pos] *)
+  | Read_into of int * int * int (* into a longer buffer at a non-zero offset *)
   | Write_byte of int * char
   | Zero_frame of int
   | Zero_range of int * int
   | Discard_frame of int
   | Restore_range of int * string
   | Write_persistent of int * string
+  | Write_persistent_sub of int * string * int * int
   | Flush of int * int * bool (* torn *)
   | Fence
   | Crash
@@ -322,12 +325,15 @@ let line = 64
 
 let print_op = function
   | Write (a, s) -> Printf.sprintf "write %d %S" a s
+  | Write_sub (a, s, pos, len) -> Printf.sprintf "write_sub %d %S %d %d" a s pos len
+  | Read_into (a, len, pos) -> Printf.sprintf "read_into %d %d at %d" a len pos
   | Write_byte (a, c) -> Printf.sprintf "write_byte %d %C" a c
   | Zero_frame f -> Printf.sprintf "zero_frame %d" f
   | Zero_range (a, n) -> Printf.sprintf "zero_range %d %d" a n
   | Discard_frame f -> Printf.sprintf "discard_frame %d" f
   | Restore_range (a, s) -> Printf.sprintf "restore_range %d %S" a s
   | Write_persistent (a, s) -> Printf.sprintf "write_persistent %d %S" a s
+  | Write_persistent_sub (a, s, pos, len) -> Printf.sprintf "write_persistent_sub %d %S %d %d" a s pos len
   | Flush (a, n, torn) -> Printf.sprintf "flush %d %d%s" a n (if torn then " torn" else "")
   | Fence -> "fence"
   | Crash -> "crash"
@@ -344,16 +350,27 @@ let op_gen =
      one per byte, keep 200 op lists cheap. *)
   let fill len c period = String.init len (fun k -> if period > 0 && k mod period = 0 then '\000' else c) in
   let str span place = map3 fill span byte (int_bound 3) >>= fun s -> map (fun (a, _) -> (a, s)) (place (String.length s)) in
+  (* Sub-range writes: never a multiple of 8 bytes, so both the 8-byte
+     count and its byte tail run, from a source padded on both sides. *)
+  let odd_span words = map2 (fun k r -> (8 * k) + r) (int_bound words) (int_range 1 7) in
+  let sub span place =
+    map3
+      (fun (a, s) pre post -> (a, String.make pre 'X' ^ s ^ String.make post 'X', pre, String.length s))
+      (str span place) (int_bound 15) (int_bound 15)
+  in
   let frame = int_bound (model_frames - 1) in
   frequency
     [
       (4, map (fun (a, s) -> Write (a, s)) (str span at));
+      (3, map (fun (a, s, pos, len) -> Write_sub (a, s, pos, len)) (sub (odd_span 74) at));
+      (2, map2 (fun (a, len) pos -> Read_into (a, len, pos)) range (int_range 1 15));
       (4, map2 (fun a c -> Write_byte (a, c)) (int_bound (model_bytes - 1)) byte);
       (2, map (fun f -> Zero_frame f) frame);
       (2, map (fun (a, n) -> Zero_range (a, n)) range);
       (2, map (fun f -> Discard_frame f) frame);
       (2, map (fun (a, s) -> Restore_range (a, s)) (str span at));
       (6, map (fun (a, s) -> Write_persistent (a, s)) (str (int_range 1 128) near));
+      (3, map (fun (a, s, pos, len) -> Write_persistent_sub (a, s, pos, len)) (sub (odd_span 15) near));
       (4, map2 (fun (a, n) torn -> Flush (a, n, torn)) (int_range 1 256 >>= near) bool);
       (1, pure Fence);
       (2, pure Crash);
@@ -366,10 +383,22 @@ let scrub (model, undo) f =
     Hashtbl.remove undo l
   done
 
+(* A persistent write: each line it covers that keeps no image yet keeps
+   the bytes it held before. *)
+let persist (model, undo) a src pos len =
+  for l = a / line to (a + len - 1) / line do
+    if not (Hashtbl.mem undo l) then Hashtbl.add undo l (Bytes.sub_string model (l * line) line)
+  done;
+  Bytes.blit_string src pos model a len
+
 let apply (mem, plane) (model, undo) = function
   | Write (a, s) ->
     PM.write mem ~addr:a s;
     Bytes.blit_string s 0 model a (String.length s)
+  | Write_sub (a, s, pos, len) ->
+    PM.write_sub mem ~addr:a (Bytes.of_string s) ~pos ~len;
+    Bytes.blit_string s pos model a len
+  | Read_into _ -> () (* [reads_back] checks it *)
   | Write_byte (a, c) ->
     PM.write_byte mem a c;
     Bytes.set model a c
@@ -387,10 +416,10 @@ let apply (mem, plane) (model, undo) = function
     Bytes.blit_string s 0 model a (String.length s)
   | Write_persistent (a, s) ->
     PM.write_persistent mem ~addr:a s;
-    for l = a / line to (a + String.length s - 1) / line do
-      if not (Hashtbl.mem undo l) then Hashtbl.add undo l (Bytes.sub_string model (l * line) line)
-    done;
-    Bytes.blit_string s 0 model a (String.length s)
+    persist (model, undo) a s 0 (String.length s)
+  | Write_persistent_sub (a, s, pos, len) ->
+    PM.write_persistent_sub mem ~addr:a (Bytes.of_string s) ~pos ~len;
+    persist (model, undo) a s pos len
   | Flush (a, n, torn) ->
     if torn then Sim.Fault_inject.arm plane ~site:Sim.Fault_inject.site_nvm_torn_line Sim.Fault_inject.Always;
     PM.flush mem ~addr:a ~len:n;
@@ -404,6 +433,16 @@ let apply (mem, plane) (model, undo) = function
     Hashtbl.reset undo;
     PM.crash mem;
     Bytes.fill model 0 (PM.dram_frames mem * Sim.Units.page_size) '\000'
+
+(* A read into a longer buffer fills exactly its own range. *)
+let reads_back mem (model, _) = function
+  | Read_into (a, len, pos) ->
+    let dst = Bytes.make (pos + len + 8) '?' in
+    PM.read_into mem ~addr:a ~len dst ~pos;
+    Bytes.equal (Bytes.sub dst pos len) (Bytes.sub model a len)
+    && Bytes.for_all (( = ) '?') (Bytes.sub dst 0 pos)
+    && Bytes.for_all (( = ) '?') (Bytes.sub dst (pos + len) 8)
+  | _ -> true
 
 (* A read covers every frame in one call; the per-frame
    non-zero counts give frame_is_zero and resident_bytes. *)
@@ -440,7 +479,7 @@ let prop_matches_model =
       List.for_all
         (fun op ->
           apply (mem, plane) model op;
-          agrees mem model)
+          reads_back mem model op && agrees mem model)
         ops)
 
 let suite =

@@ -659,6 +659,42 @@ let test_store_plan () =
   check_bool "store sites consulted" true
     (List.exists (fun (s, evals, _) -> s = FI.site_store_commit && evals > 0) o.O1mem.Chaos.sites)
 
+(* ---------------------------- host cost ----------------------------- *)
+
+(* Words the host allocates per call of [f], over [n] calls. Read on an
+   empty minor heap, counting direct major allocations too. *)
+let words_per_call n f =
+  let words () =
+    Gc.minor ();
+    let g = Gc.quick_stat () in
+    g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+  in
+  let w0 = words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (words () -. w0) /. float_of_int n
+
+(* The NVM path copies each byte once: a get copies out only its value,
+   and a commit allocates nothing per line it writes or per block byte.
+   On a warmed store, the words per get and per 4-put commit stay within
+   25% of what they were measured at when this held. A copy that creeps
+   back fails here. *)
+let test_alloc_budget () =
+  let _, _, _, st = mk_store () in
+  let keys = Array.init 64 (Printf.sprintf "user%03d") in
+  let value i = String.make (80 + (i mod 41)) (Char.chr (Char.code 'a' + (i mod 26))) in
+  commit_put st (Array.to_list (Array.mapi (fun i k -> (k, value i)) keys)) [];
+  let get i = ignore (Kv.get st keys.(i * 7 mod 64)) in
+  let commit i = commit_put st (List.init 4 (fun j -> (keys.(((i * 4) + (j * 13)) mod 64), value (i + j)))) [] in
+  ignore (words_per_call 200 get, words_per_call 200 commit);
+  let within what ~measured got =
+    check_bool (Printf.sprintf "%.1f words per %s <= 1.25 x %.1f" got what measured) true (got <= 1.25 *. measured)
+  in
+  within "get" ~measured:71.3 (words_per_call 200 get);
+  within "4-put commit" ~measured:1230.1 (words_per_call 200 commit);
+  Kv.detach st
+
 let suite =
   [
     Alcotest.test_case "basic put/get/root/commit" `Quick test_basic;
@@ -683,6 +719,7 @@ let suite =
       test_delete_across_damage_refused;
     Alcotest.test_case "injected store faults degrade and retry" `Quick test_injected_fault_sites;
     Alcotest.test_case "check rule guards live roots" `Quick test_check_rule_guards_roots;
+    Alcotest.test_case "host words per get and per commit stay in budget" `Quick test_alloc_budget;
     prop_torn_wal_byte;
     prop_store_matches_model;
     Alcotest.test_case "explorer: crash at every boundary" `Slow test_explorer_exhaustive;
