@@ -371,54 +371,6 @@ let touch t addr =
   check_addr t addr 1;
   charge_demand t ~addr ~write:false
 
-(* Unflushed lines, kept for the persistence domain below; scrubbing a
-   frame forgets its lines. *)
-let line_bytes = 64
-let lines_per_frame = Sim.Units.page_size / line_bytes
-
-(* Line [l] of slot [i] is bit [l mod 32] of word [2i + l/32] of [dirty]. *)
-let dirty_word i l = (i lsl 1) lor (l lsr 5)
-let dirty_bit l = 1 lsl (l land 31)
-let is_dirty c i l = c.dirty.(dirty_word i l) land dirty_bit l <> 0
-
-(* Line [l] of slot [i] is flushed or forgotten: its undo bytes are
-   scrubbed, and the page goes back once no line of the frame needs it. *)
-let clear_line t c i l =
-  c.dirty.(dirty_word i l) <- c.dirty.(dirty_word i l) lxor dirty_bit l;
-  t.unflushed <- t.unflushed - 1;
-  Bytes.fill c.undo.(i) (l * line_bytes) line_bytes '\000';
-  if c.dirty.(dirty_word i 0) lor c.dirty.(dirty_word i 32) = 0 then begin
-    give_buffer t c.undo.(i);
-    c.undo.(i) <- no_data
-  end
-
-(* Forget slot [i]'s unflushed lines. *)
-let drop_undo t c i =
-  if Array.length c.undo > 0 then
-    for l = 0 to lines_per_frame - 1 do
-      if is_dirty c i l then clear_line t c i l
-    done
-
-(* A scrubbed frame's lines are no longer anyone's: a crash must not put
-   a former owner's undo images back over what the next owner writes. *)
-let scrub t pfn =
-  let c = chunk t pfn in
-  if c != no_chunk then begin
-    drop_undo t c (slot pfn);
-    release t c (slot pfn)
-  end
-
-let zero_frame t pfn =
-  if not (valid_frame t pfn) then invalid_arg "Phys_mem.zero_frame: bad frame";
-  scrub t pfn;
-  let model = Sim.Clock.model t.clock in
-  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
-  Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
-
-let discard_frame t pfn =
-  if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
-  scrub t pfn
-
 let zero_range t ~addr ~len =
   check_addr t addr len;
   let pos = ref 0 in
@@ -453,6 +405,51 @@ let frame_is_zero t pfn =
 (* --- the persistence domain ------------------------------------------ *)
 
 let fence_cycles = 100
+let line_bytes = 64
+let lines_per_frame = Sim.Units.page_size / line_bytes
+
+(* Line [l] of slot [i] is bit [l mod 32] of word [2i + l/32] of [dirty]. *)
+let dirty_word i l = (i lsl 1) lor (l lsr 5)
+let dirty_bit l = 1 lsl (l land 31)
+let is_dirty c i l = c.dirty.(dirty_word i l) land dirty_bit l <> 0
+
+(* Line [l] of slot [i] is flushed or forgotten: its undo bytes are
+   scrubbed, and the page goes back once no line of the frame needs it. *)
+let clear_line t c i l =
+  c.dirty.(dirty_word i l) <- c.dirty.(dirty_word i l) lxor dirty_bit l;
+  t.unflushed <- t.unflushed - 1;
+  Bytes.fill c.undo.(i) (l * line_bytes) line_bytes '\000';
+  if c.dirty.(dirty_word i 0) lor c.dirty.(dirty_word i 32) = 0 then begin
+    give_buffer t c.undo.(i);
+    c.undo.(i) <- no_data
+  end
+
+(* Forget slot [i]'s unflushed lines. *)
+let drop_undo t c i =
+  if Array.length c.undo > 0 && c.undo.(i) != no_data then
+    for l = 0 to lines_per_frame - 1 do
+      if is_dirty c i l then clear_line t c i l
+    done
+
+(* A scrubbed frame's lines are no longer anyone's: a crash must not put
+   a former owner's undo images back over what the next owner writes. *)
+let scrub t pfn =
+  let c = chunk t pfn in
+  if c != no_chunk then begin
+    drop_undo t c (slot pfn);
+    release t c (slot pfn)
+  end
+
+let zero_frame t pfn =
+  if not (valid_frame t pfn) then invalid_arg "Phys_mem.zero_frame: bad frame";
+  scrub t pfn;
+  let model = Sim.Clock.model t.clock in
+  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
+  Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
+
+let discard_frame t pfn =
+  if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
+  scrub t pfn
 
 (* Make [line] unflushed: unless it already is, its undo image takes the
    bytes it holds now. *)
