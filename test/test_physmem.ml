@@ -301,9 +301,9 @@ let prop_zero_then_read_zero =
    since its last flush keeps the bytes the line held before it, a flush
    drops them (a torn one skips its first line), so does zeroing or
    discarding the line's frame, and a crash puts every line still kept
-   back before it wipes DRAM. Persistent writes and
-   flushes land in 512 NVM bytes around the frame 4|5 boundary, so they
-   meet each other often. *)
+   back before it wipes DRAM. Persistent writes and flushes land in 512
+   NVM bytes around the frame 4|5 boundary, so they meet each other
+   often. *)
 type op =
   | Write of int * string
   | Write_sub of int * string * int * int (* [len] bytes of the source from [pos] *)

@@ -677,9 +677,9 @@ let words_per_call n f =
 
 (* The NVM path copies each byte once: a get copies out only its value,
    and a commit allocates nothing per line it writes or per block byte.
-   On a warmed store, the words per get and per 4-put commit stay within
-   25% of what they were measured at when this held. A copy that creeps
-   back fails here. *)
+   On a warmed store, the words per get and per 4-put commit must stay
+   within 1.25x of what they measured when this held (the copying path
+   before it allocated 183.0 per get and 2,353.6 per commit). *)
 let test_alloc_budget () =
   let _, _, _, st = mk_store () in
   let keys = Array.init 64 (Printf.sprintf "user%03d") in
