@@ -77,7 +77,7 @@ type t = {
   mutable recovery_truncations : int;
   mutable last_replayed : int;
   rule_name : string;
-  block : Bytes.t; (* the block being built or read: [max_block] bytes *)
+  mutable block : Bytes.t; (* the block being built or read *)
   line : Bytes.t; (* the index line being probed or written *)
 }
 
@@ -178,9 +178,16 @@ let iter_chunks t slot ~len f =
 
 let get32 b o = Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF
 
+(* Grow [t.block] to hold [len] bytes: every user block fits the
+   [max_block] it starts at, but a long root name or a long list of the
+   roots naming a key may not. *)
+let fit_block t len =
+  if Bytes.length t.block < len then t.block <- Bytes.create (max len (2 * Bytes.length t.block))
+
 (* Build a block in [t.block] and checksum it there, then write and flush
    it; the apply's one fence makes it durable. *)
 let write_block t slot key value =
+  fit_block t slot.len;
   let b = t.block and kl = String.length key in
   Bytes.set_int32_le b 4 (Int32.of_int kl);
   Bytes.blit_string key 0 b block_header kl;
@@ -193,6 +200,7 @@ let write_block t slot key value =
 (* The first [len] bytes of a block into [t.block], through charged
    reads. The checks below read them there. *)
 let read_block t slot ~len =
+  fit_block t len;
   iter_chunks t slot ~len (fun addr pos n -> PM.read_into (mem t) ~addr ~len:n t.block ~pos)
 
 let sum_ok t len = get32 t.block 0 = Fs.Wal.checksum_sub t.block ~pos:4 ~len:(len - 4)

@@ -74,6 +74,19 @@ let test_delete_clears_roots () =
   check_int "self-check clean" 0 (List.length (Kv.verify st));
   Kv.detach st
 
+(* A root name has no length cap, so a root's block, and the list of the
+   roots naming a key, can outgrow the largest user block. *)
+let test_long_root_names () =
+  let _, fom, _, st = mk_store () in
+  let names = [ String.make 20_000 'a'; String.make 9_000 'b'; String.make 9_000 'c' ] in
+  commit_put st [ ("k", "v") ] (List.map (fun r -> (r, "k")) names);
+  List.iter (fun r -> Alcotest.(check (option string)) "root" (Some "k") (Kv.root st r)) names;
+  ignore (P.crash_and_recover fom);
+  Alcotest.(check (list (pair string string)))
+    "roots survive recovery" (List.sort compare (List.map (fun r -> (r, "k")) names)) (Kv.roots st);
+  check_int "self-check clean" 0 (List.length (Kv.verify st));
+  Kv.detach st
+
 let test_validation () =
   let kernel, fom, _, st = mk_store () in
   Alcotest.check_raises "no txn" (Invalid_argument "Store: no open transaction") (fun () ->
@@ -700,6 +713,7 @@ let suite =
     Alcotest.test_case "basic put/get/root/commit" `Quick test_basic;
     Alcotest.test_case "abort discards the transaction" `Quick test_abort_discards;
     Alcotest.test_case "delete clears referencing roots" `Quick test_delete_clears_roots;
+    Alcotest.test_case "long root names outgrow the block buffer" `Quick test_long_root_names;
     Alcotest.test_case "API validation" `Quick test_validation;
     Alcotest.test_case "crash recovers the committed prefix" `Quick
       test_crash_recovers_committed_prefix;
