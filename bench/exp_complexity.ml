@@ -462,9 +462,9 @@ let sweeps =
     };
     {
       name = "store_recovery_records";
-      expected = C.Linear;
+      expected = C.Constant;
       unit_ = "txns";
-      note = "charged store recovery over 512 keys: grows with the WAL records it replays";
+      note = "charged store recovery over 512 keys after N txns: the log holds one record";
       sizes = geometric ~base:8 ~factor:2 ~count:4;
       measure = (fun txns -> Exp_store.recovery_point ~keys:512 ~txns);
     };
@@ -472,7 +472,7 @@ let sweeps =
       name = "store_commit_keys";
       expected = C.Constant;
       unit_ = "keys";
-      note = "slowest commit of a 32-txn burst on an 8 KiB WAL it fills: the log cut is O(1)";
+      note = "slowest commit of a 32-txn burst: each writes over the log's one record";
       sizes = geometric ~base:256 ~factor:2 ~count:4;
       measure = (fun keys -> snd (Exp_store.live_set_point ~keys));
     };

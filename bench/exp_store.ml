@@ -4,14 +4,13 @@
    - recovery cost: [recovery_point] preloads n objects, cuts the log,
      runs a burst of YCSB-style zipfian update transactions, loses power
      with a transaction in flight and returns the charged recovery cost.
-     C1 fits it twice. Against the object count under a fixed 8-txn
-     burst (store_recovery_keys), it must be O(1): the index is in place
-     in NVM, so recovery reads its header line and replays the log,
-     O(files + WAL records). Against the burst over 512 objects
-     (store_recovery_records), it grows with the records it replays;
+     C1 fits it twice, and both must be O(1): against the object count
+     under a fixed 8-txn burst (store_recovery_keys), because the index
+     is in place in NVM, and against the burst over 512 objects
+     (store_recovery_records), because the log holds one record, so
+     recovery redoes one transaction: O(files);
    - commit and get cost against the object count ([live_set_point];
-     store_commit_keys and store_get_keys in C1): both must be O(1), the
-     log cut included;
+     store_commit_keys and store_get_keys in C1): both must be O(1);
    - commit and miss cost against delete/insert churn ([churn_point];
      store_commit_churn and store_get_churn in C1): a delete shortens the
      probe chains its insert lengthened, so both must stay O(1) however
@@ -37,17 +36,17 @@ let store_machine () =
 let key i = Printf.sprintf "obj%04d" i
 let value i v = String.make (64 + ((i * 13) mod 64)) (Char.chr (Char.code 'a' + ((i + v) mod 26)))
 
-(* Preload in batches (a commit cuts the WAL when full), then cut the
-   log so the burst is the only thing recovery replays. *)
-let preload ?(batch = 64) st ~keys =
+(* Preload in batches of 64 (a record must fit the WAL), then empty the
+   log so the burst is the only thing recovery can redo. *)
+let preload st ~keys =
   let i = ref 1 in
   while !i <= keys do
     ignore (Kv.begin_txn st);
-    for j = !i to min keys (!i + batch - 1) do
+    for j = !i to min keys (!i + 63) do
       Kv.put st (key j) (value j 0)
     done;
     Kv.commit st;
-    i := !i + batch
+    i := !i + 64
   done;
   Kv.checkpoint st
 
@@ -89,10 +88,8 @@ let recovery_point ~keys ~txns =
   cycles
 
 (* The live-set sweeps share one machine per key count: [keys] objects
-   preloaded on an 8 KiB WAL, one charged get of a preloaded key
-   (store_get_keys), then the slowest commit of a fixed 32-transaction
-   burst the WAL fills more than once, so the slowest is a commit that
-   cuts the log (store_commit_keys). *)
+   preloaded, one charged get of a preloaded key (store_get_keys), then
+   the slowest commit of a fixed 32-transaction burst (store_commit_keys). *)
 let live_set_points = Hashtbl.create 4
 
 let live_set_point ~keys =
@@ -100,11 +97,8 @@ let live_set_point ~keys =
   | Some p -> p
   | None ->
     let k, fom = store_machine () in
-    let st =
-      Kv.create fom (K.create_process k ()) ~wal_bytes:(Sim.Units.kib 8)
-        ~manifest_bytes:(Sim.Units.kib 256) ~name:"/bench" ()
-    in
-    preload ~batch:16 st ~keys;
+    let st = Kv.create fom (K.create_process k ()) ~manifest_bytes:(Sim.Units.kib 256) ~name:"/bench" () in
+    preload st ~keys;
     let got, get = Sim.Clock.time (K.clock k) (fun () -> Kv.get st (key 1)) in
     if got <> Some (value 1 0) then failwith "Exp_store.live_set_point: preloaded value not served";
     let rng = Sim.Rng.create ~seed:7 and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
@@ -125,9 +119,8 @@ let live_set_point ~keys =
    on a 4 KiB index (63 bucket lines), then [keys] fresh keys put and
    deleted again, 96 per transaction, so lines keep filling and emptying
    (a quarter to two thirds of the entries in use). Measured on the same
-   live set at every count, after a log cut so no measured commit cuts
-   it: 16 gets of absent keys (store_get_churn) and one commit of 8
-   fresh puts (store_commit_churn). *)
+   live set at every count: 16 gets of absent keys (store_get_churn) and
+   one commit of 8 fresh puts (store_commit_churn). *)
 let churn_points = Hashtbl.create 4
 
 let churn_point ~keys =
@@ -152,7 +145,6 @@ let churn_point ~keys =
       done;
       Kv.commit st
     done;
-    Kv.checkpoint st;
     let misses, miss =
       Sim.Clock.time (K.clock k) (fun () ->
           List.init 16 (fun j -> Kv.get st (Printf.sprintf "miss%02d" j)))
@@ -200,7 +192,7 @@ let to_json () =
 let run () =
   let r = Lazy.force results in
   print_header "R2 - does the store survive?"
-    "Transactional object store on the FOM heap: crash at every durable boundary, detect every torn write, recover in O(files + WAL records).";
+    "Transactional object store on the FOM heap: crash at every durable boundary, detect every torn write, recover in O(files).";
   let t =
     Sim.Table.create ~title:"R2 - store robustness summary"
       ~columns:[ "probe"; "result"; "verdict" ]

@@ -481,10 +481,8 @@ let compact_file t node =
       List.iter
         (fun (e : Extent.t) ->
           for i = 0 to e.Extent.count - 1 do
-            let src_pa = Frame.to_addr (e.Extent.start + i) in
-            let dst_pa = Frame.to_addr (dst + e.Extent.logical + i) in
-            let content = Phys_mem.read t.mem ~addr:src_pa ~len:Sim.Units.page_size in
-            Phys_mem.write t.mem ~addr:dst_pa (Bytes.to_string content)
+            Phys_mem.copy t.mem ~src:(Frame.to_addr (e.Extent.start + i))
+              ~dst:(Frame.to_addr (dst + e.Extent.logical + i)) ~len:Sim.Units.page_size
           done)
         old_extents;
       ignore (Extent_tree.truncate_to tree ~pages:0);

@@ -141,11 +141,14 @@ let recover ~mem ~base ~capacity =
   scan 0;
   t
 
+let rewind t =
+  t.cursor <- 0;
+  t.records <- [];
+  t.truncated <- false
+
 let reset t =
   (* Zero the first header durably: recovery then sees an empty log. *)
   PM.write_persistent t.mem ~addr:t.base blank_header;
   PM.flush t.mem ~addr:t.base ~len:header_bytes;
   PM.fence t.mem;
-  t.cursor <- 0;
-  t.records <- [];
-  t.truncated <- false
+  rewind t

@@ -42,7 +42,7 @@ val append : ?durable:bool -> t -> string -> (unit, error) result
     persistent write.
     [durable:false] skips every flush (a deliberately buggy fast path for
     crash tests). Returns [Error Wal_full] when out of space — the log is
-    unchanged and the caller decides (checkpoint + {!reset}, or surface
+    unchanged and the caller decides ({!reset} or {!rewind}, or surface
     ENOSPC). The ["wal_partial_flush"] fault-injection site makes the
     payload flush cover only half the record's bytes. *)
 
@@ -65,7 +65,11 @@ val recover : mem:Physmem.Phys_mem.t -> base:int -> capacity:int -> t
 
 val truncated : t -> bool
 (** Whether a damaged or unfinished record, rather than a blank header,
-    stopped the scan of the {!recover} that built this log (until {!reset}). *)
+    stopped the scan of the {!recover} that built this log (until {!rewind}). *)
+
+val rewind : t -> unit
+(** Move the append cursor back to the log's head and forget its records,
+    writing nothing: the next {!append} overwrites the first record. *)
 
 val reset : t -> unit
-(** Truncate the log (durably: the first header is zeroed and flushed). *)
+(** Truncate the log durably (zero and flush its first header), then {!rewind}. *)

@@ -367,6 +367,24 @@ let write_sub t ~addr src ~pos ~len =
 (* [write_sub] only reads its source. *)
 let write t ~addr s = write_sub t ~addr (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
+let zero_page = Bytes.make Sim.Units.page_size '\000' (* only ever read *)
+
+(* Charged as [read_into] then [write_sub]; each run goes from the source
+   frame's buffer straight into the destination. *)
+let copy t ~src ~dst ~len =
+  check_addr t src len;
+  check_addr t dst len;
+  if src < dst + len && dst < src + len then invalid_arg "Phys_mem.copy: overlapping ranges";
+  charge_bulk t ~addr:src ~len ~write:false;
+  charge_bulk t ~addr:dst ~len ~write:true;
+  let rec from pos =
+    let off = Frame.offset_in_frame (src + pos) and b = buffer t (Frame.of_addr (src + pos)) in
+    let run = min (len - pos) (Sim.Units.page_size - off) in
+    store t ~addr:(dst + pos) (if b == no_data then zero_page else b) ~pos:off ~len:run;
+    if pos + run < len then from (pos + run)
+  in
+  if len > 0 then from 0
+
 let touch t addr =
   check_addr t addr 1;
   charge_demand t ~addr ~write:false

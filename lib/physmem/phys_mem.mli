@@ -114,6 +114,11 @@ val write_sub : t -> addr:int -> bytes -> pos:int -> len:int -> unit
 val write : t -> addr:int -> string -> unit
 (** {!write_sub} of a whole string. *)
 
+val copy : t -> src:int -> dst:int -> len:int -> unit
+(** [copy t ~src ~dst ~len] copies [len] bytes from [src] to [dst] once,
+    charged as a {!read_into} of the source, then a {!write_sub}. Raises
+    [Invalid_argument] if either range is out of bounds or they overlap. *)
+
 val touch : t -> int -> unit
 (** Model a one-off access to [addr] (charges one reference) without
     reading or writing content. Used by workloads that only care about

@@ -196,8 +196,8 @@ let run_plan ?(seed = 1) ?(rounds = 12) () =
   (* Mid-plan power loss: the store must come back and keep serving. *)
   ignore (O1mem.Persistence.crash_and_recover fom);
   txn [ W_put ("after-crash", "still here") ];
-  (* ENOSPC finale: a transaction that cannot fit the WAL even after the
-     log-cut-and-retry pass must fail typed and leave no trace. *)
+  (* ENOSPC finale: a transaction whose record cannot fit the WAL must
+     fail typed and leave no trace. *)
   let huge j = W_put (Printf.sprintf "huge%02d" (j + 1), String.make (Sim.Units.kib 8) 'h') in
   txn (List.init 24 huge);
   let partial = List.filter (fun k -> String.starts_with ~prefix:"huge" k) (Kv.keys st) in

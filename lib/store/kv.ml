@@ -2,9 +2,9 @@
 
    Layout (all named persistent files under the store's prefix):
 
-     <name>.wal        redo log, raw NVM journaled via Fs.Wal
-     <name>.manifest   the index: a header line, then a fixed-bucket hash
-                       table of 64-byte lines, updated in place
+     <name>.wal        redo log, raw NVM journaled via Fs.Wal: one record
+     <name>.manifest   the index: a fixed-bucket hash table of 64-byte
+                       lines, updated in place
      <name>.arena.<n>  Fom_heap arenas (1 MiB each) holding the blocks
 
    A block holds a key beside its value under one checksum; an index
@@ -14,12 +14,13 @@
    naming [k], so the log, the apply and recovery only see key writes.
 
    Commit: fold the ops into each key's final write, allocate the blocks,
-   append the writes as one WAL record, then apply them in place (blocks,
-   then index lines, each flushed, under one fence). Every apply is
-   durable before the next append, so the log can be cut between any two
-   commits in O(1): Wal.reset plus a generation bump in the header line.
-   Writes go through the machine's one persistence domain (Phys_mem), so
-   the store holds no durability handle and needs no crash hook.
+   write them as one WAL record over the log's head, then apply them in
+   place (blocks, then index lines, each flushed, under one fence). Every
+   apply is durable before the next record overwrites its own, so the log
+   holds one record, the only one whose apply can be partial: recovery
+   redoes at most one transaction. Writes go through the machine's one
+   persistence domain (Phys_mem), so the store holds no durability handle
+   and needs no crash hook.
 
    Media I/O copies each byte once. A block is built and checksummed in
    the store's block buffer and written from it; a block read lands in
@@ -27,7 +28,8 @@
    a get copies out only the value. An index line is read into the
    store's line buffer (never the block buffer, which a probe's accept
    reads into while the line is held), edited, checksummed and written
-   from there. A block's extents are walked without building a list.
+   from there; a host-side walk checks whole index frames in a third
+   buffer. A block's extents are walked without building a list.
 
    Object identity is arena-relative (arena index, byte offset), never a
    virtual address: after a crash the arenas are re-mapped at fresh VAs
@@ -41,6 +43,7 @@ module PM = Physmem.Phys_mem
 
 let max_key_bytes = 512
 let max_value_bytes = Sim.Units.kib 16
+let wal_bytes = Sim.Units.kib 128 (* the redo log: it caps one transaction's record *)
 
 (* A block: [checksum 4][key length 4][key][value]; [len] covers it all. *)
 type slot = { arena : int; off : int; len : int }
@@ -64,11 +67,10 @@ type t = {
   name : string;
   heap : Heap.Fom_heap.t;
   wal_base : int;
-  wal_capacity : int;
   mutable wal : Fs.Wal.t;
   index_base : int;
-  buckets : int; (* bucket lines 1..buckets; line 0 is the header *)
-  mutable generation : int;
+  buckets : int; (* bucket lines 0..buckets-1 *)
+  mutable generation : int; (* host-side: moves each time the log restarts *)
   mutable entries : int; (* index entries in use, internal ones included *)
   mutable objects : int; (* user keys *)
   mutable txn : op list option; (* newest first *)
@@ -79,6 +81,7 @@ type t = {
   rule_name : string;
   mutable block : Bytes.t; (* the block being built or read *)
   line : Bytes.t; (* the index line being probed or written *)
+  scan : Bytes.t; (* the index frame a host-side walk is on *)
 }
 
 let kernel t = O1mem.Fom.kernel t.fom
@@ -230,10 +233,11 @@ let value_in t len key =
    entries of [tag 4][off 4][len 4][arena 2]. An all-zero line is empty;
    any other line must match its checksum. [overflow] counts the live
    entries placed past this line on their chain, so a lookup goes on to
-   the next line only while one is; it saturates at 0xFFFF. *)
+   the next line only while one is; it saturates at 0xFFFF. Readers take
+   the line's offset [o] in [b]: 0 in [t.line], any in [t.scan]. *)
 let line_bytes = 64
 let per_line = 4
-let entry_at i = 8 + (14 * i)
+let entry_at o i = o + 8 + (14 * i)
 let line_addr t i = t.index_base + (i * line_bytes)
 
 (* Into [t.line], which it returns: a caller is done with one line before
@@ -242,21 +246,20 @@ let read_line t i =
   PM.read_into (mem t) ~addr:(line_addr t i) ~len:line_bytes t.line ~pos:0;
   t.line
 
-let line_sum b = Fs.Wal.checksum_sub b ~pos:4 ~len:(line_bytes - 4)
+let line_sum b o = Fs.Wal.checksum_sub b ~pos:(o + 4) ~len:(line_bytes - 4)
 let rec zero_from b o i = i = line_bytes || (Bytes.get_int64_ne b (o + i) = 0L && zero_from b o (i + 8))
-let line_ok b = match get32 b 0 with 0 -> zero_from b 0 0 | sum -> sum = line_sum b
-let e_tag b i = get32 b (entry_at i)
-
-let e_slot b i =
-  let o = entry_at i in
-  { off = get32 b (o + 4); len = get32 b (o + 8); arena = Bytes.get_uint16_le b (o + 12) }
-
-let e_internal b i = Bytes.get_uint8 b 6 land (1 lsl i) <> 0
+let line_ok b o = match get32 b o with 0 -> zero_from b o 0 | sum -> sum = line_sum b o
+let e_tag b o i = get32 b (entry_at o i)
+let e_off b o i = get32 b (entry_at o i + 4)
+let e_len b o i = get32 b (entry_at o i + 8)
+let e_arena b o i = Bytes.get_uint16_le b (entry_at o i + 12)
+let e_slot b o i = { off = e_off b o i; len = e_len b o i; arena = e_arena b o i }
+let e_internal b o i = Bytes.get_uint8 b (o + 6) land (1 lsl i) <> 0
 let overflow b = Bytes.get_uint16_le b 4
 
-(* [Some (tag, internal, slot)] sets entry [i], [None] clears it. *)
+(* [Some (tag, internal, slot)] sets entry [i] of line [b], [None] clears it. *)
 let set_entry b i entry =
-  let o = entry_at i and bits = Bytes.get_uint8 b 6 land lnot (1 lsl i) in
+  let o = entry_at 0 i and bits = Bytes.get_uint8 b 6 land lnot (1 lsl i) in
   match entry with
   | None ->
     Bytes.fill b o 14 '\000';
@@ -269,15 +272,15 @@ let set_entry b i entry =
     Bytes.set_uint8 b 6 (if internal then bits lor (1 lsl i) else bits)
 
 let write_line t i b =
-  Bytes.set_int32_le b 0 (Int32.of_int (line_sum b));
+  Bytes.set_int32_le b 0 (Int32.of_int (line_sum b 0));
   PM.write_persistent_sub (mem t) ~addr:(line_addr t i) b ~pos:0 ~len:line_bytes;
   PM.flush (mem t) ~addr:(line_addr t i) ~len:line_bytes
 
-let chain t h i = 1 + (((h land 0x7FFFFFFF) + i) mod t.buckets)
+let chain t h i = ((h land 0x7FFFFFFF) + i) mod t.buckets
 
 (* Move [line]'s overflow count by [d], unless it is damaged or saturated. *)
 let recount t line b d =
-  if line_ok b && overflow b < 0xFFFF && overflow b + d >= 0 then begin
+  if line_ok b 0 && overflow b < 0xFFFF && overflow b + d >= 0 then begin
     Bytes.set_uint16_le b 4 (overflow b + d);
     write_line t line b
   end
@@ -297,10 +300,10 @@ let probe t key accept =
       let b = read_line t line in
       let rec scan pos =
         if pos = per_line then None
-        else if e_tag b pos <> tag then scan (pos + 1)
-        else match accept (e_slot b pos) with Some x -> Some (pos, x) | None -> scan (pos + 1)
+        else if e_tag b 0 pos <> tag then scan (pos + 1)
+        else match accept (e_slot b 0 pos) with Some x -> Some (pos, x) | None -> scan (pos + 1)
       in
-      if not (line_ok b) then walk (i + 1) true
+      if not (line_ok b 0) then walk (i + 1) true
       else
         match scan 0 with
         | Some (pos, x) -> Found (i, line, b, pos, x)
@@ -359,9 +362,9 @@ let upsert t ~live key slot =
   let entry tag = Some (tag, internal key, slot) in
   match probe t key (fun s -> if s = slot then Some () else confirm t key s) with
   | Found (_, line, b, pos, ()) ->
-    let old = e_slot b pos in
+    let old = e_slot b 0 pos in
     if old <> slot then begin
-      set_entry b pos (entry (e_tag b pos));
+      set_entry b pos (entry (e_tag b 0 pos));
       write_line t line b;
       if live then free_block t old
     end
@@ -371,8 +374,8 @@ let upsert t ~live key slot =
       if i = t.buckets then Sim.Errno.fail Sim.Errno.ENOSPC "Store: index full";
       let line = chain t h i in
       let b = read_line t line in
-      let rec empty pos = if pos = per_line || e_tag b pos = 0 then pos else empty (pos + 1) in
-      if line_ok b && empty 0 < per_line then begin
+      let rec empty pos = if pos = per_line || e_tag b 0 pos = 0 then pos else empty (pos + 1) in
+      if line_ok b 0 && empty 0 < per_line then begin
         set_entry b (empty 0) (entry (tag_of h));
         write_line t line b
       end
@@ -390,7 +393,7 @@ let upsert t ~live key slot =
 let remove t ~live key =
   match probe t key (confirm t key) with
   | Found (step, line, b, pos, ()) ->
-    let old = e_slot b pos in
+    let old = e_slot b 0 pos in
     set_entry b pos None;
     write_line t line b;
     for i = 0 to step - 1 do
@@ -422,23 +425,25 @@ let apply t ~live writes =
     writes;
   PM.fence (mem t)
 
-(* [f ~internal ~tag slot] on every entry of every intact bucket line,
-   host-side; returns the damaged lines. All-zero frames are skipped
-   unread, the rest read 1 KiB at a time (a minor-heap size). *)
+(* [f ~internal ~tag ~arena ~off ~len] on every entry of every intact
+   line, host-side; returns the damaged lines. All-zero frames are
+   skipped unread, the rest read whole into [t.scan] and their lines
+   checked there, allocating nothing ([f] may probe and read blocks). *)
 let scan t f =
   uncharged t @@ fun () ->
   let damaged = ref 0 in
-  let addr = ref (line_addr t 1) and stop = line_addr t (t.buckets + 1) in
+  let addr = ref t.index_base and stop = line_addr t t.buckets in
   while !addr < stop do
-    let n = min (stop - !addr) (min 1024 (Sim.Units.page_size - (!addr mod Sim.Units.page_size))) in
+    let n = min (stop - !addr) (Sim.Units.page_size - (!addr mod Sim.Units.page_size)) in
     if not (PM.frame_is_zero (mem t) (Physmem.Frame.of_addr !addr)) then begin
-      let chunk = PM.read (mem t) ~addr:!addr ~len:n in
+      PM.read_into (mem t) ~addr:!addr ~len:n t.scan ~pos:0;
       for l = 0 to (n / line_bytes) - 1 do
-        let b = Bytes.sub chunk (l * line_bytes) line_bytes in
-        if not (line_ok b) then incr damaged
+        let b = t.scan and o = l * line_bytes in
+        if not (line_ok b o) then incr damaged
         else
-          for pos = 0 to per_line - 1 do
-            if e_tag b pos <> 0 then f ~internal:(e_internal b pos) ~tag:(e_tag b pos) (e_slot b pos)
+          for i = 0 to per_line - 1 do
+            if e_tag b o i <> 0 then
+              f ~internal:(e_internal b o i) ~tag:(e_tag b o i) ~arena:(e_arena b o i) ~off:(e_off b o i) ~len:(e_len b o i)
           done
       done
     end;
@@ -457,8 +462,8 @@ let parse t ~tag slot =
 let root_entries t =
   let acc = ref [] in
   ignore
-    (scan t (fun ~internal ~tag slot ->
-         match if internal then parse t ~tag slot else None with
+    (scan t (fun ~internal ~tag ~arena ~off ~len ->
+         match if internal then parse t ~tag { arena; off; len } else None with
          | Some (k, v) when k.[0] = '\000' -> acc := (String.sub k 1 (String.length k - 1), v) :: !acc
          | _ -> ()));
   !acc
@@ -509,11 +514,9 @@ let root_rule t kernel' =
     in
     let acc = ref [] in
     ignore
-      (scan t (fun ~internal:_ ~tag:_ slot ->
-           if not (readable slot) then
-             acc :=
-               bad (Printf.sprintf "slot (%d, %d, %d) is not in a live arena file" slot.arena slot.off slot.len)
-               :: !acc));
+      (scan t (fun ~internal:_ ~tag:_ ~arena ~off ~len ->
+           if not (readable { arena; off; len }) then
+             acc := bad (Printf.sprintf "slot (%d, %d, %d) is not in a live arena file" arena off len) :: !acc));
     (* Blocks are only read once every slot is known to be readable. *)
     if !acc <> [] then List.rev !acc
     else
@@ -525,20 +528,6 @@ let root_rule t kernel' =
 
 (* --- recovery ------------------------------------------------------ *)
 
-(* Every commit is applied in place and durable, so the log holds
-   nothing the index lacks. Every cut opens its span here. *)
-let cut_log t =
-  Sim.Trace.span (trace t) ~op:"store_checkpoint" @@ fun () ->
-  Fs.Wal.reset t.wal;
-  t.generation <- t.generation + 1;
-  (* The header line: [checksum 4][generation 4]. *)
-  Bytes.fill t.line 0 line_bytes '\000';
-  Bytes.set_int32_le t.line 4 (Int32.of_int t.generation);
-  write_line t 0 t.line;
-  PM.fence (mem t);
-  Sim.Stats.incr (stats t) "store_checkpoint";
-  update_gauges t
-
 (* The one uncharged stand-in: the heap's allocation state is host-side,
    so the blocks no entry references (a failed commit's, or those a
    replay superseded) are found by walking the index, where a persistent
@@ -547,8 +536,8 @@ let sweep t =
   let referenced = Hashtbl.create 64 in
   let entries = ref 0 and objects = ref 0 in
   let damaged =
-    scan t (fun ~internal ~tag:_ slot ->
-        Hashtbl.replace referenced (slot.arena, slot.off) ();
+    scan t (fun ~internal ~tag:_ ~arena ~off ~len:_ ->
+        Hashtbl.replace referenced (arena, off) ();
         incr entries;
         if not internal then incr objects)
   in
@@ -571,34 +560,18 @@ let recover_hook t () =
     Sim.Trace.span (trace t) ~op:"store_recover" ~arg:Fun.id @@ fun () ->
     t.proc <- Os.Kernel.create_process (kernel t) ();
     Heap.Fom_heap.reattach t.heap t.proc;
-    (* The index is in place: recovery reads its header line, no more. *)
-    let header = read_line t 0 in
-    if line_ok header then t.generation <- get32 header 4
-    else t.recovery_truncations <- t.recovery_truncations + 1;
-    let w = Fs.Wal.recover ~mem:(mem t) ~base:t.wal_base ~capacity:t.wal_capacity in
-    t.wal <- w;
-    t.last_replayed <- 0;
-    if Fs.Wal.truncated w then begin
-      (* A record stopped the scan, so every record before it had its
-         apply fenced before that record was appended: nothing to redo.
-         Cut the log, or a later recovery could redo the prefix over
-         applies the lost tail made. *)
+    (* The index is in place, and the log's one record is the newest
+       transaction's, whose apply may be partial: redo it if it is intact,
+       whatever follows it (its commit overwrote older, applied ones). *)
+    t.wal <- Fs.Wal.recover ~mem:(mem t) ~base:t.wal_base ~capacity:wal_bytes;
+    if Fs.Wal.truncated t.wal then begin
       t.recovery_truncations <- t.recovery_truncations + 1;
-      Sim.Stats.incr (stats t) "store_wal_truncated";
-      cut_log t
-    end
-    else begin
-      (* The last record's apply may be partial: redo each key's final
-         write over the whole log. Only final writes: an older record's
-         block may sit in a slot a later record reused. They are redone
-         in order of each key's first write. *)
-      let writes = List.concat_map decode_txn (Fs.Wal.entries w) in
-      let finals = Hashtbl.create 64 in
-      List.iter (fun w -> Hashtbl.replace finals w.key w) writes;
-      let first w = Option.map (fun f -> Hashtbl.remove finals w.key; f) (Hashtbl.find_opt finals w.key) in
-      apply t ~live:false (List.filter_map first writes);
-      t.last_replayed <- Fs.Wal.entry_count w
+      Sim.Stats.incr (stats t) "store_wal_truncated"
     end;
+    t.last_replayed <-
+      (match Fs.Wal.entries t.wal with
+      | record :: _ -> apply t ~live:false (decode_txn record); 1
+      | [] -> 0);
     sweep t;
     (* Damage can revert the line a root's key sat in: a root left naming
        a key with no entry is dropped, and the loss counted. *)
@@ -617,10 +590,9 @@ let recover_hook t () =
 
 let instance = ref 0
 
-let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Units.kib 128)
-    ~name () =
+let create fom proc ?(manifest_bytes = Sim.Units.kib 128) ~name () =
   if name = "" || name.[0] <> '/' then invalid_arg "Store.create: name must be an absolute path";
-  if manifest_bytes < 2 * line_bytes then invalid_arg "Store.create: index smaller than two lines";
+  if manifest_bytes < line_bytes then invalid_arg "Store.create: index smaller than a line";
   (match Os.Kernel.pmfs (O1mem.Fom.kernel fom) with
   | Some p when p == O1mem.Fom.fs fom -> ()
   | _ -> invalid_arg "Store.create: the FOM must live on the persistent file system");
@@ -651,10 +623,9 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
       name;
       heap;
       wal_base;
-      wal_capacity = wal_bytes;
       wal;
       index_base;
-      buckets = (manifest_bytes / line_bytes) - 1;
+      buckets = manifest_bytes / line_bytes;
       generation = 0;
       entries = 0;
       objects = 0;
@@ -666,6 +637,7 @@ let create fom proc ?(wal_bytes = Sim.Units.kib 128) ?(manifest_bytes = Sim.Unit
       rule_name = Printf.sprintf "store_roots:%s#%d" name !instance;
       block = Bytes.create max_block;
       line = Bytes.create line_bytes;
+      scan = Bytes.create Sim.Units.page_size;
     }
   in
   O1mem.Fom.on_recover fom ~name:("store" ^ name) (fun () -> recover_hook t ());
@@ -771,10 +743,16 @@ let alloc_block t len =
     ignore (Fs.Memfs.defragment (fs t) ());
     attempt ()
 
+(* Every commit is applied in place and durable, so the log holds
+   nothing the index lacks: blanking its head empties it. *)
 let checkpoint t =
   if t.detached then invalid_arg "Store: detached";
   (match t.txn with Some _ -> invalid_arg "Store.checkpoint: transaction open" | None -> ());
-  cut_log t
+  Sim.Trace.span (trace t) ~op:"store_checkpoint" @@ fun () ->
+  Fs.Wal.reset t.wal;
+  t.generation <- t.generation + 1;
+  Sim.Stats.incr (stats t) "store_checkpoint";
+  update_gauges t
 
 let commit t =
   let ops = require_txn t in
@@ -815,18 +793,15 @@ let commit t =
   in
   let record = encode_txn writes in
   if record <> "" then begin
+    (* The log's one record is applied already: write over it. A full
+       append writes nothing. *)
+    Fs.Wal.rewind t.wal;
+    t.generation <- t.generation + 1;
     (match Fs.Wal.append t.wal record with
     | Ok () -> ()
-    | Error Fs.Wal.Wal_full -> (
-      (* A full append writes nothing, and every earlier transaction is
-         already applied: cut the log and retry once. *)
-      Sim.Stats.incr (stats t) "store_wal_checkpoint";
-      cut_log t;
-      match Fs.Wal.append t.wal record with
-      | Ok () -> ()
-      | Error Fs.Wal.Wal_full ->
-        rollback ();
-        Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity"));
+    | Error Fs.Wal.Wal_full ->
+      rollback ();
+      Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity");
     (* Commit point passed: apply in place (redo). *)
     apply t ~live:true writes
   end;
@@ -844,10 +819,10 @@ let roots t = uncharged t (fun () -> root_entries t) |> List.sort compare
 let keys t =
   let acc = ref [] in
   ignore
-    (scan t (fun ~internal ~tag slot ->
+    (scan t (fun ~internal ~tag ~arena ~off ~len ->
          if not internal then begin
-           read_block t slot ~len:slot.len;
-           match key_of t slot.len with Some k when tag_of (hash k) = tag -> acc := k :: !acc | _ -> ()
+           read_block t { arena; off; len } ~len;
+           match key_of t len with Some k when tag_of (hash k) = tag -> acc := k :: !acc | _ -> ()
          end));
   List.sort String.compare !acc
 
@@ -866,7 +841,8 @@ let verify t =
   let bad detail = { Os.Check.check = "store_data"; detail = t.name ^ ": " ^ detail } in
   let acc = ref [] in
   let damaged =
-    scan t (fun ~internal:_ ~tag slot ->
+    scan t (fun ~internal:_ ~tag ~arena ~off ~len ->
+        let slot = { arena; off; len } in
         match parse t ~tag slot with
         | None -> acc := bad (Printf.sprintf "block (%d, %d) fails its checksum" slot.arena slot.off) :: !acc
         | Some (key, _) -> (

@@ -7,26 +7,25 @@
     entries, a count of the entries placed past the line (deletes lower
     it) and a checksum. Roots are internal objects in it.
 
-    Commit folds the transaction into each key's final write, appends
-    them to the redo log ({!Fs.Wal}) as one durable record, then applies
-    in place under one fence. A crash at any clwb/sfence/WAL boundary
-    recovers to the committed prefix; torn or bit-flipped records, index
-    lines and blocks are {e detected} by their checksums, never served.
+    Commit folds the transaction into each key's final write, logs them as
+    one durable record over the last, applied one ({!Fs.Wal}), then
+    applies in place under one fence. A crash at any clwb/sfence/WAL
+    boundary recovers to the committed prefix; torn or bit-flipped
+    records, index lines and blocks are {e detected} by checksums, never served.
 
     {!create} registers a recovery hook with the store's {!O1mem.Fom.t}:
     {!O1mem.Persistence.recover} re-attaches the arenas (fresh VAs, same
-    arena-relative slots), reads the index's header line and replays the
-    log — charged cost O(files + WAL records), independent of how many
-    objects exist. Freeing the blocks no entry references walks the
-    index uncharged: the heap's allocation state is host-side, the one
-    stand-in left (DESIGN.md S23). *)
+    arena-relative slots) and redoes the log's one record if it is intact
+    — charged cost O(files), however many objects and transactions there
+    were. Freeing the blocks no entry references walks the index
+    uncharged: the heap's allocation state is host-side, the one stand-in
+    left (DESIGN.md S23). *)
 
 type t
 
 val create :
   O1mem.Fom.t ->
   Os.Proc.t ->
-  ?wal_bytes:int ->
   ?manifest_bytes:int ->
   name:string ->
   unit ->
@@ -38,12 +37,12 @@ val create :
     recovery hook plus an {!Os.Check} rule ("store_roots"): every
     entry maps through a live FOM extent, every root names a key.
 
-    Arenas are {!Heap.Size_class.arena_bytes} long; the WAL and the
-    index default to 128 KiB each. The index has [manifest_bytes / 64 -
-    1] bucket lines of four entries, at most three quarters in use.
-    Raises [Invalid_argument] for a relative [name], a volatile FOM, an
-    index under two lines, or if store files already exist at [name] —
-    create never reopens (or silently wipes) a prior store. *)
+    Arenas are {!Heap.Size_class.arena_bytes} long; the 128 KiB WAL caps
+    one transaction's record. The index (default 128 KiB) has
+    [manifest_bytes / 64] bucket lines of four entries, at most three
+    quarters in use. Raises [Invalid_argument] for a relative [name], a
+    volatile FOM, an index under one line, or if store files already
+    exist at [name] — create never reopens (or silently wipes) a prior store. *)
 
 val detach : t -> unit
 (** Unregister the store's recovery hook and check rule (for tests that build
@@ -72,20 +71,19 @@ val clear_root : t -> string -> unit
 val abort : t -> unit
 
 val commit : t -> unit
-(** Fold, allocate, log one record, apply; a full WAL is cut first (see
-    {!checkpoint}). Raises [Invalid_argument], rolled back with nothing
-    logged, if a {!set_root} names a key not live at that point. Typed
-    failures roll back and log nothing: [ENOSPC] if the puts could
-    overfill the index, the heap stays exhausted after one
-    defragment-and-retry round, or the record outgrows an empty WAL;
-    [EIO] if it must read damage (a root, a key's roots) or deletes a
-    key whose chain crosses a damaged line (a put inserts past it); an
-    injected [EIO] at the [store_commit] fault site. *)
+(** Fold, allocate, log one record over the last (applied) one, apply.
+    Raises [Invalid_argument], rolled back with nothing logged, if a
+    {!set_root} names a key not live at that point. Typed failures roll
+    back and log nothing: [ENOSPC] if the puts could overfill the index,
+    the heap stays exhausted after one defragment-and-retry round, or the
+    record outgrows the WAL; [EIO] if it must read damage (a root, a
+    key's roots) or deletes a key whose chain crosses a damaged line (a
+    put inserts past it); an injected [EIO] at the [store_commit] site. *)
 
 val checkpoint : t -> unit
-(** Cut the redo log — every commit is already applied in place — with a
-    WAL reset and a {!generation} bump: O(1) at any key count. Raises
-    [Invalid_argument] while a transaction is open. *)
+(** Empty the redo log — its record is already applied in place — with a
+    WAL reset and a {!generation} bump: O(1), and the next recovery
+    redoes nothing. Raises [Invalid_argument] while a transaction is open. *)
 
 (** {1 Reads} *)
 
@@ -112,15 +110,16 @@ val wal_used_bytes : t -> int
 val wal_record_count : t -> int
 val arena_count : t -> int
 val generation : t -> int
-(** Bumps on every log cut; kept in the index's header line. *)
+(** Moves each time the log restarts: at every commit that logs a record
+    and at every {!checkpoint}. Host-side, not persisted. *)
 
 val recovery_truncations : t -> int
 (** Cumulative damage detections across recoveries (a bad WAL record,
     damaged index lines, a root left naming a lost key). *)
 
 val last_replayed : t -> int
-(** Records (one per transaction) replayed by the most recent recovery;
-    0 if a damaged or unfinished record ended the log. *)
+(** Records redone by the most recent recovery: 1, the newest
+    transaction's, or 0 after a {!checkpoint} or a damaged record. *)
 
 val name : t -> string
 val proc : t -> Os.Proc.t

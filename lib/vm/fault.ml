@@ -132,11 +132,8 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot =
   let old_pfn = old_leaf.Hw.Page_table.pfn in
   (* No zeroing needed: the copy below overwrites the whole page. *)
   let pfn = raw_frame_exn ctx in
-  (* Copy the old page's contents. *)
-  let content =
-    Physmem.Phys_mem.read ctx.mem ~addr:(Physmem.Frame.to_addr old_pfn) ~len:Sim.Units.page_size
-  in
-  Physmem.Phys_mem.write ctx.mem ~addr:(Physmem.Frame.to_addr pfn) (Bytes.to_string content);
+  Physmem.Phys_mem.copy ctx.mem ~src:(Physmem.Frame.to_addr old_pfn) ~dst:(Physmem.Frame.to_addr pfn)
+    ~len:Sim.Units.page_size;
   let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
   (* A file's frame (outside the buddy's pool) stays with its file
      system; an anonymous page or an earlier CoW copy is the VM's. *)

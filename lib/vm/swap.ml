@@ -69,18 +69,17 @@ let swap_in t ~key ~pfn =
   | None -> false
   | Some slot ->
     Hashtbl.remove t.slots key;
-    (match slot with
-    | Content content ->
-      charge t device_op_cycles;
-      Physmem.Phys_mem.write t.mem ~addr:(Physmem.Frame.to_addr pfn) (Bytes.to_string content)
-    | File_slot s ->
-      let fs = match t.backing with Swapfile fs -> fs | Device -> assert false in
-      let content =
-        Fs.Memfs.read_file fs (swapfile t fs) ~off:(s * Sim.Units.page_size)
-          ~len:Sim.Units.page_size
-      in
-      t.free_file_slots <- s :: t.free_file_slots;
-      Physmem.Phys_mem.write t.mem ~addr:(Physmem.Frame.to_addr pfn) (Bytes.to_string content));
+    let content =
+      match slot with
+      | Content content ->
+        charge t device_op_cycles;
+        content
+      | File_slot s ->
+        let fs = match t.backing with Swapfile fs -> fs | Device -> assert false in
+        t.free_file_slots <- s :: t.free_file_slots;
+        Fs.Memfs.read_file fs (swapfile t fs) ~off:(s * Sim.Units.page_size) ~len:Sim.Units.page_size
+    in
+    Physmem.Phys_mem.write_sub t.mem ~addr:(Physmem.Frame.to_addr pfn) content ~pos:0 ~len:(Bytes.length content);
     Sim.Stats.incr (Physmem.Phys_mem.stats t.mem) "swap_in";
     true
 

@@ -35,10 +35,8 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
       List.iter
         (fun (va, (leaf : Hw.Page_table.leaf)) ->
           let i = (va - window) / Sim.Units.page_size in
-          let src = Frame.to_addr leaf.Hw.Page_table.pfn in
-          let dst = Frame.to_addr (block + i) in
-          let content = Physmem.Phys_mem.read mem ~addr:src ~len:Sim.Units.page_size in
-          Physmem.Phys_mem.write mem ~addr:dst (Bytes.to_string content))
+          Physmem.Phys_mem.copy mem ~src:(Frame.to_addr leaf.Hw.Page_table.pfn) ~dst:(Frame.to_addr (block + i))
+            ~len:Sim.Units.page_size)
         present;
       let present_idx = List.map (fun (va, _) -> (va - window) / Sim.Units.page_size) present in
       for i = 0 to pages_per_huge - 1 do

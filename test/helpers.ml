@@ -20,6 +20,24 @@ let small_config =
 
 let mk_kernel ?(config = small_config) () = Os.Kernel.create ~config ()
 
+(* Words the host has allocated so far, direct major allocations
+   included. Read after a full major collection: in OCaml 5.1 a direct
+   major allocation reaches [major_words] only at a later major slice,
+   so without it a reading can take in words allocated before the last
+   one (and the minor counts move with how full the minor heap was). *)
+let host_words () =
+  Gc.full_major ();
+  let g = Gc.quick_stat () in
+  g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+
+(* Words the host allocates per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let w0 = host_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (host_words () -. w0) /. float_of_int n
+
 (* Free frames of the kernel's pool: the buddy, the zero engine's queues
    and the zero cache. *)
 let pooled k =

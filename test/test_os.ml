@@ -103,18 +103,30 @@ let test_fault_reuses_frame_buffers () =
     K.munmap k p ~va ~len;
     ignore (K.background_zero k ~budget_frames:pages)
   in
-  (* Read on an empty minor heap: in OCaml 5.1 the counts move with how
-     full it was when the run began (see [Sim.Profile.reset]). *)
-  let words () =
-    Gc.minor ();
-    let g = Gc.quick_stat () in
-    g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
-  in
   round ();
-  let w0 = words () in
+  let w0 = host_words () in
   round ();
-  let per_page = (words () -. w0) /. float_of_int pages in
+  let per_page = (host_words () -. w0) /. float_of_int pages in
   check_bool (Printf.sprintf "%.0f words per touched page < 513" per_page) true (per_page < 513.0)
+
+(* A CoW fault copies its page once, inside the memory. Fork, then write
+   every page of a 1 MiB mapping: the words per fault must stay within
+   1.25x of what they measured when this held, the new frame's 4 KiB
+   buffer included (reading the page into fresh bytes and writing a
+   string copy of them took 1,863.3). *)
+let test_cow_fault_copies_once () =
+  let k, p = mk () in
+  let len = Sim.Units.mib 1 in
+  let pages = len / Sim.Units.page_size in
+  let va = K.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:false in
+  ignore (K.access_range k p ~va ~len ~write:true ~stride:Sim.Units.page_size);
+  ignore (Os.Fork.fork k p);
+  let cow0 = Sim.Stats.get (K.stats k) "cow_fault" in
+  let per_fault = words_per_call pages (fun i -> K.access k p ~va:(va + (i * Sim.Units.page_size)) ~write:true) in
+  check_int "a CoW fault per page" pages (Sim.Stats.get (K.stats k) "cow_fault" - cow0);
+  let measured = 842.3 in
+  check_bool (Printf.sprintf "%.1f words per CoW fault <= 1.25 x %.1f" per_fault measured) true
+    (per_fault <= 1.25 *. measured)
 
 let test_mmap_anon_populate_no_faults () =
   let k, p = mk () in
@@ -439,4 +451,5 @@ let suite =
     Alcotest.test_case "kernel: virtualized walks cost 24 refs" `Quick test_virtualized_walk_cost;
     prop_demand_faults_equal_pages_touched;
     Alcotest.test_case "kernel: a fault reuses a frame buffer" `Quick test_fault_reuses_frame_buffers;
+    Alcotest.test_case "kernel: a CoW fault copies its page once" `Quick test_cow_fault_copies_once;
   ]

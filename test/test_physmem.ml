@@ -67,6 +67,29 @@ let test_bulk_charges_per_line () =
     (model.Sim.Cost_model.mem_ref_dram + Sim.Cost_model.copy_cost model ~bytes:256)
     (Sim.Clock.elapsed clock ~since:before)
 
+(* A copy inside the memory costs and counts what a read into a buffer
+   and a write from it cost: from DRAM across a frame boundary, a zero
+   frame included, into NVM. *)
+let test_copy_charges_read_then_write () =
+  let src = 4000 and dst = Sim.Units.mib 64 + 100 and len = 9000 in
+  let run copy =
+    let mem = mk_mem () in
+    PM.write mem ~addr:src (String.make 200 'a');
+    PM.write mem ~addr:(src + 8000) "tail";
+    let c0 = Sim.Clock.now (PM.clock mem) in
+    copy mem;
+    (Sim.Clock.now (PM.clock mem) - c0, Sim.Stats.snapshot (PM.stats mem), PM.read mem ~addr:dst ~len)
+  in
+  let cycles, counters, bytes = run (fun mem -> PM.copy mem ~src ~dst ~len) in
+  let cycles', counters', bytes' =
+    run (fun mem -> PM.write_sub mem ~addr:dst (PM.read mem ~addr:src ~len) ~pos:0 ~len)
+  in
+  check_int "cycles" cycles' cycles;
+  check_bool "counters" true (counters = counters');
+  check_bool "bytes" true (Bytes.equal bytes bytes');
+  Alcotest.check_raises "overlapping ranges" (Invalid_argument "Phys_mem.copy: overlapping ranges") (fun () ->
+      PM.copy (mk_mem ()) ~src ~dst:(src + 10) ~len)
+
 let test_zero_frame () =
   let mem = mk_mem () in
   PM.write mem ~addr:8192 "dirty";
@@ -308,6 +331,7 @@ type op =
   | Write of int * string
   | Write_sub of int * string * int * int (* [len] bytes of the source from [pos] *)
   | Read_into of int * int * int (* into a longer buffer at a non-zero offset *)
+  | Copy of int * int * int (* source, destination, length *)
   | Write_byte of int * char
   | Zero_frame of int
   | Zero_range of int * int
@@ -327,6 +351,7 @@ let print_op = function
   | Write (a, s) -> Printf.sprintf "write %d %S" a s
   | Write_sub (a, s, pos, len) -> Printf.sprintf "write_sub %d %S %d %d" a s pos len
   | Read_into (a, len, pos) -> Printf.sprintf "read_into %d %d at %d" a len pos
+  | Copy (src, dst, len) -> Printf.sprintf "copy %d -> %d %d" src dst len
   | Write_byte (a, c) -> Printf.sprintf "write_byte %d %C" a c
   | Zero_frame f -> Printf.sprintf "zero_frame %d" f
   | Zero_range (a, n) -> Printf.sprintf "zero_range %d %d" a n
@@ -364,6 +389,7 @@ let op_gen =
       (4, map (fun (a, s) -> Write (a, s)) (str span at));
       (3, map (fun (a, s, pos, len) -> Write_sub (a, s, pos, len)) (sub (odd_span 74) at));
       (2, map2 (fun (a, len) pos -> Read_into (a, len, pos)) range (int_range 1 15));
+      (3, range >>= fun (src, len) -> map (fun (dst, _) -> Copy (src, dst, len)) (at len));
       (4, map2 (fun a c -> Write_byte (a, c)) (int_bound (model_bytes - 1)) byte);
       (2, map (fun f -> Zero_frame f) frame);
       (2, map (fun (a, n) -> Zero_range (a, n)) range);
@@ -399,6 +425,13 @@ let apply (mem, plane) (model, undo) = function
     PM.write_sub mem ~addr:a (Bytes.of_string s) ~pos ~len;
     Bytes.blit_string s pos model a len
   | Read_into _ -> () (* [reads_back] checks it *)
+  | Copy (src, dst, len) when src < dst + len && dst < src + len -> (
+    match PM.copy mem ~src ~dst ~len with
+    | () -> QCheck2.Test.fail_report "an overlapping copy went through"
+    | exception Invalid_argument _ -> ())
+  | Copy (src, dst, len) ->
+    PM.copy mem ~src ~dst ~len;
+    Bytes.blit model src model dst len
   | Write_byte (a, c) ->
     PM.write_byte mem a c;
     Bytes.set model a c
@@ -491,6 +524,7 @@ let suite =
     Alcotest.test_case "phys_mem: bulk read/write" `Quick test_bulk_read_write;
     Alcotest.test_case "phys_mem: access costs by region" `Quick test_access_charges;
     Alcotest.test_case "phys_mem: bulk streaming charge" `Quick test_bulk_charges_per_line;
+    Alcotest.test_case "phys_mem: copy charges a read, then a write" `Quick test_copy_charges_read_then_write;
     Alcotest.test_case "phys_mem: zero_frame" `Quick test_zero_frame;
     Alcotest.test_case "phys_mem: out of range" `Quick test_out_of_range;
     Alcotest.test_case "phys_mem: crash semantics" `Quick test_crash_drops_dram_keeps_nvm;
