@@ -444,7 +444,8 @@ let prop_torn_wal_byte =
 (* The store against a pure model: a map of objects and a map of roots,
    where a delete clears the roots naming its key and a transaction whose
    set_root names a key not live at that point is rejected whole. A 1 KiB
-   index (16 bucket lines) makes shared lines and probe chains common.
+   index (16 bucket lines) makes shared lines and probe chains common, and
+   an oversized transaction the typed ENOSPC rollback.
    Crashes land between commands and, when a transaction carries
    [Some n], at its n-th durable boundary from the start of the
    transaction; recovery must then yield the model before or after it. *)
@@ -501,7 +502,16 @@ let gen_cmds =
   (* A log cut crosses two durable boundaries: the WAL head's flush and
      fence. *)
   let checkpoint = map (fun crash -> Checkpoint crash) (opt (int_range 1 3)) in
-  list_size (pure 24) (frequency [ (8, txn); (1, checkpoint); (1, pure Crash) ])
+  (* Nine 15 KiB puts outgrow the 128 KiB WAL: the commit rewinds the log,
+     fails ENOSPC and must change nothing, crash or not. *)
+  let oversized =
+    map
+      (fun c ->
+        let v = String.make (Sim.Units.kib 15) c in
+        Txn (List.init 9 (fun j -> M_put (Printf.sprintf "big%d" j, v)), true, None))
+      (char_range 'a' 'z')
+  in
+  list_size (pure 24) (frequency [ (24, txn); (3, checkpoint); (3, pure Crash); (1, oversized) ])
 
 let print_cmds =
   let op = function
