@@ -116,7 +116,7 @@ let live_set_point ~keys =
     (get, !slowest)
 
 (* The churn sweeps share one machine per churned-key count: 64 objects
-   on a 4 KiB index (63 bucket lines), then [keys] fresh keys put and
+   on a 4 KiB index (64 bucket lines), then [keys] fresh keys put and
    deleted again, 96 per transaction, so lines keep filling and emptying
    (a quarter to two thirds of the entries in use). Measured on the same
    live set at every count: 16 gets of absent keys (store_get_churn) and
