@@ -243,7 +243,7 @@ let test_failed_commit_orphans_cut () =
      Kv.commit st;
      Alcotest.fail "oversized transaction must raise ENOSPC"
    with Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> ());
-  check_int "failed attempt's records durably cut" 0 (Kv.wal_record_count st);
+  check_int "the failed attempt left no record" 0 (Kv.wal_record_count st);
   commit_put st [ ("after", "ok") ] [];
   ignore (P.crash_and_recover fom);
   check_bool "rolled-back put not resurrected" false (Kv.mem st "big1");
