@@ -499,8 +499,8 @@ let gen_cmds =
       (frequency [ (4, pure true); (1, pure false) ])
       (frequency [ (3, pure None); (1, map Option.some (int_range 1 60)) ])
   in
-  (* A log cut crosses two durable boundaries: the WAL head's flush and
-     fence. *)
+  (* A checkpoint crosses two durable boundaries: the WAL head's flush
+     and fence. *)
   let checkpoint = map (fun crash -> Checkpoint crash) (opt (int_range 1 3)) in
   (* Nine 15 KiB puts outgrow the 128 KiB WAL: the commit rewinds the log,
      fails ENOSPC and must change nothing, crash or not. *)
@@ -540,7 +540,7 @@ let arm_crash plane crash =
 
 let run_model_cmd (fom, plane, st) m = function
   | Checkpoint crash ->
-    (* A cut changes no state, so recovery from a crash inside it must
+    (* A checkpoint changes no state, so recovery from a crash inside it must
        give the model back. *)
     arm_crash plane crash;
     (match Kv.checkpoint st with
