@@ -305,7 +305,7 @@ let copy_region t proc region ?name () =
     if off < size then begin
       let n = min chunk (size - off) in
       let data = Fs.Memfs.read_file t.fs region.ino ~off ~len:n in
-      Fs.Memfs.write_file t.fs dst.ino ~off (Bytes.to_string data);
+      Fs.Memfs.write_file t.fs dst.ino ~off (Bytes.unsafe_to_string data);
       copy (off + n)
     end
   in

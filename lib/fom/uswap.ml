@@ -26,7 +26,7 @@ let evict_one t =
     | Some (pa, leaf) when leaf.Hw.Page_table.dirty ->
       (* Write the page back to the backing file before dropping it. *)
       let content = Physmem.Phys_mem.read (Os.Kernel.mem (kernel t)) ~addr:pa ~len:page in
-      Fs.Memfs.write_file (fs t) t.ino ~off:(idx * page) (Bytes.to_string content);
+      Fs.Memfs.write_file (fs t) t.ino ~off:(idx * page) (Bytes.unsafe_to_string content);
       t.writebacks <- t.writebacks + 1
     | _ -> ());
     ignore (Os.Kernel.user_page_release (kernel t) t.proc ~va);
@@ -66,7 +66,7 @@ let create fom proc ~backing_path ~window_pages =
     t.faults <- t.faults + 1;
     Queue.add idx t.resident;
     let content = Fs.Memfs.read_file (Fom.fs fom) ino ~off:(idx * page) ~len:page in
-    Os.Userfault.Provide (Bytes.to_string content)
+    Os.Userfault.Provide (Bytes.unsafe_to_string content)
   in
   Os.Userfault.register (Os.Kernel.userfault (Fom.kernel fom)) ~pid:proc.Os.Proc.pid ~va:base
     ~len ~prot:Hw.Prot.rw handler;

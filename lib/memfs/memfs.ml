@@ -390,11 +390,13 @@ let write_file t ino ~off data =
   let needed = off + len - node.Inode.size in
   if needed > 0 then extend t ino ~bytes_wanted:needed;
   touch_access t node;
+  (* [write_sub] only reads [data]. *)
+  let src = Bytes.unsafe_of_string data in
   let rec copy chunks pos =
     match chunks with
     | [] -> ()
     | (pa, run) :: rest ->
-      Phys_mem.write t.mem ~addr:pa (String.sub data pos run);
+      Phys_mem.write_sub t.mem ~addr:pa src ~pos ~len:run;
       copy rest (pos + run)
   in
   copy (chunks_of t node ~off ~len) 0
@@ -405,11 +407,14 @@ let read_file t ino ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Memfs.read_file: negative offset/length";
   touch_access t node;
   let len = max 0 (min len (node.Inode.size - off)) in
-  let buf = Buffer.create len in
-  List.iter
-    (fun (pa, run) -> Buffer.add_bytes buf (Phys_mem.read t.mem ~addr:pa ~len:run))
-    (chunks_of t node ~off ~len);
-  Buffer.to_bytes buf
+  let buf = Bytes.create len in
+  ignore
+    (List.fold_left
+       (fun pos (pa, run) ->
+         Phys_mem.read_into t.mem ~addr:pa ~len:run buf ~pos;
+         pos + run)
+       0 (chunks_of t node ~off ~len));
+  buf
 
 let file_extents t ino = Extent_tree.to_list (Inode.extents (inode t ino))
 

@@ -107,10 +107,12 @@ val truncate : t -> int -> bytes:int -> unit
 
 val write_file : t -> int -> off:int -> string -> unit
 (** Write through the file API (extending as needed): one FS lookup plus
-    per-extent address resolution plus the memory traffic. *)
+    per-extent address resolution plus the memory traffic. Each run is
+    written from [data] in place. *)
 
 val read_file : t -> int -> off:int -> len:int -> bytes
-(** Read through the file API. Short reads at EOF return fewer bytes. *)
+(** Read through the file API into one fresh buffer that only the caller
+    holds. Short reads at EOF return fewer bytes. *)
 
 val file_extents : t -> int -> Extent.t list
 (** The file's extents (for mapping it). *)

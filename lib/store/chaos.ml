@@ -170,10 +170,11 @@ let explore_store ?(keys = 6) ?(txns = 3) ?(seed = 17) () =
 
 (* Sustained probabilistic injection at the store's own sites while a
    transaction mix runs, a mid-run crash/recover, then the ENOSPC finale:
-   a value bigger than the WAL can ever hold must fail typed, with the
-   store intact. Runs on O1mem.Chaos.run_armed, so the faults CLI
-   prints every plan uniformly; the injected commit abort is a typed EIO
-   that rolls the transaction back. *)
+   a transaction whose record the WAL cannot hold must fail typed (or at
+   allocation first, under injection), with the store intact. Runs on
+   O1mem.Chaos.run_armed, so the faults CLI prints every plan uniformly;
+   the injected commit abort is a typed EIO that rolls the transaction
+   back. *)
 let run_plan ?(seed = 1) ?(rounds = 12) () =
   O1mem.Chaos.run_armed ~plan:"store" ~seed ~retried:"store_alloc_retry" ~eio:true
     ~sites:[ (FI.site_store_alloc, 0.15); (FI.site_store_commit, 0.1); (FI.site_store_apply, 0.15) ]
@@ -197,9 +198,13 @@ let run_plan ?(seed = 1) ?(rounds = 12) () =
   ignore (O1mem.Persistence.crash_and_recover fom);
   txn [ W_put ("after-crash", "still here") ];
   (* ENOSPC finale: a transaction whose record cannot fit the WAL must
-     fail typed and leave no trace. *)
-  let huge j = W_put (Printf.sprintf "huge%02d" (j + 1), String.make (Sim.Units.kib 8) 'h') in
-  txn (List.init 24 huge);
+     fail typed and leave no trace. The record names each key, so two
+     70,000-byte roots over two fresh keys outgrow it. *)
+  let huge j =
+    let k = Printf.sprintf "huge%02d" j in
+    [ W_put (k, "h"); W_set_root (String.make 70_000 (Char.chr (Char.code 'a' + j)), k) ]
+  in
+  txn (huge 1 @ huge 2);
   let partial = List.filter (fun k -> String.starts_with ~prefix:"huge" k) (Kv.keys st) in
   Os.Check.run kernel @ Kv.verify st
   @

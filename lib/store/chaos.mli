@@ -19,8 +19,9 @@ val explore_store : ?keys:int -> ?txns:int -> ?seed:int -> unit -> O1mem.Chaos.r
 val run_plan : ?seed:int -> ?rounds:int -> unit -> O1mem.Chaos.plan_outcome
 (** The "store" plan: probabilistic injection at [store_alloc] /
     [store_commit] / [store_apply] while [rounds] (default 12)
-    transactions run, a mid-plan crash/recover, then an over-WAL-capacity
-    commit that must degrade to a typed [ENOSPC] with no partial state.
+    transactions run, a mid-plan crash/recover, then a commit whose record
+    outgrows the WAL (two 70,000-byte roots over two fresh keys) that must
+    degrade to a typed [ENOSPC] with no partial state.
     [retried] counts defragment-and-retry allocation saves
     ("store_alloc_retry"); [checks] merges {!Os.Check.run} with
     {!Kv.verify} and is empty on success. *)

@@ -13,14 +13,16 @@
    [root_key r] holds the key [r] names and [refs_key k] lists the roots
    naming [k], so the log, the apply and recovery only see key writes.
 
-   Commit: fold the ops into each key's final write, allocate the blocks,
-   write them as one WAL record over the log's head, then apply them in
-   place (blocks, then index lines, each flushed, under one fence). Every
+   Commit: fold the ops into each key's final write, write each new block
+   to a fresh slot, flushed, then log one WAL record over the log's head
+   naming each write's slot or its delete, with no value (the append's
+   first fence orders the blocks before its marker), then point the index
+   lines at the blocks in place, each flushed, under one fence. Every
    apply is durable before the next record overwrites its own, so the log
    holds one record, the only one whose apply can be partial: recovery
-   redoes at most one transaction. Writes go through the machine's one
-   persistence domain (Phys_mem), so the store holds no durability handle
-   and needs no crash hook.
+   redoes at most one transaction, through the same index-only apply.
+   Writes go through the machine's one persistence domain (Phys_mem), so
+   the store holds no durability handle and needs no crash hook.
 
    Media I/O copies each byte once. A block is built and checksummed in
    the store's block buffer and written from it; a block read lands in
@@ -35,8 +37,8 @@
    virtual address: after a crash the arenas are re-mapped at fresh VAs
    (Fom_heap.reattach) and every slot still names the same bytes — the
    Puddles relocatable-region idea. The heap's allocation state is the
-   one host-side stand-in left: recovery frees the blocks no entry
-   references by walking the index uncharged (DESIGN.md S23). *)
+   one host-side stand-in left: recovery frees the blocks of a commit that
+   never reached its record by walking the index uncharged (DESIGN.md S23). *)
 
 module FI = Sim.Fault_inject
 module PM = Physmem.Phys_mem
@@ -58,8 +60,8 @@ type op =
   | Set_root of string * string
   | Clear_root of string
 
-(* A key's final write in a transaction: a new block and value, or none. *)
-type write = { key : string; put : (slot * string) option }
+(* A key's final write in a transaction: its new block's slot, or none. *)
+type write = { key : string; put : slot option }
 
 type t = {
   fom : O1mem.Fom.t;
@@ -125,18 +127,19 @@ let rstr s pos =
   pos := !pos + n;
   String.sub s (!pos - n) n
 
-(* One record per transaction: every final write, oldest first. *)
+(* One record per transaction: every final write, oldest first, naming
+   its block's slot; the blocks are on the media before the record. *)
 let encode_txn writes =
   let b = Buffer.create 256 in
   List.iter
     (fun w ->
       wstr b w.key;
       match w.put with
-      | Some (s, v) ->
+      | Some s ->
         Buffer.add_char b 'P';
         w32 b s.arena;
         w32 b s.off;
-        wstr b v
+        w32 b s.len
       | None -> Buffer.add_char b 'D')
     writes;
   Buffer.contents b
@@ -151,8 +154,7 @@ let decode_txn payload =
       else
         let arena = r32 payload pos in
         let off = r32 payload pos in
-        let v = rstr payload pos in
-        Some ({ arena; off; len = block_len key v }, v)
+        Some { arena; off; len = r32 payload pos }
     in
     acc := { key; put } :: !acc
   done;
@@ -188,7 +190,7 @@ let fit_block t len =
   if Bytes.length t.block < len then t.block <- Bytes.create (max len (2 * Bytes.length t.block))
 
 (* Build a block in [t.block] and checksum it there, then write and flush
-   it; the apply's one fence makes it durable. *)
+   it, ahead of the record that names it. *)
 let write_block t slot key value =
   fit_block t slot.len;
   let b = t.block and kl = String.length key in
@@ -196,9 +198,17 @@ let write_block t slot key value =
   Bytes.blit_string key 0 b block_header kl;
   Bytes.blit_string value 0 b (block_header + kl) (String.length value);
   Bytes.set_int32_le b 0 (Int32.of_int (Fs.Wal.checksum_sub b ~pos:4 ~len:(slot.len - 4)));
-  iter_chunks t slot ~len:slot.len (fun addr pos n ->
-      PM.write_persistent_sub (mem t) ~addr b ~pos ~len:n;
-      PM.flush (mem t) ~addr ~len:n)
+  let write () =
+    iter_chunks t slot ~len:slot.len (fun addr pos n ->
+        PM.write_persistent_sub (mem t) ~addr b ~pos ~len:n;
+        PM.flush (mem t) ~addr ~len:n)
+  in
+  if FI.fires (plane t) ~site:FI.site_store_apply then begin
+    (* A failed media write: pay for it, then redo. *)
+    Sim.Stats.incr (stats t) "store_apply_retry";
+    write ()
+  end;
+  write ()
 
 (* The first [len] bytes of a block into [t.block], through charged
    reads. The checks below read them there. *)
@@ -358,7 +368,7 @@ let free_block t slot =
    line passed (a crash between leaves a count too high, never an entry
    no probe reaches). An entry already naming [slot] is [key]'s (a slot
    holds one block): a redo finds most entries so, and writes nothing. *)
-let upsert t ~live key slot =
+let upsert t key slot =
   let entry tag = Some (tag, internal key, slot) in
   match probe t key (fun s -> if s = slot then Some () else confirm t key s) with
   | Found (_, line, b, pos, ()) ->
@@ -366,7 +376,7 @@ let upsert t ~live key slot =
     if old <> slot then begin
       set_entry b pos (entry (e_tag b 0 pos));
       write_line t line b;
-      if live then free_block t old
+      free_block t old
     end
   | Absent _ ->
     let h = hash key in
@@ -390,7 +400,7 @@ let upsert t ~live key slot =
 (* Clear [key]'s entry, then uncount it from the lines its chain passed
    (in that order: a crash between leaves a count too high), so chains
    shrink again under delete/insert churn. *)
-let remove t ~live key =
+let remove t key =
   match probe t key (confirm t key) with
   | Found (step, line, b, pos, ()) ->
     let old = e_slot b 0 pos in
@@ -400,29 +410,15 @@ let remove t ~live key =
       let line = chain t (hash key) i in
       recount t line (read_line t line) (-1)
     done;
-    if live then free_block t old;
+    free_block t old;
     count t key (-1)
   | Absent _ -> ()
 
-(* Redo [writes] in place: blocks, then index lines, under one fence.
-   Only a live apply frees replaced blocks; a replay leaves that to the
-   recovery sweep. *)
-let apply t ~live writes =
-  List.iter
-    (fun w ->
-      Option.iter
-        (fun (slot, v) ->
-          if live && FI.fires (plane t) ~site:FI.site_store_apply then begin
-            (* A failed media write: pay for it, then redo. *)
-            Sim.Stats.incr (stats t) "store_apply_retry";
-            write_block t slot w.key v
-          end;
-          write_block t slot w.key v)
-        w.put)
-    writes;
-  List.iter
-    (fun w -> match w.put with Some (slot, _) -> upsert t ~live w.key slot | None -> remove t ~live w.key)
-    writes;
+(* Point the index at [writes]' blocks, on the media already, under one
+   fence, freeing each block an entry stops naming: a commit and a
+   recovery redo run this same code. *)
+let apply t writes =
+  List.iter (fun w -> match w.put with Some slot -> upsert t w.key slot | None -> remove t w.key) writes;
   PM.fence (mem t)
 
 (* [f ~internal ~tag ~arena ~off ~len] on every entry of every intact
@@ -529,9 +525,9 @@ let root_rule t kernel' =
 (* --- recovery ------------------------------------------------------ *)
 
 (* The one uncharged stand-in: the heap's allocation state is host-side,
-   so the blocks no entry references (a failed commit's, or those a
-   replay superseded) are found by walking the index, where a persistent
-   allocator would walk its own metadata. *)
+   so the blocks no entry references (a commit's that never reached its
+   record, or an old one whose free a crash cut off) are found by walking
+   the index, where a persistent allocator would walk its own metadata. *)
 let sweep t =
   let referenced = Hashtbl.create 64 in
   let entries = ref 0 and objects = ref 0 in
@@ -570,14 +566,14 @@ let recover_hook t () =
     end;
     t.last_replayed <-
       (match Fs.Wal.entries t.wal with
-      | record :: _ -> apply t ~live:false (decode_txn record); 1
+      | record :: _ -> apply t (decode_txn record); 1
       | [] -> 0);
     sweep t;
     (* Damage can revert the line a root's key sat in: a root left naming
        a key with no entry is dropped, and the loss counted. *)
     let dangling = uncharged t (fun () -> List.filter (fun (_, k) -> lacks t k) (root_entries t)) in
     if dangling <> [] then begin
-      List.iter (fun (r, _) -> remove t ~live:false (root_key r)) dangling;
+      List.iter (fun (r, _) -> remove t (root_key r)) dangling;
       PM.fence (mem t);
       t.recovery_truncations <- t.recovery_truncations + 1
     end;
@@ -768,33 +764,39 @@ let commit t =
     Sim.Stats.incr (stats t) "store_commit_abort";
     Sim.Errno.fail Sim.Errno.EIO "Store.commit: injected abort"
   end;
-  let writes =
+  let finals, writes =
     try
       let finals = expand t (List.rev ops) in
+      let puts = List.filter_map (fun (key, v) -> Option.map (block_len key) v) finals in
       (* At most three quarters of the entries may be in use, and every
          put may insert: refuse before anything is allocated or logged. *)
-      if t.entries + List.length (List.filter (fun (_, v) -> v <> None) finals) > t.buckets * per_line * 3 / 4
-      then Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: index full";
-      List.map
-        (fun (key, v) ->
-          let alloc v =
-            let len = block_len key v in
-            let va = alloc_block t len in
-            allocated := va :: !allocated;
-            (* Values are capped below the large threshold: always in an arena. *)
-            let arena, off = Option.get (Heap.Fom_heap.locate t.heap va) in
-            ({ arena; off; len }, v)
-          in
-          { key; put = Option.map alloc v })
-        finals
+      if t.entries + List.length puts > t.buckets * per_line * 3 / 4 then
+        Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: index full";
+      (* A block from the large threshold up gets no arena slot. *)
+      if List.exists (fun len -> len >= Heap.Size_class.large_threshold) puts then
+        Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: block outgrows an arena slot";
+      let alloc key v =
+        let len = block_len key v in
+        let va = alloc_block t len in
+        allocated := va :: !allocated;
+        let arena, off = Option.get (Heap.Fom_heap.locate t.heap va) in
+        { arena; off; len }
+      in
+      (finals, List.map (fun (key, v) -> { key; put = Option.map (alloc key) v }) finals)
     with e ->
       rollback ();
       raise e
   in
+  (* Allocate every block before writing any (store_alloc draws stay
+     ahead of store_apply draws); all are flushed before the record. *)
+  List.iter2
+    (fun w (_, v) -> match (w.put, v) with Some slot, Some v -> write_block t slot w.key v | _ -> ())
+    writes finals;
   let record = encode_txn writes in
   if record <> "" then begin
     (* The log's one record is applied already: write over it. A full
-       append writes nothing. *)
+       append writes nothing; its first fence orders the blocks before
+       its commit marker. *)
     Fs.Wal.rewind t.wal;
     t.generation <- t.generation + 1;
     (match Fs.Wal.append t.wal record with
@@ -802,8 +804,8 @@ let commit t =
     | Error Fs.Wal.Wal_full ->
       rollback ();
       Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity");
-    (* Commit point passed: apply in place (redo). *)
-    apply t ~live:true writes
+    (* Commit point passed: point the index at the blocks. *)
+    apply t writes
   end;
   t.txn <- None;
   Sim.Stats.incr (stats t) "store_commit";

@@ -7,19 +7,22 @@
     entries, a count of the entries placed past the line (deletes lower
     it) and a checksum. Roots are internal objects in it.
 
-    Commit folds the transaction into each key's final write, logs them as
-    one durable record over the last, applied one ({!Fs.Wal}), then
-    applies in place under one fence. A crash at any clwb/sfence/WAL
-    boundary recovers to the committed prefix; torn or bit-flipped
-    records, index lines and blocks are {e detected} by checksums, never served.
+    Commit folds the transaction into each key's final write, writes each
+    new block to a fresh slot, logs one durable record over the last,
+    applied one ({!Fs.Wal}) that names each write's slot and carries no
+    value, then points the index at the blocks in place under one fence:
+    each value reaches NVM once. A crash at any clwb/sfence/WAL boundary
+    recovers to the committed prefix; torn or bit-flipped records, index
+    lines and blocks are {e detected} by checksums, never served.
 
     {!create} registers a recovery hook with the store's {!O1mem.Fom.t}:
     {!O1mem.Persistence.recover} re-attaches the arenas (fresh VAs, same
-    arena-relative slots) and redoes the log's one record if it is intact
-    — charged cost O(files), however many objects and transactions there
-    were. Freeing the blocks no entry references walks the index
-    uncharged: the heap's allocation state is host-side, the one stand-in
-    left (DESIGN.md S23). *)
+    arena-relative slots) and, if the log's one record is intact, redoes
+    it through the commit's own index-only apply — charged cost O(files),
+    however many objects and transactions there were. Freeing the blocks
+    of a commit that never reached its record walks the index uncharged:
+    the heap's allocation state is host-side, the one stand-in left
+    (DESIGN.md S23). *)
 
 type t
 
@@ -37,8 +40,10 @@ val create :
     recovery hook plus an {!Os.Check} rule ("store_roots"): every
     entry maps through a live FOM extent, every root names a key.
 
-    Arenas are {!Heap.Size_class.arena_bytes} long; the 128 KiB WAL caps
-    one transaction's record. The index (default 128 KiB) has
+    Arenas are {!Heap.Size_class.arena_bytes} long. The 128 KiB WAL caps
+    one transaction's record, which names each write at about 17 bytes
+    plus the key and carries no value: it caps the keys of a transaction,
+    not its value bytes. The index (default 128 KiB) has
     [manifest_bytes / 64] bucket lines of four entries, at most three
     quarters in use. Raises [Invalid_argument] for a relative [name], a
     volatile FOM, an index under one line, or if store files already
@@ -71,11 +76,15 @@ val clear_root : t -> string -> unit
 val abort : t -> unit
 
 val commit : t -> unit
-(** Fold, allocate, log one record over the last (applied) one, apply.
-    Raises [Invalid_argument], rolled back with nothing logged, if a
-    {!set_root} names a key not live at that point. Typed failures roll
-    back and log nothing: [ENOSPC] if the puts could overfill the index,
-    the heap stays exhausted after one defragment-and-retry round, or the
+(** Fold, allocate every block, write each to its fresh slot, log one
+    record naming the slots over the last (applied) one, then apply it to
+    the index. Raises [Invalid_argument], rolled back with nothing
+    logged, if a {!set_root} names a key not live at that point. Typed
+    failures roll back and log nothing: [ENOSPC] if the puts could
+    overfill the index, a block would reach
+    {!Heap.Size_class.large_threshold} (a long root name, or a long list
+    of the roots naming one key; refused before anything is written), the
+    heap stays exhausted after one defragment-and-retry round, or the
     record outgrows the WAL; [EIO] if it must read damage (a root, a
     key's roots) or deletes a key whose chain crosses a damaged line (a
     put inserts past it); an injected [EIO] at the [store_commit] site. *)

@@ -59,8 +59,9 @@ let swap_out t ~key ~pfn =
     Hashtbl.replace t.slots key (Content content)
   | Swapfile fs ->
     let s = take_file_slot t fs in
+    (* A fresh buffer that nothing else holds. *)
     Fs.Memfs.write_file fs (swapfile t fs) ~off:(s * Sim.Units.page_size)
-      (Bytes.to_string content);
+      (Bytes.unsafe_to_string content);
     Hashtbl.replace t.slots key (File_slot s));
   Sim.Stats.incr (Physmem.Phys_mem.stats t.mem) "swap_out"
 

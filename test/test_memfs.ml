@@ -475,6 +475,21 @@ let prop_fs_write_read_roundtrip =
       M.write_file fs ino ~off data;
       Bytes.to_string (M.read_file fs ino ~off ~len:(String.length data)) = data)
 
+(* A write or read that spans extents copies each run at its own place
+   in the caller's data: a file grown past a neighbour's frames holds two
+   extents, and 16 KiB of distinct bytes across them read back whole. *)
+let test_fs_write_read_across_extents () =
+  let fs, _ = mk_fs () in
+  let a = M.create_file fs "/a" ~persistence:Fs.Inode.Volatile in
+  M.extend fs a ~bytes_wanted:(Sim.Units.kib 8);
+  let b = M.create_file fs "/b" ~persistence:Fs.Inode.Volatile in
+  M.extend fs b ~bytes_wanted:(Sim.Units.kib 4);
+  let data = String.init (Sim.Units.kib 16) (fun i -> Char.chr (i * 7 mod 251)) in
+  M.write_file fs a ~off:(Sim.Units.kib 4) data;
+  check_bool "the file spans extents" true (List.length (M.file_extents fs a) >= 2);
+  check_string "read back whole" data
+    (Bytes.to_string (M.read_file fs a ~off:(Sim.Units.kib 4) ~len:(String.length data)))
+
 let prop_fs_space_conservation =
   qtest "create+extend+unlink conserves space" ~count:40
     QCheck2.Gen.(list_size (int_range 1 10) (int_range 1 64))
@@ -528,5 +543,6 @@ let suite =
     Alcotest.test_case "fs: pmfs crash + recover" `Quick test_pmfs_crash_recover;
     Alcotest.test_case "fs: recovery cost per-file not per-byte" `Quick test_pmfs_recovery_cost_is_per_file;
     prop_fs_write_read_roundtrip;
+    Alcotest.test_case "fs: write/read across extents" `Quick test_fs_write_read_across_extents;
     prop_fs_space_conservation;
   ]

@@ -326,6 +326,28 @@ let test_swap_roundtrip () =
     (Bytes.to_string (Physmem.Phys_mem.read mem ~addr:(Physmem.Frame.to_addr 20) ~len:8));
   check_bool "slot consumed" false (Os.Swap.contains sw ~key:(1, 0x1000))
 
+(* A swapfile round trip copies each page once on the way out and once
+   on the way back. Warmed over 64 pages, the words per swap_out and per
+   swap_in must stay within 1.25x of what they measured when this held
+   (copying each page again into a string, per chunk and through a
+   buffer took 1,585 and 1,591). *)
+let test_swapfile_copies_once () =
+  let k = mk_kernel ~config:{ small_config with Os.Kernel.swap_backing = `Pmfs } () in
+  let sw = K.swap k in
+  let pages = 64 in
+  let round () =
+    let out = words_per_call pages (fun i -> Os.Swap.swap_out sw ~key:(1, i) ~pfn:(10 + i)) in
+    (out, words_per_call pages (fun i -> ignore (Os.Swap.swap_in sw ~key:(1, i) ~pfn:(100 + i))))
+  in
+  ignore (round ());
+  let out, back = round () in
+  check_int "every slot swapped back in" 0 (Os.Swap.slots_used sw);
+  let within what ~measured got =
+    check_bool (Printf.sprintf "%.1f words per %s <= 1.25 x %.1f" got what measured) true (got <= 1.25 *. measured)
+  in
+  within "swap_out" ~measured:557.4 out;
+  within "swap_in" ~measured:556.4 back
+
 let test_reclaim_clock_second_chance () =
   let k, p = mk () in
   let len = Sim.Units.kib 32 in
@@ -452,4 +474,5 @@ let suite =
     prop_demand_faults_equal_pages_touched;
     Alcotest.test_case "kernel: a fault reuses a frame buffer" `Quick test_fault_reuses_frame_buffers;
     Alcotest.test_case "kernel: a CoW fault copies its page once" `Quick test_cow_fault_copies_once;
+    Alcotest.test_case "swap: a swapfile round trip copies each page once" `Quick test_swapfile_copies_once;
   ]
