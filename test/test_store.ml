@@ -616,6 +616,8 @@ let run_model_cmd (fom, plane, st) m = function
     in
     FI.disarm plane ~site:FI.site_durable_step;
     match (outcome, want) with
+    | `Done, Some _ when List.exists (function M_set_root (r, _) -> String.length r > 8 | _ -> false) ops ->
+      QCheck2.Test.fail_report "an oversized transaction committed"
     | `Done, Some m' -> m'
     | (`Rejected, None | `Enospc, Some _) -> m
     | `Crashed, _ -> (
