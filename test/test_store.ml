@@ -412,6 +412,15 @@ let test_injected_fault_sites () =
   commit_put st [ ("k", "v2") ] [];
   Alcotest.(check (option string)) "retried alloc committed" (Some "v2") (Kv.get st "k");
   check_int "alloc retry counted" 1 (Sim.Stats.get (K.stats kernel) "store_alloc_retry");
+  (* A heap still exhausted after the retry: typed ENOSPC, nothing logged. *)
+  FI.arm plane ~site:FI.site_store_alloc FI.Always;
+  let logged = Kv.wal_used_bytes st in
+  (match commit_put st [ ("k", "lost"); ("other", "x") ] [] with
+  | () -> Alcotest.fail "an exhausted heap must fail the commit ENOSPC"
+  | exception Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> ());
+  FI.disarm plane ~site:FI.site_store_alloc;
+  check_bool "exhausted commit rolled back" false (Kv.txn_live st || Kv.mem st "other");
+  check_int "exhausted commit logged nothing" logged (Kv.wal_used_bytes st);
   (* Media-write retry: the redo is charged, the data lands. *)
   FI.arm plane ~site:FI.site_store_apply
     (FI.On_nth (FI.evaluations plane ~site:FI.site_store_apply + 1));
