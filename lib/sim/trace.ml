@@ -111,31 +111,45 @@ let attach_faults t f =
       | None -> ()
       | Some clock -> record t ~op:"fault_inject" ~start:(Clock.now clock) ~outcome:site ())
 
+(* The closure-free span: [enter] opens the call-tree frame and returns
+   the start cycle; [leave] (or [leave_raised]) records the ring event
+   inside the frame, so its host cost lands in the span that caused it,
+   then pops the frame. Every argument is required, so a site boxes no
+   option. *)
+let enter t ~op =
+  match t.clock with
+  | None -> 0
+  | Some clock ->
+    let start = Clock.now clock in
+    Profile.enter t.profile op;
+    start
+
+let leave t ~op ~start ~arg ~outcome =
+  match t.clock with
+  | None -> ()
+  | Some clock ->
+    push t clock ~op ~start ~arg ~outcome ~core:t.cur_core;
+    Profile.leave t.profile
+
+let leave_raised t ~op ~start = leave t ~op ~start ~arg:0 ~outcome:"raised"
+
 (* Closed defaults: a site passing neither allocates no option box. A site
    passing ~outcome without ~arg must apply the body directly, not via
    [@@]: skipping ?arg in a partial application allocates a closure. *)
 let no_arg _ = 0
 let ok _ = "ok"
 
-(* One call feeds every sink: a call-tree frame named [op] (when a
-   profiler is attached), then the ring event and the histogram sample.
-   The event is recorded inside the frame, so its host cost lands in the
-   span that caused it. *)
 let span t ~op ?(arg = no_arg) ?(outcome = ok) f =
-  match t.clock with
-  | None -> f ()
-  | Some clock -> (
-    let start = Clock.now clock and p = t.profile in
-    Profile.enter p op;
+  if not (enabled t) then f ()
+  else
+    let start = enter t ~op in
     match f () with
     | v ->
-      push t clock ~op ~start ~arg:(arg v) ~outcome:(outcome v) ~core:t.cur_core;
-      Profile.leave p;
+      leave t ~op ~start ~arg:(arg v) ~outcome:(outcome v);
       v
     | exception e ->
-      push t clock ~op ~start ~arg:0 ~outcome:"raised" ~core:t.cur_core;
-      Profile.leave p;
-      raise e)
+      leave_raised t ~op ~start;
+      raise e
 
 (* Oldest retained event first, read out of the ring. *)
 let events t =

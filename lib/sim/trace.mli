@@ -5,7 +5,9 @@
     and end cycle, operand size, outcome string) and a per-operation latency
     {!Histogram.t}, so experiments can report p50/p99/max latency per
     operation rather than flat counts. Every instrumented path opens a
-    {!span}, which also drives the attached {!Profile} call tree. The
+    span, which also drives the attached {!Profile} call tree: {!span}
+    wraps a function, and the closure-free form ({!enter}, then exactly
+    one {!leave} or {!leave_raised}) serves the per-page sites. The
     ring's slots are overwritten in place, so recording allocates
     nothing. An operation's histogram is found through a small
     {!Name_cache} keyed by the name string's identity, in front of the
@@ -93,6 +95,22 @@ val record :
     or a fault injection. It opens no call-tree frame. No-op on
     {!disabled}. *)
 
+val enter : t -> op:string -> int
+(** Open a span named [op]: push its frame in the attached profiler and
+    return the start cycle (0 on {!disabled}). Close it with exactly one
+    {!leave} or {!leave_raised}, passing the same [op] and the returned
+    start, innermost span first. Allocates nothing. *)
+
+val leave : t -> op:string -> start:int -> arg:int -> outcome:string -> unit
+(** Close the span {!enter} opened: record one ring event from [start]
+    to now with operand [arg] and [outcome], add its histogram sample,
+    then pop the frame. Once [op] has its histogram, allocates nothing.
+    No-op on {!disabled}. *)
+
+val leave_raised : t -> op:string -> start:int -> unit
+(** Close the span as its body raised: [leave] with operand 0 and
+    outcome "raised". The caller re-raises. *)
+
 val span :
   t -> op:string -> ?arg:('a -> int) -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
 (** [span t ~op f] runs [f], charging the clock with whatever [f] itself
@@ -101,10 +119,13 @@ val span :
     covering [f], and a sample in [op]'s histogram. [arg] and [outcome]
     map the result to the event's operand size (default 0) and outcome
     string (default "ok"). An exception records outcome "raised"
-    (operand 0), pops the frame and re-raises. Once [op] has its
-    histogram (made on its first event), recording allocates nothing:
-    with the defaults and a body closed over nothing, a span allocates
-    no words. On {!disabled} it just runs [f]. *)
+    (operand 0), pops the frame and re-raises. It is {!enter}, then
+    {!leave} or {!leave_raised}, around [f]: one span engine. Once [op]
+    has its histogram (made on its first event), recording allocates
+    nothing: with the defaults and a body closed over nothing, a span
+    allocates no words, but a body closed over its operands is a
+    closure per call, which the closure-free form avoids. On {!disabled}
+    it just runs [f]. *)
 
 val events : t -> event list
 (** Retained events, oldest first, read out of the ring. *)
