@@ -33,16 +33,40 @@ let run_churn ?(ops = default_ops) ?(host = false) backend =
   Sim.Trace.attach_profile (K.trace k) profile;
   let driver =
     if host then begin
-      let op name f =
-        Sim.Trace.span (K.trace k) ~op:name @@ fun () ->
-        let r = f () in
+      (* Each root span opens before the driver does anything, so the
+         op's own host cost is attributed: the closure-free span form,
+         not a body closure built ahead of the span. *)
+      let tr = K.trace k in
+      let enter op = Sim.Trace.enter tr ~op in
+      let leave op start =
         Sim.Profile.sample_self profile;
-        r
+        Sim.Trace.leave tr ~op ~start ~arg:0 ~outcome:"ok"
+      in
+      let raised op start e =
+        Sim.Trace.leave_raised tr ~op ~start;
+        raise e
       in
       {
-        Wl.Churn.h_malloc = (fun ~bytes -> op "malloc" (fun () -> driver.Wl.Churn.h_malloc ~bytes));
-        h_free = (fun va -> op "free" (fun () -> driver.Wl.Churn.h_free va));
-        h_touch = (fun ~va ~bytes -> op "touch" (fun () -> driver.Wl.Churn.h_touch ~va ~bytes));
+        Wl.Churn.h_malloc =
+          (fun ~bytes ->
+            let start = enter "malloc" in
+            match driver.Wl.Churn.h_malloc ~bytes with
+            | va ->
+              leave "malloc" start;
+              va
+            | exception e -> raised "malloc" start e);
+        h_free =
+          (fun va ->
+            let start = enter "free" in
+            match driver.Wl.Churn.h_free va with
+            | () -> leave "free" start
+            | exception e -> raised "free" start e);
+        h_touch =
+          (fun ~va ~bytes ->
+            let start = enter "touch" in
+            match driver.Wl.Churn.h_touch ~va ~bytes with
+            | () -> leave "touch" start
+            | exception e -> raised "touch" start e);
       }
     end
     else begin
