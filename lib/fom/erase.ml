@@ -19,7 +19,7 @@ let erase_extent t ~first ~count =
       Physmem.Zero_engine.eager_zero t.zero pfn
     done
   | Background ->
-    Physmem.Zero_engine.put_dirty t.zero (List.init count (fun i -> first + i));
+    Physmem.Zero_engine.put_dirty t.zero ~first ~count;
     Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) enqueue_cycles
   | Bulk_device -> Physmem.Zero_engine.bulk_erase t.zero ~first ~count);
   count

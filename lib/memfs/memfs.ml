@@ -177,7 +177,7 @@ let release_extent t ~first ~count =
   Quota.release t.quota ~frames:count;
   match t.erase with
   | Eager_zero -> () (* zeroed lazily, at the next extend *)
-  | Background_zero -> Physmem.Zero_engine.put_dirty t.zero (List.init count (fun i -> first + i))
+  | Background_zero -> Physmem.Zero_engine.put_dirty t.zero ~first ~count
   | Device_erase -> Physmem.Zero_engine.bulk_erase t.zero ~first ~count
 
 let free_file_frames t node =

@@ -53,38 +53,43 @@ let range_tlb t =
 let model t = Sim.Clock.model t.clock
 let mark_cached t = t.cpumask <- t.cpumask lor (1 lsl t.core)
 
-let check_prot prot ~write ~exec = Prot.allows prot ~write ~exec
-
 (* Dirty/accessed maintenance on a TLB hit costs nothing extra in the
    model: hardware updates the PTE bits asynchronously. *)
 let note_access t ~va ~write =
-  if write then
-    match Page_table.lookup t.table ~va with
-    | Some (_, leaf) ->
+  if write then begin
+    let leaf = Page_table.find t.table ~va in
+    if leaf != Page_table.no_leaf then begin
       leaf.Page_table.accessed <- true;
       leaf.Page_table.dirty <- true
-    | None -> ()
-
-let translate t ~va ~write ~exec =
-  let c = local t in
-  match Tlb.lookup c.Smp.tlb ~asid:t.asid ~va () with
-  | Some (pfn, prot, size) ->
-    if check_prot prot ~write ~exec then begin
-      note_access t ~va ~write;
-      let off = va land (Page_size.bytes size - 1) in
-      Ok (Physmem.Frame.to_addr pfn + off)
     end
-    else Error Protection
-  | None -> (
+  end
+
+(* [resolve]'s fault codes: a physical address is never negative. *)
+let not_mapped = -1
+let protection = -2
+
+let check ~prot ~write ~exec pa = if Prot.allows prot ~write ~exec then pa else protection
+let fault_of code = if code = not_mapped then Not_mapped else Protection
+
+(* [translate] as an int, a physical address or a fault code, so an
+   access on the radix path allocates nothing. *)
+let resolve t ~va ~write ~exec =
+  let c = local t in
+  let e = Tlb.lookup c.Smp.tlb ~asid:t.asid ~va in
+  if Tlb.hit e then begin
+    let off = va land (Page_size.bytes (Tlb.entry_size e) - 1) in
+    let pa = check ~prot:(Tlb.entry_prot e) ~write ~exec (Physmem.Frame.to_addr (Tlb.entry_pfn e) + off) in
+    if pa >= 0 then note_access t ~va ~write;
+    pa
+  end
+  else
     let via_range_tlb =
       match t.range_table with
       | Some _ -> Range_tlb.lookup c.Smp.range_tlb ~asid:t.asid ~va ()
       | None -> None
     in
     match via_range_tlb with
-    | Some e ->
-      if check_prot e.Range_table.prot ~write ~exec then Ok (va + e.Range_table.offset)
-      else Error Protection
+    | Some e -> check ~prot:e.Range_table.prot ~write ~exec (va + e.Range_table.offset)
     | None -> (
       (* Refill: range table first (one entry can cover the whole region),
          then the radix table. *)
@@ -98,28 +103,33 @@ let translate t ~va ~write ~exec =
           Range_tlb.insert c.Smp.range_tlb ~asid:t.asid e;
           mark_cached t
         | None -> ());
-        if check_prot e.Range_table.prot ~write ~exec then Ok (va + e.Range_table.offset)
-        else Error Protection
-      | None -> (
-        match
-          Walker.walk ~trace:t.trace ~clock:t.clock ~stats:t.stats ~table:t.table ~mode:t.mode
-            ~va ()
-        with
-        | None -> Error Not_mapped
-        | Some (pa, leaf) ->
+        check ~prot:e.Range_table.prot ~write ~exec (va + e.Range_table.offset)
+      | None ->
+        let leaf =
+          Walker.walk ~trace:t.trace ~clock:t.clock ~stats:t.stats ~table:t.table ~mode:t.mode ~va
+        in
+        if leaf == Page_table.no_leaf then not_mapped
+        else begin
           if write then leaf.Page_table.dirty <- true;
+          let size = leaf.Page_table.size in
           Tlb.insert c.Smp.tlb ~asid:t.asid
-            ~va:(Sim.Units.round_down va ~align:(Page_size.bytes leaf.Page_table.size))
-            ~pfn:leaf.Page_table.pfn ~prot:leaf.Page_table.prot ~size:leaf.Page_table.size ();
+            ~va:(Sim.Units.round_down va ~align:(Page_size.bytes size))
+            ~pfn:leaf.Page_table.pfn ~prot:leaf.Page_table.prot ~size;
           mark_cached t;
-          if check_prot leaf.Page_table.prot ~write ~exec then Ok pa else Error Protection)))
+          check ~prot:leaf.Page_table.prot ~write ~exec (Page_table.phys_addr leaf ~va)
+        end)
+
+let translate t ~va ~write ~exec =
+  let pa = resolve t ~va ~write ~exec in
+  if pa >= 0 then Ok pa else Error (fault_of pa)
 
 let access t ~mem ~va ~write =
-  match translate t ~va ~write ~exec:false with
-  | Error _ as e -> e
-  | Ok pa ->
+  let pa = resolve t ~va ~write ~exec:false in
+  if pa < 0 then Error (fault_of pa)
+  else begin
     if write then Physmem.Phys_mem.write_byte mem pa 'x' else Physmem.Phys_mem.touch mem pa;
     Ok ()
+  end
 
 (* Purely local full flush (context switch): current core only, zero
    IPIs — the single-core cost the fixed {!Sim.Cost_model.shootdown_cost}

@@ -63,17 +63,21 @@ let check_va t va =
 (* Depth of the node holding the leaf for a page of [size]. *)
 let leaf_node_depth t size = t.levels - 1 - Page_size.depth_above_leaf size
 
+(* What [descend] returns when a leaf, or a hole it may not fill, blocks
+   the path: a node of no table. *)
+let no_node = { frame = -1; entries = [||]; live = 0; refs = 0 }
+
 (* Walk to the node at [depth] along [va], creating missing interior
-   nodes when [create_path] is set. *)
+   nodes when [create_path] is set; [no_node] if the path is blocked. *)
 let rec descend t node ~cur ~depth ~va ~create_path =
-  if cur = depth then Some node
+  if cur = depth then node
   else
     let i = index t ~depth:cur va in
     match node.entries.(i) with
     | Table child -> descend t child ~cur:(cur + 1) ~depth ~va ~create_path
-    | Leaf _ -> None
+    | Leaf _ -> no_node
     | Empty ->
-      if not create_path then None
+      if not create_path then no_node
       else begin
         let child = new_node t in
         node.entries.(i) <- Table child;
@@ -89,18 +93,17 @@ let map_page t ~va ~pfn ~prot ~size =
   if not (Sim.Units.is_aligned (Frame.to_addr pfn) ~align:bytes) then
     invalid_arg "Page_table.map_page: misaligned PA";
   let depth = leaf_node_depth t size in
-  match descend t t.root ~cur:0 ~depth ~va ~create_path:true with
-  | None -> invalid_arg "Page_table.map_page: blocked by an existing mapping"
-  | Some node ->
-    let i = index t ~depth va in
-    (match node.entries.(i) with
-    | Empty ->
-      node.entries.(i) <- Leaf { pfn; prot; accessed = false; dirty = false; size };
-      node.live <- node.live + 1;
-      charge t (model t).Sim.Cost_model.pte_write;
-      Sim.Stats.incr t.stats "pte_write"
-    | Leaf _ -> invalid_arg "Page_table.map_page: already mapped"
-    | Table _ -> invalid_arg "Page_table.map_page: occupied by a page-table subtree")
+  let node = descend t t.root ~cur:0 ~depth ~va ~create_path:true in
+  if node == no_node then invalid_arg "Page_table.map_page: blocked by an existing mapping";
+  let i = index t ~depth va in
+  match node.entries.(i) with
+  | Empty ->
+    node.entries.(i) <- Leaf { pfn; prot; accessed = false; dirty = false; size };
+    node.live <- node.live + 1;
+    charge t (model t).Sim.Cost_model.pte_write;
+    Sim.Stats.incr t.stats "pte_write"
+  | Leaf _ -> invalid_arg "Page_table.map_page: already mapped"
+  | Table _ -> invalid_arg "Page_table.map_page: occupied by a page-table subtree"
 
 let map_range t ~va ~pfn ~len ~prot ~huge =
   check_va t va;
@@ -125,18 +128,6 @@ let map_range t ~va ~pfn ~len ~prot ~huge =
   in
   loop va pa len 0
 
-(* The (node, index) pairs along [va], deepest first, down to the first
-   entry that is not a table or to the node at depth [stop]. *)
-let path t va ~stop =
-  let rec loop node depth acc =
-    let i = index t ~depth va in
-    let acc = (node, i) :: acc in
-    match node.entries.(i) with
-    | Table child when depth < stop -> loop child (depth + 1) acc
-    | Table _ | Empty | Leaf _ -> acc
-  in
-  loop t.root 0 []
-
 let free_node t node =
   t.owned_nodes <- t.owned_nodes - 1;
   Sim.Stats.incr t.stats "pt_node_free";
@@ -154,53 +145,58 @@ let release t f =
   in
   drop t.root
 
-(* Empty the entry at the head of [path], then prune upward every node
-   that emptied — never one other tables still reference: an unmap inside
-   a shared subtree is visible to every sharer, as shared mappings need. *)
-let clear_path t = function
-  | [] -> ()
-  | (node, i) :: _ as path ->
+(* Free [child], the node under entry [i] of [node], if a clear below
+   emptied it — never a node other tables still reference: an unmap
+   inside a shared subtree is visible to every sharer, as shared
+   mappings need. *)
+let prune t node i child =
+  if child.live = 0 && child.refs = 1 then begin
     node.entries.(i) <- Empty;
     node.live <- node.live - 1;
-    let rec prune = function
-      | (node, _) :: ((parent, i) :: _ as rest) when node.live = 0 && node.refs = 1 ->
-        parent.entries.(i) <- Empty;
-        parent.live <- parent.live - 1;
-        free_node t node;
-        prune rest
-      | _ -> ()
-    in
-    prune path
+    free_node t child
+  end
+
+(* Empty the leaf along [va], then prune on the way back up: no path is
+   built, and nothing changes if no leaf is there. *)
+let rec unmap_in t node ~depth va =
+  let i = index t ~depth va in
+  match node.entries.(i) with
+  | Leaf _ ->
+    charge t (model t).Sim.Cost_model.pte_write;
+    Sim.Stats.incr t.stats "pte_clear";
+    node.entries.(i) <- Empty;
+    node.live <- node.live - 1
+  | Table child ->
+    unmap_in t child ~depth:(depth + 1) va;
+    prune t node i child
+  | Empty -> invalid_arg "Page_table.unmap_page: not mapped"
 
 let unmap_page t ~va =
   check_va t va;
-  match path t va ~stop:t.levels with
-  | (node, i) :: _ as path when (match node.entries.(i) with Leaf _ -> true | _ -> false) ->
-    charge t (model t).Sim.Cost_model.pte_write;
-    Sim.Stats.incr t.stats "pte_clear";
-    clear_path t path
-  | _ -> invalid_arg "Page_table.unmap_page: not mapped"
+  unmap_in t t.root ~depth:0 va
 
 let ensure_node t ~va ~depth =
   check_va t va;
   if depth < 0 || depth >= t.levels then invalid_arg "Page_table.ensure_node: bad depth";
-  match descend t t.root ~cur:0 ~depth ~va ~create_path:true with
-  | Some _ -> ()
-  | None -> invalid_arg "Page_table.ensure_node: blocked by an existing leaf"
+  if descend t t.root ~cur:0 ~depth ~va ~create_path:true == no_node then
+    invalid_arg "Page_table.ensure_node: blocked by an existing leaf"
 
-let lookup t ~va =
+(* What [find] returns for an unmapped address: a leaf of no table. *)
+let no_leaf = { pfn = -1; prot = Prot.none; accessed = false; dirty = false; size = Page_size.Small }
+
+let rec find_in t node ~depth va =
+  match node.entries.(index t ~depth va) with
+  | Empty -> no_leaf
+  | Leaf leaf -> leaf
+  | Table child -> find_in t child ~depth:(depth + 1) va
+
+let find t ~va =
   check_va t va;
-  let rec loop node depth =
-    let i = index t ~depth va in
-    match node.entries.(i) with
-    | Empty -> None
-    | Leaf leaf ->
-      let span = Page_size.bytes leaf.size in
-      let off = va land (span - 1) in
-      Some (Frame.to_addr leaf.pfn + off, leaf)
-    | Table child -> loop child (depth + 1)
-  in
-  loop t.root 0
+  find_in t t.root ~depth:0 va
+
+let phys_addr (leaf : leaf) ~va = Frame.to_addr leaf.pfn + (va land (Page_size.bytes leaf.size - 1))
+
+let lookup t ~va = match find t ~va with l when l == no_leaf -> None | l -> Some (phys_addr l ~va, l)
 
 let unmap_range t ~va ~len =
   check_va t va;
@@ -210,14 +206,15 @@ let unmap_range t ~va ~len =
     let count = ref 0 in
     let cursor = ref va in
     while !cursor < va + len do
-      match lookup t ~va:!cursor with
-      | None -> cursor := !cursor + Sim.Units.page_size
-      | Some (_, leaf) ->
+      let leaf = find t ~va:!cursor in
+      if leaf == no_leaf then cursor := !cursor + Sim.Units.page_size
+      else begin
         let span = Page_size.bytes leaf.size in
         let base = Sim.Units.round_down !cursor ~align:span in
         unmap_page t ~va:base;
         incr count;
         cursor := base + span
+      end
     done;
     !count
   end
@@ -229,15 +226,16 @@ let protect_range t ~va ~len ~prot =
     let count = ref 0 in
     let cursor = ref va in
     while !cursor < va + len do
-      (match lookup t ~va:!cursor with
-      | None -> cursor := !cursor + Sim.Units.page_size
-      | Some (_, leaf) ->
+      let leaf = find t ~va:!cursor in
+      if leaf == no_leaf then cursor := !cursor + Sim.Units.page_size
+      else begin
         leaf.prot <- prot;
         charge t (model t).Sim.Cost_model.pte_write;
         Sim.Stats.incr t.stats "pte_protect";
         incr count;
         let span = Page_size.bytes leaf.size in
-        cursor := Sim.Units.round_down !cursor ~align:span + span)
+        cursor := Sim.Units.round_down !cursor ~align:span + span
+      end
     done;
     !count
   end
@@ -255,45 +253,51 @@ let share_subtree ~src ~src_va ~dst ~dst_va ~depth =
      at [depth]. Alignment must be to that entry's span. *)
   if not (Sim.Units.is_aligned src_va ~align:span) || not (Sim.Units.is_aligned dst_va ~align:span)
   then invalid_arg "Page_table.share_subtree: VAs not aligned to subtree span";
-  match node_at src ~va:src_va ~depth with
-  | None -> invalid_arg "Page_table.share_subtree: source subtree missing"
-  | Some src_node -> (
-    match descend dst dst.root ~cur:0 ~depth:(depth - 1) ~va:dst_va ~create_path:true with
-    | None -> invalid_arg "Page_table.share_subtree: destination blocked"
-    | Some parent ->
-      let i = index dst ~depth:(depth - 1) dst_va in
-      (match parent.entries.(i) with
-      | Empty ->
-        parent.entries.(i) <- Table src_node;
-        parent.live <- parent.live + 1;
-        src_node.refs <- src_node.refs + 1;
-        Sim.Clock.charge dst.clock (Sim.Clock.model dst.clock).Sim.Cost_model.pte_write;
-        Sim.Stats.incr dst.stats "pt_subtree_share"
-      | _ -> invalid_arg "Page_table.share_subtree: destination slot occupied"))
+  let src_node = node_at src ~va:src_va ~depth in
+  if src_node == no_node then invalid_arg "Page_table.share_subtree: source subtree missing";
+  let parent = descend dst dst.root ~cur:0 ~depth:(depth - 1) ~va:dst_va ~create_path:true in
+  if parent == no_node then invalid_arg "Page_table.share_subtree: destination blocked";
+  let i = index dst ~depth:(depth - 1) dst_va in
+  match parent.entries.(i) with
+  | Empty ->
+    parent.entries.(i) <- Table src_node;
+    parent.live <- parent.live + 1;
+    src_node.refs <- src_node.refs + 1;
+    Sim.Clock.charge dst.clock (Sim.Clock.model dst.clock).Sim.Cost_model.pte_write;
+    Sim.Stats.incr dst.stats "pt_subtree_share"
+  | _ -> invalid_arg "Page_table.share_subtree: destination slot occupied"
+
+(* Drop the grafted pointer in the node at depth [at] along [va], then
+   prune on the way back up, as [unmap_in] does. *)
+let rec unshare_in t node ~depth va ~at =
+  let i = index t ~depth va in
+  match node.entries.(i) with
+  | Table child when depth < at ->
+    unshare_in t child ~depth:(depth + 1) va ~at;
+    prune t node i child
+  | _ when depth < at -> invalid_arg "Page_table.unshare: no such entry"
+  | Table child when child.refs > 1 ->
+    child.refs <- child.refs - 1;
+    node.entries.(i) <- Empty;
+    node.live <- node.live - 1
+  | Table _ -> invalid_arg "Page_table.unshare: subtree is not shared"
+  | Empty | Leaf _ -> invalid_arg "Page_table.unshare: no subtree at this entry"
 
 let unshare t ~va ~depth =
   if depth <= 0 || depth >= t.levels then invalid_arg "Page_table.unshare: bad depth";
-  match path t va ~stop:(depth - 1) with
-  | (parent, i) :: _ as path when List.length path = depth -> (
-    match parent.entries.(i) with
-    | Table child when child.refs > 1 ->
-      child.refs <- child.refs - 1;
-      clear_path t path;
-      charge t (model t).Sim.Cost_model.pte_write;
-      Sim.Stats.incr t.stats "pt_subtree_unshare"
-    | Table _ -> invalid_arg "Page_table.unshare: subtree is not shared"
-    | Empty | Leaf _ -> invalid_arg "Page_table.unshare: no subtree at this entry")
-  | _ -> invalid_arg "Page_table.unshare: no such entry"
+  unshare_in t t.root ~depth:0 va ~at:(depth - 1);
+  charge t (model t).Sim.Cost_model.pte_write;
+  Sim.Stats.incr t.stats "pt_subtree_unshare"
 
 let is_shared_at t ~va ~depth =
-  if depth <= 0 || depth >= t.levels then false
-  else
-    match descend t t.root ~cur:0 ~depth:(depth - 1) ~va ~create_path:false with
-    | None -> false
-    | Some parent -> (
-      match parent.entries.(index t ~depth:(depth - 1) va) with
-      | Table child -> child.refs > 1
-      | Empty | Leaf _ -> false)
+  depth > 0 && depth < t.levels
+  &&
+  let parent = descend t t.root ~cur:0 ~depth:(depth - 1) ~va ~create_path:false in
+  parent != no_node
+  &&
+  match parent.entries.(index t ~depth:(depth - 1) va) with
+  | Table child -> child.refs > 1
+  | Empty | Leaf _ -> false
 
 let iter_leaves t f =
   let rec walk node depth va_base =

@@ -53,9 +53,10 @@ val map_range :
 
 val unmap_page : t -> va:int -> unit
 (** Remove the leaf covering [va]; prunes page-table nodes that become
-    empty — except nodes other tables still reference, which survive (an
-    unmap inside a shared subtree is visible to every sharer, as shared
-    mappings require). Raises [Invalid_argument] if not mapped. *)
+    empty on its way back up, building no path — except nodes other
+    tables still reference, which survive (an unmap inside a shared
+    subtree is visible to every sharer, as shared mappings require).
+    Raises [Invalid_argument] if not mapped. *)
 
 val ensure_node : t -> va:int -> depth:int -> unit
 (** Pre-create the interior path down to the node at [depth] covering
@@ -68,8 +69,20 @@ val unmap_range : t -> va:int -> len:int -> int
 val protect_range : t -> va:int -> len:int -> prot:Prot.t -> int
 (** Rewrite protection on every leaf in range; returns PTEs touched. *)
 
+val no_leaf : leaf
+(** The never-valid leaf {!find} returns for an unmapped address (pfn
+    -1); it belongs to no table. Compare with [==]. *)
+
+val find : t -> va:int -> leaf
+(** Software lookup (no hardware cost): the leaf mapping [va] itself, or
+    {!no_leaf}. Allocates nothing. *)
+
+val phys_addr : leaf -> va:int -> int
+(** The physical address [va] translates to under [leaf]. *)
+
 val lookup : t -> va:int -> (int * leaf) option
-(** Software lookup (no hardware cost): physical address + leaf. *)
+(** {!find} as an option with the physical address, for callers off the
+    per-page path. *)
 
 val share_subtree : src:t -> src_va:int -> dst:t -> dst_va:int -> depth:int -> unit
 (** Graft the [src] subtree under the entry at [depth] covering [src_va]

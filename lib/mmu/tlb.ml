@@ -1,6 +1,6 @@
 (* Each set is a fixed array of [ways] slots with a per-slot LRU clock:
-   lookup, insert and eviction are all O(ways) array scans with no list
-   allocation — the O(1) hot path the rest of the simulator leans on.
+   lookup, insert and eviction are all O(ways) array scans that allocate
+   nothing — the O(1) hot path the rest of the simulator leans on.
 
    Entries are ASID-tagged (PCID-style): one physical TLB per core is
    shared by every address space scheduled there, and invalidations are
@@ -14,6 +14,8 @@ type slot = {
   mutable prot : Prot.t;
   mutable used : int; (* global tick of last touch; smallest = LRU *)
 }
+
+type entry = slot
 
 type t = {
   clock : Sim.Clock.t;
@@ -73,55 +75,59 @@ let set_of t va size =
 
 let sizes = [ Page_size.Small; Page_size.Huge_2m; Page_size.Huge_1g ]
 
+(* What [lookup] returns on a miss: it sits in no set, so no fill or
+   invalidation ever writes it, and it is never valid. *)
+let miss = { valid = false; asid = -1; tag = -1; size = Page_size.Small; pfn = -1; prot = Prot.none; used = 0 }
+
 let find_slot t ~asid va size =
   let set = t.data.(set_of t va size) in
   let tag = tag_of va size in
-  let found = ref None in
-  for i = 0 to t.ways - 1 do
-    let s = set.(i) in
-    if !found = None && s.valid && s.asid = asid && s.tag = tag && s.size = size then
-      found := Some s
+  let found = ref miss and i = ref 0 in
+  while !found == miss && !i < t.ways do
+    let s = set.(!i) in
+    if s.valid && s.asid = asid && s.tag = tag && s.size = size then found := s;
+    incr i
   done;
   !found
 
-let lookup t ?(asid = 0) ~va () =
-  Sim.Trace.span t.trace ~op:"tlb_lookup" ~outcome:(function Some _ -> "hit" | None -> "miss")
-    (fun () ->
-      Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
-      let found = ref None in
-      List.iter
-        (fun size ->
-          if !found = None then
-            match find_slot t ~asid va size with
-            | Some s ->
-              s.used <- touch t;
-              found := Some (s.pfn, s.prot, s.size)
-            | None -> ())
-        sizes;
-      (match !found with
-      | Some _ -> Sim.Stats.incr t.stats "tlb_hit"
-      | None -> Sim.Stats.incr t.stats "tlb_miss");
-      !found)
+let lookup t ~asid ~va =
+  let start = Sim.Trace.enter t.trace ~op:"tlb_lookup" in
+  Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
+  let s = find_slot t ~asid va Page_size.Small in
+  let s = if s != miss then s else find_slot t ~asid va Page_size.Huge_2m in
+  let s = if s != miss then s else find_slot t ~asid va Page_size.Huge_1g in
+  if s != miss then begin
+    s.used <- touch t;
+    Sim.Stats.incr t.stats "tlb_hit"
+  end
+  else Sim.Stats.incr t.stats "tlb_miss";
+  Sim.Trace.leave t.trace ~op:"tlb_lookup" ~start ~arg:0 ~outcome:(if s != miss then "hit" else "miss");
+  s
 
-let insert t ?(asid = 0) ~va ~pfn ~prot ~size () =
+let hit e = e != miss
+let entry_pfn e = e.pfn
+let entry_prot e = e.prot
+let entry_size e = e.size
+
+let insert t ~asid ~va ~pfn ~prot ~size =
   let set = t.data.(set_of t va size) in
   let tag = tag_of va size in
   (* Reuse a matching or invalid slot; otherwise evict the LRU slot. *)
-  let victim = ref set.(0) in
-  let exception Found in
-  (try
-     for i = 0 to t.ways - 1 do
-       let s = set.(i) in
-       if s.valid && s.asid = asid && s.tag = tag && s.size = size then begin
-         victim := s;
-         raise Found
-       end;
-       if not s.valid then begin
-         if !victim.valid then victim := s
-       end
-       else if !victim.valid && s.used < !victim.used then victim := s
-     done
-   with Found -> ());
+  let victim = ref set.(0) and i = ref 0 in
+  while !i < t.ways do
+    let s = set.(!i) in
+    if s.valid && s.asid = asid && s.tag = tag && s.size = size then begin
+      victim := s;
+      i := t.ways
+    end
+    else begin
+      if not s.valid then begin
+        if !victim.valid then victim := s
+      end
+      else if !victim.valid && s.used < !victim.used then victim := s;
+      incr i
+    end
+  done;
   let s = !victim in
   if s.valid && not (s.asid = asid && s.tag = tag && s.size = size) then
     Sim.Stats.incr t.stats "tlb_evictions";
@@ -144,11 +150,11 @@ let invalidate_page t ?(asid = 0) ~va () =
   count_shootdown t 1;
   List.iter
     (fun size ->
-      match find_slot t ~asid va size with
-      | Some s ->
+      let s = find_slot t ~asid va size in
+      if s != miss then begin
         s.valid <- false;
         gauge_delta t (-1)
-      | None -> ())
+      end)
     sizes
 
 let iter t f =

@@ -15,17 +15,18 @@ val refs_for_walk : guest_levels:int -> leaf_depth:int -> mode:mode -> int
     native references). *)
 
 val walk :
-  ?trace:Sim.Trace.t ->
+  trace:Sim.Trace.t ->
   clock:Sim.Clock.t ->
   stats:Sim.Stats.t ->
   table:Page_table.t ->
   mode:mode ->
   va:int ->
-  unit ->
-  (int * Page_table.leaf) option
+  Page_table.leaf
 (** Resolve [va]. Charges one full DRAM reference for the leaf PTE and a
     cache-hit cost for each upper-level access (modelling page-walk
     caches); bumps "walk_refs" by the raw reference count. Sets the
-    leaf's accessed bit. [None] for an unmapped address (the walk cost is
-    still charged — the hardware walked to find the hole). [trace]
-    records a "page_walk" event with the reference count as [arg]. *)
+    leaf's accessed bit. Returns the leaf itself, or
+    {!Page_table.no_leaf} for an unmapped address (the walk cost is
+    still charged — the hardware walked to find the hole), and
+    allocates nothing. [trace] ({!Sim.Trace.disabled} for none) records
+    a "page_walk" event with the reference count as [arg]. *)

@@ -5,25 +5,44 @@ type t = { mem : Phys_mem.t; dirty : Frame.t Queue.t; zeroed : Frame.t Queue.t }
 let bulk_erase_cycles = 2000
 
 let create mem = { mem; dirty = Queue.create (); zeroed = Queue.create () }
-let put_dirty t frames = List.iter (fun f -> Queue.add f t.dirty) frames
+let put_dirty t ~first ~count =
+  for pfn = first to first + count - 1 do
+    Queue.add pfn t.dirty
+  done
+
 let take_zeroed t = Queue.take_opt t.zeroed
 
+(* Both spans are closure-free: each runs on the fault path, the eager
+   zero for every frame the buddy hands out, the background step when
+   the buddy is dry. *)
 let eager_zero t pfn =
-  Sim.Trace.span (Phys_mem.trace t.mem) ~op:"zeroing" @@ fun () -> Phys_mem.zero_frame t.mem pfn
+  let trace = Phys_mem.trace t.mem in
+  let start = Sim.Trace.enter trace ~op:"zeroing" in
+  match Phys_mem.zero_frame t.mem pfn with
+  | () -> Sim.Trace.leave trace ~op:"zeroing" ~start ~arg:0 ~outcome:"ok"
+  | exception e ->
+    Sim.Trace.leave_raised trace ~op:"zeroing" ~start;
+    raise e
+
+let rec zero_pending t ~budget_frames n =
+  if n >= budget_frames || Queue.is_empty t.dirty then n
+  else begin
+    let pfn = Queue.take t.dirty in
+    Phys_mem.zero_frame t.mem pfn;
+    Queue.add pfn t.zeroed;
+    zero_pending t ~budget_frames (n + 1)
+  end
 
 let background_step t ~budget_frames =
-  Sim.Trace.span (Phys_mem.trace t.mem) ~op:"background_zero" ~arg:Fun.id @@ fun () ->
-  let rec loop n =
-    if n >= budget_frames then n
-    else
-      match Queue.take_opt t.dirty with
-      | None -> n
-      | Some pfn ->
-        Phys_mem.zero_frame t.mem pfn;
-        Queue.add pfn t.zeroed;
-        loop (n + 1)
-  in
-  loop 0
+  let trace = Phys_mem.trace t.mem in
+  let start = Sim.Trace.enter trace ~op:"background_zero" in
+  match zero_pending t ~budget_frames 0 with
+  | n ->
+    Sim.Trace.leave trace ~op:"background_zero" ~start ~arg:n ~outcome:"ok";
+    n
+  | exception e ->
+    Sim.Trace.leave_raised trace ~op:"background_zero" ~start;
+    raise e
 
 let bulk_erase t ~first ~count =
   if count < 0 then invalid_arg "Zero_engine.bulk_erase: negative count";

@@ -14,8 +14,9 @@ type t
 
 val create : Phys_mem.t -> t
 
-val put_dirty : t -> Frame.t list -> unit
-(** Hand freed frames to the engine; they become pending until zeroed. *)
+val put_dirty : t -> first:Frame.t -> count:int -> unit
+(** Hand the [count] freed frames from [first] to the engine; they become
+    pending until zeroed. *)
 
 val take_zeroed : t -> Frame.t option
 (** Pop a pre-zeroed frame in O(1); [None] when the pool is empty. *)

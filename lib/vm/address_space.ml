@@ -7,6 +7,7 @@ type t = {
   mmu : Hw.Mmu.t;
   range_table : Hw.Range_table.t option;
   mutable vmas : Vma.t IntMap.t; (* keyed by start *)
+  mutable last : Vma.t option; (* [find_vma]'s last hit, until the next insert or removal *)
   mutable mmap_cursor : int;
 }
 
@@ -17,7 +18,7 @@ let mmap_base = 0x2000_0000_0000
 let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~table ?range_table
     ?(mode = Hw.Walker.Native) ?smp ?asid () =
   let mmu = Hw.Mmu.create ~clock ~stats ~trace ~table ?range_table ~mode ?smp ?asid () in
-  { clock; stats; table; mmu; range_table; vmas = IntMap.empty; mmap_cursor = mmap_base }
+  { clock; stats; table; mmu; range_table; vmas = IntMap.empty; last = None; mmap_cursor = mmap_base }
 
 let page_table t = t.table
 let mmu t = t.mmu
@@ -36,6 +37,7 @@ let overlaps t (v : Vma.t) =
 
 let insert_vma t v =
   if overlaps t v then invalid_arg "Address_space.insert_vma: overlap";
+  t.last <- None;
   Sim.Clock.charge t.clock (Sim.Clock.model t.clock).Sim.Cost_model.vma_setup;
   Sim.Stats.incr t.stats "vma_setup";
   (* Merge with the VMA just below and/or just above, Linux-style. *)
@@ -59,12 +61,21 @@ let insert_vma t v =
   in
   t.vmas <- IntMap.add v.Vma.start v t.vmas
 
+(* VMAs never overlap, so the last hit is the answer while it holds
+   [va]: a run of faults on one VMA searches and allocates nothing. *)
 let find_vma t ~va =
-  match IntMap.find_last_opt (fun s -> s <= va) t.vmas with
-  | Some (_, v) when Vma.contains v va -> Some v
-  | _ -> None
+  match t.last with
+  | Some v as hit when Vma.contains v va -> hit
+  | _ -> (
+    match IntMap.find_last_opt (fun s -> s <= va) t.vmas with
+    | Some (_, v) when Vma.contains v va ->
+      let hit = Some v in
+      t.last <- hit;
+      hit
+    | _ -> None)
 
 let remove_range t ~start ~len =
+  t.last <- None;
   let finish = start + len in
   let removed = ref [] in
   let to_delete = ref [] in

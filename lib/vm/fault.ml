@@ -31,16 +31,17 @@ let buddy_alloc ctx ~order =
    than OOM. *)
 let raw_frame ctx =
   match buddy_alloc ctx ~order:0 with
-  | Some pfn -> Some pfn
+  | Some _ as got -> got
   | None ->
     ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:1);
     Physmem.Zero_engine.take_zeroed ctx.zero
 
 (* Graceful degradation: a failed allocation gets exactly one
-   reclaim-then-retry pass before the typed OOM surfaces. *)
+   reclaim-then-retry pass before the typed OOM surfaces. [alloc] is a
+   top-level function of [ctx], so a call builds no closure. *)
 let with_reclaim_retry ctx alloc =
-  match alloc () with
-  | Some pfn -> Some pfn
+  match alloc ctx with
+  | Some _ as got -> got
   | None -> (
     match ctx.reclaim with
     | None -> None
@@ -57,14 +58,14 @@ let with_reclaim_retry ctx alloc =
       ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:(max 1 got));
       let wake = Sim.Causal.emit causal ~core ~op:"reclaim_wake" ~detail:(string_of_int got) () in
       Sim.Causal.link causal ~src:stall ~dst:wake ~kind:"reclaim";
-      alloc ())
+      alloc ctx)
 
 let oom ctx what =
   Sim.Stats.incr (stats ctx) "alloc_oom";
   Sim.Errno.fail Sim.Errno.ENOMEM what
 
 let raw_frame_exn ?(what = "raw frame") ctx =
-  match with_reclaim_retry ctx (fun () -> raw_frame ctx) with
+  match with_reclaim_retry ctx raw_frame with
   | Some pfn -> pfn
   | None -> oom ctx what
 
@@ -72,10 +73,10 @@ let fresh_zero_frame_once ctx =
   (* Prefer the pre-zeroed cache, then the engine's own pool (both O(1));
      fall back to allocate + eager zero. *)
   match Alloc.Zero_cache.take ctx.zcache with
-  | Some pfn -> Some pfn
+  | Some _ as got -> got
   | None -> (
     match Physmem.Zero_engine.take_zeroed ctx.zero with
-    | Some pfn -> Some pfn
+    | Some _ as got -> got
     | None -> (
       match buddy_alloc ctx ~order:0 with
       | Some pfn ->
@@ -84,7 +85,7 @@ let fresh_zero_frame_once ctx =
       | None -> raw_frame ctx (* laundered on demand: already zero *)))
 
 let fresh_zero_frame ctx =
-  match with_reclaim_retry ctx (fun () -> fresh_zero_frame_once ctx) with
+  match with_reclaim_retry ctx fresh_zero_frame_once with
   | Some pfn -> pfn
   | None -> oom ctx "zero frame"
 
@@ -152,8 +153,8 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
     if not (Hw.Prot.allows vma.Vma.prot ~write ~exec:false) then raise (Segfault va);
     let table = Address_space.page_table aspace in
     let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
-    (match Hw.Page_table.lookup table ~va with
-    | Some (_, leaf) ->
+    let leaf = Hw.Page_table.find table ~va in
+    if leaf != Hw.Page_table.no_leaf then begin
       (* Mapped but the access faulted: protection. Legal only as CoW. *)
       if
         write
@@ -166,7 +167,8 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
         Minor
       end
       else raise (Segfault va)
-    | None -> (
+    end
+    else
       match vma.Vma.backing with
       | Vma.Anon ->
         if Swap.contains ctx.swap ~key:(pid, page_va) then begin
@@ -189,13 +191,17 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
       | Vma.File _ ->
         populate_file_page ctx ~aspace ~vma ~va;
         Sim.Stats.incr (stats ctx) "minor_fault";
-        Minor))
+        Minor
 
 let handle ctx ~aspace ~pid ~va ~write =
-  let result =
-    Sim.Trace.span (Physmem.Phys_mem.trace ctx.mem) ~op:"fault"
-      ~outcome:(function Minor -> "minor" | Major -> "major")
-      (fun () -> handle_inner ctx ~aspace ~pid ~va ~write)
-  in
-  Sim.Stats.sample (stats ctx) ~now:(Sim.Clock.now (clock ctx));
-  result
+  let trace = Physmem.Phys_mem.trace ctx.mem in
+  let start = Sim.Trace.enter trace ~op:"fault" in
+  match handle_inner ctx ~aspace ~pid ~va ~write with
+  | kind ->
+    Sim.Trace.leave trace ~op:"fault" ~start ~arg:0
+      ~outcome:(match kind with Minor -> "minor" | Major -> "major");
+    Sim.Stats.sample (stats ctx) ~now:(Sim.Clock.now (clock ctx));
+    kind
+  | exception e ->
+    Sim.Trace.leave_raised trace ~op:"fault" ~start;
+    raise e

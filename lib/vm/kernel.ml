@@ -54,7 +54,12 @@ type t = {
   mutable next_pid : int;
   userfault : Userfault.t;
   ctx : Fault.ctx; (* built once: faults and populate calls share it *)
-  mutable busy_depth : int; (* re-entrancy guard for [on_core] *)
+  (* The open core bracket ([core_enter]): re-entrancy guard, then the
+     core it bills, the trace core stamp to restore and its start. *)
+  mutable busy : bool;
+  mutable busy_core : int;
+  mutable busy_prev : int;
+  mutable busy_start : int;
   mutable pt_frames : int; (* page-table frames handed out minus returned *)
 }
 
@@ -132,7 +137,10 @@ let create ?(config = default_config) () =
     next_pid = 1;
     userfault = Userfault.create ();
     ctx = { Fault.mem; meta; buddy; swap; zero; zcache; reclaim = Some reclaim };
-    busy_depth = 0;
+    busy = false;
+    busy_core = 0;
+    busy_prev = 0;
+    busy_start = 0;
     pt_frames = 0;
   }
 
@@ -172,29 +180,38 @@ let causal t = Sim.Trace.causal t.trace
    the core the process runs on, the trace core stamp is set for the
    duration, and physical accesses resolve NUMA locality against that
    core's node. Re-entrant kernel paths (mlock faulting pages in via
-   [access]) bill only at the outermost frame. *)
-let on_core t proc f =
-  if t.busy_depth > 0 then f ()
+   [access]) bill only at the outermost frame: [core_enter] opens the
+   bracket unless one is open and says whether it did, and [core_leave]
+   closes the one it opened. *)
+let core_enter t proc =
+  if t.busy then false
   else begin
-    t.busy_depth <- 1;
     let core = proc.Proc.core in
-    let prev = Sim.Trace.current_core t.trace in
+    t.busy <- true;
+    t.busy_core <- core;
+    t.busy_prev <- Sim.Trace.current_core t.trace;
     Sim.Trace.set_core t.trace core;
     Phys_mem.set_accessor_node t.mem (Hw.Smp.numa_node_of_core t.smp core);
-    let start = Sim.Clock.now t.clock in
-    let fin () =
-      t.busy_depth <- 0;
-      Sim.Trace.set_core t.trace prev;
-      Hw.Smp.add_busy t.smp core (Sim.Clock.now t.clock - start)
-    in
-    match f () with
-    | v ->
-      fin ();
-      v
-    | exception e ->
-      fin ();
-      raise e
+    t.busy_start <- Sim.Clock.now t.clock;
+    true
   end
+
+let core_leave t opened =
+  if opened then begin
+    t.busy <- false;
+    Sim.Trace.set_core t.trace t.busy_prev;
+    Hw.Smp.add_busy t.smp t.busy_core (Sim.Clock.now t.clock - t.busy_start)
+  end
+
+let on_core t proc f =
+  let opened = core_enter t proc in
+  match f () with
+  | v ->
+    core_leave t opened;
+    v
+  | exception e ->
+    core_leave t opened;
+    raise e
 
 (* One syscall on [proc]'s core: a span named [name] with the entry cost
    charged inside it. *)
@@ -279,13 +296,14 @@ let processes t = t.procs
 let unmap_leaves t ~table ~batch ~va ~len =
   for i = 0 to (len / Sim.Units.page_size) - 1 do
     let page_va = va + (i * Sim.Units.page_size) in
-    match Hw.Page_table.lookup table ~va:page_va with
+    let leaf = Hw.Page_table.find table ~va:page_va in
     (* A huge leaf is unmapped once, at its base. *)
-    | Some (_, leaf)
-      when Sim.Units.is_aligned page_va ~align:(Hw.Page_size.bytes leaf.Hw.Page_table.size) ->
+    if
+      leaf != Hw.Page_table.no_leaf
+      && Sim.Units.is_aligned page_va ~align:(Hw.Page_size.bytes leaf.Hw.Page_table.size)
+    then
       Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf
         ~owned:(Alloc.Buddy.owns t.buddy leaf.Hw.Page_table.pfn)
-    | Some _ | None -> ()
   done;
   Hw.Tlb_batch.add batch ~va ~len
 
@@ -353,7 +371,9 @@ let reset_after_crash t =
                 if Alloc.Buddy.owns t.buddy pfn then pages := pfn :: !pages
               done))
         t.procs);
-  Physmem.Zero_engine.put_dirty t.zero (List.sort_uniq compare !pages);
+  List.iter
+    (fun first -> Physmem.Zero_engine.put_dirty t.zero ~first ~count:1)
+    (List.sort_uniq compare !pages);
   Hashtbl.reset t.procs;
   Userfault.clear t.userfault;
   Reclaim.clear t.reclaim;
@@ -370,12 +390,10 @@ let reset_after_crash t =
 let register_if_anon t proc ~va =
   let aspace = proc.Proc.aspace in
   match Address_space.find_vma aspace ~va with
-  | Some { Vma.backing = Vma.Anon; _ } -> (
-    match Hw.Page_table.lookup (Address_space.page_table aspace) ~va with
-    | Some (_, leaf) ->
-      Reclaim.register t.reclaim ~pid:proc.Proc.pid ~aspace ~va
-        ~pfn:leaf.Hw.Page_table.pfn
-    | None -> ())
+  | Some { Vma.backing = Vma.Anon; _ } ->
+    let leaf = Hw.Page_table.find (Address_space.page_table aspace) ~va in
+    if leaf != Hw.Page_table.no_leaf then
+      Reclaim.register t.reclaim ~pid:proc.Proc.pid ~aspace ~va ~pfn:leaf.Hw.Page_table.pfn
   | _ -> ()
 
 let mmap_anon t proc ~len ~prot ~populate =
@@ -514,8 +532,17 @@ let user_page_release t proc ~va =
     Sim.Stats.incr t.stats "userfault_evict";
     Some leaf.Hw.Page_table.pfn
 
+(* One "access" span, closure-free: the per-page path allocates nothing
+   of its own. *)
 let rec access_inner t proc ~va ~write =
-  Sim.Trace.span t.trace ~op:"access" @@ fun () ->
+  let start = Sim.Trace.enter t.trace ~op:"access" in
+  match access_body t proc ~va ~write with
+  | () -> Sim.Trace.leave t.trace ~op:"access" ~start ~arg:0 ~outcome:"ok"
+  | exception e ->
+    Sim.Trace.leave_raised t.trace ~op:"access" ~start;
+    raise e
+
+and access_body t proc ~va ~write =
   let aspace = proc.Proc.aspace in
   match Hw.Mmu.access (Address_space.mmu aspace) ~mem:t.mem ~va ~write with
   | Ok () -> ()
@@ -523,7 +550,7 @@ let rec access_inner t proc ~va ~write =
     (* A fault outside every registered range skips the table walk. *)
     let table = Address_space.page_table aspace in
     match Userfault.find t.userfault ~pid:proc.Proc.pid ~va with
-    | Some (handler, prot) when Option.is_none (Hw.Page_table.lookup table ~va) ->
+    | Some (handler, prot) when Hw.Page_table.find table ~va == Hw.Page_table.no_leaf ->
       (* Missing page in a registered range: user-level paging. *)
       handle_userfault t proc ~va ~write ~prot ~handler;
       access_inner t proc ~va ~write
@@ -534,7 +561,14 @@ and kernel_fault t proc ~va ~write =
   register_if_anon t proc ~va;
   access_inner t proc ~va ~write
 
-let access t proc ~va ~write = on_core t proc @@ fun () -> access_inner t proc ~va ~write
+(* [on_core] around [access_inner], with no closure. *)
+let access t proc ~va ~write =
+  let opened = core_enter t proc in
+  match access_inner t proc ~va ~write with
+  | () -> core_leave t opened
+  | exception e ->
+    core_leave t opened;
+    raise e
 
 let access_range t proc ~va ~len ~write ~stride =
   if stride <= 0 then invalid_arg "Kernel.access_range: bad stride";

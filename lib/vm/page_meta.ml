@@ -146,10 +146,7 @@ let mlock t pfn =
    frame through [map] and gives it back through [unmap]. *)
 let map t table ~va ~pfn ~prot ~size ~dirty =
   Hw.Page_table.map_page table ~va ~pfn ~prot ~size;
-  (if dirty then
-     match Hw.Page_table.lookup table ~va with
-     | Some (_, leaf) -> leaf.Hw.Page_table.dirty <- true
-     | None -> ());
+  if dirty then (Hw.Page_table.find table ~va).Hw.Page_table.dirty <- true;
   get_page t pfn;
   inc_mapcount t pfn
 
@@ -165,10 +162,7 @@ let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
       put_page t pfn;
       List.iter (fun f -> set_flag t pfn f false) pin_flags
     end;
-    Physmem.Zero_engine.put_dirty zero
-      (match leaf.Hw.Page_table.size with
-      | Hw.Page_size.Small -> [ pfn ]
-      | size -> List.init (Hw.Page_size.frames size) (fun i -> pfn + i))
+    Physmem.Zero_engine.put_dirty zero ~first:pfn ~count:(Hw.Page_size.frames leaf.Hw.Page_table.size)
   end;
   Hw.Page_table.unmap_page table ~va
 

@@ -84,5 +84,6 @@ let swap_in t ~key ~pfn =
     Sim.Stats.incr (Physmem.Phys_mem.stats t.mem) "swap_in";
     true
 
-let contains t ~key = Hashtbl.mem t.slots key
+(* Asked on every anonymous fault: no hashing while nothing is out. *)
+let contains t ~key = Hashtbl.length t.slots > 0 && Hashtbl.mem t.slots key
 let slots_used t = Hashtbl.length t.slots

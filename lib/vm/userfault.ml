@@ -23,9 +23,12 @@ let unregister t ~pid ~va =
     invalid_arg "Userfault.unregister: no such registration";
   Hashtbl.replace t.regions pid (List.filter (fun r -> r.start <> va) existing)
 
+(* Asked on every kernel fault: no hashing while nothing is registered. *)
 let find t ~pid ~va =
-  List.find_opt (fun r -> va >= r.start && va < r.start + r.len) (of_pid t pid)
-  |> Option.map (fun r -> (r.handler, r.prot))
+  if Hashtbl.length t.regions = 0 then None
+  else
+    List.find_opt (fun r -> va >= r.start && va < r.start + r.len) (of_pid t pid)
+    |> Option.map (fun r -> (r.handler, r.prot))
 
 let region_count t ~pid = List.length (of_pid t pid)
 

@@ -80,7 +80,7 @@ let test_zero_cache_hit_miss () =
   let stats = Physmem.Phys_mem.stats mem in
   check_bool "empty cache misses" true (Alloc.Zero_cache.take zc = None);
   check_int "miss counted" 1 (Sim.Stats.get stats "zero_cache_miss");
-  Physmem.Zero_engine.put_dirty engine [ 5; 6 ];
+  Physmem.Zero_engine.put_dirty engine ~first:5 ~count:2;
   check_int "refill launders both" 2 (Alloc.Zero_cache.refill zc ~budget_frames:8);
   check_int "depth" 2 (Alloc.Zero_cache.depth zc);
   let clock = Physmem.Phys_mem.clock mem in
@@ -117,7 +117,7 @@ let test_fault_path_uses_cache () =
 let test_tlb_evictions_counter () =
   let clock, stats = mk_env () in
   let tlb = Hw.Tlb.create ~clock ~stats ~sets:1 ~ways:2 () in
-  let ins va = Hw.Tlb.insert tlb ~va ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small () in
+  let ins va = Hw.Tlb.insert tlb ~asid:0 ~va ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small in
   ins 0;
   ins page;
   check_int "fills are not evictions" 0 (Sim.Stats.get stats "tlb_evictions");

@@ -211,7 +211,7 @@ let test_check_detects_free_mapped () =
   check_int "clean before tampering" 0 (List.length (Os.Check.run k));
   (* Free a frame that is still mapped, behind the VM's back. *)
   (match Hw.Page_table.lookup (Os.Address_space.page_table p.Os.Proc.aspace) ~va with
-  | Some (pa, _) -> Physmem.Zero_engine.put_dirty (K.zero_engine k) [ Physmem.Frame.of_addr pa ]
+  | Some (pa, _) -> Physmem.Zero_engine.put_dirty (K.zero_engine k) ~first:(Physmem.Frame.of_addr pa) ~count:1
   | None -> Alcotest.fail "page not mapped");
   let vs = List.filter (fun v -> v.Os.Check.check = "free_mapped") (Os.Check.run k) in
   check_int "mapped frame and its reference flagged" 2 (List.length vs)

@@ -131,7 +131,7 @@ let test_zero_engine_pool () =
   let z = Physmem.Zero_engine.create mem in
   check_bool "pool empty" true (Physmem.Zero_engine.take_zeroed z = None);
   PM.write mem ~addr:(Frame.to_addr 5) "junk";
-  Physmem.Zero_engine.put_dirty z [ 5; 6 ];
+  Physmem.Zero_engine.put_dirty z ~first:5 ~count:2;
   check_int "pending" 2 (Physmem.Zero_engine.pending z);
   check_int "zeroed two" 2 (Physmem.Zero_engine.background_step z ~budget_frames:10);
   check_int "available" 2 (Physmem.Zero_engine.available z);
@@ -141,7 +141,7 @@ let test_zero_engine_pool () =
 let test_zero_engine_budget () =
   let mem = mk_mem () in
   let z = Physmem.Zero_engine.create mem in
-  Physmem.Zero_engine.put_dirty z [ 1; 2; 3; 4 ];
+  Physmem.Zero_engine.put_dirty z ~first:1 ~count:4;
   check_int "partial" 3 (Physmem.Zero_engine.background_step z ~budget_frames:3);
   check_int "left pending" 1 (Physmem.Zero_engine.pending z)
 
