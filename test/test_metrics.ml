@@ -191,8 +191,8 @@ let test_host_section () =
       check_bool (wl ^ ": host metrics measured") true (bool ~from (p "enabled"));
       check_bool (wl ^ ": >= 90% of host ns attributed") true
         (num ~from (p "attributed_ns_fraction") >= 0.90);
-      check_bool (wl ^ ": >= 90% of words attributed") true
-        (num ~from (p "attributed_words_fraction") >= 0.90);
+      check_bool (wl ^ ": >= 95% of words attributed") true
+        (num ~from (p "attributed_words_fraction") >= 0.95);
       check_bool (wl ^ ": words/op > 0") true (int ~from (p "attributed_words") / ops > 0);
       let tree = fields ~from (p "tree") in
       List.iter

@@ -99,6 +99,62 @@ let test_span_feeds_every_sink () =
     check_int "frame covers f" 9 self
   | l -> Alcotest.fail (Printf.sprintf "expected 1 frame, got %d" (List.length l))
 
+(* The closure-free form is the same span: run the same work once
+   through [span] and once through [enter]/[leave], a nested span and a
+   raising body included, on two machines, and every sink must agree —
+   ring events (sequence, cycles, core, arg, outcome), histograms and
+   call-tree frames. *)
+let test_enter_leave_match_span () =
+  let run closure_free =
+    let tr, clock = mk ~capacity:16 () in
+    let p = Sim.Profile.create ~clock () in
+    Sim.Trace.attach_profile tr p;
+    let charge n = Sim.Clock.charge clock n in
+    if closure_free then begin
+      let start = Sim.Trace.enter tr ~op:"walk" in
+      charge 4;
+      let inner = Sim.Trace.enter tr ~op:"probe" in
+      charge 2;
+      Sim.Trace.leave tr ~op:"probe" ~start:inner ~arg:0 ~outcome:"hit";
+      charge 3;
+      Sim.Trace.leave tr ~op:"walk" ~start ~arg:42 ~outcome:"hole";
+      let start = Sim.Trace.enter tr ~op:"boom" in
+      try
+        charge 5;
+        failwith "x"
+      with Failure _ -> Sim.Trace.leave_raised tr ~op:"boom" ~start
+    end
+    else begin
+      Sim.Trace.span tr ~op:"walk" ~arg:(fun n -> 2 * n) ~outcome:(fun _ -> "hole") (fun () ->
+          charge 4;
+          Sim.Trace.span tr ~op:"probe" ~outcome:(fun () -> "hit") (fun () -> charge 2);
+          charge 3;
+          21)
+      |> ignore;
+      try
+        Sim.Trace.span tr ~op:"boom" (fun () ->
+            charge 5;
+            failwith "x")
+      with Failure _ -> ()
+    end;
+    ( Sim.Trace.events tr,
+      List.map (fun (op, h) -> (op, Sim.Json.to_string (Sim.Histogram.to_json h))) (Sim.Trace.ops tr),
+      Sim.Profile.flatten p,
+      Sim.Profile.depth p )
+  in
+  let events, hists, frames, depth = run false in
+  let events', hists', frames', depth' = run true in
+  check_int "three events" 3 (List.length events);
+  check_bool "same ring events" true (events = events');
+  check_bool "a raising body records raised" true
+    (List.exists (fun e -> e.Sim.Trace.op = "boom" && e.Sim.Trace.outcome = "raised") events');
+  check_bool "same histogram samples" true (hists = hists');
+  check_bool "same call-tree frames" true (frames = frames');
+  check_int "every frame popped" depth depth';
+  check_int "enter on the disabled sentinel" 0 (Sim.Trace.enter Sim.Trace.disabled ~op:"x");
+  Sim.Trace.leave Sim.Trace.disabled ~op:"x" ~start:0 ~arg:0 ~outcome:"ok";
+  check_int "disabled records nothing" 0 (Sim.Trace.recorded Sim.Trace.disabled)
+
 (* Recording allocates nothing: ring slots are overwritten in place and
    the histogram is flat. Measured with the ring already full, so every
    event overwrites a slot. *)
@@ -210,6 +266,7 @@ let suite =
     Alcotest.test_case "trace: span nesting" `Quick test_span_nesting;
     Alcotest.test_case "trace: span outcome + exception" `Quick test_span_outcome_and_exception;
     Alcotest.test_case "trace: span feeds every sink" `Quick test_span_feeds_every_sink;
+    Alcotest.test_case "trace: enter/leave match span" `Quick test_enter_leave_match_span;
     Alcotest.test_case "trace: recording allocates nothing" `Quick test_recording_allocates_nothing;
     Alcotest.test_case "trace: disabled sentinel" `Quick test_disabled_sentinel;
     Alcotest.test_case "trace: JSON well-formed" `Quick test_json_well_formed;
