@@ -49,6 +49,49 @@ let test_churn_trace_well_formed () =
   check_int "every allocation freed" 200 !frees;
   check_int "nothing left live" 0 (Hashtbl.length live)
 
+(* The generator [Wl.Churn.generate] replaced: it merged each new free
+   into a sorted list of pending frees and partitioned that list at
+   every step. The bucketed generator must emit the same op list. *)
+let list_merge_generate ~rng ~ops ~max_bytes =
+  let min_bytes = 64 and mean_lifetime = 50 in
+  let lg_min = log (float_of_int min_bytes) and lg_max = log (float_of_int max_bytes) in
+  let ops_out = ref [] in
+  let pending = ref [] in
+  for step = 0 to ops - 1 do
+    let due, rest = List.partition (fun (d, _) -> d <= step) !pending in
+    pending := rest;
+    List.iter (fun (_, id) -> ops_out := Wl.Churn.Free { id } :: !ops_out) due;
+    let bytes = int_of_float (exp (lg_min +. (Sim.Rng.float rng *. (lg_max -. lg_min)))) in
+    ops_out := Wl.Churn.Alloc { id = step; bytes = max min_bytes bytes } :: !ops_out;
+    ops_out := Wl.Churn.Touch { id = step } :: !ops_out;
+    let life = 1 + int_of_float (Sim.Rng.exponential rng ~mean:(float_of_int mean_lifetime)) in
+    pending := List.merge compare !pending [ (step + life, step) ]
+  done;
+  List.iter (fun (_, id) -> ops_out := Wl.Churn.Free { id } :: !ops_out) !pending;
+  List.rev !ops_out
+
+let same_as_list_merge (seed, ops, max_bytes) =
+  Wl.Churn.generate ~rng:(Sim.Rng.create ~seed) ~ops ~max_bytes ()
+  = list_merge_generate ~rng:(Sim.Rng.create ~seed) ~ops ~max_bytes
+
+let test_churn_matches_list_merge () =
+  List.iter
+    (fun ((seed, ops, max_bytes) as case) ->
+      check_bool (Printf.sprintf "seed %d, %d ops, max %d B" seed ops max_bytes) true
+        (same_as_list_merge case))
+    [
+      (1, 6_000, Sim.Units.mib 4);
+      (2, 5_000, Sim.Units.mib 4);
+      (42, 400, Sim.Units.mib 4);
+      (7, 1, Sim.Units.kib 4);
+      (3, 0, Sim.Units.kib 4);
+    ]
+
+let prop_churn_matches_list_merge =
+  qtest ~count:50 "churn: bucketed generator matches the list merge"
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 0 1_000) (map (fun k -> 1 lsl k) (int_range 7 22)))
+    same_as_list_merge
+
 let test_churn_runs_on_both_heaps () =
   let rng = Sim.Rng.create ~seed:4 in
   let trace = Wl.Churn.generate ~rng ~ops:50 ~max_bytes:(Sim.Units.kib 64) () in
@@ -165,6 +208,8 @@ let suite =
     Alcotest.test_case "access patterns" `Quick test_patterns;
     Alcotest.test_case "touch_with drives accessor" `Quick test_touch_with_counts;
     Alcotest.test_case "churn: trace well-formed" `Quick test_churn_trace_well_formed;
+    Alcotest.test_case "churn: same ops as the list-merge generator" `Quick test_churn_matches_list_merge;
+    prop_churn_matches_list_merge;
     Alcotest.test_case "churn: replays on both heaps" `Quick test_churn_runs_on_both_heaps;
     Alcotest.test_case "churn: serialization round-trips" `Quick test_churn_serialization_roundtrip;
     Alcotest.test_case "fs study: utilization under 50% (Agrawal)" `Quick test_fs_study_matches_agrawal;
