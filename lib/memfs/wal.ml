@@ -32,6 +32,8 @@ let blank_header = String.make header_bytes '\000'
 let marker_byte = String.make 1 marker
 let record_span payload_len = header_bytes + payload_len + 1
 
+let max_record t = t.capacity - record_span 0
+
 let create ~mem ~base ~capacity =
   if PM.region_of_frame mem (Physmem.Frame.of_addr base) <> PM.Nvm then
     invalid_arg "Wal.create: base not in the NVM region";

@@ -50,6 +50,10 @@ val append_exn : ?durable:bool -> t -> string -> unit
 (** {!append}, raising [Sim.Errno.Error (ENOSPC, _)] when full — for
     callers with no checkpoint story. *)
 
+val max_record : t -> int
+(** The longest payload a rewound log accepts: after {!rewind}, {!append}
+    fails [Wal_full] exactly for a longer one. *)
+
 val entries : t -> string list
 (** Committed records, oldest first. *)
 

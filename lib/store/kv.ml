@@ -144,6 +144,11 @@ let encode_txn writes =
     writes;
   Buffer.contents b
 
+(* The length of [encode_txn]'s record for [finals]: per write, the
+   key's length and bytes and the kind byte, plus the slot for a put. *)
+let record_len finals =
+  List.fold_left (fun n (key, v) -> n + 5 + String.length key + if Option.is_some v then 12 else 0) 0 finals
+
 let decode_txn payload =
   let pos = ref 0 and acc = ref [] in
   while !pos < String.length payload do
@@ -772,6 +777,10 @@ let commit t =
          put may insert: refuse before anything is allocated or logged. *)
       if t.entries + List.length puts > t.buckets * per_line * 3 / 4 then
         Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: index full";
+      (* The record must fit the rewound log, or the log and [generation]
+         would move for a commit that then fails. *)
+      if record_len finals > Fs.Wal.max_record t.wal then
+        Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity";
       (* A block from the large threshold up gets no arena slot. *)
       if List.exists (fun len -> len >= Heap.Size_class.large_threshold) puts then
         Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: block outgrows an arena slot";
@@ -794,16 +803,12 @@ let commit t =
     writes finals;
   let record = encode_txn writes in
   if record <> "" then begin
-    (* The log's one record is applied already: write over it. A full
-       append writes nothing; its first fence orders the blocks before
-       its commit marker. *)
+    (* The log's one record is applied already: write over it. The
+       append's first fence orders the blocks before its commit marker;
+       the record fits, as checked before anything was allocated. *)
     Fs.Wal.rewind t.wal;
     t.generation <- t.generation + 1;
-    (match Fs.Wal.append t.wal record with
-    | Ok () -> ()
-    | Error Fs.Wal.Wal_full ->
-      rollback ();
-      Sim.Errno.fail Sim.Errno.ENOSPC "Store.commit: transaction exceeds WAL capacity");
+    (match Fs.Wal.append t.wal record with Ok () -> () | Error Fs.Wal.Wal_full -> assert false);
     (* Commit point passed: point the index at the blocks. *)
     apply t writes
   end;

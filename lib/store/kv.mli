@@ -84,8 +84,10 @@ val commit : t -> unit
     overfill the index, a block would reach
     {!Heap.Size_class.large_threshold} (a long root name, or a long list
     of the roots naming one key; refused before anything is written), the
-    heap stays exhausted after one defragment-and-retry round, or the
-    record outgrows the WAL; [EIO] if it must read damage (a root, a
+    record would outgrow the WAL (refused before anything is allocated:
+    the log, its record and {!generation} stay as they were), or the
+    heap stays exhausted after one defragment-and-retry round; [EIO] if
+    it must read damage (a root, a
     key's roots) or deletes a key whose chain crosses a damaged line (a
     put inserts past it); an injected [EIO] at the [store_commit] site. *)
 

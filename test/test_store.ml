@@ -242,17 +242,20 @@ let test_enospc_typed_and_clean () =
   Alcotest.(check (option string)) "store still usable" (Some "ok") (Kv.get st "after");
   Kv.detach st
 
-(* A commit that overflows the WAL rolls back and writes nothing: a full
-   append leaves the log as it was, so a crash after a later successful
-   commit never resurrects the rolled-back ops. *)
+(* A commit that overflows the WAL rolls back and writes nothing: it is
+   refused before anything is allocated, so the log keeps the last
+   commit's record, [generation] does not move, and a crash after a later
+   successful commit never resurrects the rolled-back ops. *)
 let test_failed_commit_orphans_cut () =
   let _, fom, _, st = mk_store () in
   commit_put st [ ("seed", "v") ] [];
+  let generation = Kv.generation st in
   (try
      commit_oversized st;
      Alcotest.fail "oversized transaction must raise ENOSPC"
    with Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> ());
-  check_int "the failed attempt left no record" 0 (Kv.wal_record_count st);
+  check_int "the log keeps the last commit's record" 1 (Kv.wal_record_count st);
+  check_int "generation unchanged" generation (Kv.generation st);
   commit_put st [ ("after", "ok") ] [];
   ignore (P.crash_and_recover fom);
   check_bool "rolled-back put not resurrected" false (Kv.mem st "big1");
