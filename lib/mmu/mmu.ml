@@ -76,9 +76,8 @@ let fault_of code = if code = not_mapped then Not_mapped else Protection
 let resolve t ~va ~write ~exec =
   let c = local t in
   let e = Tlb.lookup c.Smp.tlb ~asid:t.asid ~va in
-  if Tlb.hit e then begin
-    let off = va land (Page_size.bytes (Tlb.entry_size e) - 1) in
-    let pa = check ~prot:(Tlb.entry_prot e) ~write ~exec (Physmem.Frame.to_addr (Tlb.entry_pfn e) + off) in
+  if e != Tlb.miss then begin
+    let pa = check ~prot:(Tlb.entry_prot e) ~write ~exec (Tlb.phys_addr e ~va) in
     if pa >= 0 then note_access t ~va ~write;
     pa
   end

@@ -63,8 +63,7 @@ let check_va t va =
 (* Depth of the node holding the leaf for a page of [size]. *)
 let leaf_node_depth t size = t.levels - 1 - Page_size.depth_above_leaf size
 
-(* What [descend] returns when a leaf, or a hole it may not fill, blocks
-   the path: a node of no table. *)
+(* A node of no table: what [descend] returns when the path is blocked. *)
 let no_node = { frame = -1; entries = [||]; live = 0; refs = 0 }
 
 (* Walk to the node at [depth] along [va], creating missing interior
@@ -181,7 +180,6 @@ let ensure_node t ~va ~depth =
   if descend t t.root ~cur:0 ~depth ~va ~create_path:true == no_node then
     invalid_arg "Page_table.ensure_node: blocked by an existing leaf"
 
-(* What [find] returns for an unmapped address: a leaf of no table. *)
 let no_leaf = { pfn = -1; prot = Prot.none; accessed = false; dirty = false; size = Page_size.Small }
 
 let rec find_in t node ~depth va =

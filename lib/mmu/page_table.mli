@@ -53,10 +53,9 @@ val map_range :
 
 val unmap_page : t -> va:int -> unit
 (** Remove the leaf covering [va]; prunes page-table nodes that become
-    empty on its way back up, building no path — except nodes other
-    tables still reference, which survive (an unmap inside a shared
-    subtree is visible to every sharer, as shared mappings require).
-    Raises [Invalid_argument] if not mapped. *)
+    empty — except nodes other tables still reference, which survive (an
+    unmap inside a shared subtree is visible to every sharer, as shared
+    mappings require). Raises [Invalid_argument] if not mapped. *)
 
 val ensure_node : t -> va:int -> depth:int -> unit
 (** Pre-create the interior path down to the node at [depth] covering
@@ -70,12 +69,12 @@ val protect_range : t -> va:int -> len:int -> prot:Prot.t -> int
 (** Rewrite protection on every leaf in range; returns PTEs touched. *)
 
 val no_leaf : leaf
-(** The never-valid leaf {!find} returns for an unmapped address (pfn
-    -1); it belongs to no table. Compare with [==]. *)
+(** The never-valid leaf (pfn -1, in no table) {!find} returns for an
+    unmapped address; compare with [==]. *)
 
 val find : t -> va:int -> leaf
-(** Software lookup (no hardware cost): the leaf mapping [va] itself, or
-    {!no_leaf}. Allocates nothing. *)
+(** Software lookup (no hardware cost, no allocation): the leaf mapping
+    [va] itself, or {!no_leaf}. *)
 
 val phys_addr : leaf -> va:int -> int
 (** The physical address [va] translates to under [leaf]. *)

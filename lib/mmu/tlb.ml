@@ -104,10 +104,8 @@ let lookup t ~asid ~va =
   Sim.Trace.leave t.trace ~op:"tlb_lookup" ~start ~arg:0 ~outcome:(if s != miss then "hit" else "miss");
   s
 
-let hit e = e != miss
-let entry_pfn e = e.pfn
+let phys_addr e ~va = Physmem.Frame.to_addr e.pfn + (va land (Page_size.bytes e.size - 1))
 let entry_prot e = e.prot
-let entry_size e = e.size
 
 let insert t ~asid ~va ~pfn ~prot ~size =
   let set = t.data.(set_of t va size) in

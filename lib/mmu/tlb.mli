@@ -2,10 +2,8 @@
 
     Tags are (ASID, virtual page number, page size); each set is a fixed
     array of ways with per-slot LRU clocks, so lookup, fill and eviction
-    are O(ways) and allocate nothing: a lookup returns the slot itself or
-    the {!miss} sentinel, never an option. The default geometry
-    approximates a Haswell-class L2 STLB: 128 sets, 8 ways, 1024
-    entries.
+    are O(ways) with no allocation. The default geometry approximates a
+    Haswell-class L2 STLB: 128 sets, 8 ways, 1024 entries.
 
     One [t] models the TLB of one physical core and is shared (PCID-style)
     by every address space scheduled there; [asid] scopes lookups and
@@ -27,25 +25,22 @@ val create :
 val capacity : t -> int
 
 type entry
-(** One slot of the TLB, as {!lookup} found it. *)
+(** One slot of the TLB. *)
 
 val miss : entry
-(** The never-valid entry {!lookup} returns on a miss. *)
+(** The never-valid entry {!lookup} returns on a miss; compare with [==]. *)
 
 val lookup : t -> asid:int -> va:int -> entry
 (** Probe; charges the hit cost and bumps "tlb_hit" on success or
     "tlb_miss" on failure (no walk is performed — callers decide how to
-    refill, see {!Mmu}). Returns the matching slot or {!miss}; read the
-    slot before the next fill or invalidation of this TLB, which may
-    reuse it. The per-access calls ([lookup], {!insert}) take [asid]
-    required, so a call boxes no option. *)
+    refill, see {!Mmu}). Returns the slot itself, to read before the next
+    fill or invalidation, or {!miss}. [asid] is required here and in
+    {!insert}, so a per-access call boxes no option. *)
 
-val hit : entry -> bool
-(** [false] only for {!miss}. *)
+val phys_addr : entry -> va:int -> int
+(** The physical address [va] translates to under the entry. *)
 
-val entry_pfn : entry -> Physmem.Frame.t
 val entry_prot : entry -> Prot.t
-val entry_size : entry -> Page_size.t
 
 val insert :
   t -> asid:int -> va:int -> pfn:Physmem.Frame.t -> prot:Prot.t -> size:Page_size.t -> unit

@@ -12,9 +12,7 @@ let put_dirty t ~first ~count =
 
 let take_zeroed t = Queue.take_opt t.zeroed
 
-(* Both spans are closure-free: each runs on the fault path, the eager
-   zero for every frame the buddy hands out, the background step when
-   the buddy is dry. *)
+(* Closure-free spans: both run on the fault path. *)
 let eager_zero t pfn =
   let trace = Phys_mem.trace t.mem in
   let start = Sim.Trace.enter trace ~op:"zeroing" in

@@ -111,11 +111,8 @@ let attach_faults t f =
       | None -> ()
       | Some clock -> record t ~op:"fault_inject" ~start:(Clock.now clock) ~outcome:site ())
 
-(* The closure-free span: [enter] opens the call-tree frame and returns
-   the start cycle; [leave] (or [leave_raised]) records the ring event
-   inside the frame, so its host cost lands in the span that caused it,
-   then pops the frame. Every argument is required, so a site boxes no
-   option. *)
+(* [leave] records the event inside the frame, so its host cost lands in
+   the span that caused it. Arguments are required: a site boxes no option. *)
 let enter t ~op =
   match t.clock with
   | None -> 0
@@ -140,16 +137,14 @@ let no_arg _ = 0
 let ok _ = "ok"
 
 let span t ~op ?(arg = no_arg) ?(outcome = ok) f =
-  if not (enabled t) then f ()
-  else
-    let start = enter t ~op in
-    match f () with
-    | v ->
-      leave t ~op ~start ~arg:(arg v) ~outcome:(outcome v);
-      v
-    | exception e ->
-      leave_raised t ~op ~start;
-      raise e
+  let start = enter t ~op in
+  match f () with
+  | v ->
+    leave t ~op ~start ~arg:(arg v) ~outcome:(outcome v);
+    v
+  | exception e ->
+    leave_raised t ~op ~start;
+    raise e
 
 (* Oldest retained event first, read out of the ring. *)
 let events t =

@@ -96,20 +96,16 @@ val record :
     {!disabled}. *)
 
 val enter : t -> op:string -> int
-(** Open a span named [op]: push its frame in the attached profiler and
-    return the start cycle (0 on {!disabled}). Close it with exactly one
-    {!leave} or {!leave_raised}, passing the same [op] and the returned
-    start, innermost span first. Allocates nothing. *)
+(** Open a span: push frame [op] in the profiler and return the start
+    cycle. Close it, innermost first, with exactly one {!leave} or
+    {!leave_raised} given the same [op] and start. *)
 
 val leave : t -> op:string -> start:int -> arg:int -> outcome:string -> unit
-(** Close the span {!enter} opened: record one ring event from [start]
-    to now with operand [arg] and [outcome], add its histogram sample,
-    then pop the frame. Once [op] has its histogram, allocates nothing.
-    No-op on {!disabled}. *)
+(** Record the span's ring event and histogram sample, then pop its
+    frame. Like {!enter}, a no-op on {!disabled} that allocates nothing. *)
 
 val leave_raised : t -> op:string -> start:int -> unit
-(** Close the span as its body raised: [leave] with operand 0 and
-    outcome "raised". The caller re-raises. *)
+(** {!leave} with operand 0 and outcome "raised"; the caller re-raises. *)
 
 val span :
   t -> op:string -> ?arg:('a -> int) -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
@@ -119,13 +115,11 @@ val span :
     covering [f], and a sample in [op]'s histogram. [arg] and [outcome]
     map the result to the event's operand size (default 0) and outcome
     string (default "ok"). An exception records outcome "raised"
-    (operand 0), pops the frame and re-raises. It is {!enter}, then
-    {!leave} or {!leave_raised}, around [f]: one span engine. Once [op]
-    has its histogram (made on its first event), recording allocates
-    nothing: with the defaults and a body closed over nothing, a span
-    allocates no words, but a body closed over its operands is a
-    closure per call, which the closure-free form avoids. On {!disabled}
-    it just runs [f]. *)
+    (operand 0), pops the frame and re-raises: {!enter}, then {!leave}
+    or {!leave_raised}, around [f]. Once [op] has its histogram (made on
+    its first event), recording allocates nothing: with the defaults and
+    a body closed over nothing, a span allocates no words. On
+    {!disabled} it runs [f] and records nothing. *)
 
 val events : t -> event list
 (** Retained events, oldest first, read out of the ring. *)

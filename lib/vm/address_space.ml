@@ -66,13 +66,14 @@ let insert_vma t v =
 let find_vma t ~va =
   match t.last with
   | Some v as hit when Vma.contains v va -> hit
-  | _ -> (
-    match IntMap.find_last_opt (fun s -> s <= va) t.vmas with
-    | Some (_, v) when Vma.contains v va ->
-      let hit = Some v in
-      t.last <- hit;
-      hit
-    | _ -> None)
+  | _ ->
+    let hit =
+      match IntMap.find_last_opt (fun s -> s <= va) t.vmas with
+      | Some (_, v) when Vma.contains v va -> Some v
+      | _ -> None
+    in
+    t.last <- hit;
+    hit
 
 let remove_range t ~start ~len =
   t.last <- None;

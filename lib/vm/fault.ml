@@ -36,9 +36,8 @@ let raw_frame ctx =
     ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:1);
     Physmem.Zero_engine.take_zeroed ctx.zero
 
-(* Graceful degradation: a failed allocation gets exactly one
-   reclaim-then-retry pass before the typed OOM surfaces. [alloc] is a
-   top-level function of [ctx], so a call builds no closure. *)
+(* Graceful degradation: a failed [alloc ctx] (a top-level function: no
+   closure per call) gets one reclaim-then-retry pass before the typed OOM. *)
 let with_reclaim_retry ctx alloc =
   match alloc ctx with
   | Some _ as got -> got

@@ -54,9 +54,7 @@ type t = {
   mutable next_pid : int;
   userfault : Userfault.t;
   ctx : Fault.ctx; (* built once: faults and populate calls share it *)
-  (* The open core bracket ([core_enter]): re-entrancy guard, then the
-     core it bills, the trace core stamp to restore and its start. *)
-  mutable busy : bool;
+  mutable busy : bool; (* a core bracket is open: [core_enter] *)
   mutable busy_core : int;
   mutable busy_prev : int;
   mutable busy_start : int;
@@ -532,8 +530,7 @@ let user_page_release t proc ~va =
     Sim.Stats.incr t.stats "userfault_evict";
     Some leaf.Hw.Page_table.pfn
 
-(* One "access" span, closure-free: the per-page path allocates nothing
-   of its own. *)
+(* A closure-free "access" span: the per-page path allocates nothing. *)
 let rec access_inner t proc ~va ~write =
   let start = Sim.Trace.enter t.trace ~op:"access" in
   match access_body t proc ~va ~write with

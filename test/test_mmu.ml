@@ -199,16 +199,15 @@ let mk_tlb () =
   let clock, stats = mk_env () in
   (Hw.Tlb.create ~clock ~stats ~sets:4 ~ways:2 (), clock, stats)
 
-let hit tlb ~va = Hw.Tlb.hit (Hw.Tlb.lookup tlb ~asid:0 ~va)
+let hit tlb ~va = Hw.Tlb.lookup tlb ~asid:0 ~va != Hw.Tlb.miss
 
 let test_tlb_hit_miss () =
   let tlb, _, stats = mk_tlb () in
   check_bool "cold miss" true (not (hit tlb ~va:0x1000));
   Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:5 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   let e = Hw.Tlb.lookup tlb ~asid:0 ~va:0x1234 in
-  check_bool "hit" true (Hw.Tlb.hit e);
-  check_int "pfn" 5 (Hw.Tlb.entry_pfn e);
-  check_bool "size" true (Hw.Tlb.entry_size e = Hw.Page_size.Small);
+  check_bool "hit" true (e != Hw.Tlb.miss);
+  check_int "pa from pfn and offset" ((5 * 4096) + 0x234) (Hw.Tlb.phys_addr e ~va:0x1234);
   check_int "one miss" 1 (Sim.Stats.get stats "tlb_miss");
   check_int "one hit" 1 (Sim.Stats.get stats "tlb_hit")
 
