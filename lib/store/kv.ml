@@ -147,7 +147,7 @@ let encode_txn writes =
 (* The length of [encode_txn]'s record for [finals]: per write, the
    key's length and bytes and the kind byte, plus the slot for a put. *)
 let record_len finals =
-  List.fold_left (fun n (key, v) -> n + 5 + String.length key + if Option.is_some v then 12 else 0) 0 finals
+  List.fold_left (fun n (key, v) -> n + 5 + String.length key + if v = None then 0 else 12) 0 finals
 
 let decode_txn payload =
   let pos = ref 0 and acc = ref [] in

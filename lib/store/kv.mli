@@ -87,9 +87,9 @@ val commit : t -> unit
     record would outgrow the WAL (refused before anything is allocated:
     the log, its record and {!generation} stay as they were), or the
     heap stays exhausted after one defragment-and-retry round; [EIO] if
-    it must read damage (a root, a
-    key's roots) or deletes a key whose chain crosses a damaged line (a
-    put inserts past it); an injected [EIO] at the [store_commit] site. *)
+    it must read damage (a root, a key's roots) or deletes a key whose
+    chain crosses a damaged line (a put inserts past it); an injected
+    [EIO] at the [store_commit] site. *)
 
 val checkpoint : t -> unit
 (** Empty the redo log — its record is already applied in place — with a
