@@ -1,6 +1,6 @@
 (** Nested-span call-tree profiler: one frame stack for every metric.
 
-    A sink of {!Trace.span}, the one instrumentation call: attached with
+    A sink of the span engine ({!Trace.enter}, {!Trace.leave}): attached with
     {!Trace.attach_profile}, it gets a frame pushed on its stack for every
     span ({!enter}) and popped when the span ends, on every path out
     ({!leave}). Every frame counts its calls and the virtual cycles
@@ -62,9 +62,9 @@ val enter : t -> string -> unit
     its ancestors. *)
 
 val leave : t -> unit
-(** Pop the innermost frame and attribute its cost. {!Trace.span} calls
-    it on every path out, a raise included, so a partial stack never
-    leaks. *)
+(** Pop the innermost frame and attribute its cost. {!Trace.leave} calls
+    it on every path out of a span ({!Trace.leave_raised} on a raise), so
+    a partial stack never leaks. *)
 
 val reset : t -> unit
 (** Drop the tree and self samples and restart attribution now.
