@@ -19,16 +19,10 @@ let round_down n ~align =
 let is_aligned n ~align = n land (align - 1) = 0
 let is_power_of_two n = n >= 1 && n land (n - 1) = 0
 
-(* A fixed binary search over the 63-bit word: six shifts, whatever [n]. *)
 let log2_floor n =
   assert (n >= 1);
-  let n = ref n and k = ref 0 in
-  if !n lsr 32 <> 0 then begin n := !n lsr 32; k := 32 end;
-  if !n lsr 16 <> 0 then begin n := !n lsr 16; k := !k + 16 end;
-  if !n lsr 8 <> 0 then begin n := !n lsr 8; k := !k + 8 end;
-  if !n lsr 4 <> 0 then begin n := !n lsr 4; k := !k + 4 end;
-  if !n lsr 2 <> 0 then begin n := !n lsr 2; k := !k + 2 end;
-  if !n lsr 1 <> 0 then !k + 1 else !k
+  let rec loop k n = if n = 1 then k else loop (k + 1) (n lsr 1) in
+  loop 0 n
 
 let log2_ceil n =
   assert (n >= 1);

@@ -49,9 +49,7 @@ val log2_ceil : int -> int
 (** [log2_ceil n] is the smallest [k] with [2^k >= n]. Requires [n >= 1]. *)
 
 val log2_floor : int -> int
-(** [log2_floor n] is the largest [k] with [2^k <= n]. Requires [n >= 1].
-    Six shifts and tests whatever [n]: every histogram sample goes
-    through it. *)
+(** [log2_floor n] is the largest [k] with [2^k <= n]. Requires [n >= 1]. *)
 
 val pp_bytes : Format.formatter -> int -> unit
 (** Pretty-print a byte count with a binary-unit suffix, e.g. "64KiB". *)

@@ -289,24 +289,6 @@ let prop_log2 =
       let f = Sim.Units.log2_floor n and c = Sim.Units.log2_ceil n in
       (1 lsl f) <= n && n <= (1 lsl c) && c - f <= 1)
 
-(* The shift loop [log2_floor] was before it became a fixed search. *)
-let log2_floor_loop n =
-  let rec loop k n = if n = 1 then k else loop (k + 1) (n lsr 1) in
-  loop 0 n
-
-let prop_log2_floor_matches_loop =
-  qtest ~count:1000 "log2_floor matches the shift loop" QCheck2.Gen.(int_range 1 max_int) (fun n ->
-      Sim.Units.log2_floor n = log2_floor_loop n)
-
-let test_log2_floor_powers () =
-  for k = 0 to Sys.int_size - 2 do
-    let p = 1 lsl k in
-    List.iter
-      (fun n -> check_int (Printf.sprintf "log2_floor %d" n) (log2_floor_loop n) (Sim.Units.log2_floor n))
-      (List.filter (fun n -> n >= 1) [ p - 1; p; p + 1 ])
-  done;
-  check_int "log2_floor max_int" (Sys.int_size - 2) (Sim.Units.log2_floor max_int)
-
 let prop_histogram_percentile_bounds =
   qtest "percentile bounded by min/max"
     QCheck2.Gen.(pair (list_size (int_range 1 50) (int_bound 10_000)) (float_bound_inclusive 100.0))
@@ -373,8 +355,6 @@ let suite =
     prop_round_up_ge;
     prop_round_down_le;
     prop_log2;
-    prop_log2_floor_matches_loop;
-    Alcotest.test_case "units: log2_floor at every power of two +-1" `Quick test_log2_floor_powers;
     prop_histogram_percentile_bounds;
     prop_histogram_percentile_monotone;
     Alcotest.test_case "stats: name cache never changes a count" `Quick test_stats_name_cache;
