@@ -264,28 +264,27 @@ let test_failed_commit_orphans_cut () =
   check_int "self-check clean" 0 (List.length (Kv.verify st));
   Kv.detach st
 
-(* A root name has no length cap, so a block can reach the heap's large
-   threshold, where it would get no arena slot: the commit fails ENOSPC
-   before anything is written or logged. Once through one root's own
-   block, once through the list of the roots naming a key (the third of
-   44,000 bytes; each commit's record names only its own root). *)
+(* A root name has no length cap, so the list of the roots naming a key
+   can reach the heap's large threshold, where its block would get no
+   arena slot: the commit fails ENOSPC before anything is written or
+   logged. Two 44,000-byte roots name one key; a third takes the list
+   past the threshold, while its commit's record names only that root
+   and fits the WAL. (One root's own block cannot get there: the record
+   carries its name and key, so the WAL check refuses it first.) *)
 let test_block_too_long_enospc () =
   let _, _, _, st = mk_store () in
   commit_put st [ ("k", "v") ] [];
-  let refused what roots =
-    let before = (Kv.keys st, Kv.roots st, Kv.verify st, Kv.wal_used_bytes st) in
-    (match commit_put st [] roots with
-    | () -> Alcotest.failf "%s: a block past the large threshold committed" what
-    | exception Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> ());
-    check_bool (what ^ ": txn rolled back") false (Kv.txn_live st);
-    check_bool (what ^ ": keys, roots, verify and the log unchanged") true
-      (before = (Kv.keys st, Kv.roots st, Kv.verify st, Kv.wal_used_bytes st))
-  in
-  refused "a 140,000-byte root name" [ (String.make 140_000 'r', "k") ];
   let name c = String.make 44_000 c in
   commit_put st [] [ (name 'a', "k") ];
   commit_put st [] [ (name 'b', "k") ];
-  refused "a third 44,000-byte root naming one key" [ (name 'c', "k") ];
+  let before = (Kv.keys st, Kv.roots st, Kv.verify st, Kv.wal_used_bytes st) in
+  (match commit_put st [] [ (name 'c', "k") ] with
+  | () -> Alcotest.fail "a block past the large threshold committed"
+  | exception Sim.Errno.Error (Sim.Errno.ENOSPC, what) ->
+    Alcotest.(check string) "refused for its block" "Store.commit: block outgrows an arena slot" what);
+  check_bool "txn rolled back" false (Kv.txn_live st);
+  check_bool "keys, roots, verify and the log unchanged" true
+    (before = (Kv.keys st, Kv.roots st, Kv.verify st, Kv.wal_used_bytes st));
   check_int "two roots" 2 (List.length (Kv.roots st));
   check_int "self-check clean" 0 (List.length (Kv.verify st));
   Kv.detach st
