@@ -315,17 +315,12 @@ let extend t ino ~bytes_wanted =
           | Background_zero ->
             (* Frames from the pre-zeroed pool are clean already; any not
                covered by the pool must still be zeroed now. The pool is
-               an overlay: we only count how many handouts it can cover. *)
+               an overlay: we only count how many handouts it can cover,
+               one charged take per frame. *)
             let covered = ref 0 in
-            let rec drain n =
-              if n > 0 then
-                match Physmem.Zero_engine.take_zeroed t.zero with
-                | Some _ -> (incr covered; drain (n - 1))
-                | None -> ()
-            in
-            drain count;
-            Sim.Stats.add (stats t) "zero_cache_hit" !covered;
-            Sim.Stats.add (stats t) "zero_cache_miss" (count - !covered);
+            for _ = 1 to count do
+              if Option.is_some (Physmem.Zero_engine.take t.zero) then incr covered
+            done;
             for pfn = first to first + count - 1 - !covered do
               Physmem.Zero_engine.eager_zero t.zero pfn
             done;

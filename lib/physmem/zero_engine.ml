@@ -10,9 +10,34 @@ let put_dirty t ~first ~count =
     Queue.add pfn t.dirty
   done
 
-let take_zeroed t = Queue.take_opt t.zeroed
+(* The pool's level, as deltas on a gauge of the machine's shared Stats. *)
+let depth_delta t d =
+  if d <> 0 then Sim.Stats.add_gauge (Phys_mem.stats t.mem) "zero_cache_depth" d
 
-(* Closure-free spans: both run on the fault path. *)
+(* The O(1) handout: one pop, no zeroing on the critical path. The
+   injection site pretends the pool is dry so callers exercise their slow
+   path. Closure-free span: it runs on the fault path. *)
+let take t =
+  let trace = Phys_mem.trace t.mem in
+  let stats = Phys_mem.stats t.mem in
+  if
+    Sim.Fault_inject.fires (Sim.Trace.faults trace) ~site:Sim.Fault_inject.site_zero_cache_empty
+    || Queue.is_empty t.zeroed
+  then begin
+    Sim.Stats.incr stats "zero_cache_miss";
+    None
+  end
+  else begin
+    let start = Sim.Trace.enter trace ~op:"zero_cache_pop" in
+    let clock = Phys_mem.clock t.mem in
+    Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.zero_cache_pop;
+    Sim.Stats.incr stats "zero_cache_hit";
+    depth_delta t (-1);
+    Sim.Trace.leave trace ~op:"zero_cache_pop" ~start ~arg:0 ~outcome:"ok";
+    Some (Queue.take t.zeroed)
+  end
+
+(* Closure-free spans: all three run on the fault path. *)
 let eager_zero t pfn =
   let trace = Phys_mem.trace t.mem in
   let start = Sim.Trace.enter trace ~op:"zeroing" in
@@ -37,10 +62,34 @@ let background_step t ~budget_frames =
   match zero_pending t ~budget_frames 0 with
   | n ->
     Sim.Trace.leave trace ~op:"background_zero" ~start ~arg:n ~outcome:"ok";
+    depth_delta t n;
     n
   | exception e ->
     Sim.Trace.leave_raised trace ~op:"background_zero" ~start;
     raise e
+
+let launder t =
+  if Queue.is_empty t.dirty then begin
+    (* Nothing to launder: a pooled frame, uncharged, is the last clean
+       memory a forced miss can still reach. *)
+    match Queue.take_opt t.zeroed with
+    | Some _ as got ->
+      depth_delta t (-1);
+      got
+    | None -> None
+  end
+  else begin
+    let trace = Phys_mem.trace t.mem in
+    let start = Sim.Trace.enter trace ~op:"background_zero" in
+    let pfn = Queue.take t.dirty in
+    match Phys_mem.zero_frame t.mem pfn with
+    | () ->
+      Sim.Trace.leave trace ~op:"background_zero" ~start ~arg:1 ~outcome:"ok";
+      Some pfn
+    | exception e ->
+      Sim.Trace.leave_raised trace ~op:"background_zero" ~start;
+      raise e
+  end
 
 let bulk_erase t ~first ~count =
   if count < 0 then invalid_arg "Zero_engine.bulk_erase: negative count";

@@ -88,7 +88,8 @@ val site_frame_alloc_fail : string
 (** Kernel frame allocation: the buddy pretends to be empty. *)
 
 val site_zero_cache_empty : string
-(** [Zero_cache.take]: forced miss even when frames are cached. *)
+(** [Zero_engine.take]: forced miss even when the pool holds zeroed
+    frames. *)
 
 val site_quota_enospc : string
 (** [Memfs.extend]: the quota charge is refused. *)

@@ -105,8 +105,8 @@ let check_mapcounts acc kernel leaves =
           :: !acc)
     refs
 
-(* The buddy, the zero engine's pending and zeroed queues and the zero
-   cache hold the anonymous pool's free frames. A frame a VM-owned leaf
+(* The buddy and the zero engine's pending queue and pool hold the
+   anonymous pool's free frames. A frame a VM-owned leaf
    maps must be in none of them, no frame may sit in them twice, and a
    pooled frame holds no reference: a frame recycled while still in use
    shows up here before its next owner overwrites it. *)
@@ -120,7 +120,6 @@ let check_free_mapped acc kernel leaves =
     else Hashtbl.add pooled pfn ()
   in
   Physmem.Zero_engine.iter_free (Kernel.zero_engine kernel) pool;
-  Alloc.Zero_cache.iter (Kernel.zero_cache kernel) pool;
   Page_meta.iter_counts (Kernel.page_meta kernel) (fun pfn ~refcount ~mapcount:_ ->
       if refcount > 0 && is_free pfn then
         flag (Printf.sprintf "frame %d is free but holds %d reference(s)" pfn refcount));
@@ -133,7 +132,7 @@ let check_free_mapped acc kernel leaves =
     leaves
 
 (* Every frame of the buddy's pool is in exactly one place: the buddy,
-   the zero engine's queues, the zero cache, a page-table node or a
+   the zero engine (pending or pooled), a page-table node or a
    VM-owned page (a frame a VM leaf covers, or any other that holds a
    reference). Page-table nodes are counted by the kernel's one source
    and sink, so FOM masters and the PBM table count too. The places must
@@ -161,7 +160,6 @@ let check_conservation acc kernel leaves =
     [
       ("buddy", Alloc.Buddy.free_frames_count buddy);
       ("zero engine", Physmem.Zero_engine.pending zero + Physmem.Zero_engine.available zero);
-      ("zero cache", Alloc.Zero_cache.depth (Kernel.zero_cache kernel));
       ("page-table", Kernel.pt_frames kernel);
       ("VM-owned", !vm);
     ]

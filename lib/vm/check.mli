@@ -11,12 +11,12 @@
       equals [Page_meta.mapcount], and no mapcount exceeds its refcount.
       FOM mappings (grafts, range translations) are file-owned and
       deliberately outside struct-page accounting, so they are excluded.
-    - {b free_mapped} — no frame a VM-owned leaf maps is in the buddy,
-      the zero engine's pending or zeroed queues or the zero cache; no
-      frame sits in those pools twice; and no pooled frame holds a
+    - {b free_mapped} — no frame a VM-owned leaf maps is in the buddy
+      or the zero engine (pending or in its pool of zeroed frames); no
+      frame sits in those places twice; and no free frame holds a
       reference. A frame recycled while still in use is caught here.
     - {b conservation} — every frame of the buddy's pool is in exactly
-      one place: the buddy, the zero engine's queues, the zero cache, a
+      one place: the buddy, the zero engine (pending or pooled), a
       page-table node (counted by the kernel's one page-table frame
       source and sink, so FOM masters and the PBM table count too) or a
       VM-owned page (covered by a VM leaf or holding a reference); the

@@ -6,7 +6,6 @@ type ctx = {
   buddy : Alloc.Buddy.t;
   swap : Swap.t;
   zero : Physmem.Zero_engine.t;
-  zcache : Alloc.Zero_cache.t;
   reclaim : Reclaim.t option;
 }
 
@@ -25,16 +24,12 @@ let buddy_alloc ctx ~order =
   else Alloc.Buddy.alloc ctx.buddy ~order
 
 (* A frame with unspecified contents: buddy first; when the buddy is dry
-   the memory may be sitting in the zero engine — dirty (freed but not
-   yet laundered: zero one on demand) or already laundered into its
-   zeroed pool (the reclaim-then-retry pass parks frames there) — rather
-   than OOM. *)
+   the memory may be sitting in the zero engine, pending or pooled (the
+   reclaim-then-retry pass parks frames there), rather than OOM. *)
 let raw_frame ctx =
   match buddy_alloc ctx ~order:0 with
   | Some _ as got -> got
-  | None ->
-    ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:1);
-    Physmem.Zero_engine.take_zeroed ctx.zero
+  | None -> Physmem.Zero_engine.launder ctx.zero
 
 (* Graceful degradation: a failed [alloc ctx] (a top-level function: no
    closure per call) gets one reclaim-then-retry pass before the typed OOM. *)
@@ -69,19 +64,16 @@ let raw_frame_exn ?(what = "raw frame") ctx =
   | None -> oom ctx what
 
 let fresh_zero_frame_once ctx =
-  (* Prefer the pre-zeroed cache, then the engine's own pool (both O(1));
-     fall back to allocate + eager zero. *)
-  match Alloc.Zero_cache.take ctx.zcache with
+  (* Prefer the pre-zeroed pool (O(1)); fall back to allocate + eager
+     zero. *)
+  match Physmem.Zero_engine.take ctx.zero with
   | Some _ as got -> got
   | None -> (
-    match Physmem.Zero_engine.take_zeroed ctx.zero with
-    | Some _ as got -> got
-    | None -> (
-      match buddy_alloc ctx ~order:0 with
-      | Some pfn ->
-        Physmem.Zero_engine.eager_zero ctx.zero pfn;
-        Some pfn
-      | None -> raw_frame ctx (* laundered on demand: already zero *)))
+    match buddy_alloc ctx ~order:0 with
+    | Some pfn ->
+      Physmem.Zero_engine.eager_zero ctx.zero pfn;
+      Some pfn
+    | None -> raw_frame ctx (* laundered on demand: already zero *))
 
 let fresh_zero_frame ctx =
   match with_reclaim_retry ctx fresh_zero_frame_once with

@@ -12,7 +12,8 @@ type ctx = {
   buddy : Alloc.Buddy.t;  (** DRAM frame source for anonymous pages / CoW *)
   swap : Swap.t;
   zero : Physmem.Zero_engine.t;
-  zcache : Alloc.Zero_cache.t;  (** pre-zeroed frames tried first on anon faults *)
+      (** the pool of pre-zeroed frames, tried first on anon faults, and the
+          pending frames laundered when the buddy is dry *)
   reclaim : Reclaim.t option;
       (** when present, a failed allocation gets one reclaim-then-retry
           pass before [Sim.Errno.Error (ENOMEM, _)] surfaces *)
@@ -31,14 +32,15 @@ val handle : ctx -> aspace:Address_space.t -> pid:int -> va:int -> write:bool ->
     injects buddy failures in front of every allocation here. *)
 
 val fresh_zero_frame : ctx -> Physmem.Frame.t
-(** A zeroed frame via zero-cache → engine pool → buddy+eager-zero →
-    launder-on-demand, with the reclaim-retry pass on exhaustion. Raises
+(** A zeroed frame via the engine's pool ({!Physmem.Zero_engine.take}) →
+    buddy + eager zero → {!Physmem.Zero_engine.launder}, with the
+    reclaim-retry pass on exhaustion. Raises
     [Sim.Errno.Error (ENOMEM, _)] if nothing can be found. *)
 
 val raw_frame_exn : ?what:string -> ctx -> Physmem.Frame.t
-(** A frame with unspecified contents (buddy, then launder-on-demand),
-    with the reclaim-retry pass; [what] names the consumer in the ENOMEM
-    error. *)
+(** A frame with unspecified contents (buddy, then
+    {!Physmem.Zero_engine.launder}), with the reclaim-retry pass; [what]
+    names the consumer in the ENOMEM error. *)
 
 val populate_anon_page : ctx -> aspace:Address_space.t -> va:int -> prot:Hw.Prot.t -> unit
 (** The MAP_POPULATE path for one anonymous page: allocate, zero, map —

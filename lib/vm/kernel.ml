@@ -45,7 +45,6 @@ type t = {
   meta : Page_meta.t;
   buddy : Alloc.Buddy.t;
   zero : Physmem.Zero_engine.t;
-  zcache : Alloc.Zero_cache.t;
   swap : Swap.t;
   reclaim : Reclaim.t;
   tmpfs : Fs.Memfs.t;
@@ -102,7 +101,6 @@ let create ?(config = default_config) () =
   in
   let meta = Page_meta.create ~clock ~stats ~frames:(Phys_mem.total_frames mem) in
   let zero = Physmem.Zero_engine.create mem in
-  let zcache = Alloc.Zero_cache.create ~mem ~engine:zero in
   let swap =
     let backing =
       match (config.swap_backing, pmfs) with
@@ -126,7 +124,6 @@ let create ?(config = default_config) () =
     meta;
     buddy;
     zero;
-    zcache;
     swap;
     reclaim;
     tmpfs;
@@ -134,7 +131,7 @@ let create ?(config = default_config) () =
     procs = Hashtbl.create 16;
     next_pid = 1;
     userfault = Userfault.create ();
-    ctx = { Fault.mem; meta; buddy; swap; zero; zcache; reclaim = Some reclaim };
+    ctx = { Fault.mem; meta; buddy; swap; zero; reclaim = Some reclaim };
     busy = false;
     busy_core = 0;
     busy_prev = 0;
@@ -152,7 +149,6 @@ let mem t = t.mem
 let page_meta t = t.meta
 let buddy t = t.buddy
 let zero_engine t = t.zero
-let zero_cache t = t.zcache
 let swap t = t.swap
 let reclaim t = t.reclaim
 let tmpfs t = t.tmpfs
@@ -160,7 +156,7 @@ let pmfs t = t.pmfs
 
 let userfault t = t.userfault
 
-let background_zero t ~budget_frames = Alloc.Zero_cache.refill t.zcache ~budget_frames
+let background_zero t ~budget_frames = Physmem.Zero_engine.background_step t.zero ~budget_frames
 
 let charge t c = Sim.Clock.charge t.clock c
 let model t = Sim.Clock.model t.clock
@@ -383,7 +379,10 @@ let reset_after_crash t =
   Hw.Smp.clear t.smp;
   Sim.Stats.set_gauge t.stats "tlb_entries" 0;
   Sim.Stats.set_gauge t.stats "range_tlb_entries" 0;
-  Sim.Stats.set_gauge t.stats "zero_cache_depth" (Alloc.Zero_cache.depth t.zcache)
+  (* Every engine's pool moves the one gauge: the file systems' too. *)
+  let pool fs = Fs.Memfs.zero_pool_available fs in
+  Sim.Stats.set_gauge t.stats "zero_cache_depth"
+    (Physmem.Zero_engine.available t.zero + pool t.tmpfs + Option.fold ~none:0 ~some:pool t.pmfs)
 
 let register_if_anon t proc ~va =
   let aspace = proc.Proc.aspace in

@@ -52,11 +52,10 @@ val mem : t -> Physmem.Phys_mem.t
 val page_meta : t -> Page_meta.t
 val buddy : t -> Alloc.Buddy.t
 val zero_engine : t -> Physmem.Zero_engine.t
-
-val zero_cache : t -> Alloc.Zero_cache.t
-(** Per-order cache of pre-zeroed frames in front of the zero engine;
-    anonymous faults and populate paths try it first. Refill it from
-    idle time with {!background_zero}. *)
+(** The anonymous pool's zero engine: frames freed from the buddy's pool
+    wait there, pending, until {!background_zero} zeroes them into its
+    pool of pre-zeroed frames. Anonymous faults and populate paths take
+    from that pool first ({!Physmem.Zero_engine.take}). *)
 
 val swap : t -> Swap.t
 val reclaim : t -> Reclaim.t
@@ -64,8 +63,10 @@ val tmpfs : t -> Fs.Memfs.t
 val pmfs : t -> Fs.Memfs.t option
 
 val background_zero : t -> budget_frames:int -> int
-(** Housekeeping step: zero up to [budget_frames] dirty frames and stash
-    them in the {!zero_cache} for O(1) handout. Returns frames zeroed. *)
+(** Housekeeping step: the {!zero_engine}'s
+    {!Physmem.Zero_engine.background_step}, which zeroes up to
+    [budget_frames] pending frames into its pool for O(1) handout.
+    Returns frames zeroed. *)
 
 val create_page_table : t -> Hw.Page_table.t
 (** A table over the kernel's one page-table frame source (a fault's
@@ -103,7 +104,8 @@ val reset_after_crash : t -> unit
 (** Power failure, kernel side: drop every process, userfault
     registration, reclaim list, struct-page record (all DRAM state) and
     every core's TLB contents, and re-baseline the "resident_pages" /
-    "tlb_entries" / "range_tlb_entries" / "zero_cache_depth" gauges so
+    "tlb_entries" / "range_tlb_entries" gauges, and "zero_cache_depth" to
+    the pools of the kernel's and the file systems' zero engines, so
     post-crash observability doesn't report pre-crash occupancy. Every
     dead process's page table is released and its pages go to the zero
     engine. Host-side only — the machine is off, so no cycles are

@@ -38,13 +38,12 @@ let words_per_call n f =
   done;
   (host_words () -. w0) /. float_of_int n
 
-(* Free frames of the kernel's pool: the buddy, the zero engine's queues
-   and the zero cache. *)
+(* Free frames of the kernel's pool: the buddy and the zero engine's
+   pending frames and pool. *)
 let pooled k =
   Alloc.Buddy.free_frames_count (Os.Kernel.buddy k)
   + Physmem.Zero_engine.pending (Os.Kernel.zero_engine k)
   + Physmem.Zero_engine.available (Os.Kernel.zero_engine k)
-  + Alloc.Zero_cache.depth (Os.Kernel.zero_cache k)
 
 let mk_fom ?config ?strategy () =
   let kernel = mk_kernel ?config () in

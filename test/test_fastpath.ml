@@ -1,6 +1,6 @@
-(* The PR-3 fast paths: mmu_gather-style batched shootdowns, the
-   pre-zeroed frame cache, and the O(1) data-structure rewrites (TLB slot
-   arrays, interval-map range TLB). *)
+(* The fast paths: mmu_gather-style batched shootdowns, the fault path's
+   pool of pre-zeroed frames, and the O(1) data-structure rewrites (TLB
+   slot arrays, interval-map range TLB). *)
 
 open Helpers
 module K = Os.Kernel
@@ -71,33 +71,10 @@ let test_fom_exit_single_batch () =
   O1mem.Fom.exit_process fom p;
   check_int "one batch for 3 regions" 1 (Sim.Stats.get stats "tlb_batch" - batches0)
 
-(* -------------------------- zeroed-frame cache --------------------- *)
+(* -------------------------- zeroed-frame pool ---------------------- *)
 
-let test_zero_cache_hit_miss () =
-  let mem = mk_mem () in
-  let engine = Physmem.Zero_engine.create mem in
-  let zc = Alloc.Zero_cache.create ~mem ~engine in
-  let stats = Physmem.Phys_mem.stats mem in
-  check_bool "empty cache misses" true (Alloc.Zero_cache.take zc = None);
-  check_int "miss counted" 1 (Sim.Stats.get stats "zero_cache_miss");
-  Physmem.Zero_engine.put_dirty engine ~first:5 ~count:2;
-  check_int "refill launders both" 2 (Alloc.Zero_cache.refill zc ~budget_frames:8);
-  check_int "depth" 2 (Alloc.Zero_cache.depth zc);
-  let clock = Physmem.Phys_mem.clock mem in
-  let before = Sim.Clock.now clock in
-  check_bool "hit" true (Alloc.Zero_cache.take zc <> None);
-  check_int "hit charges the O(1) pop"
-    Sim.Cost_model.default.Sim.Cost_model.zero_cache_pop
-    (Sim.Clock.elapsed clock ~since:before);
-  check_int "hit counted" 1 (Sim.Stats.get stats "zero_cache_hit");
-  check_bool "second hit" true (Alloc.Zero_cache.take zc <> None);
-  (* Exhausted again: back to misses, no crash. *)
-  check_bool "exhausted" true (Alloc.Zero_cache.take zc = None);
-  check_int "misses" 2 (Sim.Stats.get stats "zero_cache_miss");
-  check_int "drained" 0 (Alloc.Zero_cache.depth zc)
-
-(* Fault path: populate works with an empty cache (eager fallback), and
-   hits the cache once background zeroing has run. *)
+(* Fault path: populate works with an empty pool (eager fallback), and
+   hits the zero engine's pool once background zeroing has run. *)
 let test_fault_path_uses_cache () =
   let k = mk_kernel () in
   let p = K.create_process k () in
@@ -107,7 +84,7 @@ let test_fault_path_uses_cache () =
   check_int "cold populate: all misses" 8 (Sim.Stats.get stats "zero_cache_miss");
   check_int "no hits yet" 0 (Sim.Stats.get stats "zero_cache_hit");
   K.munmap k p ~va ~len;
-  (* The 8 freed frames are dirty; launder them into the cache. *)
+  (* The 8 freed frames are dirty; launder them into the pool. *)
   check_int "background zero" 8 (K.background_zero k ~budget_frames:32);
   ignore (K.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:true);
   check_int "warm populate: all hits" 8 (Sim.Stats.get stats "zero_cache_hit")
@@ -239,7 +216,6 @@ let suite =
       test_batch_full_flush_above_threshold;
     Alcotest.test_case "batch: empty flush is free" `Quick test_batch_empty_is_free;
     Alcotest.test_case "batch: FOM exit flushes once" `Quick test_fom_exit_single_batch;
-    Alcotest.test_case "zero cache: hit/miss/exhaustion" `Quick test_zero_cache_hit_miss;
     Alcotest.test_case "zero cache: fault path fallback + warm hits" `Quick
       test_fault_path_uses_cache;
     Alcotest.test_case "tlb: eviction counter" `Quick test_tlb_evictions_counter;

@@ -269,12 +269,12 @@ let test_alloc_exhaustion_is_typed_enomem () =
 let test_forced_zero_cache_miss_still_allocates () =
   let k, plane = mk_faulted_kernel () in
   let p = K.create_process k () in
-  (* Stock the cache, then force misses: allocation must fall back to
+  (* Stock the pool, then force misses: allocation must fall back to
      the slower path, not fail. *)
   let va0 = K.mmap_anon k p ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ~populate:true in
   K.munmap k p ~va:va0 ~len:(Sim.Units.kib 16);
   ignore (K.background_zero k ~budget_frames:8);
-  check_bool "cache stocked" true (Alloc.Zero_cache.depth (K.zero_cache k) > 0);
+  check_bool "pool stocked" true (Physmem.Zero_engine.available (K.zero_engine k) > 0);
   FI.arm plane ~site:FI.site_zero_cache_empty FI.Always;
   let misses0 = Sim.Stats.get (K.stats k) "zero_cache_miss" in
   let va = K.mmap_anon k p ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ~populate:false in
@@ -333,21 +333,34 @@ let test_injection_zero_cost_when_off () =
 
 (* --------------------------- crash recovery -------------------------- *)
 
+(* Under [Background_zero] a freed file's frames fill its file system's
+   pool, and the depth gauge counts that pool with the kernel's. *)
 let test_crash_rebaselines_gauges () =
-  let k, fom = mk_fom () in
-  let p = K.create_process k () in
-  let va = K.mmap_anon k p ~len:(Sim.Units.kib 32) ~prot:Hw.Prot.rw ~populate:false in
-  ignore (K.access_range k p ~va ~len:(Sim.Units.kib 32) ~write:true ~stride:Sim.Units.page_size);
-  check_bool "pages resident before crash" true (Sim.Stats.gauge (K.stats k) "resident_pages" > 0);
-  ignore (O1mem.Persistence.crash_and_recover fom);
-  check_int "resident gauge re-baselined" 0 (Sim.Stats.gauge (K.stats k) "resident_pages");
-  check_int "tlb gauge re-baselined" 0 (Sim.Stats.gauge (K.stats k) "tlb_entries");
-  check_int "zero-cache gauge tracks reality"
-    (Alloc.Zero_cache.depth (K.zero_cache k))
-    (Sim.Stats.gauge (K.stats k) "zero_cache_depth");
-  check_int "dead processes dropped" 0 (K.process_count k);
-  Alcotest.(check (list string)) "post-crash machine consistent" []
-    (List.map Os.Check.violation_to_string (Os.Check.run k))
+  let crash fs_erase =
+    let k, fom = mk_fom ~config:{ small_config with Os.Kernel.fs_erase } () in
+    let p = K.create_process k () in
+    let va = K.mmap_anon k p ~len:(Sim.Units.kib 32) ~prot:Hw.Prot.rw ~populate:false in
+    ignore (K.access_range k p ~va ~len:(Sim.Units.kib 32) ~write:true ~stride:Sim.Units.page_size);
+    F.free fom p (F.alloc fom p ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ());
+    ignore (Fs.Memfs.background_zero_step (F.fs fom) ~budget_frames:8);
+    let stock = K.mmap_anon k p ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ~populate:true in
+    K.munmap k p ~va:stock ~len:(Sim.Units.kib 16);
+    check_int "kernel pool stocked" 4 (K.background_zero k ~budget_frames:8);
+    check_bool "pages resident before crash" true (Sim.Stats.gauge (K.stats k) "resident_pages" > 0);
+    ignore (O1mem.Persistence.crash_and_recover fom);
+    check_int "resident gauge re-baselined" 0 (Sim.Stats.gauge (K.stats k) "resident_pages");
+    check_int "tlb gauge re-baselined" 0 (Sim.Stats.gauge (K.stats k) "tlb_entries");
+    let fs_pool = Fs.Memfs.zero_pool_available (F.fs fom) in
+    check_int "file system pool" (if fs_erase = Fs.Memfs.Background_zero then 4 else 0) fs_pool;
+    check_int "zero-cache gauge tracks reality"
+      (Physmem.Zero_engine.available (K.zero_engine k) + fs_pool)
+      (Sim.Stats.gauge (K.stats k) "zero_cache_depth");
+    check_int "dead processes dropped" 0 (K.process_count k);
+    Alcotest.(check (list string)) "post-crash machine consistent" []
+      (List.map Os.Check.violation_to_string (Os.Check.run k))
+  in
+  crash Fs.Memfs.Eager_zero;
+  crash Fs.Memfs.Background_zero
 
 let suite =
   [

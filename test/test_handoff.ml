@@ -38,7 +38,7 @@ let check_intact k p ~va ~pages what = check_int what 0 (lost_pages k p ~va ~pag
 let check_clean k what =
   Alcotest.(check (list string)) what [] (List.map Os.Check.violation_to_string (Os.Check.run k))
 
-(* Launder every freed frame into the zero cache, then let a third
+(* Launder every freed frame into the zero pool, then let a third
    process populate 8 MiB from it and overwrite all of it: any frame
    wrongly recycled into the free pools is handed to it here. *)
 let third_process k =
@@ -141,7 +141,7 @@ let test_munmap_mlocked () =
   K.mlock k p ~va ~len;
   K.munmap k p ~va ~len;
   check_clean k "no pinned frame in the pools";
-  (* Launder the 16 frames into the zero cache, where the next populate
+  (* Launder the 16 frames into the zero pool, where the next populate
      takes them first. *)
   ignore (K.background_zero k ~budget_frames:16);
   let q = K.create_process k () in
