@@ -63,9 +63,9 @@ let raw_frame_exn ?(what = "raw frame") ctx =
   | Some pfn -> pfn
   | None -> oom ctx what
 
+(* Each frame source is asked once: the pre-zeroed pool (O(1)), then
+   the buddy plus an eager zero, then a frame laundered on demand. *)
 let fresh_zero_frame_once ctx =
-  (* Prefer the pre-zeroed pool (O(1)); fall back to allocate + eager
-     zero. *)
   match Physmem.Zero_engine.take ctx.zero with
   | Some _ as got -> got
   | None -> (
@@ -73,7 +73,7 @@ let fresh_zero_frame_once ctx =
     | Some pfn ->
       Physmem.Zero_engine.eager_zero ctx.zero pfn;
       Some pfn
-    | None -> raw_frame ctx (* laundered on demand: already zero *))
+    | None -> Physmem.Zero_engine.launder ctx.zero)
 
 let fresh_zero_frame ctx =
   match with_reclaim_retry ctx fresh_zero_frame_once with

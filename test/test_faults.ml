@@ -281,6 +281,27 @@ let test_forced_zero_cache_miss_still_allocates () =
   ignore (K.access_range k p ~va ~len:(Sim.Units.kib 16) ~write:true ~stride:Sim.Units.page_size);
   check_bool "misses forced" true (Sim.Stats.get (K.stats k) "zero_cache_miss" > misses0)
 
+(* Once the buddy is dry, an anonymous fault asks it once and then
+   launders a pending frame: on an enabled plane the "frame_alloc_fail"
+   site is evaluated once per such fault (twice while a fault asked the
+   buddy again before laundering). *)
+let test_dry_buddy_asked_once () =
+  let k, plane = mk_faulted_kernel () in
+  let p = K.create_process k () in
+  let page = Sim.Units.page_size and pages = 16 in
+  let va = K.mmap_anon k p ~len:((pages + 1) * page) ~prot:Hw.Prot.rw ~populate:true in
+  (* The first page stays, and with it the page table's nodes. *)
+  let above = va + page in
+  check_int "released" pages (K.madvise_dontneed k p ~va:above ~len:(pages * page));
+  while Alloc.Buddy.alloc (K.buddy k) ~order:0 <> None do () done;
+  let zero = K.zero_engine k in
+  check_int "pending" pages (Physmem.Zero_engine.pending zero);
+  let asks () = FI.evaluations plane ~site:FI.site_frame_alloc_fail in
+  let asks0 = asks () in
+  check_int "faults" pages (K.access_range k p ~va:above ~len:(pages * page) ~write:true ~stride:page);
+  check_int "every frame laundered" 0 (Physmem.Zero_engine.pending zero);
+  check_int "one buddy ask per laundered fault" pages (asks () - asks0)
+
 let test_quota_enospc_typed_and_cleaned () =
   let k, plane = mk_faulted_kernel () in
   let fom = F.create k () in
@@ -382,6 +403,7 @@ let suite =
     Alcotest.test_case "degrade: buddy refusal, reclaimed" `Quick test_alloc_retry_survives_failure;
     Alcotest.test_case "degrade: exhaustion is typed ENOMEM" `Quick test_alloc_exhaustion_is_typed_enomem;
     Alcotest.test_case "degrade: forced cache miss survives" `Quick test_forced_zero_cache_miss_still_allocates;
+    Alcotest.test_case "degrade: a dry buddy is asked once per fault" `Quick test_dry_buddy_asked_once;
     Alcotest.test_case "degrade: quota ENOSPC typed + cleaned" `Quick test_quota_enospc_typed_and_cleaned;
     Alcotest.test_case "plans: outcomes and verdicts" `Slow test_run_plan_outcomes;
     Alcotest.test_case "plane: zero cost when off" `Quick test_injection_zero_cost_when_off;
