@@ -74,27 +74,42 @@ let evict t e (leaf : Hw.Page_table.leaf) ~batch =
   Page_meta.set_flag t.meta e.pfn Page_meta.Lru false;
   ignore (Physmem.Zero_engine.background_step t.zero ~budget_frames:2)
 
-let scan_clock t ~target_frames =
+let tracked t = Queue.length t.inactive + Queue.length t.active
+
+(* One scan for both policies. An accessed inactive page gets a second
+   chance: CLOCK puts it back on the inactive list, 2Q promotes it to the
+   active list. 2Q also keeps the inactive list at least a third of the
+   tracked pages by demoting active ones first; under CLOCK the active
+   list stays empty, so no demotion ever runs. *)
+let scan_lists t ~target_frames =
   let reclaimed = ref 0 in
   let batches = ref [] in
-  let budget = ref (4 * (Queue.length t.inactive + 1)) in
-  while !reclaimed < target_frames && (not (Queue.is_empty t.inactive)) && !budget > 0 do
+  let budget = ref (4 * (tracked t + 1)) in
+  while !reclaimed < target_frames && tracked t > 0 && !budget > 0 do
     decr budget;
-    let e = Queue.pop t.inactive in
+    let demote = Queue.length t.inactive * 2 < Queue.length t.active in
+    let e = Queue.pop (if demote then t.active else t.inactive) in
     t.examined <- t.examined + 1;
     Sim.Clock.charge (clock t) examine_cost;
-    Sim.Stats.incr (stats t) "reclaim_examined";
+    if not demote then Sim.Stats.incr (stats t) "reclaim_examined";
     match current e with
     | None -> () (* stale: drop silently *)
     | Some leaf ->
-      if Page_meta.get_flag t.meta e.pfn Page_meta.Unevictable then
+      if demote then begin
+        leaf.Hw.Page_table.accessed <- false;
+        Queue.add e t.inactive
+      end
+      else if Page_meta.get_flag t.meta e.pfn Page_meta.Unevictable then
         (* mlocked: parked off the LRU for good, as on Linux's
            unevictable list. *)
         Sim.Stats.incr (stats t) "reclaim_unevictable"
       else if leaf.Hw.Page_table.accessed then begin
-        (* Second chance. *)
         leaf.Hw.Page_table.accessed <- false;
-        Queue.add e t.inactive
+        match t.policy with
+        | Clock -> Queue.add e t.inactive
+        | Two_q ->
+          Page_meta.set_flag t.meta e.pfn Page_meta.Active true;
+          Queue.add e t.active
       end
       else begin
         evict t e leaf ~batch:(batch_for batches e.aspace);
@@ -104,59 +119,8 @@ let scan_clock t ~target_frames =
   flush_batches batches;
   !reclaimed
 
-let scan_two_q t ~target_frames =
-  let reclaimed = ref 0 in
-  let batches = ref [] in
-  let budget = ref (4 * (Queue.length t.inactive + Queue.length t.active + 1)) in
-  while !reclaimed < target_frames
-        && (not (Queue.is_empty t.inactive && Queue.is_empty t.active))
-        && !budget > 0
-  do
-    decr budget;
-    (* Keep the inactive list at least a third of the tracked pages. *)
-    if
-      Queue.length t.inactive * 2 < Queue.length t.active
-      && not (Queue.is_empty t.active)
-    then begin
-      let e = Queue.pop t.active in
-      t.examined <- t.examined + 1;
-      Sim.Clock.charge (clock t) examine_cost;
-      match current e with
-      | None -> ()
-      | Some leaf ->
-        leaf.Hw.Page_table.accessed <- false;
-        Queue.add e t.inactive
-    end
-    else if not (Queue.is_empty t.inactive) then begin
-      let e = Queue.pop t.inactive in
-      t.examined <- t.examined + 1;
-      Sim.Clock.charge (clock t) examine_cost;
-      Sim.Stats.incr (stats t) "reclaim_examined";
-      match current e with
-      | None -> ()
-      | Some leaf ->
-        if Page_meta.get_flag t.meta e.pfn Page_meta.Unevictable then
-          Sim.Stats.incr (stats t) "reclaim_unevictable"
-        else if leaf.Hw.Page_table.accessed then begin
-          (* Promote to the active list. *)
-          leaf.Hw.Page_table.accessed <- false;
-          Page_meta.set_flag t.meta e.pfn Page_meta.Active true;
-          Queue.add e t.active
-        end
-        else begin
-          evict t e leaf ~batch:(batch_for batches e.aspace);
-          incr reclaimed
-        end
-    end
-  done;
-  flush_batches batches;
-  !reclaimed
-
 let scan t ~target_frames =
   Sim.Trace.span (Physmem.Phys_mem.trace t.mem) ~op:"reclaim" ~arg:Fun.id @@ fun () ->
-  match t.policy with
-  | Clock -> scan_clock t ~target_frames
-  | Two_q -> scan_two_q t ~target_frames
+  scan_lists t ~target_frames
 
-let tracked t = Queue.length t.inactive + Queue.length t.active
 let pages_examined t = t.examined
