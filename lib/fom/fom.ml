@@ -237,12 +237,19 @@ let free ?batch t proc region =
     Fs.Memfs.unlink t.fs region.path
   end
 
+(* A closure-free span, as on the kernel's access path: it runs per page. *)
 let access t (proc : Os.Proc.t) ~va ~write =
-  Sim.Trace.span (trace t) ~op:"access" @@ fun () ->
-  let aspace = proc.Os.Proc.aspace in
-  match Hw.Mmu.access (Os.Address_space.mmu aspace) ~mem:(Os.Kernel.mem t.kernel) ~va ~write with
-  | Ok () -> ()
-  | Error _ -> raise (Os.Fault.Segfault va)
+  let trace = trace t in
+  let start = Sim.Trace.enter trace ~op:"access" in
+  let mmu = Os.Address_space.mmu proc.Os.Proc.aspace in
+  match Hw.Mmu.access mmu ~mem:(Os.Kernel.mem t.kernel) ~va ~write with
+  | Ok () -> Sim.Trace.leave trace ~op:"access" ~start ~arg:0 ~outcome:"ok"
+  | Error _ ->
+    Sim.Trace.leave_raised trace ~op:"access" ~start;
+    raise (Os.Fault.Segfault va)
+  | exception e ->
+    Sim.Trace.leave_raised trace ~op:"access" ~start;
+    raise e
 
 let access_range t proc ~va ~len ~write ~stride =
   if stride <= 0 then invalid_arg "Fom.access_range: bad stride";

@@ -30,6 +30,20 @@ let test_access_never_faults () =
   check_int "256 touches" 256 n;
   check_int "zero page faults, ever" 0 (Sim.Stats.get (K.stats kernel) "page_fault")
 
+(* A TLB hit through [F.access] allocates nothing: its span is the
+   closure-free form. A warmed hit's words must stay within 1.25x of what
+   it measured when this held, which is the reading's own Gc record
+   spread over the calls; a closure per span took 7.00. *)
+let test_access_hit_allocates_nothing () =
+  let kernel, fom = mk_fom () in
+  let proc = K.create_process kernel () in
+  let r = F.alloc fom proc ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw () in
+  F.access fom proc ~va:r.F.va ~write:true;
+  let calls = 1024 and hits = Sim.Stats.get (K.stats kernel) "tlb_hit" in
+  let words = words_per_call calls (fun _ -> F.access fom proc ~va:r.F.va ~write:true) in
+  check_int "every access hits the TLB" calls (Sim.Stats.get (K.stats kernel) "tlb_hit" - hits);
+  check_bool (Printf.sprintf "%.4f words per hit <= 1.25 x 0.025" words) true (words <= 1.25 *. 0.025)
+
 let test_each_strategy_translates () =
   List.iter
     (fun strategy ->
@@ -609,6 +623,7 @@ let suite =
     Alcotest.test_case "fom: alloc creates a file" `Quick test_alloc_creates_file;
     Alcotest.test_case "fom: named allocs persistent" `Quick test_alloc_named_persistent;
     Alcotest.test_case "fom: access never faults" `Quick test_access_never_faults;
+    Alcotest.test_case "fom: a TLB hit allocates nothing" `Quick test_access_hit_allocates_nothing;
     Alcotest.test_case "fom: all strategies translate" `Quick test_each_strategy_translates;
     Alcotest.test_case "fom: segfault outside region" `Quick test_out_of_region_segfaults;
     Alcotest.test_case "fom: whole-file protection" `Quick test_whole_file_protection;
