@@ -49,25 +49,30 @@ bench-diff:
 
 # Benchmark smoke: build perfbench/pass.exe in release, as perfbench/run.py
 # does, and run one untraced pass at seed 1 of each workload named in
-# perf_virtual.jsonl, one line per workload. Fails unless the pass's own
-# output checks (Os.Check, the store read-back) report no errors and its
-# "virtual" object equals that line's, so every virtual-clock number the
-# benchmark reports is unchanged. A change that moves one on purpose
-# rewrites that line; a new workload adds one. CI runs this after
-# `make check`.
+# perf_virtual.jsonl, one line per workload. Every line is checked: the
+# pass's own output checks (Os.Check, the store read-back) must report no
+# errors and its "virtual" object must equal that line's, so every
+# virtual-clock number the benchmark reports is unchanged. Each failing
+# workload is reported, then the target fails. A change that moves a
+# number on purpose rewrites that line; a new workload adds one. CI runs
+# this after `make check`.
 perf-smoke:
 	dune build --build-dir .bench_build --profile release ./perfbench/pass.exe
 	@test -s perf_virtual.jsonl || { echo "perf_virtual.jsonl names no workload"; exit 1; }
-	@while IFS= read -r line || [ -n "$$line" ]; do \
+	@status=0; \
+	while IFS= read -r line || [ -n "$$line" ]; do \
 	  w=$$(printf '%s\n' "$$line" | sed -n 's/^{"workload":"\([^"]*\)",.*/\1/p'); \
-	  test -n "$$w" || { echo "perf_virtual.jsonl: no workload in: $$line"; exit 1; }; \
-	  out=$$(.bench_build/default/perfbench/pass.exe --workload "$$w" --seed 1 --trace 0 < /dev/null) || exit 1; \
-	  case "$$out" in *'"errors":[]'*) ;; *) echo "$$w: output checks failed: $$out"; exit 1;; esac; \
+	  if [ -z "$$w" ]; then echo "perf_virtual.jsonl: no workload in: $$line"; status=1; continue; fi; \
+	  if ! out=$$(.bench_build/default/perfbench/pass.exe --workload "$$w" --seed 1 --trace 0 < /dev/null); then \
+	    echo "$$w: pass failed"; status=1; continue; fi; \
+	  case "$$out" in *'"errors":[]'*) ;; *) echo "$$w: output checks failed: $$out"; status=1; continue;; esac; \
 	  v=$$(printf '%s\n' "$$out" | sed -n 's/.*"virtual":\({.*}\),"host":.*/\1/p'); \
 	  got="{\"workload\":\"$$w\",\"virtual\":$$v}"; \
 	  if [ "$$got" = "$$line" ]; then echo "$$w: virtual metrics unchanged"; \
-	  else echo "$$w: virtual metrics differ from perf_virtual.jsonl:"; echo "$$got"; exit 1; fi; \
-	done < perf_virtual.jsonl
+	  else echo "$$w: virtual metrics differ from perf_virtual.jsonl:"; \
+	    echo "  want: $$line"; echo "  got:  $$got"; status=1; fi; \
+	done < perf_virtual.jsonl; \
+	exit $$status
 
 # P1 cycle-attribution call trees for the churn workload, both heap
 # backends (see EXPERIMENTS.md "P1 — where do the cycles go?"). Every
