@@ -14,12 +14,15 @@ let put_dirty t ~first ~count =
 let depth_delta t d =
   if d <> 0 then Sim.Stats.add_gauge (Phys_mem.stats t.mem) "zero_cache_depth" d
 
+let pop t =
+  depth_delta t (-1);
+  Queue.take t.zeroed
+
 (* The O(1) handout: one pop, no zeroing on the critical path. The
    injection site pretends the pool is dry so callers exercise their slow
    path. Closure-free span: it runs on the fault path. *)
 let take t =
-  let trace = Phys_mem.trace t.mem in
-  let stats = Phys_mem.stats t.mem in
+  let stats = Phys_mem.stats t.mem and trace = Phys_mem.trace t.mem in
   if
     Sim.Fault_inject.fires (Sim.Trace.faults trace) ~site:Sim.Fault_inject.site_zero_cache_empty
     || Queue.is_empty t.zeroed
@@ -32,9 +35,8 @@ let take t =
     let clock = Phys_mem.clock t.mem in
     Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.zero_cache_pop;
     Sim.Stats.incr stats "zero_cache_hit";
-    depth_delta t (-1);
     Sim.Trace.leave trace ~op:"zero_cache_pop" ~start ~arg:0 ~outcome:"ok";
-    Some (Queue.take t.zeroed)
+    Some (pop t)
   end
 
 (* Closure-free spans: all three run on the fault path. *)
@@ -69,15 +71,10 @@ let background_step t ~budget_frames =
     raise e
 
 let launder t =
-  if Queue.is_empty t.dirty then begin
+  if Queue.is_empty t.dirty then
     (* Nothing to launder: a pooled frame, uncharged, is the last clean
        memory a forced miss can still reach. *)
-    match Queue.take_opt t.zeroed with
-    | Some _ as got ->
-      depth_delta t (-1);
-      got
-    | None -> None
-  end
+    if Queue.is_empty t.zeroed then None else Some (pop t)
   else begin
     let trace = Phys_mem.trace t.mem in
     let start = Sim.Trace.enter trace ~op:"background_zero" in

@@ -11,9 +11,7 @@ type ctx = {
   meta : Page_meta.t;
   buddy : Alloc.Buddy.t;  (** DRAM frame source for anonymous pages / CoW *)
   swap : Swap.t;
-  zero : Physmem.Zero_engine.t;
-      (** the pool of pre-zeroed frames, tried first on anon faults, and the
-          pending frames laundered when the buddy is dry *)
+  zero : Physmem.Zero_engine.t;  (** the pre-zeroed pool, tried first on anon faults *)
   reclaim : Reclaim.t option;
       (** when present, a failed allocation gets one reclaim-then-retry
           pass before [Sim.Errno.Error (ENOMEM, _)] surfaces *)
@@ -32,10 +30,10 @@ val handle : ctx -> aspace:Address_space.t -> pid:int -> va:int -> write:bool ->
     injects buddy failures in front of every allocation here. *)
 
 val fresh_zero_frame : ctx -> Physmem.Frame.t
-(** A zeroed frame via the engine's pool ({!Physmem.Zero_engine.take}) →
-    buddy + eager zero → {!Physmem.Zero_engine.launder}, with the
-    reclaim-retry pass on exhaustion. Raises
-    [Sim.Errno.Error (ENOMEM, _)] if nothing can be found. *)
+(** A zeroed frame, asking each source once: the engine's pool
+    ({!Physmem.Zero_engine.take}), the buddy plus an eager zero, then
+    {!Physmem.Zero_engine.launder}; the reclaim-retry pass on exhaustion.
+    Raises [Sim.Errno.Error (ENOMEM, _)] if nothing can be found. *)
 
 val raw_frame_exn : ?what:string -> ctx -> Physmem.Frame.t
 (** A frame with unspecified contents (buddy, then
