@@ -106,10 +106,10 @@ let check_mapcounts acc kernel leaves =
     refs
 
 (* The buddy and the zero engine's pending queue and pool hold the
-   anonymous pool's free frames. A frame a VM-owned leaf
-   maps must be in none of them, no frame may sit in them twice, and a
-   pooled frame holds no reference: a frame recycled while still in use
-   shows up here before its next owner overwrites it. *)
+   anonymous pool's free frames. A frame a VM-owned leaf maps must be in
+   none of them, no frame may sit in them twice, and a pooled frame
+   holds no reference: a frame recycled while still in use shows up here
+   before its next owner overwrites it. *)
 let check_free_mapped acc kernel leaves =
   let buddy = Kernel.buddy kernel in
   let pooled = Hashtbl.create 256 in

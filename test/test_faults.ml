@@ -283,8 +283,8 @@ let test_forced_zero_cache_miss_still_allocates () =
 
 (* Once the buddy is dry, an anonymous fault asks it once and then
    launders a pending frame: on an enabled plane the "frame_alloc_fail"
-   site is evaluated once per such fault (twice while a fault asked the
-   buddy again before laundering). *)
+   site is evaluated once per such fault (a second ask before laundering
+   would evaluate it twice). *)
 let test_dry_buddy_asked_once () =
   let k, plane = mk_faulted_kernel () in
   let p = K.create_process k () in
