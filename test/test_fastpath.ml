@@ -73,6 +73,33 @@ let test_fom_exit_single_batch () =
 
 (* -------------------------- zeroed-frame pool ---------------------- *)
 
+(* [Zero_engine.take] is the pool's one charged handout: a dry pool is a
+   counted miss, a hit charges the O(1) pop, and the depth gauge follows
+   the pool down to empty. *)
+let test_zero_cache_hit_miss () =
+  let mem = mk_mem () in
+  let engine = Physmem.Zero_engine.create mem in
+  let stats = Physmem.Phys_mem.stats mem in
+  check_bool "empty cache misses" true (Physmem.Zero_engine.take engine = None);
+  check_int "miss counted" 1 (Sim.Stats.get stats "zero_cache_miss");
+  Physmem.Zero_engine.put_dirty engine ~first:5 ~count:2;
+  check_int "refill launders both" 2
+    (Physmem.Zero_engine.background_step engine ~budget_frames:8);
+  check_int "depth" 2 (Sim.Stats.gauge stats "zero_cache_depth");
+  let clock = Physmem.Phys_mem.clock mem in
+  let before = Sim.Clock.now clock in
+  check_bool "hit" true (Physmem.Zero_engine.take engine <> None);
+  check_int "hit charges the O(1) pop"
+    Sim.Cost_model.default.Sim.Cost_model.zero_cache_pop
+    (Sim.Clock.elapsed clock ~since:before);
+  check_int "hit counted" 1 (Sim.Stats.get stats "zero_cache_hit");
+  check_bool "second hit" true (Physmem.Zero_engine.take engine <> None);
+  (* Exhausted again: back to misses, no crash. *)
+  check_bool "exhausted" true (Physmem.Zero_engine.take engine = None);
+  check_int "misses" 2 (Sim.Stats.get stats "zero_cache_miss");
+  check_int "drained" 0 (Physmem.Zero_engine.available engine);
+  check_int "depth gauge drained" 0 (Sim.Stats.gauge stats "zero_cache_depth")
+
 (* Fault path: populate works with an empty pool (eager fallback), and
    hits the zero engine's pool once background zeroing has run. *)
 let test_fault_path_uses_cache () =
@@ -216,6 +243,7 @@ let suite =
       test_batch_full_flush_above_threshold;
     Alcotest.test_case "batch: empty flush is free" `Quick test_batch_empty_is_free;
     Alcotest.test_case "batch: FOM exit flushes once" `Quick test_fom_exit_single_batch;
+    Alcotest.test_case "zero cache: hit/miss/exhaustion" `Quick test_zero_cache_hit_miss;
     Alcotest.test_case "zero cache: fault path fallback + warm hits" `Quick
       test_fault_path_uses_cache;
     Alcotest.test_case "tlb: eviction counter" `Quick test_tlb_evictions_counter;
