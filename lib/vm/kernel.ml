@@ -384,8 +384,11 @@ let reset_after_crash t =
   Sim.Stats.set_gauge t.stats "zero_cache_depth"
     (Physmem.Zero_engine.available t.zero + pool t.tmpfs + Option.fold ~none:0 ~some:pool t.pmfs)
 
+(* The page's own address: the swap key an eviction files the page
+   under, and the one its next fault asks for. *)
 let register_if_anon t proc ~va =
   let aspace = proc.Proc.aspace in
+  let va = Sim.Units.round_down va ~align:Sim.Units.page_size in
   match Address_space.find_vma aspace ~va with
   | Some { Vma.backing = Vma.Anon; _ } ->
     let leaf = Hw.Page_table.find (Address_space.page_table aspace) ~va in

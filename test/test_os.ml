@@ -418,6 +418,29 @@ let test_reclaim_preserves_content () =
   check_string "content survived swap" "survive-swap"
     (Bytes.to_string (Physmem.Phys_mem.read (K.mem k) ~addr:pa ~len:12))
 
+(* A page first touched off its page boundary is swapped out and back in
+   under its page's address: reading it back after reclaim takes a major
+   fault and finds what was written, and no swap slot is left behind. *)
+let test_reclaim_unaligned_touch () =
+  let k, p = mk () in
+  let page = Sim.Units.page_size in
+  let va = K.mmap_anon k p ~len:(4 * page) ~prot:Hw.Prot.rw ~populate:false in
+  let table = Os.Address_space.page_table p.Os.Proc.aspace in
+  let pa va = match Hw.Page_table.lookup table ~va with Some (pa, _) -> pa | None -> Alcotest.fail "lost" in
+  let at i = va + (i * page) + 100 in
+  for i = 0 to 3 do
+    K.access k p ~va:(at i) ~write:true;
+    Physmem.Phys_mem.write (K.mem k) ~addr:(pa (at i)) (String.make 1 (Char.chr (65 + i)))
+  done;
+  check_int "4 evicted" 4 (Os.Reclaim.scan (K.reclaim k) ~target_frames:4);
+  for i = 0 to 3 do
+    K.access k p ~va:(at i) ~write:false;
+    check_string "content survived swap" (String.make 1 (Char.chr (65 + i)))
+      (Bytes.to_string (Physmem.Phys_mem.read (K.mem k) ~addr:(pa (at i)) ~len:1))
+  done;
+  check_int "a major fault per page" 4 (Sim.Stats.get (K.stats k) "major_fault");
+  check_int "no swap slot left" 0 (Os.Swap.slots_used (K.swap k))
+
 let test_reclaim_two_q () =
   let config = { Helpers.small_config with Os.Kernel.reclaim_policy = Os.Reclaim.Two_q } in
   let k = mk_kernel ~config () in
@@ -495,6 +518,8 @@ let suite =
     Alcotest.test_case "reclaim: CLOCK second chance" `Quick test_reclaim_clock_second_chance;
     Alcotest.test_case "reclaim: content survives swap" `Quick test_reclaim_preserves_content;
     Alcotest.test_case "reclaim: 2Q policy" `Quick test_reclaim_two_q;
+    Alcotest.test_case "reclaim: a page touched off its boundary comes back" `Quick
+      test_reclaim_unaligned_touch;
     Alcotest.test_case "kernel: read() syscall" `Quick test_read_syscall_returns_bytes;
     Alcotest.test_case "kernel: 5-level walks" `Quick test_five_level_kernel_walk_refs;
     Alcotest.test_case "kernel: virtualized walks cost 24 refs" `Quick test_virtualized_walk_cost;
