@@ -230,6 +230,21 @@ let check_tlb_accounting acc kernel =
   reconcile "tlb_shootdown" !shootdowns;
   reconcile "tlb_flush" !flushes
 
+(* Every node on the reclaim lists names a live mapping: its table maps
+   its VA to a leaf of its frame. The nodes on the frames' chains are the
+   ones the lists count. *)
+let check_lru acc kernel =
+  let nodes = ref 0 in
+  let flag detail = acc := { check = "lru"; detail } :: !acc in
+  Page_meta.iter_lru (Kernel.page_meta kernel) (fun pfn aspace ~va ->
+      incr nodes;
+      let leaf = Hw.Page_table.find (Address_space.page_table aspace) ~va in
+      if leaf == Hw.Page_table.no_leaf || leaf.Hw.Page_table.pfn <> pfn then
+        flag (Printf.sprintf "frame %d: its node at va 0x%x names no mapping of it" pfn va));
+  let tracked = Reclaim.tracked (Kernel.reclaim kernel) in
+  if !nodes <> tracked then
+    flag (Printf.sprintf "the frames' chains hold %d node(s), the lists %d" !nodes tracked)
+
 (* The quota, the extent trees and the space bitmap are three views of
    the same resource; they must agree exactly. *)
 let check_fs acc ~name fs =
@@ -275,6 +290,7 @@ let run kernel =
   check_conservation acc kernel leaves;
   check_tlb acc kernel procs;
   check_tlb_accounting acc kernel;
+  check_lru acc kernel;
   check_fs acc ~name:"tmpfs" (Kernel.tmpfs kernel);
   (match Kernel.pmfs kernel with Some fs -> check_fs acc ~name:"pmfs" fs | None -> ());
   let extras =

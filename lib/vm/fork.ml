@@ -58,8 +58,7 @@ let fork k (parent : Proc.t) =
               Hw.Mmu.invalidate_page (Address_space.mmu p_as) ~va
             end;
             Page_meta.map meta c_table ~va ~pfn ~prot:ro ~size:Hw.Page_size.Small ~dirty;
-            if v.Vma.backing = Vma.Anon then
-              Reclaim.register (Kernel.reclaim k) ~pid:child.Proc.pid ~aspace:c_as ~va ~pfn)
+            if v.Vma.backing = Vma.Anon then Page_meta.link meta c_as ~va ~pfn)
       done)
     (List.rev !vmas);
   Sim.Stats.incr (Kernel.stats k) "fork";

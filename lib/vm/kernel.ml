@@ -110,9 +110,7 @@ let create ?(config = default_config) () =
     in
     Swap.create ~mem ~backing ()
   in
-  let reclaim =
-    Reclaim.create ~mem ~meta ~buddy ~swap ~zero ~policy:config.reclaim_policy
-  in
+  let reclaim = Reclaim.create ~mem ~meta ~swap ~zero ~policy:config.reclaim_policy in
   {
     config;
     clock;
@@ -370,7 +368,6 @@ let reset_after_crash t =
     (List.sort_uniq compare !pages);
   Hashtbl.reset t.procs;
   Userfault.clear t.userfault;
-  Reclaim.clear t.reclaim;
   Page_meta.reset_after_crash t.meta;
   (* Every core's TLBs lost power with the machine; host-side clear keeps
      the occupancy gauges consistent with zero (the post-recovery
@@ -392,8 +389,7 @@ let register_if_anon t proc ~va =
   match Address_space.find_vma aspace ~va with
   | Some { Vma.backing = Vma.Anon; _ } ->
     let leaf = Hw.Page_table.find (Address_space.page_table aspace) ~va in
-    if leaf != Hw.Page_table.no_leaf then
-      Reclaim.register t.reclaim ~pid:proc.Proc.pid ~aspace ~va ~pfn:leaf.Hw.Page_table.pfn
+    if leaf != Hw.Page_table.no_leaf then Page_meta.link t.meta aspace ~va ~pfn:leaf.Hw.Page_table.pfn
   | _ -> ()
 
 let mmap_anon t proc ~len ~prot ~populate =

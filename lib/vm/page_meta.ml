@@ -40,25 +40,59 @@ let bit_of = function
 
 (* The fields are pfn-indexed: frames are grouped into chunks of
    [chunk_frames], each holding one int array per field, allocated on the
-   chunk's first update. A frame of a chunk never updated reads zero. *)
+   chunk's first update. A frame of a chunk never updated reads zero.
+   [heads] starts each frame's chain of reclaim-list nodes (-1: none). *)
 let chunk_bits = 9
 let chunk_frames = 1 lsl chunk_bits
 
-type chunk = { flags : int array; refcount : int array; mapcount : int array }
+type chunk = { flags : int array; refcount : int array; mapcount : int array; heads : int array }
 
-let no_chunk = { flags = [||]; refcount = [||]; mapcount = [||] }
+let no_chunk = { flags = [||]; refcount = [||]; mapcount = [||]; heads = [||] }
+
+(* The reclaim lists hold one node per registered mapping, in blocks of
+   [block_nodes] made as the lists first grow and then reused through a
+   free list, so a warm list allocates nothing. A node is four ints (its
+   page VA with its list in the low bit, its neighbours on that list and
+   the next node on its frame's chain) and its address space. *)
+let block_bits = 6
+let block_nodes = 1 lsl block_bits
+
+type block = { ints : int array; owners : Address_space.t array }
+
+let no_block = { ints = [||]; owners = [||] }
+
+type lru = Inactive | Active
+
+let list_of = function Inactive -> 0 | Active -> 1
 
 type t = {
   clock : Sim.Clock.t;
   stats : Sim.Stats.t;
   frames : int;
   chunks : chunk array; (* by [pfn lsr chunk_bits] *)
+  mutable blocks : block array; (* by [node lsr block_bits]; doubles, copying pointers only *)
+  mutable nodes : int; (* node slots made *)
+  mutable free : int; (* free nodes, linked through [next]; -1: none *)
+  first : int array; (* per list: its oldest node, its newest, its length *)
+  last : int array;
+  length : int array;
 }
 
 let bytes_per_page = 64
 
 let create ~clock ~stats ~frames =
-  { clock; stats; frames; chunks = Array.make ((frames + chunk_frames - 1) lsr chunk_bits) no_chunk }
+  {
+    clock;
+    stats;
+    frames;
+    chunks = Array.make ((frames + chunk_frames - 1) lsr chunk_bits) no_chunk;
+    blocks = [||];
+    nodes = 0;
+    free = -1;
+    first = [| -1; -1 |];
+    last = [| -1; -1 |];
+    length = [| 0; 0 |];
+  }
 
 let frames t = t.frames
 
@@ -85,6 +119,7 @@ let writable t pfn =
         flags = Array.make chunk_frames 0;
         refcount = Array.make chunk_frames 0;
         mapcount = Array.make chunk_frames 0;
+        heads = Array.make chunk_frames (-1);
       }
     in
     t.chunks.(pfn lsr chunk_bits) <- c;
@@ -142,6 +177,82 @@ let mlock t pfn =
     List.iter (fun f -> set_flag t pfn f true) pin_flags
   end
 
+(* A node's four ints: [key] (its page VA lor its list), [prev] and
+   [next] on that list, and [chain] to the next node of its frame. *)
+let key = 0
+let prev = 1
+let next = 2
+let chain = 3
+
+let get t n f = t.blocks.(n lsr block_bits).ints.(((n land (block_nodes - 1)) lsl 2) + f)
+let set t n f v = t.blocks.(n lsr block_bits).ints.(((n land (block_nodes - 1)) lsl 2) + f) <- v
+let node_aspace t n = t.blocks.(n lsr block_bits).owners.(n land (block_nodes - 1))
+let node_va t n = get t n key land lnot 1
+
+(* Put node [n] at the tail of list [l], or take it off its list. *)
+let append t n l =
+  let tail = t.last.(l) in
+  set t n key (node_va t n lor l);
+  set t n prev tail;
+  set t n next (-1);
+  if tail < 0 then t.first.(l) <- n else set t tail next n;
+  t.last.(l) <- n;
+  t.length.(l) <- t.length.(l) + 1
+
+let detach t n =
+  let l = get t n key land 1 and p = get t n prev and x = get t n next in
+  if p < 0 then t.first.(l) <- x else set t p next x;
+  if x < 0 then t.last.(l) <- p else set t x prev p;
+  t.length.(l) <- t.length.(l) - 1
+
+let new_node t aspace =
+  let n = if t.free >= 0 then t.free else t.nodes in
+  let b = n lsr block_bits in
+  if n = t.free then t.free <- get t n next
+  else begin
+    if b = Array.length t.blocks then begin
+      let blocks = Array.make (max 4 (2 * b)) no_block in
+      Array.blit t.blocks 0 blocks 0 b;
+      t.blocks <- blocks
+    end;
+    if n land (block_nodes - 1) = 0 then
+      t.blocks.(b) <- { ints = Array.make (4 * block_nodes) 0; owners = Array.make block_nodes aspace };
+    t.nodes <- n + 1
+  end;
+  t.blocks.(b).owners.(n land (block_nodes - 1)) <- aspace;
+  n
+
+let link t aspace ~va ~pfn =
+  set_flag t pfn Lru true;
+  let n = new_node t aspace and c = t.chunks.(pfn lsr chunk_bits) and i = slot pfn in
+  set t n key va;
+  append t n 0;
+  set t n chain c.heads.(i);
+  c.heads.(i) <- n
+
+(* Walk frame [i] of chunk [c]'s chain from [n] ([p] before it) to the
+   node of [table]'s mapping at [va], and free it. *)
+let rec unlink_from t table ~va c i p n =
+  if n >= 0 then
+    if node_va t n = va && Address_space.page_table (node_aspace t n) == table then begin
+      if p < 0 then c.heads.(i) <- get t n chain else set t p chain (get t n chain);
+      detach t n;
+      set t n next t.free;
+      t.free <- n
+    end
+    else unlink_from t table ~va c i n (get t n chain)
+
+let unlink t table ~va ~pfn =
+  let c = chunk t pfn in
+  if c != no_chunk then unlink_from t table ~va c (slot pfn) (-1) c.heads.(slot pfn)
+
+let lru_length t l = t.length.(list_of l)
+let lru_first t l = t.first.(list_of l)
+
+let requeue t n l =
+  detach t n;
+  append t n (list_of l)
+
 (* The one frame hand-off of the baseline VM: every user page gets its
    frame through [map] and gives it back through [unmap]. *)
 let map t table ~va ~pfn ~prot ~size ~dirty =
@@ -152,7 +263,8 @@ let map t table ~va ~pfn ~prot ~size ~dirty =
 
 (* Counts first, then the leaf. The last mapping of a frame its caller
    owns drops the mlock pin and hands every frame of the leaf to the zero
-   engine, the only code that scrubs a freed frame. *)
+   engine, the only code that scrubs a freed frame. The mapping's node
+   leaves the reclaim lists uncharged. *)
 let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
   let pfn = leaf.Hw.Page_table.pfn in
   dec_mapcount t pfn;
@@ -164,6 +276,7 @@ let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
     end;
     Physmem.Zero_engine.put_dirty zero ~first:pfn ~count:(Hw.Page_size.frames leaf.Hw.Page_table.size)
   end;
+  unlink t table ~va ~pfn;
   Hw.Page_table.unmap_page table ~va
 
 let init_range t ~first ~count =
@@ -180,6 +293,12 @@ let reset_after_crash t =
      residency gauge must follow, or post-crash observability reports
      mappings of processes that no longer exist. *)
   Array.fill t.chunks 0 (Array.length t.chunks) no_chunk;
+  t.blocks <- [||];
+  t.nodes <- 0;
+  t.free <- -1;
+  Array.fill t.first 0 2 (-1);
+  Array.fill t.last 0 2 (-1);
+  Array.fill t.length 0 2 0;
   Sim.Stats.set_gauge t.stats "resident_pages" 0
 
 let iter_counts t f =
@@ -189,6 +308,19 @@ let iter_counts t f =
       for i = 0 to min (Array.length c.mapcount) (t.frames - first) - 1 do
         f (first + i) ~refcount:c.refcount.(i) ~mapcount:c.mapcount.(i)
       done)
+    t.chunks
+
+let iter_lru t f =
+  Array.iteri
+    (fun ci c ->
+      Array.iteri
+        (fun i head ->
+          let n = ref head in
+          while !n >= 0 do
+            f ((ci lsl chunk_bits) + i) (node_aspace t !n) ~va:(node_va t !n);
+            n := get t !n chain
+          done)
+        c.heads)
     t.chunks
 
 let resident_pages t =

@@ -5,33 +5,29 @@
     unnecessary: to find a few cold pages the kernel examines page after
     page, checking and clearing accessed bits. Reclaim cost is charged
     per page examined; experiment E12 compares it against file-granular
-    discard. *)
+    discard.
+
+    The lists themselves are {!Page_meta}'s: the kernel puts each
+    anonymous mapping on them ({!Page_meta.link}) when it maps the page,
+    and {!Page_meta.unmap} takes it off, so every node a scan meets
+    names a live mapping. This module keeps the policy and the scan. *)
 
 type policy = Clock | Two_q
 
 type t
 
 val create :
-  mem:Physmem.Phys_mem.t -> meta:Page_meta.t -> buddy:Alloc.Buddy.t -> swap:Swap.t ->
-  zero:Physmem.Zero_engine.t -> policy:policy -> t
-
-val register : t -> pid:int -> aspace:Address_space.t -> va:int -> pfn:Physmem.Frame.t -> unit
-(** Put a freshly mapped anonymous page on the reclaim lists. Stale
-    entries (pages since unmapped) are detected and dropped during
-    scans, so there is no unregister. *)
+  mem:Physmem.Phys_mem.t -> meta:Page_meta.t -> swap:Swap.t -> zero:Physmem.Zero_engine.t ->
+  policy:policy -> t
 
 val scan : t -> target_frames:int -> int
 (** Scan until [target_frames] frames have been reclaimed or the lists
     are exhausted. Clean cold pages are dropped; dirty cold pages are
-    swapped out. Returns frames actually reclaimed. *)
-
-val clear : t -> unit
-(** Forget every tracked page (no cost). Used after a crash: the lists
-    reference page tables of processes that died with the machine, and
-    evicting through them would corrupt the rebooted metadata. *)
+    swapped out under (pid, page VA). Returns frames actually
+    reclaimed. *)
 
 val tracked : t -> int
-(** Entries currently on the lists (including stale ones). *)
+(** Mappings currently on the lists. *)
 
 val pages_examined : t -> int
 (** Cumulative pages examined by all scans (the linear work). *)
