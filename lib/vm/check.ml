@@ -245,6 +245,26 @@ let check_lru acc kernel =
   if !nodes <> tracked then
     flag (Printf.sprintf "the frames' chains hold %d node(s), the lists %d" !nodes tracked)
 
+(* Every swap slot keys a page of a live process's anonymous VMA that no
+   leaf maps: a slot no fault can bring back is a leak. *)
+let check_swap acc kernel procs =
+  Swap.iter (Kernel.swap kernel) (fun ~pid ~va ->
+      let swapped_out =
+        match List.find_opt (fun (p : Proc.t) -> p.Proc.pid = pid) procs with
+        | Some p -> (
+          let aspace = p.Proc.aspace in
+          match Address_space.find_vma aspace ~va with
+          | Some { Vma.backing = Vma.Anon; _ } ->
+            Sim.Units.is_aligned va ~align:page_size
+            && Hw.Page_table.find (Address_space.page_table aspace) ~va == Hw.Page_table.no_leaf
+          | _ -> false)
+        | None -> false
+      in
+      if not swapped_out then
+        acc :=
+          { check = "swap"; detail = Printf.sprintf "pid %d va 0x%x: no fault can bring its slot back" pid va }
+          :: !acc)
+
 (* The quota, the extent trees and the space bitmap are three views of
    the same resource; they must agree exactly. *)
 let check_fs acc ~name fs =
@@ -291,6 +311,7 @@ let run kernel =
   check_tlb acc kernel procs;
   check_tlb_accounting acc kernel;
   check_lru acc kernel;
+  check_swap acc kernel procs;
   check_fs acc ~name:"tmpfs" (Kernel.tmpfs kernel);
   (match Kernel.pmfs kernel with Some fs -> check_fs acc ~name:"pmfs" fs | None -> ());
   let extras =

@@ -32,6 +32,9 @@
     - {b lru} — every node on the reclaim lists names a live mapping
       (its address space maps its VA to a leaf of its frame), and the
       frames' chains hold as many nodes as {!Reclaim.tracked} counts.
+    - {b swap} — every swap slot keys a page of a live process's
+      anonymous VMA that no leaf maps (munmap, exit and a crash drop
+      the slots of the pages they remove).
     - {b fs_accounting} — per file system, quota charge == extent-tree
       pages == space-bitmap usage.
 

@@ -299,20 +299,23 @@ let unmap_leaves t ~table ~batch ~va ~len =
   done;
   Hw.Tlb_batch.add batch ~va ~len
 
-(* Tear down one VMA already removed from its address space. *)
-let teardown_vma t (vma : Vma.t) ~table ~batch =
+(* Tear down one VMA already removed from its address space; the swap
+   slots of its swapped-out pages go with it. *)
+let teardown_vma t (vma : Vma.t) ~pid ~table ~batch =
   unmap_leaves t ~table ~batch ~va:vma.Vma.start ~len:vma.Vma.len;
   match vma.Vma.backing with
   | Vma.File { fs; ino; _ } -> Fs.Memfs.close_file fs ino
-  | Vma.Anon -> ()
+  | Vma.Anon -> Swap.discard t.swap ~pid ~va:vma.Vma.start ~len:vma.Vma.len
 
 (* Remove and tear down every VMA in [start, start+len): one shootdown
-   pass for the whole span, VMA count notwithstanding. *)
+   pass for the whole span, VMA count notwithstanding. The address
+   space's ASID is its pid. *)
 let unmap_vmas t aspace ~start ~len =
   let table = Address_space.page_table aspace in
+  let pid = Hw.Mmu.asid (Address_space.mmu aspace) in
   let removed = Address_space.remove_range aspace ~start ~len in
   let batch = Hw.Tlb_batch.create (Address_space.mmu aspace) in
-  List.iter (fun vma -> teardown_vma t vma ~table ~batch) removed;
+  List.iter (fun vma -> teardown_vma t vma ~pid ~table ~batch) removed;
   Hw.Tlb_batch.flush batch
 
 let munmap t proc ~va ~len =
@@ -368,6 +371,7 @@ let reset_after_crash t =
     (List.sort_uniq compare !pages);
   Hashtbl.reset t.procs;
   Userfault.clear t.userfault;
+  Swap.clear t.swap;
   Page_meta.reset_after_crash t.meta;
   (* Every core's TLBs lost power with the machine; host-side clear keeps
      the occupancy gauges consistent with zero (the post-recovery

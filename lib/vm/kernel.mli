@@ -102,7 +102,8 @@ val exit_process : t -> Proc.t -> unit
 
 val reset_after_crash : t -> unit
 (** Power failure, kernel side: drop every process, userfault
-    registration, reclaim list, struct-page record (all DRAM state) and
+    registration, swap slot, reclaim list, struct-page record (all DRAM
+    state, or pages of processes that died with it) and
     every core's TLB contents, and re-baseline the "resident_pages" /
     "tlb_entries" / "range_tlb_entries" gauges, and "zero_cache_depth" to
     the pools of the kernel's and the file systems' zero engines, so
@@ -137,7 +138,8 @@ val mmap_file :
 val munmap : t -> Proc.t -> va:int -> len:int -> unit
 (** Unmap a range: per-page PTE teardown and frame release — the
     baseline's linear unmap — but shootdowns for all removed VMAs are
-    batched into a single flush ({!Hw.Tlb_batch}). *)
+    batched into a single flush ({!Hw.Tlb_batch}). The swap slots of the
+    range's swapped-out pages are dropped, uncharged. *)
 
 val mprotect : t -> Proc.t -> va:int -> len:int -> prot:Hw.Prot.t -> unit
 

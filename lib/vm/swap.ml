@@ -87,3 +87,24 @@ let swap_in t ~key ~pfn =
 (* Asked on every anonymous fault: no hashing while nothing is out. *)
 let contains t ~key = Hashtbl.length t.slots > 0 && Hashtbl.mem t.slots key
 let slots_used t = Hashtbl.length t.slots
+
+let discard t ~pid ~va ~len =
+  if Hashtbl.length t.slots > 0 then
+    for i = 0 to (len / Sim.Units.page_size) - 1 do
+      let key = (pid, va + (i * Sim.Units.page_size)) in
+      match Hashtbl.find_opt t.slots key with
+      | Some slot ->
+        Hashtbl.remove t.slots key;
+        (match slot with File_slot s -> t.free_file_slots <- s :: t.free_file_slots | Content _ -> ())
+      | None -> ()
+    done
+
+(* The swapfile is volatile: a crash's recovery unlinks it, and the next
+   swap-out opens or makes one afresh. *)
+let clear t =
+  Hashtbl.reset t.slots;
+  t.swapfile_ino <- None;
+  t.next_file_slot <- 0;
+  t.free_file_slots <- []
+
+let iter t f = Hashtbl.iter (fun (pid, va) _ -> f ~pid ~va) t.slots

@@ -13,19 +13,20 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
   let meta = Kernel.page_meta k in
   let clock = Kernel.clock k in
   let model = Sim.Clock.model clock in
-  (* Census: the window must hold only base pages, enough of them. *)
+  (* Census: the window must hold only base pages, enough of them, and
+     no swapped-out page, which the zeroed gaps would overwrite. *)
   let present = ref [] in
-  let huge_seen = ref false in
+  let blocked = ref false in
   for i = 0 to pages_per_huge - 1 do
     let va = window + (i * Sim.Units.page_size) in
     match Hw.Page_table.lookup table ~va with
     | Some (_, leaf) when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
       present := (va, leaf) :: !present
-    | Some _ -> huge_seen := true
-    | None -> ()
+    | Some _ -> blocked := true
+    | None -> if Swap.contains (Kernel.swap k) ~key:(proc.Proc.pid, va) then blocked := true
   done;
   let present = List.rev !present in
-  if !huge_seen || List.length present < min_pages || present = [] then None
+  if !blocked || List.length present < min_pages || present = [] then None
   else
     match Alloc.Buddy.alloc (Kernel.buddy k) ~order:9 with
     | None -> None (* no 2 MiB of contiguous physical memory: the paper's

@@ -18,12 +18,13 @@ type stats = { collapsed : int; pages_copied : int; bytes_copied : int }
 val scan_process : Kernel.t -> Proc.t -> ?threshold:float -> unit -> stats
 (** One khugepaged pass over the process's anonymous VMAs: every 2 MiB
     window with at least [threshold] (default 0.9) of its 512 base pages
-    populated — and no huge leaf already — is collapsed. Absent pages
-    materialize as zeroes, trading space for TLB reach. *)
+    populated — and no huge leaf or swapped-out page — is collapsed.
+    Absent pages materialize as zeroes, trading space for TLB reach. *)
 
 val collapse_window : Kernel.t -> Proc.t -> va:int -> bool
 (** Force-collapse the 2 MiB window containing [va] (no threshold check;
-    still requires at least one mapped base page and no huge leaf).
+    still requires at least one mapped base page, no huge leaf and no
+    swapped-out page).
     Returns [false] if nothing was done. *)
 
 val split_huge : Kernel.t -> Proc.t -> va:int -> bool

@@ -259,6 +259,29 @@ let test_evicted_frame_laundered () =
   check_bool "next owner reads zeros" true (read_byte k q ~va:va' = '\000');
   check_intact k p ~va ~pages:1 "first owner swaps its page back in"
 
+(* munmap, exit and a crash drop the swap slots of the pages they take
+   away: 16 pages swapped out before each leave no slot behind. *)
+let test_teardown_drops_swap_slots () =
+  let k = mk_kernel () in
+  let slots () = Os.Swap.slots_used (K.swap k) in
+  let swap_out p =
+    let va = tagged k p ~pages:16 in
+    check_int "16 swapped out" 16 (Os.Reclaim.scan (K.reclaim k) ~target_frames:16);
+    check_int "16 slots" 16 (slots ());
+    check_clean k "clean with pages out";
+    va
+  in
+  let p = K.create_process k () in
+  K.munmap k p ~va:(swap_out p) ~len:(16 * page);
+  check_int "munmap drops its slots" 0 (slots ());
+  ignore (swap_out p);
+  K.exit_process k p;
+  check_int "exit drops its slots" 0 (slots ());
+  ignore (swap_out (K.create_process k ()));
+  K.reset_after_crash k;
+  check_int "a crash drops every slot" 0 (slots ());
+  check_clean k "clean after the crash"
+
 (* --- Model test: page contents under every baseline VM operation ----- *)
 
 (* The model is what each process should read at every page it wrote
@@ -391,5 +414,6 @@ let suite =
     Alcotest.test_case "defect 10: a crash's dead processes" `Quick test_crash_returns_frames;
     Alcotest.test_case "defect 11: exit gives back userfault pages" `Quick
       test_exit_returns_userfault_pages;
+    Alcotest.test_case "swap: teardown drops its slots" `Quick test_teardown_drops_swap_slots;
     prop_vm_model;
   ]
