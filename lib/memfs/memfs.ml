@@ -542,7 +542,17 @@ let crash t =
        unflushed lines and wipes DRAM. *)
     ()
   | Tmpfs ->
-    (* The whole FS was in DRAM: wipe the namespace. *)
+    (* The whole FS was in DRAM: its files' frames go back to the space
+       bitmap and the quota, uncharged since the machine is off, and the
+       namespace is wiped. *)
+    Sim.Clock.off (clock t) (fun () ->
+        Hashtbl.iter
+          (fun _ node ->
+            if not (Inode.is_dir node) then
+              Extent_tree.iter (Inode.extents node) (fun e ->
+                  Alloc.Bitmap_alloc.free_range t.space ~first:e.Extent.start ~count:e.Extent.count;
+                  Quota.release t.quota ~frames:e.Extent.count))
+          t.inodes);
     Hashtbl.reset t.inodes;
     Hashtbl.replace t.inodes t.root (Inode.make_dir ~ino:t.root);
     t.next_ino <- 1

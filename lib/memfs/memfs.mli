@@ -150,8 +150,9 @@ val reclaim_discardable : t -> target_bytes:int -> int
     O(files), not O(pages): transcendent-memory-style reclaim. *)
 
 val crash : t -> unit
-(** Machine crash. [Tmpfs]: the whole FS is lost (recreate it).
-    [Pmfs]: metadata survives; call {!recover} before further use. *)
+(** Machine crash. [Tmpfs]: the whole FS is lost, and its files' frames
+    go back to the space bitmap and the quota (uncharged: the machine is
+    off). [Pmfs]: metadata survives; call {!recover} before further use. *)
 
 val recover : t -> int
 (** Post-crash recovery ([Pmfs] only): open references are cleared and

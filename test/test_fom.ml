@@ -231,6 +231,20 @@ let test_crash_recovery_persistence () =
   let ino = Option.get (Fs.Memfs.lookup fs "/keep") in
   check_string "data survived" "still here" (Bytes.to_string (Fs.Memfs.read_file fs ino ~off:0 ~len:10))
 
+(* A crash gives back a tmpfs file's frames: tmpfs lived in DRAM, so its
+   space bitmap and quota empty with its namespace. *)
+let test_crash_frees_tmpfs () =
+  let kernel, fom, _ = mk () in
+  let tmpfs = Os.Kernel.tmpfs kernel in
+  let ino = Fs.Memfs.create_file tmpfs "/scratch" ~persistence:Fs.Inode.Volatile in
+  Fs.Memfs.write_file tmpfs ino ~off:0 (String.make (Sim.Units.kib 64) 't');
+  check_int "64 KiB in use" (Sim.Units.kib 64) (Fs.Memfs.used_bytes tmpfs);
+  ignore (O1mem.Persistence.crash_and_recover fom);
+  check_int "no tmpfs space in use" 0 (Fs.Memfs.used_bytes tmpfs);
+  check_int "no tmpfs quota held" 0 (Fs.Memfs.quota_used_frames tmpfs);
+  Alcotest.(check (list string)) "clean" []
+    (List.map Os.Check.violation_to_string (Os.Check.run kernel))
+
 let test_masters_survive_crash_for_persistent_files () =
   let _, fom, proc = mk () in
   ignore (F.alloc fom proc ~name:"/code" ~len:(Sim.Units.mib 2) ~prot:Hw.Prot.rx ());
@@ -639,6 +653,7 @@ let suite =
     Alcotest.test_case "erase: strategy cost shapes" `Quick test_erase_strategies;
     Alcotest.test_case "erase: background completes" `Quick test_erase_background_completes;
     Alcotest.test_case "persistence: crash + recover" `Quick test_crash_recovery_persistence;
+    Alcotest.test_case "persistence: a crash frees tmpfs" `Quick test_crash_frees_tmpfs;
     Alcotest.test_case "persistence: masters survive for persistent files" `Quick
       test_masters_survive_crash_for_persistent_files;
     Alcotest.test_case "fom: launch/exit with file segments" `Quick test_launch_and_exit;
