@@ -542,17 +542,14 @@ let crash t =
        unflushed lines and wipes DRAM. *)
     ()
   | Tmpfs ->
-    (* The whole FS was in DRAM: its files' frames go back to the space
-       bitmap and the quota, uncharged since the machine is off, and the
-       namespace is wiped. *)
+    (* The whole FS was in DRAM: its frames go back to the space bitmap
+       and the quota (uncharged: the machine is off); wipe the namespace. *)
+    let free (e : Extent.t) =
+      Alloc.Bitmap_alloc.free_range t.space ~first:e.Extent.start ~count:e.Extent.count;
+      Quota.release t.quota ~frames:e.Extent.count
+    in
     Sim.Clock.off (clock t) (fun () ->
-        Hashtbl.iter
-          (fun _ node ->
-            if not (Inode.is_dir node) then
-              Extent_tree.iter (Inode.extents node) (fun e ->
-                  Alloc.Bitmap_alloc.free_range t.space ~first:e.Extent.start ~count:e.Extent.count;
-                  Quota.release t.quota ~frames:e.Extent.count))
-          t.inodes);
+        Hashtbl.iter (fun _ n -> if not (Inode.is_dir n) then Extent_tree.iter (Inode.extents n) free) t.inodes);
     Hashtbl.reset t.inodes;
     Hashtbl.replace t.inodes t.root (Inode.make_dir ~ino:t.root);
     t.next_ino <- 1

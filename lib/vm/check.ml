@@ -230,40 +230,30 @@ let check_tlb_accounting acc kernel =
   reconcile "tlb_shootdown" !shootdowns;
   reconcile "tlb_flush" !flushes
 
-(* Every node on the reclaim lists names a live mapping: its table maps
-   its VA to a leaf of its frame. The nodes on the frames' chains are the
-   ones the lists count. *)
+(* Every node on the reclaim lists names a live mapping of its frame,
+   and the lists count every node on the frames' chains. *)
 let check_lru acc kernel =
-  let nodes = ref 0 in
+  let nodes = ref 0 and tracked = Reclaim.tracked (Kernel.reclaim kernel) in
   let flag detail = acc := { check = "lru"; detail } :: !acc in
   Page_meta.iter_lru (Kernel.page_meta kernel) (fun pfn aspace ~va ->
       incr nodes;
       let leaf = Hw.Page_table.find (Address_space.page_table aspace) ~va in
       if leaf == Hw.Page_table.no_leaf || leaf.Hw.Page_table.pfn <> pfn then
         flag (Printf.sprintf "frame %d: its node at va 0x%x names no mapping of it" pfn va));
-  let tracked = Reclaim.tracked (Kernel.reclaim kernel) in
-  if !nodes <> tracked then
-    flag (Printf.sprintf "the frames' chains hold %d node(s), the lists %d" !nodes tracked)
+  if !nodes <> tracked then flag (Printf.sprintf "the chains hold %d node(s), the lists %d" !nodes tracked)
 
 (* Every swap slot keys a page of a live process's anonymous VMA that no
    leaf maps: a slot no fault can bring back is a leak. *)
 let check_swap acc kernel procs =
+  let swapped_out ~pid ~va ({ Proc.pid = owner; aspace; _ } : Proc.t) =
+    owner = pid && Sim.Units.is_aligned va ~align:page_size
+    && (match Address_space.find_vma aspace ~va with Some v -> v.Vma.backing = Vma.Anon | None -> false)
+    && Hw.Page_table.find (Address_space.page_table aspace) ~va == Hw.Page_table.no_leaf
+  in
   Swap.iter (Kernel.swap kernel) (fun ~pid ~va ->
-      let swapped_out =
-        match List.find_opt (fun (p : Proc.t) -> p.Proc.pid = pid) procs with
-        | Some p -> (
-          let aspace = p.Proc.aspace in
-          match Address_space.find_vma aspace ~va with
-          | Some { Vma.backing = Vma.Anon; _ } ->
-            Sim.Units.is_aligned va ~align:page_size
-            && Hw.Page_table.find (Address_space.page_table aspace) ~va == Hw.Page_table.no_leaf
-          | _ -> false)
-        | None -> false
-      in
-      if not swapped_out then
-        acc :=
-          { check = "swap"; detail = Printf.sprintf "pid %d va 0x%x: no fault can bring its slot back" pid va }
-          :: !acc)
+      if not (List.exists (swapped_out ~pid ~va) procs) then
+        let detail = Printf.sprintf "pid %d va 0x%x: no fault can bring its slot back" pid va in
+        acc := { check = "swap"; detail } :: !acc)
 
 (* The quota, the extent trees and the space bitmap are three views of
    the same resource; they must agree exactly. *)

@@ -29,12 +29,9 @@
     - {b tlb_accounting} — the per-core [Hw.Tlb] shootdown and flush
       counters sum exactly to the machine-wide "tlb_shootdown" /
       "tlb_flush" stats, whichever invalidation branch did the bumping.
-    - {b lru} — every node on the reclaim lists names a live mapping
-      (its address space maps its VA to a leaf of its frame), and the
-      frames' chains hold as many nodes as {!Reclaim.tracked} counts.
-    - {b swap} — every swap slot keys a page of a live process's
-      anonymous VMA that no leaf maps (munmap, exit and a crash drop
-      the slots of the pages they remove).
+    - {b lru} — every reclaim-list node maps its VA to its frame; the
+      chains hold {!Reclaim.tracked} nodes. {b swap} — every swap slot
+      keys a page of a live process's anonymous VMA that no leaf maps.
     - {b fs_accounting} — per file system, quota charge == extent-tree
       pages == space-bitmap usage.
 

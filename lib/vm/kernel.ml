@@ -299,8 +299,7 @@ let unmap_leaves t ~table ~batch ~va ~len =
   done;
   Hw.Tlb_batch.add batch ~va ~len
 
-(* Tear down one VMA already removed from its address space; the swap
-   slots of its swapped-out pages go with it. *)
+(* Tear down one VMA already removed from its address space. *)
 let teardown_vma t (vma : Vma.t) ~pid ~table ~batch =
   unmap_leaves t ~table ~batch ~va:vma.Vma.start ~len:vma.Vma.len;
   match vma.Vma.backing with
@@ -308,8 +307,7 @@ let teardown_vma t (vma : Vma.t) ~pid ~table ~batch =
   | Vma.Anon -> Swap.discard t.swap ~pid ~va:vma.Vma.start ~len:vma.Vma.len
 
 (* Remove and tear down every VMA in [start, start+len): one shootdown
-   pass for the whole span, VMA count notwithstanding. The address
-   space's ASID is its pid. *)
+   pass for the whole span, VMA count notwithstanding. *)
 let unmap_vmas t aspace ~start ~len =
   let table = Address_space.page_table aspace in
   let pid = Hw.Mmu.asid (Address_space.mmu aspace) in
@@ -385,8 +383,7 @@ let reset_after_crash t =
   Sim.Stats.set_gauge t.stats "zero_cache_depth"
     (Physmem.Zero_engine.available t.zero + pool t.tmpfs + Option.fold ~none:0 ~some:pool t.pmfs)
 
-(* The page's own address: the swap key an eviction files the page
-   under, and the one its next fault asks for. *)
+(* Under the page's own address: the swap key its next fault asks for. *)
 let register_if_anon t proc ~va =
   let aspace = proc.Proc.aspace in
   let va = Sim.Units.round_down va ~align:Sim.Units.page_size in

@@ -138,8 +138,7 @@ val mmap_file :
 val munmap : t -> Proc.t -> va:int -> len:int -> unit
 (** Unmap a range: per-page PTE teardown and frame release — the
     baseline's linear unmap — but shootdowns for all removed VMAs are
-    batched into a single flush ({!Hw.Tlb_batch}). The swap slots of the
-    range's swapped-out pages are dropped, uncharged. *)
+    batched into a single flush ({!Hw.Tlb_batch}). Swap slots go too. *)
 
 val mprotect : t -> Proc.t -> va:int -> len:int -> prot:Hw.Prot.t -> unit
 

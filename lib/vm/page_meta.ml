@@ -49,50 +49,38 @@ type chunk = { flags : int array; refcount : int array; mapcount : int array; he
 
 let no_chunk = { flags = [||]; refcount = [||]; mapcount = [||]; heads = [||] }
 
-(* The reclaim lists hold one node per registered mapping, in blocks of
-   [block_nodes] made as the lists first grow and then reused through a
-   free list, so a warm list allocates nothing. A node is four ints (its
-   page VA with its list in the low bit, its neighbours on that list and
-   the next node on its frame's chain) and its address space. *)
-let block_bits = 6
-let block_nodes = 1 lsl block_bits
-
+(* The reclaim lists: a node per registered mapping, in blocks of 64
+   reused through a free list. A node is four ints (its page VA with its
+   list in the low bit, its neighbours on that list, the next node of its
+   frame's chain) and its address space. Per list (inactive, active): its
+   oldest and newest node (-1: none) and its length. *)
 type block = { ints : int array; owners : Address_space.t array }
 
-let no_block = { ints = [||]; owners = [||] }
+type lists = {
+  mutable blocks : block array;
+  mutable made : int; (* node slots made; free ones are linked through [next] *)
+  mutable free : int;
+  first : int array;
+  last : int array;
+  length : int array;
+}
 
-type lru = Inactive | Active
-
-let list_of = function Inactive -> 0 | Active -> 1
+let no_lists () =
+  { blocks = [||]; made = 0; free = -1; first = [| -1; -1 |]; last = [| -1; -1 |]; length = [| 0; 0 |] }
 
 type t = {
   clock : Sim.Clock.t;
   stats : Sim.Stats.t;
   frames : int;
   chunks : chunk array; (* by [pfn lsr chunk_bits] *)
-  mutable blocks : block array; (* by [node lsr block_bits]; doubles, copying pointers only *)
-  mutable nodes : int; (* node slots made *)
-  mutable free : int; (* free nodes, linked through [next]; -1: none *)
-  first : int array; (* per list: its oldest node, its newest, its length *)
-  last : int array;
-  length : int array;
+  mutable lists : lists;
 }
 
 let bytes_per_page = 64
 
 let create ~clock ~stats ~frames =
-  {
-    clock;
-    stats;
-    frames;
-    chunks = Array.make ((frames + chunk_frames - 1) lsr chunk_bits) no_chunk;
-    blocks = [||];
-    nodes = 0;
-    free = -1;
-    first = [| -1; -1 |];
-    last = [| -1; -1 |];
-    length = [| 0; 0 |];
-  }
+  let chunks = Array.make ((frames + chunk_frames - 1) lsr chunk_bits) no_chunk in
+  { clock; stats; frames; chunks; lists = no_lists () }
 
 let frames t = t.frames
 
@@ -177,81 +165,64 @@ let mlock t pfn =
     List.iter (fun f -> set_flag t pfn f true) pin_flags
   end
 
-(* A node's four ints: [key] (its page VA lor its list), [prev] and
-   [next] on that list, and [chain] to the next node of its frame. *)
-let key = 0
-let prev = 1
-let next = 2
-let chain = 3
+let key, prev, next, chain = (0, 1, 2, 3) (* a node's four ints *)
 
-let get t n f = t.blocks.(n lsr block_bits).ints.(((n land (block_nodes - 1)) lsl 2) + f)
-let set t n f v = t.blocks.(n lsr block_bits).ints.(((n land (block_nodes - 1)) lsl 2) + f) <- v
-let node_aspace t n = t.blocks.(n lsr block_bits).owners.(n land (block_nodes - 1))
-let node_va t n = get t n key land lnot 1
+let get l n f = l.blocks.(n lsr 6).ints.(((n land 63) lsl 2) + f)
+let set l n f v = l.blocks.(n lsr 6).ints.(((n land 63) lsl 2) + f) <- v
+let node_aspace t n = t.lists.blocks.(n lsr 6).owners.(n land 63)
+let node_va t n = get t.lists n key land lnot 1
 
-(* Put node [n] at the tail of list [l], or take it off its list. *)
-let append t n l =
-  let tail = t.last.(l) in
-  set t n key (node_va t n lor l);
-  set t n prev tail;
-  set t n next (-1);
-  if tail < 0 then t.first.(l) <- n else set t tail next n;
-  t.last.(l) <- n;
-  t.length.(l) <- t.length.(l) + 1
+(* Put node [n] at the tail of list [w], or take it off its list. *)
+let append l n w =
+  set l n key (get l n key land lnot 1 lor w);
+  set l n prev l.last.(w);
+  set l n next (-1);
+  if l.last.(w) < 0 then l.first.(w) <- n else set l l.last.(w) next n;
+  l.last.(w) <- n;
+  l.length.(w) <- l.length.(w) + 1
 
-let detach t n =
-  let l = get t n key land 1 and p = get t n prev and x = get t n next in
-  if p < 0 then t.first.(l) <- x else set t p next x;
-  if x < 0 then t.last.(l) <- p else set t x prev p;
-  t.length.(l) <- t.length.(l) - 1
-
-let new_node t aspace =
-  let n = if t.free >= 0 then t.free else t.nodes in
-  let b = n lsr block_bits in
-  if n = t.free then t.free <- get t n next
-  else begin
-    if b = Array.length t.blocks then begin
-      let blocks = Array.make (max 4 (2 * b)) no_block in
-      Array.blit t.blocks 0 blocks 0 b;
-      t.blocks <- blocks
-    end;
-    if n land (block_nodes - 1) = 0 then
-      t.blocks.(b) <- { ints = Array.make (4 * block_nodes) 0; owners = Array.make block_nodes aspace };
-    t.nodes <- n + 1
-  end;
-  t.blocks.(b).owners.(n land (block_nodes - 1)) <- aspace;
-  n
+let detach l n =
+  let w = get l n key land 1 and p = get l n prev and x = get l n next in
+  if p < 0 then l.first.(w) <- x else set l p next x;
+  if x < 0 then l.last.(w) <- p else set l x prev p;
+  l.length.(w) <- l.length.(w) - 1
 
 let link t aspace ~va ~pfn =
   set_flag t pfn Lru true;
-  let n = new_node t aspace and c = t.chunks.(pfn lsr chunk_bits) and i = slot pfn in
-  set t n key va;
-  append t n 0;
-  set t n chain c.heads.(i);
+  let l = t.lists and c = t.chunks.(pfn lsr chunk_bits) and i = slot pfn in
+  let n = if l.free >= 0 then l.free else l.made in
+  if n = l.free then l.free <- get l n next
+  else begin
+    let dir = Array.length l.blocks and empty = { ints = [||]; owners = [||] } in
+    if n lsr 6 = dir then l.blocks <- Array.append l.blocks (Array.make (max 4 dir) empty);
+    if n land 63 = 0 then
+      l.blocks.(n lsr 6) <- { ints = Array.make 256 0; owners = Array.make 64 aspace };
+    l.made <- n + 1
+  end;
+  l.blocks.(n lsr 6).owners.(n land 63) <- aspace;
+  set l n key va;
+  append l n 0;
+  set l n chain c.heads.(i);
   c.heads.(i) <- n
 
-(* Walk frame [i] of chunk [c]'s chain from [n] ([p] before it) to the
-   node of [table]'s mapping at [va], and free it. *)
-let rec unlink_from t table ~va c i p n =
-  if n >= 0 then
-    if node_va t n = va && Address_space.page_table (node_aspace t n) == table then begin
-      if p < 0 then c.heads.(i) <- get t n chain else set t p chain (get t n chain);
-      detach t n;
-      set t n next t.free;
-      t.free <- n
-    end
-    else unlink_from t table ~va c i n (get t n chain)
-
+(* Free [table]'s node at [va] on [pfn]'s chain, found from its head. *)
 let unlink t table ~va ~pfn =
-  let c = chunk t pfn in
-  if c != no_chunk then unlink_from t table ~va c (slot pfn) (-1) c.heads.(slot pfn)
+  let c = chunk t pfn and l = t.lists and i = slot pfn in
+  let p = ref (-1) and n = ref (if c == no_chunk then -1 else c.heads.(i)) in
+  while !n >= 0 && not (node_va t !n = va && Address_space.page_table (node_aspace t !n) == table) do
+    p := !n;
+    n := get l !n chain
+  done;
+  if !n >= 0 then begin
+    if !p < 0 then c.heads.(i) <- get l !n chain else set l !p chain (get l !n chain);
+    detach l !n;
+    set l !n next l.free;
+    l.free <- !n
+  end
 
-let lru_length t l = t.length.(list_of l)
-let lru_first t l = t.first.(list_of l)
-
-let requeue t n l =
-  detach t n;
-  append t n (list_of l)
+let lru_length t ~active = t.lists.length.(Bool.to_int active)
+let lru_first t ~active = t.lists.first.(Bool.to_int active)
+let requeue t n ~active = detach t.lists n; append t.lists n (Bool.to_int active)
 
 (* The one frame hand-off of the baseline VM: every user page gets its
    frame through [map] and gives it back through [unmap]. *)
@@ -263,8 +234,7 @@ let map t table ~va ~pfn ~prot ~size ~dirty =
 
 (* Counts first, then the leaf. The last mapping of a frame its caller
    owns drops the mlock pin and hands every frame of the leaf to the zero
-   engine, the only code that scrubs a freed frame. The mapping's node
-   leaves the reclaim lists uncharged. *)
+   engine, the only code that scrubs a freed frame. *)
 let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
   let pfn = leaf.Hw.Page_table.pfn in
   dec_mapcount t pfn;
@@ -293,12 +263,7 @@ let reset_after_crash t =
      residency gauge must follow, or post-crash observability reports
      mappings of processes that no longer exist. *)
   Array.fill t.chunks 0 (Array.length t.chunks) no_chunk;
-  t.blocks <- [||];
-  t.nodes <- 0;
-  t.free <- -1;
-  Array.fill t.first 0 2 (-1);
-  Array.fill t.last 0 2 (-1);
-  Array.fill t.length 0 2 0;
+  t.lists <- no_lists ();
   Sim.Stats.set_gauge t.stats "resident_pages" 0
 
 let iter_counts t f =
@@ -311,17 +276,13 @@ let iter_counts t f =
     t.chunks
 
 let iter_lru t f =
-  Array.iteri
-    (fun ci c ->
-      Array.iteri
-        (fun i head ->
-          let n = ref head in
-          while !n >= 0 do
-            f ((ci lsl chunk_bits) + i) (node_aspace t !n) ~va:(node_va t !n);
-            n := get t !n chain
-          done)
-        c.heads)
-    t.chunks
+  let rec walk pfn n =
+    if n >= 0 then begin
+      f pfn (node_aspace t n) ~va:(node_va t n);
+      walk pfn (get t.lists n chain)
+    end
+  in
+  Array.iteri (fun ci c -> Array.iteri (fun i n -> walk ((ci lsl chunk_bits) + i) n) c.heads) t.chunks
 
 let resident_pages t =
   Array.fold_left

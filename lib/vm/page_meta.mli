@@ -4,9 +4,9 @@
     argues most of it is unnecessary with ample persistent memory. We
     model the flags the baseline VM actually exercises plus the full
     space cost (64 bytes per 4 KiB page). Host-side there is no per-frame
-    record: flags, refcount, mapcount and the head of the frame's
-    reclaim-list chain live in pfn-indexed int arrays, one set per chunk
-    of 512 frames, made on the chunk's first update. A
+    record: flags, refcount, mapcount and reclaim-list chain heads live
+    in pfn-indexed int arrays, one set per chunk of 512 frames, made on
+    the chunk's first update. A
     frame of an untouched chunk reads zero everywhere and costs nothing;
     reading it allocates nothing. The boot-time initialisation cost and
     the steady-state space cost are still computed over all frames, as on
@@ -72,46 +72,30 @@ val unmap :
     [va]. When that was the frame's last mapping and the caller [owned]
     it (an anonymous page that is not being split), first drop an mlock
     pin with its Pinned/Mlocked/Unevictable flags and hand every frame
-    of the leaf to [zero] (512 for a 2 MiB leaf). The mapping's node
-    leaves the reclaim lists ({!unlink}). TLB invalidation stays with
-    the caller. *)
+    of the leaf to [zero] (512 for a 2 MiB leaf), and {!unlink} the
+    mapping. TLB invalidation stays with the caller. *)
 
 (** {1 The reclaim lists}
 
-    An intrusive LRU, the simulator's [page->lru]: one node per
-    registered mapping of an anonymous page (a frame that fork shares
-    has one per address space), on the inactive or the active list and
-    on its frame's chain, headed from the frame's chunk. {!unmap} takes
-    the mapping's node off both, uncharged, so no list holds a mapping
-    that is gone. Nodes live in blocks of 64 made as the lists grow and
-    are reused once freed: a warm list allocates nothing. A node is
-    named by an int. *)
-
-type lru = Inactive | Active
+    An intrusive LRU, Linux's [page->lru]: an int-named node per
+    registered anonymous mapping (fork gives a shared frame one per
+    address space), on the inactive or active list and its frame's
+    chain. {!unmap} frees the mapping's node, uncharged. *)
 
 val link : t -> Address_space.t -> va:int -> pfn:Physmem.Frame.t -> unit
-(** Put [aspace]'s mapping of [pfn] at the page-aligned [va] at the tail
-    of the inactive list, setting the frame's [Lru] flag (one charged
-    flag update). *)
+(** Append the mapping at page-aligned [va] to the inactive list; sets [Lru], charged. *)
 
 val unlink : t -> Hw.Page_table.t -> va:int -> pfn:Physmem.Frame.t -> unit
-(** Free the node of [table]'s mapping of [pfn] at [va], if it has one.
-    No charge. *)
+(** Free [table]'s node for [pfn] at [va], if it has one. No charge. *)
 
-val lru_length : t -> lru -> int
-
-val lru_first : t -> lru -> int
-(** The list's oldest node, or -1 when it is empty. *)
-
+val lru_length : t -> active:bool -> int
+val lru_first : t -> active:bool -> int (* the list's oldest node; -1 if empty *)
 val node_aspace : t -> int -> Address_space.t
 val node_va : t -> int -> int
-
-val requeue : t -> int -> lru -> unit
-(** Move a node to the tail of the given list. *)
+val requeue : t -> int -> active:bool -> unit (* to the list's tail *)
 
 val iter_lru : t -> (Physmem.Frame.t -> Address_space.t -> va:int -> unit) -> unit
-(** Visit every node through its frame's chain, in frame order.
-    Host-side introspection for the invariant checker: no charge. *)
+(** Every node, by frame. Host-side introspection: no charge. *)
 
 val mlock : t -> Physmem.Frame.t -> unit
 (** Pin the frame: one reference plus the Pinned, Mlocked and
@@ -123,9 +107,8 @@ val init_range : t -> first:Physmem.Frame.t -> count:int -> unit
     [struct_page_init] per frame — one of the paper's linear costs. *)
 
 val reset_after_crash : t -> unit
-(** Drop every chunk and every node of the reclaim lists, and zero the
-    "resident_pages" gauge: struct pages are DRAM state and do not
-    survive a power failure. *)
+(** Drop every chunk and the reclaim lists and zero "resident_pages":
+    struct pages are DRAM state and do not survive a power failure. *)
 
 val iter_counts : t -> (Physmem.Frame.t -> refcount:int -> mapcount:int -> unit) -> unit
 (** Visit every frame of every chunk made since boot or the last crash,

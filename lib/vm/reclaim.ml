@@ -29,10 +29,8 @@ let batch_for batches aspace =
 
 let flush_batches batches = List.iter (fun (_, b) -> Hw.Tlb_batch.flush b) !batches
 
-(* A swapped page is filed under its owner's pid, which is its address
-   space's ASID. *)
-let evict t aspace ~va (leaf : Hw.Page_table.leaf) ~batch =
-  let pfn = leaf.Hw.Page_table.pfn in
+(* A page is swapped out under its pid, its address space's ASID. *)
+let evict t aspace ~va ({ Hw.Page_table.pfn; _ } as leaf) ~batch =
   if leaf.Hw.Page_table.dirty then begin
     Swap.swap_out t.swap ~key:(Hw.Mmu.asid (Address_space.mmu aspace), va) ~pfn;
     Sim.Stats.incr (stats t) "reclaim_swapped"
@@ -45,22 +43,23 @@ let evict t aspace ~va (leaf : Hw.Page_table.leaf) ~batch =
   Page_meta.set_flag t.meta pfn Page_meta.Lru false;
   ignore (Physmem.Zero_engine.background_step t.zero ~budget_frames:2)
 
-let tracked t = Page_meta.(lru_length t.meta Inactive + lru_length t.meta Active)
+let tracked t = Page_meta.(lru_length t.meta ~active:false + lru_length t.meta ~active:true)
 
 (* One scan for both policies. An accessed inactive page gets a second
    chance: CLOCK puts it back on the inactive list, 2Q promotes it to the
    active list. 2Q also keeps the inactive list at least a third of the
    tracked pages by demoting active ones first; under CLOCK the active
    list stays empty, so no demotion ever runs. *)
-let scan_lists t ~target_frames =
+let scan t ~target_frames =
+  Sim.Trace.span (Physmem.Phys_mem.trace t.mem) ~op:"reclaim" ~arg:Fun.id @@ fun () ->
   let meta = t.meta in
   let reclaimed = ref 0 in
   let batches = ref [] in
   let budget = ref (4 * (tracked t + 1)) in
   while !reclaimed < target_frames && tracked t > 0 && !budget > 0 do
     decr budget;
-    let demote = Page_meta.(lru_length meta Inactive * 2 < lru_length meta Active) in
-    let n = Page_meta.lru_first meta (if demote then Active else Inactive) in
+    let demote = Page_meta.(lru_length meta ~active:false * 2 < lru_length meta ~active:true) in
+    let n = Page_meta.lru_first meta ~active:demote in
     let aspace = Page_meta.node_aspace meta n and va = Page_meta.node_va meta n in
     let table = Address_space.page_table aspace in
     let leaf = Hw.Page_table.find table ~va in
@@ -68,23 +67,17 @@ let scan_lists t ~target_frames =
     t.examined <- t.examined + 1;
     Sim.Clock.charge (clock t) examine_cost;
     if not demote then Sim.Stats.incr (stats t) "reclaim_examined";
-    if demote then begin
-      leaf.Hw.Page_table.accessed <- false;
-      Page_meta.requeue meta n Inactive
-    end
-    else if Page_meta.get_flag meta pfn Page_meta.Unevictable then begin
+    if (not demote) && Page_meta.get_flag meta pfn Page_meta.Unevictable then begin
       (* mlocked: parked off the LRU for good, as on Linux's
          unevictable list. *)
       Page_meta.unlink meta table ~va ~pfn;
       Sim.Stats.incr (stats t) "reclaim_unevictable"
     end
-    else if leaf.Hw.Page_table.accessed then begin
+    else if demote || leaf.Hw.Page_table.accessed then begin
       leaf.Hw.Page_table.accessed <- false;
-      match t.policy with
-      | Clock -> Page_meta.requeue meta n Inactive
-      | Two_q ->
-        Page_meta.set_flag meta pfn Page_meta.Active true;
-        Page_meta.requeue meta n Active
+      let promote = (not demote) && t.policy = Two_q in
+      if promote then Page_meta.set_flag meta pfn Page_meta.Active true;
+      Page_meta.requeue meta n ~active:promote
     end
     else begin
       evict t aspace ~va leaf ~batch:(batch_for batches aspace);
@@ -93,9 +86,5 @@ let scan_lists t ~target_frames =
   done;
   flush_batches batches;
   !reclaimed
-
-let scan t ~target_frames =
-  Sim.Trace.span (Physmem.Phys_mem.trace t.mem) ~op:"reclaim" ~arg:Fun.id @@ fun () ->
-  scan_lists t ~target_frames
 
 let pages_examined t = t.examined

@@ -5,12 +5,8 @@
     unnecessary: to find a few cold pages the kernel examines page after
     page, checking and clearing accessed bits. Reclaim cost is charged
     per page examined; experiment E12 compares it against file-granular
-    discard.
-
-    The lists themselves are {!Page_meta}'s: the kernel puts each
-    anonymous mapping on them ({!Page_meta.link}) when it maps the page,
-    and {!Page_meta.unmap} takes it off, so every node a scan meets
-    names a live mapping. This module keeps the policy and the scan. *)
+    discard. The lists are {!Page_meta}'s, whose {!Page_meta.unmap}
+    takes a mapping off: a scan meets live mappings only. *)
 
 type policy = Clock | Two_q
 
@@ -23,8 +19,7 @@ val create :
 val scan : t -> target_frames:int -> int
 (** Scan until [target_frames] frames have been reclaimed or the lists
     are exhausted. Clean cold pages are dropped; dirty cold pages are
-    swapped out under (pid, page VA). Returns frames actually
-    reclaimed. *)
+    swapped out. Returns frames actually reclaimed. *)
 
 val tracked : t -> int
 (** Mappings currently on the lists. *)

@@ -92,15 +92,13 @@ let discard t ~pid ~va ~len =
   if Hashtbl.length t.slots > 0 then
     for i = 0 to (len / Sim.Units.page_size) - 1 do
       let key = (pid, va + (i * Sim.Units.page_size)) in
-      match Hashtbl.find_opt t.slots key with
-      | Some slot ->
-        Hashtbl.remove t.slots key;
-        (match slot with File_slot s -> t.free_file_slots <- s :: t.free_file_slots | Content _ -> ())
-      | None -> ()
+      (match Hashtbl.find_opt t.slots key with
+      | Some (File_slot s) -> t.free_file_slots <- s :: t.free_file_slots
+      | Some (Content _) | None -> ());
+      Hashtbl.remove t.slots key
     done
 
-(* The swapfile is volatile: a crash's recovery unlinks it, and the next
-   swap-out opens or makes one afresh. *)
+(* A crash's recovery unlinks the volatile swapfile: the next swap-out makes one. *)
 let clear t =
   Hashtbl.reset t.slots;
   t.swapfile_ino <- None;

@@ -29,14 +29,10 @@ val swap_in : t -> key:int * int -> pfn:Physmem.Frame.t -> bool
 
 val contains : t -> key:int * int -> bool
 val slots_used : t -> int
+val iter : t -> (pid:int -> va:int -> unit) -> unit
 
 val discard : t -> pid:int -> va:int -> len:int -> unit
-(** Drop the slots of [pid]'s pages in [va, va+len), which are gone:
-    no device I/O, so no charge. *)
+(** Drop the slots of [pid]'s pages in [va, va+len). No device I/O, no charge. *)
 
 val clear : t -> unit
-(** Drop every slot, and forget the swapfile (no charge): after a crash
-    no process is left to fault a page back in. *)
-
-val iter : t -> (pid:int -> va:int -> unit) -> unit
-(** Visit every slot's key. Host-side introspection: no charge. *)
+(** Drop every slot and forget the swapfile (a crash's; no charge). *)
