@@ -653,7 +653,6 @@ let suite =
     Alcotest.test_case "erase: strategy cost shapes" `Quick test_erase_strategies;
     Alcotest.test_case "erase: background completes" `Quick test_erase_background_completes;
     Alcotest.test_case "persistence: crash + recover" `Quick test_crash_recovery_persistence;
-    Alcotest.test_case "persistence: a crash frees tmpfs" `Quick test_crash_frees_tmpfs;
     Alcotest.test_case "persistence: masters survive for persistent files" `Quick
       test_masters_survive_crash_for_persistent_files;
     Alcotest.test_case "fom: launch/exit with file segments" `Quick test_launch_and_exit;
@@ -667,4 +666,5 @@ let suite =
     Alcotest.test_case "fom: a record from before protect still frees" `Quick
       test_stale_record_frees_region;
     prop_fom_model;
+    Alcotest.test_case "persistence: a crash frees tmpfs" `Quick test_crash_frees_tmpfs;
   ]

@@ -414,6 +414,6 @@ let suite =
     Alcotest.test_case "defect 10: a crash's dead processes" `Quick test_crash_returns_frames;
     Alcotest.test_case "defect 11: exit gives back userfault pages" `Quick
       test_exit_returns_userfault_pages;
-    Alcotest.test_case "swap: teardown drops its slots" `Quick test_teardown_drops_swap_slots;
     prop_vm_model;
+    Alcotest.test_case "swap: teardown drops its slots" `Quick test_teardown_drops_swap_slots;
   ]

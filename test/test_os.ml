@@ -540,9 +540,6 @@ let suite =
     Alcotest.test_case "reclaim: CLOCK second chance" `Quick test_reclaim_clock_second_chance;
     Alcotest.test_case "reclaim: content survives swap" `Quick test_reclaim_preserves_content;
     Alcotest.test_case "reclaim: 2Q policy" `Quick test_reclaim_two_q;
-    Alcotest.test_case "reclaim: a page touched off its boundary comes back" `Quick
-      test_reclaim_unaligned_touch;
-    Alcotest.test_case "reclaim: unmapped pages leave the lists" `Quick test_unmap_leaves_lists;
     Alcotest.test_case "kernel: read() syscall" `Quick test_read_syscall_returns_bytes;
     Alcotest.test_case "kernel: 5-level walks" `Quick test_five_level_kernel_walk_refs;
     Alcotest.test_case "kernel: virtualized walks cost 24 refs" `Quick test_virtualized_walk_cost;
@@ -550,4 +547,7 @@ let suite =
     Alcotest.test_case "kernel: a fault reuses a frame buffer" `Quick test_fault_reuses_frame_buffers;
     Alcotest.test_case "kernel: a CoW fault copies its page once" `Quick test_cow_fault_copies_once;
     Alcotest.test_case "swap: a swapfile round trip copies each page once" `Quick test_swapfile_copies_once;
+    Alcotest.test_case "reclaim: a page touched off its boundary comes back" `Quick
+      test_reclaim_unaligned_touch;
+    Alcotest.test_case "reclaim: unmapped pages leave the lists" `Quick test_unmap_leaves_lists;
   ]
