@@ -41,7 +41,7 @@ let value i v = String.make (64 + ((i * 13) mod 64)) (Char.chr (Char.code 'a' + 
 let preload st ~keys =
   let i = ref 1 in
   while !i <= keys do
-    ignore (Kv.begin_txn st);
+    Kv.begin_txn st;
     for j = !i to min keys (!i + 63) do
       Kv.put st (key j) (value j 0)
     done;
@@ -55,7 +55,7 @@ let preload st ~keys =
 let burst st ~keys ~txns ~seed =
   let rng = Sim.Rng.create ~seed and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
   for c = 1 to txns do
-    ignore (Kv.begin_txn st);
+    Kv.begin_txn st;
     let last = ref 1 in
     for _ = 1 to 4 do
       let i = 1 + zipf rng in
@@ -75,7 +75,7 @@ let recovery_point ~keys ~txns =
   let st = Kv.create fom p ~manifest_bytes:(Sim.Units.kib 256) ~name:"/bench" () in
   preload st ~keys;
   burst st ~keys ~txns ~seed:(keys + txns);
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.put st (key 1) (String.make 80 'x');
   let cycles = (O1mem.Persistence.crash_and_recover fom).O1mem.Persistence.recovery_cycles in
   (match Kv.verify st with
@@ -104,7 +104,7 @@ let live_set_point ~keys =
     let rng = Sim.Rng.create ~seed:7 and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
     let slowest = ref 0 in
     for c = 1 to 32 do
-      ignore (Kv.begin_txn st);
+      Kv.begin_txn st;
       for _ = 1 to 4 do
         let i = 1 + zipf rng in
         Kv.put st (key i) (value i c)
@@ -134,12 +134,12 @@ let churn_point ~keys =
     preload st ~keys:64;
     let fresh i = Printf.sprintf "churn%05d" i in
     for r = 0 to (keys / 96) - 1 do
-      ignore (Kv.begin_txn st);
+      Kv.begin_txn st;
       for j = 0 to 95 do
         Kv.put st (fresh ((96 * r) + j)) "v"
       done;
       Kv.commit st;
-      ignore (Kv.begin_txn st);
+      Kv.begin_txn st;
       for j = 0 to 95 do
         Kv.delete st (fresh ((96 * r) + j))
       done;
@@ -150,7 +150,7 @@ let churn_point ~keys =
           List.init 16 (fun j -> Kv.get st (Printf.sprintf "miss%02d" j)))
     in
     if List.exists Option.is_some misses then failwith "Exp_store.churn_point: an absent key was served";
-    ignore (Kv.begin_txn st);
+    Kv.begin_txn st;
     for j = 1 to 8 do
       Kv.put st (Printf.sprintf "new%d" j) "v"
     done;

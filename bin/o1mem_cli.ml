@@ -395,7 +395,7 @@ let store keys txns seed =
   let st = Store.Kv.create fom p ~name:"/cli" () in
   let key i = Printf.sprintf "key%03d" i in
   let rng = Sim.Rng.create ~seed and zipf = Sim.Rng.zipf ~n:keys ~theta:0.99 in
-  ignore (Store.Kv.begin_txn st);
+  Store.Kv.begin_txn st;
   for i = 1 to keys do
     Store.Kv.put st (key i) (String.make (48 + (i mod 64)) 'a')
   done;
@@ -403,14 +403,14 @@ let store keys txns seed =
   Store.Kv.commit st;
   Store.Kv.checkpoint st;
   for c = 1 to txns do
-    ignore (Store.Kv.begin_txn st);
+    Store.Kv.begin_txn st;
     for _ = 1 to 3 do
       let i = 1 + zipf rng in
       Store.Kv.put st (key i) (String.make (48 + (c mod 64)) (Char.chr (Char.code 'a' + (c mod 26))))
     done;
     Store.Kv.commit st
   done;
-  ignore (Store.Kv.begin_txn st);
+  Store.Kv.begin_txn st;
   Store.Kv.put st (key 1) (String.make 64 'z');
   Printf.printf "store %s: %d objects, %d roots, generation %d, %d WAL records before crash\n"
     (Store.Kv.name st) (Store.Kv.object_count st)
@@ -443,7 +443,7 @@ let store keys txns seed =
   | vs ->
     List.iter (fun v -> Printf.printf "VIOLATION %s\n" (Os.Check.violation_to_string v)) vs;
     failed := true);
-  ignore (Store.Kv.begin_txn st);
+  Store.Kv.begin_txn st;
   Store.Kv.put st "probe" "usable";
   Store.Kv.commit st;
   if Store.Kv.get st "probe" <> Some "usable" then begin

@@ -93,7 +93,6 @@ let free t ~first ~frames =
   t.free <- t.free + frames
 
 let free_frames t = t.free
-let total_frames t = t.count
 
 let largest_free t = IntMap.fold (fun _ len acc -> max len acc) t.by_addr 0
 
@@ -101,5 +100,3 @@ let extent_count t = IntMap.cardinal t.by_addr
 
 let fragmentation t =
   if t.free = 0 then 0.0 else 1.0 -. (float_of_int (largest_free t) /. float_of_int t.free)
-
-let iter_free t f = IntMap.iter f t.by_addr

@@ -27,7 +27,6 @@ val free : t -> first:Physmem.Frame.t -> frames:int -> unit
     Raises [Invalid_argument] on overlap with free space or out-of-range. *)
 
 val free_frames : t -> int
-val total_frames : t -> int
 val largest_free : t -> int
 val extent_count : t -> int
 (** Number of distinct free extents (fragmentation indicator). *)
@@ -35,6 +34,3 @@ val extent_count : t -> int
 val fragmentation : t -> float
 (** [1 - largest_free/free_frames]; 0 when free space is one extent or
     empty. *)
-
-val iter_free : t -> (Physmem.Frame.t -> int -> unit) -> unit
-(** Iterate free extents in address order. *)

@@ -38,7 +38,6 @@ let create_cache ~mem ~backing ~name ~obj_bytes () =
     live = 0;
   }
 
-let name c = c.name
 let obj_bytes c = c.obj_bytes
 
 let charge c n = Sim.Clock.charge (Physmem.Phys_mem.clock c.mem) n

@@ -16,7 +16,6 @@ val create_cache :
     8 objects. Raises [Invalid_argument] if that block is larger than the
     buddy allocator's largest order. *)
 
-val name : cache -> string
 val obj_bytes : cache -> int
 
 val alloc : cache -> int option

@@ -6,8 +6,6 @@ let enqueue_cycles = 60
 
 let create ~mem ~strategy = { mem; strategy; zero = Physmem.Zero_engine.create mem }
 
-let engine t = t.zero
-
 (* The body returns [count] for the event's operand, so the span needs
    no operand closure of its own. *)
 let erase_extent t ~first ~count =

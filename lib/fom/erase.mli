@@ -20,8 +20,6 @@ type t
 
 val create : mem:Physmem.Phys_mem.t -> strategy:strategy -> t
 
-val engine : t -> Physmem.Zero_engine.t
-
 val erase_extent : t -> first:Physmem.Frame.t -> count:int -> unit
 (** Erase a physical extent under the configured strategy. [Eager]
     charges the full linear cost now; [Background] enqueues (charge one

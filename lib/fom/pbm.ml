@@ -50,5 +50,4 @@ let detach t (proc : Os.Proc.t) =
   Hw.Page_table.unshare dst ~va:(window_base t) ~depth:1;
   Hashtbl.remove t.attached proc.Os.Proc.pid
 
-let region_count t = List.length t.regions
 let metadata_bytes t = Hw.Page_table.metadata_bytes t.table

@@ -19,10 +19,6 @@ type t
 
 val create : Os.Kernel.t -> t
 
-val pbm_offset : int
-(** Base of the PBM virtual window (512 GiB-aligned so the whole window
-    sits under one root entry of a 4-level table). *)
-
 val va_of_addr : int -> int
 (** The virtual address every process uses for a physical byte. *)
 
@@ -37,7 +33,6 @@ val attach : t -> Os.Proc.t -> unit
 
 val detach : t -> Os.Proc.t -> unit
 
-val region_count : t -> int
 val metadata_bytes : t -> int
 (** Bytes of the single shared PBM table (contrast with per-process
     replicas in the baseline). *)

@@ -72,9 +72,6 @@ let create fom proc ~backing_path ~window_pages =
     ~len ~prot:Hw.Prot.rw handler;
   t
 
-let va t = t.base
-let length t = t.len
-
 let read_byte t ~off =
   if off < 0 || off >= t.len then invalid_arg "Uswap.read_byte: out of range";
   let va = t.base + off in

@@ -20,12 +20,6 @@ val create :
     file and registers the fault handler. At most [window_pages] pages
     are resident at once. *)
 
-val va : t -> int
-(** Base of the managed virtual range. *)
-
-val length : t -> int
-(** Bytes covered (the backing file's size, page-rounded). *)
-
 val read_byte : t -> off:int -> char
 (** Read through the managed window, faulting/paging as needed. *)
 

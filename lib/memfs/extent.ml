@@ -12,7 +12,3 @@ let mergeable a b = logical_end a = b.logical && a.start + a.count = b.start
 let merge a b =
   assert (mergeable a b);
   { a with count = a.count + b.count }
-
-let pp ppf e =
-  Format.fprintf ppf "[log %d..%d -> pfn %#x, %d pages]" e.logical (logical_end e - 1) e.start
-    e.count

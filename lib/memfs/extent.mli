@@ -19,5 +19,3 @@ val mergeable : t -> t -> bool
 
 val merge : t -> t -> t
 (** Requires [mergeable a b]. *)
-
-val pp : Format.formatter -> t -> unit

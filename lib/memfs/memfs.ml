@@ -97,11 +97,9 @@ let journal_op t record =
 let journal_records t = match t.journal with None -> [] | Some wal -> Wal.entries wal
 let journal_checkpoints t = t.checkpoints
 
-let erase_policy t = t.erase
 let background_zero_step t ~budget_frames = Physmem.Zero_engine.background_step t.zero ~budget_frames
 let zero_pool_available t = Physmem.Zero_engine.available t.zero
 
-let mode t = t.mode
 let mem t = t.mem
 
 let inode t ino =

@@ -37,8 +37,6 @@ val journal_records : t -> string list
 val journal_checkpoints : t -> int
 (** Times the journal filled and was checkpointed (compacted). *)
 
-val erase_policy : t -> erase_policy
-
 val background_zero_step : t -> budget_frames:int -> int
 (** Let the background zeroer run (only meaningful under
     [Background_zero]); returns frames zeroed. Idle-loop work: call it
@@ -47,7 +45,6 @@ val background_zero_step : t -> budget_frames:int -> int
 val zero_pool_available : t -> int
 (** Pre-zeroed frames ready for O(1) handout. *)
 
-val mode : t -> mode
 val mem : t -> Physmem.Phys_mem.t
 
 (** {1 Namespace} *)
@@ -161,7 +158,6 @@ val recover : t -> int
 
 (** {1 Introspection} *)
 
-val total_bytes : t -> int
 val used_bytes : t -> int
 val free_bytes : t -> int
 val utilization : t -> float

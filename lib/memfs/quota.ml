@@ -16,4 +16,3 @@ let release t ~frames =
   t.used <- t.used - frames
 
 let used t = t.used
-let limit t = t.limit

@@ -14,4 +14,3 @@ val try_charge : t -> frames:int -> bool
 
 val release : t -> frames:int -> unit
 val used : t -> int
-val limit : t -> int option

@@ -31,14 +31,9 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~table ?range_table
   in
   { clock; stats; trace; table; range_table; mode; smp; asid; core = 0; cpumask = 0 }
 
-let table t = t.table
-let range_table t = t.range_table
-let clock t = t.clock
 let stats t = t.stats
 let trace t = t.trace
-let smp t = t.smp
 let asid t = t.asid
-let core t = t.core
 
 let set_core t core =
   if core < 0 || core >= Smp.cores t.smp then invalid_arg "Mmu.set_core: no such core";
@@ -46,9 +41,6 @@ let set_core t core =
 
 let local t = Smp.core t.smp t.core
 let tlb t = (local t).Smp.tlb
-
-let range_tlb t =
-  match t.range_table with Some _ -> Some (local t).Smp.range_tlb | None -> None
 
 let model t = Sim.Clock.model t.clock
 let mark_cached t = t.cpumask <- t.cpumask lor (1 lsl t.core)

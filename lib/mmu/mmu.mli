@@ -31,24 +31,12 @@ val create :
     into the TLBs and walker so every lookup/walk/shootdown/IPI records a
     latency event. *)
 
-val table : t -> Page_table.t
-val range_table : t -> Range_table.t option
-
 val tlb : t -> Tlb.t
 (** The page TLB of the core this address space currently runs on. *)
 
-val range_tlb : t -> Range_tlb.t option
-(** The current core's range TLB, present iff the address space has a
-    range table. *)
-
-val clock : t -> Sim.Clock.t
 val stats : t -> Sim.Stats.t
 val trace : t -> Sim.Trace.t
-val smp : t -> Smp.t
 val asid : t -> int
-
-val core : t -> int
-(** Core the owning process is currently scheduled on. *)
 
 val set_core : t -> int -> unit
 (** Migrate the address space's execution to another core (scheduler

@@ -12,7 +12,3 @@ let depth_above_leaf = function Small -> 0 | Huge_2m -> 1 | Huge_1g -> 2
 let largest_for ~addr ~len =
   let fits s = Sim.Units.is_aligned addr ~align:(bytes s) && len >= bytes s in
   if fits Huge_1g then Huge_1g else if fits Huge_2m then Huge_2m else Small
-
-let pp ppf s =
-  Format.pp_print_string ppf
-    (match s with Small -> "4K" | Huge_2m -> "2M" | Huge_1g -> "1G")

@@ -14,5 +14,3 @@ val depth_above_leaf : t -> int
 val largest_for : addr:int -> len:int -> t
 (** Largest page size usable at [addr] given alignment and [len]
     remaining. *)
-
-val pp : Format.formatter -> t -> unit

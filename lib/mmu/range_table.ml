@@ -60,7 +60,6 @@ let walk t ~va =
 
 let entry_count t = Btree.cardinal t.entries
 let metadata_bytes t = 32 * Btree.cardinal t.entries
-let iter t f = Btree.iter t.entries (fun _ e -> f e)
 
 let bases_in t ~va ~len =
   let rec loop key acc =

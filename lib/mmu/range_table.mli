@@ -38,7 +38,5 @@ val entry_count : t -> int
 val metadata_bytes : t -> int
 (** 32 bytes per entry (base, limit, offset, protection). *)
 
-val iter : t -> (entry -> unit) -> unit
-
 val bases_in : t -> va:int -> len:int -> int list
 (** Bases of the entries starting in [va, va+len), highest first; no cost. *)

@@ -35,8 +35,6 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ?(entries = 32) () =
     tick = 0;
   }
 
-let capacity t = t.capacity
-
 let model t = Sim.Clock.model t.clock
 
 let touch t =

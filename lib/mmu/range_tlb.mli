@@ -14,8 +14,6 @@ type t
 val create :
   clock:Sim.Clock.t -> stats:Sim.Stats.t -> ?trace:Sim.Trace.t -> ?entries:int -> unit -> t
 
-val capacity : t -> int
-
 val lookup : t -> ?asid:int -> va:int -> unit -> Range_table.entry option
 (** Probe; charges the hit cost; bumps "range_tlb_hit"/"range_tlb_miss". *)
 

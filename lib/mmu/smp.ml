@@ -52,9 +52,6 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ?(cores = 1) ?(numa_nodes
     numa_nodes;
   }
 
-let clock t = t.clock
-let stats t = t.stats
-let trace t = t.trace
 let cores t = Array.length t.cores
 let numa_nodes t = t.numa_nodes
 

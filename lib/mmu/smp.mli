@@ -36,10 +36,6 @@ val create :
 (** Defaults: 1 core, 1 NUMA node — the pre-SMP machine. [numa_nodes]
     must not exceed [cores]. *)
 
-val clock : t -> Sim.Clock.t
-val stats : t -> Sim.Stats.t
-val trace : t -> Sim.Trace.t
-
 val cores : t -> int
 val numa_nodes : t -> int
 

@@ -51,7 +51,6 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ?(sets = 128) ?(ways = 8)
     flushes = 0;
   }
 
-let capacity t = t.sets * t.ways
 let shootdowns t = t.shootdowns
 let flushes t = t.flushes
 

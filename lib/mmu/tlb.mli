@@ -22,8 +22,6 @@ val create :
 (** [trace] (default {!Sim.Trace.disabled}) records lookup, shootdown and
     flush events. *)
 
-val capacity : t -> int
-
 type entry
 (** One slot of the TLB. *)
 

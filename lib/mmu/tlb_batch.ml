@@ -12,8 +12,6 @@ let add t ~va ~len =
     t.pages <- t.pages + Sim.Units.pages_of_bytes len
   end
 
-let pages t = t.pages
-
 let flush t =
   if t.pages > 0 then begin
     let pages = t.pages in

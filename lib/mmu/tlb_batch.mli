@@ -15,9 +15,6 @@ val add : t -> va:int -> len:int -> unit
 (** Record a range to invalidate. Free: no cycles are charged until
     {!flush}. *)
 
-val pages : t -> int
-(** Pages accumulated so far. *)
-
 val flush : t -> unit
 (** Pay for the batch: below the threshold, per-page INVLPGs for each
     accumulated range (n shootdown charges); at or above it, one full

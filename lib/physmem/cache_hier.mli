@@ -12,15 +12,6 @@
 type level_cfg = { name : string; size_bytes : int; ways : int; latency : int }
 (** [latency] is the cycles charged when this level hits. *)
 
-val default_l1 : level_cfg
-(** 32 KiB, 8-way, 4 cycles. *)
-
-val default_l2 : level_cfg
-(** 256 KiB, 8-way, 14 cycles. *)
-
-val default_llc : level_cfg
-(** 8 MiB, 16-way, 42 cycles. *)
-
 type t
 
 val create :

@@ -15,5 +15,3 @@ val of_addr : int -> t
 
 val offset_in_frame : int -> int
 (** Byte offset of a physical address within its frame. *)
-
-val pp : Format.formatter -> t -> unit

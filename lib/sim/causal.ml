@@ -32,8 +32,6 @@ let share_name = function
   | Sched -> "sched"
   | Numa_remote -> "numa_remote"
 
-let all_shares = [ Ipi_wait; Sched; Numa_remote ]
-
 type t = {
   clock : Clock.t option; (* None = disabled sentinel *)
   mutable nodes : node list; (* newest first *)
@@ -384,15 +382,3 @@ let chrome_events t =
       ]
   in
   List.map node_ev (nodes t) @ List.concat (List.mapi flow (edges t))
-
-let pp ppf t =
-  let cp = critical_path t in
-  Format.fprintf ppf "@[<v>causal: %d nodes, %d edges, makespan %d cycles@," t.n_nodes t.n_edges
-    (makespan t);
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "core%d: busy=%d work=%d ipi_wait=%d sched=%d numa_remote=%d@," b.bd_core
-        b.bd_busy b.work b.ipi_wait b.sched b.numa_remote)
-    (breakdowns t);
-  Format.fprintf ppf "critical path: %d hops over %d cycles@," cp.hops cp.cycles;
-  Format.fprintf ppf "@]"

@@ -25,11 +25,6 @@ type edge = { src : int; dst : int; kind : string }
 
 type share = Ipi_wait | Sched | Numa_remote
 
-val share_name : share -> string
-(** "ipi_wait", "sched", "numa_remote". *)
-
-val all_shares : share list
-
 type t
 
 val create : clock:Clock.t -> unit -> t
@@ -77,7 +72,6 @@ type breakdown = {
   numa_remote : int;
 }
 
-val breakdown_of : t -> core:int -> breakdown
 val breakdowns : t -> breakdown list
 (** Per-core decompositions, sorted by core id. *)
 
@@ -120,5 +114,3 @@ val to_json : t -> Json.t
 (** Counts, per-core breakdowns, makespan, attributed fraction, the
     critical path summary, IPI latency histograms keyed "src->dst", the
     NUMA traffic matrix, and the node/edge lists. *)
-
-val pp : Format.formatter -> t -> unit

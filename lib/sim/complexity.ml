@@ -19,7 +19,6 @@ let cls_of_name = function
   | _ -> None
 
 let rank = function Constant -> 0 | Logarithmic -> 1 | Linear -> 2 | Superlinear -> 3
-let pp_cls ppf c = Format.pp_print_string ppf (cls_name c)
 
 type lsq = { slope : float; intercept : float; r2 : float }
 

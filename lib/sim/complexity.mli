@@ -26,8 +26,6 @@ val rank : cls -> int
 (** Severity order, [Constant] = 0 ... [Superlinear] = 3. A rank increase
     between two bench runs is a complexity-class downgrade. *)
 
-val pp_cls : Format.formatter -> cls -> unit
-
 type lsq = { slope : float; intercept : float; r2 : float }
 (** Ordinary least squares of [y = intercept + slope * x]. [r2] is the
     coefficient of determination; 1.0 when the residuals vanish (including

@@ -15,8 +15,6 @@ exception Error of t * string
 
 let fail errno what = raise (Error (errno, what))
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let () =
   Printexc.register_printer (function
     | Error (e, what) -> Some (Printf.sprintf "Sim.Errno.Error(%s, %S)" (to_string e) what)

@@ -28,4 +28,3 @@ val fail : t -> string -> 'a
 (** [fail errno what] raises {!Error}. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -68,7 +68,6 @@ let create ?(seed = 1) ?stats () =
   { enabled = true; seed; rng = Rng.create ~seed; sites = Hashtbl.create 16; stats; reporter = None }
 
 let enabled t = t.enabled
-let seed t = t.seed
 
 let state t ~site =
   match Hashtbl.find_opt t.sites site with
@@ -128,34 +127,3 @@ let totals t =
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let injected_total t = Hashtbl.fold (fun _ s acc -> acc + s.injected) t.sites 0
-
-let reset_counts t =
-  Hashtbl.iter
-    (fun _ s ->
-      s.evaluations <- 0;
-      s.injected <- 0)
-    t.sites
-
-let to_json t =
-  Json.Obj
-    [
-      ("enabled", Json.Bool t.enabled);
-      ("seed", Json.Int t.seed);
-      ( "sites",
-        Json.Obj
-          (List.map
-             (fun (site, evals, injected) ->
-               (site, Json.Obj [ ("evaluations", Json.Int evals); ("injected", Json.Int injected) ]))
-             (totals t)) );
-    ]
-
-let pp ppf t =
-  if not t.enabled then Format.fprintf ppf "fault injection: disabled"
-  else begin
-    Format.fprintf ppf "@[<v>fault injection (seed %d):@," t.seed;
-    List.iter
-      (fun (site, evals, injected) ->
-        Format.fprintf ppf "%-20s %8d evaluated %8d injected@," site evals injected)
-      (totals t);
-    Format.fprintf ppf "@]"
-  end

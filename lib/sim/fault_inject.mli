@@ -35,7 +35,6 @@ val create : ?seed:int -> ?stats:Stats.t -> unit -> t
     [stats] receives "fault_inject" counters on every injection. *)
 
 val enabled : t -> bool
-val seed : t -> int
 
 val arm : t -> site:string -> mode -> unit
 (** Arm a site. Unarmed sites behave as [Never] (evaluations still
@@ -68,9 +67,6 @@ val totals : t -> (string * int * int) list
 (** [(site, evaluations, injected)] for every consulted site, sorted. *)
 
 val injected_total : t -> int
-
-val reset_counts : t -> unit
-(** Zero evaluation/injection counts, keeping the arming and RNG state. *)
 
 (** {1 Canonical site names} *)
 
@@ -116,6 +112,3 @@ val site_store_alloc : string
     space, exercising the defragment-and-retry degradation pass. *)
 
 val all_sites : string list
-
-val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

@@ -67,7 +67,3 @@ let to_json t =
       ("p90", Json.Int (percentile t 90.0));
       ("p99", Json.Int (percentile t 99.0));
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.1f min=%d p50=%d p99=%d max=%d" t.count (mean t) (min_value t)
-    (percentile t 50.0) (percentile t 99.0) (max_value t)

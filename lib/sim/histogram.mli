@@ -33,5 +33,3 @@ val percentile : t -> float -> int
 
 val to_json : t -> Json.t
 (** Summary object: count/total/mean/stddev/min/max/p50/p90/p99. *)
-
-val pp : Format.formatter -> t -> unit

@@ -264,5 +264,3 @@ let member v key =
   match v with
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let pp ppf v = Format.pp_print_string ppf (to_string ~pretty:true v)

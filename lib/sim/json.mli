@@ -26,5 +26,3 @@ val of_string : ?max_depth:int -> string -> (t, string) result
 
 val member : t -> string -> t option
 (** [member (Obj fields) key] looks up [key]; [None] on non-objects. *)
-
-val pp : Format.formatter -> t -> unit

@@ -26,8 +26,6 @@ type status =
   | Downgraded  (** a ["class"] got worse, or is an unknown name — always fails the gate *)
   | Upgraded  (** a ["class"] got better *)
 
-val status_name : status -> string
-
 type delta = {
   section : string;  (** dotted path of the object holding the leaf, e.g. ["complexity.graft"] *)
   key : string;  (** the leaf name, e.g. ["exponent"] *)

@@ -17,9 +17,6 @@ val int : t -> int -> int
 val int_in : t -> lo:int -> hi:int -> int
 (** Uniform in [lo, hi] inclusive. Requires [lo <= hi]. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform in [0, 1). *)
 

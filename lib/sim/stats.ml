@@ -126,10 +126,3 @@ let gauges_to_json t =
                ("samples", Json.Int (List.length (series t k)));
              ] ))
        (gauges t))
-
-let pp ppf t =
-  let entries = snapshot t in
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s = %d@," k v) entries;
-  List.iter (fun (k, v, hwm) -> Format.fprintf ppf "%s = %d (hwm %d)@," k v hwm) (gauges t);
-  Format.fprintf ppf "@]"

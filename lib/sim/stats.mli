@@ -79,5 +79,3 @@ val to_json : t -> Json.t
 
 val gauges_to_json : t -> Json.t
 (** All gauges as one JSON object: [{name: {value, hwm, samples}}]. *)
-
-val pp : Format.formatter -> t -> unit

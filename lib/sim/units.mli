@@ -51,8 +51,5 @@ val log2_ceil : int -> int
 val log2_floor : int -> int
 (** [log2_floor n] is the largest [k] with [2^k <= n]. Requires [n >= 1]. *)
 
-val pp_bytes : Format.formatter -> int -> unit
-(** Pretty-print a byte count with a binary-unit suffix, e.g. "64KiB". *)
-
 val bytes_to_string : int -> string
-(** [bytes_to_string n] is [Fmt.str "%a" pp_bytes n]. *)
+(** A byte count with a binary-unit suffix, e.g. "64KiB". *)

@@ -76,11 +76,9 @@ type t = {
   mutable entries : int; (* index entries in use, internal ones included *)
   mutable objects : int; (* user keys *)
   mutable txn : op list option; (* newest first *)
-  mutable next_txn_id : int;
   mutable detached : bool;
   mutable recovery_truncations : int;
   mutable last_replayed : int;
-  rule_name : string;
   mutable block : Bytes.t; (* the block being built or read *)
   line : Bytes.t; (* the index line being probed or written *)
   scan : Bytes.t; (* the index frame a host-side walk is on *)
@@ -495,37 +493,35 @@ let update_gauges t =
   Sim.Stats.set_gauge s "store_txn_live" (match t.txn with Some _ -> 1 | None -> 0);
   Sim.Stats.set_gauge s "store_wal_bytes" (Fs.Wal.used_bytes t.wal)
 
-(* --- invariant rule ------------------------------------------------ *)
+(* --- the root check ------------------------------------------------ *)
 
 (* Every entry's slot lies in a live arena file's extents, and every root
    names a key with an entry. Host-side: charges nothing. *)
-let root_rule t kernel' =
-  if t.detached || not (kernel' == kernel t) then []
+let check_roots t =
+  let bad detail = { Os.Check.check = "store_roots"; detail = t.name ^ ": " ^ detail } in
+  let readable slot =
+    match Heap.Fom_heap.arena_region t.heap slot.arena with
+    | exception Invalid_argument _ -> false
+    | r -> (
+      Fs.Memfs.lookup (fs t) r.O1mem.Fom.path = Some r.O1mem.Fom.ino
+      &&
+      match iter_chunks t slot ~len:slot.len (fun _ _ _ -> ()) with
+      | () -> true
+      | exception Invalid_argument _ -> false)
+  in
+  let acc = ref [] in
+  ignore
+    (scan t (fun ~internal:_ ~tag:_ ~arena ~off ~len ->
+         if not (readable { arena; off; len }) then
+           acc := bad (Printf.sprintf "slot (%d, %d, %d) is not in a live arena file" arena off len) :: !acc));
+  (* Blocks are only read once every slot is known to be readable. *)
+  if !acc <> [] then List.rev !acc
   else
-    let bad detail = { Os.Check.check = "store_roots"; detail = t.name ^ ": " ^ detail } in
-    let readable slot =
-      match Heap.Fom_heap.arena_region t.heap slot.arena with
-      | exception Invalid_argument _ -> false
-      | r -> (
-        Fs.Memfs.lookup (fs t) r.O1mem.Fom.path = Some r.O1mem.Fom.ino
-        &&
-        match iter_chunks t slot ~len:slot.len (fun _ _ _ -> ()) with
-        | () -> true
-        | exception Invalid_argument _ -> false)
-    in
-    let acc = ref [] in
-    ignore
-      (scan t (fun ~internal:_ ~tag:_ ~arena ~off ~len ->
-           if not (readable { arena; off; len }) then
-             acc := bad (Printf.sprintf "slot (%d, %d, %d) is not in a live arena file" arena off len) :: !acc));
-    (* Blocks are only read once every slot is known to be readable. *)
-    if !acc <> [] then List.rev !acc
-    else
-      uncharged t (fun () ->
-          List.filter_map
-            (fun (root, key) ->
-              if lacks t key then Some (bad (Printf.sprintf "root %S -> missing key %S" root key)) else None)
-            (root_entries t))
+    uncharged t (fun () ->
+        List.filter_map
+          (fun (root, key) ->
+            if lacks t key then Some (bad (Printf.sprintf "root %S -> missing key %S" root key)) else None)
+          (root_entries t))
 
 (* --- recovery ------------------------------------------------------ *)
 
@@ -589,8 +585,6 @@ let recover_hook t () =
 
 (* --- lifecycle ----------------------------------------------------- *)
 
-let instance = ref 0
-
 let create fom proc ?(manifest_bytes = Sim.Units.kib 128) ~name () =
   if name = "" || name.[0] <> '/' then invalid_arg "Store.create: name must be an absolute path";
   if manifest_bytes < line_bytes then invalid_arg "Store.create: index smaller than a line";
@@ -616,7 +610,6 @@ let create fom proc ?(manifest_bytes = Sim.Units.kib 128) ~name () =
   let heap = Heap.Fom_heap.create fom proc ~file_prefix:(name ^ ".arena") () in
   let wal = Fs.Wal.create ~mem:(Os.Kernel.mem (O1mem.Fom.kernel fom)) ~base:wal_base ~capacity:wal_bytes in
   Fs.Wal.reset wal;
-  incr instance;
   let t =
     {
       fom;
@@ -631,24 +624,20 @@ let create fom proc ?(manifest_bytes = Sim.Units.kib 128) ~name () =
       entries = 0;
       objects = 0;
       txn = None;
-      next_txn_id = 1;
       detached = false;
       recovery_truncations = 0;
       last_replayed = 0;
-      rule_name = Printf.sprintf "store_roots:%s#%d" name !instance;
       block = Bytes.create max_block;
       line = Bytes.create line_bytes;
       scan = Bytes.create Sim.Units.page_size;
     }
   in
   O1mem.Fom.on_recover fom ~name:("store" ^ name) (fun () -> recover_hook t ());
-  Os.Check.register_rule ~name:t.rule_name (root_rule t);
   update_gauges t;
   t
 
 let detach t =
   t.detached <- true;
-  Os.Check.unregister_rule ~name:t.rule_name;
   O1mem.Fom.remove_hooks t.fom ~name:("store" ^ t.name)
 
 (* --- transactions --------------------------------------------------- *)
@@ -661,10 +650,8 @@ let require_txn t =
 let begin_txn t =
   if t.detached then invalid_arg "Store: detached";
   (match t.txn with Some _ -> invalid_arg "Store.begin_txn: transaction already open" | None -> ());
-  t.next_txn_id <- t.next_txn_id + 1;
   t.txn <- Some [];
-  update_gauges t;
-  t.next_txn_id - 1
+  update_gauges t
 
 let add t op = t.txn <- Some (op :: require_txn t)
 
@@ -857,6 +844,6 @@ let verify t =
           | Found _ -> ()
           | Absent _ -> acc := bad (Printf.sprintf "key %S is off its own probe chain" key) :: !acc))
   in
-  root_rule t (kernel t)
+  check_roots t
   @ (if damaged > 0 then [ bad (Printf.sprintf "%d damaged index line(s)" damaged) ] else [])
   @ List.rev !acc

@@ -37,8 +37,7 @@ val create :
     path [name] on [fom]'s file system (which must be the kernel's
     persistent pmfs). Creates "<name>.wal", "<name>.manifest" and
     "<name>.arena.<n>" as named persistent files, and registers the
-    recovery hook plus an {!Os.Check} rule ("store_roots"): every
-    entry maps through a live FOM extent, every root names a key.
+    recovery hook.
 
     Arenas are {!Heap.Size_class.arena_bytes} long. The 128 KiB WAL caps
     one transaction's record, which names each write at about 17 bytes
@@ -50,8 +49,8 @@ val create :
     exist at [name] — create never reopens (or silently wipes) a prior store. *)
 
 val detach : t -> unit
-(** Unregister the store's recovery hook and check rule (for tests that build
-    many stores on one machine). The files remain. *)
+(** Unregister the store's recovery hook (for tests that build many
+    stores on one machine). The files remain. *)
 
 (** {1 Transactions}
 
@@ -60,9 +59,8 @@ val detach : t -> unit
     keys do), values 1..16 KiB (small-class blocks only: large regions
     have no crash-stable identity), root names non-empty without NUL. *)
 
-val begin_txn : t -> int
-(** Returns the transaction id. Raises [Invalid_argument] if one is
-    already open. *)
+val begin_txn : t -> unit
+(** Raises [Invalid_argument] if a transaction is already open. *)
 
 val put : t -> string -> string -> unit
 val delete : t -> string -> unit
@@ -136,7 +134,12 @@ val name : t -> string
 val proc : t -> Os.Proc.t
 (** The owning process — replaced by recovery with a fresh one. *)
 
+val check_roots : t -> Os.Check.violation list
+(** The "store_roots" check, host-side and uncharged: every entry maps
+    through a live FOM extent, every root names a key. The store's half
+    of {!Os.Check.run}, which checks the machine under it. *)
+
 val verify : t -> Os.Check.violation list
-(** Full self-check, host-side and uncharged: the root rule, every index
-    line's checksum, every block's checksum and every entry's place on
-    its key's probe chain. *)
+(** Full self-check, host-side and uncharged: {!check_roots}, every
+    index line's checksum, every block's checksum and every entry's
+    place on its key's probe chain. *)

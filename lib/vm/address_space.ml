@@ -75,59 +75,41 @@ let find_vma t ~va =
     t.last <- hit;
     hit
 
+(* [v]'s piece over [lo, hi), its file offset moved with its start. *)
+let slice (v : Vma.t) ~lo ~hi =
+  let backing =
+    match v.Vma.backing with
+    | Vma.Anon -> Vma.Anon
+    | Vma.File f -> Vma.File { f with file_offset = f.file_offset + (lo - v.Vma.start) }
+  in
+  let piece = Vma.make ~start:lo ~len:(hi - lo) ~prot:v.Vma.prot ~backing ~share:v.Vma.share in
+  piece.Vma.populated <- v.Vma.populated;
+  piece
+
+(* Visits only the VMAs overlapping the range, from the one holding
+   [start] up; a head or tail left outside it stays mapped. The removed
+   pieces come back highest first, the order teardown walks them in. *)
 let remove_range t ~start ~len =
   t.last <- None;
   let finish = start + len in
-  let removed = ref [] in
-  let to_delete = ref [] in
-  let to_add = ref [] in
-  IntMap.iter
-    (fun s (v : Vma.t) ->
-      let v_end = Vma.end_ v in
-      if v_end <= start || s >= finish then ()
-      else begin
-        to_delete := s :: !to_delete;
-        (* Head piece survives below the cut. *)
-        if s < start then begin
-          let head =
-            Vma.make ~start:s ~len:(start - s) ~prot:v.Vma.prot ~backing:v.Vma.backing
-              ~share:v.Vma.share
-          in
-          head.Vma.populated <- v.Vma.populated;
-          to_add := head :: !to_add
-        end;
-        (* Tail piece survives above the cut. *)
-        if v_end > finish then begin
-          let backing =
-            match v.Vma.backing with
-            | Vma.Anon -> Vma.Anon
-            | Vma.File { fs; ino; file_offset } ->
-              Vma.File { fs; ino; file_offset = file_offset + (finish - s) }
-          in
-          let tail =
-            Vma.make ~start:finish ~len:(v_end - finish) ~prot:v.Vma.prot ~backing
-              ~share:v.Vma.share
-          in
-          tail.Vma.populated <- v.Vma.populated;
-          to_add := tail :: !to_add
-        end;
-        let cut_start = max s start and cut_end = min v_end finish in
-        let piece =
-          Vma.make ~start:cut_start ~len:(cut_end - cut_start) ~prot:v.Vma.prot
-            ~backing:
-              (match v.Vma.backing with
-              | Vma.Anon -> Vma.Anon
-              | Vma.File { fs; ino; file_offset } ->
-                Vma.File { fs; ino; file_offset = file_offset + (cut_start - s) })
-            ~share:v.Vma.share
-        in
-        piece.Vma.populated <- v.Vma.populated;
-        removed := piece :: !removed
-      end)
-    t.vmas;
-  List.iter (fun s -> t.vmas <- IntMap.remove s t.vmas) !to_delete;
-  List.iter (fun v -> t.vmas <- IntMap.add v.Vma.start v t.vmas) !to_add;
-  !removed
+  let first =
+    match IntMap.find_last_opt (fun s -> s < start) t.vmas with
+    | Some (s, v) when Vma.end_ v > start -> s
+    | _ -> start
+  in
+  let vmas, removed =
+    Seq.fold_left
+      (fun (vmas, removed) (s, v) ->
+        let e = Vma.end_ v in
+        let vmas = IntMap.remove s vmas in
+        let vmas = if s < start then IntMap.add s (slice v ~lo:s ~hi:start) vmas else vmas in
+        let vmas = if e > finish then IntMap.add finish (slice v ~lo:finish ~hi:e) vmas else vmas in
+        (vmas, slice v ~lo:(max s start) ~hi:(min e finish) :: removed))
+      (t.vmas, [])
+      (Seq.take_while (fun (s, _) -> s < finish) (IntMap.to_seq_from first t.vmas))
+  in
+  t.vmas <- vmas;
+  removed
 
 let vma_count t = IntMap.cardinal t.vmas
 let iter_vmas t f = IntMap.iter (fun _ v -> f v) t.vmas

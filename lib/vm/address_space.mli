@@ -24,7 +24,7 @@ val insert_vma : t -> Vma.t -> unit
 
 val remove_range : t -> start:int -> len:int -> Vma.t list
 (** Remove all VMAs fully inside the range (partial overlaps split);
-    returns the removed pieces. *)
+    returns the removed pieces, highest first. *)
 
 val find_vma : t -> va:int -> Vma.t option
 val vma_count : t -> int

@@ -278,16 +278,6 @@ let check_fs acc ~name fs =
       }
       :: !acc
 
-(* Extension rules: layers above [os] (e.g. the object store) register
-   invariants here so [run] stays the single entry point. Rules are
-   global — each must filter on the kernel it is handed (physical
-   equality against the kernel it was built for) and return [] for any
-   other machine. *)
-let extra_rules : (string, Kernel.t -> violation list) Hashtbl.t = Hashtbl.create 8
-
-let register_rule ~name rule = Hashtbl.replace extra_rules name rule
-let unregister_rule ~name = Hashtbl.remove extra_rules name
-
 let run kernel =
   let acc = ref [] in
   let procs =
@@ -304,17 +294,4 @@ let run kernel =
   check_swap acc kernel procs;
   check_fs acc ~name:"tmpfs" (Kernel.tmpfs kernel);
   (match Kernel.pmfs kernel with Some fs -> check_fs acc ~name:"pmfs" fs | None -> ());
-  let extras =
-    Hashtbl.fold (fun name rule l -> (name, rule) :: l) extra_rules []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter (fun (_, rule) -> acc := List.rev_append (rule kernel) !acc) extras;
   List.rev !acc
-
-let pp ppf vs =
-  match vs with
-  | [] -> Format.fprintf ppf "all invariants hold"
-  | vs ->
-    Format.fprintf ppf "@[<v>%d invariant violation(s):@," (List.length vs);
-    List.iter (fun v -> Format.fprintf ppf "  %s@," (violation_to_string v)) vs;
-    Format.fprintf ppf "@]"

@@ -43,14 +43,4 @@ type violation = { check : string; detail : string }
 val run : Kernel.t -> violation list
 (** Empty list = all invariants hold. Violations are ordered by check. *)
 
-val register_rule : name:string -> (Kernel.t -> violation list) -> unit
-(** Add an extension rule that {!run} evaluates after the built-in
-    checks (rules run in name order; registering an existing name
-    replaces it). The registry is global: a rule must return [[]] for
-    kernels it does not know — filter by physical equality against the
-    kernel the rule was built for. *)
-
-val unregister_rule : name:string -> unit
-
 val violation_to_string : violation -> string
-val pp : Format.formatter -> violation list -> unit

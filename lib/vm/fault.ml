@@ -6,7 +6,7 @@ type ctx = {
   buddy : Alloc.Buddy.t;
   swap : Swap.t;
   zero : Physmem.Zero_engine.t;
-  reclaim : Reclaim.t option;
+  reclaim : Reclaim.t;
 }
 
 type kind = Minor | Major
@@ -36,23 +36,20 @@ let raw_frame ctx =
 let with_reclaim_retry ctx alloc =
   match alloc ctx with
   | Some _ as got -> got
-  | None -> (
-    match ctx.reclaim with
-    | None -> None
-    | Some r ->
-      Sim.Stats.incr (stats ctx) "alloc_retry_reclaim";
-      let trace = Physmem.Phys_mem.trace ctx.mem in
-      let causal = Sim.Trace.causal trace in
-      let core = Sim.Trace.current_core trace in
-      let stall = Sim.Causal.emit causal ~core ~op:"alloc_stall" () in
-      let got = Reclaim.scan r ~target_frames:8 in
-      if got > 0 then Sim.Stats.add (stats ctx) "alloc_reclaimed_frames" got;
-      (* Reclaimed frames land in the zero engine's dirty queue; launder
-         enough of them for the retry to see clean memory. *)
-      ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:(max 1 got));
-      let wake = Sim.Causal.emit causal ~core ~op:"reclaim_wake" ~detail:(string_of_int got) () in
-      Sim.Causal.link causal ~src:stall ~dst:wake ~kind:"reclaim";
-      alloc ctx)
+  | None ->
+    Sim.Stats.incr (stats ctx) "alloc_retry_reclaim";
+    let trace = Physmem.Phys_mem.trace ctx.mem in
+    let causal = Sim.Trace.causal trace in
+    let core = Sim.Trace.current_core trace in
+    let stall = Sim.Causal.emit causal ~core ~op:"alloc_stall" () in
+    let got = Reclaim.scan ctx.reclaim ~target_frames:8 in
+    if got > 0 then Sim.Stats.add (stats ctx) "alloc_reclaimed_frames" got;
+    (* Reclaimed frames land in the zero engine's dirty queue; launder
+       enough of them for the retry to see clean memory. *)
+    ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:(max 1 got));
+    let wake = Sim.Causal.emit causal ~core ~op:"reclaim_wake" ~detail:(string_of_int got) () in
+    Sim.Causal.link causal ~src:stall ~dst:wake ~kind:"reclaim";
+    alloc ctx
 
 let oom ctx what =
   Sim.Stats.incr (stats ctx) "alloc_oom";
@@ -80,10 +77,10 @@ let fresh_zero_frame ctx =
   | Some pfn -> pfn
   | None -> oom ctx "zero frame"
 
-let install ctx aspace ~va ~pfn ~prot ~dirty =
-  Page_meta.map ctx.meta (Address_space.page_table aspace)
+let install ctx aspace ~va ~pfn ~prot ~dirty ~anon =
+  Page_meta.map ctx.meta aspace
     ~va:(Sim.Units.round_down va ~align:Sim.Units.page_size)
-    ~pfn ~prot ~size:Hw.Page_size.Small ~dirty;
+    ~pfn ~prot ~size:Hw.Page_size.Small ~dirty ~anon;
   Page_meta.set_flag ctx.meta pfn Page_meta.Uptodate true;
   (* NUMA placement accounting: did the faulting core get a frame from
      its own domain? (Every install funnels through here.) *)
@@ -96,7 +93,7 @@ let install ctx aspace ~va ~pfn ~prot ~dirty =
 let populate_anon_page ctx ~aspace ~va ~prot =
   let pfn = fresh_zero_frame ctx in
   Page_meta.set_flag ctx.meta pfn Page_meta.Swapbacked true;
-  install ctx aspace ~va ~pfn ~prot ~dirty:false
+  install ctx aspace ~va ~pfn ~prot ~dirty:false ~anon:true
 
 let file_frame_of (vma : Vma.t) ~va =
   match vma.Vma.backing with
@@ -117,9 +114,9 @@ let populate_file_page ctx ~aspace ~(vma : Vma.t) ~va =
       (* Map read-only so a later write takes a CoW fault. *)
       { vma.Vma.prot with Hw.Prot.write = false }
   in
-  install ctx aspace ~va ~pfn ~prot ~dirty:false
+  install ctx aspace ~va ~pfn ~prot ~dirty:false ~anon:false
 
-let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot =
+let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~(vma : Vma.t) =
   let table = Address_space.page_table aspace in
   let old_pfn = old_leaf.Hw.Page_table.pfn in
   (* No zeroing needed: the copy below overwrites the whole page. *)
@@ -132,7 +129,8 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot =
   Page_meta.unmap ctx.meta ~zero:ctx.zero table ~va:page_va old_leaf
     ~owned:(Alloc.Buddy.owns ctx.buddy old_pfn);
   Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
-  install ctx aspace ~va:page_va ~pfn ~prot ~dirty:false;
+  install ctx aspace ~va:page_va ~pfn ~prot:vma.Vma.prot ~dirty:false
+    ~anon:(vma.Vma.backing = Vma.Anon);
   Sim.Stats.incr (stats ctx) "cow_fault"
 
 let handle_inner ctx ~aspace ~pid ~va ~write =
@@ -153,7 +151,7 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
         && vma.Vma.prot.Hw.Prot.write
         && vma.Vma.share = Vma.Private
       then begin
-        cow ctx aspace ~va ~old_leaf:leaf ~prot:vma.Vma.prot;
+        cow ctx aspace ~va ~old_leaf:leaf ~vma;
         Sim.Stats.incr (stats ctx) "minor_fault";
         Minor
       end
@@ -170,7 +168,7 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
           Page_meta.set_flag ctx.meta pfn Page_meta.Swapbacked true;
           (* Real contents: keep the page dirty so a later eviction
              writes it out again. *)
-          install ctx aspace ~va ~pfn ~prot:vma.Vma.prot ~dirty:true;
+          install ctx aspace ~va ~pfn ~prot:vma.Vma.prot ~dirty:true ~anon:true;
           Sim.Stats.incr (stats ctx) "major_fault";
           Major
         end

@@ -12,9 +12,9 @@ type ctx = {
   buddy : Alloc.Buddy.t;  (** DRAM frame source for anonymous pages / CoW *)
   swap : Swap.t;
   zero : Physmem.Zero_engine.t;  (** the pre-zeroed pool, tried first on anon faults *)
-  reclaim : Reclaim.t option;
-      (** when present, a failed allocation gets one reclaim-then-retry
-          pass before [Sim.Errno.Error (ENOMEM, _)] surfaces *)
+  reclaim : Reclaim.t;
+      (** a failed allocation gets one reclaim-then-retry pass here
+          before [Sim.Errno.Error (ENOMEM, _)] surfaces *)
 }
 
 type kind = Minor | Major

@@ -10,7 +10,6 @@ let fork k (parent : Proc.t) =
   let child = Kernel.create_process k () in
   let p_as = parent.Proc.aspace and c_as = child.Proc.aspace in
   let p_table = Address_space.page_table p_as in
-  let c_table = Address_space.page_table c_as in
   let meta = Kernel.page_meta k in
   let clock = Kernel.clock k in
   let model = Sim.Clock.model clock in
@@ -23,20 +22,20 @@ let fork k (parent : Proc.t) =
       (match v.Vma.backing with
       | Vma.File { fs; ino; _ } -> Fs.Memfs.open_file fs ino
       | Vma.Anon -> ());
-      let pages = v.Vma.len / page in
-      for i = 0 to pages - 1 do
+      let anon = v.Vma.backing = Vma.Anon in
+      for i = 0 to (v.Vma.len / page) - 1 do
         let va = v.Vma.start + (i * page) in
         (* Swapped-out private pages come back before sharing (we do not
            model shared swap slots). *)
         if
-          v.Vma.backing = Vma.Anon
+          anon
           && Hw.Page_table.lookup p_table ~va = None
           && Swap.contains (Kernel.swap k) ~key:(parent.Proc.pid, va)
         then Kernel.access k parent ~va ~write:false;
         (* Huge anonymous leaves split first, as in Linux. *)
         (match Hw.Page_table.lookup p_table ~va with
         | Some (_, leaf)
-          when leaf.Hw.Page_table.size <> Hw.Page_size.Small && v.Vma.backing = Vma.Anon ->
+          when leaf.Hw.Page_table.size <> Hw.Page_size.Small && anon ->
           ignore (Thp.split_huge k parent ~va)
         | _ -> ());
         match Hw.Page_table.lookup p_table ~va with
@@ -47,8 +46,8 @@ let fork k (parent : Proc.t) =
           match v.Vma.share with
           | Vma.Shared ->
             (* Shared mapping: alias the frame at full protection. *)
-            Page_meta.map meta c_table ~va ~pfn ~prot:leaf.Hw.Page_table.prot
-              ~size:Hw.Page_size.Small ~dirty
+            Page_meta.map meta c_as ~va ~pfn ~prot:leaf.Hw.Page_table.prot
+              ~size:Hw.Page_size.Small ~dirty ~anon
           | Vma.Private ->
             (* Private: write-protect both sides; first write CoWs. *)
             let ro = { leaf.Hw.Page_table.prot with Hw.Prot.write = false } in
@@ -57,8 +56,7 @@ let fork k (parent : Proc.t) =
               Sim.Clock.charge clock model.Sim.Cost_model.pte_write;
               Hw.Mmu.invalidate_page (Address_space.mmu p_as) ~va
             end;
-            Page_meta.map meta c_table ~va ~pfn ~prot:ro ~size:Hw.Page_size.Small ~dirty;
-            if v.Vma.backing = Vma.Anon then Page_meta.link meta c_as ~va ~pfn)
+            Page_meta.map meta c_as ~va ~pfn ~prot:ro ~size:Hw.Page_size.Small ~dirty ~anon)
       done)
     (List.rev !vmas);
   Sim.Stats.incr (Kernel.stats k) "fork";

@@ -129,7 +129,7 @@ let create ?(config = default_config) () =
     procs = Hashtbl.create 16;
     next_pid = 1;
     userfault = Userfault.create ();
-    ctx = { Fault.mem; meta; buddy; swap; zero; reclaim = Some reclaim };
+    ctx = { Fault.mem; meta; buddy; swap; zero; reclaim };
     busy = false;
     busy_core = 0;
     busy_prev = 0;
@@ -139,7 +139,6 @@ let create ?(config = default_config) () =
 
 let config t = t.config
 let smp t = t.smp
-let sched t = t.sched
 let clock t = t.clock
 let stats t = t.stats
 let trace t = t.trace
@@ -383,16 +382,6 @@ let reset_after_crash t =
   Sim.Stats.set_gauge t.stats "zero_cache_depth"
     (Physmem.Zero_engine.available t.zero + pool t.tmpfs + Option.fold ~none:0 ~some:pool t.pmfs)
 
-(* Under the page's own address: the swap key its next fault asks for. *)
-let register_if_anon t proc ~va =
-  let aspace = proc.Proc.aspace in
-  let va = Sim.Units.round_down va ~align:Sim.Units.page_size in
-  match Address_space.find_vma aspace ~va with
-  | Some { Vma.backing = Vma.Anon; _ } ->
-    let leaf = Hw.Page_table.find (Address_space.page_table aspace) ~va in
-    if leaf != Hw.Page_table.no_leaf then Page_meta.link t.meta aspace ~va ~pfn:leaf.Hw.Page_table.pfn
-  | _ -> ()
-
 let mmap_anon t proc ~len ~prot ~populate =
   syscall t proc "mmap" @@ fun () ->
   if len <= 0 then invalid_arg "Kernel.mmap_anon: empty mapping";
@@ -405,9 +394,7 @@ let mmap_anon t proc ~len ~prot ~populate =
   if populate then begin
     let pages = len / Sim.Units.page_size in
     for i = 0 to pages - 1 do
-      let page_va = va + (i * Sim.Units.page_size) in
-      Fault.populate_anon_page t.ctx ~aspace ~va:page_va ~prot;
-      register_if_anon t proc ~va:page_va
+      Fault.populate_anon_page t.ctx ~aspace ~va:(va + (i * Sim.Units.page_size)) ~prot
     done
   end;
   va
@@ -514,8 +501,8 @@ let handle_userfault t proc ~va ~write ~prot ~(handler : Userfault.handler) =
       Phys_mem.write t.mem ~addr:(Frame.to_addr pfn)
         (String.sub content 0 (min (String.length content) Sim.Units.page_size))
     | Userfault.Zero_page | Userfault.Sigbus -> ());
-    Page_meta.map t.meta (Address_space.page_table aspace) ~va:page_va ~pfn ~prot
-      ~size:Hw.Page_size.Small ~dirty:false
+    Page_meta.map t.meta aspace ~va:page_va ~pfn ~prot ~size:Hw.Page_size.Small ~dirty:false
+      ~anon:false
 
 let user_page_release t proc ~va =
   let aspace = proc.Proc.aspace in
@@ -554,7 +541,6 @@ and access_body t proc ~va ~write =
 
 and kernel_fault t proc ~va ~write =
   ignore (Fault.handle t.ctx ~aspace:proc.Proc.aspace ~pid:proc.Proc.pid ~va ~write : Fault.kind);
-  register_if_anon t proc ~va;
   access_inner t proc ~va ~write
 
 (* [on_core] around [access_inner], with no closure. *)

@@ -40,7 +40,6 @@ val smp : t -> Hw.Smp.t
 (** The machine's core complex: per-core TLBs, IPI counters, busy-cycle
     attribution. *)
 
-val sched : t -> Sched.t
 val clock : t -> Sim.Clock.t
 val stats : t -> Sim.Stats.t
 

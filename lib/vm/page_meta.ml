@@ -82,8 +82,6 @@ let create ~clock ~stats ~frames =
   let chunks = Array.make ((frames + chunk_frames - 1) lsr chunk_bits) no_chunk in
   { clock; stats; frames; chunks; lists = no_lists () }
 
-let frames t = t.frames
-
 let check t pfn = if pfn < 0 || pfn >= t.frames then invalid_arg "Page_meta: frame out of range"
 
 (* For reads: [no_chunk] when never updated, whose fields read zero. *)
@@ -225,12 +223,15 @@ let lru_first t ~active = t.lists.first.(Bool.to_int active)
 let requeue t n ~active = detach t.lists n; append t.lists n (Bool.to_int active)
 
 (* The one frame hand-off of the baseline VM: every user page gets its
-   frame through [map] and gives it back through [unmap]. *)
-let map t table ~va ~pfn ~prot ~size ~dirty =
+   frame through [map] and gives it back through [unmap]. An anonymous
+   base page joins the reclaim lists here, so no mapping path can skip it. *)
+let map t aspace ~va ~pfn ~prot ~size ~dirty ~anon =
+  let table = Address_space.page_table aspace in
   Hw.Page_table.map_page table ~va ~pfn ~prot ~size;
   if dirty then (Hw.Page_table.find table ~va).Hw.Page_table.dirty <- true;
   get_page t pfn;
-  inc_mapcount t pfn
+  inc_mapcount t pfn;
+  if anon && size = Hw.Page_size.Small then link t aspace ~va ~pfn
 
 (* Counts first, then the leaf. The last mapping of a frame its caller
    owns drops the mlock pin and hands every frame of the leaf to the zero
@@ -283,8 +284,3 @@ let iter_lru t f =
     end
   in
   Array.iteri (fun ci c -> Array.iteri (fun i n -> walk ((ci lsl chunk_bits) + i) n) c.heads) t.chunks
-
-let resident_pages t =
-  Array.fold_left
-    (fun acc c -> Array.fold_left (fun acc m -> if m > 0 then acc + 1 else acc) acc c.mapcount)
-    0 t.chunks

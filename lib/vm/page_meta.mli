@@ -36,8 +36,6 @@ type t
 
 val create : clock:Sim.Clock.t -> stats:Sim.Stats.t -> frames:int -> t
 
-val frames : t -> int
-
 val get_flag : t -> Physmem.Frame.t -> flag -> bool
 val set_flag : t -> Physmem.Frame.t -> flag -> bool -> unit
 (** Each flag update charges a small metadata-write cost. *)
@@ -51,7 +49,6 @@ val put_page : t -> Physmem.Frame.t -> unit
 
 val mapcount : t -> Physmem.Frame.t -> int
 val inc_mapcount : t -> Physmem.Frame.t -> unit
-val dec_mapcount : t -> Physmem.Frame.t -> unit
 
 (** {1 The frame hand-off}
 
@@ -60,10 +57,12 @@ val dec_mapcount : t -> Physmem.Frame.t -> unit
     or frees it. *)
 
 val map :
-  t -> Hw.Page_table.t -> va:int -> pfn:Physmem.Frame.t -> prot:Hw.Prot.t ->
-  size:Hw.Page_size.t -> dirty:bool -> unit
+  t -> Address_space.t -> va:int -> pfn:Physmem.Frame.t -> prot:Hw.Prot.t ->
+  size:Hw.Page_size.t -> dirty:bool -> anon:bool -> unit
 (** Install the leaf (with [dirty] as its dirty bit), then take the
-    mapping's reference and mapcount. *)
+    mapping's reference and mapcount. An [anon] 4 KiB mapping at
+    page-aligned [va] also goes on the inactive reclaim list (setting
+    [Lru], charged); a huge leaf stays off the lists. *)
 
 val unmap :
   t -> zero:Physmem.Zero_engine.t -> Hw.Page_table.t -> va:int -> Hw.Page_table.leaf ->
@@ -78,12 +77,9 @@ val unmap :
 (** {1 The reclaim lists}
 
     An intrusive LRU, Linux's [page->lru]: an int-named node per
-    registered anonymous mapping (fork gives a shared frame one per
-    address space), on the inactive or active list and its frame's
-    chain. {!unmap} frees the mapping's node, uncharged. *)
-
-val link : t -> Address_space.t -> va:int -> pfn:Physmem.Frame.t -> unit
-(** Append the mapping at page-aligned [va] to the inactive list; sets [Lru], charged. *)
+    anonymous 4 KiB mapping {!map} installed (fork gives a shared frame
+    one per address space), on the inactive or active list and its
+    frame's chain. {!unmap} frees the mapping's node, uncharged. *)
 
 val unlink : t -> Hw.Page_table.t -> va:int -> pfn:Physmem.Frame.t -> unit
 (** Free [table]'s node for [pfn] at [va], if it has one. No charge. *)
@@ -114,10 +110,6 @@ val iter_counts : t -> (Physmem.Frame.t -> refcount:int -> mapcount:int -> unit)
 (** Visit every frame of every chunk made since boot or the last crash,
     in frame order; frames never updated report zero counts. Host-side
     introspection for the invariant checker: no charge. *)
-
-val resident_pages : t -> int
-(** Frames with [mapcount > 0] — the true level of the "resident_pages"
-    gauge, used to re-baseline it after a crash. *)
 
 val bytes_per_page : int
 (** 64, as in Linux. *)

@@ -8,9 +8,3 @@ type t = {
 
 let create ~pid ~aspace ?(core = 0) ?(affinity = -1) () =
   { pid; aspace; alive = true; core; affinity }
-
-let pp ppf t =
-  Format.fprintf ppf "pid %d (%s, %d vmas, core %d)" t.pid
-    (if t.alive then "alive" else "dead")
-    (Address_space.vma_count t.aspace)
-    t.core

@@ -11,4 +11,3 @@ type t = {
 }
 
 val create : pid:int -> aspace:Address_space.t -> ?core:int -> ?affinity:int -> unit -> t
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,6 @@ let create ~cores =
   if cores <= 0 then invalid_arg "Sched.create: cores must be positive";
   { cores; next = 0 }
 
-let cores t = t.cores
-
 let allowed t ~affinity core = affinity land (1 lsl core) <> 0 && core < t.cores
 
 let pick t ~affinity =

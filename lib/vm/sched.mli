@@ -7,7 +7,6 @@
 type t
 
 val create : cores:int -> t
-val cores : t -> int
 
 val pick : t -> affinity:int -> int
 (** Next core in round-robin rotation whose bit is set in [affinity]

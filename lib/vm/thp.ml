@@ -54,7 +54,8 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
       Hw.Mmu.invalidate_range (Address_space.mmu aspace) ~va:window ~len:Sim.Units.huge_2m;
       (* One huge leaf replaces them all; it holds their data, dirty bits
          included. *)
-      Page_meta.map meta table ~va:window ~pfn:block ~prot ~size:Hw.Page_size.Huge_2m ~dirty;
+      Page_meta.map meta aspace ~va:window ~pfn:block ~prot ~size:Hw.Page_size.Huge_2m ~dirty
+        ~anon:true;
       Page_meta.set_flag meta block Page_meta.Head true;
       Sim.Clock.charge clock (Sim.Cost_model.shootdown_cost model);
       Sim.Stats.incr (Kernel.stats k) "thp_collapse";
@@ -105,11 +106,12 @@ let split_huge k (proc : Proc.t) ~va =
     (* The block is being split, not freed: it keeps its frames. *)
     Page_meta.unmap meta ~zero:(Kernel.zero_engine k) table ~va:window leaf ~owned:false;
     Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:window;
-    (* Remap the same physical block as 512 base pages. *)
+    (* Remap the same physical block as 512 base pages, each back on
+       the reclaim lists. *)
     for i = 0 to pages_per_huge - 1 do
-      Page_meta.map meta table
+      Page_meta.map meta aspace
         ~va:(window + (i * Sim.Units.page_size))
-        ~pfn:(block + i) ~prot ~size:Hw.Page_size.Small ~dirty
+        ~pfn:(block + i) ~prot ~size:Hw.Page_size.Small ~dirty ~anon:true
     done;
     Page_meta.set_flag meta block Page_meta.Head false;
     Sim.Stats.incr (Kernel.stats k) "thp_split";

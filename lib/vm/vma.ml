@@ -29,8 +29,3 @@ let file_page_of_va t ~va =
   match t.backing with
   | File { file_offset; _ } -> (file_offset + (va - t.start)) / Sim.Units.page_size
   | Anon -> invalid_arg "Vma.file_page_of_va: anonymous VMA"
-
-let pp ppf t =
-  Format.fprintf ppf "%#x-%#x %a %s%s" t.start (end_ t) Hw.Prot.pp t.prot
-    (match t.backing with Anon -> "anon" | File { ino; _ } -> "file:" ^ string_of_int ino)
-    (match t.share with Private -> " private" | Shared -> " shared")

@@ -38,5 +38,3 @@ val can_merge : t -> t -> bool
 
 val file_page_of_va : t -> va:int -> int
 (** For file-backed VMAs: logical file page backing [va]. *)
-
-val pp : Format.formatter -> t -> unit

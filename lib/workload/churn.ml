@@ -34,28 +34,6 @@ let generate ~rng ~ops ?(max_bytes = Sim.Units.mib 4) () =
   IntMap.iter (fun _ ids -> free ids) !pending;
   List.rev !ops_out
 
-let to_string ops =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun op ->
-      Buffer.add_string buf
-        (match op with
-        | Alloc { id; bytes } -> Printf.sprintf "A %d %d\n" id bytes
-        | Touch { id } -> Printf.sprintf "T %d\n" id
-        | Free { id } -> Printf.sprintf "F %d\n" id))
-    ops;
-  Buffer.contents buf
-
-let of_string s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> l <> "")
-  |> List.map (fun line ->
-         match String.split_on_char ' ' line with
-         | [ "A"; id; bytes ] -> Alloc { id = int_of_string id; bytes = int_of_string bytes }
-         | [ "T"; id ] -> Touch { id = int_of_string id }
-         | [ "F"; id ] -> Free { id = int_of_string id }
-         | _ -> invalid_arg ("Churn.of_string: bad line: " ^ line))
-
 type heap_driver = {
   h_malloc : bytes:int -> int;
   h_free : int -> unit;

@@ -13,13 +13,6 @@ val generate :
     every allocation is touched (one byte per page) once while live. All
     allocations are eventually freed. *)
 
-val to_string : op list -> string
-(** Serialize a trace, one op per line ("A id bytes" / "T id" / "F id"). *)
-
-val of_string : string -> op list
-(** Parse a serialized trace. Raises [Invalid_argument] on malformed
-    input. *)
-
 type heap_driver = {
   h_malloc : bytes:int -> int;
   h_free : int -> unit;

@@ -550,52 +550,6 @@ let test_swap_on_pmfs () =
     (Bytes.to_string (Physmem.Phys_mem.read (K.mem k) ~addr:pa ~len:11));
   check_int "slot freed" 0 (Os.Swap.slots_used (K.swap k))
 
-(* OOM killer *)
-
-let test_oom_picks_largest () =
-  let k = mk_kernel () in
-  let small = K.create_process k () in
-  let big = K.create_process k () in
-  let va_s = K.mmap_anon k small ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ~populate:true in
-  let va_b = K.mmap_anon k big ~len:(Sim.Units.kib 64) ~prot:Hw.Prot.rw ~populate:true in
-  ignore (va_s, va_b);
-  (match Os.Oom.pick_victim k () with
-  | Some v -> check_int "largest rss chosen" big.Os.Proc.pid v.Os.Proc.pid
-  | None -> Alcotest.fail "no victim");
-  check_bool "killed" true (Os.Oom.on_pressure k () = Some big.Os.Proc.pid);
-  check_int "one process left" 1 (K.process_count k);
-  check_bool "except honoured" true
-    (Os.Oom.pick_victim k ~except:small.Os.Proc.pid () = None)
-
-let test_oom_recovers_allocation () =
-  (* A machine whose anon pool is tiny: one hog fills it with *pinned*
-     memory (so the reclaim-then-retry pass cannot swap its way out), a
-     newcomer gets a typed ENOMEM, the killer frees the hog, the
-     newcomer proceeds. *)
-  let config =
-    { Helpers.small_config with Os.Kernel.dram_bytes = Sim.Units.mib 16; nvm_bytes = 0 }
-  in
-  let k = mk_kernel ~config () in
-  let hog = K.create_process k () in
-  (* Anon pool is 8MiB (half of DRAM rounded to buddy blocks). *)
-  let va = K.mmap_anon k hog ~len:(Sim.Units.mib 6) ~prot:Hw.Prot.rw ~populate:false in
-  ignore (K.access_range k hog ~va ~len:(Sim.Units.mib 6) ~write:true ~stride:Sim.Units.page_size);
-  K.mlock k hog ~va ~len:(Sim.Units.mib 6);
-  let newcomer = K.create_process k () in
-  let va2 = K.mmap_anon k newcomer ~len:(Sim.Units.mib 3) ~prot:Hw.Prot.rw ~populate:false in
-  (* The newcomer pins as it faults, so reclaim cannot rob Peter to pay
-     Paul with the newcomer's own cold pages: pressure is genuine. *)
-  let oomed =
-    try
-      K.mlock k newcomer ~va:va2 ~len:(Sim.Units.mib 3);
-      false
-    with Sim.Errno.Error (Sim.Errno.ENOMEM, _) -> true
-  in
-  check_bool "allocation pressure hit" true oomed;
-  check_bool "killer found the hog" true (Os.Oom.on_pressure k ~except:newcomer.Os.Proc.pid () = Some hog.Os.Proc.pid);
-  (* Freed frames recirculate through the zero pool: retry succeeds. *)
-  ignore (K.access_range k newcomer ~va:va2 ~len:(Sim.Units.mib 3) ~write:true ~stride:Sim.Units.page_size)
-
 (* Context switching / ASIDs *)
 
 let test_context_switch_flush_vs_asid () =
@@ -768,8 +722,6 @@ let suite =
       test_grow_does_not_break_other_mappers;
     Alcotest.test_case "fom: guard pages" `Quick test_fom_guard_pages;
     Alcotest.test_case "swap: PMFS swapfile backing" `Quick test_swap_on_pmfs;
-    Alcotest.test_case "oom: victim selection" `Quick test_oom_picks_largest;
-    Alcotest.test_case "oom: pressure recovery" `Quick test_oom_recovers_allocation;
     Alcotest.test_case "kernel: context switch flush vs ASIDs" `Quick test_context_switch_flush_vs_asid;
     Alcotest.test_case "kernel: madvise releases + zero refault" `Quick
       test_madvise_releases_and_refaults_zero;

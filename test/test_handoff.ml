@@ -107,7 +107,8 @@ let test_fork_child_dirty () =
   check_intact k child ~va ~pages:16 "child keeps its inherited pages"
 
 (* A collapse keeps its pages' dirty bits and a split passes them on, so
-   a child forked from a collapsed range swaps its pages, too. *)
+   the parent's split pages and a child forked from a collapsed range
+   swap their pages, too. *)
 let test_collapse_keeps_dirty () =
   let k = mk_kernel () in
   let parent = K.create_process k () in
@@ -115,8 +116,9 @@ let test_collapse_keeps_dirty () =
   let va = tagged k parent ~pages in
   collapse_all k parent ~va ~len:Sim.Units.huge_2m;
   let child = Os.Fork.fork k parent in
-  check_int "child's mappings evicted" pages (Os.Reclaim.scan (K.reclaim k) ~target_frames:pages);
-  check_int "swapped, not dropped" pages (Sim.Stats.get (K.stats k) "reclaim_swapped");
+  check_int "both sides' mappings evicted" (2 * pages)
+    (Os.Reclaim.scan (K.reclaim k) ~target_frames:(2 * pages));
+  check_int "swapped, not dropped" (2 * pages) (Sim.Stats.get (K.stats k) "reclaim_swapped");
   check_intact k child ~va ~pages "child keeps its pages"
 
 (* 5. Swapping out one mapping of a shared frame must not wipe it. *)
@@ -282,6 +284,32 @@ let test_teardown_drops_swap_slots () =
   check_int "a crash drops every slot" 0 (slots ());
   check_clean k "clean after the crash"
 
+(* 12. A THP split maps its 512 base pages back onto the reclaim lists,
+   and so does the split a fork makes of a collapsed parent. *)
+let test_split_relinks () =
+  let k = mk_kernel () in
+  let r = K.reclaim k in
+  let pages = Sim.Units.huge_2m / page in
+  let p = K.create_process k () in
+  let va = tagged k p ~pages in
+  check_int "touched pages tracked" pages (Os.Reclaim.tracked r);
+  collapse_all k p ~va ~len:Sim.Units.huge_2m;
+  check_int "a huge leaf is off the lists" 0 (Os.Reclaim.tracked r);
+  check_bool "split" true (Os.Thp.split_huge k p ~va);
+  check_int "split pages tracked" pages (Os.Reclaim.tracked r);
+  check_clean k "clean after the split";
+  check_int "a scan evicts" 16 (Os.Reclaim.scan r ~target_frames:16);
+  check_clean k "clean after the scan";
+  check_intact k p ~va ~pages "split pages keep their data";
+  let q = K.create_process k () in
+  let va = tagged k q ~pages in
+  collapse_all k q ~va ~len:Sim.Units.huge_2m;
+  let before = Os.Reclaim.tracked r in
+  ignore (Os.Fork.fork k q);
+  check_int "fork tracks the parent's and the child's pages" (before + (2 * pages))
+    (Os.Reclaim.tracked r);
+  check_clean k "clean after the fork"
+
 (* --- Model test: page contents under every baseline VM operation ----- *)
 
 (* The model is what each process should read at every page it wrote
@@ -416,4 +444,5 @@ let suite =
       test_exit_returns_userfault_pages;
     prop_vm_model;
     Alcotest.test_case "swap: teardown drops its slots" `Quick test_teardown_drops_swap_slots;
+    Alcotest.test_case "defect 12: a THP split relinks its pages" `Quick test_split_relinks;
   ]

@@ -25,7 +25,7 @@ let mk_store ?(seed = 1) ?manifest_bytes () =
   (kernel, fom, plane, st)
 
 let commit_put st kvs roots =
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   List.iter (fun (k, v) -> Kv.put st k v) kvs;
   List.iter (fun (r, k) -> Kv.set_root st r k) roots;
   Kv.commit st
@@ -55,7 +55,7 @@ let test_basic () =
 let test_abort_discards () =
   let _, _, _, st = mk_store () in
   commit_put st [ ("keep", "v") ] [];
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.put st "drop" "x";
   Kv.delete st "keep";
   Kv.abort st;
@@ -66,7 +66,7 @@ let test_abort_discards () =
 let test_delete_clears_roots () =
   let _, _, _, st = mk_store () in
   commit_put st [ ("a", "1"); ("b", "2") ] [ ("head", "a"); ("tail", "b") ];
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.delete st "a";
   Kv.commit st;
   Alcotest.(check (option string)) "root of deleted key cleared" None (Kv.root st "head");
@@ -91,15 +91,15 @@ let test_validation () =
   let kernel, fom, _, st = mk_store () in
   Alcotest.check_raises "no txn" (Invalid_argument "Store: no open transaction") (fun () ->
       Kv.put st "k" "v");
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Alcotest.check_raises "double begin" (Invalid_argument "Store.begin_txn: transaction already open")
-    (fun () -> ignore (Kv.begin_txn st));
+    (fun () -> Kv.begin_txn st);
   Alcotest.check_raises "empty key" (Invalid_argument "Store.put: bad key") (fun () ->
       Kv.put st "" "v");
   Alcotest.check_raises "oversized value" (Invalid_argument "Store.put: bad value size") (fun () ->
       Kv.put st "k" (String.make (Sim.Units.kib 17) 'x'));
   Kv.abort st;
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.put st "k" "v";
   Kv.set_root st "head" "missing";
   Alcotest.check_raises "root naming a dead key"
@@ -119,7 +119,7 @@ let test_crash_recovers_committed_prefix () =
   let _, fom, _, st = mk_store () in
   commit_put st [ ("stable", "before") ] [ ("head", "stable") ];
   let proc_before = Kv.proc st in
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.put st "inflight" "never committed";
   (* Power fails with the transaction open: nothing of it was logged. *)
   let report = P.crash_and_recover fom in
@@ -385,7 +385,7 @@ let test_delete_across_damage_refused () =
   in
   let k = match hidden with k :: _ -> k | [] -> Alcotest.fail "no key reads as EIO" in
   let logged = Kv.wal_used_bytes st in
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.delete st k;
   (match Kv.commit st with
   | () -> Alcotest.failf "delete of %s across a damaged line was acknowledged" k
@@ -400,7 +400,7 @@ let test_injected_fault_sites () =
   let kernel, _, plane, st = mk_store () in
   (* Commit abort: typed EIO before anything is logged. *)
   FI.arm plane ~site:FI.site_store_commit (FI.On_nth 1);
-  ignore (Kv.begin_txn st);
+  Kv.begin_txn st;
   Kv.put st "k" "v";
   (try
      Kv.commit st;
@@ -432,22 +432,18 @@ let test_injected_fault_sites () =
   check_int "self-check clean" 0 (List.length (Kv.verify st));
   Kv.detach st
 
-(* ------------------------------ invariant rule ----------------------- *)
+(* ------------------------------ root check --------------------------- *)
 
 let test_check_rule_guards_roots () =
-  let kernel, fom, _, st = mk_store () in
+  let _, fom, _, st = mk_store () in
   commit_put st [ ("a", "1") ] [ ("head", "a") ];
-  check_int "rule quiet on a healthy store" 0
-    (List.length (List.filter (fun v -> v.Os.Check.check = "store_roots") (Os.Check.run kernel)));
-  (* Destroy the arena behind the live root: the rule must notice. *)
+  check_int "rule quiet on a healthy store" 0 (List.length (Kv.check_roots st));
+  (* Destroy the arena behind the live root: the check must notice. *)
   Fs.Memfs.unlink (O1mem.Fom.fs fom) "/kv.arena.0";
-  let tripped =
-    List.filter (fun v -> v.Os.Check.check = "store_roots") (Os.Check.run kernel)
-  in
-  check_bool "rule trips on a lost arena" true (tripped <> []);
-  Kv.detach st;
-  check_int "detached rule unregistered" 0
-    (List.length (List.filter (fun v -> v.Os.Check.check = "store_roots") (Os.Check.run kernel)))
+  let tripped = Kv.check_roots st in
+  check_bool "rule trips on a lost arena" true
+    (tripped <> [] && List.for_all (fun v -> v.Os.Check.check = "store_roots") tripped);
+  Kv.detach st
 
 (* ------------------------------ corruption (qcheck) ------------------ *)
 
@@ -610,7 +606,7 @@ let run_model_cmd (fom, plane, st) m = function
     let want = if commit then model_txn m ops else Some m in
     let outcome =
       match
-        ignore (Kv.begin_txn st);
+        Kv.begin_txn st;
         List.iter
           (function
             | M_put (k, v) -> Kv.put st k v
@@ -656,7 +652,7 @@ let prop_store_matches_model =
                  (Os.Check.violation_to_string v));
              m)
            (SM.empty, SM.empty) cmds);
-      let clean = Os.Check.run kernel = [] in
+      let clean = Os.Check.run kernel @ Kv.check_roots st = [] in
       Kv.detach st;
       clean)
 
@@ -715,7 +711,7 @@ let test_crash_during_recovery () =
             commit_put st [ ("base", "preloaded") ] [ ("head", "base") ];
             Kv.checkpoint st;
             List.iter (fun kv -> commit_put st [ kv ] []) committed;
-            ignore (Kv.begin_txn st);
+            Kv.begin_txn st;
             Kv.put st "inflight" "never committed";
             P.crash fom;
             (kernel, fom, st))

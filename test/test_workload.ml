@@ -129,14 +129,6 @@ let test_churn_runs_on_both_heaps () =
   check_int "fom heap ends empty" 0 (Heap.Fom_heap.live_bytes fh);
   check_int "baseline heap ends empty" 0 (Heap.Malloc_sim.live_bytes mh)
 
-let test_churn_serialization_roundtrip () =
-  let rng = Sim.Rng.create ~seed:8 in
-  let trace = Wl.Churn.generate ~rng ~ops:100 () in
-  let back = Wl.Churn.of_string (Wl.Churn.to_string trace) in
-  check_bool "round trip" true (back = trace);
-  Alcotest.check_raises "bad input" (Invalid_argument "Churn.of_string: bad line: garbage")
-    (fun () -> ignore (Wl.Churn.of_string "garbage"))
-
 let test_fs_study_matches_agrawal () =
   let rng = Sim.Rng.create ~seed:5 in
   let r = Wl.Fs_study.run ~rng Wl.Fs_study.default_params in
@@ -211,7 +203,6 @@ let suite =
     Alcotest.test_case "churn: same ops as the list-merge generator" `Quick test_churn_matches_list_merge;
     prop_churn_matches_list_merge;
     Alcotest.test_case "churn: replays on both heaps" `Quick test_churn_runs_on_both_heaps;
-    Alcotest.test_case "churn: serialization round-trips" `Quick test_churn_serialization_roundtrip;
     Alcotest.test_case "fs study: utilization under 50% (Agrawal)" `Quick test_fs_study_matches_agrawal;
     Alcotest.test_case "fs study: deterministic" `Quick test_fs_study_deterministic;
     Alcotest.test_case "scenario: desktop mix well-formed" `Quick
