@@ -32,4 +32,5 @@ val split_huge : Kernel.t -> Proc.t -> va:int -> bool
     physical block — the pre-swap fragmentation the paper mentions
     ("2MB pages are expensive to swap and Linux instead fragments them").
     Each base page takes its own reference and mapcount and the huge
-    leaf's dirty bit. Returns [false] if [va] is not under a huge leaf. *)
+    leaf's dirty bit, and goes back on the reclaim lists. Returns
+    [false] if [va] is not under a huge leaf. *)
