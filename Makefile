@@ -108,7 +108,9 @@ timeline:
 # seed matrix, then the store end-to-end
 # crash/recovery demo. Exit 1 on any unexpected invariant violation
 # (see EXPERIMENTS.md "R1 — does it survive?" and "R2 — does the store
-# survive?"). CI runs this.
+# survive?"). Last, the physmem suite, whose model property checks
+# Phys_mem against a flat byte model, under QCHECK_SEED 1 to 20; the
+# first seed that fails stops the sweep and is printed. CI runs this.
 chaos:
 	dune exec bin/o1mem_cli.exe -- faults --seed 42 --plan each --explore
 	dune exec bin/o1mem_cli.exe -- faults --seed 7 --plan each
@@ -116,5 +118,9 @@ chaos:
 	dune exec bin/o1mem_cli.exe -- faults --seed 99 --plan tlb --rounds 32
 	dune exec bin/o1mem_cli.exe -- faults --seed 31 --plan store --rounds 24
 	dune exec bin/o1mem_cli.exe -- store
+	@for seed in $$(seq 1 20); do \
+	  out=$$(QCHECK_SEED=$$seed dune exec test/main.exe -- test physmem 2>&1) || { \
+	    printf '%s\n' "$$out"; echo "test physmem fails at QCHECK_SEED=$$seed"; exit 1; }; \
+	done; echo "test physmem passes at QCHECK_SEED 1-20"
 
 .PHONY: all test test-verbose bench examples clean check bench-diff perf-smoke profile hotspots chaos timeline

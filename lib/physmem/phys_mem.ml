@@ -2,18 +2,19 @@ type region = Dram | Nvm
 
 (* Contents are pfn-indexed and sparse. Frames are grouped into chunks
    of [chunk_frames]; a chunk's slots are allocated on the first non-zero
-   write to one of its frames. A frame holding a non-zero byte owns a
-   4 KiB buffer. When the frame becomes all-zero again, the buffer is
-   scrubbed over the span it was written in and goes back on a free
-   list, so a later write reuses it instead of allocating. *)
+   write to one of its frames. A frame whose only non-zero byte came
+   from a byte write keeps it inline, in [one]; a second non-zero byte,
+   a bulk write or a persistent write gives the frame a 4 KiB buffer,
+   and the byte moves into it. When the frame becomes all-zero again,
+   the buffer is scrubbed and goes back on a free list, so a later
+   write reuses it instead of allocating. *)
 let chunk_bits = 9
 let chunk_frames = 1 lsl chunk_bits
 
 type chunk = {
   data : Bytes.t array; (* the frame's buffer, or [no_data] *)
-  nonzero : int array; (* non-zero bytes in the buffer *)
-  lo : int array; (* every byte of the buffer outside [lo, hi) is zero *)
-  hi : int array;
+  one : int array; (* without a buffer: the one non-zero byte, [off lsl 8 lor byte], or 0 *)
+  nonzero : int array; (* non-zero bytes in the frame *)
   (* The persistence domain, made on the chunk's first persistent write.
      A frame with unflushed lines owns an undo page from the free list:
      at each such line's offset, the bytes the line held just before its
@@ -25,7 +26,7 @@ type chunk = {
 }
 
 let no_data = Bytes.empty
-let no_chunk = { data = [||]; nonzero = [||]; lo = [||]; hi = [||]; undo = [||]; dirty = [||] }
+let no_chunk = { data = [||]; one = [||]; nonzero = [||]; undo = [||]; dirty = [||] }
 
 type t = {
   clock : Sim.Clock.t;
@@ -168,6 +169,19 @@ let buffer t pfn =
   let c = chunk t pfn in
   if c == no_chunk then no_data else c.data.(slot pfn)
 
+(* Frame [pfn]'s inline byte, [off lsl 8 lor byte], or 0. *)
+let inline t pfn =
+  let c = chunk t pfn in
+  if c == no_chunk then 0 else c.one.(slot pfn)
+
+let byte_of o = Char.unsafe_chr (o land 0xff)
+
+(* Where inline byte [o] falls in the [run] bytes from [off]: its index
+   there, or -1. *)
+let index_in o ~off ~run =
+  let k = (o lsr 8) - off in
+  if o <> 0 && k >= 0 && k < run then k else -1
+
 (* A scrubbed buffer, from the free list if it has one. *)
 let take_buffer t =
   if t.nfree = 0 then Bytes.make Sim.Units.page_size '\000'
@@ -195,58 +209,60 @@ let chunk_of t pfn =
     t.chunks.(ci) <-
       {
         data = Array.make chunk_frames no_data;
+        one = Array.make chunk_frames 0;
         nonzero = Array.make chunk_frames 0;
-        lo = Array.make chunk_frames Sim.Units.page_size;
-        hi = Array.make chunk_frames 0;
         undo = [||];
         dirty = [||];
       };
   t.chunks.(ci)
 
-(* Frame [pfn]'s chunk, once the frame owns a buffer. *)
+(* Frame [pfn]'s chunk, once the frame owns a buffer; its inline byte
+   moves into the buffer. *)
 let writable t pfn =
   let c = chunk_of t pfn and i = slot pfn in
-  if c.data.(i) == no_data then c.data.(i) <- take_buffer t;
+  if c.data.(i) == no_data then begin
+    let b = take_buffer t and o = c.one.(i) in
+    if o <> 0 then Bytes.set b (o lsr 8) (byte_of o);
+    c.one.(i) <- 0;
+    c.data.(i) <- b
+  end;
   c
 
-(* Record that [lo, hi) of slot [i]'s buffer was written. *)
-let widen c i ~lo ~hi =
-  if lo < c.lo.(i) then c.lo.(i) <- lo;
-  if hi > c.hi.(i) then c.hi.(i) <- hi
-
-(* Drop slot [i]'s contents: scrub the written span of its buffer unless
-   it is already all-zero, and put the buffer on the free list. *)
+(* Drop slot [i]'s contents: its inline byte, or its buffer, scrubbed
+   unless already all-zero and put on the free list. *)
 let release t c i =
   let b = c.data.(i) in
   if b != no_data then begin
-    if c.nonzero.(i) > 0 then Bytes.fill b c.lo.(i) (c.hi.(i) - c.lo.(i)) '\000';
+    if c.nonzero.(i) > 0 then Bytes.fill b 0 Sim.Units.page_size '\000';
     give_buffer t b;
-    c.data.(i) <- no_data;
-    c.nonzero.(i) <- 0;
-    c.lo.(i) <- Sim.Units.page_size;
-    c.hi.(i) <- 0
-  end
+    c.data.(i) <- no_data
+  end;
+  c.one.(i) <- 0;
+  c.nonzero.(i) <- 0
 
 let peek_byte t addr =
-  let b = buffer t (Frame.of_addr addr) in
-  if b == no_data then '\000' else Bytes.get b (Frame.offset_in_frame addr)
+  let pfn = Frame.of_addr addr and off = Frame.offset_in_frame addr in
+  let b = buffer t pfn and o = inline t pfn in
+  if b != no_data then Bytes.get b off else if o lsr 8 = off then byte_of o else '\000'
 
 let poke_byte t addr ch =
   let pfn = Frame.of_addr addr and off = Frame.offset_in_frame addr in
-  let i = slot pfn in
-  if ch = '\000' then begin
-    let c = chunk t pfn in
-    if c != no_chunk && c.data.(i) != no_data && Bytes.get c.data.(i) off <> '\000' then begin
-      Bytes.set c.data.(i) off '\000';
-      c.nonzero.(i) <- c.nonzero.(i) - 1;
-      if c.nonzero.(i) = 0 then release t c i
+  let i = slot pfn and b = buffer t pfn and o = inline t pfn in
+  if b == no_data && (o = 0 || o lsr 8 = off) then begin
+    (* No other non-zero byte: this one stays inline. *)
+    if ch <> '\000' then begin
+      let c = chunk_of t pfn in
+      c.one.(i) <- (off lsl 8) lor Char.code ch;
+      c.nonzero.(i) <- 1
     end
+    else if o <> 0 then release t (chunk t pfn) i
   end
-  else begin
+  else if b != no_data || ch <> '\000' then begin
+    (* A second non-zero byte gives the frame a buffer. *)
     let c = writable t pfn in
-    if Bytes.get c.data.(i) off = '\000' then c.nonzero.(i) <- c.nonzero.(i) + 1;
+    c.nonzero.(i) <- c.nonzero.(i) + Bool.to_int (ch <> '\000') - Bool.to_int (Bytes.get c.data.(i) off <> '\000');
     Bytes.set c.data.(i) off ch;
-    widen c i ~lo:off ~hi:(off + 1)
+    if c.nonzero.(i) = 0 then release t c i
   end
 
 let check_addr t addr len =
@@ -298,7 +314,13 @@ let read_into t ~addr ~len dst ~pos =
     let off = Frame.offset_in_frame a in
     let run = min (len - !copied) (Sim.Units.page_size - off) in
     let b = buffer t (Frame.of_addr a) in
-    if b == no_data then Bytes.fill dst (pos + !copied) run '\000' else Bytes.blit b off dst (pos + !copied) run;
+    if b != no_data then Bytes.blit b off dst (pos + !copied) run
+    else begin
+      let o = inline t (Frame.of_addr a) in
+      Bytes.fill dst (pos + !copied) run '\000';
+      let k = index_in o ~off ~run in
+      if k >= 0 then Bytes.set dst (pos + !copied + k) (byte_of o)
+    end;
     copied := !copied + run
   done
 
@@ -345,6 +367,8 @@ let store t ~addr src ~pos ~len =
     let pfn = Frame.of_addr a in
     let off = Frame.offset_in_frame a in
     let run = min (len - !copied) (Sim.Units.page_size - off) in
+    (* A bulk write gives a frame its buffer before it meets the inline byte. *)
+    if inline t pfn <> 0 then ignore (writable t pfn);
     let b = buffer t pfn in
     let d = nonzero_delta b off src (pos + !copied) run in
     (* Zeros into a frame without a buffer change nothing. *)
@@ -352,7 +376,6 @@ let store t ~addr src ~pos ~len =
       let c = writable t pfn and i = slot pfn in
       Bytes.blit src (pos + !copied) c.data.(i) off run;
       c.nonzero.(i) <- c.nonzero.(i) + d;
-      widen c i ~lo:off ~hi:(off + run);
       if c.nonzero.(i) = 0 then release t c i
     end;
     copied := !copied + run
@@ -370,7 +393,9 @@ let write t ~addr s = write_sub t ~addr (Bytes.unsafe_of_string s) ~pos:0 ~len:(
 let zero_page = Bytes.make Sim.Units.page_size '\000' (* only ever read *)
 
 (* Charged as [read_into] then [write_sub]; each run goes from the source
-   frame's buffer straight into the destination. *)
+   frame's buffer straight into the destination. A source without a
+   buffer lends zeros, then its inline byte, read before the destination
+   is written (it may be the same frame). *)
 let copy t ~src ~dst ~len =
   check_addr t src len;
   check_addr t dst len;
@@ -378,9 +403,12 @@ let copy t ~src ~dst ~len =
   charge_bulk t ~addr:src ~len ~write:false;
   charge_bulk t ~addr:dst ~len ~write:true;
   let rec from pos =
-    let off = Frame.offset_in_frame (src + pos) and b = buffer t (Frame.of_addr (src + pos)) in
+    let pfn = Frame.of_addr (src + pos) and off = Frame.offset_in_frame (src + pos) in
+    let b = buffer t pfn and o = inline t pfn in
     let run = min (len - pos) (Sim.Units.page_size - off) in
     store t ~addr:(dst + pos) (if b == no_data then zero_page else b) ~pos:off ~len:run;
+    let k = index_in o ~off ~run in
+    if k >= 0 then poke_byte t (dst + pos + k) (byte_of o);
     if pos + run < len then from (pos + run)
   in
   if len > 0 then from 0
@@ -405,7 +433,8 @@ let zero_range t ~addr ~len =
       done;
       Bytes.fill b off run '\000';
       if c.nonzero.(i) = 0 then release t c i
-    end;
+    end
+    else if c != no_chunk && index_in c.one.(i) ~off ~run >= 0 then release t c i;
     pos := !pos + run
   done;
   let model = Sim.Clock.model t.clock in
@@ -484,6 +513,7 @@ let keep_image t line =
     c.dirty.(dirty_word i l) <- c.dirty.(dirty_word i l) lor dirty_bit l;
     t.unflushed <- t.unflushed + 1;
     if c.undo.(i) == no_data then c.undo.(i) <- take_buffer t;
+    if c.one.(i) <> 0 then ignore (writable t pfn);
     if c.data.(i) != no_data then Bytes.blit c.data.(i) off c.undo.(i) off line_bytes
   end
 

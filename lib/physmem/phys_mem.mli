@@ -6,12 +6,12 @@
     never written reads as zero. Frames are grouped into chunks of 512
     (2 MiB); a chunk's per-frame slots are made on the first non-zero
     write into it, so an untouched chunk costs one word of the directory
-    made with the machine (32 KiB for 8 GiB). A frame holding a non-zero
-    byte owns a 4 KiB host buffer. When it becomes all-zero again (zeroed,
+    made with the machine (32 KiB for 8 GiB). A frame whose one non-zero
+    byte came from {!write_byte} (a page fault's write marker) keeps it
+    inline in an int; a second non-zero byte, a bulk or persistent write
+    gives it a 4 KiB host buffer. When it becomes all-zero again (zeroed,
     discarded, lost in a crash or overwritten with zeros) the buffer is
-    scrubbed over the span that was written and goes on a free list, and
-    the next frame written takes it from there: a page fault's write
-    marker reuses memory instead of allocating it.
+    scrubbed and goes on a free list, where the next frame takes it.
 
     Every access charges the shared {!Sim.Clock} one cache-line-granular
     memory reference priced by the region (DRAM vs NVM read/write), and

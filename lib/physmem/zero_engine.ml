@@ -1,13 +1,42 @@
-type t = { mem : Phys_mem.t; dirty : Frame.t Queue.t; zeroed : Frame.t Queue.t }
+(* A first-in first-out queue of frames: an int ring whose power-of-two
+   capacity doubles when it is full, so a frame in or out allocates nothing. *)
+type ring = { mutable buf : Frame.t array; mutable head : int; mutable len : int }
+
+type t = { mem : Phys_mem.t; dirty : ring; zeroed : ring }
+
+let ring () = { buf = [||]; head = 0; len = 0 }
+
+let push r pfn =
+  let cap = Array.length r.buf in
+  if r.len = cap then begin
+    let b = Array.make (max 64 (2 * cap)) 0 in
+    Array.blit r.buf r.head b 0 (cap - r.head);
+    Array.blit r.buf 0 b (cap - r.head) r.head;
+    r.buf <- b;
+    r.head <- 0
+  end;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- pfn;
+  r.len <- r.len + 1
+
+let shift r =
+  let pfn = r.buf.(r.head) in
+  r.head <- (r.head + 1) land (Array.length r.buf - 1);
+  r.len <- r.len - 1;
+  pfn
+
+let iter r f =
+  for k = 0 to r.len - 1 do
+    f r.buf.((r.head + k) land (Array.length r.buf - 1))
+  done
 
 (* One erase command is modelled as a fixed device latency, ~1 us: the point
    of E9 is that it does not scale with the extent size. *)
 let bulk_erase_cycles = 2000
 
-let create mem = { mem; dirty = Queue.create (); zeroed = Queue.create () }
+let create mem = { mem; dirty = ring (); zeroed = ring () }
 let put_dirty t ~first ~count =
   for pfn = first to first + count - 1 do
-    Queue.add pfn t.dirty
+    push t.dirty pfn
   done
 
 (* The pool's level, as deltas on a gauge of the machine's shared Stats. *)
@@ -16,7 +45,7 @@ let depth_delta t d =
 
 let pop t =
   depth_delta t (-1);
-  Queue.take t.zeroed
+  shift t.zeroed
 
 (* The O(1) handout: one pop, no zeroing on the critical path. The
    injection site pretends the pool is dry so callers exercise their slow
@@ -25,7 +54,7 @@ let take t =
   let stats = Phys_mem.stats t.mem and trace = Phys_mem.trace t.mem in
   if
     Sim.Fault_inject.fires (Sim.Trace.faults trace) ~site:Sim.Fault_inject.site_zero_cache_empty
-    || Queue.is_empty t.zeroed
+    || t.zeroed.len = 0
   then begin
     Sim.Stats.incr stats "zero_cache_miss";
     None
@@ -50,11 +79,11 @@ let eager_zero t pfn =
     raise e
 
 let rec zero_pending t ~budget_frames n =
-  if n >= budget_frames || Queue.is_empty t.dirty then n
+  if n >= budget_frames || t.dirty.len = 0 then n
   else begin
-    let pfn = Queue.take t.dirty in
+    let pfn = shift t.dirty in
     Phys_mem.zero_frame t.mem pfn;
-    Queue.add pfn t.zeroed;
+    push t.zeroed pfn;
     zero_pending t ~budget_frames (n + 1)
   end
 
@@ -71,14 +100,14 @@ let background_step t ~budget_frames =
     raise e
 
 let launder t =
-  if Queue.is_empty t.dirty then
+  if t.dirty.len = 0 then
     (* Nothing to launder: a pooled frame, uncharged, is the last clean
        memory a forced miss can still reach. *)
-    if Queue.is_empty t.zeroed then None else Some (pop t)
+    if t.zeroed.len = 0 then None else Some (pop t)
   else begin
     let trace = Phys_mem.trace t.mem in
     let start = Sim.Trace.enter trace ~op:"background_zero" in
-    let pfn = Queue.take t.dirty in
+    let pfn = shift t.dirty in
     match Phys_mem.zero_frame t.mem pfn with
     | () ->
       Sim.Trace.leave trace ~op:"background_zero" ~start ~arg:1 ~outcome:"ok";
@@ -100,8 +129,8 @@ let bulk_erase t ~first ~count =
   Sim.Stats.incr (Phys_mem.stats t.mem) "bulk_erase_cmds"
 
 let iter_free t f =
-  Queue.iter f t.dirty;
-  Queue.iter f t.zeroed
+  iter t.dirty f;
+  iter t.zeroed f
 
-let pending t = Queue.length t.dirty
-let available t = Queue.length t.zeroed
+let pending t = t.dirty.len
+let available t = t.zeroed.len

@@ -366,6 +366,10 @@ let print_op = function
   | Fence -> "fence"
   | Crash -> "crash"
 
+(* [c] with a zero every [period] bytes (none for 0): four draws, not one
+   per byte, keep 200 op lists cheap. *)
+let fill len c period = String.init len (fun k -> if period > 0 && k mod period = 0 then '\000' else c)
+
 let op_gen =
   let open QCheck2.Gen in
   let byte = oneofl [ '\000'; '\000'; 'a'; 'b'; '\255' ] in
@@ -374,9 +378,6 @@ let op_gen =
   let at len = map (fun a -> (min a (model_bytes - len), len)) (int_bound (model_bytes - 1)) in
   let near len = map (fun o -> ((5 * Sim.Units.page_size) - 256 + min o (512 - len), len)) (int_bound 511) in
   let range = span >>= at in
-  (* [c] with a zero every [period] bytes (none for 0): four draws, not
-     one per byte, keep 200 op lists cheap. *)
-  let fill len c period = String.init len (fun k -> if period > 0 && k mod period = 0 then '\000' else c) in
   let str span place = map3 fill span byte (int_bound 3) >>= fun s -> map (fun (a, _) -> (a, s)) (place (String.length s)) in
   (* Sub-range writes: never a multiple of 8 bytes, so both the 8-byte
      count and its byte tail run, from a source padded on both sides. *)
@@ -404,6 +405,43 @@ let op_gen =
       (1, pure Fence);
       (2, pure Crash);
     ]
+
+(* A frame scrubbed, then given one non-zero byte, which it keeps inline,
+   then an op that must find that byte: a copy inside the frame from a
+   range that holds it to one on either side, a persistent write over
+   its line and a crash, or a zero, discard or crash of the frame. *)
+let one_byte_gen =
+  let open QCheck2.Gen in
+  let page = Sim.Units.page_size in
+  let copy (f, k) =
+    map3
+      (fun len r d ->
+        let src = max 0 (min (k - (r mod len)) (page - len)) in
+        let dst =
+          if src >= len && (d land 1 = 0 || page - src < 2 * len) then d mod (src - len + 1)
+          else src + len + (d mod (page - src - (2 * len) + 1))
+        in
+        [ Copy (Frame.to_addr f + src, Frame.to_addr f + dst, len) ])
+      (int_range 1 256) (int_bound 255) (int_bound (page - 1))
+  in
+  let persist (f, k) =
+    map2
+      (fun u s ->
+        let a = Frame.to_addr f + (k / line * line) + u in
+        [ Write_persistent (min a (model_bytes - String.length s), s); Crash ])
+      (int_bound (line - 1))
+      (map3 fill (int_range 1 line) (oneofl [ 'a'; '\255' ]) (int_bound 3))
+  in
+  let scrub (f, _) = oneofl [ [ Zero_frame f ]; [ Discard_frame f ]; [ Crash ] ] in
+  let scenario frames tail =
+    pair frames (int_bound (page - 1)) >>= fun (f, k) ->
+    map2
+      (fun c rest -> Discard_frame f :: Write_byte (Frame.to_addr f + k, c) :: rest)
+      (oneofl [ 'a'; 'b'; '\255' ])
+      (tail (f, k))
+  in
+  let any = int_bound (model_frames - 1) and nvm = int_range 4 (model_frames - 1) in
+  frequency [ (2, scenario any copy); (2, scenario nvm persist); (1, scenario any scrub) ]
 
 (* A scrubbed frame reads zero and its lines keep no undo image. *)
 let scrub (model, undo) f =
@@ -503,7 +541,9 @@ let agrees mem (model, undo) =
 
 let prop_matches_model =
   qtest "phys_mem matches a flat byte model" ~print:QCheck2.Print.(list print_op)
-    QCheck2.Gen.(list_size (int_range 1 30) op_gen)
+    QCheck2.Gen.(
+      map List.concat
+        (list_size (int_range 1 30) (frequency [ (8, map (fun op -> [ op ]) op_gen); (1, one_byte_gen) ])))
     (fun ops ->
       let page = Sim.Units.page_size in
       let clock, stats = mk_env () in
@@ -517,6 +557,43 @@ let prop_matches_model =
           apply (mem, plane) model op;
           reads_back mem model op && agrees mem model)
         ops)
+
+(* A frame whose only non-zero byte came from a byte write keeps it
+   inline: 1,024 frames written once each cost the host a few words
+   apiece, where a 4 KiB buffer each cost at least 513. A second byte
+   gives the frame its buffer, and zeroing leaves nothing resident. *)
+let test_one_byte_frames_inline () =
+  let mem = mk_mem () in
+  let first = 100 and frames = 1024 in
+  let addr f = Frame.to_addr f + (f * 37 mod Sim.Units.page_size) in
+  let byte f = Char.chr (1 + (f mod 255)) in
+  let words () = Obj.reachable_words (Obj.repr mem) in
+  let w0 = words () in
+  for f = first to first + frames - 1 do
+    PM.write_byte mem (addr f) (byte f)
+  done;
+  let per_frame = float_of_int (words () - w0) /. float_of_int frames in
+  check_bool (Printf.sprintf "%.2f words per one-byte frame <= 16" per_frame) true (per_frame <= 16.);
+  let all = PM.read mem ~addr:(Frame.to_addr first) ~len:(frames * Sim.Units.page_size) in
+  for f = first to first + frames - 1 do
+    check_bool "read_byte reads the byte back" true (PM.read_byte mem (addr f) = byte f);
+    check_bool "read reads the byte back" true (Bytes.get all (addr f - Frame.to_addr first) = byte f)
+  done;
+  check_int "read holds nothing else" frames (Bytes.fold_left (fun n c -> n + Bool.to_int (c <> '\000')) 0 all);
+  let second = Frame.to_addr first + 5 in
+  let w1 = words () in
+  PM.write_byte mem second 'q';
+  check_bool "a second byte takes a buffer" true (words () - w1 >= Sim.Units.page_size / 8);
+  check_bool "first byte kept" true (PM.read_byte mem (addr first) = byte first);
+  check_bool "second byte" true (PM.read_byte mem second = 'q');
+  check_string "both read back" (Printf.sprintf "q%c" (byte first))
+    (let b = PM.read mem ~addr:(Frame.to_addr first) ~len:Sim.Units.page_size in
+     String.of_seq (Seq.filter (( <> ) '\000') (Bytes.to_seq b)));
+  for f = first to first + frames - 1 do
+    PM.zero_frame mem f;
+    check_bool "zeroed frame is zero" true (PM.frame_is_zero mem f)
+  done;
+  check_int "nothing resident" 0 (PM.resident_bytes mem)
 
 let suite =
   [
@@ -547,4 +624,5 @@ let suite =
     prop_write_read_roundtrip;
     prop_zero_then_read_zero;
     prop_matches_model;
+    Alcotest.test_case "phys_mem: a one-byte frame keeps its byte inline" `Quick test_one_byte_frames_inline;
   ]
