@@ -110,21 +110,31 @@ let judge ~threshold ~dir ~key o n =
 
 (* One recursive walk over the union of both documents' keys: objects on
    both sides recurse, leaves go to [judge], and a key on one side only is
-   one row, whatever it holds. *)
+   one row, whatever it holds. A host span whose inclusive words are equal
+   on both sides allocated no more: its own words and every descendant's
+   only moved between spans, so they are reported, not gated ([held]). *)
 let walk ~threshold old_doc new_doc =
   let compared = ref 0 and rows = ref [] in
   let emit ~section ~key (old_v, new_v, pct, status) =
     rows := { section; key; old_v; new_v; pct; status } :: !rows
   in
-  let rec go ~top ~section old_fields new_fields =
+  let rec go ~top ~section ~held old_fields new_fields =
+    let held =
+      held
+      || top = "host"
+         && List.mem_assoc "words" old_fields
+         && List.assoc_opt "words" old_fields = List.assoc_opt "words" new_fields
+    in
     let keys = List.sort_uniq String.compare (List.map fst old_fields @ List.map fst new_fields) in
     List.iter
       (fun key ->
         let top, path = if section = "" then (key, key) else (top, section ^ "." ^ key) in
-        let dir = policy ~section:top key in
+        let dir =
+          if held && (key = "words" || key = "self_words") then Report else policy ~section:top key
+        in
         let one_sided v = dir <> Skip || match v with Json.Obj _ -> true | _ -> false in
         match (List.assoc_opt key old_fields, List.assoc_opt key new_fields) with
-        | Some (Json.Obj o), Some (Json.Obj n) -> go ~top ~section:path o n
+        | Some (Json.Obj o), Some (Json.Obj n) -> go ~top ~section:path ~held o n
         | Some o, Some n when dir <> Skip -> (
           match judge ~threshold ~dir ~key o n with
           | Some row ->
@@ -141,7 +151,7 @@ let walk ~threshold old_doc new_doc =
       keys
   in
   let fields = function Json.Obj f -> f | _ -> [] in
-  go ~top:"" ~section:"" (fields old_doc) (fields new_doc);
+  go ~top:"" ~section:"" ~held:false (fields old_doc) (fields new_doc);
   (!compared, List.rev !rows)
 
 let compare_docs ?(threshold_pct = 10.0) ~old_doc ~new_doc () =

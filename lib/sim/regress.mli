@@ -46,7 +46,10 @@ val compare_docs :
 (** [threshold_pct] defaults to 10. Numbers gate when they move beyond it
     in their bad direction, booleans when they flip to false, and
     ["class"] strings when their complexity rank rises. Allocated words in
-    the host section always gate; host ns never does.
+    the host section gate, except words that only moved between spans: a
+    span whose inclusive [words] are equal in both documents has its
+    [self_words] and every descendant's [words] and [self_words] only
+    reported. Host ns never gates.
     [Error reason] when the documents are incompatible: unequal schemas,
     or unequal/missing provenance. *)
 

@@ -209,11 +209,29 @@ let rec plant path v d =
     J.Obj (List.map (fun (k', x) -> if k' = k then (k', plant ks v x) else (k', x)) fs)
   | k :: _, _ -> Alcotest.failf "cannot plant under %s" k
 
+(* A host call tree as bench --json writes it: [touch] allocates 1,000
+   words, 600 of them in its child [fault]. *)
+let host_span ~words ~self children =
+  J.Obj
+    ([ ("calls", J.Int 10); ("words", J.Int words); ("self_words", J.Int self) ]
+    @ if children = [] then [] else [ ("children", J.Obj children) ])
+
+let host_tree =
+  let fault = host_span ~words:600 ~self:600 [] in
+  J.Obj
+    [ ("churn", J.Obj [ ("tree", J.Obj [ ("touch", host_span ~words:1000 ~self:400 [ ("fault", fault) ]) ]) ]) ]
+
+let touch = [ "host"; "churn"; "tree"; "touch" ]
+let fault = touch @ [ "children"; "fault" ]
+
 (* The names of the cases whose verdict is not [gates]; each case plants
-   its values into a copy of the document and diffs it against the
-   original. A case that moves nothing would pass vacuously, so it fails. *)
+   its values into a copy of the document (with [host_tree] as its host
+   section) and diffs it against the original. A case that moves nothing
+   would pass vacuously, so it fails. *)
 let misjudged ~gates cases =
-  let base = Lazy.force doc in
+  let base =
+    match Lazy.force doc with J.Obj fs -> J.Obj (fs @ [ ("host", host_tree) ]) | d -> d
+  in
   List.filter_map
     (fun (name, plants) ->
       let planted = List.fold_left (fun d (path, v) -> plant path v d) base plants in
@@ -238,6 +256,13 @@ let test_planted_regressions_gate () =
            [ ([ "complexity"; "store_recovery_keys"; "class" ], J.String "O(n)") ] );
          ( "makespan doubled",
            [ ([ "causal"; "makespan_cycles" ], J.Int (2 * int [ "causal"; "makespan_cycles" ])) ] );
+         (* The child's growth is the parent's: the span allocates more. *)
+         ( "host words grew under a span",
+           [
+             (touch @ [ "words" ], J.Int 1200);
+             (fault @ [ "words" ], J.Int 800);
+             (fault @ [ "self_words" ], J.Int 800);
+           ] );
        ])
 
 let test_planted_changes_pass () =
@@ -258,6 +283,14 @@ let test_planted_changes_pass () =
          (* A core index is an identifier, not a cost. *)
          ( "makespan ends on another core",
            [ ([ "causal"; "makespan_core" ], J.Int (int [ "causal"; "makespan_core" ] + 1)) ] );
+         (* 200 words move from the span's own work into its child's; the
+            span's inclusive words stay 1,000. *)
+         ( "host words moved into a child span",
+           [
+             (touch @ [ "self_words" ], J.Int 200);
+             (fault @ [ "words" ], J.Int 800);
+             (fault @ [ "self_words" ], J.Int 800);
+           ] );
        ])
 
 (* The gate `make bench-diff` and CI run, offline: the deterministic
