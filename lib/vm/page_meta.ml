@@ -1,42 +1,14 @@
-type flag =
-  | Locked
-  | Referenced
-  | Uptodate
-  | Dirty
-  | Lru
-  | Active
-  | Slab_page
-  | Reserved
-  | Private
-  | Writeback
-  | Head
-  | Swapcache
-  | Swapbacked
-  | Mappedtodisk
-  | Reclaim
-  | Unevictable
-  | Mlocked
-  | Pinned
+type flag = Uptodate | Lru | Active | Head | Swapbacked | Unevictable | Mlocked | Pinned
 
 let bit_of = function
-  | Locked -> 0
-  | Referenced -> 1
-  | Uptodate -> 2
-  | Dirty -> 3
-  | Lru -> 4
-  | Active -> 5
-  | Slab_page -> 6
-  | Reserved -> 7
-  | Private -> 8
-  | Writeback -> 9
-  | Head -> 10
-  | Swapcache -> 11
-  | Swapbacked -> 12
-  | Mappedtodisk -> 13
-  | Reclaim -> 14
-  | Unevictable -> 15
-  | Mlocked -> 16
-  | Pinned -> 17
+  | Uptodate -> 0
+  | Lru -> 1
+  | Active -> 2
+  | Head -> 3
+  | Swapbacked -> 4
+  | Unevictable -> 5
+  | Mlocked -> 6
+  | Pinned -> 7
 
 (* The fields are pfn-indexed: frames are grouped into chunks of
    [chunk_frames], each holding one int array per field, allocated on the
@@ -235,7 +207,8 @@ let map t aspace ~va ~pfn ~prot ~size ~dirty ~anon =
 
 (* Counts first, then the leaf. The last mapping of a frame its caller
    owns drops the mlock pin and hands every frame of the leaf to the zero
-   engine, the only code that scrubs a freed frame. *)
+   engine, the only code that scrubs a freed frame, with its flags
+   cleared (host-side, uncharged, like [unlink]). *)
 let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
   let pfn = leaf.Hw.Page_table.pfn in
   dec_mapcount t pfn;
@@ -245,7 +218,12 @@ let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
       put_page t pfn;
       List.iter (fun f -> set_flag t pfn f false) pin_flags
     end;
-    Physmem.Zero_engine.put_dirty zero ~first:pfn ~count:(Hw.Page_size.frames leaf.Hw.Page_table.size)
+    let count = Hw.Page_size.frames leaf.Hw.Page_table.size in
+    for f = pfn to pfn + count - 1 do
+      let c = chunk t f in
+      if c != no_chunk then c.flags.(slot f) <- 0
+    done;
+    Physmem.Zero_engine.put_dirty zero ~first:pfn ~count
   end;
   unlink t table ~va ~pfn;
   Hw.Page_table.unmap_page table ~va

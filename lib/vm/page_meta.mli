@@ -12,25 +12,7 @@
     the steady-state space cost are still computed over all frames, as on
     a real machine. *)
 
-type flag =
-  | Locked
-  | Referenced
-  | Uptodate
-  | Dirty
-  | Lru
-  | Active
-  | Slab_page
-  | Reserved
-  | Private
-  | Writeback
-  | Head
-  | Swapcache
-  | Swapbacked
-  | Mappedtodisk
-  | Reclaim
-  | Unevictable
-  | Mlocked
-  | Pinned
+type flag = Uptodate | Lru | Active | Head | Swapbacked | Unevictable | Mlocked | Pinned
 
 type t
 
@@ -71,8 +53,9 @@ val unmap :
     [va]. When that was the frame's last mapping and the caller [owned]
     it (an anonymous page that is not being split), first drop an mlock
     pin with its Pinned/Mlocked/Unevictable flags and hand every frame
-    of the leaf to [zero] (512 for a 2 MiB leaf), and {!unlink} the
-    mapping. TLB invalidation stays with the caller. *)
+    of the leaf to [zero] (512 for a 2 MiB leaf) with its flags cleared,
+    uncharged; and {!unlink} the mapping. TLB invalidation stays with the
+    caller. *)
 
 (** {1 The reclaim lists}
 

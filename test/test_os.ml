@@ -11,11 +11,11 @@ let mk () =
 let test_page_meta_flags_refs () =
   let clock, stats = mk_env () in
   let m = Os.Page_meta.create ~clock ~stats ~frames:100 in
-  check_bool "flag default false" false (Os.Page_meta.get_flag m 5 Os.Page_meta.Dirty);
-  Os.Page_meta.set_flag m 5 Os.Page_meta.Dirty true;
-  check_bool "flag set" true (Os.Page_meta.get_flag m 5 Os.Page_meta.Dirty);
-  Os.Page_meta.set_flag m 5 Os.Page_meta.Dirty false;
-  check_bool "flag cleared" false (Os.Page_meta.get_flag m 5 Os.Page_meta.Dirty);
+  check_bool "flag default false" false (Os.Page_meta.get_flag m 5 Os.Page_meta.Uptodate);
+  Os.Page_meta.set_flag m 5 Os.Page_meta.Uptodate true;
+  check_bool "flag set" true (Os.Page_meta.get_flag m 5 Os.Page_meta.Uptodate);
+  Os.Page_meta.set_flag m 5 Os.Page_meta.Uptodate false;
+  check_bool "flag cleared" false (Os.Page_meta.get_flag m 5 Os.Page_meta.Uptodate);
   Os.Page_meta.get_page m 5;
   Os.Page_meta.get_page m 5;
   check_int "refcount" 2 (Os.Page_meta.refcount m 5);
@@ -515,6 +515,33 @@ let prop_demand_faults_equal_pages_touched =
       ignore (K.access_range k p ~va ~len ~write:true ~stride:Sim.Units.page_size);
       Sim.Stats.get (K.stats k) "minor_fault" = pages)
 
+(* A frame munmap or exit frees keeps no page flag: the fault that
+   mapped it set Uptodate, Swapbacked and Lru. *)
+let test_freed_frame_has_no_flags () =
+  let k, p = mk () in
+  let meta = K.page_meta k and page = Sim.Units.page_size in
+  let flags = Os.Page_meta.[ Uptodate; Lru; Active; Head; Swapbacked; Unevictable; Mlocked; Pinned ] in
+  let touch () =
+    let va = K.mmap_anon k p ~len:page ~prot:Hw.Prot.rw ~populate:false in
+    K.access k p ~va ~write:true;
+    let pfn = (Hw.Page_table.find (Os.Address_space.page_table p.Os.Proc.aspace) ~va).Hw.Page_table.pfn in
+    check_bool "the fault set Uptodate" true (Os.Page_meta.get_flag meta pfn Os.Page_meta.Uptodate);
+    (va, pfn)
+  in
+  let freed what pfn =
+    check_int (what ^ ": refcount") 0 (Os.Page_meta.refcount meta pfn);
+    check_int (what ^ ": mapcount") 0 (Os.Page_meta.mapcount meta pfn);
+    Alcotest.(check (list bool))
+      (what ^ ": flags") (List.map (fun _ -> false) flags)
+      (List.map (Os.Page_meta.get_flag meta pfn) flags)
+  in
+  let va, pfn = touch () in
+  K.munmap k p ~va ~len:page;
+  freed "after munmap" pfn;
+  let _, pfn = touch () in
+  K.exit_process k p;
+  freed "after exit" pfn
+
 let suite =
   [
     Alcotest.test_case "page_meta: flags and refcounts" `Quick test_page_meta_flags_refs;
@@ -553,4 +580,5 @@ let suite =
     Alcotest.test_case "reclaim: a page touched off its boundary comes back" `Quick
       test_reclaim_unaligned_touch;
     Alcotest.test_case "reclaim: unmapped pages leave the lists" `Quick test_unmap_leaves_lists;
+    Alcotest.test_case "kernel: a freed frame keeps no flag" `Quick test_freed_frame_has_no_flags;
   ]
