@@ -36,10 +36,8 @@ let cycles k f =
   f ();
   Sim.Clock.elapsed clock ~since:before
 
-let us k c = Sim.Clock.us (K.clock k) c
-
 (* Simulated microseconds spent in [f]. *)
-let time_us k f = us k (cycles k f)
+let time_us k f = Sim.Clock.us (cycles k f)
 
 let stat k name = Sim.Stats.get (K.stats k) name
 
@@ -64,7 +62,7 @@ type smp_run = { cycles : int; stats : Sim.Stats.t; causal : Sim.Causal.t }
    can read the teardown's cycles, its IPI counters or its critical
    path's hops. *)
 let smp_rig ?(range = false) ~cores ~pages f =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create ~clock () in
   let causal = Sim.Causal.create ~clock () in

@@ -313,7 +313,7 @@ let tab_cache () =
   in
   List.iter
     (fun kb ->
-      let clock = Sim.Clock.create Sim.Cost_model.default in
+      let clock = Sim.Clock.create () in
       let stats = Sim.Stats.create () in
       let mem =
         Physmem.Phys_mem.create ~clock ~stats ~dram_bytes:(Sim.Units.mib 64) ~nvm_bytes:0 ()
@@ -424,14 +424,13 @@ let tab_smp_shootdown () =
       ~columns:[ "cores"; "per-page unmap"; "range unmap"; "ratio" ]
   in
   let points name = (Exp_complexity.result name).Exp_complexity.points in
-  let us = Sim.Cost_model.cycles_to_us Sim.Cost_model.default in
   List.iter2
     (fun (cores, pp) (_, rt) ->
       Sim.Table.add_row t
         [
           Sim.Table.cell_int cores;
-          Sim.Table.cell_float (us pp);
-          Sim.Table.cell_float (us rt);
+          Sim.Table.cell_float (Sim.Clock.us pp);
+          Sim.Table.cell_float (Sim.Clock.us rt);
           Sim.Table.cell_float ~dp:0 (float_of_int pp /. float_of_int rt);
         ])
     (points "smp_shootdown_per_page_cores")
@@ -528,13 +527,13 @@ let tab_tail_latency () =
   let percentiles h =
     [
       Sim.Table.cell_float ~dp:1
-        (Sim.Cost_model.cycles_to_us Sim.Cost_model.default (Sim.Histogram.percentile h 50.0));
+        (Sim.Clock.us (Sim.Histogram.percentile h 50.0));
       Sim.Table.cell_float ~dp:1
-        (Sim.Cost_model.cycles_to_us Sim.Cost_model.default (Sim.Histogram.percentile h 99.0));
+        (Sim.Clock.us (Sim.Histogram.percentile h 99.0));
       Sim.Table.cell_float ~dp:1
-        (Sim.Cost_model.cycles_to_us Sim.Cost_model.default (Sim.Histogram.max_value h));
+        (Sim.Clock.us (Sim.Histogram.max_value h));
       Sim.Table.cell_float ~dp:1
-        (Sim.Cost_model.cycles_to_us Sim.Cost_model.default (int_of_float (Sim.Histogram.mean h)));
+        (Sim.Clock.us (int_of_float (Sim.Histogram.mean h)));
     ]
   in
   (* Baseline: malloc + touch per allocation. *)
@@ -627,7 +626,7 @@ let tab_contiguity () =
   in
   let churn_buddy ~merge =
     let mem =
-      Physmem.Phys_mem.create ~clock:(Sim.Clock.create Sim.Cost_model.default)
+      Physmem.Phys_mem.create ~clock:(Sim.Clock.create ())
         ~stats:(Sim.Stats.create ()) ~dram_bytes:(Sim.Units.mib 256) ~nvm_bytes:0 ()
     in
     let b = Alloc.Buddy.create ~mem ~first:0 ~count:(64 * 1024) ~merge () in
@@ -662,7 +661,7 @@ let tab_contiguity () =
     [ "buddy (non-merging)"; Sim.Table.cell_int f2; Sim.Table.cell_int b2; Sim.Table.cell_int l2 ];
   (* Extent allocator under the same schedule (orders -> frame counts). *)
   let mem =
-    Physmem.Phys_mem.create ~clock:(Sim.Clock.create Sim.Cost_model.default)
+    Physmem.Phys_mem.create ~clock:(Sim.Clock.create ())
       ~stats:(Sim.Stats.create ()) ~dram_bytes:(Sim.Units.mib 256) ~nvm_bytes:0 ()
   in
   let e = Alloc.Extent_alloc.create ~mem ~first:0 ~count:(64 * 1024) ~policy:Alloc.Extent_alloc.First_fit in

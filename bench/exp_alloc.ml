@@ -50,7 +50,7 @@ let tab_erase () =
       let cost strategy =
         let mem =
           Physmem.Phys_mem.create
-            ~clock:(Sim.Clock.create Sim.Cost_model.default)
+            ~clock:(Sim.Clock.create ())
             ~stats:(Sim.Stats.create ()) ~dram_bytes:(Sim.Units.gib 2) ~nvm_bytes:0 ()
         in
         let e = O1mem.Erase.create ~mem ~strategy in
@@ -58,7 +58,7 @@ let tab_erase () =
           O1mem.Erase.critical_path_cycles e (fun () ->
               O1mem.Erase.erase_extent e ~first:0 ~count:frames)
         in
-        Sim.Cost_model.cycles_to_us Sim.Cost_model.default c
+        Sim.Clock.us c
       in
       Sim.Table.add_row t
         [
@@ -195,7 +195,7 @@ let tab_space () =
      management; measure its internal fragmentation at a fixed object mix. *)
   let mem =
     Physmem.Phys_mem.create
-      ~clock:(Sim.Clock.create Sim.Cost_model.default)
+      ~clock:(Sim.Clock.create ())
       ~stats:(Sim.Stats.create ()) ~dram_bytes:(Sim.Units.mib 512) ~nvm_bytes:0 ()
   in
   let buddy = Alloc.Buddy.create ~mem ~first:0 ~count:(128 * 1024) () in

@@ -146,7 +146,7 @@ let munmap_batched_vmas n =
 (* ------------------- range table / TLB shootdown ------------------- *)
 
 let with_range_table n f =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let rt = Hw.Range_table.create ~clock ~stats () in
   for i = 0 to n - 1 do
@@ -166,7 +166,7 @@ let range_table_remove n =
   with_range_table n (fun rt _ -> ignore (Hw.Range_table.remove rt ~base:0))
 
 let tlb_shootdown n =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let tlb = Hw.Tlb.create ~clock ~stats () in
   let before = Sim.Clock.now clock in
@@ -572,9 +572,8 @@ let run () =
     Printf.printf "WARNING: %d operation(s) off their expected class: %s\n\n"
       (List.length mismatches)
       (String.concat ", " (List.map (fun r -> r.sweep.name) mismatches));
-  let us = Sim.Cost_model.cycles_to_us Sim.Cost_model.default in
   let series name =
-    let points = List.map (fun (n, c) -> (float_of_int n, us c)) (result name).points in
+    let points = List.map (fun (n, c) -> (float_of_int n, Sim.Clock.us c)) (result name).points in
     [ { Sim.Chart.label = name; points } ]
   in
   Sim.Chart.print ~logx:true ~logy:true

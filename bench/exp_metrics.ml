@@ -113,13 +113,13 @@ let smp_to_json () =
 let schema_version = "o1mem.metrics/11"
 
 (* Provenance: everything a reader needs to decide whether two exports are
-   comparable. Runs under different cost models or trace capacities would
-   differ for configuration reasons, not code reasons, so `bench-diff`
-   refuses to compare them. *)
+   comparable. Runs under another calibration (the parameters of
+   Sim.Cost_model) or trace capacity differ by design, not by regression,
+   so `bench-diff` refuses to compare them. *)
 let provenance k =
   Sim.Json.Obj
     [
-      ("cost_model", Sim.Cost_model.to_json (K.config k).K.cost_model);
+      ("cost_model", Sim.Cost_model.to_json ());
       ("trace_capacity", Sim.Json.Int (Sim.Trace.capacity (K.trace k)));
     ]
 

@@ -70,13 +70,12 @@ let tab_metadata () =
       ~columns:
         [ "memory"; "struct page bytes"; "boot init (ms)"; "FS metadata bytes (1000 files)"; "ratio" ]
   in
-  let model = Sim.Cost_model.default in
   List.iter
     (fun gb ->
       let bytes = Sim.Units.gib gb in
       let frames = bytes / Sim.Units.page_size in
       let sp_bytes = frames * Os.Page_meta.bytes_per_page in
-      let boot_ms = Sim.Cost_model.cycles_to_ms model (frames * model.Sim.Cost_model.struct_page_init) in
+      let boot_ms = Sim.Clock.us (frames * Sim.Cost_model.struct_page_init) /. 1000.0 in
       (* FS metadata for the same memory held as 1000 equal files: inode
          (128 B) + one extent record (24 B) each, plus a 1-bit-per-frame
          bitmap. *)
@@ -107,7 +106,7 @@ let tab_crash () =
              ~len:(Sim.Units.mib mb_each) ~prot:Hw.Prot.rw ())
       done;
       let report = O1mem.Persistence.crash_and_recover fom in
-      let rec_us = us k report.O1mem.Persistence.recovery_cycles in
+      let rec_us = Sim.Clock.us report.O1mem.Persistence.recovery_cycles in
       Sim.Table.add_row t
         [
           Sim.Table.cell_bytes (files * Sim.Units.mib mb_each);

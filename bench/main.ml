@@ -5,7 +5,7 @@
 
 let run_tables () =
   Printf.printf "o1mem bench harness - reproduction of 'Towards O(1) Memory' (HotOS'17)\n";
-  Format.printf "%a@." Sim.Cost_model.pp Sim.Cost_model.default;
+  Format.printf "%a@." Sim.Cost_model.pp ();
   Printf.printf "All times below are simulated (virtual 2GHz clock), deterministic.\n";
   List.iter Experiments.Groups.run Experiments.Groups.all
 

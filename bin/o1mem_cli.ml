@@ -13,7 +13,7 @@ open Cmdliner
 (* ------------------------- experiments ---------------------------- *)
 
 let experiments only =
-  Format.printf "%a@." Sim.Cost_model.pp Sim.Cost_model.default;
+  Format.printf "%a@." Sim.Cost_model.pp ();
   let groups = Experiments.Groups.all in
   let selected =
     match only with
@@ -533,7 +533,7 @@ let churn backend ops max_kib seed =
   let clock = Os.Kernel.clock k in
   let before = Sim.Clock.now clock in
   let n = Wl.Churn.run trace driver in
-  let us = Sim.Clock.us clock (Sim.Clock.elapsed clock ~since:before) in
+  let us = Sim.Clock.us (Sim.Clock.elapsed clock ~since:before) in
   let footprint = footprint () in
   Printf.printf "backend %-8s  %d ops in %.1f us simulated, footprint %s
 " backend n us

@@ -13,7 +13,7 @@
 let record_size = 64 (* one cache line per record: payload 63B + marker *)
 
 let () =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let mem =
     Physmem.Phys_mem.create ~clock ~stats ~dram_bytes:(Sim.Units.mib 16)
@@ -74,4 +74,4 @@ let () =
   Printf.printf "\nLesson: durability needs explicit ordering (flush+fence), which PMFS\n";
   Printf.printf "pays once per metadata update - and which file-only memory inherits\n";
   Printf.printf "for free by storing data in a persistent file system.\n";
-  Printf.printf "Simulated time: %.1f us\n" (Sim.Clock.us clock (Sim.Clock.now clock))
+  Printf.printf "Simulated time: %.1f us\n" (Sim.Clock.us (Sim.Clock.now clock))

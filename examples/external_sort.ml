@@ -103,6 +103,4 @@ let () =
     (U.writebacks u_in + U.writebacks u_out);
   Printf.printf "paid by this one opted-in process; the kernel ran no reclaim machinery.\n";
   Printf.printf "Simulated time: %.1f ms\n"
-    (Sim.Cost_model.cycles_to_ms
-       (Sim.Clock.model (Os.Kernel.clock kernel))
-       (Sim.Clock.now (Os.Kernel.clock kernel)))
+    (Sim.Clock.us (Sim.Clock.now (Os.Kernel.clock kernel)) /. 1000.0)

@@ -119,6 +119,4 @@ let () =
   serve 500;
   Printf.printf "Post-reclaim phase: %d hits, %d misses (rebuilds), all keys intact.\n" !hits !misses;
   Printf.printf "Simulated time: %.1f ms\n"
-    (Sim.Cost_model.cycles_to_ms
-       (Sim.Clock.model (Os.Kernel.clock kernel))
-       (Sim.Clock.now (Os.Kernel.clock kernel)))
+    (Sim.Clock.us (Sim.Clock.now (Os.Kernel.clock kernel)) /. 1000.0)

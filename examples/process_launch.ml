@@ -18,7 +18,7 @@ let time_us k f =
   let clock = K.clock k in
   let before = Sim.Clock.now clock in
   f ();
-  Sim.Clock.us clock (Sim.Clock.elapsed clock ~since:before)
+  Sim.Clock.us (Sim.Clock.elapsed clock ~since:before)
 
 let baseline ~populate =
   let k = K.create ~config:{ K.default_config with K.dram_bytes = Sim.Units.gib 2 } () in

@@ -39,7 +39,7 @@ let () =
   let report = O1mem.Persistence.crash_and_recover fom in
   Printf.printf "Crash! Recovery scanned %d files in %.1f us (O(files), not O(bytes)).\n"
     report.O1mem.Persistence.files_scanned
-    (Sim.Clock.us (Os.Kernel.clock kernel) report.O1mem.Persistence.recovery_cycles);
+    (Sim.Clock.us report.O1mem.Persistence.recovery_cycles);
 
   (* 6. The named file survived, data intact; map it into a new process. *)
   let proc2 = Os.Kernel.create_process kernel () in
@@ -57,4 +57,4 @@ let () =
    with Os.Fault.Segfault _ -> Printf.printf "Write correctly denied after protect.\n");
 
   Printf.printf "Total simulated time: %.1f us\n"
-    (Sim.Clock.us (Os.Kernel.clock kernel) (Sim.Clock.now (Os.Kernel.clock kernel)))
+    (Sim.Clock.us (Sim.Clock.now (Os.Kernel.clock kernel)))

@@ -24,7 +24,7 @@ let time_us k f =
   let clock = K.clock k in
   let before = Sim.Clock.now clock in
   f ();
-  Sim.Clock.us clock (Sim.Clock.elapsed clock ~since:before)
+  Sim.Clock.us (Sim.Clock.elapsed clock ~since:before)
 
 let probe_offsets () =
   let rng = Sim.Rng.create ~seed:42 in

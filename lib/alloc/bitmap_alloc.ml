@@ -21,9 +21,6 @@ let set t i v =
 
 let charge t c = Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) c
 
-(* Cheap per-word scan cost: bitmap search is fast but not free. *)
-let scan_cost frames = 2 + (frames / 64)
-
 let run_free_at t i count =
   let rec loop j = if j >= count then true else if get t (i + j) then false else loop (j + 1) in
   i + count <= t.count && loop 0
@@ -54,7 +51,7 @@ let alloc_contig t ~count =
         i := next_i
       end
     done;
-    charge t (scan_cost (!scanned + count));
+    charge t (Sim.Cost_model.bitmap_scan_cost ~frames:(!scanned + count));
     match !found with
     | None -> None
     | Some idx ->
@@ -74,7 +71,7 @@ let free_range t ~first ~count =
     if not (get t j) then invalid_arg "Bitmap_alloc.free_range: double free";
     set t j false
   done;
-  charge t (scan_cost count);
+  charge t (Sim.Cost_model.bitmap_scan_cost ~frames:count);
   t.free <- t.free + count
 
 let is_free t pfn =

@@ -12,7 +12,6 @@ type t = {
 }
 
 let charge t c = Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) c
-let model t = Sim.Clock.model (Physmem.Phys_mem.clock t.mem)
 let stats t = Physmem.Phys_mem.stats t.mem
 
 let create ~mem ~first ~count ?(max_order = 10) ?(merge = true) () =
@@ -60,7 +59,7 @@ let pop_any tbl =
 
 let alloc t ~order =
   if order < 0 || order > t.max_order then invalid_arg "Buddy.alloc: bad order";
-  charge t (model t).Sim.Cost_model.frame_alloc;
+  charge t Sim.Cost_model.frame_alloc;
   match find_order t order with
   | None -> None
   | Some avail ->
@@ -75,7 +74,7 @@ let alloc t ~order =
         let upper = pfn + (1 lsl k) in
         Hashtbl.replace t.free.(k) upper ();
         Sim.Stats.incr (stats t) "buddy_split";
-        charge t 40;
+        charge t Sim.Cost_model.buddy_split_merge;
         split pfn k
       end
     in
@@ -89,7 +88,7 @@ let rec insert_and_merge t pfn order =
     if Hashtbl.mem t.free.(order) buddy then begin
       Hashtbl.remove t.free.(order) buddy;
       Sim.Stats.incr (stats t) "buddy_merge";
-      charge t 40;
+      charge t Sim.Cost_model.buddy_split_merge;
       insert_and_merge t (min pfn buddy) (order + 1)
     end
     else Hashtbl.replace t.free.(order) pfn ()
@@ -113,7 +112,7 @@ let free t pfn ~order =
   if (pfn - t.first) land ((1 lsl order) - 1) <> 0 then
     invalid_arg "Buddy.free: misaligned block";
   if is_free t pfn then invalid_arg "Buddy.free: double free";
-  charge t (model t).Sim.Cost_model.frame_alloc;
+  charge t Sim.Cost_model.frame_alloc;
   insert_and_merge t pfn order;
   t.free_frames <- t.free_frames + (1 lsl order)
 

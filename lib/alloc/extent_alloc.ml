@@ -11,9 +11,7 @@ type t = {
   mutable free : int;
 }
 
-let charge t =
-  let model = Sim.Clock.model (Physmem.Phys_mem.clock t.mem) in
-  Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) model.Sim.Cost_model.fs_extent_op
+let charge t = Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) Sim.Cost_model.fs_extent_op
 
 let create ~mem ~first ~count ~policy =
   if count <= 0 then invalid_arg "Extent_alloc.create: empty range";

@@ -66,7 +66,7 @@ let rec alloc t ~bytes =
   if bytes <= 0 then invalid_arg "Log_alloc.alloc: non-positive size";
   let bytes_al = Sim.Units.round_up bytes ~align:16 in
   if bytes_al > segment_bytes t then invalid_arg "Log_alloc.alloc: object larger than segment";
-  charge t 20;
+  charge t Sim.Cost_model.log_alloc_op;
   match t.head with
   | Some seg when seg.used + bytes_al <= segment_bytes t -> Some (place t seg ~bytes:bytes_al)
   | Some seg ->
@@ -100,7 +100,7 @@ and free t h =
     (match seg_of_addr o.addr with
     | Some seg -> seg.live_bytes <- seg.live_bytes - o.size
     | None -> ());
-    charge t 20
+    charge t Sim.Cost_model.log_alloc_op
 
 and clean t ~max_segments =
   (* Pick the emptiest closed segments and evacuate their live objects into
@@ -111,7 +111,6 @@ and clean t ~max_segments =
     List.sort (fun a b -> compare a.live_bytes b.live_bytes) t.closed
     |> List.filteri (fun i _ -> i < max_segments)
   in
-  let model = Sim.Clock.model (Physmem.Phys_mem.clock t.mem) in
   let reclaimed = ref 0 in
   let evacuate o =
     let dest =
@@ -125,7 +124,7 @@ and clean t ~max_segments =
     match dest with
     | None -> false
     | Some h ->
-      charge t (Sim.Cost_model.copy_cost model ~bytes:o.size);
+      charge t (Sim.Cost_model.copy_cost ~bytes:o.size);
       let addr = Frame.to_addr h.base + h.used in
       h.used <- h.used + o.size;
       h.live_bytes <- h.live_bytes + o.size;

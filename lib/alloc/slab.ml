@@ -57,7 +57,7 @@ let grow c =
     Some slab
 
 let alloc c =
-  charge c 30;
+  charge c Sim.Cost_model.slab_op;
   let slab =
     match c.partial with
     | base :: _ -> Some (Hashtbl.find c.slabs base)
@@ -81,7 +81,7 @@ let slab_of_addr c addr =
   Hashtbl.find_opt c.slabs base
 
 let free c addr =
-  charge c 30;
+  charge c Sim.Cost_model.slab_op;
   match slab_of_addr c addr with
   | None -> invalid_arg "Slab.free: address not in any slab of this cache"
   | Some slab ->

@@ -148,7 +148,7 @@ let wal_payloads ~records ~seed =
       String.make (5 + Sim.Rng.int rng 76) (Char.chr (Char.code 'a' + (i mod 26))))
 
 let wal_machine ~seed =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create ~clock () in
   let mem =

@@ -2,8 +2,6 @@ type strategy = Eager | Background | Bulk_device
 
 type t = { mem : Physmem.Phys_mem.t; strategy : strategy; zero : Physmem.Zero_engine.t }
 
-let enqueue_cycles = 60
-
 let create ~mem ~strategy = { mem; strategy; zero = Physmem.Zero_engine.create mem }
 
 (* The body returns [count] for the event's operand, so the span needs
@@ -18,7 +16,7 @@ let erase_extent t ~first ~count =
     done
   | Background ->
     Physmem.Zero_engine.put_dirty t.zero ~first ~count;
-    Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) enqueue_cycles
+    Sim.Clock.charge (Physmem.Phys_mem.clock t.mem) Sim.Cost_model.erase_enqueue
   | Bulk_device -> Physmem.Zero_engine.bulk_erase t.zero ~first ~count);
   count
 

@@ -61,9 +61,7 @@ let fs t = t.fs
 let trace t = Os.Kernel.trace t.kernel
 let shared_pt t = t.shared_pt
 
-let charge_syscall t =
-  let clock = Os.Kernel.clock t.kernel in
-  Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.syscall
+let charge_syscall t = Sim.Clock.charge (Os.Kernel.clock t.kernel) Sim.Cost_model.syscall
 
 (* Map every extent of [ino] into the process according to [strategy],
    over the region [at] when the file still has its length, else at a

@@ -4,10 +4,6 @@ let threads = 4
 let batch = 32
 let span_bytes = Sim.Units.kib 64
 
-(* Cost constants: the point of the design. *)
-let thread_cache_op = 5
-let central_lock = 120
-
 (* The engine's free lists are the central lists; caches.(thread).(class)
    sit in front of them. *)
 type t = {
@@ -60,10 +56,10 @@ let malloc t ~thread ~bytes =
   if bytes <= 0 || bytes >= S.large_threshold then S.malloc t.heap ~bytes
   else begin
     let k = S.class_of bytes and cache = t.caches.(thread) in
-    charge t thread_cache_op;
+    charge t Sim.Cost_model.tcmalloc_thread_cache_op;
     if cache.(k) = [] then begin
       (* Miss: batch refill under the central lock. *)
-      charge t central_lock;
+      charge t Sim.Cost_model.tcmalloc_central_lock;
       t.refills <- t.refills + 1;
       cache.(k) <- take_central t k batch []
     end;
@@ -80,12 +76,12 @@ let free t ~thread va =
   else begin
     let size = S.untrack t.heap va in
     let k = S.class_of size and cache = t.caches.(thread) in
-    charge t thread_cache_op;
+    charge t Sim.Cost_model.tcmalloc_thread_cache_op;
     cache.(k) <- va :: cache.(k);
     t.cached <- t.cached + size;
     (* Overfull thread cache: release a batch to the central list. *)
     if List.compare_length_with cache.(k) (2 * batch) > 0 then begin
-      charge t central_lock;
+      charge t Sim.Cost_model.tcmalloc_central_lock;
       let central = S.free_lists t.heap in
       let keep, back = give_back batch cache.(k) central.(k) in
       cache.(k) <- keep;

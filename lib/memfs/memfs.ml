@@ -22,7 +22,6 @@ type t = {
 let clock t = Phys_mem.clock t.mem
 let stats t = Phys_mem.stats t.mem
 let trace t = Phys_mem.trace t.mem
-let model t = Sim.Clock.model (clock t)
 let charge t c = Sim.Clock.charge (clock t) c
 
 (* Frames reserved at the front of a PMFS region for its metadata
@@ -70,11 +69,10 @@ let create ~mem ~first ~count ~mode ?quota_frames ?(erase = Eager_zero) () =
    and the log restarts. *)
 let checkpoint t wal =
   (* Checkpoint: pay to rewrite the metadata image durably. *)
-  let model = Sim.Clock.model (clock t) in
   let meta_bytes = Hashtbl.fold (fun _ n acc -> acc + Inode.metadata_bytes n) t.inodes 0 in
   Sim.Clock.charge (clock t)
-    (Sim.Cost_model.copy_cost model ~bytes:meta_bytes
-    + (meta_bytes / 64 * model.Sim.Cost_model.mem_ref_nvm_write));
+    (Sim.Cost_model.copy_cost ~bytes:meta_bytes
+    + (meta_bytes / 64 * Sim.Cost_model.mem_ref_nvm_write));
   Wal.reset wal;
   t.checkpoints <- t.checkpoints + 1;
   Sim.Stats.incr (stats t) "fs_checkpoint"
@@ -108,7 +106,7 @@ let inode t ino =
 let exists t ino = Hashtbl.mem t.inodes ino
 
 let charge_lookup t =
-  charge t (model t).Sim.Cost_model.fs_lookup;
+  charge t Sim.Cost_model.fs_lookup;
   Sim.Stats.incr (stats t) "fs_lookup"
 
 (* Resolve a segment list to an inode, or None. *)
@@ -304,7 +302,7 @@ let extend t ino ~bytes_wanted =
       Sim.Stats.incr (stats t) "fs_extend";
       List.iter
         (fun (first, count) ->
-          charge t (model t).Sim.Cost_model.fs_extent_op;
+          charge t Sim.Cost_model.fs_extent_op;
           match t.erase with
           | Eager_zero ->
             for pfn = first to first + count - 1 do
@@ -346,7 +344,7 @@ let truncate t ino ~bytes =
     let cut = Extent_tree.truncate_to (Inode.extents node) ~pages in
     List.iter
       (fun e ->
-        charge t (model t).Sim.Cost_model.fs_extent_op;
+        charge t Sim.Cost_model.fs_extent_op;
         release_extent t ~first:e.Extent.start ~count:e.Extent.count)
       cut;
     journal_op t (Printf.sprintf "truncate %d %d" ino pages);
@@ -369,7 +367,7 @@ let chunks_of t node ~off ~len =
         let extent_bytes = Extent.bytes e in
         let run = min remaining (extent_bytes - in_extent_off) in
         let pa = Frame.to_addr e.Extent.start + in_extent_off in
-        charge t 60 (* per-extent resolution *);
+        charge t Sim.Cost_model.fs_extent_resolve;
         loop (off + run) (remaining - run) ((pa, run) :: acc)
   in
   ignore t;
@@ -423,17 +421,17 @@ let close_file t ino =
   maybe_reap t node
 
 let set_prot t ino prot =
-  charge t 50;
+  charge t Sim.Cost_model.fs_attr_write;
   (inode t ino).Inode.prot <- prot
 
 let set_persistence t ino p =
-  charge t 50;
+  charge t Sim.Cost_model.fs_attr_write;
   journal_op t
     (Printf.sprintf "persist %d %c" ino (match p with Inode.Persistent -> 'P' | Inode.Volatile -> 'V'));
   (inode t ino).Inode.persistence <- p
 
 let set_discardable t ino d =
-  charge t 50;
+  charge t Sim.Cost_model.fs_attr_write;
   (inode t ino).Inode.discardable <- d
 
 (* Path of every regular file, for iteration and recovery. *)
@@ -558,7 +556,7 @@ let recover t =
   let scanned = List.length files in
   List.iter
     (fun (path, node) ->
-      charge t 200 (* per-file recovery scan work *);
+      charge t Sim.Cost_model.fs_recovery_scan;
       node.Inode.refs <- 0;
       match node.Inode.persistence with
       | Inode.Persistent -> ()

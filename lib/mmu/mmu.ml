@@ -42,7 +42,6 @@ let set_core t core =
 let local t = Smp.core t.smp t.core
 let tlb t = (local t).Smp.tlb
 
-let model t = Sim.Clock.model t.clock
 let mark_cached t = t.cpumask <- t.cpumask lor (1 lsl t.core)
 
 (* Dirty/accessed maintenance on a TLB hit costs nothing extra in the
@@ -123,7 +122,7 @@ let access t ~mem ~va ~write =
   end
 
 (* Purely local full flush (context switch): current core only, zero
-   IPIs — the single-core cost the fixed {!Sim.Cost_model.shootdown_cost}
+   IPIs — the single-core cost the fixed {!Sim.Cost_model.tlb_shootdown}
    now charges. *)
 let flush_tlbs t =
   let c = local t in
@@ -149,7 +148,7 @@ let ipi_round t f =
       let dst = Smp.core t.smp r in
       let start = Sim.Clock.now t.clock in
       let send = Sim.Causal.emit causal ~core:t.core ~op:"ipi_send" () in
-      Sim.Clock.charge t.clock (model t).Sim.Cost_model.ipi;
+      Sim.Clock.charge t.clock Sim.Cost_model.ipi;
       src.Smp.ipi_sent <- src.Smp.ipi_sent + 1;
       dst.Smp.ipi_received <- dst.Smp.ipi_received + 1;
       Sim.Stats.incr t.stats "ipi_sent";

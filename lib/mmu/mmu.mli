@@ -55,7 +55,7 @@ val access : t -> mem:Physmem.Phys_mem.t -> va:int -> write:bool -> (unit, fault
 val flush_tlbs : t -> unit
 (** Purely local full flush of the current core's TLBs (context switch):
     zero IPIs, exactly one [tlb_shootdown]-cost charge per TLB — the
-    single-core cost {!Sim.Cost_model.shootdown_cost} now models. *)
+    single-core cost {!Sim.Cost_model.tlb_shootdown} now models. *)
 
 val invalidate_page : t -> va:int -> unit
 (** Invalidate one page locally, then one IPI round: every other

@@ -30,12 +30,11 @@ type t = {
 let fanout = 512
 let bits_per_level = 9
 
-let model t = Sim.Clock.model t.clock
 let charge t c = Sim.Clock.charge t.clock c
 
 let new_node t =
   let frame = t.alloc_frame () in
-  charge t (model t).Sim.Cost_model.pt_node_alloc;
+  charge t Sim.Cost_model.pt_node_alloc;
   Sim.Stats.incr t.stats "pt_node_alloc";
   t.owned_nodes <- t.owned_nodes + 1;
   { frame; entries = Array.make fanout Empty; live = 0; refs = 1 }
@@ -43,7 +42,7 @@ let new_node t =
 let create ~clock ~stats ~levels ~alloc_frame ~free_frame =
   if levels <> 4 && levels <> 5 then invalid_arg "Page_table.create: levels must be 4 or 5";
   let frame = alloc_frame () in
-  Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.pt_node_alloc;
+  Sim.Clock.charge clock Sim.Cost_model.pt_node_alloc;
   let root = { frame; entries = Array.make fanout Empty; live = 0; refs = 1 } in
   { clock; stats; levels; alloc_frame; free_frame; root; owned_nodes = 1 }
 
@@ -99,7 +98,7 @@ let map_page t ~va ~pfn ~prot ~size =
   | Empty ->
     node.entries.(i) <- Leaf { pfn; prot; accessed = false; dirty = false; size };
     node.live <- node.live + 1;
-    charge t (model t).Sim.Cost_model.pte_write;
+    charge t Sim.Cost_model.pte_write;
     Sim.Stats.incr t.stats "pte_write"
   | Leaf _ -> invalid_arg "Page_table.map_page: already mapped"
   | Table _ -> invalid_arg "Page_table.map_page: occupied by a page-table subtree"
@@ -161,7 +160,7 @@ let rec unmap_in t node ~depth va =
   let i = index t ~depth va in
   match node.entries.(i) with
   | Leaf _ ->
-    charge t (model t).Sim.Cost_model.pte_write;
+    charge t Sim.Cost_model.pte_write;
     Sim.Stats.incr t.stats "pte_clear";
     node.entries.(i) <- Empty;
     node.live <- node.live - 1
@@ -228,7 +227,7 @@ let protect_range t ~va ~len ~prot =
       if leaf == no_leaf then cursor := !cursor + Sim.Units.page_size
       else begin
         leaf.prot <- prot;
-        charge t (model t).Sim.Cost_model.pte_write;
+        charge t Sim.Cost_model.pte_write;
         Sim.Stats.incr t.stats "pte_protect";
         incr count;
         let span = Page_size.bytes leaf.size in
@@ -261,7 +260,7 @@ let share_subtree ~src ~src_va ~dst ~dst_va ~depth =
     parent.entries.(i) <- Table src_node;
     parent.live <- parent.live + 1;
     src_node.refs <- src_node.refs + 1;
-    Sim.Clock.charge dst.clock (Sim.Clock.model dst.clock).Sim.Cost_model.pte_write;
+    Sim.Clock.charge dst.clock Sim.Cost_model.pte_write;
     Sim.Stats.incr dst.stats "pt_subtree_share"
   | _ -> invalid_arg "Page_table.share_subtree: destination slot occupied"
 
@@ -284,7 +283,7 @@ let rec unshare_in t node ~depth va ~at =
 let unshare t ~va ~depth =
   if depth <= 0 || depth >= t.levels then invalid_arg "Page_table.unshare: bad depth";
   unshare_in t t.root ~depth:0 va ~at:(depth - 1);
-  charge t (model t).Sim.Cost_model.pte_write;
+  charge t Sim.Cost_model.pte_write;
   Sim.Stats.incr t.stats "pt_subtree_unshare"
 
 let is_shared_at t ~va ~depth =

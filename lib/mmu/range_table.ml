@@ -10,11 +10,9 @@ type t = {
 let create ~clock ~stats ?(trace = Sim.Trace.disabled) () =
   { clock; stats; trace; entries = Btree.create () }
 
-let model t = Sim.Clock.model t.clock
-
 let charge_op t ~op =
   Sim.Trace.span t.trace ~op @@ fun () ->
-  Sim.Clock.charge t.clock (model t).Sim.Cost_model.range_table_op;
+  Sim.Clock.charge t.clock Sim.Cost_model.range_table_op;
   Sim.Stats.incr t.stats "range_table_op"
 
 let overlaps t ~base ~limit =
@@ -53,7 +51,7 @@ let walk t ~va =
   Sim.Trace.span t.trace ~op:"range_table_walk" ~arg:(fun _ -> refs)
     ~outcome:(function Some _ -> "hit" | None -> "miss")
   @@ fun () ->
-  Sim.Clock.charge t.clock (refs * (model t).Sim.Cost_model.mem_ref_dram);
+  Sim.Clock.charge t.clock (refs * Sim.Cost_model.mem_ref_dram);
   Sim.Stats.add t.stats "range_walk_refs" refs;
   Sim.Stats.incr t.stats "range_walks";
   lookup t ~va

@@ -35,8 +35,6 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ?(entries = 32) () =
     tick = 0;
   }
 
-let model t = Sim.Clock.model t.clock
-
 let touch t =
   t.tick <- t.tick + 1;
   t.tick
@@ -53,7 +51,7 @@ let drop t ~key ~tick =
 let lookup t ?(asid = 0) ~va () =
   Sim.Trace.span t.trace ~op:"range_tlb_lookup" ~outcome:(function Some _ -> "hit" | None -> "miss")
     (fun () ->
-      Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
+      Sim.Clock.charge t.clock Sim.Cost_model.tlb_hit;
       let hit =
         match KeyMap.find_last_opt (fun (a, base) -> a < asid || (a = asid && base <= va)) t.by_key with
         | Some (((a, _) as key), ((e : Range_table.entry), tick))
@@ -99,7 +97,7 @@ let insert t ?(asid = 0) (e : Range_table.entry) =
 
 let invalidate t ?(asid = 0) ~base () =
   Sim.Trace.span t.trace ~op:"range_tlb_shootdown" ~arg:(fun () -> 1) @@ fun () ->
-  Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
+  Sim.Clock.charge t.clock Sim.Cost_model.tlb_shootdown;
   Sim.Stats.incr t.stats "range_tlb_shootdown";
   match KeyMap.find_opt (asid, base) t.by_key with
   | Some (_, tick) -> drop t ~key:(asid, base) ~tick
@@ -111,7 +109,7 @@ let clear t =
   t.by_tick <- IntMap.empty
 
 let flush t =
-  Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
+  Sim.Clock.charge t.clock Sim.Cost_model.tlb_shootdown;
   clear t
 
 let entry_count t = KeyMap.cardinal t.by_key

@@ -54,8 +54,6 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ?(sets = 128) ?(ways = 8)
 let shootdowns t = t.shootdowns
 let flushes t = t.flushes
 
-let model t = Sim.Clock.model t.clock
-
 (* Occupancy gauge: per-core TLBs share the machine Stats, so the
    gauge is maintained with deltas and reads as aggregate live entries. *)
 let gauge_delta t d = if d <> 0 then Sim.Stats.add_gauge t.stats "tlb_entries" d
@@ -91,7 +89,7 @@ let find_slot t ~asid va size =
 
 let lookup t ~asid ~va =
   let start = Sim.Trace.enter t.trace ~op:"tlb_lookup" in
-  Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
+  Sim.Clock.charge t.clock Sim.Cost_model.tlb_hit;
   let s = find_slot t ~asid va Page_size.Small in
   let s = if s != miss then s else find_slot t ~asid va Page_size.Huge_2m in
   let s = if s != miss then s else find_slot t ~asid va Page_size.Huge_1g in
@@ -143,7 +141,7 @@ let count_shootdown t n =
 
 let invalidate_page t ?(asid = 0) ~va () =
   Sim.Trace.span t.trace ~op:"tlb_shootdown" ~arg:(fun () -> 1) @@ fun () ->
-  Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
+  Sim.Clock.charge t.clock Sim.Cost_model.tlb_shootdown;
   count_shootdown t 1;
   List.iter
     (fun size ->
@@ -175,7 +173,7 @@ let clear t =
 let flush t =
   let had = entry_count t in
   Sim.Trace.span t.trace ~op:"tlb_flush" ~arg:(fun () -> had) @@ fun () ->
-  Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
+  Sim.Clock.charge t.clock Sim.Cost_model.tlb_shootdown;
   Sim.Stats.incr t.stats "tlb_flush";
   t.flushes <- t.flushes + 1;
   clear t
@@ -191,7 +189,7 @@ let invalidate_range t ?(asid = 0) ~va ~len () =
     Sim.Trace.span t.trace ~op:"tlb_shootdown" ~arg:(fun () -> pages) @@ fun () ->
     (* One INVLPG per page in the range, resident or not — same cost and
        stat accounting as [invalidate_page], applied n times. *)
-    Sim.Clock.charge t.clock (pages * Sim.Cost_model.shootdown_cost (model t));
+    Sim.Clock.charge t.clock (pages * Sim.Cost_model.tlb_shootdown);
     count_shootdown t pages;
     let lo = va and hi = va + len in
     let drop s =

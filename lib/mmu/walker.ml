@@ -27,11 +27,9 @@ let walk ~trace ~clock ~stats ~table ~mode ~va =
       if hole then levels - 1 else levels - 1 - Page_size.depth_above_leaf leaf.Page_table.size
     in
     let refs = refs_for_walk ~guest_levels:levels ~leaf_depth ~mode in
-    let model = Sim.Clock.model clock in
     (* Page-walk caches: upper-level entries hit in the PWC/data caches;
        only the final leaf PTE read goes to memory. *)
-    Sim.Clock.charge clock
-      (model.Sim.Cost_model.mem_ref_dram + ((refs - 1) * model.Sim.Cost_model.cache_ref));
+    Sim.Clock.charge clock (Sim.Cost_model.mem_ref_dram + ((refs - 1) * Sim.Cost_model.cache_ref));
     Sim.Stats.add stats "walk_refs" refs;
     Sim.Stats.incr stats "page_walks";
     if not hole then leaf.Page_table.accessed <- true;

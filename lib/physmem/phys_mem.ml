@@ -101,7 +101,6 @@ let set_accessor_node t node =
 (* Flat (cache-less) memory charge for [lines] cache lines; remote-node
    references pay the interconnect-hop price. *)
 let charge_access t ~addr ~lines ~write =
-  let model = Sim.Clock.model t.clock in
   let pfn = Frame.of_addr addr in
   let home = node_of_frame t pfn in
   let remote = home <> t.accessor_node in
@@ -118,27 +117,26 @@ let charge_access t ~addr ~lines ~write =
     end
     else -1
   in
-  let m = model in
   let cost =
     match (region_of_frame t pfn, write, remote) with
     | Dram, _, false ->
       Sim.Stats.add t.stats (if write then "dram_write" else "dram_read") lines;
-      m.Sim.Cost_model.mem_ref_dram
+      Sim.Cost_model.mem_ref_dram
     | Dram, _, true ->
       Sim.Stats.add t.stats (if write then "dram_write" else "dram_read") lines;
-      m.Sim.Cost_model.mem_ref_dram_remote
+      Sim.Cost_model.mem_ref_dram_remote
     | Nvm, false, false ->
       Sim.Stats.add t.stats "nvm_read" lines;
-      m.Sim.Cost_model.mem_ref_nvm_read
+      Sim.Cost_model.mem_ref_nvm_read
     | Nvm, false, true ->
       Sim.Stats.add t.stats "nvm_read" lines;
-      m.Sim.Cost_model.mem_ref_nvm_read_remote
+      Sim.Cost_model.mem_ref_nvm_read_remote
     | Nvm, true, false ->
       Sim.Stats.add t.stats "nvm_write" lines;
-      m.Sim.Cost_model.mem_ref_nvm_write
+      Sim.Cost_model.mem_ref_nvm_write
     | Nvm, true, true ->
       Sim.Stats.add t.stats "nvm_write" lines;
-      m.Sim.Cost_model.mem_ref_nvm_write_remote
+      Sim.Cost_model.mem_ref_nvm_write_remote
   in
   Sim.Clock.charge t.clock (lines * cost);
   if req >= 0 then begin
@@ -295,8 +293,7 @@ let charge_bulk t ~addr ~len ~write =
   let lines = lines_covered ~addr ~len in
   charge_access t ~addr ~lines:1 ~write;
   if lines > 1 then begin
-    let model = Sim.Clock.model t.clock in
-    Sim.Clock.charge t.clock (Sim.Cost_model.copy_cost model ~bytes:len);
+    Sim.Clock.charge t.clock (Sim.Cost_model.copy_cost ~bytes:len);
     Sim.Stats.add t.stats (if write then "stream_write_lines" else "stream_read_lines") (lines - 1)
   end
 
@@ -437,8 +434,7 @@ let zero_range t ~addr ~len =
     else if c != no_chunk && index_in c.one.(i) ~off ~run >= 0 then release t c i;
     pos := !pos + run
   done;
-  let model = Sim.Clock.model t.clock in
-  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:len);
+  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost ~bytes:len);
   Sim.Stats.add t.stats "bytes_zeroed" len
 
 let restore_range t ~addr s =
@@ -451,7 +447,6 @@ let frame_is_zero t pfn =
 
 (* --- the persistence domain ------------------------------------------ *)
 
-let fence_cycles = 100
 let line_bytes = 64
 let lines_per_frame = Sim.Units.page_size / line_bytes
 
@@ -490,8 +485,7 @@ let scrub t pfn =
 let zero_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.zero_frame: bad frame";
   scrub t pfn;
-  let model = Sim.Clock.model t.clock in
-  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
+  Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost ~bytes:Sim.Units.page_size);
   Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
 
 let discard_frame t pfn =
@@ -561,12 +555,11 @@ let flush t ~addr ~len =
       if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_nvm_torn_line then first + 1
       else first
     in
-    let model = Sim.Clock.model t.clock in
     for line = first to last do
       if clean t line then begin
         if Sim.Fault_inject.fires plane ~site:Sim.Fault_inject.site_nvm_bit_flip then
           flip_bit t plane line;
-        Sim.Clock.charge t.clock model.Sim.Cost_model.mem_ref_nvm_write;
+        Sim.Clock.charge t.clock Sim.Cost_model.mem_ref_nvm_write;
         Sim.Stats.incr t.stats "clwb"
       end
     done;
@@ -576,7 +569,7 @@ let flush t ~addr ~len =
   end
 
 let fence t =
-  Sim.Clock.charge t.clock fence_cycles;
+  Sim.Clock.charge t.clock Sim.Cost_model.sfence;
   Sim.Stats.incr t.stats "sfence";
   if Sim.Fault_inject.fires (Sim.Trace.faults t.trace) ~site:Sim.Fault_inject.site_durable_step then
     raise (Sim.Fault_inject.Injected_crash "sfence")

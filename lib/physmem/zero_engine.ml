@@ -29,10 +29,6 @@ let iter r f =
     f r.buf.((r.head + k) land (Array.length r.buf - 1))
   done
 
-(* One erase command is modelled as a fixed device latency, ~1 us: the point
-   of E9 is that it does not scale with the extent size. *)
-let bulk_erase_cycles = 2000
-
 let create mem = { mem; dirty = ring (); zeroed = ring () }
 let put_dirty t ~first ~count =
   for pfn = first to first + count - 1 do
@@ -62,7 +58,7 @@ let take t =
   else begin
     let start = Sim.Trace.enter trace ~op:"zero_cache_pop" in
     let clock = Phys_mem.clock t.mem in
-    Sim.Clock.charge clock (Sim.Clock.model clock).Sim.Cost_model.zero_cache_pop;
+    Sim.Clock.charge clock Sim.Cost_model.zero_cache_pop;
     Sim.Stats.incr stats "zero_cache_hit";
     Sim.Trace.leave trace ~op:"zero_cache_pop" ~start ~arg:0 ~outcome:"ok";
     Some (pop t)
@@ -125,7 +121,7 @@ let bulk_erase t ~first ~count =
   for pfn = first to first + count - 1 do
     if Phys_mem.valid_frame t.mem pfn then Phys_mem.discard_frame t.mem pfn
   done;
-  Sim.Clock.charge (Phys_mem.clock t.mem) bulk_erase_cycles;
+  Sim.Clock.charge (Phys_mem.clock t.mem) Sim.Cost_model.bulk_erase;
   Sim.Stats.incr (Phys_mem.stats t.mem) "bulk_erase_cmds"
 
 let iter_free t f =

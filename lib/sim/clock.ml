@@ -1,7 +1,6 @@
-type t = { mutable cycles : int; model : Cost_model.t }
+type t = { mutable cycles : int }
 
-let create model = { cycles = 0; model }
-let model t = t.model
+let create () = { cycles = 0 }
 let now t = t.cycles
 
 let charge t c =
@@ -22,4 +21,4 @@ let time t f =
   let r = f () in
   (r, t.cycles - start)
 
-let us t c = Cost_model.cycles_to_us t.model c
+let us c = float_of_int c /. (Cost_model.freq_ghz *. 1000.0)

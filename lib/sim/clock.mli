@@ -5,11 +5,8 @@
 
 type t
 
-val create : Cost_model.t -> t
-(** Fresh clock at cycle 0 carrying the given cost model. *)
-
-val model : t -> Cost_model.t
-(** The cost model this clock charges with. *)
+val create : unit -> t
+(** Fresh clock at cycle 0. *)
 
 val now : t -> int
 (** Current cycle count. *)
@@ -32,5 +29,5 @@ val time : t -> (unit -> 'a) -> 'a * int
 (** [time t f] runs [f ()] and returns its result with the cycles charged
     during the call. *)
 
-val us : t -> int -> float
-(** Convert cycles to microseconds under the clock's model. *)
+val us : int -> float
+(** Convert cycles to microseconds at {!Cost_model.freq_ghz}. *)

@@ -1,110 +1,88 @@
-type t = {
-  freq_ghz : float;
-  syscall : int;
-  vma_setup : int;
-  pte_write : int;
-  pt_node_alloc : int;
-  fault_trap : int;
-  mem_ref_dram : int;
-  mem_ref_nvm_read : int;
-  mem_ref_nvm_write : int;
-  mem_ref_dram_remote : int;
-  mem_ref_nvm_read_remote : int;
-  mem_ref_nvm_write_remote : int;
-  cache_ref : int;
-  tlb_hit : int;
-  tlb_shootdown : int;
-  ipi : int;
-  zero_byte_num : int;
-  zero_byte_den : int;
-  zero_cache_pop : int;
-  frame_alloc : int;
-  struct_page_init : int;
-  fs_lookup : int;
-  fs_extent_op : int;
-  range_table_op : int;
-  scheduler : int;
-  copy_byte_num : int;
-  copy_byte_den : int;
-}
+let freq_ghz = 2.0
+let syscall = 1600
+let vma_setup = 12800
+let pte_write = 520
+let pt_node_alloc = 400
+let fault_trap = 2400
+let mem_ref_dram = 80
+let mem_ref_nvm_read = 120
+let mem_ref_nvm_write = 400
+let mem_ref_dram_remote = 130
+let mem_ref_nvm_read_remote = 190
+let mem_ref_nvm_write_remote = 640
+let cache_ref = 4
+let tlb_hit = 1
+let tlb_shootdown = 400
+let ipi = 4000
+let zero_byte_num = 1
+let zero_byte_den = 4
+let zero_cache_pop = 20
+let frame_alloc = 200
+let struct_page_init = 120
+let fs_lookup = 2400
+let fs_extent_op = 800
+let range_table_op = 600
+let scheduler = 3000
+let copy_byte_num = 1
+let copy_byte_den = 8
 
-let default =
-  {
-    freq_ghz = 2.0;
-    syscall = 1600;
-    vma_setup = 12800;
-    pte_write = 520;
-    pt_node_alloc = 400;
-    fault_trap = 2400;
-    mem_ref_dram = 80;
-    mem_ref_nvm_read = 120;
-    mem_ref_nvm_write = 400;
-    mem_ref_dram_remote = 130;
-    mem_ref_nvm_read_remote = 190;
-    mem_ref_nvm_write_remote = 640;
-    cache_ref = 4;
-    tlb_hit = 1;
-    tlb_shootdown = 400;
-    ipi = 4000;
-    zero_byte_num = 1;
-    zero_byte_den = 4;
-    zero_cache_pop = 20;
-    frame_alloc = 200;
-    struct_page_init = 120;
-    fs_lookup = 2400;
-    fs_extent_op = 800;
-    range_table_op = 600;
-    scheduler = 3000;
-    copy_byte_num = 1;
-    copy_byte_den = 8;
-  }
+(* Not in [to_json]: a new provenance key would make every committed
+   baseline incomparable. *)
+let sfence = 100
+let bulk_erase = 2000
+let buddy_split_merge = 40
+let slab_op = 30
+let log_alloc_op = 20
+let struct_page_update = 8
+let reclaim_examine = 50
+let swap_device_op = 20_000
+let erase_enqueue = 60
+let fs_extent_resolve = 60
+let fs_attr_write = 50
+let fs_recovery_scan = 200
+let tcmalloc_thread_cache_op = 5
+let tcmalloc_central_lock = 120
 
-(* Local invalidation only. Remote-core invalidation is not an analytic
-   multiplier any more: {!Hw.Mmu} sends explicit IPIs (charged at [ipi]
-   each) to exactly the cores that may cache the address space, so IPI
-   traffic is measured, not extrapolated — a purely local flush (context
-   switch, single-core machine) costs exactly [tlb_shootdown]. *)
-let shootdown_cost t = t.tlb_shootdown
+let zero_cost ~bytes = bytes * zero_byte_num / zero_byte_den
+let copy_cost ~bytes = bytes * copy_byte_num / copy_byte_den
+let bitmap_scan_cost ~frames = 2 + (frames / 64)
 
-let cycles_to_us t c = float_of_int c /. (t.freq_ghz *. 1000.0)
-let cycles_to_ms t c = cycles_to_us t c /. 1000.0
-let zero_cost t ~bytes = bytes * t.zero_byte_num / t.zero_byte_den
-let copy_cost t ~bytes = bytes * t.copy_byte_num / t.copy_byte_den
-
-let to_json t =
+let to_json () =
   Json.Obj
-    [
-      ("freq_ghz", Json.Float t.freq_ghz);
-      ("syscall", Json.Int t.syscall);
-      ("vma_setup", Json.Int t.vma_setup);
-      ("pte_write", Json.Int t.pte_write);
-      ("pt_node_alloc", Json.Int t.pt_node_alloc);
-      ("fault_trap", Json.Int t.fault_trap);
-      ("mem_ref_dram", Json.Int t.mem_ref_dram);
-      ("mem_ref_nvm_read", Json.Int t.mem_ref_nvm_read);
-      ("mem_ref_nvm_write", Json.Int t.mem_ref_nvm_write);
-      ("mem_ref_dram_remote", Json.Int t.mem_ref_dram_remote);
-      ("mem_ref_nvm_read_remote", Json.Int t.mem_ref_nvm_read_remote);
-      ("mem_ref_nvm_write_remote", Json.Int t.mem_ref_nvm_write_remote);
-      ("cache_ref", Json.Int t.cache_ref);
-      ("tlb_hit", Json.Int t.tlb_hit);
-      ("tlb_shootdown", Json.Int t.tlb_shootdown);
-      ("ipi", Json.Int t.ipi);
-      ("zero_byte_num", Json.Int t.zero_byte_num);
-      ("zero_byte_den", Json.Int t.zero_byte_den);
-      ("zero_cache_pop", Json.Int t.zero_cache_pop);
-      ("frame_alloc", Json.Int t.frame_alloc);
-      ("struct_page_init", Json.Int t.struct_page_init);
-      ("fs_lookup", Json.Int t.fs_lookup);
-      ("fs_extent_op", Json.Int t.fs_extent_op);
-      ("range_table_op", Json.Int t.range_table_op);
-      ("scheduler", Json.Int t.scheduler);
-      ("copy_byte_num", Json.Int t.copy_byte_num);
-      ("copy_byte_den", Json.Int t.copy_byte_den);
-    ]
+    (("freq_ghz", Json.Float freq_ghz)
+    :: List.map
+         (fun (k, v) -> (k, Json.Int v))
+         [
+           ("syscall", syscall);
+           ("vma_setup", vma_setup);
+           ("pte_write", pte_write);
+           ("pt_node_alloc", pt_node_alloc);
+           ("fault_trap", fault_trap);
+           ("mem_ref_dram", mem_ref_dram);
+           ("mem_ref_nvm_read", mem_ref_nvm_read);
+           ("mem_ref_nvm_write", mem_ref_nvm_write);
+           ("mem_ref_dram_remote", mem_ref_dram_remote);
+           ("mem_ref_nvm_read_remote", mem_ref_nvm_read_remote);
+           ("mem_ref_nvm_write_remote", mem_ref_nvm_write_remote);
+           ("cache_ref", cache_ref);
+           ("tlb_hit", tlb_hit);
+           ("tlb_shootdown", tlb_shootdown);
+           ("ipi", ipi);
+           ("zero_byte_num", zero_byte_num);
+           ("zero_byte_den", zero_byte_den);
+           ("zero_cache_pop", zero_cache_pop);
+           ("frame_alloc", frame_alloc);
+           ("struct_page_init", struct_page_init);
+           ("fs_lookup", fs_lookup);
+           ("fs_extent_op", fs_extent_op);
+           ("range_table_op", range_table_op);
+           ("scheduler", scheduler);
+           ("copy_byte_num", copy_byte_num);
+           ("copy_byte_den", copy_byte_den);
+         ])
 
-let pp ppf t =
+let pp ppf () =
   Format.fprintf ppf
     "cost model: %.1f GHz, syscall=%d vma=%d pte=%d fault=%d dram=%d nvm(r/w)=%d/%d shootdown=%d"
-    t.freq_ghz t.syscall t.vma_setup t.pte_write t.fault_trap t.mem_ref_dram
-    t.mem_ref_nvm_read t.mem_ref_nvm_write t.tlb_shootdown
+    freq_ghz syscall vma_setup pte_write fault_trap mem_ref_dram mem_ref_nvm_read
+    mem_ref_nvm_write tlb_shootdown

@@ -38,7 +38,7 @@ let overlaps t (v : Vma.t) =
 let insert_vma t v =
   if overlaps t v then invalid_arg "Address_space.insert_vma: overlap";
   t.last <- None;
-  Sim.Clock.charge t.clock (Sim.Clock.model t.clock).Sim.Cost_model.vma_setup;
+  Sim.Clock.charge t.clock Sim.Cost_model.vma_setup;
   Sim.Stats.incr t.stats "vma_setup";
   (* Merge with the VMA just below and/or just above, Linux-style. *)
   let v =

@@ -13,7 +13,6 @@ type kind = Minor | Major
 
 let clock ctx = Physmem.Phys_mem.clock ctx.mem
 let stats ctx = Physmem.Phys_mem.stats ctx.mem
-let model ctx = Sim.Clock.model (clock ctx)
 let faults ctx = Sim.Trace.faults (Physmem.Phys_mem.trace ctx.mem)
 
 (* The kernel's frame source, with the injection site in front: when
@@ -134,7 +133,7 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~(vma : Vma.t) =
   Sim.Stats.incr (stats ctx) "cow_fault"
 
 let handle_inner ctx ~aspace ~pid ~va ~write =
-  Sim.Clock.charge (clock ctx) (model ctx).Sim.Cost_model.fault_trap;
+  Sim.Clock.charge (clock ctx) Sim.Cost_model.fault_trap;
   Sim.Stats.incr (stats ctx) "page_fault";
   match Address_space.find_vma aspace ~va with
   | None -> raise (Segfault va)

@@ -12,7 +12,6 @@ let fork k (parent : Proc.t) =
   let p_table = Address_space.page_table p_as in
   let meta = Kernel.page_meta k in
   let clock = Kernel.clock k in
-  let model = Sim.Clock.model clock in
   Address_space.set_mmap_cursor c_as (Address_space.mmap_cursor p_as);
   let vmas = ref [] in
   Address_space.iter_vmas p_as (fun v -> vmas := v :: !vmas);
@@ -53,7 +52,7 @@ let fork k (parent : Proc.t) =
             let ro = { leaf.Hw.Page_table.prot with Hw.Prot.write = false } in
             if leaf.Hw.Page_table.prot.Hw.Prot.write then begin
               leaf.Hw.Page_table.prot <- ro;
-              Sim.Clock.charge clock model.Sim.Cost_model.pte_write;
+              Sim.Clock.charge clock Sim.Cost_model.pte_write;
               Hw.Mmu.invalidate_page (Address_space.mmu p_as) ~va
             end;
             Page_meta.map meta c_as ~va ~pfn ~prot:ro ~size:Hw.Page_size.Small ~dirty ~anon)

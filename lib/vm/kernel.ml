@@ -14,7 +14,6 @@ type config = {
   range_tlb_entries : int;
   fs_erase : Fs.Memfs.erase_policy;
   swap_backing : [ `Device | `Pmfs ];
-  cost_model : Sim.Cost_model.t;
 }
 
 let default_config =
@@ -31,7 +30,6 @@ let default_config =
     range_tlb_entries = 32;
     fs_erase = Fs.Memfs.Eager_zero;
     swap_backing = `Device;
-    cost_model = Sim.Cost_model.default;
   }
 
 type t = {
@@ -63,7 +61,7 @@ type t = {
 let buddy_max_order = 10
 
 let create ?(config = default_config) () =
-  let clock = Sim.Clock.create config.cost_model in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create ~clock () in
   let mem =
@@ -156,10 +154,9 @@ let userfault t = t.userfault
 let background_zero t ~budget_frames = Physmem.Zero_engine.background_step t.zero ~budget_frames
 
 let charge t c = Sim.Clock.charge t.clock c
-let model t = Sim.Clock.model t.clock
 
 let charge_syscall t =
-  charge t (model t).Sim.Cost_model.syscall;
+  charge t Sim.Cost_model.syscall;
   Sim.Stats.incr t.stats "syscall";
   (* Syscall entry doubles as the gauge-sampling heartbeat. *)
   Sim.Stats.sample t.stats ~now:(Sim.Clock.now t.clock)
@@ -264,7 +261,7 @@ let migrate t proc ~core =
     let detail = Printf.sprintf "pid%d" proc.Proc.pid in
     let out = Sim.Causal.emit c ~core:proc.Proc.core ~op:"migrate_out" ~detail () in
     let start = Sim.Clock.now t.clock in
-    charge t (model t).Sim.Cost_model.scheduler;
+    charge t Sim.Cost_model.scheduler;
     Sim.Stats.incr t.stats "migration";
     proc.Proc.core <- core;
     Hw.Mmu.set_core (Address_space.mmu proc.Proc.aspace) core;
@@ -450,7 +447,7 @@ let context_switch t ~from_ ~to_ ~asids =
       ~detail:(Printf.sprintf "pid%d" from_.Proc.pid) ()
   in
   let start = Sim.Clock.now t.clock in
-  charge t (model t).Sim.Cost_model.scheduler;
+  charge t Sim.Cost_model.scheduler;
   Sim.Stats.incr t.stats "context_switch";
   if not asids then Hw.Mmu.flush_tlbs (Address_space.mmu to_.Proc.aspace);
   let in_ =
@@ -486,9 +483,8 @@ let madvise_dontneed t proc ~va ~len =
 let handle_userfault t proc ~va ~write ~prot ~(handler : Userfault.handler) =
   Sim.Trace.span t.trace ~op:"userfault" @@ fun () ->
   let aspace = proc.Proc.aspace in
-  let m = model t in
-  charge t m.Sim.Cost_model.fault_trap;
-  charge t (2 * m.Sim.Cost_model.scheduler);
+  charge t Sim.Cost_model.fault_trap;
+  charge t (2 * Sim.Cost_model.scheduler);
   Sim.Stats.incr t.stats "userfault";
   let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
   match handler ~va ~write with
@@ -582,5 +578,5 @@ let read_syscall t proc ~fs ~ino ~off ~len =
   let data = Fs.Memfs.read_file fs ino ~off ~len in
   let n = Bytes.length data in
   (* Copy into the user buffer. *)
-  charge t (Sim.Cost_model.copy_cost (model t) ~bytes:n);
+  charge t (Sim.Cost_model.copy_cost ~bytes:n);
   n

@@ -20,13 +20,11 @@ type config = {
   range_tlb_entries : int;  (** capacity given to processes created with range translations *)
   fs_erase : Fs.Memfs.erase_policy;  (** zeroing discipline of tmpfs and PMFS *)
   swap_backing : [ `Device | `Pmfs ];  (** where swapped pages go: NVMe-class device, or a swapfile in PMFS *)
-  cost_model : Sim.Cost_model.t;
 }
 
 val default_config : config
 (** 1 GiB DRAM + 4 GiB NVM, 4 levels, native walks, CLOCK reclaim, 1 core
-    on 1 NUMA node, 1024-entry TLB, 32-entry range TLB, default cost
-    model. *)
+    on 1 NUMA node, 1024-entry TLB, 32-entry range TLB. *)
 
 type t
 

@@ -85,7 +85,7 @@ let writable t pfn =
   end
 
 let charge_meta t =
-  Sim.Clock.charge t.clock 8;
+  Sim.Clock.charge t.clock Sim.Cost_model.struct_page_update;
   Sim.Stats.incr t.stats "struct_page_update"
 
 let get_flag t pfn f = read (fun c -> c.flags) t pfn land (1 lsl bit_of f) <> 0
@@ -231,8 +231,7 @@ let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
 let init_range t ~first ~count =
   if first < 0 || count < 0 || first + count > t.frames then
     invalid_arg "Page_meta.init_range: out of range";
-  let model = Sim.Clock.model t.clock in
-  Sim.Clock.charge t.clock (count * model.Sim.Cost_model.struct_page_init);
+  Sim.Clock.charge t.clock (count * Sim.Cost_model.struct_page_init);
   Sim.Stats.add t.stats "struct_page_init" count
 
 let metadata_bytes t = t.frames * bytes_per_page

@@ -14,8 +14,6 @@ let create ~mem ~meta ~swap ~zero ~policy = { mem; meta; swap; zero; policy; exa
 let clock t = Physmem.Phys_mem.clock t.mem
 let stats t = Physmem.Phys_mem.stats t.mem
 
-let examine_cost = 50
-
 (* One shootdown batch per distinct address space touched during a scan:
    evictions only gather ranges here, and the scan flushes each batch
    once at the end instead of paying one shootdown per evicted page. *)
@@ -65,7 +63,7 @@ let scan t ~target_frames =
     let leaf = Hw.Page_table.find table ~va in
     let pfn = leaf.Hw.Page_table.pfn in
     t.examined <- t.examined + 1;
-    Sim.Clock.charge (clock t) examine_cost;
+    Sim.Clock.charge (clock t) Sim.Cost_model.reclaim_examine;
     if not demote then Sim.Stats.incr (stats t) "reclaim_examined";
     if (not demote) && Page_meta.get_flag meta pfn Page_meta.Unevictable then begin
       (* mlocked: parked off the LRU for good, as on Linux's

@@ -1,6 +1,3 @@
-(* NVMe-ish: ~10 us device latency per 4 KiB operation at 2 GHz. *)
-let device_op_cycles = 20_000
-
 type backing = Device | Swapfile of Fs.Memfs.t
 
 type slot = Content of bytes | File_slot of int
@@ -55,7 +52,7 @@ let swap_out t ~key ~pfn =
   let content = Physmem.Phys_mem.read t.mem ~addr ~len:Sim.Units.page_size in
   (match t.backing with
   | Device ->
-    charge t device_op_cycles;
+    charge t Sim.Cost_model.swap_device_op;
     Hashtbl.replace t.slots key (Content content)
   | Swapfile fs ->
     let s = take_file_slot t fs in
@@ -73,7 +70,7 @@ let swap_in t ~key ~pfn =
     let content =
       match slot with
       | Content content ->
-        charge t device_op_cycles;
+        charge t Sim.Cost_model.swap_device_op;
         content
       | File_slot s ->
         let fs = match t.backing with Swapfile fs -> fs | Device -> assert false in

@@ -12,7 +12,6 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
   let mem = Kernel.mem k in
   let meta = Kernel.page_meta k in
   let clock = Kernel.clock k in
-  let model = Sim.Clock.model clock in
   (* Census: the window must hold only base pages, enough of them, and
      no swapped-out page, which the zeroed gaps would overwrite. *)
   let present = ref [] in
@@ -57,7 +56,7 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
       Page_meta.map meta aspace ~va:window ~pfn:block ~prot ~size:Hw.Page_size.Huge_2m ~dirty
         ~anon:true;
       Page_meta.set_flag meta block Page_meta.Head true;
-      Sim.Clock.charge clock (Sim.Cost_model.shootdown_cost model);
+      Sim.Clock.charge clock Sim.Cost_model.tlb_shootdown;
       Sim.Stats.incr (Kernel.stats k) "thp_collapse";
       Some (List.length present)
 

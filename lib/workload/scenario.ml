@@ -146,7 +146,7 @@ let run kernel ?fom ~backend ~asids ~quantum (apps : app list) =
       Os.Kernel.exit_process kernel task.proc)
     tasks;
   {
-    sim_us = Sim.Clock.us clock (Sim.Clock.elapsed clock ~since:start);
+    sim_us = Sim.Clock.us (Sim.Clock.elapsed clock ~since:start);
     switches = !switches;
     faults = Sim.Stats.get stats "page_fault" - faults0;
     tlb_misses = Sim.Stats.get stats "tlb_miss" - misses0;

@@ -1,9 +1,7 @@
 (* Shared fixtures for the test suite. *)
 
-let mk_clock () = Sim.Clock.create Sim.Cost_model.default
-
 let mk_env () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   (clock, stats)
 

@@ -38,7 +38,7 @@ let ops_named name causal = List.filter (fun n -> n.Ca.op = name) (Ca.nodes caus
 (* Zero-cost ops stamp the same virtual cycle; the monotonic [seq] keeps
    their export order deterministic anyway. *)
 let test_seq_monotonic () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let trace = Sim.Trace.create ~clock () in
   for _ = 1 to 5 do
     (* No clock charge: all five events land on cycle 0. *)
@@ -59,7 +59,7 @@ let test_seq_monotonic () =
   Alcotest.(check (list int)) "equal-cycle events export in seq order" [ 0; 1; 2; 3; 4 ] seqs
 
 let test_core_stamp_and_disabled () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let trace = Sim.Trace.create ~clock () in
   check_int "default core 0" 0 (Sim.Trace.current_core trace);
   Sim.Trace.set_core trace 3;
@@ -163,7 +163,7 @@ let test_lost_ack_visible_in_graph_and_timeline () =
 (* A hand-built diamond: the longest chain must follow the explicit
    edges, and same-core program order must chain implicitly. *)
 let test_critical_path_on_synthetic_graph () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let c = Ca.create ~clock () in
   let a = Ca.emit c ~core:0 ~op:"a" () in
   let b = Ca.emit c ~core:1 ~op:"b" () in

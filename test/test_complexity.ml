@@ -104,7 +104,7 @@ let doc ?(schema = "o1mem.metrics/3") ?(capacity = 1024) ?(clock = 100_000) ?(co
       ( "provenance",
         Sim.Json.Obj
           [
-            ("cost_model", Sim.Cost_model.to_json Sim.Cost_model.default);
+            ("cost_model", Sim.Cost_model.to_json ());
             ("trace_capacity", Sim.Json.Int capacity);
           ] );
       ("clock_cycles", Sim.Json.Int clock);

@@ -89,8 +89,7 @@ let test_zero_cache_hit_miss () =
   let clock = Physmem.Phys_mem.clock mem in
   let before = Sim.Clock.now clock in
   check_bool "hit" true (Physmem.Zero_engine.take engine <> None);
-  check_int "hit charges the O(1) pop"
-    Sim.Cost_model.default.Sim.Cost_model.zero_cache_pop
+  check_int "hit charges the O(1) pop" Sim.Cost_model.zero_cache_pop
     (Sim.Clock.elapsed clock ~since:before);
   check_int "hit counted" 1 (Sim.Stats.get stats "zero_cache_hit");
   check_bool "second hit" true (Physmem.Zero_engine.take engine <> None);

@@ -55,7 +55,7 @@ let test_disabled_plane_inert () =
       FI.arm FI.disabled ~site:"s" FI.Always)
 
 let test_injection_traced_and_counted () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create ~clock () in
   let plane = FI.create ~seed:1 ~stats () in
@@ -74,7 +74,7 @@ let test_injection_traced_and_counted () =
 (* --------------------------- WAL under crash ------------------------- *)
 
 let mk_wal ?(capacity = Sim.Units.kib 16) () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create ~clock () in
   let mem =

@@ -11,11 +11,11 @@ let fake_ns ?(step = 10) () =
     t := !t + step;
     !t
 
-let mk ?(clock = mk_clock ()) ?step () = Sim.Profile.create ~clock ~now_ns:(fake_ns ?step ()) ()
+let mk ?(clock = Sim.Clock.create ()) ?step () = Sim.Profile.create ~clock ~now_ns:(fake_ns ?step ()) ()
 
 (* A host profiler fed through the one span API: a live trace with it
    attached. *)
-let mk_traced ?(clock = mk_clock ()) ?step () =
+let mk_traced ?(clock = Sim.Clock.create ()) ?step () =
   let p = mk ~clock ?step () in
   (p, traced clock p)
 
@@ -28,7 +28,7 @@ let self_field p key =
 (* ----------------------------- spans ------------------------------- *)
 
 let test_span_nesting () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let p, tr = mk_traced ~clock () in
   let v =
     Sim.Trace.span tr ~op:"outer" (fun () ->
@@ -77,7 +77,7 @@ let test_monotonicity_clamped () =
     t := !t - 50;
     !t
   in
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let p = Sim.Profile.create ~clock ~now_ns:backwards () in
   let tr = traced clock p in
   Sim.Trace.span tr ~op:"a" (fun () -> Sim.Trace.span tr ~op:"b" (fun () -> ()));
@@ -116,7 +116,7 @@ let test_disabled_sentinel () =
   let p = Sim.Profile.disabled in
   check_bool "no host metrics" false (Sim.Profile.host p);
   check_int "span still runs f" 9
-    (Sim.Trace.span (Sim.Trace.create ~clock:(mk_clock ()) ()) ~op:"x" (fun () -> 9));
+    (Sim.Trace.span (Sim.Trace.create ~clock:(Sim.Clock.create ()) ()) ~op:"x" (fun () -> 9));
   check_int "no ns" 0 (Sim.Profile.total ~by:`Ns p);
   check_int "no words" 0 (Sim.Profile.total ~by:`Words p);
   Sim.Profile.sample_self p;
@@ -220,7 +220,7 @@ let test_collapsed_golden () =
   check_bool "unattributed remainder explicit" true (contains ~needle:"(unattributed) " s)
 
 let test_to_json_shape () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let p, tr = mk_traced ~clock () in
   Sim.Trace.span tr ~op:"mmap" (fun () ->
       Sim.Clock.charge clock 100;

@@ -30,7 +30,7 @@ let test_fig1a_shape () =
   check_bool "populate visibly above demand at 1MB" true (pop1024 > 5 * dem1024);
   check_int "demand flat" dem4 dem1024;
   check_bool "demand mmap is ~8us" true
-    (let us = Sim.Clock.us (K.clock (mk_kernel ())) dem4 in
+    (let us = Sim.Clock.us dem4 in
      us > 2.0 && us < 20.0)
 
 (* E2 shape: touching one byte per page, demand faulting is >> populate. *)

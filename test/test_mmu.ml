@@ -187,9 +187,8 @@ let test_walk_charges_and_access_bit () =
   check_bool "walk found the leaf" true (leaf != PT.no_leaf);
   check_int "pa" (3 * 4096) (PT.phys_addr leaf ~va:0x1000);
   check_bool "accessed set" true leaf.PT.accessed;
-  let m = Sim.Cost_model.default in
   check_int "leaf from DRAM, upper levels from walk caches"
-    (m.Sim.Cost_model.mem_ref_dram + (3 * m.Sim.Cost_model.cache_ref))
+    (Sim.Cost_model.mem_ref_dram + (3 * Sim.Cost_model.cache_ref))
     (Sim.Clock.elapsed clock ~since:before);
   check_int "stat" 4 (Sim.Stats.get stats "walk_refs")
 
@@ -246,7 +245,7 @@ let test_tlb_invalidate () =
 
 let test_tlb_invalidate_range_accounting () =
   let tlb, clock, stats = mk_tlb () in
-  let per_page = Sim.Cost_model.shootdown_cost Sim.Cost_model.default in
+  let per_page = Sim.Cost_model.tlb_shootdown in
   (* 2 resident pages inside an 8-page range: one INVLPG per page in the
      range, resident or not — never one up-front plus one per eviction. *)
   Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
@@ -267,8 +266,7 @@ let test_tlb_invalidate_range_full_flush () =
   Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   let t0 = Sim.Clock.now clock in
   Hw.Tlb.invalidate_range tlb ~va:0 ~len:(33 * Sim.Units.page_size) ();
-  check_int "33+ pages cost one full flush, not 33 INVLPGs"
-    (Sim.Cost_model.shootdown_cost Sim.Cost_model.default)
+  check_int "33+ pages cost one full flush, not 33 INVLPGs" Sim.Cost_model.tlb_shootdown
     (Sim.Clock.now clock - t0);
   check_int "flush counted" 1 (Sim.Stats.get stats "tlb_flush");
   check_int "no per-page shootdowns counted" 0 (Sim.Stats.get stats "tlb_shootdown");
@@ -492,7 +490,7 @@ let prop_tlb_invalidate_range_matches_full_walk =
     (triple (list_size (int_range 0 120) fill) (pair (int_range 0 2) (int_bound 4096))
        (int_range 0 (Hw.Tlb.full_flush_threshold_pages - 1)))
     (fun (fills, (asid, vpn), pages) ->
-      let clock = Sim.Clock.create Sim.Cost_model.default and stats = Sim.Stats.create () in
+      let clock = Sim.Clock.create () and stats = Sim.Stats.create () in
       let tlb = Hw.Tlb.create ~clock ~stats ~sets:16 ~ways:4 () in
       List.iteri
         (fun i (asid, vpn, size) ->
@@ -514,7 +512,7 @@ let prop_tlb_invalidate_range_matches_full_walk =
       let c0 = Sim.Clock.now clock in
       Hw.Tlb.invalidate_range tlb ~asid ~va:lo ~len ();
       entries () = expected
-      && Sim.Clock.now clock - c0 = pages * Sim.Cost_model.shootdown_cost Sim.Cost_model.default
+      && Sim.Clock.now clock - c0 = pages * Sim.Cost_model.tlb_shootdown
       && Sim.Stats.get stats "tlb_shootdown" = pages
       && Sim.Stats.gauge stats "tlb_entries" = List.length expected)
 

@@ -30,7 +30,7 @@ let test_page_meta_boot_cost_linear () =
   let before = Sim.Clock.now clock in
   Os.Page_meta.init_range m ~first:0 ~count:10_000;
   let c1 = Sim.Clock.elapsed clock ~since:before in
-  check_int "linear init" (10_000 * Sim.Cost_model.default.Sim.Cost_model.struct_page_init) c1;
+  check_int "linear init" (10_000 * Sim.Cost_model.struct_page_init) c1;
   check_int "64B per page" (10_000 * 64) (Os.Page_meta.metadata_bytes m)
 
 (* Vma + address space *)

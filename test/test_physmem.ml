@@ -45,13 +45,12 @@ let test_bulk_read_write () =
 let test_access_charges () =
   let mem = mk_mem ~dram:(Sim.Units.mib 4) ~nvm:(Sim.Units.mib 4) () in
   let clock = PM.clock mem in
-  let model = Sim.Clock.model clock in
   let before = Sim.Clock.now clock in
   PM.touch mem 0;
-  check_int "dram touch cost" model.Sim.Cost_model.mem_ref_dram (Sim.Clock.elapsed clock ~since:before);
+  check_int "dram touch cost" Sim.Cost_model.mem_ref_dram (Sim.Clock.elapsed clock ~since:before);
   let before = Sim.Clock.now clock in
   PM.write_byte mem (Frame.to_addr 1024) 'x';
-  check_int "nvm write cost" model.Sim.Cost_model.mem_ref_nvm_write
+  check_int "nvm write cost" Sim.Cost_model.mem_ref_nvm_write
     (Sim.Clock.elapsed clock ~since:before);
   check_int "stats dram_read" 1 (Sim.Stats.get (PM.stats mem) "dram_read");
   check_int "stats nvm_write" 1 (Sim.Stats.get (PM.stats mem) "nvm_write")
@@ -59,12 +58,11 @@ let test_access_charges () =
 let test_bulk_charges_per_line () =
   let mem = mk_mem () in
   let clock = PM.clock mem in
-  let model = Sim.Clock.model clock in
   let before = Sim.Clock.now clock in
   ignore (PM.read mem ~addr:0 ~len:256);
   (* Streaming: one full-latency line + bandwidth cost for the rest. *)
   check_int "first-line latency + stream"
-    (model.Sim.Cost_model.mem_ref_dram + Sim.Cost_model.copy_cost model ~bytes:256)
+    (Sim.Cost_model.mem_ref_dram + Sim.Cost_model.copy_cost ~bytes:256)
     (Sim.Clock.elapsed clock ~since:before)
 
 (* A copy inside the memory costs and counts what a read into a buffer

@@ -3,7 +3,7 @@ open Helpers
 (* A profiler fed through the one span API: a live trace with it
    attached. *)
 let mk () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   let p = Sim.Profile.create ~clock () in
   (p, traced clock p, clock)
 
@@ -107,7 +107,7 @@ let test_unattributed () =
 let test_disabled_sentinel () =
   let p = Sim.Profile.disabled in
   check_bool "disabled" false (Sim.Profile.enabled p);
-  let tr = Sim.Trace.create ~clock:(mk_clock ()) () in
+  let tr = Sim.Trace.create ~clock:(Sim.Clock.create ()) () in
   check_int "span still runs f" 9 (Sim.Trace.span tr ~op:"x" (fun () -> 9));
   Sim.Profile.enter p "x";
   check_int "enter pushes nothing" 0 (Sim.Profile.depth p);

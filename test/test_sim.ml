@@ -96,7 +96,7 @@ let test_rng_shuffle () =
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
 let test_clock_charge () =
-  let c = mk_clock () in
+  let c = Sim.Clock.create () in
   check_int "starts at zero" 0 (Sim.Clock.now c);
   Sim.Clock.charge c 100;
   Sim.Clock.charge c 23;
@@ -106,16 +106,15 @@ let test_clock_charge () =
   check_int "reset" 0 (Sim.Clock.now c)
 
 let test_clock_time () =
-  let c = mk_clock () in
+  let c = Sim.Clock.create () in
   let r, cyc = Sim.Clock.time c (fun () -> Sim.Clock.charge c 55; "x") in
   check_string "result" "x" r;
   check_int "cycles" 55 cyc
 
 let test_cost_model_conversion () =
-  let m = Sim.Cost_model.default in
-  Alcotest.(check (float 1e-9)) "2000 cycles at 2GHz = 1us" 1.0 (Sim.Cost_model.cycles_to_us m 2000);
-  check_int "zero cost of a page" 1024 (Sim.Cost_model.zero_cost m ~bytes:4096);
-  check_int "copy cost" 512 (Sim.Cost_model.copy_cost m ~bytes:4096)
+  Alcotest.(check (float 1e-9)) "2000 cycles at 2GHz = 1us" 1.0 (Sim.Clock.us 2000);
+  check_int "zero cost of a page" 1024 (Sim.Cost_model.zero_cost ~bytes:4096);
+  check_int "copy cost" 512 (Sim.Cost_model.copy_cost ~bytes:4096)
 
 let test_stats () =
   let s = Sim.Stats.create () in

@@ -39,11 +39,9 @@ let test_local_flush_costs_no_ipi () =
     | Error _ -> Alcotest.fail "translate failed"
   done;
   check_bool "translations cached" true (Hw.Tlb.entry_count (Hw.Mmu.tlb mmu) > 0);
-  let model = Sim.Clock.model clock in
   let before = Sim.Clock.now clock in
   Hw.Mmu.flush_tlbs mmu;
-  check_int "local flush costs exactly tlb_shootdown"
-    (Sim.Cost_model.shootdown_cost model)
+  check_int "local flush costs exactly tlb_shootdown" Sim.Cost_model.tlb_shootdown
     (Sim.Clock.now clock - before);
   check_int "no IPIs recorded" 0 (Sim.Stats.get stats "ipi_sent");
   Hw.Smp.iter_cores smp (fun c ->
@@ -157,11 +155,8 @@ let test_numa_remote_ref_costs_more () =
     ignore (Physmem.Phys_mem.read mem ~addr ~len:8);
     Sim.Clock.now clock - t0
   in
-  let model = Sim.Clock.model clock in
-  check_int "local read at DRAM latency" model.Sim.Cost_model.mem_ref_dram
-    (cost 0);
-  check_int "remote read at remote latency"
-    model.Sim.Cost_model.mem_ref_dram_remote
+  check_int "local read at DRAM latency" Sim.Cost_model.mem_ref_dram (cost 0);
+  check_int "remote read at remote latency" Sim.Cost_model.mem_ref_dram_remote
     (cost (Physmem.Frame.to_addr (frames - 1)));
   check_int "remote line counted" 1 (Sim.Stats.get stats "numa_remote_ref")
 

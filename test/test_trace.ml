@@ -1,11 +1,11 @@
 open Helpers
 
 let mk ?(capacity = 4) () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   (Sim.Trace.create ~clock ~capacity (), clock)
 
 let test_create_validation () =
-  let clock = mk_clock () in
+  let clock = Sim.Clock.create () in
   Alcotest.check_raises "zero capacity" (Invalid_argument "Trace.create: capacity must be positive")
     (fun () -> ignore (Sim.Trace.create ~clock ~capacity:0 ()))
 
