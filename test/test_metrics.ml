@@ -217,9 +217,8 @@ let host_span ~words ~self children =
     @ if children = [] then [] else [ ("children", J.Obj children) ])
 
 let host_tree =
-  let fault = host_span ~words:600 ~self:600 [] in
-  J.Obj
-    [ ("churn", J.Obj [ ("tree", J.Obj [ ("touch", host_span ~words:1000 ~self:400 [ ("fault", fault) ]) ]) ]) ]
+  let touch = host_span ~words:1000 ~self:400 [ ("fault", host_span ~words:600 ~self:600 []) ] in
+  J.Obj [ ("churn", J.Obj [ ("tree", J.Obj [ ("touch", touch) ]) ]) ]
 
 let touch = [ "host"; "churn"; "tree"; "touch" ]
 let fault = touch @ [ "children"; "fault" ]

@@ -322,6 +322,84 @@ let test_histogram_percentile_clamped () =
   check_bool "p0 stays within [min, max]" true (p0 >= 3 && p0 <= 100);
   check_int "empty histogram percentile" 0 (Sim.Histogram.percentile (Sim.Histogram.create ()) 99.0)
 
+(* Every charged cycle is named in Sim.Cost_model: no lib file but
+   cost_model.ml passes a bare integer literal, as in [charge t 40] or
+   [Sim.Clock.charge clock (8)], as the cycles argument of
+   Sim.Clock.charge or of a local [charge] helper. A text scan: the word
+   "charge", one argument (a name or a parenthesised expression), then
+   the cycles. Each offence reads "file:line". *)
+let bare_charges ~file s =
+  let n = String.length s in
+  let name_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false in
+  let rec skip p i = if i < n && p s.[i] then skip p (i + 1) else i in
+  let blank = skip (fun c -> c = ' ' || c = '\n') in
+  let digits = skip (fun c -> (c >= '0' && c <= '9') || c = '_') in
+  let digit i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let rec close i depth =
+    if i >= n then n
+    else
+      match s.[i] with
+      | '(' -> close (i + 1) (depth + 1)
+      | ')' -> if depth = 1 then i + 1 else close (i + 1) (depth - 1)
+      | _ -> close (i + 1) depth
+  in
+  let arg i =
+    if i < n && s.[i] = '(' then close (i + 1) 1 else skip (fun c -> name_char c || c = '.') i
+  in
+  let literal i =
+    digit i
+    || i < n && s.[i] = '('
+       && digit (blank (i + 1))
+       && (let j = blank (digits (blank (i + 1))) in j < n && s.[j] = ')')
+  in
+  let word = "charge" in
+  let w = String.length word in
+  let offences = ref [] and line = ref 1 in
+  for i = 0 to n - w - 1 do
+    if s.[i] = '\n' then incr line;
+    if
+      s.[i] = 'c'
+      && String.sub s i w = word
+      && (i = 0 || not (name_char s.[i - 1]))
+      && blank (i + w) > i + w
+      && literal (blank (arg (blank (i + w))))
+    then offences := Printf.sprintf "%s:%d" file !line :: !offences
+  done;
+  List.rev !offences
+
+let rec ml_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then if f.[0] = '.' then [] else ml_files path
+         else if Filename.check_suffix f ".ml" then [ path ]
+         else [])
+
+(* `dune runtest` runs from _build/default/test, whose parent holds the
+   copies the test's deps declare; `dune exec test/main.exe` runs from
+   the repo root. *)
+let test_cost_table () =
+  let here d = Sys.file_exists (Filename.concat d "sim/cost_model.ml") in
+  match List.find_opt here [ "lib"; "../lib" ] with
+  | None -> Alcotest.fail "lib sources not found"
+  | Some lib ->
+    let files = List.filter (fun f -> Filename.basename f <> "cost_model.ml") (ml_files lib) in
+    check_bool "scanned the lib sources" true (List.length files > 50);
+    Alcotest.(check (list string))
+      "the scan's own cases" [ "a:1"; "b:2" ]
+      (List.concat_map
+         (fun (file, s) -> bare_charges ~file s)
+         [
+           ("a", "charge t 40;");
+           ("b", "let f t =\n  Sim.Clock.charge (clock t) ( 8 )");
+           ("c", "charge t (2 * x); charge t Sim.Cost_model.ipi; try_charge t 4; charged 3");
+         ]);
+    Alcotest.(check (list string))
+      "charge sites passing a bare cycle count" []
+      (List.concat_map
+         (fun file -> bare_charges ~file (In_channel.with_open_bin file In_channel.input_all))
+         files)
+
 let suite =
   [
     Alcotest.test_case "units: basic sizes" `Quick test_units_basic;
@@ -357,4 +435,5 @@ let suite =
     prop_histogram_percentile_bounds;
     prop_histogram_percentile_monotone;
     Alcotest.test_case "stats: name cache never changes a count" `Quick test_stats_name_cache;
+    Alcotest.test_case "cost table: every charged cycle is named" `Quick test_cost_table;
   ]
