@@ -4,9 +4,14 @@
    o1mem_cli study ...                run the FS-utilization fleet model
    o1mem_cli walkrefs ...             translation reference counts
    o1mem_cli simulate ...             one-off alloc+touch measurement
+   o1mem_cli churn ...                replay an allocation-churn trace on a heap
    o1mem_cli metrics ...              run the traced workload, print JSON
+   o1mem_cli profile ...              call tree of the churn workload
+   o1mem_cli top ...                  procfs-style rollup of the churn workload
+   o1mem_cli timeline ...             Chrome trace of the 4-core causal workload
    o1mem_cli faults ...               fault injection, crash explorers
-   o1mem_cli store ...                persistent store crash/recovery demo *)
+   o1mem_cli store ...                persistent store crash/recovery demo
+   o1mem_cli bench-diff OLD NEW       regression gate between two bench JSONs *)
 
 open Cmdliner
 
@@ -505,7 +510,8 @@ let bench_diff_cmd =
     "Compare two bench JSON exports in one walk over every section (clock_cycles, stats, trace, \
      complexity, profile, faults, store, smp, causal and host) and fail on a metric moving the \
      wrong way beyond the threshold, a flag flipping false or a complexity-class downgrade. Host \
-     allocated words gate; host ns totals are only reported"
+     allocated words gate unless they only moved between spans; host ns totals are only \
+     reported"
   in
   let old_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json") in
   let new_arg = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json") in

@@ -113,7 +113,7 @@ val process_count : t -> int
 
 val processes : t -> (int, Proc.t) Hashtbl.t
 (** The live process table (pid -> process). Treat as read-only; used by
-    the OOM killer and diagnostics. *)
+    the invariant checker and diagnostics. *)
 
 (** {1 Syscalls} *)
 
