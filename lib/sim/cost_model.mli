@@ -1,7 +1,9 @@
 (** The one table of what the simulator charges.
 
     Every cost is in CPU cycles of a virtual core running at [freq_ghz],
-    and every charge site names its constant here. The values are
+    and every charge site names its constant here; only inputs are
+    charged from elsewhere (a cache level's configured latency, a
+    workload's compute steps). The values are
     calibrated so that the headline constants of the paper come out right
     on the baseline system: an `mmap` fast path of about 8 us on tmpfs, a
     minor page fault of about 2 us, and a pre-populated PTE write of about
