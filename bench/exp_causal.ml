@@ -26,9 +26,11 @@ open Bench_env
    far from the 1024-point series bound. *)
 let sample_interval = 20_000
 
+(* The causal plane, and the event ring the timeline's slices come from. *)
 let attach k =
   let causal = Sim.Causal.create ~clock:(K.clock k) () in
   Sim.Trace.attach_causal (K.trace k) causal;
+  Sim.Trace.attach_ring (K.trace k) ();
   Sim.Stats.set_sample_interval (K.stats k) ~cycles:sample_interval;
   causal
 

@@ -139,4 +139,9 @@ let to_json ?events_limit k =
       ("causal", Exp_causal.to_json ());
     ]
 
-let run_to_json ?events_limit () = to_json ?events_limit (run_workload (Bench_env.kernel ()))
+(* The [trace] section reads the kernel's event ring: attach it on the
+   booted machine, before the workload runs. *)
+let run_to_json ?events_limit () =
+  let k = Bench_env.kernel () in
+  Sim.Trace.attach_ring (K.trace k) ();
+  to_json ?events_limit (run_workload k)

@@ -1,12 +1,12 @@
 (* P1 — where do the cycles go? H1 — what does the host pay?
 
-   Both replay the allocation-churn workload with a Sim.Profile attached
-   to the machine trace, so every syscall/fault/TLB/zeroing span lands
-   in one call tree, and its event in the trace ring. The profiler
-   attaches AFTER machine and heap setup, and the ring is cleared then:
-   boot-time cycles (struct page init etc.) are out of scope, and the
-   attributed fraction measures how much of the measured workload's
-   cost lands in named spans.
+   Both replay the allocation-churn workload with a Sim.Profile and an
+   event ring attached to the machine trace, so every
+   syscall/fault/TLB/zeroing span lands in one call tree, and its event
+   in the ring (which the Chrome export reads). Both attach AFTER
+   machine and heap setup: boot-time cycles (struct page init etc.) are
+   out of scope, and the attributed fraction measures how much of the
+   measured workload's cost lands in named spans.
 
    P1 attributes virtual cycles only, with a fixed seed, so its export
    is byte-identical across runs and hosts. H1 gives the profiler a host
@@ -27,9 +27,10 @@ let sample_interval_cycles = 50_000
    Returns the kernel (for gauges and procfs rollups) and the profile. *)
 let run_churn ?(ops = default_ops) ?(host = false) backend =
   let k, trace, driver = Bench_env.churn ~ops backend in
+  (* The ring first: its arrays are not the profiled run's allocation. *)
+  Sim.Trace.attach_ring (K.trace k) ();
   let now_ns = if host then Some Bench_env.now_ns else None in
   let profile = Sim.Profile.create ~clock:(K.clock k) ?now_ns () in
-  Sim.Trace.reset (K.trace k);
   Sim.Trace.attach_profile (K.trace k) profile;
   let driver =
     if host then begin

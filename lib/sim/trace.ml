@@ -1,6 +1,8 @@
-(* Structured tracing: a bounded ring of events plus per-operation latency
-   histograms, all in virtual cycles. The [disabled] sentinel lets components
-   default a [trace] field to a shared no-op without optional plumbing. *)
+(* Structured tracing in virtual cycles. A span feeds only the sinks
+   attached to its trace: the call-tree profiler, and the event ring with
+   the per-operation latency histograms. The [disabled] sentinel lets
+   components default a [trace] field to a shared no-op without optional
+   plumbing. *)
 
 type event = {
   seq : int;
@@ -15,8 +17,7 @@ type event = {
 (* The ring keeps one array per event field, overwritten in place, so
    recording allocates nothing. Event [seq] sits in slot
    [seq mod capacity]. *)
-type t = {
-  clock : Clock.t option; (* None = disabled sentinel *)
+type ring = {
   ops : string array;
   cores : int array;
   starts : int array;
@@ -26,15 +27,20 @@ type t = {
   mutable recorded : int; (* total events ever recorded, ring or not *)
   latencies : (string, Histogram.t) Hashtbl.t;
   latency_cache : Histogram.t Name_cache.t; (* cleared with [latencies] *)
+}
+
+type t = {
+  clock : Clock.t option; (* None = disabled sentinel *)
+  mutable ring : ring; (* [no_ring] until [attach_ring] *)
   mutable profile : Profile.t; (* call-tree profiler, if attached *)
+  mutable fed : bool; (* a ring or a profiler is attached *)
   mutable faults : Fault_inject.t; (* fault-injection plane, if attached *)
   mutable causal : Causal.t; (* cross-core causal plane, if attached *)
   mutable cur_core : int; (* core executing right now, for event stamping *)
 }
 
-let make clock capacity =
+let new_ring capacity =
   {
-    clock;
     ops = Array.make capacity "";
     cores = Array.make capacity 0;
     starts = Array.make capacity 0;
@@ -44,23 +50,38 @@ let make clock capacity =
     recorded = 0;
     latencies = Hashtbl.create 32;
     latency_cache = Name_cache.create (Histogram.create ());
+  }
+
+(* Shared by every trace without a ring: nothing ever writes to it. *)
+let no_ring = new_ring 0
+
+let make clock =
+  {
+    clock;
+    ring = no_ring;
     profile = Profile.disabled;
+    fed = false;
     faults = Fault_inject.disabled;
     causal = Causal.disabled;
     cur_core = 0;
   }
 
-let create ~clock ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  make (Some clock) capacity
-
-let disabled = make None 0
+let create ~clock () = make (Some clock)
+let disabled = make None
 
 let enabled t = t.clock <> None
+let now t = match t.clock with Some clock -> Clock.now clock | None -> 0
+
+let attach_ring t ?(capacity = 4096) () =
+  if not (enabled t) then invalid_arg "Trace.attach_ring: disabled trace";
+  if capacity <= 0 then invalid_arg "Trace.attach_ring: capacity must be positive";
+  t.ring <- new_ring capacity;
+  t.fed <- true
 
 let attach_profile t p =
   if not (enabled t) then invalid_arg "Trace.attach_profile: disabled trace";
-  t.profile <- p
+  t.profile <- p;
+  t.fed <- true
 
 let faults t = t.faults
 let causal t = t.causal
@@ -75,58 +96,54 @@ let current_core t = t.cur_core
    across unrelated components. *)
 let set_core t core = if enabled t then t.cur_core <- core
 
-let capacity t = Array.length t.ops
-let recorded t = t.recorded
-let dropped t = max 0 (t.recorded - capacity t)
+let capacity t = Array.length t.ring.ops
+let recorded t = t.ring.recorded
+let dropped t = max 0 (t.ring.recorded - capacity t)
 
-let latency_for t op = Name_cache.find t.latency_cache t.latencies ~make:Histogram.create op
-
-(* Behind [record] and [span]. Every argument is required, so a call
-   boxes no option, and the slot is written in place. *)
-let push t clock ~op ~start ~arg ~outcome ~core =
-  let finish = Clock.now clock in
-  let i = t.recorded mod capacity t in
-  t.ops.(i) <- op;
-  t.cores.(i) <- core;
-  t.starts.(i) <- start;
-  t.finishes.(i) <- finish;
-  t.args.(i) <- arg;
-  t.outcomes.(i) <- outcome;
-  t.recorded <- t.recorded + 1;
-  Histogram.observe (latency_for t op) (max 0 (finish - start))
+(* Behind [record] and [leave]: a no-op without a ring. Every argument
+   is required, so a call boxes no option, and the slot is written in
+   place. *)
+let push t ~op ~start ~arg ~outcome ~core =
+  let r = t.ring in
+  if r != no_ring then begin
+    let finish = now t in
+    let i = r.recorded mod Array.length r.ops in
+    r.ops.(i) <- op;
+    r.cores.(i) <- core;
+    r.starts.(i) <- start;
+    r.finishes.(i) <- finish;
+    r.args.(i) <- arg;
+    r.outcomes.(i) <- outcome;
+    r.recorded <- r.recorded + 1;
+    let h = Name_cache.find r.latency_cache r.latencies ~make:Histogram.create op in
+    Histogram.observe h (max 0 (finish - start))
+  end
 
 let record t ~op ~start ?(arg = 0) ?(outcome = "ok") ?core () =
-  match t.clock with
-  | None -> ()
-  | Some clock ->
-    push t clock ~op ~start ~arg ~outcome ~core:(match core with Some c -> c | None -> t.cur_core)
+  push t ~op ~start ~arg ~outcome ~core:(match core with Some c -> c | None -> t.cur_core)
 
 let attach_faults t f =
   if not (enabled t) then invalid_arg "Trace.attach_faults: disabled trace";
   t.faults <- f;
   (* Every injection shows up as a zero-length "fault_inject" event whose
      outcome names the site. *)
-  Fault_inject.set_reporter f (fun site ->
-      match t.clock with
-      | None -> ()
-      | Some clock -> record t ~op:"fault_inject" ~start:(Clock.now clock) ~outcome:site ())
+  Fault_inject.set_reporter f (fun site -> record t ~op:"fault_inject" ~start:(now t) ~outcome:site ())
 
-(* [leave] records the event inside the frame, so its host cost lands in
-   the span that caused it. Arguments are required: a site boxes no option. *)
+(* With no sink attached, a span is one branch at each end. [leave]
+   records the event inside the frame, so its host cost lands in the
+   span that caused it. Arguments are required: a site boxes no option. *)
 let enter t ~op =
-  match t.clock with
-  | None -> 0
-  | Some clock ->
-    let start = Clock.now clock in
+  if t.fed then begin
     Profile.enter t.profile op;
-    start
+    now t
+  end
+  else 0
 
 let leave t ~op ~start ~arg ~outcome =
-  match t.clock with
-  | None -> ()
-  | Some clock ->
-    push t clock ~op ~start ~arg ~outcome ~core:t.cur_core;
+  if t.fed then begin
+    push t ~op ~start ~arg ~outcome ~core:t.cur_core;
     Profile.leave t.profile
+  end
 
 let leave_raised t ~op ~start = leave t ~op ~start ~arg:0 ~outcome:"raised"
 
@@ -136,42 +153,51 @@ let leave_raised t ~op ~start = leave t ~op ~start ~arg:0 ~outcome:"raised"
 let no_arg _ = 0
 let ok _ = "ok"
 
+(* [arg] and [outcome] only name the ring's event: without a ring they
+   are never called. *)
 let span t ~op ?(arg = no_arg) ?(outcome = ok) f =
-  let start = enter t ~op in
-  match f () with
-  | v ->
-    leave t ~op ~start ~arg:(arg v) ~outcome:(outcome v);
-    v
-  | exception e ->
-    leave_raised t ~op ~start;
-    raise e
+  if not t.fed then f ()
+  else
+    let start = enter t ~op in
+    match f () with
+    | v ->
+      if t.ring != no_ring then push t ~op ~start ~arg:(arg v) ~outcome:(outcome v) ~core:t.cur_core;
+      Profile.leave t.profile;
+      v
+    | exception e ->
+      leave_raised t ~op ~start;
+      raise e
 
 (* Oldest retained event first, read out of the ring. *)
 let events t =
-  let kept = min t.recorded (capacity t) in
+  let r = t.ring in
+  let kept = min r.recorded (capacity t) in
   List.init kept (fun k ->
-      let seq = t.recorded - kept + k in
+      let seq = r.recorded - kept + k in
       let i = seq mod capacity t in
       {
         seq;
-        op = t.ops.(i);
-        core = t.cores.(i);
-        start = t.starts.(i);
-        finish = t.finishes.(i);
-        arg = t.args.(i);
-        outcome = t.outcomes.(i);
+        op = r.ops.(i);
+        core = r.cores.(i);
+        start = r.starts.(i);
+        finish = r.finishes.(i);
+        arg = r.args.(i);
+        outcome = r.outcomes.(i);
       })
 
-let latency t op = Hashtbl.find_opt t.latencies op
+let latency t op = Hashtbl.find_opt t.ring.latencies op
 
 let ops t =
-  Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.latencies []
+  Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.ring.latencies []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
-  t.recorded <- 0;
-  Hashtbl.reset t.latencies;
-  Name_cache.clear t.latency_cache
+  let r = t.ring in
+  if r != no_ring then begin
+    r.recorded <- 0;
+    Hashtbl.reset r.latencies;
+    Name_cache.clear r.latency_cache
+  end
 
 let event_to_json e =
   Json.Obj
@@ -214,7 +240,7 @@ let to_json ?(events_limit = max_int) t =
     [
       ("enabled", Json.Bool (enabled t));
       ("capacity", Json.Int (capacity t));
-      ("recorded", Json.Int t.recorded);
+      ("recorded", Json.Int (recorded t));
       ("dropped", Json.Int (dropped t));
       ("ops", Json.Obj (List.map (fun (k, h) -> (k, op_summary k h)) (ops t)));
       ("events", Json.List (List.map event_to_json evs));

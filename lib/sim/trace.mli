@@ -1,22 +1,29 @@
 (** Structured tracing over the virtual clock: the one instrumentation
     API.
 
-    A [Trace.t] holds a bounded ring buffer of events (operation name, start
-    and end cycle, operand size, outcome string) and a per-operation latency
-    {!Histogram.t}, so experiments can report p50/p99/max latency per
-    operation rather than flat counts. Every instrumented path opens a
-    span, which also drives the attached {!Profile} call tree: {!span}
-    wraps a function, and the closure-free form ({!enter}, then exactly
-    one {!leave} or {!leave_raised}) serves the per-page sites. The
-    ring's slots are overwritten in place, so recording allocates
-    nothing. An operation's histogram is found through a small
-    {!Name_cache} keyed by the name string's identity, in front of the
-    string-keyed table; {!reset} empties both.
+    Every instrumented path opens a span: {!span} wraps a function, and
+    the closure-free form ({!enter}, then exactly one {!leave} or
+    {!leave_raised}) serves the per-page sites. A span feeds only the
+    sinks its trace has attached, and {!create} attaches none, so with
+    no sink a span is one branch at each end. The sinks:
+    - the call-tree profiler ({!attach_profile}): a frame per span;
+    - the event ring ({!attach_ring}): a bounded ring of events
+      (operation name, start and end cycle, operand size, outcome
+      string) and a per-operation latency {!Histogram.t}, so a reader
+      can report p50/p99/max latency per operation rather than flat
+      counts. Its slots are overwritten in place, so recording allocates
+      nothing. An operation's histogram is found through a small
+      {!Name_cache} keyed by the name string's identity, in front of the
+      string-keyed table; {!reset} empties both.
+
+    The code that reads a sink attaches it, outside any open span; the
+    ring's readers are the bench [trace] section, [profile --format
+    chrome] and the T1 timeline.
 
     Components store a trace field defaulting to {!disabled}, a shared no-op
     sentinel: recording into it does nothing, and {!span} just runs its
-    function. Costs charged to the clock never depend on whether tracing is
-    enabled. *)
+    function. Costs charged to the clock never depend on which sinks are
+    attached. *)
 
 type event = {
   seq : int;  (** monotonic sequence number: emission order, never reused *)
@@ -30,13 +37,18 @@ type event = {
 
 type t
 
-val create : clock:Clock.t -> ?capacity:int -> unit -> t
-(** A live trace reading timestamps from [clock]. [capacity] (default 4096)
-    bounds the event ring; older events are dropped, histograms keep every
-    sample. Raises [Invalid_argument] if [capacity <= 0]. *)
+val create : clock:Clock.t -> unit -> t
+(** A live trace reading timestamps from [clock], with no sink attached. *)
 
 val disabled : t
 (** Shared no-op sentinel: never records, safe to use from any component. *)
+
+val attach_ring : t -> ?capacity:int -> unit -> unit
+(** Attach a fresh, empty event ring with its latency histograms, in
+    place of any ring attached before: from now on every span, {!record}
+    and injected fault records into it. [capacity] (default 4096) bounds
+    the ring; older events are dropped, histograms keep every sample.
+    Raises [Invalid_argument] if [capacity <= 0] or on {!disabled}. *)
 
 val attach_profile : t -> Profile.t -> unit
 (** Attach a profiler so every component sharing this trace starts
@@ -54,8 +66,8 @@ val faults : t -> Fault_inject.t
 val attach_faults : t -> Fault_inject.t -> unit
 (** Attach a fault plane so every component sharing this trace starts
     consulting it, and wire its reporter to record a ["fault_inject"]
-    trace event (outcome = site name) on each injection. Raises
-    [Invalid_argument] on {!disabled}. *)
+    event (outcome = site name) on each injection, into the ring if one
+    is attached. Raises [Invalid_argument] on {!disabled}. *)
 
 val causal : t -> Causal.t
 (** The cross-core causal plane attached to this trace —
@@ -77,7 +89,9 @@ val set_core : t -> int -> unit
     No-op on {!disabled} (the sentinel is shared). *)
 
 val enabled : t -> bool
+
 val capacity : t -> int
+(** The attached ring's capacity; 0 without a ring. *)
 
 val recorded : t -> int
 (** Total events ever recorded, including ones the ring has since dropped. *)
@@ -92,17 +106,19 @@ val record :
     the {!current_core} stamp (components acting on a remote core's
     behalf pass it explicitly). Instrumented paths use {!span}; this is
     for events that are not a call, such as one IPI delivery of a round
-    or a fault injection. It opens no call-tree frame. No-op on
-    {!disabled}. *)
+    or a fault injection. It opens no call-tree frame. A no-op without
+    a ring. *)
 
 val enter : t -> op:string -> int
 (** Open a span: push frame [op] in the profiler and return the start
-    cycle. Close it, innermost first, with exactly one {!leave} or
-    {!leave_raised} given the same [op] and start. *)
+    cycle (0 with no sink attached). Close it, innermost first, with
+    exactly one {!leave} or {!leave_raised} given the same [op] and
+    start. *)
 
 val leave : t -> op:string -> start:int -> arg:int -> outcome:string -> unit
 (** Record the span's ring event and histogram sample, then pop its
-    frame. Like {!enter}, a no-op on {!disabled} that allocates nothing. *)
+    frame. Like {!enter}, a no-op with no sink attached, and it
+    allocates nothing. *)
 
 val leave_raised : t -> op:string -> start:int -> unit
 (** {!leave} with operand 0 and outcome "raised"; the caller re-raises. *)
@@ -110,19 +126,22 @@ val leave_raised : t -> op:string -> start:int -> unit
 val span :
   t -> op:string -> ?arg:('a -> int) -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
 (** [span t ~op f] runs [f], charging the clock with whatever [f] itself
-    charges, and feeds every sink from one call: a call-tree frame named
-    [op] in the attached profiler ({!attach_profile}), one ring event
-    covering [f], and a sample in [op]'s histogram. [arg] and [outcome]
-    map the result to the event's operand size (default 0) and outcome
-    string (default "ok"). An exception records outcome "raised"
-    (operand 0), pops the frame and re-raises: {!enter}, then {!leave}
-    or {!leave_raised}, around [f]. Once [op] has its histogram (made on
-    its first event), recording allocates nothing: with the defaults and
-    a body closed over nothing, a span allocates no words. On
-    {!disabled} it runs [f] and records nothing. *)
+    charges, and feeds every attached sink from one call: a call-tree
+    frame named [op] in the profiler ({!attach_profile}), and one ring
+    event covering [f] plus a sample in [op]'s histogram
+    ({!attach_ring}). [arg] and [outcome] map the result to the event's
+    operand size (default 0) and outcome string (default "ok"); they are
+    called only when a ring is attached. An exception records outcome
+    "raised" (operand 0), pops the frame and re-raises: {!enter}, then
+    {!leave} or {!leave_raised}, around [f]. Once [op] has its histogram
+    (made on its first event), recording allocates nothing: with the
+    defaults and a body closed over nothing, a span allocates no words.
+    With no sink attached, or on {!disabled}, it runs [f] and records
+    nothing. *)
 
 val events : t -> event list
-(** Retained events, oldest first, read out of the ring. *)
+(** Retained events, oldest first, read out of the ring ([] without
+    one). *)
 
 val latency : t -> string -> Histogram.t option
 (** Latency histogram for one operation, if it ever recorded. *)

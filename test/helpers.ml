@@ -59,10 +59,12 @@ let mk_page_table ?(levels = 4) () =
   in
   (Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame ~free_frame:ignore, clock, stats)
 
-(* A live trace on [clock] with profiler [p] attached: every Trace.span
-   on it opens a frame in [p]. *)
+(* A live trace on [clock] with profiler [p] and an event ring
+   attached: every Trace.span on it opens a frame in [p] and records an
+   event. *)
 let traced clock p =
   let tr = Sim.Trace.create ~clock () in
+  Sim.Trace.attach_ring tr ();
   Sim.Trace.attach_profile tr p;
   tr
 

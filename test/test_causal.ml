@@ -40,6 +40,7 @@ let ops_named name causal = List.filter (fun n -> n.Ca.op = name) (Ca.nodes caus
 let test_seq_monotonic () =
   let clock = Sim.Clock.create () in
   let trace = Sim.Trace.create ~clock () in
+  Sim.Trace.attach_ring trace ();
   for _ = 1 to 5 do
     (* No clock charge: all five events land on cycle 0. *)
     Sim.Trace.record trace ~op:"zero_cost" ~start:(Sim.Clock.now clock) ()
@@ -61,6 +62,7 @@ let test_seq_monotonic () =
 let test_core_stamp_and_disabled () =
   let clock = Sim.Clock.create () in
   let trace = Sim.Trace.create ~clock () in
+  Sim.Trace.attach_ring trace ();
   check_int "default core 0" 0 (Sim.Trace.current_core trace);
   Sim.Trace.set_core trace 3;
   Sim.Trace.record trace ~op:"stamped" ~start:0 ();

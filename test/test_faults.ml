@@ -58,6 +58,7 @@ let test_injection_traced_and_counted () =
   let clock = Sim.Clock.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create ~clock () in
+  Sim.Trace.attach_ring trace ();
   let plane = FI.create ~seed:1 ~stats () in
   Sim.Trace.attach_faults trace plane;
   FI.arm plane ~site:FI.site_zero_cache_empty FI.Always;

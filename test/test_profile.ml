@@ -128,7 +128,7 @@ let test_reset () =
 
 (* No sink may charge the clock or touch a counter: with the event ring,
    the call tree and the host metrics all fed, a run spends exactly the
-   cycles and counts exactly what a bare run does. *)
+   cycles and counts exactly what a run that feeds no sink does. *)
 let run_workload k =
   let p = Os.Kernel.create_process k () in
   let len = Sim.Units.kib 64 in
@@ -143,6 +143,7 @@ let test_zero_virtual_cost () =
   let ns = ref 0 in
   let now_ns () = incr ns; !ns in
   let profile = Sim.Profile.create ~clock:(Os.Kernel.clock k) ~now_ns () in
+  Sim.Trace.attach_ring (Os.Kernel.trace k) ();
   Sim.Trace.attach_profile (Os.Kernel.trace k) profile;
   let cycles, stats = run_workload k in
   check_int "identical cycles with every sink fed" cycles_bare cycles;
@@ -163,6 +164,7 @@ let test_truncate_frames_every_call () =
   let k = mk_kernel () in
   let p = Sim.Profile.create ~clock:(Os.Kernel.clock k) () in
   let tr = Os.Kernel.trace k in
+  Sim.Trace.attach_ring tr ();
   Sim.Trace.attach_profile tr p;
   let fs = Os.Kernel.tmpfs k in
   let ino = Fs.Memfs.create_file fs "/t" ~persistence:Fs.Inode.Volatile in
@@ -312,6 +314,7 @@ let test_frames_are_trace_ops () =
   in
   let k = Experiments.Bench_env.kernel () in
   let p = Sim.Profile.create ~clock:(Os.Kernel.clock k) () in
+  Sim.Trace.attach_ring (Os.Kernel.trace k) ();
   Sim.Trace.attach_profile (Os.Kernel.trace k) p;
   check_run "metrics workload" (Experiments.Exp_metrics.run_workload k) p;
   List.iter

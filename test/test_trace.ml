@@ -2,12 +2,18 @@ open Helpers
 
 let mk ?(capacity = 4) () =
   let clock = Sim.Clock.create () in
-  (Sim.Trace.create ~clock ~capacity (), clock)
+  let tr = Sim.Trace.create ~clock () in
+  Sim.Trace.attach_ring tr ~capacity ();
+  (tr, clock)
 
 let test_create_validation () =
-  let clock = Sim.Clock.create () in
-  Alcotest.check_raises "zero capacity" (Invalid_argument "Trace.create: capacity must be positive")
-    (fun () -> ignore (Sim.Trace.create ~clock ~capacity:0 ()))
+  let tr = Sim.Trace.create ~clock:(Sim.Clock.create ()) () in
+  Alcotest.check_raises "zero capacity"
+    (Invalid_argument "Trace.attach_ring: capacity must be positive") (fun () ->
+      Sim.Trace.attach_ring tr ~capacity:0 ());
+  Alcotest.check_raises "no ring on the shared sentinel"
+    (Invalid_argument "Trace.attach_ring: disabled trace") (fun () ->
+      Sim.Trace.attach_ring Sim.Trace.disabled ())
 
 let test_ring_wraparound () =
   let tr, clock = mk () in
@@ -259,6 +265,59 @@ let test_json_op_ring_occupancy () =
   check_int "recorded counts wrapped events" 6 (op_field "recorded");
   check_int "in_ring capped at capacity" 4 (op_field "in_ring")
 
+(* A kernel feeds no sink until a reader attaches one. Faults and a
+   munmap, a point event and the injections the fault plane reports
+   leave no event and no histogram behind. Once the ring is attached it
+   holds exactly the spans that follow: one event per call-tree frame of
+   a profiler attached at the same moment, none from before. *)
+let test_kernel_records_only_for_a_ring () =
+  let k = mk_kernel () in
+  let tr = Os.Kernel.trace k in
+  let p = Os.Kernel.create_process k () in
+  let len = Sim.Units.kib 64 in
+  let touch_and_unmap () =
+    let va = Os.Kernel.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:false in
+    ignore (Os.Kernel.access_range k p ~va ~len ~write:true ~stride:Sim.Units.page_size);
+    Os.Kernel.munmap k p ~va ~len
+  in
+  let stats = Os.Kernel.stats k in
+  let plane = Sim.Fault_inject.create ~seed:1 ~stats () in
+  Sim.Trace.attach_faults tr plane;
+  Sim.Fault_inject.arm plane ~site:Sim.Fault_inject.site_zero_cache_empty Sim.Fault_inject.Always;
+  touch_and_unmap ();
+  Sim.Fault_inject.disarm plane ~site:Sim.Fault_inject.site_zero_cache_empty;
+  Sim.Trace.record tr ~op:"point" ~start:0 ();
+  check_int "the pages faulted" 16 (Sim.Stats.get stats "page_fault");
+  check_bool "the plane injected" true (Sim.Stats.get stats "fault_inject" > 0);
+  check_int "no event without a ring" 0 (Sim.Trace.recorded tr);
+  check_int "no histogram without a ring" 0 (List.length (Sim.Trace.ops tr));
+  let attached = Sim.Clock.now (Os.Kernel.clock k) in
+  Sim.Trace.attach_ring tr ();
+  let profile = Sim.Profile.create ~clock:(Os.Kernel.clock k) () in
+  Sim.Trace.attach_profile tr profile;
+  touch_and_unmap ();
+  let calls op =
+    List.fold_left
+      (fun n (path, c, _, _) ->
+        match List.rev (String.split_on_char ';' path) with
+        | last :: _ when last = op -> n + c
+        | _ -> n)
+      0 (Sim.Profile.flatten profile)
+  in
+  let ops = Sim.Trace.ops tr in
+  List.iter
+    (fun (op, h) -> check_int (op ^ ": one event per span") (calls op) (Sim.Histogram.count h))
+    ops;
+  check_int "every span recorded"
+    (List.fold_left (fun n (_, c, _, _) -> n + c) 0 (Sim.Profile.flatten profile))
+    (Sim.Trace.recorded tr);
+  check_bool "the later faults recorded" true (calls "fault" = 16 && calls "munmap" = 1);
+  List.iter
+    (fun e -> check_bool "no event from before the ring" true (e.Sim.Trace.start >= attached))
+    (Sim.Trace.events tr);
+  Sim.Trace.record tr ~op:"point" ~start:attached ();
+  check_bool "a point event lands in the ring" true (Sim.Trace.latency tr "point" <> None)
+
 let suite =
   [
     Alcotest.test_case "trace: create validation" `Quick test_create_validation;
@@ -273,4 +332,6 @@ let suite =
     Alcotest.test_case "trace: JSON events_limit" `Quick test_json_events_limit;
     Alcotest.test_case "trace: JSON op recorded vs in_ring" `Quick test_json_op_ring_occupancy;
     Alcotest.test_case "trace: reset empties the name cache" `Quick test_reset_empties_name_cache;
+    Alcotest.test_case "trace: a kernel records only into an attached ring" `Quick
+      test_kernel_records_only_for_a_ring;
   ]
