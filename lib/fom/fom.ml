@@ -241,8 +241,8 @@ let access t (proc : Os.Proc.t) ~va ~write =
   let start = Sim.Trace.enter trace ~op:"access" in
   let mmu = Os.Address_space.mmu proc.Os.Proc.aspace in
   match Hw.Mmu.access mmu ~mem:(Os.Kernel.mem t.kernel) ~va ~write with
-  | Ok () -> Sim.Trace.leave trace ~op:"access" ~start ~arg:0 ~outcome:"ok"
-  | Error _ ->
+  | pa when pa >= 0 -> Sim.Trace.leave trace ~op:"access" ~start ~arg:0 ~outcome:"ok"
+  | _ ->
     Sim.Trace.leave_raised trace ~op:"access" ~start;
     raise (Os.Fault.Segfault va)
   | exception e ->

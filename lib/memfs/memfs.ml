@@ -315,7 +315,7 @@ let extend t ino ~bytes_wanted =
                one charged take per frame. *)
             let covered = ref 0 in
             for _ = 1 to count do
-              if Option.is_some (Physmem.Zero_engine.take t.zero) then incr covered
+              if Physmem.Zero_engine.take t.zero >= 0 then incr covered
             done;
             for pfn = first to first + count - 1 - !covered do
               Physmem.Zero_engine.eager_zero t.zero pfn

@@ -115,11 +115,9 @@ let translate t ~va ~write ~exec =
 
 let access t ~mem ~va ~write =
   let pa = resolve t ~va ~write ~exec:false in
-  if pa < 0 then Error (fault_of pa)
-  else begin
+  if pa >= 0 then
     if write then Physmem.Phys_mem.write_byte mem pa 'x' else Physmem.Phys_mem.touch mem pa;
-    Ok ()
-  end
+  pa
 
 (* Purely local full flush (context switch): current core only, zero
    IPIs — the single-core cost the fixed {!Sim.Cost_model.tlb_shootdown}

@@ -48,9 +48,10 @@ val translate : t -> va:int -> write:bool -> exec:bool -> (int, fault) result
 (** Translate one access, charging TLB probe / walk costs and maintaining
     accessed/dirty bits. *)
 
-val access : t -> mem:Physmem.Phys_mem.t -> va:int -> write:bool -> (unit, fault) result
+val access : t -> mem:Physmem.Phys_mem.t -> va:int -> write:bool -> int
 (** [translate] then touch the physical byte (charging the memory
-    reference). *)
+    reference). Returns the physical address, or a negative code if the
+    access faults, so a fault boxes nothing. *)
 
 val flush_tlbs : t -> unit
 (** Purely local full flush of the current core's TLBs (context switch):

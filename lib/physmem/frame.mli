@@ -7,6 +7,10 @@ type t = int
 (** Frame number; frame [n] covers physical bytes
     [n * page_size .. (n+1) * page_size - 1]. *)
 
+val none : t
+(** [-1], the never-valid frame: what a frame source returns when it has
+    no frame to hand out, so a handout boxes no option. *)
+
 val to_addr : t -> int
 (** Physical byte address of the first byte of the frame. *)
 

@@ -53,7 +53,7 @@ let take t =
     || t.zeroed.len = 0
   then begin
     Sim.Stats.incr stats "zero_cache_miss";
-    None
+    Frame.none
   end
   else begin
     let start = Sim.Trace.enter trace ~op:"zero_cache_pop" in
@@ -61,7 +61,7 @@ let take t =
     Sim.Clock.charge clock Sim.Cost_model.zero_cache_pop;
     Sim.Stats.incr stats "zero_cache_hit";
     Sim.Trace.leave trace ~op:"zero_cache_pop" ~start ~arg:0 ~outcome:"ok";
-    Some (pop t)
+    pop t
   end
 
 (* Closure-free spans: all three run on the fault path. *)
@@ -99,7 +99,7 @@ let launder t =
   if t.dirty.len = 0 then
     (* Nothing to launder: a pooled frame, uncharged, is the last clean
        memory a forced miss can still reach. *)
-    if t.zeroed.len = 0 then None else Some (pop t)
+    if t.zeroed.len = 0 then Frame.none else pop t
   else begin
     let trace = Phys_mem.trace t.mem in
     let start = Sim.Trace.enter trace ~op:"background_zero" in
@@ -107,7 +107,7 @@ let launder t =
     match Phys_mem.zero_frame t.mem pfn with
     | () ->
       Sim.Trace.leave trace ~op:"background_zero" ~start ~arg:1 ~outcome:"ok";
-      Some pfn
+      pfn
     | exception e ->
       Sim.Trace.leave_raised trace ~op:"background_zero" ~start;
       raise e

@@ -26,24 +26,24 @@ val put_dirty : t -> first:Frame.t -> count:int -> unit
 (** Hand the [count] freed frames from [first] to the engine; they become
     pending until zeroed. *)
 
-val take : t -> Frame.t option
+val take : t -> Frame.t
 (** Pop a pre-zeroed frame, oldest first. On a hit charges
     [zero_cache_pop] in a "zero_cache_pop" span and bumps
     "zero_cache_hit"; on a miss (empty pool) bumps "zero_cache_miss" and
-    returns [None], and the caller falls back to eager zeroing. The
-    ["zero_cache_empty"] fault-injection site forces a miss. *)
+    returns {!Frame.none}, and the caller falls back to eager zeroing.
+    The ["zero_cache_empty"] fault-injection site forces a miss. *)
 
 val background_step : t -> budget_frames:int -> int
 (** Zero up to [budget_frames] pending frames into the pool (charging the
     full linear zeroing cost to the clock, as the work is real — just off
     the critical path). Returns the number of frames zeroed. *)
 
-val launder : t -> Frame.t option
+val launder : t -> Frame.t
 (** The last resort of a request the buddy could not serve: zero the
     oldest pending frame now, in a one-frame "background_zero" span, and
     hand it out. With nothing pending, hand out a pooled frame instead,
     uncharged (a forced miss of {!take} can still reach clean memory);
-    [None] when the engine holds no frame at all. *)
+    {!Frame.none} when the engine holds no frame at all. *)
 
 val eager_zero : t -> Frame.t -> unit
 (** Zero one frame right now, charging linear cost. *)

@@ -15,27 +15,30 @@ let clock ctx = Physmem.Phys_mem.clock ctx.mem
 let stats ctx = Physmem.Phys_mem.stats ctx.mem
 let faults ctx = Sim.Trace.faults (Physmem.Phys_mem.trace ctx.mem)
 
+(* Every frame source below returns a frame or [Frame.none], so a
+   handout boxes no option. *)
+
 (* The kernel's frame source, with the injection site in front: when
    "frame_alloc_fail" fires the buddy pretends to be empty, pushing the
    caller down its degradation path. *)
 let buddy_alloc ctx ~order =
-  if Sim.Fault_inject.fires (faults ctx) ~site:Sim.Fault_inject.site_frame_alloc_fail then None
-  else Alloc.Buddy.alloc ctx.buddy ~order
+  if Sim.Fault_inject.fires (faults ctx) ~site:Sim.Fault_inject.site_frame_alloc_fail then
+    Physmem.Frame.none
+  else match Alloc.Buddy.alloc ctx.buddy ~order with Some pfn -> pfn | None -> Physmem.Frame.none
 
 (* A frame with unspecified contents: buddy first; when the buddy is dry
    the memory may be sitting in the zero engine, pending or pooled (the
    reclaim-then-retry pass parks frames there), rather than OOM. *)
 let raw_frame ctx =
-  match buddy_alloc ctx ~order:0 with
-  | Some _ as got -> got
-  | None -> Physmem.Zero_engine.launder ctx.zero
+  let pfn = buddy_alloc ctx ~order:0 in
+  if pfn >= 0 then pfn else Physmem.Zero_engine.launder ctx.zero
 
 (* Graceful degradation: a failed [alloc ctx] (a top-level function: no
    closure per call) gets one reclaim-then-retry pass before the typed OOM. *)
 let with_reclaim_retry ctx alloc =
-  match alloc ctx with
-  | Some _ as got -> got
-  | None ->
+  let pfn = alloc ctx in
+  if pfn >= 0 then pfn
+  else begin
     Sim.Stats.incr (stats ctx) "alloc_retry_reclaim";
     let trace = Physmem.Phys_mem.trace ctx.mem in
     let causal = Sim.Trace.causal trace in
@@ -49,32 +52,32 @@ let with_reclaim_retry ctx alloc =
     let wake = Sim.Causal.emit causal ~core ~op:"reclaim_wake" ~detail:(string_of_int got) () in
     Sim.Causal.link causal ~src:stall ~dst:wake ~kind:"reclaim";
     alloc ctx
+  end
 
 let oom ctx what =
   Sim.Stats.incr (stats ctx) "alloc_oom";
   Sim.Errno.fail Sim.Errno.ENOMEM what
 
 let raw_frame_exn ?(what = "raw frame") ctx =
-  match with_reclaim_retry ctx raw_frame with
-  | Some pfn -> pfn
-  | None -> oom ctx what
+  let pfn = with_reclaim_retry ctx raw_frame in
+  if pfn >= 0 then pfn else oom ctx what
 
 (* Each frame source is asked once: the pre-zeroed pool (O(1)), then
    the buddy plus an eager zero, then a frame laundered on demand. *)
 let fresh_zero_frame_once ctx =
-  match Physmem.Zero_engine.take ctx.zero with
-  | Some _ as got -> got
-  | None -> (
-    match buddy_alloc ctx ~order:0 with
-    | Some pfn ->
+  let pfn = Physmem.Zero_engine.take ctx.zero in
+  if pfn >= 0 then pfn
+  else
+    let pfn = buddy_alloc ctx ~order:0 in
+    if pfn >= 0 then begin
       Physmem.Zero_engine.eager_zero ctx.zero pfn;
-      Some pfn
-    | None -> Physmem.Zero_engine.launder ctx.zero)
+      pfn
+    end
+    else Physmem.Zero_engine.launder ctx.zero
 
 let fresh_zero_frame ctx =
-  match with_reclaim_retry ctx fresh_zero_frame_once with
-  | Some pfn -> pfn
-  | None -> oom ctx "zero frame"
+  let pfn = with_reclaim_retry ctx fresh_zero_frame_once in
+  if pfn >= 0 then pfn else oom ctx "zero frame"
 
 let install ctx aspace ~va ~pfn ~prot ~dirty ~anon =
   Page_meta.map ctx.meta aspace
@@ -116,7 +119,6 @@ let populate_file_page ctx ~aspace ~(vma : Vma.t) ~va =
   install ctx aspace ~va ~pfn ~prot ~dirty:false ~anon:false
 
 let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~(vma : Vma.t) =
-  let table = Address_space.page_table aspace in
   let old_pfn = old_leaf.Hw.Page_table.pfn in
   (* No zeroing needed: the copy below overwrites the whole page. *)
   let pfn = raw_frame_exn ctx in
@@ -125,7 +127,7 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~(vma : Vma.t) =
   let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
   (* A file's frame (outside the buddy's pool) stays with its file
      system; an anonymous page or an earlier CoW copy is the VM's. *)
-  Page_meta.unmap ctx.meta ~zero:ctx.zero table ~va:page_va old_leaf
+  Page_meta.unmap ctx.meta ~zero:ctx.zero aspace ~va:page_va old_leaf
     ~owned:(Alloc.Buddy.owns ctx.buddy old_pfn);
   Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
   install ctx aspace ~va:page_va ~pfn ~prot:vma.Vma.prot ~dirty:false
@@ -159,7 +161,7 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
     else
       match vma.Vma.backing with
       | Vma.Anon ->
-        if Swap.contains ctx.swap ~key:(pid, page_va) then begin
+        if Swap.contains ctx.swap ~pid ~va:page_va then begin
           (* Major fault: bring the page back from the device. *)
           let pfn = raw_frame_exn ctx in
           let ok = Swap.swap_in ctx.swap ~key:(pid, page_va) ~pfn in

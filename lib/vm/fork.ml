@@ -29,7 +29,7 @@ let fork k (parent : Proc.t) =
         if
           anon
           && Hw.Page_table.lookup p_table ~va = None
-          && Swap.contains (Kernel.swap k) ~key:(parent.Proc.pid, va)
+          && Swap.contains (Kernel.swap k) ~pid:parent.Proc.pid ~va
         then Kernel.access k parent ~va ~write:false;
         (* Huge anonymous leaves split first, as in Linux. *)
         (match Hw.Page_table.lookup p_table ~va with

@@ -281,7 +281,8 @@ let processes t = t.procs
    [batch] — the mmu_gather pattern. Frames outside the buddy's pool
    belong to a file system; every other frame (an anonymous page or a
    private mapping's CoW copy) is the VM's to free. *)
-let unmap_leaves t ~table ~batch ~va ~len =
+let unmap_leaves t aspace ~batch ~va ~len =
+  let table = Address_space.page_table aspace in
   for i = 0 to (len / Sim.Units.page_size) - 1 do
     let page_va = va + (i * Sim.Units.page_size) in
     let leaf = Hw.Page_table.find table ~va:page_va in
@@ -290,14 +291,14 @@ let unmap_leaves t ~table ~batch ~va ~len =
       leaf != Hw.Page_table.no_leaf
       && Sim.Units.is_aligned page_va ~align:(Hw.Page_size.bytes leaf.Hw.Page_table.size)
     then
-      Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf
+      Page_meta.unmap t.meta ~zero:t.zero aspace ~va:page_va leaf
         ~owned:(Alloc.Buddy.owns t.buddy leaf.Hw.Page_table.pfn)
   done;
   Hw.Tlb_batch.add batch ~va ~len
 
 (* Tear down one VMA already removed from its address space. *)
-let teardown_vma t (vma : Vma.t) ~pid ~table ~batch =
-  unmap_leaves t ~table ~batch ~va:vma.Vma.start ~len:vma.Vma.len;
+let teardown_vma t aspace (vma : Vma.t) ~pid ~batch =
+  unmap_leaves t aspace ~batch ~va:vma.Vma.start ~len:vma.Vma.len;
   match vma.Vma.backing with
   | Vma.File { fs; ino; _ } -> Fs.Memfs.close_file fs ino
   | Vma.Anon -> Swap.discard t.swap ~pid ~va:vma.Vma.start ~len:vma.Vma.len
@@ -305,11 +306,10 @@ let teardown_vma t (vma : Vma.t) ~pid ~table ~batch =
 (* Remove and tear down every VMA in [start, start+len): one shootdown
    pass for the whole span, VMA count notwithstanding. *)
 let unmap_vmas t aspace ~start ~len =
-  let table = Address_space.page_table aspace in
   let pid = Hw.Mmu.asid (Address_space.mmu aspace) in
   let removed = Address_space.remove_range aspace ~start ~len in
   let batch = Hw.Tlb_batch.create (Address_space.mmu aspace) in
-  List.iter (fun vma -> teardown_vma t vma ~pid ~table ~batch) removed;
+  List.iter (fun vma -> teardown_vma t aspace vma ~pid ~batch) removed;
   Hw.Tlb_batch.flush batch
 
 let munmap t proc ~va ~len =
@@ -335,7 +335,7 @@ let exit_process t proc =
     let batch = Hw.Tlb_batch.create (Address_space.mmu aspace) in
     List.iter
       (fun (va, len) ->
-        unmap_leaves t ~table ~batch ~va ~len;
+        unmap_leaves t aspace ~batch ~va ~len;
         Userfault.unregister t.userfault ~pid:proc.Proc.pid ~va)
       !regions;
     Hw.Tlb_batch.flush batch
@@ -470,7 +470,7 @@ let madvise_dontneed t proc ~va ~len =
     match (Address_space.find_vma aspace ~va:page_va, Hw.Page_table.lookup table ~va:page_va) with
     | Some { Vma.backing = Vma.Anon; _ }, Some (_, leaf)
       when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
-      Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf ~owned:true;
+      Page_meta.unmap t.meta ~zero:t.zero aspace ~va:page_va leaf ~owned:true;
       Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
       incr released
     | _ -> ()
@@ -507,7 +507,7 @@ let user_page_release t proc ~va =
   match Hw.Page_table.lookup table ~va:page_va with
   | None -> None
   | Some (_, leaf) ->
-    Page_meta.unmap t.meta ~zero:t.zero table ~va:page_va leaf ~owned:true;
+    Page_meta.unmap t.meta ~zero:t.zero aspace ~va:page_va leaf ~owned:true;
     Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
     Sim.Stats.incr t.stats "userfault_evict";
     Some leaf.Hw.Page_table.pfn
@@ -523,9 +523,7 @@ let rec access_inner t proc ~va ~write =
 
 and access_body t proc ~va ~write =
   let aspace = proc.Proc.aspace in
-  match Hw.Mmu.access (Address_space.mmu aspace) ~mem:t.mem ~va ~write with
-  | Ok () -> ()
-  | Error _ ->
+  if Hw.Mmu.access (Address_space.mmu aspace) ~mem:t.mem ~va ~write < 0 then
     (* A fault outside every registered range skips the table walk. *)
     let table = Address_space.page_table aspace in
     match Userfault.find t.userfault ~pid:proc.Proc.pid ~va with

@@ -175,11 +175,11 @@ let link t aspace ~va ~pfn =
   set l n chain c.heads.(i);
   c.heads.(i) <- n
 
-(* Free [table]'s node at [va] on [pfn]'s chain, found from its head. *)
-let unlink t table ~va ~pfn =
+(* Free [aspace]'s node at [va] on [pfn]'s chain, found from its head. *)
+let unlink t aspace ~va ~pfn =
   let c = chunk t pfn and l = t.lists and i = slot pfn in
   let p = ref (-1) and n = ref (if c == no_chunk then -1 else c.heads.(i)) in
-  while !n >= 0 && not (node_va t !n = va && Address_space.page_table (node_aspace t !n) == table) do
+  while !n >= 0 && not (node_va t !n = va && node_aspace t !n == aspace) do
     p := !n;
     n := get l !n chain
   done;
@@ -209,7 +209,7 @@ let map t aspace ~va ~pfn ~prot ~size ~dirty ~anon =
    owns drops the mlock pin and hands every frame of the leaf to the zero
    engine, the only code that scrubs a freed frame, with its flags
    cleared (host-side, uncharged, like [unlink]). *)
-let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
+let unmap t ~zero aspace ~va (leaf : Hw.Page_table.leaf) ~owned =
   let pfn = leaf.Hw.Page_table.pfn in
   dec_mapcount t pfn;
   put_page t pfn;
@@ -225,8 +225,8 @@ let unmap t ~zero table ~va (leaf : Hw.Page_table.leaf) ~owned =
     done;
     Physmem.Zero_engine.put_dirty zero ~first:pfn ~count
   end;
-  unlink t table ~va ~pfn;
-  Hw.Page_table.unmap_page table ~va
+  unlink t aspace ~va ~pfn;
+  Hw.Page_table.unmap_page (Address_space.page_table aspace) ~va
 
 let init_range t ~first ~count =
   if first < 0 || count < 0 || first + count > t.frames then

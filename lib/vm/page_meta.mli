@@ -47,10 +47,10 @@ val map :
     [Lru], charged); a huge leaf stays off the lists. *)
 
 val unmap :
-  t -> zero:Physmem.Zero_engine.t -> Hw.Page_table.t -> va:int -> Hw.Page_table.leaf ->
+  t -> zero:Physmem.Zero_engine.t -> Address_space.t -> va:int -> Hw.Page_table.leaf ->
   owned:bool -> unit
 (** Drop the mapping's reference and mapcount, then remove the leaf at
-    [va]. When that was the frame's last mapping and the caller [owned]
+    [va] from the address space's table. When that was the frame's last mapping and the caller [owned]
     it (an anonymous page that is not being split), first drop an mlock
     pin with its Pinned/Mlocked/Unevictable flags and hand every frame
     of the leaf to [zero] (512 for a 2 MiB leaf) with its flags cleared,
@@ -64,8 +64,9 @@ val unmap :
     one per address space), on the inactive or active list and its
     frame's chain. {!unmap} frees the mapping's node, uncharged. *)
 
-val unlink : t -> Hw.Page_table.t -> va:int -> pfn:Physmem.Frame.t -> unit
-(** Free [table]'s node for [pfn] at [va], if it has one. No charge. *)
+val unlink : t -> Address_space.t -> va:int -> pfn:Physmem.Frame.t -> unit
+(** Free the address space's node for [pfn] at [va], if it has one. No
+    charge. *)
 
 val lru_length : t -> active:bool -> int
 val lru_first : t -> active:bool -> int (* the list's oldest node; -1 if empty *)

@@ -36,7 +36,7 @@ let evict t aspace ~va ({ Hw.Page_table.pfn; _ } as leaf) ~batch =
   else Sim.Stats.incr (stats t) "reclaim_dropped";
   (* A frame another address space still maps stays with it; a freed one
      goes back through the zeroing pipeline. *)
-  Page_meta.unmap t.meta ~zero:t.zero (Address_space.page_table aspace) ~va leaf ~owned:true;
+  Page_meta.unmap t.meta ~zero:t.zero aspace ~va leaf ~owned:true;
   Hw.Tlb_batch.add batch ~va ~len:Sim.Units.page_size;
   Page_meta.set_flag t.meta pfn Page_meta.Lru false;
   ignore (Physmem.Zero_engine.background_step t.zero ~budget_frames:2)
@@ -68,7 +68,7 @@ let scan t ~target_frames =
     if (not demote) && Page_meta.get_flag meta pfn Page_meta.Unevictable then begin
       (* mlocked: parked off the LRU for good, as on Linux's
          unevictable list. *)
-      Page_meta.unlink meta table ~va ~pfn;
+      Page_meta.unlink meta aspace ~va ~pfn;
       Sim.Stats.incr (stats t) "reclaim_unevictable"
     end
     else if demote || leaf.Hw.Page_table.accessed then begin

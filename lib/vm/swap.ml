@@ -81,8 +81,9 @@ let swap_in t ~key ~pfn =
     Sim.Stats.incr (Physmem.Phys_mem.stats t.mem) "swap_in";
     true
 
-(* Asked on every anonymous fault: no hashing while nothing is out. *)
-let contains t ~key = Hashtbl.length t.slots > 0 && Hashtbl.mem t.slots key
+(* Asked on every anonymous fault: no key and no hashing while nothing
+   is out. *)
+let contains t ~pid ~va = Hashtbl.length t.slots > 0 && Hashtbl.mem t.slots (pid, va)
 let slots_used t = Hashtbl.length t.slots
 
 let discard t ~pid ~va ~len =

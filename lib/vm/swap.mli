@@ -27,7 +27,10 @@ val swap_in : t -> key:int * int -> pfn:Physmem.Frame.t -> bool
 (** Restore a page into [pfn]. [false] if the key was never swapped
     out. *)
 
-val contains : t -> key:int * int -> bool
+val contains : t -> pid:int -> va:int -> bool
+(** Whether [pid]'s page at [va] has a slot. While no slot is used it
+    builds no key. *)
+
 val slots_used : t -> int
 val iter : t -> (pid:int -> va:int -> unit) -> unit
 

@@ -22,7 +22,7 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
     | Some (_, leaf) when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
       present := (va, leaf) :: !present
     | Some _ -> blocked := true
-    | None -> if Swap.contains (Kernel.swap k) ~key:(proc.Proc.pid, va) then blocked := true
+    | None -> if Swap.contains (Kernel.swap k) ~pid:proc.Proc.pid ~va then blocked := true
   done;
   let present = List.rev !present in
   if !blocked || List.length present < min_pages || present = [] then None
@@ -48,7 +48,7 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
       in
       List.iter
         (fun (va, leaf) ->
-          Page_meta.unmap meta ~zero:(Kernel.zero_engine k) table ~va leaf ~owned:true)
+          Page_meta.unmap meta ~zero:(Kernel.zero_engine k) aspace ~va leaf ~owned:true)
         present;
       Hw.Mmu.invalidate_range (Address_space.mmu aspace) ~va:window ~len:Sim.Units.huge_2m;
       (* One huge leaf replaces them all; it holds their data, dirty bits
@@ -103,7 +103,7 @@ let split_huge k (proc : Proc.t) ~va =
     let window = Sim.Units.round_down va ~align:Sim.Units.huge_2m in
     let meta = Kernel.page_meta k in
     (* The block is being split, not freed: it keeps its frames. *)
-    Page_meta.unmap meta ~zero:(Kernel.zero_engine k) table ~va:window leaf ~owned:false;
+    Page_meta.unmap meta ~zero:(Kernel.zero_engine k) aspace ~va:window leaf ~owned:false;
     Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:window;
     (* Remap the same physical block as 512 base pages, each back on
        the reclaim lists. *)

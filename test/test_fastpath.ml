@@ -80,7 +80,7 @@ let test_zero_cache_hit_miss () =
   let mem = mk_mem () in
   let engine = Physmem.Zero_engine.create mem in
   let stats = Physmem.Phys_mem.stats mem in
-  check_bool "empty cache misses" true (Physmem.Zero_engine.take engine = None);
+  check_bool "empty cache misses" true (Physmem.Zero_engine.take engine = Physmem.Frame.none);
   check_int "miss counted" 1 (Sim.Stats.get stats "zero_cache_miss");
   Physmem.Zero_engine.put_dirty engine ~first:5 ~count:2;
   check_int "refill launders both" 2
@@ -88,13 +88,13 @@ let test_zero_cache_hit_miss () =
   check_int "depth" 2 (Sim.Stats.gauge stats "zero_cache_depth");
   let clock = Physmem.Phys_mem.clock mem in
   let before = Sim.Clock.now clock in
-  check_bool "hit" true (Physmem.Zero_engine.take engine <> None);
+  check_bool "hit" true (Physmem.Zero_engine.take engine >= 0);
   check_int "hit charges the O(1) pop" Sim.Cost_model.zero_cache_pop
     (Sim.Clock.elapsed clock ~since:before);
   check_int "hit counted" 1 (Sim.Stats.get stats "zero_cache_hit");
-  check_bool "second hit" true (Physmem.Zero_engine.take engine <> None);
+  check_bool "second hit" true (Physmem.Zero_engine.take engine >= 0);
   (* Exhausted again: back to misses, no crash. *)
-  check_bool "exhausted" true (Physmem.Zero_engine.take engine = None);
+  check_bool "exhausted" true (Physmem.Zero_engine.take engine = Physmem.Frame.none);
   check_int "misses" 2 (Sim.Stats.get stats "zero_cache_miss");
   check_int "drained" 0 (Physmem.Zero_engine.available engine);
   check_int "depth gauge drained" 0 (Sim.Stats.gauge stats "zero_cache_depth")

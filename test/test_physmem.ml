@@ -129,15 +129,15 @@ let test_discard_no_cost () =
 let test_zero_engine_pool () =
   let mem = mk_mem () in
   let z = Physmem.Zero_engine.create mem in
-  check_bool "pool empty" true (Physmem.Zero_engine.take z = None);
+  check_bool "pool empty" true (Physmem.Zero_engine.take z = Frame.none);
   PM.write mem ~addr:(Frame.to_addr 5) "junk";
   Physmem.Zero_engine.put_dirty z ~first:5 ~count:2;
   check_int "pending" 2 (Physmem.Zero_engine.pending z);
   check_int "zeroed two" 2 (Physmem.Zero_engine.background_step z ~budget_frames:10);
   check_int "available" 2 (Physmem.Zero_engine.available z);
   check_bool "frame 5 clean" true (PM.frame_is_zero mem 5);
-  check_bool "handout, first in first out" true (Physmem.Zero_engine.take z = Some 5);
-  check_bool "then the next" true (Physmem.Zero_engine.take z = Some 6)
+  check_bool "handout, first in first out" true (Physmem.Zero_engine.take z = 5);
+  check_bool "then the next" true (Physmem.Zero_engine.take z = 6)
 
 let test_zero_engine_budget () =
   let mem = mk_mem () in
