@@ -48,14 +48,16 @@ bench-diff:
 	  $$(ls BENCH_*.json | sort | tail -1) fresh_bench.json --threshold 10
 
 # Benchmark smoke: build perfbench/pass.exe in release, as perfbench/run.py
-# does, and run one untraced pass at seed 1 of each workload named in
-# perf_virtual.jsonl, one line per workload. Every line is checked: the
-# pass's own output checks (Os.Check, the store read-back) must report no
-# errors and its "virtual" object must equal that line's, so every
-# virtual-clock number the benchmark reports is unchanged. Each failing
-# workload is reported, then the target fails. A change that moves a
-# number on purpose rewrites that line; a new workload adds one. CI runs
-# this after `make check`.
+# does, and run two passes at seed 1 of each workload named in
+# perf_virtual.jsonl, one line per workload: an untraced one and a
+# traced one (--trace 1, which attaches the profiler), so the sinks a
+# traced pass feeds are held to the numbers the untraced pass gives.
+# Every pass is checked: its own output checks (Os.Check, the store
+# read-back) must report no errors and its "virtual" object must equal
+# that line's, so every virtual-clock number the benchmark reports is
+# unchanged. Each failing pass is reported, then the target fails. A
+# change that moves a number on purpose rewrites that line; a new
+# workload adds one. CI runs this after `make check`.
 perf-smoke:
 	dune build --build-dir .bench_build --profile release ./perfbench/pass.exe
 	@test -s perf_virtual.jsonl || { echo "perf_virtual.jsonl names no workload"; exit 1; }
@@ -63,14 +65,16 @@ perf-smoke:
 	while IFS= read -r line || [ -n "$$line" ]; do \
 	  w=$$(printf '%s\n' "$$line" | sed -n 's/^{"workload":"\([^"]*\)",.*/\1/p'); \
 	  if [ -z "$$w" ]; then echo "perf_virtual.jsonl: no workload in: $$line"; status=1; continue; fi; \
-	  if ! out=$$(.bench_build/default/perfbench/pass.exe --workload "$$w" --seed 1 --trace 0 < /dev/null); then \
-	    echo "$$w: pass failed"; status=1; continue; fi; \
-	  case "$$out" in *'"errors":[]'*) ;; *) echo "$$w: output checks failed: $$out"; status=1; continue;; esac; \
-	  v=$$(printf '%s\n' "$$out" | sed -n 's/.*"virtual":\({.*}\),"host":.*/\1/p'); \
-	  got="{\"workload\":\"$$w\",\"virtual\":$$v}"; \
-	  if [ "$$got" = "$$line" ]; then echo "$$w: virtual metrics unchanged"; \
-	  else echo "$$w: virtual metrics differ from perf_virtual.jsonl:"; \
-	    echo "  want: $$line"; echo "  got:  $$got"; status=1; fi; \
+	  for trace in 0 1; do \
+	    if ! out=$$(.bench_build/default/perfbench/pass.exe --workload "$$w" --seed 1 --trace $$trace < /dev/null); then \
+	      echo "$$w --trace $$trace: pass failed"; status=1; continue; fi; \
+	    case "$$out" in *'"errors":[]'*) ;; *) echo "$$w --trace $$trace: output checks failed: $$out"; status=1; continue;; esac; \
+	    v=$$(printf '%s\n' "$$out" | sed -n 's/.*"virtual":\({.*}\),"host":.*/\1/p'); \
+	    got="{\"workload\":\"$$w\",\"virtual\":$$v}"; \
+	    if [ "$$got" = "$$line" ]; then echo "$$w --trace $$trace: virtual metrics unchanged"; \
+	    else echo "$$w --trace $$trace: virtual metrics differ from perf_virtual.jsonl:"; \
+	      echo "  want: $$line"; echo "  got:  $$got"; status=1; fi; \
+	  done; \
 	done < perf_virtual.jsonl; \
 	exit $$status
 
